@@ -3,11 +3,10 @@
 #include "dex/DexLite.h"
 
 #include "support/Check.h"
+#include "support/CharClass.h"
 
 #include <algorithm>
-#include <cctype>
 #include <optional>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -86,14 +85,14 @@ struct RawClass {
 /// Splits one line into tokens: names (letters/digits/._$<>), and the
 /// punctuation ( ) { } , treated as single-character tokens. `#` starts a
 /// comment.
-std::vector<std::string> tokenizeLine(const std::string &Line) {
+std::vector<std::string> tokenizeLine(std::string_view Line) {
   std::vector<std::string> Tokens;
   size_t I = 0;
   while (I < Line.size()) {
     char C = Line[I];
     if (C == '#')
       break;
-    if (std::isspace(static_cast<unsigned char>(C))) {
+    if (charclass::isSpace(C)) {
       ++I;
       continue;
     }
@@ -105,8 +104,8 @@ std::vector<std::string> tokenizeLine(const std::string &Line) {
     std::string Tok;
     while (I < Line.size()) {
       char D = Line[I];
-      if (std::isalnum(static_cast<unsigned char>(D)) || D == '.' ||
-          D == '_' || D == '$' || D == '<' || D == '>' || D == '-') {
+      if (charclass::isAlnum(D) || D == '.' || D == '_' || D == '$' ||
+          D == '<' || D == '>' || D == '-') {
         Tok.push_back(D);
         ++I;
       } else {
@@ -139,17 +138,23 @@ bool splitLastDot(const std::string &QName, std::string &Prefix,
 
 class DexParser {
 public:
-  DexParser(std::string_view Input, std::string FileName,
+  DexParser(std::string_view Input, std::string_view FileName,
             DiagnosticEngine &Diags)
-      : Input(Input), FileName(std::move(FileName)), Diags(Diags) {}
+      : Input(Input), File(SourceLocation::internFile(FileName)),
+        Diags(Diags) {}
 
   bool run(std::vector<RawClass> &Out) {
-    std::istringstream Stream{std::string(Input)};
-    std::string Line;
+    // Lines split as std::getline would: on '\n', with no empty line after
+    // a final newline.
     unsigned LineNo = 0;
-    while (std::getline(Stream, Line)) {
+    for (size_t Pos = 0; Pos < Input.size();) {
+      size_t End = Input.find('\n', Pos);
+      if (End == std::string_view::npos)
+        End = Input.size();
+      std::string_view Line = Input.substr(Pos, End - Pos);
+      Pos = End + 1;
       ++LineNo;
-      Loc = SourceLocation(FileName, LineNo, 1);
+      Loc = SourceLocation(File, LineNo, 1);
       std::vector<std::string> Tokens = tokenizeLine(Line);
       if (Tokens.empty())
         continue;
@@ -173,7 +178,7 @@ private:
   bool isRegister(const std::string &Tok) const {
     return Tok.size() >= 2 && (Tok[0] == 'v' || Tok[0] == 'p') &&
            std::all_of(Tok.begin() + 1, Tok.end(), [](char C) {
-             return std::isdigit(static_cast<unsigned char>(C));
+             return charclass::isDigit(C);
            });
   }
 
@@ -219,8 +224,7 @@ private:
     if (Tok.empty())
       return false;
     char C = Tok[0];
-    return std::isalpha(static_cast<unsigned char>(C)) || C == '_' ||
-           C == '$' || C == '<';
+    return charclass::isAlpha(C) || C == '_' || C == '$' || C == '<';
   }
 
   bool takeName(const std::vector<std::string> &Tokens, size_t &I,
@@ -375,7 +379,7 @@ private:
       const std::string &Count = Tokens[1];
       bool Numeric = !Count.empty() &&
                      std::all_of(Count.begin(), Count.end(), [](char C) {
-                       return std::isdigit(static_cast<unsigned char>(C));
+                       return charclass::isDigit(C);
                      });
       if (!Numeric) {
         error("'.registers' count '" + Count + "' is not a number");
@@ -498,7 +502,7 @@ private:
   }
 
   std::string_view Input;
-  std::string FileName;
+  SourceLocation::FileRef File;
   DiagnosticEngine &Diags;
   SourceLocation Loc;
   std::optional<RawClass> CurClass;

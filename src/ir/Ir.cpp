@@ -50,7 +50,7 @@ VarId MethodDecl::addLocal(std::string Name, std::string TypeName) {
   return static_cast<VarId>(Vars.size() - 1);
 }
 
-VarId MethodDecl::findVar(const std::string &Name) const {
+VarId MethodDecl::findVar(std::string_view Name) const {
   for (size_t I = 0; I < Vars.size(); ++I)
     if (Vars[I].Name == Name)
       return static_cast<VarId>(I);

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gator {
@@ -196,7 +197,7 @@ public:
   VarId addLocal(std::string Name, std::string TypeName);
 
   /// Finds a variable by name, or InvalidVar.
-  VarId findVar(const std::string &Name) const;
+  VarId findVar(std::string_view Name) const;
 
   const std::vector<Variable> &vars() const { return Vars; }
   const Variable &var(VarId Id) const {

@@ -2,8 +2,10 @@
 
 #include "parser/Lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include "support/CharClass.h"
+
+#include <algorithm>
+#include <type_traits>
 
 using namespace gator;
 using namespace gator::parser;
@@ -68,162 +70,217 @@ const char *gator::parser::tokenKindName(TokenKind Kind) {
   return "unknown";
 }
 
-Lexer::Lexer(std::string_view Input, std::string FileName,
-             DiagnosticEngine &Diags)
-    : Input(Input), FileName(std::move(FileName)), Diags(Diags) {}
+static_assert(sizeof(Token) <= 40 && std::is_trivially_copyable_v<Token>,
+              "tokens are compact views; see docs/MEMORY.md, \"Frontend\"");
 
-char Lexer::advance() {
-  char C = Input[Pos++];
-  if (C == '\n') {
-    ++Line;
-    Col = 1;
-  } else {
-    ++Col;
+namespace {
+
+enum : uint8_t { IdentStart = 1, IdentChar = 2 };
+
+/// Identifier classes: a letter, '_', '$' or '<' starts a name (allowing
+/// `<init>`-style names), and digits and '>' may follow.
+constexpr std::array<uint8_t, 256> IdentTable = [] {
+  std::array<uint8_t, 256> T{};
+  for (unsigned C = 0; C < 256; ++C) {
+    if (charclass::Table[C] & charclass::Alpha)
+      T[C] |= IdentStart | IdentChar;
+    if (charclass::Table[C] & charclass::Digit)
+      T[C] |= IdentChar;
   }
-  return C;
+  for (unsigned C : {'_', '$', '<'})
+    T[C] |= IdentStart | IdentChar;
+  T['>'] |= IdentChar;
+  return T;
+}();
+
+bool isIdentStart(char C) {
+  return IdentTable[static_cast<unsigned char>(C)] & IdentStart;
+}
+bool isIdentChar(char C) {
+  return IdentTable[static_cast<unsigned char>(C)] & IdentChar;
+}
+
+/// Keyword lookup without hashing: dispatch on length, then compare.
+TokenKind keywordOrIdentifier(std::string_view S) {
+  switch (S.size()) {
+  case 3:
+    if (S == "var")
+      return TokenKind::KwVar;
+    if (S == "new")
+      return TokenKind::KwNew;
+    break;
+  case 4:
+    if (S == "null")
+      return TokenKind::KwNull;
+    break;
+  case 5:
+    if (S == "class")
+      return TokenKind::KwClass;
+    if (S == "field")
+      return TokenKind::KwField;
+    break;
+  case 6:
+    if (S == "method")
+      return TokenKind::KwMethod;
+    if (S == "return")
+      return TokenKind::KwReturn;
+    if (S == "static")
+      return TokenKind::KwStatic;
+    break;
+  case 7:
+    if (S == "extends")
+      return TokenKind::KwExtends;
+    if (S == "classof")
+      return TokenKind::KwClassof;
+    break;
+  case 8:
+    if (S == "platform")
+      return TokenKind::KwPlatform;
+    break;
+  case 9:
+    if (S == "interface")
+      return TokenKind::KwInterface;
+    break;
+  case 10:
+    if (S == "implements")
+      return TokenKind::KwImplements;
+    break;
+  }
+  return TokenKind::Identifier;
+}
+
+} // namespace
+
+Lexer::Lexer(std::string_view Input, std::string_view FileName,
+             DiagnosticEngine &Diags)
+    : Input(Input), File(SourceLocation::internFile(FileName)), Diags(Diags) {}
+
+void Lexer::advanceTo(size_t End) {
+  std::string_view Skipped = Input.substr(Pos, End - Pos);
+  size_t LastNewline = Skipped.rfind('\n');
+  if (LastNewline != std::string_view::npos) {
+    Line += static_cast<unsigned>(
+        std::count(Skipped.begin(), Skipped.end(), '\n'));
+    LineStart = Pos + LastNewline + 1;
+  }
+  Pos = End;
+}
+
+size_t Lexer::identEnd(size_t From) const {
+  while (From < Input.size() && isIdentChar(Input[From]))
+    ++From;
+  return From;
 }
 
 void Lexer::skipTrivia() {
+  const size_t Size = Input.size();
   for (;;) {
-    while (!atEnd() && std::isspace(static_cast<unsigned char>(peek())))
-      advance();
-    if (peek() == '/' && peekAt(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+    while (Pos < Size && charclass::isSpace(Input[Pos])) {
+      if (Input[Pos] == '\n') {
+        ++Line;
+        LineStart = Pos + 1;
+      }
+      ++Pos;
+    }
+    if (Pos + 1 >= Size || Input[Pos] != '/')
+      return;
+    if (Input[Pos + 1] == '/') {
+      size_t End = Input.find('\n', Pos);
+      Pos = End == std::string_view::npos ? Size : End;
       continue;
     }
-    if (peek() == '/' && peekAt(1) == '*') {
+    if (Input[Pos + 1] == '*') {
       SourceLocation Start = here();
-      advance();
-      advance();
-      while (!atEnd() && !(peek() == '*' && peekAt(1) == '/'))
-        advance();
-      if (atEnd()) {
+      size_t Close = Input.find("*/", Pos + 2);
+      if (Close == std::string_view::npos) {
+        advanceTo(Size);
         Diags.error(Start, "unterminated block comment");
         return;
       }
-      advance();
-      advance();
+      advanceTo(Close + 2);
       continue;
     }
     return;
   }
 }
 
-Token Lexer::makeToken(TokenKind Kind, std::string Text,
-                       SourceLocation Loc) const {
-  Token T;
-  T.Kind = Kind;
-  T.Text = std::move(Text);
-  T.Loc = std::move(Loc);
-  return T;
-}
-
-static bool isIdentStart(char C) {
-  return std::isalpha(static_cast<unsigned char>(C)) || C == '_' || C == '$' ||
-         C == '<'; // allow `<init>`-style names
-}
-
-static bool isIdentChar(char C) {
-  return std::isalnum(static_cast<unsigned char>(C)) || C == '_' || C == '$' ||
-         C == '<' || C == '>';
-}
-
 Token Lexer::next() {
   skipTrivia();
-  SourceLocation Loc = here();
-  if (atEnd())
-    return makeToken(TokenKind::EndOfFile, "", Loc);
+  const SourceLocation Loc = here();
+  const size_t Start = Pos;
+  if (Start >= Input.size())
+    return {TokenKind::EndOfFile, Input.substr(Start), Loc};
 
-  char C = peek();
+  const char C = Input[Start];
 
   // Resource references: @layout/NAME and @id/NAME.
   if (C == '@') {
-    advance();
-    std::string Kind;
-    while (!atEnd() && isIdentChar(peek()))
-      Kind.push_back(advance());
-    if (peek() != '/') {
-      Diags.error(Loc, "expected '/' in resource reference '@" + Kind + "'");
-      return makeToken(TokenKind::Error, Kind, Loc);
+    Pos = identEnd(Start + 1);
+    std::string_view Kind = Input.substr(Start + 1, Pos - Start - 1);
+    if (Pos >= Input.size() || Input[Pos] != '/') {
+      Diags.error(Loc, "expected '/' in resource reference '@" +
+                           std::string(Kind) + "'");
+      return {TokenKind::Error, Kind, Loc};
     }
-    advance();
-    std::string Name;
-    while (!atEnd() && isIdentChar(peek()))
-      Name.push_back(advance());
+    const size_t NameStart = Pos + 1;
+    Pos = identEnd(NameStart);
+    std::string_view Name = Input.substr(NameStart, Pos - NameStart);
     if (Name.empty()) {
-      Diags.error(Loc, "empty resource name in '@" + Kind + "/'");
-      return makeToken(TokenKind::Error, Name, Loc);
+      Diags.error(Loc, "empty resource name in '@" + std::string(Kind) + "/'");
+      return {TokenKind::Error, Name, Loc};
     }
     if (Kind == "layout")
-      return makeToken(TokenKind::LayoutRef, Name, Loc);
+      return {TokenKind::LayoutRef, Name, Loc};
     if (Kind == "id")
-      return makeToken(TokenKind::IdRef, Name, Loc);
-    Diags.error(Loc, "unknown resource kind '@" + Kind + "/'");
-    return makeToken(TokenKind::Error, Name, Loc);
+      return {TokenKind::IdRef, Name, Loc};
+    Diags.error(Loc, "unknown resource kind '@" + std::string(Kind) + "/'");
+    return {TokenKind::Error, Name, Loc};
   }
 
   if (isIdentStart(C)) {
-    std::string Text;
-    while (!atEnd() && isIdentChar(peek()))
-      Text.push_back(advance());
-
-    static const std::unordered_map<std::string, TokenKind> Keywords = {
-        {"class", TokenKind::KwClass},
-        {"interface", TokenKind::KwInterface},
-        {"extends", TokenKind::KwExtends},
-        {"implements", TokenKind::KwImplements},
-        {"field", TokenKind::KwField},
-        {"method", TokenKind::KwMethod},
-        {"var", TokenKind::KwVar},
-        {"return", TokenKind::KwReturn},
-        {"new", TokenKind::KwNew},
-        {"null", TokenKind::KwNull},
-        {"static", TokenKind::KwStatic},
-        {"classof", TokenKind::KwClassof},
-        {"platform", TokenKind::KwPlatform},
-    };
-    auto It = Keywords.find(Text);
-    if (It != Keywords.end())
-      return makeToken(It->second, Text, Loc);
-    return makeToken(TokenKind::Identifier, std::move(Text), Loc);
+    Pos = identEnd(Start + 1);
+    std::string_view Text = Input.substr(Start, Pos - Start);
+    return {keywordOrIdentifier(Text), Text, Loc};
   }
 
-  advance();
+  // Every remaining token is one character, except ':='.
+  ++Pos;
+  std::string_view One = Input.substr(Start, 1);
   switch (C) {
   case '{':
-    return makeToken(TokenKind::LBrace, "{", Loc);
+    return {TokenKind::LBrace, One, Loc};
   case '}':
-    return makeToken(TokenKind::RBrace, "}", Loc);
+    return {TokenKind::RBrace, One, Loc};
   case '(':
-    return makeToken(TokenKind::LParen, "(", Loc);
+    return {TokenKind::LParen, One, Loc};
   case ')':
-    return makeToken(TokenKind::RParen, ")", Loc);
+    return {TokenKind::RParen, One, Loc};
   case ';':
-    return makeToken(TokenKind::Semicolon, ";", Loc);
+    return {TokenKind::Semicolon, One, Loc};
   case ',':
-    return makeToken(TokenKind::Comma, ",", Loc);
+    return {TokenKind::Comma, One, Loc};
   case '.':
-    return makeToken(TokenKind::Dot, ".", Loc);
+    return {TokenKind::Dot, One, Loc};
   case ':':
-    if (peek() == '=') {
-      advance();
-      return makeToken(TokenKind::Assign, ":=", Loc);
+    if (Pos < Input.size() && Input[Pos] == '=') {
+      ++Pos;
+      return {TokenKind::Assign, Input.substr(Start, 2), Loc};
     }
-    return makeToken(TokenKind::Colon, ":", Loc);
+    return {TokenKind::Colon, One, Loc};
   default:
     Diags.error(Loc, std::string("unexpected character '") + C + "'");
-    return makeToken(TokenKind::Error, std::string(1, C), Loc);
+    return {TokenKind::Error, One, Loc};
   }
 }
 
 std::vector<Token> Lexer::lexAll() {
+  // ALite averages more than three bytes per token, so one reservation
+  // covers real inputs; denser text falls back to geometric growth.
   std::vector<Token> Tokens;
+  Tokens.reserve(Input.size() / 3 + 1);
   for (;;) {
-    Token T = next();
-    bool Done = T.is(TokenKind::EndOfFile);
-    Tokens.push_back(std::move(T));
-    if (Done)
+    Tokens.push_back(next());
+    if (Tokens.back().is(TokenKind::EndOfFile))
       return Tokens;
   }
 }

@@ -65,42 +65,57 @@ enum class TokenKind {
 /// Returns a printable name for \p Kind (for diagnostics).
 const char *tokenKindName(TokenKind Kind);
 
+/// One lexed token: 40 bytes, trivially copyable, never owning memory.
+///
+/// Lifetime: `Text` views the buffer passed to the Lexer, so a Token (and
+/// every vector returned by lexAll) is only valid while that buffer is
+/// alive and unmodified. Copy the spelling into a std::string before the
+/// buffer goes away. `Loc` holds an interned file name and stays valid for
+/// the life of the process.
 struct Token {
   TokenKind Kind = TokenKind::Error;
-  std::string Text; ///< Identifier spelling or resource name.
+  std::string_view Text; ///< The token's spelling; for resource
+                         ///< references, just the name after the '/'.
   SourceLocation Loc;
 
   bool is(TokenKind K) const { return Kind == K; }
 };
 
 /// Produces the token stream for one ALite source buffer. `//` comments
-/// run to end of line; `/* */` comments nest one level deep (no nesting).
+/// run to end of line; `/* */` comments do not nest. The lexer makes no
+/// heap allocation per token: lexAll() reserves the token vector once,
+/// sized from the input length, and tokens view the input.
 class Lexer {
 public:
-  Lexer(std::string_view Input, std::string FileName, DiagnosticEngine &Diags);
+  /// \p Input must outlive the tokens lexAll() returns. \p FileName is
+  /// interned here, once.
+  Lexer(std::string_view Input, std::string_view FileName,
+        DiagnosticEngine &Diags);
 
   /// Lexes the whole input. The final token is always EndOfFile.
   std::vector<Token> lexAll();
 
 private:
   Token next();
-  Token makeToken(TokenKind Kind, std::string Text, SourceLocation Loc) const;
-
-  bool atEnd() const { return Pos >= Input.size(); }
-  char peek() const { return atEnd() ? '\0' : Input[Pos]; }
-  char peekAt(size_t Offset) const {
-    return Pos + Offset >= Input.size() ? '\0' : Input[Pos + Offset];
-  }
-  char advance();
   void skipTrivia();
-  SourceLocation here() const { return SourceLocation(FileName, Line, Col); }
+  /// Moves Pos to \p End, updating Line and LineStart for the skipped
+  /// text.
+  void advanceTo(size_t End);
+  /// End of the run of identifier characters starting at \p From.
+  size_t identEnd(size_t From) const;
+  SourceLocation here() const {
+    return SourceLocation(File, Line,
+                          static_cast<unsigned>(Pos - LineStart + 1));
+  }
 
   std::string_view Input;
-  std::string FileName;
+  SourceLocation::FileRef File;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
   unsigned Line = 1;
-  unsigned Col = 1;
+  /// Offset of the first byte of the current line; the column is
+  /// derived from it, so scanning within a line only moves Pos.
+  size_t LineStart = 0;
 };
 
 } // namespace parser

@@ -33,8 +33,10 @@ private:
   }
   bool at(TokenKind Kind) const { return cur().is(Kind); }
 
-  Token take() {
-    Token T = cur();
+  /// Consumes the current token. The reference stays valid for the
+  /// parser's lifetime (the token vector never changes).
+  const Token &take() {
+    const Token &T = cur();
     if (!at(TokenKind::EndOfFile))
       ++Index;
     return T;
@@ -185,7 +187,7 @@ private:
       error("expected field name");
       return false;
     }
-    std::string Name = take().Text;
+    std::string Name(take().Text);
     if (!expect(TokenKind::Colon, "after field name"))
       return false;
     std::string TypeName;
@@ -203,7 +205,7 @@ private:
       error("expected method name");
       return false;
     }
-    std::string Name = take().Text;
+    std::string Name(take().Text);
     if (!expect(TokenKind::LParen, "after method name"))
       return false;
 
@@ -259,8 +261,8 @@ private:
   VarId useVar(MethodDecl &M, const Token &NameTok) {
     VarId Id = M.findVar(NameTok.Text);
     if (Id == InvalidVar) {
-      Diags.error(NameTok.Loc,
-                  "use of undeclared variable '" + NameTok.Text + "'");
+      Diags.error(NameTok.Loc, "use of undeclared variable '" +
+                                   std::string(NameTok.Text) + "'");
       Ok = false;
     }
     return Id;
@@ -275,8 +277,7 @@ private:
           error("expected argument variable");
           return false;
         }
-        Token ArgTok = take();
-        VarId Arg = useVar(M, ArgTok);
+        VarId Arg = useVar(M, take());
         if (Arg == InvalidVar)
           return false;
         Args.push_back(Arg);
@@ -294,10 +295,10 @@ private:
         error("expected variable name after 'var'");
         return false;
       }
-      Token NameTok = take();
+      const Token &NameTok = take();
       if (M.findVar(NameTok.Text) != InvalidVar) {
-        Diags.error(NameTok.Loc,
-                    "redeclaration of variable '" + NameTok.Text + "'");
+        Diags.error(NameTok.Loc, "redeclaration of variable '" +
+                                     std::string(NameTok.Text) + "'");
         Ok = false;
         return false;
       }
@@ -308,7 +309,7 @@ private:
         return false;
       if (!expect(TokenKind::Semicolon, "after variable declaration"))
         return false;
-      M.addLocal(NameTok.Text, TypeName);
+      M.addLocal(std::string(NameTok.Text), std::move(TypeName));
       return true;
     }
 
@@ -318,8 +319,7 @@ private:
       S.Kind = StmtKind::Return;
       S.Loc = Loc;
       if (at(TokenKind::Identifier)) {
-        Token RetTok = take();
-        S.Lhs = useVar(M, RetTok);
+        S.Lhs = useVar(M, take());
         if (S.Lhs == InvalidVar)
           return false;
       }
@@ -345,8 +345,7 @@ private:
         error("expected variable on right-hand side of static store");
         return false;
       }
-      Token RhsTok = take();
-      VarId Rhs = useVar(M, RhsTok);
+      VarId Rhs = useVar(M, take());
       if (Rhs == InvalidVar)
         return false;
       if (!expect(TokenKind::Semicolon, "after static store"))
@@ -366,7 +365,7 @@ private:
       error("expected statement");
       return false;
     }
-    Token FirstTok = take();
+    const Token &FirstTok = take();
 
     // x.f := y;   x.m(args);
     if (accept(TokenKind::Dot)) {
@@ -374,7 +373,7 @@ private:
         error("expected member name after '.'");
         return false;
       }
-      Token MemberTok = take();
+      const Token &MemberTok = take();
       VarId Base = useVar(M, FirstTok);
       if (Base == InvalidVar)
         return false;
@@ -399,8 +398,7 @@ private:
         error("expected variable on right-hand side of field store");
         return false;
       }
-      Token RhsTok = take();
-      VarId Rhs = useVar(M, RhsTok);
+      VarId Rhs = useVar(M, take());
       if (Rhs == InvalidVar)
         return false;
       if (!expect(TokenKind::Semicolon, "after field store"))
@@ -436,7 +434,7 @@ private:
       S.Kind = StmtKind::AssignNew;
       S.Loc = Loc;
       S.Lhs = Lhs;
-      S.ClassName = ClassName;
+      S.ClassName = std::move(ClassName);
       M.body().push_back(std::move(S));
 
       if (at(TokenKind::LParen)) {
@@ -470,7 +468,7 @@ private:
 
     // @layout/name, @id/name
     if (at(TokenKind::LayoutRef) || at(TokenKind::IdRef)) {
-      Token ResTok = take();
+      const Token &ResTok = take();
       Stmt S;
       S.Kind = ResTok.is(TokenKind::LayoutRef) ? StmtKind::AssignLayoutId
                                                : StmtKind::AssignViewId;
@@ -520,8 +518,7 @@ private:
       error("expected right-hand side expression");
       return false;
     }
-    Token BaseTok = take();
-    VarId Base = useVar(M, BaseTok);
+    VarId Base = useVar(M, take());
     if (Base == InvalidVar)
       return false;
 
@@ -539,7 +536,7 @@ private:
       error("expected member name after '.'");
       return false;
     }
-    Token MemberTok = take();
+    const Token &MemberTok = take();
 
     if (at(TokenKind::LParen)) {
       Stmt S;

@@ -9,6 +9,12 @@
 /// Lightweight source positions used by the ALite parser, the XML parser,
 /// and the diagnostics engine.
 ///
+/// File names are interned in one process-wide, append-only table
+/// (docs/MEMORY.md, "Frontend"), so a location is 16 trivially copyable
+/// bytes and copying one never allocates. A frontend interns its file name
+/// once, in its constructor, and stamps the resulting FileRef on every
+/// token or node it produces.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GATOR_SUPPORT_SOURCELOCATION_H
@@ -16,6 +22,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace gator {
 
@@ -23,11 +30,25 @@ namespace gator {
 /// of 0 means "unknown".
 class SourceLocation {
 public:
-  SourceLocation() = default;
-  SourceLocation(std::string File, unsigned Line, unsigned Column)
-      : File(std::move(File)), Line(Line), Column(Column) {}
+  /// An interned file name: a pointer into the file table, which lives
+  /// (and never moves its entries) until the process exits. Equal names
+  /// intern to the same pointer; the empty name interns to null.
+  using FileRef = const std::string *;
 
-  const std::string &file() const { return File; }
+  /// Interns \p Name in the file table. Thread-safe; takes a lock, so hot
+  /// loops intern once and reuse the FileRef.
+  static FileRef internFile(std::string_view Name);
+
+  SourceLocation() = default;
+  SourceLocation(FileRef File, unsigned Line, unsigned Column)
+      : File(File), Line(Line), Column(Column) {}
+  /// Convenience form that interns \p File; prefer the FileRef form in
+  /// loops.
+  SourceLocation(std::string_view File, unsigned Line, unsigned Column)
+      : SourceLocation(internFile(File), Line, Column) {}
+
+  /// The file name; for an interned name, the table's own string.
+  const std::string &file() const;
   unsigned line() const { return Line; }
   unsigned column() const { return Column; }
 
@@ -41,7 +62,7 @@ public:
   }
 
 private:
-  std::string File;
+  FileRef File = nullptr;
   unsigned Line = 0;
   unsigned Column = 0;
 };

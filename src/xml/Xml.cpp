@@ -2,7 +2,7 @@
 
 #include "xml/Xml.h"
 
-#include <cctype>
+#include "support/CharClass.h"
 
 using namespace gator;
 using namespace gator::xml;
@@ -19,8 +19,10 @@ namespace {
 /// Recursive-descent XML reader over a flat character buffer.
 class Parser {
 public:
-  Parser(std::string_view Input, std::string FileName, DiagnosticEngine &Diags)
-      : Input(Input), FileName(std::move(FileName)), Diags(Diags) {}
+  Parser(std::string_view Input, std::string_view FileName,
+         DiagnosticEngine &Diags)
+      : Input(Input), File(SourceLocation::internFile(FileName)),
+        Diags(Diags) {}
 
   std::unique_ptr<XmlNode> parseDocument() {
     skipMisc();
@@ -55,7 +57,7 @@ private:
     return C;
   }
 
-  SourceLocation here() const { return SourceLocation(FileName, Line, Col); }
+  SourceLocation here() const { return SourceLocation(File, Line, Col); }
 
   void error(const std::string &Message) { Diags.error(here(), Message); }
 
@@ -69,7 +71,7 @@ private:
   }
 
   void skipWhitespace() {
-    while (!atEnd() && std::isspace(static_cast<unsigned char>(peek())))
+    while (!atEnd() && charclass::isSpace(peek()))
       advance();
   }
 
@@ -104,8 +106,8 @@ private:
   }
 
   static bool isNameChar(char C) {
-    return std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
-           C == '-' || C == '.' || C == ':';
+    return charclass::isAlnum(C) || C == '_' || C == '-' || C == '.' ||
+           C == ':';
   }
 
   std::string parseName() {
@@ -221,7 +223,7 @@ private:
   }
 
   std::string_view Input;
-  std::string FileName;
+  SourceLocation::FileRef File;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
   unsigned Line = 1;

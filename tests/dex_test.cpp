@@ -290,6 +290,27 @@ TEST(DexLiteTest, DuplicateClassIsError) {
   expectDexError(".class A\n.end class\n.class A\n.end class\n");
 }
 
+TEST(DexLiteTest, LineNumbersCountLikeGetline) {
+  // Lines split on '\n' only ('\r' is trailing whitespace); a final
+  // newline does not start another line.
+  auto FirstError = [](const std::string &Source) {
+    Program P;
+    DiagnosticEngine Diags;
+    android::AndroidModel AM;
+    AM.install(P);
+    dex::parseDexLite(Source, "lines.dexlite", P, Diags);
+    EXPECT_FALSE(Diags.diagnostics().empty());
+    return Diags.diagnostics().empty() ? SourceLocation()
+                                       : Diags.diagnostics()[0].Loc;
+  };
+  EXPECT_EQ(FirstError(".class A\r\n\r\n  const-null v0\r\n.end class"),
+            SourceLocation("lines.dexlite", 3, 1));
+  EXPECT_EQ(FirstError(".class A\n.method m() void\n  return-void\n"),
+            SourceLocation("lines.dexlite", 3, 1));
+  EXPECT_EQ(FirstError(".class A\n\n\n.method m() void\n  return-void"),
+            SourceLocation("lines.dexlite", 5, 1));
+}
+
 //===----------------------------------------------------------------------===//
 // Register-bounds and truncation hardening (docs/ROBUSTNESS.md)
 //===----------------------------------------------------------------------===//

@@ -1,0 +1,121 @@
+//===- frontend_alloc_test.cpp - Frontend heap allocations -----*- C++ -*-===//
+//
+// Guards the allocation budget of the ALite lexer (docs/MEMORY.md,
+// "Frontend"): lexAll makes a fixed number of heap allocations per file,
+// none per token. A counting global operator new, armed only around the
+// measured call, does the counting.
+//
+//===----------------------------------------------------------------------===//
+
+#include "parser/Lexer.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+namespace {
+
+std::atomic<bool> Counting{false};
+std::atomic<size_t> Allocations{0};
+
+} // namespace
+
+void *operator new(std::size_t Size) {
+  if (Counting.load(std::memory_order_relaxed))
+    Allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free with the
+// operator new it sees at the call site.
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+
+namespace {
+
+using namespace gator;
+using namespace gator::parser;
+
+/// Heap allocations made while \p Fn runs.
+template <typename FnT> size_t countAllocations(FnT Fn) {
+  Allocations.store(0);
+  Counting.store(true);
+  Fn();
+  Counting.store(false);
+  return Allocations.load();
+}
+
+/// ALite text of at least \p Bytes bytes in the shape of the exported
+/// corpus: qualified names, every statement form, resource references and
+/// both comment styles.
+std::string generateAlite(size_t Bytes) {
+  std::string Out;
+  for (unsigned I = 0; Out.size() < Bytes; ++I) {
+    const std::string N = std::to_string(I);
+    Out += "// generated class " + N + "\n";
+    Out += "class corpus.app.Screen" + N +
+           " extends android.app.Activity implements "
+           "android.view.View.OnClickListener {\n"
+           "  field static counter: int;\n"
+           "  field title" + N + ": android.widget.TextView;\n"
+           "  method onCreate(b: android.os.Bundle) {\n"
+           "    var v: android.view.View;\n"
+           "    var id: int;\n"
+           "    /* inflate the main layout */\n"
+           "    id := @layout/main_" + N + ";\n"
+           "    this.setContentView(id);\n"
+           "    id := @id/button_" + N + ";\n"
+           "    v := this.findViewById(id);\n"
+           "    v.setOnClickListener(this);\n"
+           "    v := new android.widget.Button(v);\n"
+           "    this.title" + N + " := v;\n"
+           "    static corpus.app.Globals.last := v;\n"
+           "    return;\n"
+           "  }\n"
+           "  method onClick(v: android.view.View) {\n"
+           "    var c: java.lang.Class;\n"
+           "    c := classof corpus.app.Screen" + N + ";\n"
+           "    return;\n"
+           "  }\n"
+           "}\n";
+  }
+  return Out;
+}
+
+size_t lexAllocations(const std::string &Input, size_t &Tokens) {
+  DiagnosticEngine Diags;
+  Lexer L(Input, "corpus/Generated/app.alite", Diags);
+  std::vector<Token> Result;
+  size_t Count = countAllocations([&] { Result = L.lexAll(); });
+  EXPECT_FALSE(Diags.hasErrors());
+  Tokens = Result.size();
+  return Count;
+}
+
+TEST(FrontendAllocTest, LexAllocationsDoNotGrowWithTokens) {
+  const std::string Small = generateAlite(10 * 1024);
+  const std::string Large = generateAlite(200 * 1024);
+  size_t SmallTokens = 0, LargeTokens = 0;
+  size_t SmallAllocs = lexAllocations(Small, SmallTokens);
+  size_t LargeAllocs = lexAllocations(Large, LargeTokens);
+  EXPECT_GT(LargeTokens, 15 * SmallTokens);
+  EXPECT_LE(SmallAllocs, 4u) << SmallTokens << " tokens";
+  EXPECT_LE(LargeAllocs, 4u) << LargeTokens << " tokens";
+  EXPECT_EQ(SmallAllocs, LargeAllocs);
+}
+
+TEST(FrontendAllocTest, InternedFileNameCostsNothingTwice) {
+  DiagnosticEngine Diags;
+  const std::string Name = "corpus/SomeLongAppName/app.alite";
+  Lexer First("a", Name, Diags);
+  size_t Count = countAllocations([&] { Lexer Second("b", Name, Diags); });
+  EXPECT_EQ(Count, 0u);
+}
+
+} // namespace

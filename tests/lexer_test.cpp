@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 using namespace gator;
 using namespace gator::parser;
 
 namespace {
 
-std::vector<Token> lex(const std::string &Input, DiagnosticEngine &Diags) {
-  Lexer L(Input, "test.alite", Diags);
+/// Tokens view their input, so \p Input must outlive the result: pass a
+/// string literal or a string that lives for the rest of the test.
+std::vector<Token> lex(std::string_view Input, DiagnosticEngine &Diags,
+                       std::string_view FileName = "test.alite") {
+  Lexer L(Input, FileName, Diags);
   return L.lexAll();
 }
 
@@ -138,6 +143,128 @@ TEST(LexerTest, UnexpectedCharacterIsError) {
   auto Tokens = lex("a # b", Diags);
   EXPECT_TRUE(Diags.hasErrors());
   EXPECT_EQ(Tokens[1].Kind, TokenKind::Error);
+}
+
+TEST(LexerTest, LongFileNameInTokensAndDiagnostics) {
+  // Longer than the 15 characters a std::string keeps inline.
+  const std::string Path = "apps/some/deeply/nested/dir/app.alite";
+  DiagnosticEngine Diags;
+  auto Tokens = lex("class A\n  # x", Diags, Path);
+  ASSERT_EQ(Tokens.size(), 5u);
+  EXPECT_EQ(Tokens[0].Loc.file(), Path);
+  EXPECT_EQ(Tokens[4].Loc.file(), Path);
+  EXPECT_EQ(Tokens[0].Loc, SourceLocation(Path, 1, 1));
+  EXPECT_EQ(Tokens[2].Loc.str(), Path + ":2:3");
+
+  std::ostringstream Text, Json;
+  Diags.print(Text);
+  Diags.printJson(Json);
+  EXPECT_EQ(Text.str(), Path + ":2:3: error: unexpected character '#'\n");
+  EXPECT_EQ(Json.str(),
+            "{\"diagnostics\":[{\"severity\":\"error\",\"file\":\"" + Path +
+                "\",\"line\":2,\"column\":3,\"message\":"
+                "\"unexpected character '#'\"}],\"errors\":1,"
+                "\"warnings\":0}\n");
+}
+
+TEST(LexerTest, IdentifiersMayStartWithKeywords) {
+  DiagnosticEngine Diags;
+  auto Tokens = lex("classy newX returnValue nulls var_ static$ platforms "
+                    "interfaces implementsX",
+                    Diags);
+  ASSERT_EQ(Tokens.size(), 10u);
+  for (size_t I = 0; I + 1 < Tokens.size(); ++I)
+    EXPECT_EQ(Tokens[I].Kind, TokenKind::Identifier) << Tokens[I].Text;
+  EXPECT_EQ(Tokens[0].Text, "classy");
+  EXPECT_EQ(Tokens[1].Text, "newX");
+  EXPECT_EQ(Tokens[2].Text, "returnValue");
+  EXPECT_FALSE(Diags.hasErrors());
+}
+
+TEST(LexerTest, AngleBracketNames) {
+  DiagnosticEngine Diags;
+  auto Tokens = lex("method <init>(); x.<clinit>(); <init>2", Diags);
+  EXPECT_EQ(Tokens[1].Kind, TokenKind::Identifier);
+  EXPECT_EQ(Tokens[1].Text, "<init>");
+  EXPECT_EQ(Tokens[7].Kind, TokenKind::Identifier);
+  EXPECT_EQ(Tokens[7].Text, "<clinit>");
+  EXPECT_EQ(Tokens[11].Text, "<init>2");
+  EXPECT_FALSE(Diags.hasErrors());
+}
+
+TEST(LexerTest, HighByteIsUnexpectedCharacter) {
+  // A UTF-8 'e' with acute accent: two bytes >= 0x80, neither a letter in
+  // the C locale, each reported with the raw byte in the message.
+  DiagnosticEngine Diags;
+  auto Tokens = lex("a \xc3\xa9 b", Diags);
+  ASSERT_EQ(Tokens.size(), 5u);
+  EXPECT_EQ(Tokens[1].Kind, TokenKind::Error);
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::Error);
+  EXPECT_EQ(Tokens[3].Text, "b");
+  EXPECT_EQ(Tokens[3].Loc.column(), 6u);
+  ASSERT_EQ(Diags.diagnostics().size(), 2u);
+  EXPECT_EQ(Diags.diagnostics()[0].Message,
+            std::string("unexpected character '") + '\xc3' + "'");
+  EXPECT_EQ(Diags.diagnostics()[0].Loc.column(), 3u);
+  EXPECT_EQ(Diags.diagnostics()[1].Message,
+            std::string("unexpected character '") + '\xa9' + "'");
+  EXPECT_EQ(Diags.diagnostics()[1].Loc.column(), 4u);
+}
+
+TEST(LexerTest, LineAndColumnAfterCrlf) {
+  // '\r' counts as a column, as every other non-newline byte does.
+  DiagnosticEngine Diags;
+  auto Tokens = lex("a\r\n  b\r\n\r\nc", Diags);
+  ASSERT_EQ(Tokens.size(), 4u);
+  EXPECT_EQ(Tokens[1].Loc.line(), 2u);
+  EXPECT_EQ(Tokens[1].Loc.column(), 3u);
+  EXPECT_EQ(Tokens[2].Loc.line(), 4u);
+  EXPECT_EQ(Tokens[2].Loc.column(), 1u);
+  EXPECT_EQ(Tokens[3].Loc.line(), 4u);
+  EXPECT_EQ(Tokens[3].Loc.column(), 2u);
+}
+
+TEST(LexerTest, LineAndColumnAfterComments) {
+  DiagnosticEngine Diags;
+  auto Tokens = lex("a /* one\r\n two\n three */ b /**/c // x\n  d /* */ e",
+                    Diags);
+  ASSERT_EQ(Tokens.size(), 6u);
+  EXPECT_EQ(Tokens[1].Text, "b");
+  EXPECT_EQ(Tokens[1].Loc.line(), 3u);
+  EXPECT_EQ(Tokens[1].Loc.column(), 11u);
+  EXPECT_EQ(Tokens[2].Text, "c");
+  EXPECT_EQ(Tokens[2].Loc.line(), 3u);
+  EXPECT_EQ(Tokens[2].Loc.column(), 17u);
+  EXPECT_EQ(Tokens[3].Loc.line(), 4u);
+  EXPECT_EQ(Tokens[3].Loc.column(), 3u);
+  EXPECT_EQ(Tokens[4].Loc.line(), 4u);
+  EXPECT_EQ(Tokens[4].Loc.column(), 11u);
+  EXPECT_FALSE(Diags.hasErrors());
+}
+
+TEST(LexerTest, UnterminatedBlockCommentReportsItsStart) {
+  DiagnosticEngine Diags;
+  auto Tokens = lex("a\n  /* x\n y", Diags);
+  ASSERT_EQ(Diags.diagnostics().size(), 1u);
+  EXPECT_EQ(Diags.diagnostics()[0].Loc.line(), 2u);
+  EXPECT_EQ(Diags.diagnostics()[0].Loc.column(), 3u);
+  ASSERT_EQ(Tokens.size(), 2u);
+  EXPECT_EQ(Tokens[1].Loc.line(), 3u);
+  EXPECT_EQ(Tokens[1].Loc.column(), 3u);
+}
+
+TEST(LexerTest, TokensViewTheInput) {
+  const std::string Input = "x := @layout/main;";
+  DiagnosticEngine Diags;
+  auto Tokens = lex(Input, Diags);
+  ASSERT_EQ(Tokens.size(), 5u);
+  for (const Token &T : Tokens) {
+    EXPECT_GE(T.Text.data(), Input.data());
+    EXPECT_LE(T.Text.data() + T.Text.size(), Input.data() + Input.size());
+  }
+  EXPECT_EQ(Tokens[1].Text, ":=");
+  EXPECT_EQ(Tokens[2].Text, "main");
+  EXPECT_TRUE(Tokens[4].Text.empty());
 }
 
 TEST(LexerTest, TokenKindNamesAreStable) {

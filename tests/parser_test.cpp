@@ -220,4 +220,33 @@ TEST(ParserTest, ParametersAreTyped) {
   EXPECT_EQ(M->var(M->paramVar(1)).TypeName, "x.Y");
 }
 
+// The lex-before-parse contract: parseAlite lexes the whole buffer first
+// and touches the Program only when the engine holds no error by then.
+TEST(ParserTest, LexErrorLeavesProgramUntouched) {
+  Program P;
+  DiagnosticEngine Diags;
+  const size_t Before = P.classes().size();
+  // Both a lex error ('#') and a grammar error ('extends {') that the
+  // parser would report if it ran.
+  EXPECT_FALSE(parseAlite("class A { method m() { var x: T; x := # ; } }\n"
+                          "class B extends { }\n",
+                          "bad.alite", P, Diags));
+  EXPECT_EQ(P.classes().size(), Before);
+  EXPECT_EQ(P.findClass("A"), nullptr);
+  ASSERT_EQ(Diags.diagnostics().size(), 1u);
+  EXPECT_EQ(Diags.diagnostics()[0].Message, "unexpected character '#'");
+  EXPECT_EQ(Diags.diagnostics()[0].Loc, SourceLocation("bad.alite", 1, 39));
+}
+
+TEST(ParserTest, BufferAfterAnErrorIsNotParsed) {
+  Program P;
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(parseAlite("class A { } @", "first.alite", P, Diags));
+  const size_t Errors = Diags.errorCount();
+  // Clean on its own, but the engine already holds an error.
+  EXPECT_FALSE(parseAlite("class C { field f: D; }", "second.alite", P, Diags));
+  EXPECT_EQ(P.findClass("C"), nullptr);
+  EXPECT_EQ(Diags.errorCount(), Errors);
+}
+
 } // namespace

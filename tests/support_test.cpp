@@ -1,5 +1,6 @@
 //===- support_test.cpp - Diagnostics / interner / locations ----*- C++ -*-===//
 
+#include "support/CharClass.h"
 #include "support/Diagnostics.h"
 #include "support/SourceLocation.h"
 #include "support/StringInterner.h"
@@ -8,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
 using namespace gator;
 
@@ -36,6 +41,53 @@ TEST(SourceLocationTest, Equality) {
   SourceLocation A("f", 1, 2), B("f", 1, 2), C("f", 1, 3);
   EXPECT_TRUE(A == B);
   EXPECT_FALSE(A == C);
+}
+
+TEST(SourceLocationTest, CompactAndTriviallyCopyable) {
+  EXPECT_EQ(sizeof(SourceLocation), 16u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<SourceLocation>);
+}
+
+TEST(SourceLocationTest, InternedFileNamesAreShared) {
+  const std::string Long = "some/rather/long/path/to/app.alite";
+  SourceLocation A(Long, 1, 1), B(std::string(Long), 9, 4);
+  EXPECT_EQ(&A.file(), &B.file());
+  EXPECT_EQ(&A.file(), SourceLocation::internFile(Long));
+  EXPECT_EQ(B.file(), Long);
+  EXPECT_EQ(B.str(), Long + ":9:4");
+  EXPECT_NE(&A.file(), SourceLocation::internFile("other.alite"));
+  EXPECT_EQ(SourceLocation::internFile(""), nullptr);
+  EXPECT_EQ(SourceLocation("", 0, 0), SourceLocation());
+  EXPECT_EQ(SourceLocation().file(), "");
+}
+
+TEST(SourceLocationTest, InterningIsThreadSafe) {
+  // Every thread interns the same names; all must get the same pointers.
+  constexpr unsigned Threads = 4, Names = 200;
+  std::vector<std::vector<SourceLocation::FileRef>> Refs(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (unsigned I = 0; I < Names; ++I)
+        Refs[T].push_back(SourceLocation::internFile(
+            "threaded/file/number/" + std::to_string(I) + ".alite"));
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned T = 1; T < Threads; ++T)
+    EXPECT_EQ(Refs[T], Refs[0]);
+  EXPECT_EQ(*Refs[0][7], "threaded/file/number/7.alite");
+}
+
+TEST(CharClassTest, MatchesCLocaleCctype) {
+  // The program never calls setlocale, so <cctype> answers for "C".
+  for (int C = 0; C < 256; ++C) {
+    char Ch = static_cast<char>(C);
+    EXPECT_EQ(charclass::isSpace(Ch), std::isspace(C) != 0) << C;
+    EXPECT_EQ(charclass::isAlpha(Ch), std::isalpha(C) != 0) << C;
+    EXPECT_EQ(charclass::isDigit(Ch), std::isdigit(C) != 0) << C;
+    EXPECT_EQ(charclass::isAlnum(Ch), std::isalnum(C) != 0) << C;
+  }
 }
 
 TEST(DiagnosticsTest, CountsBySeverity) {
