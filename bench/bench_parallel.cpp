@@ -111,8 +111,11 @@ std::vector<SweepPoint> sweep(const char *Label,
       Baseline = P.Seconds;
     double Speedup = Baseline / P.Seconds;
     std::string Split;
-    for (unsigned long C : P.TasksPerWorker)
-      Split += (Split.empty() ? "" : "/") + std::to_string(C);
+    for (unsigned long C : P.TasksPerWorker) {
+      if (!Split.empty())
+        Split += '/';
+      Split += std::to_string(C);
+    }
     std::printf("%6u %10.3f %8.2fx %10.0f%%  %s\n", Jobs, P.Seconds, Speedup,
                 100.0 * Speedup / Stats.WorkersUsed, Split.c_str());
     Points.push_back(std::move(P));
@@ -194,127 +197,6 @@ std::vector<CachePoint> cacheSweep(const std::vector<AppSpec> &Specs,
   return Points;
 }
 
-//===----------------------------------------------------------------------===//
-// Intra-solve strong scaling (--solve-scaling; docs/PARALLEL.md,
-// "Inside one solve")
-//===----------------------------------------------------------------------===//
-
-/// Deep-tree shape: one app whose per-activity layouts are large and
-/// inflated item layouts multiply them — flow-set volume and the XML
-/// onClick sweep dominate, the regime the descendants prewarm targets.
-AppSpec deepTreeSpec() {
-  AppSpec Spec;
-  Spec.Name = "SolveDeep";
-  Spec.Seed = 41;
-  Spec.Activities = 16;
-  Spec.ViewsPerLayout = 36;
-  Spec.IdsPerLayout = 18;
-  Spec.DirectFindsPerActivity = 5;
-  Spec.InflateItemsPerActivity = 2;
-  Spec.ListenersPerActivity = 2;
-  Spec.FillerClasses = 8;
-  Spec.UseDialog = true;
-  Spec.UseFragment = true;
-  Spec.UseFlipper = true;
-  return Spec;
-}
-
-/// Wide-listener shape: listener fan-out and shared-helper aliasing blow
-/// the value worklist wide — the regime the snapshot classifier targets.
-AppSpec wideListenerSpec() {
-  AppSpec Spec;
-  Spec.Name = "SolveWide";
-  Spec.Seed = 42;
-  Spec.Activities = 16;
-  Spec.ViewsPerLayout = 14;
-  Spec.IdsPerLayout = 9;
-  Spec.ListenersPerActivity = 8;
-  Spec.ProgViewsPerActivity = 2;
-  Spec.SharedFindsPerActivity = 3;
-  Spec.SharedHelperUsers = 16;
-  Spec.FillerClasses = 8;
-  return Spec;
-}
-
-struct SolvePoint {
-  unsigned Jobs = 1;
-  double SolveSeconds = 0.0; ///< best-of-iters fixpoint wall-clock
-  std::string Counters;
-  unsigned long ParallelRounds = 0;
-  unsigned long TrustedAppends = 0;
-  unsigned long TrustedDups = 0;
-  unsigned long BarrierWaves = 0;
-  unsigned long BarrierStalls = 0;
-  unsigned long SccCount = 0;
-  unsigned long SccStrata = 0;
-};
-
-/// Sweeps SolveJobs over one app shape. Each iteration regenerates the
-/// bundle (analysis mutates shared registry state) and times the solve
-/// phase alone; the point keeps the best of \p Iters runs. The counter
-/// line cross-checks the replay contract: every scheduling-independent
-/// counter must be identical at every job count.
-std::vector<SolvePoint> solveScalingSweep(const char *Label,
-                                          const AppSpec &Spec,
-                                          const std::vector<unsigned> &Jobs,
-                                          unsigned Iters) {
-  std::printf("%s (1 app x %u iters per point)\n", Label, Iters);
-  std::printf("%6s %12s %9s %11s  %s\n", "jobs", "solve(s)", "speedup",
-              "par-rounds", "trusted appends+dups / waves(stalls)");
-  std::vector<SolvePoint> Points;
-  double Baseline = 0.0;
-  for (unsigned J : Jobs) {
-    SolvePoint P;
-    P.Jobs = J;
-    P.SolveSeconds = 1e30;
-    for (unsigned I = 0; I < Iters; ++I) {
-      GeneratedApp App = generateApp(Spec);
-      AnalysisOptions Options;
-      Options.SolveJobs = J;
-      auto R = analysis::GuiAnalysis::run(App.Bundle->Program,
-                                          *App.Bundle->Layouts,
-                                          App.Bundle->Android, Options,
-                                          App.Bundle->Diags);
-      if (!R)
-        continue;
-      if (R->SolveSeconds < P.SolveSeconds)
-        P.SolveSeconds = R->SolveSeconds;
-      char Buf[160];
-      std::snprintf(Buf, sizeof(Buf),
-                    "propagate=%lu opFire=%lu pushed=%lu dedup=%lu work=%lu",
-                    R->Stats.Propagations, R->Stats.OpFirings,
-                    R->Stats.ValuesPushed, R->Stats.DedupHits,
-                    R->Stats.WorkCharged);
-      P.Counters = Buf;
-      P.ParallelRounds = R->Stats.ParallelRounds;
-      P.TrustedAppends = R->Stats.TrustedAppends;
-      P.TrustedDups = R->Stats.TrustedDups;
-      P.BarrierWaves = R->Stats.BarrierWaves;
-      P.BarrierStalls = R->Stats.BarrierStalls;
-      P.SccCount = R->Stats.SccCount;
-      P.SccStrata = R->Stats.SccStrata;
-    }
-    if (Points.empty())
-      Baseline = P.SolveSeconds;
-    std::printf("%6u %12.4f %8.2fx %11lu  %lu+%lu / %lu(%lu)\n", J,
-                P.SolveSeconds, Baseline / P.SolveSeconds, P.ParallelRounds,
-                P.TrustedAppends, P.TrustedDups, P.BarrierWaves,
-                P.BarrierStalls);
-    Points.push_back(std::move(P));
-  }
-  bool CountersAgree = true;
-  for (const SolvePoint &P : Points)
-    CountersAgree &= P.Counters == Points.front().Counters;
-  std::printf("counters: %s -> %s\n",
-              Points.front().Counters.c_str(),
-              CountersAgree ? "identical at every solve-jobs value"
-                            : "DIVERGED (replay bug!)");
-  const SolvePoint &Engaged = Points.back();
-  std::printf("condensation at j%u: %lu SCCs in %lu strata\n\n", Engaged.Jobs,
-              Engaged.SccCount, Engaged.SccStrata);
-  return Points;
-}
-
 struct EditMicro {
   double ScratchSeconds = 0.0;
   double IncSeconds = 0.0;
@@ -379,11 +261,6 @@ int main(int Argc, char **Argv) {
   //                edit-scale incremental micro-measure
   //                (docs/INCREMENTAL.md); results go to
   //                bench/BENCH_incremental.json
-  // --solve-scaling  replace the batch sweeps with the intra-solve
-  //                strong-scaling sweep: one deep-tree app and one
-  //                wide-listener app, each solved at --jobs values of
-  //                SolveJobs (docs/PARALLEL.md, "Inside one solve");
-  //                results go to bench/BENCH_solve_parallel.json
   // --ledger-out F write the fleet sweep's run ledger to F: one JSONL
   //                wide-event record per generated app
   //                (docs/OBSERVABILITY.md, "Run ledger & reports");
@@ -391,7 +268,6 @@ int main(int Argc, char **Argv) {
   unsigned FleetApps = 10000;
   bool FleetOnly = false;
   bool CacheMode = false;
-  bool SolveScaling = false;
   unsigned HostilePercent = 0;
   const char *LedgerOut = nullptr;
   std::vector<unsigned> JobValues = {1, 2, 4, 8};
@@ -404,8 +280,6 @@ int main(int Argc, char **Argv) {
       FleetOnly = true;
     else if (!std::strcmp(Argv[I], "--cache"))
       CacheMode = true;
-    else if (!std::strcmp(Argv[I], "--solve-scaling"))
-      SolveScaling = true;
     else if (!std::strcmp(Argv[I], "--hostile"))
       HostilePercent = (I + 1 < Argc &&
                         std::isdigit(static_cast<unsigned char>(*Argv[I + 1])))
@@ -421,44 +295,6 @@ int main(int Argc, char **Argv) {
           ++P;
       }
     }
-  }
-
-  if (SolveScaling) {
-    std::printf("Intra-solve strong-scaling sweep "
-                "(docs/PARALLEL.md, \"Inside one solve\")\n");
-    std::printf("hardware concurrency: %u\n\n",
-                std::thread::hardware_concurrency());
-    const unsigned Iters = 5;
-    std::vector<SolvePoint> Deep =
-        solveScalingSweep("deep-tree app", deepTreeSpec(), JobValues, Iters);
-    std::vector<SolvePoint> Wide = solveScalingSweep(
-        "wide-listener app", wideListenerSpec(), JobValues, Iters);
-    // Machine-readable tail for bench/BENCH_solve_parallel.json.
-    std::printf("json: {");
-    const char *Sep = "";
-    struct Series {
-      const char *Name;
-      const std::vector<SolvePoint> *Points;
-    };
-    for (const Series &S :
-         {Series{"deep_tree", &Deep}, Series{"wide_listener", &Wide}}) {
-      std::printf("%s\"%s\": {", Sep, S.Name);
-      const char *Inner = "";
-      for (const SolvePoint &P : *S.Points) {
-        std::printf("%s\"j%u\": {\"solve\": %.6f, \"rounds\": %lu, "
-                    "\"trusted\": %lu, \"waves\": %lu, \"stalls\": %lu}",
-                    Inner, P.Jobs, P.SolveSeconds, P.ParallelRounds,
-                    P.TrustedAppends + P.TrustedDups, P.BarrierWaves,
-                    P.BarrierStalls);
-        Inner = ", ";
-      }
-      const SolvePoint &Last = S.Points->back();
-      std::printf("%s\"scc_count\": %lu, \"scc_strata\": %lu}", Inner,
-                  Last.SccCount, Last.SccStrata);
-      Sep = ", ";
-    }
-    std::printf("}\n");
-    return 0;
   }
 
   if (CacheMode) {

@@ -1,12 +1,10 @@
 //===- bench_solver.cpp - Solver-core microbenchmarks -----------*- C++ -*-===//
 //
-// Google-benchmark suite isolating the fixed-point solver core from the
-// rest of the pipeline, to measure the difference-propagation rewrite
-// (docs/DELTA_SOLVER.md) against the naive reference mode
-// (AnalysisOptions::DeltaPropagation = false). Graph construction happens
-// outside the timed region, so BM_SolveDelta vs. BM_SolveNaive is a pure
-// solver-core comparison; BM_GraphBuildOnly gives the phase the solve
-// benchmarks exclude. Delta counters are exported as benchmark counters
+// Google-benchmark suite isolating the fixed-point solver core
+// (docs/DELTA_SOLVER.md) from the rest of the pipeline. Graph
+// construction happens outside the timed region, so the BM_Solve*
+// benchmarks time the solver core alone; BM_GraphBuildOnly gives the
+// phase they exclude. Solver counters are exported as benchmark counters
 // so regressions in work done (not just wall time) are visible.
 //
 // Record results in bench/BENCH_solver.json (instructions there).
@@ -76,53 +74,36 @@ void exportCounters(benchmark::State &State, const SolverStats &Stats) {
   State.counters["desc_misses"] = static_cast<double>(Stats.DescCacheMisses);
 }
 
-/// Solve-only cost with difference propagation, swept by app size.
-void BM_SolveDelta(benchmark::State &State) {
-  GeneratedApp App = generateApp(sweepSpec(static_cast<unsigned>(State.range(0))));
+/// Times solve() alone on fresh graphs of \p Bundle and exports the last
+/// run's counters.
+void solveLoop(benchmark::State &State, const AppBundle &Bundle) {
   AnalysisOptions Options;
   SolverStats Last;
   for (auto _ : State) {
     State.PauseTiming();
     DiagnosticEngine Diags;
-    PreparedGraph P = prepare(*App.Bundle, Diags);
+    PreparedGraph P = prepare(Bundle, Diags);
     State.ResumeTiming();
-    Solver S(P.Graph, *P.Sol, *App.Bundle->Layouts, App.Bundle->Android,
-             Options, Diags);
+    Solver S(P.Graph, *P.Sol, *Bundle.Layouts, Bundle.Android, Options,
+             Diags);
     Last = S.solve();
     benchmark::DoNotOptimize(Last);
   }
   exportCounters(State, Last);
+}
+
+/// Solve-only cost, swept by app size.
+void BM_SolveDelta(benchmark::State &State) {
+  GeneratedApp App = generateApp(sweepSpec(static_cast<unsigned>(State.range(0))));
+  solveLoop(State, *App.Bundle);
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_SolveDelta)->RangeMultiplier(2)->Range(2, 64)->Complexity();
 
-/// Same fixed point via the naive reference mode: full-set re-propagation
-/// and eager op re-enqueue (solver_delta_test proves the solutions match).
-void BM_SolveNaive(benchmark::State &State) {
-  GeneratedApp App = generateApp(sweepSpec(static_cast<unsigned>(State.range(0))));
-  AnalysisOptions Options;
-  Options.DeltaPropagation = false;
-  SolverStats Last;
-  for (auto _ : State) {
-    State.PauseTiming();
-    DiagnosticEngine Diags;
-    PreparedGraph P = prepare(*App.Bundle, Diags);
-    State.ResumeTiming();
-    Solver S(P.Graph, *P.Sol, *App.Bundle->Layouts, App.Bundle->Android,
-             Options, Diags);
-    Last = S.solve();
-    benchmark::DoNotOptimize(Last);
-  }
-  exportCounters(State, Last);
-  State.SetComplexityN(State.range(0));
-}
-BENCHMARK(BM_SolveNaive)->RangeMultiplier(2)->Range(2, 64)->Complexity();
-
 /// High-aliasing variant: lookups routed through a shared base-class
 /// helper merge views from every activity into the same variables, so
-/// flowsTo sets grow far past the small-set regime. This is where
-/// difference propagation matters — the naive mode re-pushes the whole
-/// accumulated set on every re-propagation.
+/// flowsTo sets grow far past the small-set regime, where difference
+/// propagation matters most.
 AppSpec aliasedSpec(unsigned Activities) {
   AppSpec Spec = sweepSpec(Activities);
   Spec.Name = "SolverAliased";
@@ -135,24 +116,9 @@ AppSpec aliasedSpec(unsigned Activities) {
 void BM_SolveAliased(benchmark::State &State) {
   GeneratedApp App =
       generateApp(aliasedSpec(static_cast<unsigned>(State.range(0))));
-  AnalysisOptions Options;
-  Options.DeltaPropagation = State.range(1) != 0;
-  SolverStats Last;
-  for (auto _ : State) {
-    State.PauseTiming();
-    DiagnosticEngine Diags;
-    PreparedGraph P = prepare(*App.Bundle, Diags);
-    State.ResumeTiming();
-    Solver S(P.Graph, *P.Sol, *App.Bundle->Layouts, App.Bundle->Android,
-             Options, Diags);
-    Last = S.solve();
-    benchmark::DoNotOptimize(Last);
-  }
-  exportCounters(State, Last);
-  State.SetLabel(State.range(1) ? "delta" : "naive");
+  solveLoop(State, *App.Bundle);
 }
-BENCHMARK(BM_SolveAliased)
-    ->ArgsProduct({{16, 32, 64}, {1, 0}});
+BENCHMARK(BM_SolveAliased)->Arg(16)->Arg(32)->Arg(64);
 
 /// The phase the solve benchmarks exclude: hierarchy + graph construction.
 void BM_GraphBuildOnly(benchmark::State &State) {
@@ -166,31 +132,17 @@ void BM_GraphBuildOnly(benchmark::State &State) {
 }
 BENCHMARK(BM_GraphBuildOnly)->RangeMultiplier(2)->Range(2, 64)->Complexity();
 
-/// Delta vs. naive on the hand-written ConnectBot example (small, but the
-/// op mix — inflate, findView, listeners, hierarchy walks — is realistic).
+/// The hand-written ConnectBot example (small, but the op mix — inflate,
+/// findView, listeners, hierarchy walks — is realistic).
 void BM_SolveConnectBot(benchmark::State &State) {
   auto Bundle = buildConnectBotExample();
   if (!Bundle || Bundle->Diags.hasErrors()) {
     State.SkipWithError("ConnectBot example failed to build");
     return;
   }
-  AnalysisOptions Options;
-  Options.DeltaPropagation = State.range(0) != 0;
-  SolverStats Last;
-  for (auto _ : State) {
-    State.PauseTiming();
-    DiagnosticEngine Diags;
-    PreparedGraph P = prepare(*Bundle, Diags);
-    State.ResumeTiming();
-    Solver S(P.Graph, *P.Sol, *Bundle->Layouts, Bundle->Android, Options,
-             Diags);
-    Last = S.solve();
-    benchmark::DoNotOptimize(Last);
-  }
-  exportCounters(State, Last);
-  State.SetLabel(State.range(0) ? "delta" : "naive");
+  solveLoop(State, *Bundle);
 }
-BENCHMARK(BM_SolveConnectBot)->Arg(1)->Arg(0);
+BENCHMARK(BM_SolveConnectBot);
 
 } // namespace
 

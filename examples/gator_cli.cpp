@@ -102,7 +102,7 @@ void printUsage(std::ostream &OS) {
   OS << "usage: gator_cli <dir> [--dot <file>] [--tuples] "
         "[--hierarchy] [--atg] [--solution] "
         "[--sequences <ActivityClass>] [--reach] [--json <file>] "
-        "[--lint] [--batch] [-j <n>] [--solve-jobs <n>] "
+        "[--lint] [--batch] [-j <n>] "
         "[--max-seconds <s>] [--max-work <n>] "
         "[--max-nodes <n>] [--max-edges <n>] [--trace-out <file>] "
         "[--metrics-out <file>] [--metrics-format json|prom] "
@@ -119,14 +119,6 @@ void printUsage(std::ostream &OS) {
         "(default: 1,\n"
         "                 or $GATOR_JOBS); output is byte-identical for "
         "every value\n"
-        "  --solve-jobs <n>\n"
-        "                 worker threads inside one solve "
-        "(docs/PARALLEL.md); 0 =\n"
-        "                 hardware concurrency (default: 1); dumps, "
-        "digests, and exit\n"
-        "                 codes are byte-identical for every value; "
-        "clamped to 1 per\n"
-        "                 task when batch -j > 1\n"
         "  --max-seconds  wall-clock budget; in batch mode one deadline "
         "shared by the\n"
         "                 whole batch (per-app caps below stay per-app)\n"
@@ -143,8 +135,7 @@ void printUsage(std::ostream &OS) {
         "one wide-event\n"
         "                 record per analyzed app in input order "
         "(byte-identical for\n"
-        "                 every -j / --solve-jobs value under --no-times); "
-        "aggregate or\n"
+        "                 every -j value under --no-times); aggregate or\n"
         "                 diff ledgers with `gator_cli report`\n"
         "  --explain      record provenance and print the derivation "
         "tree of every\n"
@@ -969,11 +960,6 @@ int main(int argc, char **argv) {
       if (!parseJobs(Val, "the -j flag", Cfg.Options.Jobs))
         return 2;
       JobsFromFlag = true;
-    } else if (Arg == "--solve-jobs") {
-      if (!NextValue(Val))
-        return usage();
-      if (!parseJobs(Val, "the --solve-jobs flag", Cfg.Options.SolveJobs))
-        return 2;
     } else if (Arg == "--dot") {
       if (!NextValue(Cfg.DotFile))
         return usage();
@@ -1197,11 +1183,6 @@ int main(int argc, char **argv) {
   CliConfig TaskCfg = Cfg;
   TaskCfg.Options.Budget.SharedDeadline =
       support::makeSharedDeadline(Cfg.Options.Budget.MaxWallSeconds);
-  // App-level parallelism wins: a pool of solves each spinning up its own
-  // intra-solve pool would oversubscribe the machine, so batch workers run
-  // their solves serially (results are identical either way).
-  if (Jobs > 1)
-    TaskCfg.Options.SolveJobs = 1;
 
   // Fan one thread-confined task per app over the pool; each task writes
   // into its own buffers, and the merge below emits them in input order,

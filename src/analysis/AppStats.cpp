@@ -95,13 +95,6 @@ AppStats gator::analysis::collectAppStats(const std::string &Name,
   Stats.DescCacheHits = Result.Stats.DescCacheHits;
   Stats.DescCacheMisses = Result.Stats.DescCacheMisses;
   Stats.HierarchyRevisions = Result.Stats.HierarchyRevisions;
-  Stats.SccCount = Result.Stats.SccCount;
-  Stats.SccMaxSize = Result.Stats.SccMaxSize;
-  Stats.SccStrata = Result.Stats.SccStrata;
-  Stats.SccRecondensations = Result.Stats.SccRecondensations;
-  Stats.ParallelRounds = Result.Stats.ParallelRounds;
-  Stats.BarrierWaves = Result.Stats.BarrierWaves;
-  Stats.BarrierStalls = Result.Stats.BarrierStalls;
   Stats.SolutionFidelity = Result.Sol->fidelity();
   Stats.UnresolvedOps = Result.Sol->unresolvedOps().size();
   Stats.WorkCharged = Result.Stats.WorkCharged;
@@ -162,15 +155,6 @@ gator::analysis::aggregateAppStats(const std::string &Name,
     Total.DescCacheHits += S.DescCacheHits;
     Total.DescCacheMisses += S.DescCacheMisses;
     Total.HierarchyRevisions += S.HierarchyRevisions;
-    // SCC shape numbers are point measurements of one app's graph:
-    // max-merged like the peaks; the round/barrier tallies are volumes.
-    Total.SccCount = std::max(Total.SccCount, S.SccCount);
-    Total.SccMaxSize = std::max(Total.SccMaxSize, S.SccMaxSize);
-    Total.SccStrata = std::max(Total.SccStrata, S.SccStrata);
-    Total.SccRecondensations += S.SccRecondensations;
-    Total.ParallelRounds += S.ParallelRounds;
-    Total.BarrierWaves += S.BarrierWaves;
-    Total.BarrierStalls += S.BarrierStalls;
     // Fidelity degrades monotonically along the enum; the worst app wins.
     if (S.SolutionFidelity > Total.SolutionFidelity)
       Total.SolutionFidelity = S.SolutionFidelity;
@@ -262,37 +246,6 @@ void gator::analysis::recordAppMetrics(support::MetricsRegistry &Metrics,
                    graph::unknownReasonSlug(
                        static_cast<graph::UnknownReason>(R)))
           .add(Stats.UnknownByReason[R]);
-
-  // Parallel intra-solve telemetry (docs/PARALLEL.md): emitted only when
-  // the stratified engine actually engaged, so serial runs export the
-  // exact document they always did.
-  if (Stats.ParallelRounds) {
-    Metrics
-        .gauge("gator_scc_count",
-               "Flow-graph SCCs at the last condensation (max across apps)")
-        .setMax(static_cast<double>(Stats.SccCount));
-    Metrics
-        .gauge("gator_scc_max_size",
-               "Largest flow-graph SCC observed (max across apps)")
-        .setMax(static_cast<double>(Stats.SccMaxSize));
-    Metrics
-        .gauge("gator_scc_strata",
-               "Topological strata of the condensed flow DAG (max across "
-               "apps)")
-        .setMax(static_cast<double>(Stats.SccStrata));
-    Metrics
-        .counter("gator_scc_recondensations_total",
-                 "Full SCC rebuilds forced by structural churn")
-        .add(Stats.SccRecondensations);
-    Metrics
-        .counter("gator_solve_barrier_waves_total",
-                 "Stratified classification waves dispatched")
-        .add(Stats.BarrierWaves);
-    Metrics
-        .counter("gator_solve_barrier_stalls_total",
-                 "Waves too narrow to feed every solve worker")
-        .add(Stats.BarrierStalls);
-  }
 
   Metrics
       .gauge("gator_solver_peak_set_size",
@@ -433,8 +386,4 @@ void gator::analysis::fillWideEvent(support::WideEvent &Event,
   Event.BuildSeconds = Stats.BuildSeconds;
   Event.SolveSeconds = Stats.SolveSeconds;
   Event.PeakRssBytes = Stats.PeakRssBytes;
-  Event.SccCount = Stats.SccCount;
-  Event.SccStrata = Stats.SccStrata;
-  Event.BarrierWaves = Stats.BarrierWaves;
-  Event.ParallelRounds = Stats.ParallelRounds;
 }

@@ -59,18 +59,6 @@ struct AppStats {
   unsigned long DescCacheMisses = 0;
   unsigned long HierarchyRevisions = 0;
 
-  /// Parallel intra-solve telemetry (docs/PARALLEL.md, "Inside one
-  /// solve"): SCC condensation shape of the flow graph and barrier
-  /// counts of the stratified classification waves. All zero when the
-  /// run was serial (SolveJobs <= 1).
-  unsigned long SccCount = 0;       ///< point measurement: max-merged
-  unsigned long SccMaxSize = 0;     ///< point measurement: max-merged
-  unsigned long SccStrata = 0;      ///< point measurement: max-merged
-  unsigned long SccRecondensations = 0;
-  unsigned long ParallelRounds = 0;
-  unsigned long BarrierWaves = 0;
-  unsigned long BarrierStalls = 0;
-
   /// Fail-soft telemetry (docs/ROBUSTNESS.md): the solution's fidelity
   /// marker, number of op sites left unresolved, and budget work charged.
   Fidelity SolutionFidelity = Fidelity::Complete;

@@ -32,7 +32,6 @@
 #include "support/Arena.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -89,24 +88,6 @@ public:
           Elements.begin(), Elements.end());
     }
     return true;
-  }
-
-  /// Adds \p V that the caller has already proven absent — the parallel
-  /// engine's verified-new path (docs/PARALLEL.md): membership was decided
-  /// against this exact set state during classification, so the replay can
-  /// append blindly instead of re-scanning. Keeps the representation
-  /// invariants (index updated, promotion at the same threshold), so a set
-  /// grown through insertNew is indistinguishable from one grown through
-  /// insert.
-  void insertNew(support::Arena &A, graph::NodeId V) {
-    assert(!contains(V) && "insertNew caller promised V was absent");
-    Elements.push_back(A, V);
-    if (Index) {
-      Index->insert(V);
-    } else if (Elements.size() > SmallLimit) {
-      Index = std::make_unique<std::unordered_set<graph::NodeId>>(
-          Elements.begin(), Elements.end());
-    }
   }
 
   bool contains(graph::NodeId V) const {

@@ -68,35 +68,14 @@ struct AnalysisOptions {
   /// helper by the context refinement.
   unsigned ContextHelperMaxStmts = 12;
 
-  /// Difference propagation (docs/DELTA_SOLVER.md): each worklist visit
-  /// pushes only the values that arrived since the node was last
-  /// propagated, and structure-sensitive ops re-fire once per quiescent
-  /// round instead of once per structure edge. Off = the naive reference
-  /// mode (full-set re-propagation, eager op re-enqueue, full-graph
-  /// container scans) retained for differential testing; both modes
-  /// compute the identical least fixed point.
-  bool DeltaPropagation = true;
-
   /// Worker threads for multi-app drivers (docs/PARALLEL.md): batch CLI
   /// runs, corpus-wide analyses, and the benches fan one whole-app
   /// analysis per task over a support::ThreadPool. 0 = hardware
   /// concurrency, 1 = exact serial execution (the default; no pool is
-  /// constructed). A single solve stays thread-confined under this knob —
-  /// it never parallelizes inside one app's analysis (SolveJobs below
-  /// does that), so results are identical for every value.
+  /// constructed). A single solve is always serial and thread-confined —
+  /// nothing parallelizes inside one app's analysis — so results are
+  /// identical for every value.
   unsigned Jobs = 1;
-
-  /// Worker threads *inside* one solve (docs/PARALLEL.md): the delta
-  /// solver condenses the flow graph into SCC strata and offloads push
-  /// classification to a pool, then replays the exact serial commit
-  /// schedule, so dumps, digests, and provenance are byte-identical to
-  /// SolveJobs=1 at every value. 0 = hardware concurrency, 1 = the exact
-  /// current serial path (the default; no pool, no SCC index). Only the
-  /// delta engine parallelizes; the naive reference mode and runs with
-  /// DeclaredTypeFilter (whose class-hierarchy probes touch shared memo
-  /// tables) fall back to serial. Batch drivers clamp this to 1 when Jobs
-  /// > 1 so nested pools never oversubscribe the machine.
-  unsigned SolveJobs = 1;
 
   /// Resource budgets (docs/ROBUSTNESS.md): work items (the historical
   /// MaxWorkItems safety valve), wall-clock deadline, graph size caps,

@@ -32,12 +32,9 @@
 /// every relationship edge — a two-implementation check of the fixpoint
 /// engine.
 ///
-/// This solver intentionally stays single-threaded and ignores
-/// AnalysisOptions::SolveJobs: it is the differential-testing oracle for
-/// the fused engine (including its parallel intra-solve mode, which must
-/// replay the serial schedule exactly — docs/PARALLEL.md, "Inside one
-/// solve"), so its value lies in staying simple and independently
-/// convincing, not fast.
+/// This solver is the differential-testing oracle for the fused engine,
+/// so its value lies in staying simple and independently convincing, not
+/// fast.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -491,16 +491,17 @@ gator::analysis::hashAnalysisOptions(const AnalysisOptions &O) {
   H.boolean("DeclaredTypeFilter", O.DeclaredTypeFilter);
   H.boolean("ContextSensitiveHelpers", O.ContextSensitiveHelpers);
   H.u64("ContextHelperMaxStmts", O.ContextHelperMaxStmts);
-  H.boolean("DeltaPropagation", O.DeltaPropagation);
+  // Constant: every run since the first release propagates deltas; the
+  // field stays hashed so keys and ledger options digests never change.
+  H.boolean("DeltaPropagation", true);
   H.boolean("RecordProvenance", O.RecordProvenance);
   H.boolean("ModelUnknownSources", O.ModelUnknownSources);
   H.u64("UnknownFanoutBudget", O.UnknownFanoutBudget);
   // Deterministic budget limits shape the (possibly truncated) result;
   // wall-clock and cancellation do too, but non-reproducibly — those gate
-  // eligibility instead (cacheEligible). Jobs, SolveJobs, and Trace never
-  // change the per-app outcome (the parallel solve engine replays the
-  // exact serial schedule — docs/PARALLEL.md), so a cache warmed serially
-  // serves parallel runs and vice versa.
+  // eligibility instead (cacheEligible). Jobs and Trace never change the
+  // per-app outcome (each app is solved serially — docs/PARALLEL.md), so
+  // a cache warmed serially serves parallel runs and vice versa.
   H.u64("Budget.MaxWorkItems", O.Budget.MaxWorkItems);
   H.u64("Budget.MaxGraphNodes", O.Budget.MaxGraphNodes);
   H.u64("Budget.MaxGraphEdges", O.Budget.MaxGraphEdges);

@@ -89,11 +89,6 @@ void Solver::addValue(NodeId N, NodeId Value) {
     ++Stats.DedupHits;
     return;
   }
-  // A non-simulated insert while a snapshot is live diverges N's set from
-  // what classification saw; pending verdicts for N are now stale
-  // (docs/PARALLEL.md). Dead-cheap when no snapshot is active.
-  if (SnapRemaining && N < RoundDirtyEpoch.size())
-    RoundDirtyEpoch[N] = SnapEpoch;
   if (Prov)
     Prov->recordFlow(N, Value, PRule, PPrem[0], PPrem[1], PPrem[2]);
   if (!InVarWorklist[N]) {
@@ -124,14 +119,10 @@ void Solver::enqueueOp(size_t OpIndex) {
 }
 
 void Solver::noteStructureChange() {
+  // Structure-sensitive ops re-fire once per quiescent round (runFixpoint),
+  // not once per added edge; monotonicity makes the batched schedule reach
+  // the same least fixed point.
   StructureDirty = true;
-  // Delta mode defers the structure-sensitive re-fires to the next
-  // quiescent round (solve()); monotonicity makes the batched schedule
-  // reach the same least fixed point. The naive reference mode keeps the
-  // historical eager re-enqueue per structure edge.
-  if (!Options.DeltaPropagation)
-    for (size_t OpIndex : StructureSensitiveOps)
-      enqueueOp(OpIndex);
 }
 
 void Solver::sweepXmlOnClickHandlers() {
@@ -164,7 +155,7 @@ void Solver::sweepXmlOnClickHandlers() {
           continue;
         }
         NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
-        solverAddFlowEdge(Holder, ThisNode);
+        G.addFlowEdge(Holder, ThisNode);
         if (Prov) {
           FactId LFact = Prov->edgeFact(FactKind::Listener, V, Holder);
           provLink(Holder, ThisNode, DerivRule::XmlOnClick, LFact);
@@ -233,24 +224,19 @@ void Solver::registerOpUses() {
 
 void Solver::propagate(NodeId N) {
   ++Stats.Propagations;
-  auto &Sets = Sol.flowsToSets();
-  // Copy the values to push into the reusable scratch: addValue may
-  // resize Sets and insert into the very set being walked.
-  if (Options.DeltaPropagation) {
-    // Difference propagation: only the suffix that arrived since this
-    // node's last visit. Committed values were already pushed to every
-    // flow successor (edges added mid-solve always source from singleton
-    // value nodes whose one value the adding rule seeds by hand — see
-    // docs/DELTA_SOLVER.md, "mid-solve edges").
-    FlowSet &Set = Sets[N];
-    if (!Set.hasDelta())
-      return; // spurious wakeup: delta drained by an earlier visit
-    PropScratch.assign(Set.begin() + Set.deltaBegin(), Set.end());
-    Set.commit(Set.size());
-    ++Stats.DeltaCommits;
-  } else {
-    PropScratch.assign(Sets[N].begin(), Sets[N].end());
-  }
+  // Difference propagation: only the suffix that arrived since this
+  // node's last visit. Committed values were already pushed to every flow
+  // successor (edges added mid-solve always source from singleton value
+  // nodes whose one value the adding rule seeds by hand — see
+  // docs/DELTA_SOLVER.md, "mid-solve edges"). The suffix is copied into
+  // the reusable scratch: addValue may resize Sets and insert into the
+  // very set being walked.
+  FlowSet &Set = Sol.flowsToSets()[N];
+  if (!Set.hasDelta())
+    return; // spurious wakeup: delta drained by an earlier visit
+  PropScratch.assign(Set.begin() + Set.deltaBegin(), Set.end());
+  Set.commit(Set.size());
+  ++Stats.DeltaCommits;
   for (NodeId Succ : G.flowSuccessors(N)) {
     if (G.node(Succ).Kind == NodeKind::Op)
       continue; // operation rules read role variables directly
@@ -260,283 +246,6 @@ void Solver::propagate(NodeId N) {
       addValue(Succ, V);
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel intra-solve engine (docs/PARALLEL.md, "Inside one solve")
-//===----------------------------------------------------------------------===//
-
-void Solver::ensureSolvePool() {
-  if (SolvePool && SolvePool->workerCount() != SolveWorkers)
-    SolvePool.reset(); // SolveJobs changed between solve() calls
-  if (!SolvePool)
-    SolvePool.reset(new support::ThreadPool(SolveWorkers));
-}
-
-bool Solver::solverAddFlowEdge(NodeId From, NodeId To) {
-  bool Added = G.addFlowEdge(From, To);
-  if (Added && Scc && Scc->built())
-    Scc->noteEdge(From, To);
-  return Added;
-}
-
-void Solver::simulateTarget(NodeId Target) {
-  // Runs on a pool worker. Everything read here is frozen: the serial
-  // thread blocks at the wave barrier, so no set, adjacency list, or
-  // entry table mutates. Writes land in Verdicts slots owned by this
-  // target's pushes alone.
-  const FlowSet &Base = Sol.flowsToSets()[Target];
-  size_t Begin = ClsStart[Target];
-  size_t End = Begin + ClsCount[Target];
-
-  // Predicted-new values: the target's state beyond Base, evolved in push
-  // order exactly as the replay will evolve it. Small targets linear-scan
-  // a vector; a hash set takes over past a threshold.
-  std::vector<NodeId> Pred;
-  std::unordered_set<NodeId> PredBig;
-  constexpr size_t PredSmallLimit = 48;
-
-  for (size_t E = Begin; E < End; ++E) {
-    NodeId V = ClsEntries[E].Val;
-    bool Dup = Base.contains(V);
-    if (!Dup) {
-      if (!PredBig.empty() || Pred.size() > PredSmallLimit) {
-        if (PredBig.empty())
-          PredBig.insert(Pred.begin(), Pred.end());
-        Dup = !PredBig.insert(V).second;
-      } else {
-        Dup = std::find(Pred.begin(), Pred.end(), V) != Pred.end();
-        if (!Dup)
-          Pred.push_back(V);
-      }
-    }
-    Verdicts[ClsEntries[E].Pos] = Dup ? 1 : 0;
-  }
-}
-
-void Solver::classifyRound() {
-  ensureSets();
-  auto &Sets = Sol.flowsToSets();
-  size_t N = G.size();
-  if (++SnapEpoch == 0) { // epoch wrapped: stale stamps must not match
-    std::fill(SnapEpochArr.begin(), SnapEpochArr.end(), 0);
-    std::fill(RoundDirtyEpoch.begin(), RoundDirtyEpoch.end(), 0);
-    SnapEpoch = 1;
-  }
-  if (SnapPosArr.size() < N) {
-    SnapPosArr.resize(N, 0);
-    SnapEpochArr.resize(N, 0);
-    RoundDirtyEpoch.resize(N, 0);
-    ClsCount.resize(N, 0);
-    ClsStart.resize(N, 0);
-    ClsCursor.resize(N, 0);
-  }
-
-  // Pass 1 — snapshot the worklist in FIFO order and count each target's
-  // incoming pushes. The enumeration order here (worklist position, then
-  // flow-successor index, then delta index) IS the serial push order; a
-  // push's verdict slot is its position in this enumeration.
-  SnapNodes.clear();
-  SnapDelta.clear();
-  SnapByteOff.clear();
-  ClsTargets.clear();
-  uint64_t Total = 0;
-  for (size_t K = 0; K < VarWorklist.size(); ++K) {
-    if (Total > (uint64_t(1) << 31))
-      break; // keep slots in 32 bits; the tail pops through the plain path
-    NodeId Node = VarWorklist[K];
-    const FlowSet &Set = Sets[Node];
-    uint32_t D = static_cast<uint32_t>(Set.size() - Set.deltaBegin());
-    SnapNodes.push_back(Node);
-    SnapDelta.push_back(D);
-    SnapByteOff.push_back(static_cast<uint32_t>(Total));
-    SnapPosArr[Node] = static_cast<uint32_t>(K);
-    SnapEpochArr[Node] = SnapEpoch;
-    if (!D)
-      continue;
-    for (NodeId Succ : G.flowSuccessors(Node)) {
-      if (G.node(Succ).Kind == NodeKind::Op)
-        continue;
-      if (!ClsCount[Succ])
-        ClsTargets.push_back(Succ);
-      ClsCount[Succ] += D;
-      Total += D;
-    }
-  }
-  SnapRemaining = SnapNodes.size();
-  ++Stats.ParallelRounds;
-  if (Total == 0)
-    return; // no snapshot node pushes anywhere; replay is trivially exact
-
-  // Pass 2 — group-by-target scatter (counting sort): per-target entry
-  // runs hold that target's pushes in serial order.
-  Verdicts.assign(static_cast<size_t>(Total), 0);
-  ClsEntries.resize(static_cast<size_t>(Total));
-  uint32_t Run = 0;
-  for (NodeId T : ClsTargets) {
-    ClsStart[T] = Run;
-    ClsCursor[T] = Run;
-    Run += ClsCount[T];
-  }
-  uint32_t Pos = 0;
-  for (size_t K = 0; K < SnapNodes.size(); ++K) {
-    uint32_t D = SnapDelta[K];
-    if (!D)
-      continue;
-    const FlowSet &Set = Sets[SnapNodes[K]];
-    const NodeId *Delta = Set.begin() + Set.deltaBegin();
-    for (NodeId Succ : G.flowSuccessors(SnapNodes[K])) {
-      if (G.node(Succ).Kind == NodeKind::Op)
-        continue;
-      for (uint32_t I = 0; I < D; ++I)
-        ClsEntries[ClsCursor[Succ]++] = {Pos++, Delta[I]};
-    }
-  }
-  Stats.ParallelClassified += Total;
-
-  // Pass 3 — condense (or incrementally reuse) the flow topology and
-  // order targets by stratum, so each wave touches a topologically
-  // coherent slice; tiny strata coalesce until a wave can feed every
-  // worker at the configured grain.
-  if (!Scc)
-    Scc.reset(new graph::SccIndex());
-  if (!Scc->built() || Scc->needsRebuild(G.flowEdgeCount()))
-    Scc->build(G);
-  Scc->ensure(N);
-  ClsSorted.assign(ClsTargets.begin(), ClsTargets.end());
-  std::stable_sort(ClsSorted.begin(), ClsSorted.end(),
-                   [this](NodeId A, NodeId B) {
-                     return Scc->stratumOf(A) < Scc->stratumOf(B);
-                   });
-
-  // Pass 4 — simulate each wave on the pool; the wave boundary is a
-  // barrier (parallelForGrained returns only when every chunk finished).
-  ensureSolvePool();
-  size_t WaveMin = static_cast<size_t>(SolveWorkers) * ClassifyGrain;
-  size_t Begin = 0;
-  while (Begin < ClsSorted.size()) {
-    size_t End = Begin;
-    while (End < ClsSorted.size() && End - Begin < WaveMin) {
-      uint32_t Stratum = Scc->stratumOf(ClsSorted[End]);
-      do
-        ++End;
-      while (End < ClsSorted.size() &&
-             Scc->stratumOf(ClsSorted[End]) == Stratum);
-    }
-    size_t Count = End - Begin;
-    if (Options.Trace) {
-      support::TraceSink::Event &E = Options.Trace->instant("solve.wave");
-      E.Args.emplace_back("wave", Stats.BarrierWaves);
-      E.Args.emplace_back("targets", Count);
-      E.Args.emplace_back("stratum", Scc->stratumOf(ClsSorted[Begin]));
-    }
-    support::parallelForGrained(
-        *SolvePool, Count, ClassifyGrain, [this, Begin](size_t B, size_t E) {
-          for (size_t I = B; I < E; ++I)
-            simulateTarget(ClsSorted[Begin + I]);
-        });
-    ++Stats.BarrierWaves;
-    if ((Count + ClassifyGrain - 1) / ClassifyGrain < SolveWorkers)
-      ++Stats.BarrierStalls; // structural: wave narrower than the pool
-    Begin = End;
-  }
-
-  // Dense tables are cleared by walking the touched targets, keeping the
-  // per-round cost proportional to the round.
-  for (NodeId T : ClsTargets)
-    ClsCount[T] = 0;
-}
-
-void Solver::propagateSnapshot(NodeId N, uint32_t SnapPos) {
-  ++Stats.Propagations;
-  auto &Sets = Sol.flowsToSets();
-  FlowSet &Set = Sets[N];
-  if (!Set.hasDelta())
-    return; // mirror propagate(): spurious wakeup
-  PropScratch.assign(Set.begin() + Set.deltaBegin(), Set.end());
-  Set.commit(Set.size());
-  ++Stats.DeltaCommits;
-
-  // The snapshot delta is a prefix of the pop-time delta: elements are
-  // append-only and only this node's own pop commits its span, so
-  // PropScratch[0..D) is byte-for-byte the span classification simulated.
-  uint32_t D = SnapDelta[SnapPos];
-  uint32_t SuccBase = SnapByteOff[SnapPos];
-  for (NodeId Succ : G.flowSuccessors(N)) {
-    if (G.node(Succ).Kind == NodeKind::Op)
-      continue; // operation rules read role variables directly
-    bool Clean = Succ < RoundDirtyEpoch.size() &&
-                 RoundDirtyEpoch[Succ] != SnapEpoch;
-    for (size_t I = 0; I < PropScratch.size(); ++I) {
-      NodeId V = PropScratch[I];
-      if (Prov)
-        provCtx(DerivRule::FlowEdge, Prov->flowFact(N, V));
-      if (I < D && Clean) {
-        // Trusted verdict: the replayed target state equals the simulated
-        // state (base set + exactly the predicted-new inserts executed so
-        // far), so the verdict is the membership answer addValue would
-        // compute. Byte positions mirror the classification enumeration.
-        ++Stats.ValuesPushed;
-        if (Verdicts[SuccBase + I]) {
-          ++Stats.DedupHits;
-          ++Stats.TrustedDups;
-          continue;
-        }
-        ++Stats.TrustedAppends;
-        Sol.flowsToSets()[Succ].insertNew(Sol.setArena(), V);
-        if (Prov)
-          Prov->recordFlow(Succ, V, PRule, PPrem[0], PPrem[1], PPrem[2]);
-        if (!InVarWorklist[Succ]) {
-          InVarWorklist[Succ] = true;
-          VarWorklist.push_back(Succ);
-          if (VarWorklist.size() > Stats.PeakVarWorklist)
-            Stats.PeakVarWorklist = VarWorklist.size();
-        }
-        for (uint32_t OpIndex : OpUses[Succ])
-          enqueueOp(OpIndex);
-      } else {
-        // Late-arriving delta suffix, or a target some plain insert
-        // already diverged: the ordinary membership path. A successful
-        // insert here round-dirties the target (see addValue).
-        if (I < D)
-          ++Stats.DirtyFallbacks; // had a verdict but couldn't trust it
-        addValue(Succ, V);
-      }
-    }
-    SuccBase += D;
-  }
-}
-
-void Solver::prewarmDescendants() {
-  // Only the XML onClick sweep walks every root holder's full hierarchy
-  // each structure round; FindView re-fires query receiver-reachable
-  // views only, an unpredictable subset not worth precomputing.
-  if (!Options.ModelXmlOnClickHandlers)
-    return;
-  std::vector<NodeId> Stale;
-  for (NodeId Holder : G.rootHolders())
-    for (NodeId Root : G.roots(Holder))
-      if (!G.descendantsCurrent(Root))
-        Stale.push_back(Root);
-  std::sort(Stale.begin(), Stale.end());
-  Stale.erase(std::unique(Stale.begin(), Stale.end()), Stale.end());
-  if (Stale.size() < 2)
-    return; // one list: the lazy path recomputes it just as fast
-  ensureSolvePool();
-  std::vector<std::vector<NodeId>> Results(Stale.size());
-  support::parallelForGrained(
-      *SolvePool, Stale.size(), PrewarmGrain,
-      [this, &Stale, &Results](size_t B, size_t E) {
-        // Per-chunk scratch: the graph's own stamp vector is shared
-        // mutable state; workers bring their own.
-        std::vector<uint32_t> Seen;
-        uint32_t Gen = 0;
-        for (size_t I = B; I < E; ++I)
-          G.computeDescendantsInto(Stale[I], Results[I], Seen, Gen);
-      });
-  for (size_t I = 0; I < Stale.size(); ++I)
-    G.seedDescendants(Stale[I], std::move(Results[I]));
-  Stats.DescPrewarmed += Stale.size();
 }
 
 //===----------------------------------------------------------------------===//
@@ -839,7 +548,7 @@ void Solver::wireListenerCallback(NodeId View, NodeId ListenerValue,
     if (!Handler || Handler->owner()->isPlatform())
       continue;
     NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
-    solverAddFlowEdge(ListenerValue, ThisNode);
+    G.addFlowEdge(ListenerValue, ThisNode);
     provLink(ListenerValue, ThisNode, DerivRule::ListenerCallback, LFact);
     addValue(ThisNode, ListenerValue);
     if (Sig.ViewParamIndex >= 0 &&
@@ -903,7 +612,7 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
     if (!FragmentWired.insert(Key).second)
       continue;
     NodeId ThisNode = G.getVarNode(Factory, Factory->thisVar());
-    solverAddFlowEdge(F, ThisNode);
+    G.addFlowEdge(F, ThisNode);
     provLink(F, ThisNode, DerivRule::FragmentAdd, provFlow(Op.ValArg, F));
     provCtx(DerivRule::FragmentAdd, provFlow(Op.ValArg, F));
     addValue(ThisNode, F);
@@ -936,44 +645,22 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
   if (FragmentRoots.empty())
     return;
 
-  if (Options.DeltaPropagation) {
-    // Containers come straight from the reverse viewId -> views index.
-    for (NodeId IdNode : WantedIds) {
-      // Copy: addParentChildEdge cannot extend viewsWithId, but an id may
-      // be assigned mid-loop by a re-entrant rule in future revisions;
-      // the copy is tiny and keeps iteration sound.
-      std::vector<NodeId> Containers(G.viewsWithId(IdNode).begin(),
-                                     G.viewsWithId(IdNode).end());
-      for (NodeId Container : Containers)
-        for (NodeId Root : FragmentRoots)
-          if (Container != Root && G.addParentChildEdge(Container, Root)) {
-            provEdge(FactKind::ParentChild, Container, Root,
-                     DerivRule::FragmentAdd, provFlow(Root, Root),
-                     Prov ? Prov->edgeFact(FactKind::HasId, Container, IdNode)
-                          : ProvenanceRecorder::NoFact);
-            noteStructureChange();
-          }
-    }
-    return;
-  }
-
-  // Naive reference mode: the historical full-graph container scan.
-  std::unordered_set<NodeId> WantedIdSet(WantedIds.begin(), WantedIds.end());
-  for (NodeId Container = 0; Container < G.size(); ++Container) {
-    if (!isViewNodeKind(G.node(Container).Kind))
-      continue;
-    bool Matches = false;
-    for (NodeId IdNode : G.viewIds(Container))
-      if (WantedIdSet.count(IdNode))
-        Matches = true;
-    if (!Matches)
-      continue;
-    for (NodeId Root : FragmentRoots)
-      if (Container != Root && G.addParentChildEdge(Container, Root)) {
-        provEdge(FactKind::ParentChild, Container, Root,
-                 DerivRule::FragmentAdd, provFlow(Root, Root));
-        noteStructureChange();
-      }
+  // Containers come straight from the reverse viewId -> views index.
+  for (NodeId IdNode : WantedIds) {
+    // Copy: addParentChildEdge cannot extend viewsWithId, but an id may be
+    // assigned mid-loop by a re-entrant rule in future revisions; the copy
+    // is tiny and keeps iteration sound.
+    std::vector<NodeId> Containers(G.viewsWithId(IdNode).begin(),
+                                   G.viewsWithId(IdNode).end());
+    for (NodeId Container : Containers)
+      for (NodeId Root : FragmentRoots)
+        if (Container != Root && G.addParentChildEdge(Container, Root)) {
+          provEdge(FactKind::ParentChild, Container, Root,
+                   DerivRule::FragmentAdd, provFlow(Root, Root),
+                   Prov ? Prov->edgeFact(FactKind::HasId, Container, IdNode)
+                        : ProvenanceRecorder::NoFact);
+          noteStructureChange();
+        }
   }
 }
 
@@ -1005,7 +692,7 @@ void Solver::fireSetAdapter(size_t OpIndex) {
     if (!FragmentWired.insert(Key).second)
       continue; // reuse the factory-wiring dedup table
     NodeId ThisNode = G.getVarNode(Factory, Factory->thisVar());
-    solverAddFlowEdge(A, ThisNode);
+    G.addFlowEdge(A, ThisNode);
     provLink(A, ThisNode, DerivRule::SetAdapter, provFlow(Op.ValArg, A));
     provCtx(DerivRule::SetAdapter, provFlow(Op.ValArg, A));
     addValue(ThisNode, A);
@@ -1129,9 +816,6 @@ SolverStats Solver::solve() {
   Stats = SolverStats();
   ViewBaseClass = AM.program().findClass(names::View);
   GroupBaseClass = AM.program().findClass(names::ViewGroup);
-  SolveWorkers = support::resolveJobs(Options.SolveJobs);
-  ParEligible = SolveWorkers > 1 && Options.DeltaPropagation &&
-                !Options.DeclaredTypeFilter;
   ensureSets();
   registerOpUses();
   seedValueNodes();
@@ -1143,9 +827,6 @@ SolverStats Solver::resolveIncremental(
   Stats = SolverStats();
   ViewBaseClass = AM.program().findClass(names::View);
   GroupBaseClass = AM.program().findClass(names::ViewGroup);
-  SolveWorkers = support::resolveJobs(Options.SolveJobs);
-  ParEligible = SolveWorkers > 1 && Options.DeltaPropagation &&
-                !Options.DeclaredTypeFilter;
   ensureSets();
   registerOpUses();
   seedValueNodes();
@@ -1234,18 +915,13 @@ SolverStats Solver::runFixpoint() {
   unsigned long StartDescHits = G.descendantsCacheHits();
   unsigned long StartDescMisses = G.descendantsCacheMisses();
 
-  // A prior run that tripped its budget mid-drain may have left an
-  // unconsumed snapshot; its verdicts describe dead state.
-  SnapRemaining = 0;
-
   support::BudgetTracker Tracker(Options.Budget);
   for (;;) {
     if (VarWorklist.empty() && OpWorklist.empty()) {
       // Quiescent: apply structure-driven models once per structure
-      // growth; they may seed new propagation. Delta mode also batches
-      // the structure-sensitive op re-fires here (noteStructureChange
-      // only marks), firing each op once per round instead of once per
-      // added edge.
+      // growth; they may seed new propagation. The structure-sensitive op
+      // re-fires are batched here too (noteStructureChange only marks),
+      // firing each op once per round instead of once per added edge.
       if (!StructureDirty)
         break;
       if (!Tracker.checkpoint(G.size(), G.flowEdgeCount() +
@@ -1255,31 +931,18 @@ SolverStats Solver::runFixpoint() {
       ++Stats.StructureRounds;
       if (Options.Trace)
         Options.Trace->instant("solver.structure-round");
-      if (Options.DeltaPropagation)
-        for (size_t OpIndex : StructureSensitiveOps)
-          enqueueOp(OpIndex);
-      if (ParEligible)
-        prewarmDescendants();
+      for (size_t OpIndex : StructureSensitiveOps)
+        enqueueOp(OpIndex);
       sweepXmlOnClickHandlers();
       continue;
     }
     if (!Tracker.charge())
       break;
     if (!VarWorklist.empty()) {
-      if (ParEligible && SnapRemaining == 0 &&
-          VarWorklist.size() >= SnapshotMinWorklist)
-        classifyRound();
       NodeId N = VarWorklist.front();
       VarWorklist.pop_front();
       InVarWorklist[N] = false;
-      if (SnapRemaining && N < SnapEpochArr.size() &&
-          SnapEpochArr[N] == SnapEpoch) {
-        SnapEpochArr[N] = 0; // consume: a re-pop replays the plain path
-        --SnapRemaining;
-        propagateSnapshot(N, SnapPosArr[N]);
-      } else {
-        propagate(N);
-      }
+      propagate(N);
       continue;
     }
     // Op firings grow the graph (inflation mints whole subtrees), so the
@@ -1318,16 +981,6 @@ SolverStats Solver::runFixpoint() {
   Stats.HierarchyRevisions = G.hierarchyRevision() - StartRev;
   Stats.DescCacheHits = G.descendantsCacheHits() - StartDescHits;
   Stats.DescCacheMisses = G.descendantsCacheMisses() - StartDescMisses;
-  if (Scc && Scc->built()) {
-    Stats.SccCount = Scc->sccCount();
-    Stats.SccMaxSize = Scc->maxSccSize();
-    Stats.SccSingletons = Scc->singletonSccs();
-    Stats.SccSmall = Scc->smallSccs();
-    Stats.SccLarge = Scc->largeSccs();
-    Stats.SccStrata = Scc->strataCount();
-    Stats.SccRecondensations = Scc->recondensations();
-    Stats.SccIncrementalAccepts = Scc->incrementalAccepts();
-  }
   FixpointSpan.arg("propagations", Stats.Propagations);
   FixpointSpan.arg("op_firings", Stats.OpFirings);
   FixpointSpan.arg("inflations", Stats.InflationCount);

@@ -25,14 +25,11 @@
 #include "android/AndroidModel.h"
 #include "android/Ops.h"
 #include "graph/ConstraintGraph.h"
-#include "graph/SccIndex.h"
 #include "hier/ClassHierarchy.h"
 #include "layout/Layout.h"
 #include "support/Budget.h"
-#include "support/ThreadPool.h"
 
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -62,28 +59,6 @@ struct SolverStats {
   unsigned long PeakOpWorklist = 0;  ///< deepest op worklist observed
   /// Rule evaluations per operation kind, indexed by OpKind.
   unsigned long FiringsByKind[android::NumOpKinds] = {};
-
-  // Parallel intra-solve counters (docs/PARALLEL.md). The SCC shape and
-  // the trusted/fallback split are functions of the (deterministic) solve
-  // schedule, so they are identical for every SolveJobs > 1; barrier
-  // counters additionally depend on the resolved worker count (wave
-  // coalescing targets Workers x grain), never on thread timing.
-  unsigned long SccCount = 0;      ///< SCCs in the last flow condensation
-  unsigned long SccMaxSize = 0;    ///< largest SCC (nodes)
-  unsigned long SccSingletons = 0; ///< size-1 SCCs
-  unsigned long SccSmall = 0;      ///< SCCs of 2..8 nodes
-  unsigned long SccLarge = 0;      ///< SCCs of 9+ nodes
-  unsigned long SccStrata = 0;     ///< topological strata of the condensation
-  unsigned long SccRecondensations = 0;    ///< full rebuilds after the first
-  unsigned long SccIncrementalAccepts = 0; ///< mid-solve edges absorbed
-  unsigned long ParallelRounds = 0;     ///< worklist rounds classified off-thread
-  unsigned long ParallelClassified = 0; ///< pushes with a precomputed verdict
-  unsigned long TrustedAppends = 0;     ///< verdict-driven blind inserts
-  unsigned long TrustedDups = 0;        ///< verdict-driven dedup skips
-  unsigned long DirtyFallbacks = 0;     ///< pushes replayed without a verdict
-  unsigned long BarrierWaves = 0;       ///< stratum waves dispatched
-  unsigned long BarrierStalls = 0;      ///< waves too narrow to feed every worker
-  unsigned long DescPrewarmed = 0;      ///< descendants lists computed off-thread
 
   /// Work items successfully charged against the budget.
   unsigned long WorkCharged = 0;
@@ -200,47 +175,6 @@ private:
   void noteStructureChange();
   void enqueueOp(size_t OpIndex);
 
-  //===--------------------------------------------------------------------===//
-  // Parallel intra-solve engine (docs/PARALLEL.md, "Inside one solve")
-  //===--------------------------------------------------------------------===//
-  //
-  // SolveJobs > 1 runs the delta drain as precompute + exact serial replay:
-  // when the value worklist is deep enough, the whole worklist is
-  // snapshotted, the pushes every snapshot node will make (its delta x its
-  // non-Op flow successors, in exact serial order) are enumerated, and a
-  // thread pool — targets grouped into SCC-stratum waves with a barrier
-  // per wave — simulates each target's ordered push sequence against its
-  // frozen set, writing one New/Dup verdict byte per push into a slot that
-  // is a pure function of serial position. The serial thread then replays
-  // the exact FIFO schedule, consuming verdicts instead of re-scanning
-  // set membership: Dup skips, New appends blindly (FlowSet::insertNew).
-  // A target that takes any non-simulated insert (a late-arriving delta
-  // suffix) is round-dirty and falls back to plain addValue, so trusted
-  // verdicts are consumed only while the replayed state still equals the
-  // simulated state. Commit order, worklist evolution, node minting,
-  // provenance, and budget trip points are therefore byte-identical to
-  // SolveJobs=1 by construction.
-
-  /// Builds the worklist snapshot, enumerates per-target push lists, and
-  /// dispatches stratum waves of membership simulation over the pool.
-  void classifyRound();
-  /// Simulates one target's ordered push sequence, writing verdicts.
-  /// Called from pool workers; touches only frozen state plus disjoint
-  /// Verdicts slots.
-  void simulateTarget(NodeId Target);
-  /// The replay twin of propagate() for a snapshot node: same pops, same
-  /// commits, same push order, with snapshot-prefix pushes resolved from
-  /// the verdict buffer while the target is round-clean.
-  void propagateSnapshot(NodeId N, uint32_t SnapPos);
-  /// At a structure round, computes stale root descendants lists on the
-  /// pool (per-worker scratch, exact serial DFS order) and seeds the
-  /// graph's cache before the XML sweep / FindView re-fires read them.
-  void prewarmDescendants();
-  /// G.addFlowEdge plus SCC-index maintenance for the mid-solve edge-add
-  /// sites (listener callbacks, XML handlers, fragment/adapter wiring).
-  bool solverAddFlowEdge(NodeId From, NodeId To);
-  void ensureSolvePool();
-
   graph::ConstraintGraph &G;
   Solution &Sol;
   const layout::LayoutRegistry &Layouts;
@@ -286,59 +220,6 @@ private:
   /// Set by structure growth; triggers the XML onClick sweep when the
   /// worklists drain.
   bool StructureDirty = false;
-
-  /// Snapshot classification engages only when a round is deep enough to
-  /// amortize the pool round-trip; shallower rounds replay pure serial.
-  static constexpr size_t SnapshotMinWorklist = 24;
-  /// Targets per simulation chunk / roots per prewarm chunk.
-  static constexpr size_t ClassifyGrain = 8;
-  static constexpr size_t PrewarmGrain = 4;
-
-  /// True when this run uses the parallel engine: SolveJobs resolves to
-  /// more than one worker, delta propagation is on (the naive reference
-  /// mode stays the serial oracle), and DeclaredTypeFilter is off (its
-  /// class-hierarchy probes touch shared memo tables and would make
-  /// simulation reads racy).
-  bool ParEligible = false;
-  unsigned SolveWorkers = 1;
-  /// Lazily created at the first classification or prewarm; persists
-  /// across rounds and solve() calls so one solve pays one pool spawn.
-  std::unique_ptr<support::ThreadPool> SolvePool;
-  std::unique_ptr<graph::SccIndex> Scc;
-
-  /// Snapshot state. A node's membership in the live snapshot is
-  /// epoch-stamped (SnapEpochArr[N] == SnapEpoch), consumed at its first
-  /// pop; SnapRemaining counts unconsumed snapshot nodes, so 0 means "no
-  /// snapshot active" and the next deep round may classify again.
-  std::vector<NodeId> SnapNodes;      ///< snapshot worklist, FIFO order
-  std::vector<uint32_t> SnapDelta;    ///< delta length per snapshot node
-  std::vector<uint32_t> SnapByteOff;  ///< first verdict slot per node
-  std::vector<uint32_t> SnapPosArr;   ///< NodeId -> snapshot position
-  std::vector<uint32_t> SnapEpochArr; ///< NodeId -> stamping epoch
-  uint32_t SnapEpoch = 0;
-  size_t SnapRemaining = 0;
-  /// One byte per simulated push: 0 = new, 1 = duplicate. Workers write
-  /// disjoint slots (each target is simulated by exactly one worker and
-  /// slot positions are a pure function of serial push order), which is
-  /// the deterministic outbox merge: the buffer IS the merged result.
-  std::vector<uint8_t> Verdicts;
-  /// NodeId -> epoch of the last non-simulated insert; verdicts for a
-  /// target stamped with the current epoch are stale and skipped.
-  std::vector<uint32_t> RoundDirtyEpoch;
-
-  /// Classification scratch (reused across rounds). ClsCount/ClsStart/
-  /// ClsCursor are dense NodeId-indexed tables cleared by walking
-  /// ClsTargets, so a round costs O(touched), not O(graph).
-  struct PushEntry {
-    uint32_t Pos; ///< verdict slot (global serial push position)
-    NodeId Val;
-  };
-  std::vector<NodeId> ClsTargets;
-  std::vector<NodeId> ClsSorted; ///< targets ordered by SCC stratum
-  std::vector<uint32_t> ClsCount;
-  std::vector<uint32_t> ClsStart;
-  std::vector<uint32_t> ClsCursor;
-  std::vector<PushEntry> ClsEntries;
 
   /// Derivation recorder; null when provenance is off. Recording sites
   /// stage the producing rule and premises in PRule/PPrem before calling

@@ -309,10 +309,13 @@ void AndroidModel::install(Program &P) {
         ensureClass(P, Spec.InterfaceName, "", /*IsInterface=*/true);
     for (const HandlerSig &Sig : Spec.Handlers) {
       std::vector<std::pair<std::string, std::string>> Params;
-      for (unsigned I = 0; I < Sig.Arity; ++I)
+      for (unsigned I = 0; I < Sig.Arity; ++I) {
+        std::string PName = "p";
+        PName += std::to_string(I);
         Params.push_back(
-            {"p" + std::to_string(I),
+            {std::move(PName),
              static_cast<int>(I) == Sig.ViewParamIndex ? View : Object});
+      }
       ensureMethod(Iface, Sig.MethodName, "void", Params);
     }
   }

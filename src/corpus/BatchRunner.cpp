@@ -15,11 +15,6 @@ gator::corpus::analyzeCorpus(const std::vector<AppSpec> &Specs,
   if (!TaskOptions.Budget.SharedDeadline)
     TaskOptions.Budget.SharedDeadline =
         support::makeSharedDeadline(Options.Budget.MaxWallSeconds);
-  // App-level parallelism wins over intra-solve parallelism: nested pools
-  // would oversubscribe the machine, and results are identical either way
-  // (docs/PARALLEL.md).
-  if (support::resolveJobs(Options.Jobs) > 1)
-    TaskOptions.SolveJobs = 1;
 
   // The cache serves a record without artifacts, so it only applies to
   // stats-only sweeps; a wall deadline makes outcomes timing-dependent

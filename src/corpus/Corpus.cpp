@@ -483,8 +483,9 @@ private:
       C->addField("payload", ObjectClassName);
 
       for (unsigned J = 0; J < Spec.MethodsPerFillerClass; ++J) {
-        MethodBuilder M(
-            C->addMethod("m" + std::to_string(J), ObjectClassName));
+        std::string MethodName = "m";
+        MethodName += std::to_string(J);
+        MethodBuilder M(C->addMethod(MethodName, ObjectClassName));
         M.param("p", ObjectClassName);
         M.local("x", ObjectClassName);
         M.storeField("this", "payload", "p");

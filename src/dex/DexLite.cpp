@@ -16,6 +16,14 @@ using namespace gator::ir;
 
 namespace {
 
+/// The register name "p<Index>" of a method parameter. Built by append:
+/// GCC 12 at -O3 raises a false -Wrestrict on `"p" + std::to_string(..)`.
+std::string paramReg(size_t Index) {
+  std::string Name = "p";
+  Name += std::to_string(Index);
+  return Name;
+}
+
 //===----------------------------------------------------------------------===//
 // Raw (unresolved) representation
 //===----------------------------------------------------------------------===//
@@ -538,8 +546,7 @@ public:
       for (const RawMethod &RM : RC.Methods) {
         MethodDecl *M = C->addMethod(RM.Name, RM.RetType, RM.IsStatic);
         for (size_t I = 0; I < RM.ParamTypes.size(); ++I)
-          M->addParam("p" + std::to_string(I + (RM.IsStatic ? 0 : 1)),
-                      RM.ParamTypes[I]);
+          M->addParam(paramReg(I + (RM.IsStatic ? 0 : 1)), RM.ParamTypes[I]);
       }
       Declared.push_back({&RC, C});
     }
@@ -598,7 +605,7 @@ private:
     if (!RM.IsStatic)
       Regs["p0"] = Binding{C.name(), M->thisVar()};
     for (size_t I = 0; I < RM.ParamTypes.size(); ++I) {
-      std::string Reg = "p" + std::to_string(I + (RM.IsStatic ? 0 : 1));
+      std::string Reg = paramReg(I + (RM.IsStatic ? 0 : 1));
       Regs[Reg] =
           Binding{RM.ParamTypes[I], M->paramVar(static_cast<unsigned>(I))};
     }
@@ -612,8 +619,10 @@ private:
         return It->second.Var;
       std::string VarName = Reg;
       unsigned &Count = SplitCount[Reg];
-      if (Count > 0 || It != Regs.end())
-        VarName += "$" + std::to_string(++Count);
+      if (Count > 0 || It != Regs.end()) {
+        VarName += '$';
+        VarName += std::to_string(++Count);
+      }
       VarId V = M->addLocal(VarName, TypeName);
       Regs[Reg] = Binding{TypeName, V};
       return V;

@@ -537,49 +537,31 @@ const std::vector<NodeId> &ConstraintGraph::descendantsOf(NodeId View) const {
   }
   ++DescCacheMisses;
   Entry.Rev = HierarchyRev;
-  computeDescendantsInto(View, Entry.Views, DescSeenStamp, DescSeenGen);
+  computeDescendantsInto(View, Entry.Views);
   return Entry.Views;
 }
 
-const std::vector<NodeId> *
-ConstraintGraph::descendantsCurrent(NodeId View) const {
-  const uint32_t *Slot = DescCacheIndex.get(View);
-  if (!Slot)
-    return nullptr;
-  const DescCacheEntry &Entry = DescStore[*Slot];
-  return Entry.Rev == HierarchyRev ? &Entry.Views : nullptr;
-}
-
 void ConstraintGraph::computeDescendantsInto(NodeId View,
-                                             std::vector<NodeId> &Out,
-                                             std::vector<uint32_t> &SeenStamp,
-                                             uint32_t &SeenGen) const {
+                                             std::vector<NodeId> &Out) const {
   Out.clear();
-  if (SeenStamp.size() < Nodes.size())
-    SeenStamp.resize(Nodes.size(), 0);
-  uint32_t Gen = ++SeenGen;
+  if (DescSeenStamp.size() < Nodes.size())
+    DescSeenStamp.resize(Nodes.size(), 0);
+  uint32_t Gen = ++DescSeenGen;
   if (Gen == 0) { // stamp counter wrapped: invalidate all marks
-    std::fill(SeenStamp.begin(), SeenStamp.end(), 0);
-    Gen = ++SeenGen;
+    std::fill(DescSeenStamp.begin(), DescSeenStamp.end(), 0);
+    Gen = ++DescSeenGen;
   }
   std::vector<NodeId> Work{View};
   while (!Work.empty()) {
     NodeId Cur = Work.back();
     Work.pop_back();
-    if (SeenStamp[Cur] == Gen)
+    if (DescSeenStamp[Cur] == Gen)
       continue;
-    SeenStamp[Cur] = Gen;
+    DescSeenStamp[Cur] = Gen;
     Out.push_back(Cur);
     for (NodeId Child : children(Cur))
       Work.push_back(Child);
   }
-}
-
-void ConstraintGraph::seedDescendants(NodeId View,
-                                      std::vector<NodeId> &&Views) const {
-  DescCacheEntry &Entry = descCacheSlot(View);
-  Entry.Rev = HierarchyRev;
-  Entry.Views = std::move(Views);
 }
 
 //===----------------------------------------------------------------------===//

@@ -303,29 +303,6 @@ public:
   /// structure growth.
   const std::vector<NodeId> &descendantsOf(NodeId View) const;
 
-  /// The cached descendants of \p View, or null when the cache entry is
-  /// absent or stale for the current hierarchy revision. Never recomputes
-  /// and never counts a hit or miss — a pure probe.
-  const std::vector<NodeId> *descendantsCurrent(NodeId View) const;
-
-  /// Computes the descendants of \p View into \p Out using caller-owned
-  /// scratch, touching no cache state — safe to run from worker threads
-  /// against a graph no one is mutating (the parallel solver's structure-
-  /// round pre-warm, docs/PARALLEL.md). The traversal order is exactly
-  /// descendantsOf's DFS, so a seeded result is byte-identical to a lazily
-  /// computed one. \p SeenStamp is resized as needed; pass \p SeenGen by
-  /// reference so consecutive calls reuse the stamp vector without
-  /// clearing it.
-  void computeDescendantsInto(NodeId View, std::vector<NodeId> &Out,
-                              std::vector<uint32_t> &SeenStamp,
-                              uint32_t &SeenGen) const;
-
-  /// Installs \p Views as the cached descendants of \p View at the current
-  /// hierarchy revision. Counts neither a hit nor a miss (seeding is
-  /// accounted separately by the caller); a later descendantsOf on the
-  /// same view then counts a plain hit.
-  void seedDescendants(NodeId View, std::vector<NodeId> &&Views) const;
-
   /// Monotone counter bumped by every new parent-child or root edge; a
   /// cheap "has the hierarchy changed since I looked" probe.
   uint64_t hierarchyRevision() const { return HierarchyRev; }
@@ -445,6 +422,9 @@ private:
   mutable support::FlatIdMap<uint32_t> DescCacheIndex;
   mutable std::deque<DescCacheEntry> DescStore;
   DescCacheEntry &descCacheSlot(NodeId View) const;
+  /// Recomputes the descendants of \p View into \p Out (DFS order) for
+  /// descendantsOf, using the DescSeenStamp scratch below.
+  void computeDescendantsInto(NodeId View, std::vector<NodeId> &Out) const;
   uint64_t HierarchyRev = 1;
   mutable unsigned long DescCacheHits = 0;
   mutable unsigned long DescCacheMisses = 0;

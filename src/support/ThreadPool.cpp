@@ -93,75 +93,6 @@ void ThreadPool::workerLoop(unsigned WorkerIndex) {
 }
 
 ParallelForStats
-gator::support::parallelForGrained(unsigned Jobs, size_t N, size_t Grain,
-                                   const std::function<void(size_t)> &Body) {
-  ParallelForStats Stats;
-  Grain = std::max<size_t>(1, Grain);
-  unsigned Workers = resolveJobs(Jobs);
-  if (Workers <= 1 || N <= Grain) {
-    for (size_t I = 0; I < N; ++I)
-      Body(I);
-    Stats.WorkersUsed = 1;
-    Stats.TasksPerWorker.assign(1, static_cast<unsigned long>(N));
-    return Stats;
-  }
-  size_t Chunks = (N + Grain - 1) / Grain;
-  Workers = static_cast<unsigned>(std::min<size_t>(Workers, Chunks));
-  std::vector<std::exception_ptr> Errors(Chunks);
-  {
-    ThreadPool Pool(Workers);
-    for (size_t C = 0; C < Chunks; ++C) {
-      size_t Begin = C * Grain;
-      size_t End = std::min(N, Begin + Grain);
-      Pool.submit([&Body, &Errors, C, Begin, End] {
-        try {
-          for (size_t I = Begin; I < End; ++I)
-            Body(I);
-        } catch (...) {
-          Errors[C] = std::current_exception();
-        }
-      });
-    }
-    Pool.wait();
-    Stats.WorkersUsed = Pool.workerCount();
-    Stats.TasksPerWorker = Pool.tasksExecuted();
-  }
-  for (size_t C = 0; C < Chunks; ++C)
-    if (Errors[C])
-      std::rethrow_exception(Errors[C]);
-  return Stats;
-}
-
-void gator::support::parallelForGrained(
-    ThreadPool &Pool, size_t N, size_t Grain,
-    const std::function<void(size_t, size_t)> &Chunk) {
-  Grain = std::max<size_t>(1, Grain);
-  if (N == 0)
-    return;
-  if (N <= Grain) {
-    Chunk(0, N); // inline: exact serial path, the pool stays untouched
-    return;
-  }
-  size_t Chunks = (N + Grain - 1) / Grain;
-  std::vector<std::exception_ptr> Errors(Chunks);
-  for (size_t C = 0; C < Chunks; ++C) {
-    size_t Begin = C * Grain;
-    size_t End = std::min(N, Begin + Grain);
-    Pool.submit([&Chunk, &Errors, C, Begin, End] {
-      try {
-        Chunk(Begin, End);
-      } catch (...) {
-        Errors[C] = std::current_exception();
-      }
-    });
-  }
-  Pool.wait();
-  for (size_t C = 0; C < Chunks; ++C)
-    if (Errors[C])
-      std::rethrow_exception(Errors[C]);
-}
-
-ParallelForStats
 gator::support::parallelFor(unsigned Jobs, size_t N,
                             const std::function<void(size_t)> &Body) {
   ParallelForStats Stats;

@@ -111,27 +111,6 @@ struct ParallelForStats {
 ParallelForStats parallelFor(unsigned Jobs, size_t N,
                              const std::function<void(size_t)> &Body);
 
-/// Grained parallel for: runs Body(0) .. Body(N-1) scheduled as contiguous
-/// chunks of up to \p Grain indices per task, so tiny work items (a few
-/// hundred nanoseconds each — one SCC's worth of push classification, one
-/// fleet-spec expansion) amortize the queue round-trip instead of paying
-/// it per index. Jobs <= 1 or N <= Grain runs inline on the calling thread
-/// in index order — the exact serial path, no pool constructed. Grain 0 is
-/// treated as 1. Exceptions are captured per chunk and the lowest-index
-/// chunk's exception is rethrown after every chunk finished, so failure
-/// attribution is deterministic regardless of scheduling.
-ParallelForStats parallelForGrained(unsigned Jobs, size_t N, size_t Grain,
-                                    const std::function<void(size_t)> &Body);
-
-/// parallelForGrained over an existing pool (no per-call thread spawn):
-/// the form the solver's round-based engine uses, where one ThreadPool
-/// outlives hundreds of classification rounds (docs/PARALLEL.md). The
-/// call is a barrier — it returns only after every chunk completed — and
-/// N <= Grain still runs inline without touching the pool. The pool must
-/// be otherwise idle: chunk completion is detected with Pool.wait().
-void parallelForGrained(ThreadPool &Pool, size_t N, size_t Grain,
-                        const std::function<void(size_t, size_t)> &Chunk);
-
 /// parallelFor producing a value per index, in index order. Result must be
 /// default-constructible and movable. \p Stats, when non-null, receives
 /// the run's ParallelForStats.

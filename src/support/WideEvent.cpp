@@ -72,10 +72,6 @@ void WideEvent::writeJsonl(std::ostream &OS, bool IncludeVolatile) const {
     W.key("solve_seconds");
     W.rawNumber(formatSeconds(SolveSeconds));
     W.field("peak_rss_bytes", PeakRssBytes);
-    W.field("scc_count", SccCount);
-    W.field("scc_strata", SccStrata);
-    W.field("barrier_waves", BarrierWaves);
-    W.field("parallel_rounds", ParallelRounds);
   }
   W.endObject();
 }
@@ -126,10 +122,6 @@ bool WideEvent::fromJson(const JsonValue &V, WideEvent &Out,
   Out.BuildSeconds = V.numberOr("build_seconds", 0.0);
   Out.SolveSeconds = V.numberOr("solve_seconds", 0.0);
   Out.PeakRssBytes = V.u64Or("peak_rss_bytes", 0);
-  Out.SccCount = V.u64Or("scc_count", 0);
-  Out.SccStrata = V.u64Or("scc_strata", 0);
-  Out.BarrierWaves = V.u64Or("barrier_waves", 0);
-  Out.ParallelRounds = V.u64Or("parallel_rounds", 0);
   return true;
 }
 
@@ -279,14 +271,6 @@ const std::vector<WideEventField> &wideEventNumericFields() {
        [](const WideEvent &E) { return E.SolveSeconds; }, true},
       {"peak_rss_bytes",
        [](const WideEvent &E) { return double(E.PeakRssBytes); }, true},
-      {"scc_count", [](const WideEvent &E) { return double(E.SccCount); },
-       true},
-      {"scc_strata", [](const WideEvent &E) { return double(E.SccStrata); },
-       true},
-      {"barrier_waves",
-       [](const WideEvent &E) { return double(E.BarrierWaves); }, true},
-      {"parallel_rounds",
-       [](const WideEvent &E) { return double(E.ParallelRounds); }, true},
   };
   return Fields;
 }

@@ -19,12 +19,11 @@
 /// `WideEvent *` that is null when the ledger is off, so the disabled
 /// cost is a branch. Per-task events merge through the same ordered
 /// input-order walk as batch stdout/metrics, which makes the ledger
-/// byte-identical at every `-j` and `--solve-jobs`.
+/// byte-identical at every `-j`.
 ///
 /// Determinism contract: fields are classified *deterministic* (counters
 /// reproducible across job counts and machines) or *volatile* (wall-clock
-/// seconds, peak RSS, and the scheduling-engagement counters of the
-/// stratified solve). Volatile fields are suppressed when the ledger is
+/// seconds and peak RSS). Volatile fields are suppressed when the ledger is
 /// written with IncludeVolatile = false — the `--no-times` contract,
 /// mirroring MetricUnit::Seconds/BytesVolatile in the metrics export —
 /// and never participate in report diffs.
@@ -81,12 +80,6 @@ struct WideEvent {
   // --- volatile fields (suppressed under --no-times) ---------------
   double BuildSeconds = 0.0, SolveSeconds = 0.0;
   uint64_t PeakRssBytes = 0;
-  /// Stratified-solve engagement (zero when the solve ran serial).
-  /// Scheduling-dependent — a `--solve-jobs 4` run condenses SCCs a
-  /// serial run never computes — hence volatile by classification even
-  /// though individually reproducible for a fixed job count.
-  uint64_t SccCount = 0, SccStrata = 0;
-  uint64_t BarrierWaves = 0, ParallelRounds = 0;
 
   uint64_t unknownTotal() const {
     uint64_t T = 0;

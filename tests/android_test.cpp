@@ -41,8 +41,11 @@ protected:
     S.Kind = StmtKind::Invoke;
     S.Base = Base;
     S.MethodName = Method;
-    for (size_t I = 0; I < ArgTypes.size(); ++I)
-      S.Args.push_back(M->addLocal("a" + std::to_string(I), ArgTypes[I]));
+    for (size_t I = 0; I < ArgTypes.size(); ++I) {
+      std::string Name = "a";
+      Name += std::to_string(I);
+      S.Args.push_back(M->addLocal(Name, ArgTypes[I]));
+    }
     return AM.classifyInvoke(*M, S);
   }
 

@@ -260,6 +260,14 @@ TEST(CacheKeyTest, OptionsHashTracksSemanticKnobsOnly) {
   EXPECT_EQ(H0.hex(), hashAnalysisOptions(Jobs).hex());
 }
 
+TEST(CacheKeyTest, DefaultOptionsDigestIsPinned) {
+  // The default-options digest keys every --cache-dir entry and is the
+  // ledger header's options_digest; a change would orphan existing caches
+  // and make old ledgers refuse to diff against new ones.
+  EXPECT_EQ(hashAnalysisOptions(AnalysisOptions{}).hex(),
+            "26c1b19726646a81e063df153ba3bb86");
+}
+
 TEST(CacheKeyTest, AppSpecHashTracksEveryKnob) {
   corpus::AppSpec A;
   A.Name = "App";

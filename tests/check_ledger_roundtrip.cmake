@@ -1,7 +1,7 @@
 # Run-ledger round trip (docs/OBSERVABILITY.md, "Run ledger & reports"):
 # a batch run's --ledger-out document must be byte-identical at every
-# -j and --solve-jobs value (written under --no-times, which suppresses
-# the volatile fields), `gator_cli report` must render it in both
+# -j value (written under --no-times, which suppresses the volatile
+# fields), `gator_cli report` must render it in both
 # formats, a ledger self-diff must be empty (exit 0), a diff against a
 # run with different analysis options must be refused (exit 2), and a
 # warm --cache-dir pass must stamp its records "hit" while staying
@@ -11,7 +11,7 @@
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
-# --- 1. byte-identity across -j and --solve-jobs ----------------------------
+# --- 1. byte-identity across -j ---------------------------------------------
 foreach(jobs 1 2 4 8)
   execute_process(
     COMMAND ${CLI} --batch --no-times -j ${jobs} ${DIR}
@@ -31,21 +31,6 @@ foreach(jobs 2 4 8)
     message(FATAL_ERROR "ledger differs between -j 1 and -j ${jobs}")
   endif()
 endforeach()
-execute_process(
-  COMMAND ${CLI} --batch --no-times --solve-jobs 4 ${DIR}
-          --ledger-out=${WORK}/ledger_sj4.jsonl
-  RESULT_VARIABLE run_code
-  OUTPUT_QUIET ERROR_QUIET)
-if(run_code GREATER 1)
-  message(FATAL_ERROR "gator_cli --solve-jobs 4 failed: ${run_code}")
-endif()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK}/ledger_j1.jsonl ${WORK}/ledger_sj4.jsonl
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR "ledger differs between --solve-jobs 1 and 4")
-endif()
 
 # --- 2. report renders in both formats --------------------------------------
 execute_process(
@@ -181,5 +166,5 @@ if(NOT schema_ok EQUAL 0)
   message(FATAL_ERROR "report schema validation failed:\n${schema_err}")
 endif()
 
-message(STATUS "run ledger byte-identical at every -j/--solve-jobs; "
+message(STATUS "run ledger byte-identical at every -j; "
                "reports and diffs behave")

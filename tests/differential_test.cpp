@@ -7,6 +7,8 @@
 //    node ids of minted ViewInfl nodes may differ between runs);
 //  - the counts of every relationship-edge family;
 //  - the Table 2 precision metrics.
+// Checked on every corpus app, and on ConnectBot and an extension-op app
+// under all 32 combinations of five boolean analysis options.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +45,9 @@ TEST(DifferentialTest, ConnectBotSolversAgree) {
   EXPECT_TRUE(checkSolutionClosure(*Phased).empty());
 }
 
-TEST(DifferentialTest, ExtensionOpsAgree) {
-  // Fragments + adapters + xml onClick in one app; both engines must
-  // still produce the same solution.
-  const char *Source = R"(
+/// Fragments + adapters + xml onClick in one app: the structure-sensitive
+/// ops whose firing discipline differs most between the two engines.
+const char *const ExtensionSource = R"(
 class RowAdapter extends android.widget.BaseAdapter {
   method getView(inflater: android.view.LayoutInflater): android.view.View {
     var v: android.view.View;
@@ -88,24 +89,67 @@ class A extends android.app.Activity {
   method onTap(v: android.view.View) { }
 }
 )";
-  const std::vector<std::pair<std::string, std::string>> Layouts = {
-      {"main", R"(
+const std::vector<std::pair<std::string, std::string>> ExtensionLayouts = {
+    {"main", R"(
 <LinearLayout android:id="@+id/root">
   <TextView android:onClick="onTap" />
   <ListView android:id="@+id/list" />
 </LinearLayout>
 )"},
-      {"row", "<TextView android:id=\"@+id/row_text\"/>"}};
+    {"row", "<TextView android:id=\"@+id/row_text\"/>"}};
 
-  auto App1 = makeBundle(Source, Layouts);
-  auto Fused = runAnalysis(*App1);
-  auto App2 = makeBundle(Source, Layouts);
+/// Runs both engines on fresh copies of one app under \p Options and
+/// compares their solutions.
+template <typename MakeApp>
+void expectEnginesAgree(MakeApp Make, const AnalysisOptions &Options,
+                        const std::string &Label) {
+  auto App1 = Make();
+  ASSERT_TRUE(App1 && !App1->Diags.hasErrors()) << Label;
+  auto Fused = runAnalysis(*App1, Options);
+  auto App2 = Make();
   auto Phased = runPhasedAnalysis(App2->Program, *App2->Layouts,
-                                  App2->Android, AnalysisOptions(),
-                                  App2->Diags);
-  ASSERT_TRUE(Phased);
-  expectSameSolution(*Fused, *Phased, "extensions");
+                                  App2->Android, Options, App2->Diags);
+  ASSERT_TRUE(Phased) << Label;
+  expectSameSolution(*Fused, *Phased, Label);
 }
+
+TEST(DifferentialTest, ExtensionOpsAgree) {
+  expectEnginesAgree(
+      [] { return makeBundle(ExtensionSource, ExtensionLayouts); },
+      AnalysisOptions(), "extensions");
+}
+
+//===----------------------------------------------------------------------===//
+// Options matrix: the engines agree under every option combination
+//===----------------------------------------------------------------------===//
+
+/// One bit per option; 5 options = 32 combinations.
+AnalysisOptions optionsFromIndex(unsigned Index) {
+  AnalysisOptions Options;
+  Options.TrackViewIds = (Index & 1) != 0;
+  Options.TrackHierarchy = (Index & 2) != 0;
+  Options.FindView3ChildOnly = (Index & 4) != 0;
+  Options.ModelListenerCallbacks = (Index & 8) != 0;
+  Options.DeclaredTypeFilter = (Index & 16) != 0;
+  return Options;
+}
+
+class OptionsMatrix : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(OptionsMatrix, SolversAgreeOnConnectBot) {
+  expectEnginesAgree([] { return buildConnectBotExample(); },
+                     optionsFromIndex(GetParam()),
+                     "combo " + std::to_string(GetParam()));
+}
+
+TEST_P(OptionsMatrix, SolversAgreeOnExtensionOps) {
+  expectEnginesAgree(
+      [] { return makeBundle(ExtensionSource, ExtensionLayouts); },
+      optionsFromIndex(GetParam()),
+      "ext combo " + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCombos, OptionsMatrix, ::testing::Range(0u, 32u));
 
 class CorpusDifferential : public ::testing::TestWithParam<size_t> {};
 
@@ -123,8 +167,11 @@ TEST_P(CorpusDifferential, SolversAgree) {
   ASSERT_TRUE(Phased);
 
   expectSameSolution(*Fused, *Phased, Spec.Name);
-  // The phased result is itself a closed fixed point.
+  // Both results are closed fixed points.
+  EXPECT_TRUE(checkSolutionClosure(*Fused).empty()) << Spec.Name;
   EXPECT_TRUE(checkSolutionClosure(*Phased).empty()) << Spec.Name;
+  EXPECT_GT(Fused->Stats.DeltaCommits, 0u) << Spec.Name;
+  EXPECT_FALSE(Fused->Stats.HitWorkLimit) << Spec.Name;
 }
 
 TEST_P(CorpusDifferential, SolversAgreeUnderTypeFilter) {

@@ -8,9 +8,8 @@
 //
 //  - degenerate layouts (empty <merge/>) degrade, identically in both
 //    solver engines;
-//  - work/node/edge budgets and cooperative cancellation truncate, in
-//    both DeltaPropagation modes, and SolutionChecker accepts the
-//    partial solution;
+//  - work/node/edge budgets and cooperative cancellation truncate, and
+//    SolutionChecker accepts the partial solution;
 //  - a forced budget trip swept over cut points 0..N exercises arbitrary
 //    partial-solution states;
 //  - seeded (SplitMix64) truncation and bit-flip corruption of the
@@ -123,19 +122,9 @@ class A extends android.app.Activity {
 // Budget trips
 //===----------------------------------------------------------------------===//
 
-AnalysisOptions withMode(bool Delta, AnalysisOptions Options = {}) {
-  Options.DeltaPropagation = Delta;
-  return Options;
-}
-
-class BudgetTrip : public ::testing::TestWithParam<bool> {
-protected:
-  bool delta() const { return GetParam(); }
-};
-
-TEST_P(BudgetTrip, WorkBudgetMarksTruncated) {
+TEST(BudgetTrip, WorkBudgetMarksTruncated) {
   GeneratedApp App = generateApp(paperCorpus()[0]);
-  AnalysisOptions Options = withMode(delta());
+  AnalysisOptions Options;
   Options.Budget.MaxWorkItems = 8;
   auto R = runAnalysis(*App.Bundle, Options);
   ASSERT_TRUE(R);
@@ -149,9 +138,9 @@ TEST_P(BudgetTrip, WorkBudgetMarksTruncated) {
       << "checker must accept the truncated solution";
 }
 
-TEST_P(BudgetTrip, NodeCapMarksTruncated) {
+TEST(BudgetTrip, NodeCapMarksTruncated) {
   GeneratedApp App = generateApp(paperCorpus()[0]);
-  AnalysisOptions Options = withMode(delta());
+  AnalysisOptions Options;
   Options.Budget.MaxGraphNodes = 4; // far below any built graph
   auto R = runAnalysis(*App.Bundle, Options);
   ASSERT_TRUE(R);
@@ -160,9 +149,9 @@ TEST_P(BudgetTrip, NodeCapMarksTruncated) {
   EXPECT_TRUE(checkSolutionClosure(*R).empty());
 }
 
-TEST_P(BudgetTrip, EdgeCapMarksTruncated) {
+TEST(BudgetTrip, EdgeCapMarksTruncated) {
   GeneratedApp App = generateApp(paperCorpus()[0]);
-  AnalysisOptions Options = withMode(delta());
+  AnalysisOptions Options;
   Options.Budget.MaxGraphEdges = 1;
   auto R = runAnalysis(*App.Bundle, Options);
   ASSERT_TRUE(R);
@@ -171,10 +160,10 @@ TEST_P(BudgetTrip, EdgeCapMarksTruncated) {
   EXPECT_TRUE(checkSolutionClosure(*R).empty());
 }
 
-TEST_P(BudgetTrip, CancellationMarksTruncated) {
+TEST(BudgetTrip, CancellationMarksTruncated) {
   GeneratedApp App = generateApp(paperCorpus()[0]);
   std::atomic<bool> Cancel{true};
-  AnalysisOptions Options = withMode(delta());
+  AnalysisOptions Options;
   Options.Budget.CancelFlag = &Cancel;
   auto R = runAnalysis(*App.Bundle, Options);
   ASSERT_TRUE(R);
@@ -183,9 +172,9 @@ TEST_P(BudgetTrip, CancellationMarksTruncated) {
   EXPECT_TRUE(checkSolutionClosure(*R).empty());
 }
 
-TEST_P(BudgetTrip, GenerousBudgetStaysComplete) {
+TEST(BudgetTrip, GenerousBudgetStaysComplete) {
   GeneratedApp App = generateApp(paperCorpus()[0]);
-  AnalysisOptions Options = withMode(delta());
+  AnalysisOptions Options;
   Options.Budget.MaxWorkItems = 50'000'000;
   auto R = runAnalysis(*App.Bundle, Options);
   ASSERT_TRUE(R);
@@ -195,28 +184,20 @@ TEST_P(BudgetTrip, GenerousBudgetStaysComplete) {
   EXPECT_TRUE(checkSolutionClosure(*R).empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, BudgetTrip, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &Info) {
-                           return Info.param ? "Delta" : "Naive";
-                         });
-
 //===----------------------------------------------------------------------===//
 // Forced budget trips: cut the solver at every early step
 //===----------------------------------------------------------------------===//
 
 TEST(ForcedTripSweep, EveryCutPointYieldsConsistentSolution) {
-  for (bool Delta : {true, false}) {
-    for (unsigned long Step = 0; Step <= 64; Step += Delta ? 1 : 4) {
-      ScopedForcedBudgetTrip Trip(Step);
-      GeneratedApp App = generateApp(paperCorpus()[0]);
-      auto R = runAnalysis(*App.Bundle, withMode(Delta));
-      ASSERT_TRUE(R);
-      EXPECT_LE(R->Stats.WorkCharged, Step);
-      EXPECT_EQ(R->Sol->fidelity(), Fidelity::TruncatedBudget)
-          << "mode=" << (Delta ? "delta" : "naive") << " step=" << Step;
-      EXPECT_TRUE(checkSolutionClosure(*R).empty())
-          << "mode=" << (Delta ? "delta" : "naive") << " step=" << Step;
-    }
+  for (unsigned long Step = 0; Step <= 64; ++Step) {
+    ScopedForcedBudgetTrip Trip(Step);
+    GeneratedApp App = generateApp(paperCorpus()[0]);
+    auto R = runAnalysis(*App.Bundle);
+    ASSERT_TRUE(R);
+    EXPECT_LE(R->Stats.WorkCharged, Step);
+    EXPECT_EQ(R->Sol->fidelity(), Fidelity::TruncatedBudget)
+        << "step=" << Step;
+    EXPECT_TRUE(checkSolutionClosure(*R).empty()) << "step=" << Step;
   }
 }
 
@@ -231,28 +212,25 @@ TEST(ForcedTripSweep, DisarmRestoresCompleteRuns) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corpus budget sweep: both engines' fused modes over every paper app
+// Corpus budget sweep: every paper app under tight work budgets
 //===----------------------------------------------------------------------===//
 
 class CorpusBudgetSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CorpusBudgetSweep, TruncatedSolutionsStayConsistent) {
   const AppSpec &Spec = paperCorpus()[GetParam()];
-  for (bool Delta : {true, false}) {
-    for (unsigned long Work : {1ul, 16ul, 256ul}) {
-      GeneratedApp App = generateApp(Spec);
-      AnalysisOptions Options = withMode(Delta);
-      Options.Budget.MaxWorkItems = Work;
-      auto R = runAnalysis(*App.Bundle, Options);
-      ASSERT_TRUE(R);
-      if (R->Stats.HitWorkLimit)
-        EXPECT_EQ(R->Sol->fidelity(), Fidelity::TruncatedBudget);
-      else
-        EXPECT_EQ(R->Sol->fidelity(), Fidelity::Complete);
-      EXPECT_TRUE(checkSolutionClosure(*R).empty())
-          << Spec.Name << " mode=" << (Delta ? "delta" : "naive")
-          << " work=" << Work;
-    }
+  for (unsigned long Work : {1ul, 16ul, 256ul}) {
+    GeneratedApp App = generateApp(Spec);
+    AnalysisOptions Options;
+    Options.Budget.MaxWorkItems = Work;
+    auto R = runAnalysis(*App.Bundle, Options);
+    ASSERT_TRUE(R);
+    if (R->Stats.HitWorkLimit)
+      EXPECT_EQ(R->Sol->fidelity(), Fidelity::TruncatedBudget);
+    else
+      EXPECT_EQ(R->Sol->fidelity(), Fidelity::Complete);
+    EXPECT_TRUE(checkSolutionClosure(*R).empty())
+        << Spec.Name << " work=" << Work;
   }
 }
 
@@ -280,21 +258,18 @@ TEST(HostileFleetSweep, HostileShapesDegradePredictably) {
   std::vector<AppSpec> Specs = makeFleet(Fleet);
 
   unsigned Degraded = 0, Complete = 0;
-  for (bool Delta : {true, false}) {
-    for (const AppSpec &Spec : Specs) {
-      bool Hostile = Spec.ReflectiveViewsPerActivity ||
-                     Spec.DynamicFindsPerActivity ||
-                     Spec.MissingLayoutRefsPerActivity;
-      GeneratedApp App = generateApp(Spec);
-      auto R = runAnalysis(*App.Bundle, withMode(Delta));
-      ASSERT_TRUE(R) << Spec.Name;
-      EXPECT_EQ(R->Sol->fidelity(),
-                Hostile ? Fidelity::DegradedInput : Fidelity::Complete)
-          << Spec.Name << " mode=" << (Delta ? "delta" : "naive");
-      EXPECT_TRUE(checkSolutionClosure(*R).empty())
-          << Spec.Name << " mode=" << (Delta ? "delta" : "naive");
-      ++(Hostile ? Degraded : Complete);
-    }
+  for (const AppSpec &Spec : Specs) {
+    bool Hostile = Spec.ReflectiveViewsPerActivity ||
+                   Spec.DynamicFindsPerActivity ||
+                   Spec.MissingLayoutRefsPerActivity;
+    GeneratedApp App = generateApp(Spec);
+    auto R = runAnalysis(*App.Bundle);
+    ASSERT_TRUE(R) << Spec.Name;
+    EXPECT_EQ(R->Sol->fidelity(),
+              Hostile ? Fidelity::DegradedInput : Fidelity::Complete)
+        << Spec.Name;
+    EXPECT_TRUE(checkSolutionClosure(*R).empty()) << Spec.Name;
+    ++(Hostile ? Degraded : Complete);
   }
   // The sweep only means something if both buckets are populated.
   EXPECT_GT(Degraded, 0u);

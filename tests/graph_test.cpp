@@ -105,6 +105,32 @@ TEST_F(GraphTest, DescendantsTerminateOnCycle) {
   EXPECT_EQ(G.descendantsOf(View(0)).size(), 2u);
 }
 
+TEST_F(GraphTest, DescendantsCacheCountsHitsAndMisses) {
+  auto View = [&](int I) {
+    return G.getAllocNode(M, I, P.findClass("A"), /*IsView=*/true, {});
+  };
+  // A small view tree: 0 -> {1, 2}, 1 -> {3}.
+  G.addParentChildEdge(View(0), View(1));
+  G.addParentChildEdge(View(0), View(2));
+  G.addParentChildEdge(View(1), View(3));
+
+  EXPECT_EQ(G.descendantsCacheMisses(), 0u);
+  const std::vector<NodeId> &First = G.descendantsOf(View(0));
+  EXPECT_EQ(First.size(), 4u); // root + 3 descendants
+  EXPECT_EQ(G.descendantsCacheMisses(), 1u);
+  EXPECT_EQ(G.descendantsCacheHits(), 0u);
+
+  std::vector<NodeId> Snapshot = First;
+  EXPECT_EQ(G.descendantsOf(View(0)), Snapshot); // warm: same list, a hit
+  EXPECT_EQ(G.descendantsCacheHits(), 1u);
+  EXPECT_EQ(G.descendantsCacheMisses(), 1u);
+
+  // A structural edit bumps HierarchyRev: next query is a miss again.
+  G.addParentChildEdge(View(2), View(5));
+  EXPECT_EQ(G.descendantsOf(View(0)).size(), 5u);
+  EXPECT_EQ(G.descendantsCacheMisses(), 2u);
+}
+
 TEST_F(GraphTest, LabelsAreInformative) {
   NodeId V = G.getVarNode(M, M->findVar("x"));
   EXPECT_EQ(G.label(V), "x@A.m/0");

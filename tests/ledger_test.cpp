@@ -125,8 +125,7 @@ WideEvent sampleEvent() {
   E.ArenaBytes = 65536;
   E.BuildSeconds = 0.25;
   E.SolveSeconds = 1.5;
-  E.SccCount = 9;
-  E.BarrierWaves = 4;
+  E.PeakRssBytes = 4096;
   return E;
 }
 
@@ -165,7 +164,7 @@ TEST(WideEventTest, RoundTripsThroughJsonl) {
   EXPECT_EQ(E.UnknownByReason[0].first, "reflective_new");
   EXPECT_EQ(E.UnknownByReason[1].second, 1u);
   EXPECT_DOUBLE_EQ(E.SolveSeconds, 1.5);
-  EXPECT_EQ(E.SccCount, 9u);
+  EXPECT_EQ(E.PeakRssBytes, 4096u);
 
   // Re-serialization is byte-stable: write(read(write(E))) == write(E).
   EXPECT_EQ(ledgerText(L.Header, L.Events), Text);
@@ -178,8 +177,6 @@ TEST(WideEventTest, NoTimesSuppressesVolatileFields) {
   EXPECT_EQ(Text.find("solve_seconds"), std::string::npos);
   EXPECT_EQ(Text.find("build_seconds"), std::string::npos);
   EXPECT_EQ(Text.find("peak_rss_bytes"), std::string::npos);
-  EXPECT_EQ(Text.find("scc_count"), std::string::npos);
-  EXPECT_EQ(Text.find("barrier_waves"), std::string::npos);
   EXPECT_NE(Text.find("propagations"), std::string::npos);
 
   Ledger L;
@@ -188,8 +185,41 @@ TEST(WideEventTest, NoTimesSuppressesVolatileFields) {
   EXPECT_TRUE(L.Header.NoTimes);
   ASSERT_EQ(L.Events.size(), 1u);
   EXPECT_DOUBLE_EQ(L.Events[0].SolveSeconds, 0.0);
-  EXPECT_EQ(L.Events[0].SccCount, 0u);
+  EXPECT_EQ(L.Events[0].PeakRssBytes, 0u);
   EXPECT_EQ(L.Events[0].Propagations, 12345u);
+}
+
+TEST(WideEventTest, ReadsRecordsWithRetiredSchedulingFields) {
+  // Timed format-1 ledgers written before the serial-only solver carry
+  // four volatile scheduling counters the writer no longer emits. They
+  // must still parse, drop out on re-serialization, and diff as equal to
+  // the same run written today.
+  LedgerHeader H;
+  H.OptionsDigest = "ffff0000ffff0000ffff0000ffff0000";
+  const std::string Current = ledgerText(H, {sampleEvent()});
+  std::string Old = Current;
+  size_t RecordEnd = Old.rfind('}');
+  ASSERT_NE(RecordEnd, std::string::npos);
+  Old.insert(RecordEnd, ",\"scc_count\":9,\"scc_strata\":3,"
+                        "\"barrier_waves\":4,\"parallel_rounds\":2");
+  ASSERT_NE(Old.find("\"parallel_rounds\":2}"), std::string::npos);
+
+  Ledger L;
+  std::string Error;
+  ASSERT_TRUE(readLedger(Old, L, Error)) << Error;
+  EXPECT_EQ(L.Header.Format, 1u);
+  ASSERT_EQ(L.Events.size(), 1u);
+  EXPECT_EQ(L.Events[0].Propagations, 12345u);
+
+  const std::string Rewritten = ledgerText(L.Header, L.Events);
+  for (const char *Key :
+       {"scc_count", "scc_strata", "barrier_waves", "parallel_rounds"})
+    EXPECT_EQ(Rewritten.find(Key), std::string::npos) << Key;
+  EXPECT_EQ(Rewritten, Current);
+
+  Ledger New;
+  ASSERT_TRUE(readLedger(Current, New, Error)) << Error;
+  EXPECT_TRUE(diffLedgers(L, New).empty());
 }
 
 TEST(WideEventTest, ReadLedgerRefusesBadHeaders) {
@@ -407,7 +437,7 @@ TEST(LedgerDiffTest, RefusesIncomparableLedgers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Composition: hostile fleet x cache x jobs x solve-jobs
+// Composition: hostile fleet x cache x jobs
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -460,21 +490,18 @@ TEST(LedgerCompositionTest, HostileFleetLedgerIdenticalAtEveryJobCount) {
   EXPECT_GT(Degraded, 0u);
   EXPECT_LT(Degraded, RefLedger.Events.size());
 
-  // Every (batch jobs, solve jobs) combination reproduces the reference
-  // text byte for byte — the determinism contract of the ledger.
-  for (unsigned Jobs : {1u, 4u})
-    for (unsigned SolveJobs : {1u, 4u}) {
-      analysis::AnalysisOptions Options;
-      Options.Jobs = Jobs;
-      Options.SolveJobs = SolveJobs;
-      std::vector<BatchAppResult> Batch =
-          analyzeCorpus(Specs, Options, nullptr, /*KeepArtifacts=*/false);
-      const support::Ledger L = fleetLedger(Specs, Options, Batch,
-                                            /*CacheEnabled=*/false,
-                                            /*NoTimes=*/true);
-      EXPECT_EQ(noTimesLedgerText(L), RefText)
-          << "jobs=" << Jobs << " solve-jobs=" << SolveJobs;
-    }
+  // Every batch job count reproduces the reference text byte for byte —
+  // the determinism contract of the ledger.
+  for (unsigned Jobs : {1u, 4u}) {
+    analysis::AnalysisOptions Options;
+    Options.Jobs = Jobs;
+    std::vector<BatchAppResult> Batch =
+        analyzeCorpus(Specs, Options, nullptr, /*KeepArtifacts=*/false);
+    const support::Ledger L = fleetLedger(Specs, Options, Batch,
+                                          /*CacheEnabled=*/false,
+                                          /*NoTimes=*/true);
+    EXPECT_EQ(noTimesLedgerText(L), RefText) << "jobs=" << Jobs;
+  }
 }
 
 TEST(LedgerCompositionTest, WarmCacheLedgerMatchesColdWithHitFlags) {
@@ -490,31 +517,28 @@ TEST(LedgerCompositionTest, WarmCacheLedgerMatchesColdWithHitFlags) {
   for (const support::WideEvent &E : ColdLedger.Events)
     EXPECT_EQ(E.Cache, "miss");
 
-  // Warm passes at every job combination replay hits whose ledgers are
+  // Warm passes at every job count replay hits whose ledgers are
   // byte-identical to each other and field-identical to the cold pass.
   std::string WarmText;
-  for (unsigned Jobs : {1u, 4u})
-    for (unsigned SolveJobs : {1u, 4u}) {
-      analysis::AnalysisOptions WarmOptions;
-      WarmOptions.Jobs = Jobs;
-      WarmOptions.SolveJobs = SolveJobs;
-      std::vector<BatchAppResult> Warm = analyzeCorpus(
-          Specs, WarmOptions, nullptr, /*KeepArtifacts=*/false, &Cache);
-      const support::Ledger L = fleetLedger(Specs, WarmOptions, Warm,
-                                            /*CacheEnabled=*/true,
-                                            /*NoTimes=*/true);
-      for (const support::WideEvent &E : L.Events)
-        EXPECT_EQ(E.Cache, "hit") << E.App;
-      const std::string Text = noTimesLedgerText(L);
-      if (WarmText.empty())
-        WarmText = Text;
-      else
-        EXPECT_EQ(Text, WarmText)
-            << "jobs=" << Jobs << " solve-jobs=" << SolveJobs;
+  for (unsigned Jobs : {1u, 4u}) {
+    analysis::AnalysisOptions WarmOptions;
+    WarmOptions.Jobs = Jobs;
+    std::vector<BatchAppResult> Warm = analyzeCorpus(
+        Specs, WarmOptions, nullptr, /*KeepArtifacts=*/false, &Cache);
+    const support::Ledger L = fleetLedger(Specs, WarmOptions, Warm,
+                                          /*CacheEnabled=*/true,
+                                          /*NoTimes=*/true);
+    for (const support::WideEvent &E : L.Events)
+      EXPECT_EQ(E.Cache, "hit") << E.App;
+    const std::string Text = noTimesLedgerText(L);
+    if (WarmText.empty())
+      WarmText = Text;
+    else
+      EXPECT_EQ(Text, WarmText) << "jobs=" << Jobs;
 
-      // Cold-vs-warm diff: only the cache flag moved (miss -> hit is not
-      // a regression), so the diff must be empty.
-      const LedgerDiff D = diffLedgers(ColdLedger, L);
-      EXPECT_TRUE(D.empty());
-    }
+    // Cold-vs-warm diff: only the cache flag moved (miss -> hit is not a
+    // regression), so the diff must be empty.
+    const LedgerDiff D = diffLedgers(ColdLedger, L);
+    EXPECT_TRUE(D.empty());
+  }
 }

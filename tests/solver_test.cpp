@@ -1,12 +1,18 @@
 //===- solver_test.cpp - Per-rule analysis tests ----------------*- C++ -*-===//
 //
 // Targeted tests for each semantic rule of Section 3.2 and each inference
-// rule of Section 4.2, on minimal ALite programs.
+// rule of Section 4.2, on minimal ALite programs; plus re-solve hygiene and
+// the FlowSet representation (small/promoted regimes, delta spans, deep
+// copies).
 //
 //===----------------------------------------------------------------------===//
 
+#include "DifferentialHelpers.h"
 #include "TestHelpers.h"
 
+#include "analysis/FlowSet.h"
+#include "analysis/SolutionChecker.h"
+#include "analysis/Solver.h"
 #include "corpus/ConnectBot.h"
 
 #include <gtest/gtest.h>
@@ -1113,6 +1119,130 @@ TEST(SolverTest, StatsArePopulated) {
   EXPECT_FALSE(R->Stats.HitWorkLimit);
   EXPECT_GE(R->BuildSeconds, 0.0);
   EXPECT_GE(R->SolveSeconds, 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Re-solve hygiene: registerOpUses starts from a clean slate
+//===----------------------------------------------------------------------===//
+
+TEST(SolverReuse, SecondSolveIsStable) {
+  // Calling solve() twice on the same Solver must leave the saturated
+  // solution untouched: registerOpUses and the per-node tables may not
+  // accumulate stale state across solves. (A *fresh* Solver on an
+  // already-solved graph is a different contract: its InflatedAt memo is
+  // empty, so it re-mints ViewInfl trees per inflation site by design.)
+  auto App = corpus::buildConnectBotExample();
+  ASSERT_TRUE(App && !App->Diags.hasErrors());
+  auto R = runAnalysis(*App);
+  ASSERT_TRUE(R);
+
+  AnalysisOptions Options;
+  Solver Again(*R->Graph, *R->Sol, *App->Layouts, App->Android, Options,
+               App->Diags);
+  SolverStats Stats1 = Again.solve();
+  EXPECT_FALSE(Stats1.HitWorkLimit);
+
+  auto Fingerprint1 = fingerprint(*R);
+  EdgeCounts Counts1 = edgeCounts(*R);
+
+  SolverStats Stats2 = Again.solve();
+  EXPECT_FALSE(Stats2.HitWorkLimit);
+
+  EdgeCounts Counts2 = edgeCounts(*R);
+  EXPECT_EQ(Counts1.Nodes, Counts2.Nodes);
+  EXPECT_EQ(Counts1.Flow, Counts2.Flow);
+  EXPECT_EQ(Counts1.ParentChild, Counts2.ParentChild);
+  EXPECT_EQ(Counts1.ViewInfl, Counts2.ViewInfl);
+  EXPECT_EQ(Fingerprint1, fingerprint(*R));
+  EXPECT_TRUE(checkSolutionClosure(*R).empty());
+}
+
+//===----------------------------------------------------------------------===//
+// FlowSet representation
+//===----------------------------------------------------------------------===//
+
+TEST(FlowSetTest, SmallRegimeDedupAndOrder) {
+  support::Arena A;
+  FlowSet S;
+  EXPECT_TRUE(S.empty());
+  EXPECT_TRUE(S.insert(A, 7));
+  EXPECT_TRUE(S.insert(A, 3));
+  EXPECT_FALSE(S.insert(A, 7)); // duplicate
+  EXPECT_EQ(S.size(), 2u);
+  EXPECT_TRUE(S.contains(3));
+  EXPECT_FALSE(S.contains(4));
+  EXPECT_FALSE(S.promoted());
+  // Insertion order is preserved.
+  std::vector<NodeId> Got(S.begin(), S.end());
+  EXPECT_EQ(Got, (std::vector<NodeId>{7, 3}));
+}
+
+TEST(FlowSetTest, PromotionAtSmallLimit) {
+  support::Arena A;
+  FlowSet S;
+  for (NodeId V = 0; V < FlowSet::SmallLimit; ++V)
+    EXPECT_TRUE(S.insert(A, V));
+  EXPECT_FALSE(S.promoted()) << "promotion only past SmallLimit";
+  EXPECT_TRUE(S.insert(A, FlowSet::SmallLimit));
+  EXPECT_TRUE(S.promoted());
+  EXPECT_EQ(S.size(), FlowSet::SmallLimit + 1);
+  // Dedup and order still hold in the promoted regime.
+  EXPECT_FALSE(S.insert(A, 0));
+  EXPECT_TRUE(S.insert(A, 1000));
+  EXPECT_TRUE(S.contains(1000));
+  std::vector<NodeId> Got(S.begin(), S.end());
+  ASSERT_EQ(Got.size(), FlowSet::SmallLimit + 2);
+  EXPECT_EQ(Got.front(), 0u);
+  EXPECT_EQ(Got.back(), 1000u);
+}
+
+TEST(FlowSetTest, DeltaSpanLifecycle) {
+  support::Arena A;
+  FlowSet S;
+  EXPECT_FALSE(S.hasDelta());
+  S.insert(A, 1);
+  S.insert(A, 2);
+  EXPECT_TRUE(S.hasDelta());
+  EXPECT_EQ(S.deltaBegin(), 0u);
+
+  S.commit(S.size());
+  EXPECT_FALSE(S.hasDelta());
+  EXPECT_EQ(S.deltaBegin(), 2u);
+
+  S.insert(A, 3);
+  EXPECT_TRUE(S.hasDelta());
+  // The uncommitted suffix is exactly the values since the last commit.
+  std::vector<NodeId> DeltaVals(S.begin() + S.deltaBegin(), S.end());
+  EXPECT_EQ(DeltaVals, (std::vector<NodeId>{3}));
+  S.commit(S.size());
+  EXPECT_FALSE(S.hasDelta());
+}
+
+TEST(FlowSetTest, CloneIsDeepInBothRegimes) {
+  support::Arena A;
+  FlowSet Small;
+  Small.insert(A, 1);
+  Small.insert(A, 2);
+  FlowSet SmallCopy = Small.clone(A);
+  Small.insert(A, 3);
+  EXPECT_EQ(SmallCopy.size(), 2u);
+  EXPECT_FALSE(SmallCopy.contains(3));
+
+  FlowSet Big;
+  for (NodeId V = 0; V <= FlowSet::SmallLimit; ++V)
+    Big.insert(A, V);
+  ASSERT_TRUE(Big.promoted());
+  FlowSet BigCopy = Big.clone(A);
+  EXPECT_TRUE(BigCopy.promoted());
+  Big.insert(A, 500);
+  EXPECT_FALSE(BigCopy.contains(500));
+  EXPECT_FALSE(BigCopy.insert(A, 3)) << "cloned index must dedup";
+  EXPECT_TRUE(BigCopy.insert(A, 501));
+  EXPECT_TRUE(BigCopy.contains(501));
+
+  Big = SmallCopy.clone(A); // move-assign a clone over a promoted set
+  EXPECT_FALSE(Big.promoted());
+  EXPECT_EQ(Big.size(), 2u);
 }
 
 } // namespace

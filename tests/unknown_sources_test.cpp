@@ -15,8 +15,8 @@
 //    receiver's view set, capped deterministically by UnknownFanoutBudget;
 //  - provenance tags every approximate fact and --explain's derivation
 //    printer names the reason and the site;
-//  - all engines (fused delta, fused naive, phased) agree on degraded
-//    apps, and SolutionChecker accepts their solutions.
+//  - both engines (fused and phased) agree on degraded apps, and
+//    SolutionChecker accepts their solutions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -293,23 +293,18 @@ TEST(UnknownSources, AllEnginesAgreeOnDegradedApps) {
   // views were discovered, which the uncapped set folds away.
   for (const char *Source :
        {ReflectiveSource, DynamicIdSource, MissingLayoutSource}) {
-    AnalysisOptions Delta;
-    Delta.UnknownFanoutBudget = 0;
-    AnalysisOptions Naive = Delta;
-    Naive.DeltaPropagation = false;
+    AnalysisOptions Options;
+    Options.UnknownFanoutBudget = 0;
 
     auto App1 = makeBundle(Source, MainLayout);
-    auto RDelta = runAnalysis(*App1, Delta);
+    auto RFused = runAnalysis(*App1, Options);
     auto App2 = makeBundle(Source, MainLayout);
-    auto RNaive = runAnalysis(*App2, Naive);
-    auto App3 = makeBundle(Source, MainLayout);
-    auto RPhased = runPhasedAnalysis(App3->Program, *App3->Layouts,
-                                     App3->Android, Delta, App3->Diags);
+    auto RPhased = runPhasedAnalysis(App2->Program, *App2->Layouts,
+                                     App2->Android, Options, App2->Diags);
     ASSERT_NE(RPhased, nullptr);
 
-    EXPECT_EQ(RDelta->Sol->fidelity(), Fidelity::DegradedInput);
-    expectSameSolution(*RDelta, *RNaive, "delta vs naive (degraded)");
-    expectSameSolution(*RDelta, *RPhased, "fused vs phased (degraded)");
+    EXPECT_EQ(RFused->Sol->fidelity(), Fidelity::DegradedInput);
+    expectSameSolution(*RFused, *RPhased, "fused vs phased (degraded)");
     EXPECT_EQ(RPhased->Sol->fidelity(), Fidelity::DegradedInput);
     EXPECT_TRUE(checkSolutionClosure(*RPhased).empty());
   }
