@@ -20,7 +20,7 @@ struct CallSite {
 };
 
 bool isViewTypeName(const ir::Program &P, const android::AndroidModel &AM,
-                    const std::string &TypeName) {
+                    ir::Name TypeName) {
   if (TypeName.empty() || isPrimitiveTypeName(TypeName))
     return false;
   return AM.isViewClass(P.findClass(TypeName));
@@ -39,7 +39,7 @@ bool isEligibleHelper(const ir::Program &P, const android::AndroidModel &AM,
 }
 
 /// Deep-copies \p T into its owner under \p CloneName.
-MethodDecl *cloneMethod(const MethodDecl *T, const std::string &CloneName) {
+MethodDecl *cloneMethod(const MethodDecl *T, ir::Name CloneName) {
   ClassDecl *Owner = const_cast<ClassDecl *>(T->owner());
   MethodDecl *Clone =
       Owner->addMethod(CloneName, T->returnTypeName(), T->isStatic());
@@ -52,7 +52,7 @@ MethodDecl *cloneMethod(const MethodDecl *T, const std::string &CloneName) {
     const Variable &V = T->vars()[I];
     Clone->addLocal(V.Name, V.TypeName);
   }
-  Clone->body() = T->body();
+  Clone->setBody(T->body());
   return Clone;
 }
 
@@ -110,8 +110,8 @@ ContextRefinementStats gator::analysis::applyContextRefinement(
     // The first call site keeps the original; each further site gets a
     // fresh clone with private variable nodes.
     for (size_t I = 1; I < CallSites.size(); ++I) {
-      std::string CloneName =
-          T->name() + "$cs" + std::to_string(++Counter);
+      ir::Name CloneName =
+          P.intern(T->name() + "$cs" + std::to_string(++Counter));
       cloneMethod(T, CloneName);
       CallSite &Site = CallSites[I];
       Site.Caller->body()[Site.StmtIndex].MethodName = CloneName;

@@ -4,20 +4,11 @@
 
 #include "support/Trace.h"
 
-#include <unordered_set>
-
 using namespace gator;
 using namespace gator::analysis;
 using namespace gator::graph;
 using namespace gator::ir;
 using namespace gator::android;
-
-const ClassDecl *GraphBuilder::findClassCached(const std::string &Name) {
-  auto [It, Inserted] = ClassCache.try_emplace(&Name, nullptr);
-  if (Inserted)
-    It->second = P.findClass(Name);
-  return It->second;
-}
 
 void GraphBuilder::buildResourceNodes(ConstraintGraph &G) {
   const layout::ResourceTable &Res = Layouts.resources();
@@ -34,22 +25,9 @@ void GraphBuilder::buildActivityNodes(ConstraintGraph &G) {
   // could be invoked by the framework with this activity as the receiver".
   for (const ClassDecl *A : AM.appActivityClasses()) {
     NodeId ActNode = G.getActivityNode(A);
-    // Collect, per callback name/arity, the method the framework call
-    // would dispatch to (first concrete match walking up the chain).
-    std::unordered_set<std::string> Seen;
-    for (const ClassDecl *C = A; C && !C->isPlatform();
-         C = C->superClass()) {
-      for (const auto &M : C->methods()) {
-        if (M->isAbstract() || M->isStatic())
-          continue;
-        if (!AndroidModel::isLifecycleCallbackName(M->name()))
-          continue;
-        std::string Key = M->name() + "/" + std::to_string(M->paramCount());
-        if (!Seen.insert(Key).second)
-          continue; // overridden below; dispatch target already recorded
-        addFlow(G, ActNode, G.getVarNode(M, M->thisVar()));
-      }
-    }
+    AndroidModel::forEachLifecycleCallback(A, [&](const MethodDecl *M) {
+      addFlow(G, ActNode, G.getVarNode(M, M->thisVar()));
+    });
   }
 }
 
@@ -172,9 +150,7 @@ void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
     return false;
   };
 
-  const Variable &BaseVar = M.var(S.Base);
-  const ClassDecl *Recv =
-      BaseVar.TypeName.empty() ? nullptr : findClassCached(BaseVar.TypeName);
+  const ClassDecl *Recv = declaredClass(M.var(S.Base));
   if (!Recv) {
     // Unknown receiver type: no call edges (verifier already warned), but a
     // reflective/dynamic result is still modeled.
@@ -227,7 +203,7 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       addFlow(G, G.getVarNode(&M, S.Base), G.getVarNode(&M, S.Lhs));
       break;
     case StmtKind::AssignNew: {
-      const ClassDecl *C = findClassCached(S.ClassName);
+      const ClassDecl *C = P.findClass(S.ClassName);
       if (!C) {
         // Unresolved class (missing library, obfuscated name): model the
         // allocation as an unknown view rather than silently dropping it
@@ -250,55 +226,37 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       // like activities (Section 3.2's "similar operations on non-
       // activity objects"). Seed the allocation into each callback's
       // `this`.
-      if (AM.isWindowClass(C) && !AM.isActivityClass(C)) {
-        std::unordered_set<std::string> Seen;
-        for (const ClassDecl *Walk = C; Walk && !Walk->isPlatform();
-             Walk = Walk->superClass())
-          for (const auto &Callback : Walk->methods()) {
-            if (Callback->isAbstract() || Callback->isStatic())
-              continue;
-            if (!android::AndroidModel::isLifecycleCallbackName(
-                    Callback->name()))
-              continue;
-            std::string Key = Callback->name() + "/" +
-                              std::to_string(Callback->paramCount());
-            if (!Seen.insert(Key).second)
-              continue;
-            addFlow(G, Alloc,
-                          G.getVarNode(Callback, Callback->thisVar()));
-          }
-      }
+      if (AM.isWindowClass(C) && !AM.isActivityClass(C))
+        AndroidModel::forEachLifecycleCallback(C, [&](const MethodDecl *M) {
+          addFlow(G, Alloc, G.getVarNode(M, M->thisVar()));
+        });
       break;
     }
     case StmtKind::AssignNull:
       break;
     case StmtKind::LoadField: {
-      const Variable &BaseVar = M.var(S.Base);
-      const ClassDecl *C =
-          BaseVar.TypeName.empty() ? nullptr : findClassCached(BaseVar.TypeName);
+      const ClassDecl *C = declaredClass(M.var(S.Base));
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
         addFlow(G, G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::StoreField: {
-      const Variable &BaseVar = M.var(S.Base);
-      const ClassDecl *C =
-          BaseVar.TypeName.empty() ? nullptr : findClassCached(BaseVar.TypeName);
+      const ClassDecl *C = declaredClass(M.var(S.Base));
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
         addFlow(G, G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
       break;
     }
     case StmtKind::LoadStaticField: {
-      const ClassDecl *C = findClassCached(S.ClassName);
+      const ClassDecl *C = P.findClass(S.ClassName);
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
         addFlow(G, G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::StoreStaticField: {
-      const ClassDecl *C = findClassCached(S.ClassName);
+      const ClassDecl *C = P.findClass(S.ClassName);
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
         addFlow(G, G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
@@ -329,7 +287,7 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       break;
     }
     case StmtKind::AssignClassConst: {
-      const ClassDecl *C = findClassCached(S.ClassName);
+      const ClassDecl *C = P.findClass(S.ClassName);
       if (C)
         addFlow(G, G.getClassConstNode(C), G.getVarNode(&M, S.Lhs));
       break;
@@ -361,7 +319,8 @@ bool GraphBuilder::build(ConstraintGraph &G, std::vector<OpSite> &Ops) {
   // the solver mints ViewInfl trees per (inflate site, layout), so leave
   // generous slack: re-reserving mid-solve moves every Node (and its
   // SourceLocation string), which showed up heavily in profiles.
-  G.reserve(VarHint + VarHint / 2 + StmtHint / 2 + 256, StmtHint + 64);
+  G.reserve(VarHint + VarHint / 2 + StmtHint / 2 + 256, StmtHint + 64,
+            P.methodIdLimit());
   {
     support::TraceSpan S(Trace, "graph-build.resources");
     buildResourceNodes(G);

@@ -101,12 +101,11 @@ private:
                       const ir::Stmt &S,
                       const std::vector<const ir::MethodDecl *> &Targets);
 
-  /// Program::findClass memoized by the *address* of the queried name —
-  /// every caller passes a string stored in the IR (Stmt::ClassName,
-  /// Variable::TypeName), stable for the builder's lifetime, so a pointer
-  /// hash replaces a string hash on the per-statement hot path. Negative
-  /// lookups are cached too.
-  const ir::ClassDecl *findClassCached(const std::string &Name);
+  /// The class a variable's declared type names, or null (untyped or
+  /// unknown). One symbol probe: IR names are interned.
+  const ir::ClassDecl *declaredClass(const ir::Variable &V) const {
+    return V.TypeName.empty() ? nullptr : P.findClass(V.TypeName);
+  }
 
   /// All builder-contributed flow edges funnel through here so the edit
   /// journal sees exactly the EDB this builder *contributes* — including
@@ -127,8 +126,6 @@ private:
   const android::AndroidModel &AM;
   const hier::ClassHierarchy &CH;
   DiagnosticEngine &Diags;
-
-  std::unordered_map<const std::string *, const ir::ClassDecl *> ClassCache;
 
   support::TraceSink *Trace = nullptr;
   bool ModelUnknown = true;

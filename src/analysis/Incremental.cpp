@@ -288,11 +288,11 @@ struct DigestContext {
     switch (N.Kind) {
     case NodeKind::Alloc:
     case NodeKind::ViewAlloc:
-      SS << "new " << (N.Klass ? N.Klass->name() : "?") << "@"
+      SS << "new " << (N.Klass ? N.Klass->name().view() : "?") << "@"
          << (N.Method ? N.Method->qualifiedName() : "?") << ":" << N.StmtIndex;
       break;
     case NodeKind::Activity:
-      SS << "act " << (N.Klass ? N.Klass->name() : "?");
+      SS << "act " << (N.Klass ? N.Klass->name().view() : "?");
       break;
     case NodeKind::LayoutId:
       SS << "layout:" << N.Res;
@@ -301,13 +301,13 @@ struct DigestContext {
       SS << "id:" << N.Res;
       break;
     case NodeKind::ClassConst:
-      SS << "classof " << (N.Klass ? N.Klass->name() : "?");
+      SS << "classof " << (N.Klass ? N.Klass->name().view() : "?");
       break;
     case NodeKind::ViewInfl:
       // Layout-node identity is by address: valid only for comparing two
       // solutions over the same layout registry in one process, which is
       // the digest's contract.
-      SS << "infl " << (N.Klass ? N.Klass->name() : "?") << " ln="
+      SS << "infl " << (N.Klass ? N.Klass->name().view() : "?") << " ln="
          << static_cast<const void *>(N.LNode) << " @" << siteKey(N);
       break;
     case NodeKind::UnknownView:
@@ -485,7 +485,8 @@ EditDiff analysis::diffBundles(ir::Program &Base, const ir::Program &Edited,
   EditDiff D;
 
   // Class sets must match exactly (by name, for non-platform classes).
-  std::unordered_map<std::string, ir::ClassDecl *> BaseClasses;
+  // Names compare by spelling: the two programs intern independently.
+  std::unordered_map<std::string_view, ir::ClassDecl *> BaseClasses;
   for (ir::ClassDecl *C : Base.classes())
     if (!C->isPlatform())
       BaseClasses.emplace(C->name(), C);
@@ -591,6 +592,11 @@ bool analysis::graftMethodBody(MethodDecl &Dst, const MethodDecl &Src) {
       Dst.paramCount() != Src.paramCount())
     return false;
 
+  // Src may belong to another Program (an edited copy of the app): every
+  // name is re-interned into Dst's program and every argument list copied
+  // onto its arena, so nothing of Src's program is referenced afterwards.
+  ir::Program &P = Dst.owner()->program();
+
   // Variable map: this/params by position, locals by name (appending new
   // ones). Old locals linger unreferenced; the analysis never visits a
   // variable no statement names.
@@ -615,16 +621,23 @@ bool analysis::graftMethodBody(MethodDecl &Dst, const MethodDecl &Src) {
 
   std::vector<Stmt> NewBody;
   NewBody.reserve(Src.body().size());
+  std::vector<ir::VarId> Args;
   for (const Stmt &S : Src.body()) {
     Stmt N = S;
     N.Lhs = remap(S.Lhs);
     N.Base = remap(S.Base);
     N.Rhs = remap(S.Rhs);
-    for (ir::VarId &A : N.Args)
-      A = remap(A);
-    NewBody.push_back(std::move(N));
+    N.FieldName = P.adopt(S.FieldName);
+    N.ClassName = P.adopt(S.ClassName);
+    N.ResourceName = P.adopt(S.ResourceName);
+    N.MethodName = P.adopt(S.MethodName);
+    Args.clear();
+    for (ir::VarId A : S.Args)
+      Args.push_back(remap(A));
+    N.Args = P.makeArgs(Args);
+    NewBody.push_back(N);
   }
-  Dst.body() = std::move(NewBody);
+  Dst.setBody(NewBody);
   return true;
 }
 

@@ -78,12 +78,12 @@ private:
     const ir::Program &P = AM.program();
     const ClassDecl *DeclType = nullptr;
     if (Target.Kind == NodeKind::Var) {
-      const std::string &T = Target.Method->var(Target.Var).TypeName;
+      ir::Name T = Target.Method->var(Target.Var).TypeName;
       if (T.empty() || isPrimitiveTypeName(T))
         return true;
       DeclType = P.findClass(T);
     } else if (Target.Kind == NodeKind::Field) {
-      const std::string &T = Target.Field->typeName();
+      ir::Name T = Target.Field->typeName();
       if (T.empty() || isPrimitiveTypeName(T))
         return true;
       DeclType = P.findClass(T);
@@ -746,7 +746,7 @@ private:
                           "android:onClick handler '" +
                               ViewNode.LNode->onClickHandlerName() +
                               "' not found on class '" +
-                              (HolderClass ? HolderClass->name()
+                              (HolderClass ? HolderClass->name().str()
                                            : std::string("?")) +
                               "'");
             continue;

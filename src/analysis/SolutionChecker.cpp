@@ -39,12 +39,12 @@ private:
     const Node &Target = G.node(N);
     const ir::ClassDecl *DeclType = nullptr;
     if (Target.Kind == NodeKind::Var) {
-      const std::string &T = Target.Method->var(Target.Var).TypeName;
+      ir::Name T = Target.Method->var(Target.Var).TypeName;
       if (T.empty() || ir::isPrimitiveTypeName(T))
         return true;
       DeclType = P.findClass(T);
     } else if (Target.Kind == NodeKind::Field) {
-      const std::string &T = Target.Field->typeName();
+      ir::Name T = Target.Field->typeName();
       if (T.empty() || ir::isPrimitiveTypeName(T))
         return true;
       DeclType = P.findClass(T);

@@ -42,12 +42,12 @@ bool Solver::typeCompatible(NodeId N, NodeId Value) const {
 
   const ClassDecl *DeclType = nullptr;
   if (Target.Kind == NodeKind::Var) {
-    const std::string &TypeName = Target.Method->var(Target.Var).TypeName;
+    ir::Name TypeName = Target.Method->var(Target.Var).TypeName;
     if (TypeName.empty() || ir::isPrimitiveTypeName(TypeName))
       return true;
     DeclType = P.findClass(TypeName);
   } else if (Target.Kind == NodeKind::Field) {
-    const std::string &TypeName = Target.Field->typeName();
+    ir::Name TypeName = Target.Field->typeName();
     if (TypeName.empty() || ir::isPrimitiveTypeName(TypeName))
       return true;
     DeclType = P.findClass(TypeName);
@@ -149,7 +149,7 @@ void Solver::sweepXmlOnClickHandlers() {
                         "android:onClick handler '" +
                             ViewNode.LNode->onClickHandlerName() +
                             "' not found on class '" +
-                            (HolderClass ? HolderClass->name()
+                            (HolderClass ? HolderClass->name().str()
                                          : std::string("?")) +
                             "'");
           continue;

@@ -346,6 +346,7 @@ bool AndroidModel::bind(const Program &Prog, DiagnosticEngine &Diags) {
   IntentClass = anchor(names::Intent);
   ListClass = anchor(names::List);
   FragmentTxClass = anchor(names::FragmentTransaction);
+  bindSymbols();
   if (!ActivityClass || !ViewClass || !ViewGroupClass || !InflaterClass) {
     Diags.error("platform classes missing: call AndroidModel::install before "
                 "building the application");
@@ -391,18 +392,69 @@ AndroidModel::findListenerSpec(const std::string &InterfaceName) const {
   return It == SpecByInterface.end() ? nullptr : It->second;
 }
 
+void AndroidModel::bindSymbols() {
+  // install() declares a platform method or parameter type with each of
+  // these names. In a program built without install(), a name missing at
+  // bind() time never matches.
+  auto sym = [&](const char *Text) { return P->lookup(Text).symbol(); };
+  Sym.SetContentView = sym("setContentView");
+  Sym.Inflate = sym("inflate");
+  Sym.FindViewById = sym("findViewById");
+  Sym.AddView = sym("addView");
+  Sym.SetId = sym("setId");
+  Sym.FindFocus = sym("findFocus");
+  Sym.GetCurrentView = sym("getCurrentView");
+  Sym.GetChildAt = sym("getChildAt");
+  Sym.SetAdapter = sym("setAdapter");
+  Sym.Add = sym("add");
+  Sym.Replace = sym("replace");
+  Sym.StartActivity = sym("startActivity");
+  Sym.SetClass = sym("setClass");
+  Sym.Int = sym(IntTypeName);
+
+  SpecIfaces.clear();
+  for (const ListenerSpec &Spec : Specs)
+    SpecIfaces.push_back(P->findClass(Spec.InterfaceName));
+
+  // One entry per registration method, its specs in SpecByRegister's
+  // equal_range order (the first is the fallback match).
+  RegisterSpecs.clear();
+  for (const ListenerSpec &Spec : Specs) {
+    Symbol Register = sym(Spec.RegisterMethod.c_str());
+    if (!Register.isValid() || findRegisterSpecs(Register))
+      continue;
+    RegisterSpecs.push_back({Register, {}});
+    auto [Begin, End] = SpecByRegister.equal_range(Spec.RegisterMethod);
+    for (auto It = Begin; It != End; ++It)
+      RegisterSpecs.back().Specs.push_back(It->second);
+  }
+}
+
+const std::vector<const ListenerSpec *> *
+AndroidModel::findRegisterSpecs(Symbol Register) const {
+  for (const RegisterEntry &E : RegisterSpecs)
+    if (E.Method == Register)
+      return &E.Specs;
+  return nullptr;
+}
+
+const ClassDecl *AndroidModel::specInterface(const ListenerSpec &Spec) const {
+  size_t I = static_cast<size_t>(&Spec - Specs.data());
+  return I < SpecIfaces.size() ? SpecIfaces[I] : nullptr;
+}
+
 std::vector<const ListenerSpec *>
 AndroidModel::listenerSpecsOf(const ClassDecl *C) const {
   std::vector<const ListenerSpec *> Result;
   for (const ListenerSpec &Spec : Specs) {
-    const ClassDecl *Iface = P->findClass(Spec.InterfaceName);
+    const ClassDecl *Iface = specInterface(Spec);
     if (Iface && P->isSubtypeOf(C, Iface))
       Result.push_back(&Spec);
   }
   return Result;
 }
 
-bool AndroidModel::isLifecycleCallbackName(const std::string &Name) {
+bool AndroidModel::isLifecycleCallbackName(std::string_view Name) {
   static const std::array<const char *, 14> Known = {
       "onCreate",          "onStart",       "onResume",
       "onPause",           "onStop",        "onRestart",
@@ -429,19 +481,23 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
   if (!Recv)
     return std::nullopt;
 
+  // Names compare as symbols of the bound program. A method name the
+  // program never interned has the invalid symbol and matches nothing.
+  auto is = [](Symbol A, Symbol Known) { return Known.isValid() && A == Known; };
   auto argIsInt = [&](unsigned I) {
-    return Enclosing.var(S.Args[I]).TypeName == IntTypeName;
+    return is(P->symbolOf(Enclosing.var(S.Args[I]).TypeName), Sym.Int);
   };
 
-  const std::string &Name = S.MethodName;
+  const Symbol Name = P->symbolOf(S.MethodName);
 
-  if (Name == "setContentView" && S.Args.size() == 1 && isWindowClass(Recv)) {
+  if (is(Name, Sym.SetContentView) && S.Args.size() == 1 &&
+      isWindowClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = argIsInt(0) ? OpKind::Inflate2 : OpKind::AddView1;
     return Spec;
   }
 
-  if (Name == "inflate" && InflaterClass &&
+  if (is(Name, Sym.Inflate) && InflaterClass &&
       P->isSubtypeOf(Recv, InflaterClass) &&
       (S.Args.size() == 1 || S.Args.size() == 2) && argIsInt(0)) {
     OpSpec Spec;
@@ -451,7 +507,7 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     return Spec;
   }
 
-  if (Name == "findViewById" && S.Args.size() == 1 && argIsInt(0)) {
+  if (is(Name, Sym.FindViewById) && S.Args.size() == 1 && argIsInt(0)) {
     if (isWindowClass(Recv)) {
       OpSpec Spec;
       Spec.Kind = OpKind::FindView2;
@@ -464,33 +520,33 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     }
   }
 
-  if (Name == "addView" && S.Args.size() == 1 && isViewGroupClass(Recv)) {
+  if (is(Name, Sym.AddView) && S.Args.size() == 1 && isViewGroupClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::AddView2;
     return Spec;
   }
 
-  if (Name == "setId" && S.Args.size() == 1 && argIsInt(0) &&
+  if (is(Name, Sym.SetId) && S.Args.size() == 1 && argIsInt(0) &&
       isViewClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::SetId;
     return Spec;
   }
 
-  if (S.Args.size() == 1 && isViewClass(Recv)) {
-    auto [Begin, End] = SpecByRegister.equal_range(Name);
+  const std::vector<const ListenerSpec *> *Registered =
+      S.Args.size() == 1 && Name.isValid() ? findRegisterSpecs(Name) : nullptr;
+  if (Registered && isViewClass(Recv)) {
     const ListenerSpec *Match = nullptr;
-    for (auto It = Begin; It != End; ++It) {
+    const ClassDecl *ArgType = P->findClass(Enclosing.var(S.Args[0]).TypeName);
+    for (const ListenerSpec *Candidate : *Registered) {
       if (!Match)
-        Match = It->second; // fallback: first registered spec
+        Match = Candidate; // fallback: first registered spec
       // Disambiguate same-named registrations (e.g. CompoundButton vs
       // RadioGroup setOnCheckedChangeListener) by the argument's declared
       // type.
-      const ClassDecl *ArgType =
-          P->findClass(Enclosing.var(S.Args[0]).TypeName);
-      const ClassDecl *Iface = P->findClass(It->second->InterfaceName);
+      const ClassDecl *Iface = specInterface(*Candidate);
       if (ArgType && Iface && P->isSubtypeOf(ArgType, Iface)) {
-        Match = It->second;
+        Match = Candidate;
         break;
       }
     }
@@ -502,14 +558,14 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     }
   }
 
-  if (Name == "findFocus" && S.Args.empty() && isViewClass(Recv)) {
+  if (is(Name, Sym.FindFocus) && S.Args.empty() && isViewClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::FindView3;
     return Spec;
   }
 
-  if ((Name == "getCurrentView" && S.Args.empty()) ||
-      (Name == "getChildAt" && S.Args.size() == 1)) {
+  if ((is(Name, Sym.GetCurrentView) && S.Args.empty()) ||
+      (is(Name, Sym.GetChildAt) && S.Args.size() == 1)) {
     if (isViewGroupClass(Recv)) {
       OpSpec Spec;
       Spec.Kind = OpKind::FindView3;
@@ -518,14 +574,14 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     }
   }
 
-  if (Name == "setAdapter" && S.Args.size() == 1 &&
+  if (is(Name, Sym.SetAdapter) && S.Args.size() == 1 &&
       isViewGroupClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::SetAdapter;
     return Spec;
   }
 
-  if ((Name == "add" || Name == "replace") && S.Args.size() == 2 &&
+  if ((is(Name, Sym.Add) || is(Name, Sym.Replace)) && S.Args.size() == 2 &&
       argIsInt(0) && FragmentTxClass &&
       P->isSubtypeOf(Recv, FragmentTxClass)) {
     OpSpec Spec;
@@ -533,14 +589,14 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     return Spec;
   }
 
-  if (Name == "startActivity" && S.Args.size() == 1 && ContextClass &&
+  if (is(Name, Sym.StartActivity) && S.Args.size() == 1 && ContextClass &&
       P->isSubtypeOf(Recv, ContextClass)) {
     OpSpec Spec;
     Spec.Kind = OpKind::StartActivity;
     return Spec;
   }
 
-  if (Name == "setClass" && S.Args.size() == 2 && IntentClass &&
+  if (is(Name, Sym.SetClass) && S.Args.size() == 2 && IntentClass &&
       P->isSubtypeOf(Recv, IntentClass)) {
     OpSpec Spec;
     Spec.Kind = OpKind::SetIntentClass;

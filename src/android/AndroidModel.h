@@ -22,6 +22,7 @@
 #include "android/Ops.h"
 #include "ir/Ir.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -121,7 +122,28 @@ public:
   /// invoked implicitly on activities (Section 3.2, "Effects of
   /// callbacks"). The model uses the documented lifecycle list plus the
   /// conservative "on*" prefix convention.
-  static bool isLifecycleCallbackName(const std::string &MethodName);
+  static bool isLifecycleCallbackName(std::string_view MethodName);
+
+  /// Calls \p Visit with, for each lifecycle callback name/arity, the
+  /// method a framework call on an instance of \p C dispatches to: the
+  /// first concrete instance method found walking up from \p C through
+  /// application classes.
+  template <typename Fn>
+  static void forEachLifecycleCallback(const ir::ClassDecl *C, Fn Visit) {
+    std::vector<uint64_t> Seen; // packSymbolKey(name, arity); a few entries
+    for (; C && !C->isPlatform(); C = C->superClass())
+      for (const ir::MethodDecl *M : C->methods()) {
+        if (M->isAbstract() || M->isStatic() ||
+            !isLifecycleCallbackName(M->name()))
+          continue;
+        uint64_t Sig = support::packSymbolKey(M->name().symbol().rawIndex(),
+                                              M->paramCount());
+        if (std::find(Seen.begin(), Seen.end(), Sig) != Seen.end())
+          continue; // overridden below; the dispatch target came first
+        Seen.push_back(Sig);
+        Visit(M);
+      }
+  }
 
   /// The listener specs known to the model.
   const std::vector<ListenerSpec> &listenerSpecs() const { return Specs; }
@@ -147,6 +169,14 @@ public:
 private:
   void buildSpecs();
   const ir::ClassDecl *anchor(const char *Name) const;
+  /// Looks up, once per bind(), the symbols classifyInvoke() compares
+  /// method and type names against, and each spec's interface class.
+  void bindSymbols();
+  /// The specs registered through the method named \p Register, or null.
+  const std::vector<const ListenerSpec *> *
+  findRegisterSpecs(Symbol Register) const;
+  /// The bound program's class for \p Spec's interface, or null.
+  const ir::ClassDecl *specInterface(const ListenerSpec &Spec) const;
 
   const ir::Program *P = nullptr;
   std::vector<ListenerSpec> Specs;
@@ -168,6 +198,21 @@ private:
   const ir::ClassDecl *IntentClass = nullptr;
   const ir::ClassDecl *ListClass = nullptr;
   const ir::ClassDecl *FragmentTxClass = nullptr;
+
+  /// Bound-program symbols of the names classifyInvoke() matches; invalid
+  /// when the program never interned the name.
+  struct {
+    Symbol SetContentView, Inflate, FindViewById, AddView, SetId, FindFocus,
+        GetCurrentView, GetChildAt, SetAdapter, Add, Replace, StartActivity,
+        SetClass, Int;
+  } Sym;
+  struct RegisterEntry {
+    Symbol Method;
+    std::vector<const ListenerSpec *> Specs;
+  };
+  std::vector<RegisterEntry> RegisterSpecs;
+  /// Interface class per entry of Specs (same index), for the bound program.
+  std::vector<const ir::ClassDecl *> SpecIfaces;
 };
 
 } // namespace android

@@ -78,7 +78,7 @@ private:
   }
 
   const ClassDecl *declaredClass(const MethodDecl &M, VarId V) const {
-    const std::string &T = M.var(V).TypeName;
+    ir::Name T = M.var(V).TypeName;
     if (T.empty() || isPrimitiveTypeName(T))
       return nullptr;
     return P.findClass(T);

@@ -493,8 +493,9 @@ private:
         if (J > 0) {
           // Call the previous sibling method: realistic call-graph bulk.
           M.local("y", ObjectClassName);
-          M.invoke(std::string("y"), "this", "m" + std::to_string(J - 1),
-                   {"x"});
+          std::string Callee = "m";
+          Callee += std::to_string(J - 1);
+          M.invoke(std::string("y"), "this", Callee, {"x"});
           M.ret(std::string("y"));
         } else if (K > 0 && pick(2) == 0) {
           M.local("d", NextName);

@@ -603,7 +603,7 @@ private:
 
     // Parameter registers: p0 = this (instance), then the formals.
     if (!RM.IsStatic)
-      Regs["p0"] = Binding{C.name(), M->thisVar()};
+      Regs["p0"] = Binding{C.name().str(), M->thisVar()};
     for (size_t I = 0; I < RM.ParamTypes.size(); ++I) {
       std::string Reg = paramReg(I + (RM.IsStatic ? 0 : 1));
       Regs[Reg] =
@@ -660,7 +660,7 @@ private:
         S.Loc = Instr.Loc;
         S.Lhs = define(Instr.A, Src->TypeName);
         S.Base = Src->Var;
-        M->body().push_back(std::move(S));
+        M->appendStmt(S);
         break;
       }
       case InstrKind::ConstNull: {
@@ -673,7 +673,7 @@ private:
         S.Kind = StmtKind::AssignNull;
         S.Loc = Instr.Loc;
         S.Lhs = define(Instr.A, Ty);
-        M->body().push_back(std::move(S));
+        M->appendStmt(S);
         break;
       }
       case InstrKind::ConstLayout:
@@ -684,8 +684,8 @@ private:
                      : StmtKind::AssignViewId;
         S.Loc = Instr.Loc;
         S.Lhs = define(Instr.A, IntTypeName);
-        S.ResourceName = Instr.Name;
-        M->body().push_back(std::move(S));
+        S.ResourceName = P.intern(Instr.Name);
+        M->appendStmt(S);
         break;
       }
       case InstrKind::ConstClass: {
@@ -693,8 +693,8 @@ private:
         S.Kind = StmtKind::AssignClassConst;
         S.Loc = Instr.Loc;
         S.Lhs = define(Instr.A, "java.lang.Class");
-        S.ClassName = Instr.Name;
-        M->body().push_back(std::move(S));
+        S.ClassName = P.intern(Instr.Name);
+        M->appendStmt(S);
         break;
       }
       case InstrKind::NewInstance: {
@@ -702,8 +702,8 @@ private:
         S.Kind = StmtKind::AssignNew;
         S.Loc = Instr.Loc;
         S.Lhs = define(Instr.A, Instr.Name);
-        S.ClassName = Instr.Name;
-        M->body().push_back(std::move(S));
+        S.ClassName = P.intern(Instr.Name);
+        M->appendStmt(S);
         break;
       }
       case InstrKind::IGet: {
@@ -724,8 +724,8 @@ private:
         S.Loc = Instr.Loc;
         S.Lhs = define(Instr.A, FieldType);
         S.Base = Base->Var;
-        S.FieldName = Instr.Name;
-        M->body().push_back(std::move(S));
+        S.FieldName = P.intern(Instr.Name);
+        M->appendStmt(S);
         break;
       }
       case InstrKind::IPut: {
@@ -737,9 +737,9 @@ private:
         S.Kind = StmtKind::StoreField;
         S.Loc = Instr.Loc;
         S.Base = Base->Var;
-        S.FieldName = Instr.Name;
+        S.FieldName = P.intern(Instr.Name);
         S.Rhs = Val->Var;
-        M->body().push_back(std::move(S));
+        M->appendStmt(S);
         break;
       }
       case InstrKind::SGet:
@@ -758,9 +758,9 @@ private:
           S.Kind = StmtKind::LoadStaticField;
           S.Loc = Instr.Loc;
           S.Lhs = define(Instr.A, FieldType);
-          S.ClassName = ClassName;
-          S.FieldName = FieldName;
-          M->body().push_back(std::move(S));
+          S.ClassName = P.intern(ClassName);
+          S.FieldName = P.intern(FieldName);
+          M->appendStmt(S);
         } else {
           auto Val = use(Instr.A, Instr.Loc);
           if (!Val)
@@ -768,10 +768,10 @@ private:
           Stmt S;
           S.Kind = StmtKind::StoreStaticField;
           S.Loc = Instr.Loc;
-          S.ClassName = ClassName;
-          S.FieldName = FieldName;
+          S.ClassName = P.intern(ClassName);
+          S.FieldName = P.intern(FieldName);
           S.Rhs = Val->Var;
-          M->body().push_back(std::move(S));
+          M->appendStmt(S);
         }
         break;
       }
@@ -783,18 +783,20 @@ private:
         S.Kind = StmtKind::Invoke;
         S.Loc = Instr.Loc;
         S.Base = Recv->Var;
-        S.MethodName = Instr.Name;
+        S.MethodName = P.intern(Instr.Name);
         bool ArgsOk = true;
+        std::vector<VarId> Args;
         for (size_t I = 1; I < Instr.Regs.size(); ++I) {
           auto Arg = use(Instr.Regs[I], Instr.Loc);
           if (!Arg) {
             ArgsOk = false;
             break;
           }
-          S.Args.push_back(Arg->Var);
+          Args.push_back(Arg->Var);
         }
         if (!ArgsOk)
           break;
+        S.Args = P.makeArgs(Args);
 
         // Infer the result type for a following move-result.
         std::string RetType = ObjectClassName;
@@ -803,7 +805,7 @@ private:
                   Instr.Name, static_cast<unsigned>(S.Args.size())))
             RetType = Callee->returnTypeName();
 
-        M->body().push_back(std::move(S));
+        M->appendStmt(S);
         Pending = PendingResult{M->body().size() - 1, RetType};
         break;
       }
@@ -821,7 +823,7 @@ private:
         Stmt S;
         S.Kind = StmtKind::Return;
         S.Loc = Instr.Loc;
-        M->body().push_back(std::move(S));
+        M->appendStmt(S);
         break;
       }
       case InstrKind::Return: {
@@ -832,7 +834,7 @@ private:
         S.Kind = StmtKind::Return;
         S.Loc = Instr.Loc;
         S.Lhs = Val->Var;
-        M->body().push_back(std::move(S));
+        M->appendStmt(S);
         break;
       }
       }

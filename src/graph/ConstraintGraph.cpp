@@ -99,7 +99,10 @@ bool gator::graph::isViewNodeKind(NodeKind Kind) {
 // Node factories
 //===----------------------------------------------------------------------===//
 
-void ConstraintGraph::reserve(size_t NodeHint, size_t EdgeHint) {
+void ConstraintGraph::reserve(size_t NodeHint, size_t EdgeHint,
+                              size_t MethodIdLimit) {
+  if (VarNodes.size() < MethodIdLimit)
+    VarNodes.resize(MethodIdLimit);
   Nodes.reserve(NodeHint);
   FlowSucc.reserve(NodeHint);
   KindIndex[static_cast<size_t>(NodeKind::Var)].reserve(EdgeArena,
@@ -571,9 +574,10 @@ void ConstraintGraph::computeDescendantsInto(NodeId View,
 static std::string simpleClassName(const ClassDecl *C) {
   if (!C)
     return "?";
-  const std::string &Name = C->name();
+  std::string_view Name = C->name();
   size_t Pos = Name.rfind('.');
-  return Pos == std::string::npos ? Name : Name.substr(Pos + 1);
+  return std::string(Pos == std::string_view::npos ? Name
+                                                   : Name.substr(Pos + 1));
 }
 
 std::string ConstraintGraph::label(NodeId Id) const {

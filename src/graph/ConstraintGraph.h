@@ -155,7 +155,9 @@ public:
   /// Pre-sizes the node table and flow-edge dedup structures. \p NodeHint
   /// and \p EdgeHint are estimates (typically from the program's variable
   /// and statement counts); growth past them stays correct, just slower.
-  void reserve(size_t NodeHint, size_t EdgeHint);
+  /// \p MethodIdLimit sizes the per-method variable-node table once
+  /// (ir::Program::methodIdLimit()), so getVarNode never grows it.
+  void reserve(size_t NodeHint, size_t EdgeHint, size_t MethodIdLimit = 0);
 
   NodeId getVarNode(const ir::MethodDecl *M, ir::VarId V);
   NodeId getFieldNode(const ir::FieldDecl *F);

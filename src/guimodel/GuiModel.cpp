@@ -5,12 +5,10 @@
 #include "hier/ClassHierarchy.h"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace gator;
 using namespace gator::guimodel;
@@ -126,7 +124,8 @@ void gator::guimodel::printHandlerTuples(std::ostream &OS,
                                              &Tuples) {
   const ConstraintGraph &G = *Result.Graph;
   for (const HandlerTuple &T : Tuples) {
-    OS << (T.Activity ? T.Activity->name() : std::string("<unattached>"))
+    OS << (T.Activity ? T.Activity->name().view()
+                      : std::string_view("<unattached>"))
        << " | " << G.label(T.View) << " | " << eventKindName(T.Event)
        << " | "
        << (T.Handler ? T.Handler->qualifiedName() : std::string("<none>"))
@@ -180,19 +179,20 @@ void gator::guimodel::printViewHierarchies(std::ostream &OS,
 
 namespace {
 
-/// App-level call graph: caller -> callees (CHA).
-std::unordered_map<const MethodDecl *, std::vector<const MethodDecl *>>
-buildCallGraph(const Program &P) {
+/// App-level call graph (CHA): callees of each method, indexed by
+/// MethodDecl::globalId().
+using CallGraphTable = std::vector<std::vector<const MethodDecl *>>;
+
+CallGraphTable buildCallGraph(const Program &P) {
   hier::ClassHierarchy CH(P);
-  std::unordered_map<const MethodDecl *, std::vector<const MethodDecl *>>
-      CallGraph;
+  CallGraphTable CallGraph(P.methodIdLimit());
   for (const auto &C : P.classes()) {
     if (C->isPlatform())
       continue;
     for (const auto &M : C->methods()) {
       if (M->isAbstract())
         continue;
-      auto &Callees = CallGraph[M];
+      auto &Callees = CallGraph[M->globalId()];
       for (const Stmt &S : M->body()) {
         if (S.Kind != StmtKind::Invoke)
           continue;
@@ -211,24 +211,21 @@ buildCallGraph(const Program &P) {
   return CallGraph;
 }
 
-std::unordered_set<const MethodDecl *> reachableFrom(
-    const MethodDecl *Start,
-    const std::unordered_map<const MethodDecl *,
-                             std::vector<const MethodDecl *>> &CallGraph) {
-  std::unordered_set<const MethodDecl *> Seen;
-  std::deque<const MethodDecl *> Work{Start};
-  while (!Work.empty()) {
-    const MethodDecl *M = Work.front();
-    Work.pop_front();
-    if (!Seen.insert(M).second)
-      continue;
-    auto It = CallGraph.find(M);
-    if (It == CallGraph.end())
-      continue;
-    for (const MethodDecl *Callee : It->second)
-      Work.push_back(Callee);
-  }
-  return Seen;
+/// Methods reachable from \p Start (itself included), in breadth-first
+/// discovery order, so everything derived from the walk is ordered by
+/// the program, not by where its declarations happen to sit in memory.
+std::vector<const MethodDecl *> reachableFrom(const MethodDecl *Start,
+                                              const CallGraphTable &CallGraph) {
+  std::vector<bool> Seen(CallGraph.size());
+  std::vector<const MethodDecl *> Order{Start};
+  Seen[Start->globalId()] = true;
+  for (size_t Next = 0; Next < Order.size(); ++Next)
+    for (const MethodDecl *Callee : CallGraph[Order[Next]->globalId()])
+      if (!Seen[Callee->globalId()]) {
+        Seen[Callee->globalId()] = true;
+        Order.push_back(Callee);
+      }
+  return Order;
 }
 
 } // namespace
@@ -341,21 +338,10 @@ gator::guimodel::buildActivityTransitionGraph(const AnalysisResult &Result) {
       emitReachable(T.Activity, T.Event, T.Handler);
 
   // 3b. Lifecycle callbacks of each activity.
-  for (const ClassDecl *A : AM.appActivityClasses()) {
-    std::unordered_set<std::string> SeenNames;
-    for (const ClassDecl *C = A; C && !C->isPlatform(); C = C->superClass())
-      for (const auto &M : C->methods()) {
-        if (M->isAbstract() || M->isStatic())
-          continue;
-        if (!AndroidModel::isLifecycleCallbackName(M->name()))
-          continue;
-        std::string Key =
-            M->name() + "/" + std::to_string(M->paramCount());
-        if (!SeenNames.insert(Key).second)
-          continue;
-        emitReachable(A, std::nullopt, M);
-      }
-  }
+  for (const ClassDecl *A : AM.appActivityClasses())
+    AndroidModel::forEachLifecycleCallback(A, [&](const MethodDecl *M) {
+      emitReachable(A, std::nullopt, M);
+    });
 
   return Transitions;
 }
@@ -364,7 +350,11 @@ void gator::guimodel::printTransitionsDot(std::ostream &OS,
                                           const std::vector<Transition>
                                               &Transitions) {
   OS << "digraph atg {\n";
-  std::set<const ClassDecl *> Nodes;
+  // Nodes in declaration order.
+  auto ByDecl = [](const ClassDecl *A, const ClassDecl *B) {
+    return A->globalId() < B->globalId();
+  };
+  std::set<const ClassDecl *, decltype(ByDecl)> Nodes(ByDecl);
   for (const Transition &T : Transitions) {
     Nodes.insert(T.From);
     Nodes.insert(T.To);

@@ -48,7 +48,7 @@ void gator::guimodel::writeAnalysisJson(std::ostream &OS,
     J.beginObject();
     J.field("id", static_cast<unsigned long long>(V));
     J.field("label", G.label(V));
-    J.field("class", G.node(V).Klass ? G.node(V).Klass->name() : "");
+    J.field("class", G.node(V).Klass ? G.node(V).Klass->name().view() : "");
     J.field("inflated", G.node(V).Kind == NodeKind::ViewInfl);
     J.key("viewIds");
     J.beginArray();

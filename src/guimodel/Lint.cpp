@@ -73,7 +73,7 @@ gator::guimodel::runLint(const AnalysisResult &Result,
     const Node &OutNode = G.node(Op.Out);
     if (OutNode.Kind != NodeKind::Var)
       continue;
-    const std::string &DeclName =
+    ir::Name DeclName =
         OutNode.Method->var(OutNode.Var).TypeName;
     if (DeclName.empty() || isPrimitiveTypeName(DeclName))
       continue;

@@ -5,7 +5,6 @@
 #include "support/Check.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace gator;
 using namespace gator::hier;
@@ -55,32 +54,61 @@ ClassHierarchy::subtypesOf(const ClassDecl *C) const {
 }
 
 const MethodDecl *ClassHierarchy::dispatch(const ClassDecl *ExactType,
-                                           const std::string &Name,
+                                           ir::Name Name, unsigned Arity) {
+  MethodDecl *M = ExactType->findMethod(Name, Arity);
+  return (M && !M->isAbstract()) ? M : nullptr;
+}
+
+const MethodDecl *ClassHierarchy::dispatch(const ClassDecl *ExactType,
+                                           std::string_view Name,
                                            unsigned Arity) {
   MethodDecl *M = ExactType->findMethod(Name, Arity);
   return (M && !M->isAbstract()) ? M : nullptr;
 }
 
 const std::vector<const MethodDecl *> &
-ClassHierarchy::resolveVirtualCall(const ClassDecl *StaticType,
-                                   const std::string &Name,
+ClassHierarchy::resolveVirtualCall(const ClassDecl *StaticType, ir::Name Name,
                                    unsigned Arity) const {
+  return resolveVirtualCall(StaticType, P.symbolOf(Name), Arity);
+}
+
+const std::vector<const MethodDecl *> &
+ClassHierarchy::resolveVirtualCall(const ClassDecl *StaticType,
+                                   std::string_view Name,
+                                   unsigned Arity) const {
+  return resolveVirtualCall(StaticType, P.lookup(Name).symbol(), Arity);
+}
+
+const std::vector<const MethodDecl *> &
+ClassHierarchy::resolveVirtualCall(const ClassDecl *StaticType, Symbol Name,
+                                   unsigned Arity) const {
+  // A name the program never interned names no method anywhere.
+  if (!Name.isValid())
+    return EmptyTargets;
   if (StaticType->globalId() >= CallCache.size())
     CallCache.resize(StaticType->globalId() + 1);
-  auto &PerType = CallCache[StaticType->globalId()];
-  std::string Key = Name + '/' + std::to_string(Arity);
-  auto It = PerType.find(Key);
-  if (It != PerType.end())
-    return It->second;
+  support::FlatIdMap<uint32_t> &PerType = CallCache[StaticType->globalId()];
+  uint64_t Key = support::packSymbolKey(Name.rawIndex(), Arity);
+  if (const uint32_t *Hit = PerType.get(Key))
+    return CallTargets[*Hit];
 
+  if (TargetStamp.size() < P.methodIdLimit())
+    TargetStamp.resize(P.methodIdLimit(), 0);
+  ++TargetGen;
   std::vector<const MethodDecl *> Targets;
-  std::unordered_set<const MethodDecl *> Seen;
   for (const ClassDecl *Sub : subtypesOf(StaticType)) {
     if (Sub->isInterface())
       continue;
-    if (const MethodDecl *M = dispatch(Sub, Name, Arity))
-      if (Seen.insert(M).second)
-        Targets.push_back(M);
+    const MethodDecl *M = Sub->findMethod(Name, Arity);
+    if (!M || M->isAbstract())
+      continue;
+    uint32_t &Stamp = TargetStamp[M->globalId()];
+    if (Stamp != TargetGen) {
+      Stamp = TargetGen;
+      Targets.push_back(M);
+    }
   }
-  return PerType.emplace(std::move(Key), std::move(Targets)).first->second;
+  PerType.set(Key, static_cast<uint32_t>(CallTargets.size()));
+  CallTargets.push_back(std::move(Targets));
+  return CallTargets.back();
 }

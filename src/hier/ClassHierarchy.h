@@ -18,8 +18,8 @@
 
 #include "ir/Ir.h"
 
-#include <string>
-#include <unordered_map>
+#include <deque>
+#include <string_view>
 #include <vector>
 
 namespace gator {
@@ -50,15 +50,22 @@ public:
   /// subtype would dispatch to for name/arity. Deduplicated, in
   /// deterministic program order. Memoized per (type, name, arity) — the
   /// hierarchy is immutable once constructed, so entries never go stale.
+  /// The memo is keyed by packSymbolKey(name symbol, arity), so a call
+  /// with an ir::Name of the program is integer work end to end; a string
+  /// name is looked up in the program's interner first.
   const std::vector<const ir::MethodDecl *> &
-  resolveVirtualCall(const ir::ClassDecl *StaticType, const std::string &Name,
+  resolveVirtualCall(const ir::ClassDecl *StaticType, ir::Name Name,
+                     unsigned Arity) const;
+  const std::vector<const ir::MethodDecl *> &
+  resolveVirtualCall(const ir::ClassDecl *StaticType, std::string_view Name,
                      unsigned Arity) const;
 
   /// The single concrete dispatch target for an exact receiver type (used
   /// when the allocation class is known), or null.
   static const ir::MethodDecl *dispatch(const ir::ClassDecl *ExactType,
-                                        const std::string &Name,
-                                        unsigned Arity);
+                                        ir::Name Name, unsigned Arity);
+  static const ir::MethodDecl *dispatch(const ir::ClassDecl *ExactType,
+                                        std::string_view Name, unsigned Arity);
 
 private:
   const ir::Program &P;
@@ -67,12 +74,20 @@ private:
   /// on both construction and lookup.
   std::vector<std::vector<const ir::ClassDecl *>> Subtypes;
   std::vector<const ir::ClassDecl *> Empty;
+  std::vector<const ir::MethodDecl *> EmptyTargets;
+
+  const std::vector<const ir::MethodDecl *> &
+  resolveVirtualCall(const ir::ClassDecl *StaticType, Symbol Name,
+                     unsigned Arity) const;
 
   /// resolveVirtualCall memo, indexed by receiver ClassDecl::globalId(),
-  /// then keyed by "name/arity".
-  mutable std::vector<std::unordered_map<
-      std::string, std::vector<const ir::MethodDecl *>>>
-      CallCache;
+  /// then keyed by packSymbolKey(name symbol, arity); values index
+  /// CallTargets, whose entries never move once added.
+  mutable std::vector<support::FlatIdMap<uint32_t>> CallCache;
+  mutable std::deque<std::vector<const ir::MethodDecl *>> CallTargets;
+  /// Per-resolution dedupe stamps, indexed by MethodDecl::globalId().
+  mutable std::vector<uint32_t> TargetStamp;
+  mutable uint32_t TargetGen = 0;
 };
 
 } // namespace hier

@@ -2,13 +2,11 @@
 
 #include "ir/Ir.h"
 
-#include <algorithm>
-#include <sstream>
 
 using namespace gator;
 using namespace gator::ir;
 
-bool gator::ir::isPrimitiveTypeName(const std::string &Name) {
+bool gator::ir::isPrimitiveTypeName(std::string_view Name) {
   return Name == IntTypeName || Name == VoidTypeName;
 }
 
@@ -17,7 +15,7 @@ bool gator::ir::isPrimitiveTypeName(const std::string &Name) {
 //===----------------------------------------------------------------------===//
 
 std::string FieldDecl::qualifiedName() const {
-  return Owner->name() + "." + Name;
+  return Owner->name() + "." + DeclName;
 }
 
 //===----------------------------------------------------------------------===//
@@ -25,29 +23,46 @@ std::string FieldDecl::qualifiedName() const {
 //===----------------------------------------------------------------------===//
 
 std::string MethodDecl::qualifiedName() const {
-  std::ostringstream OS;
-  OS << Owner->name() << '.' << Name << '/' << NumParams;
-  return OS.str();
+  std::string S = Owner->name() + '.' + DeclName;
+  S += '/';
+  S += std::to_string(NumParams);
+  return S;
 }
 
-VarId MethodDecl::addParam(std::string Name, std::string TypeName) {
+support::Arena &MethodDecl::arena() const {
+  return Owner->program().DeclArena;
+}
+
+VarId MethodDecl::addParam(ir::Name Name, ir::Name TypeName) {
   assert(Vars.size() == (IsStatic ? 0u : 1u) + NumParams &&
          "parameters must be added before locals");
+  Program &P = Owner->program();
   Variable Param;
-  Param.Name = std::move(Name);
-  Param.TypeName = std::move(TypeName);
+  Param.Name = P.adopt(Name);
+  Param.TypeName = P.adopt(TypeName);
   Param.IsParam = true;
-  Vars.push_back(std::move(Param));
+  Vars.push_back(arena(), Param);
   ++NumParams;
   return static_cast<VarId>(Vars.size() - 1);
 }
 
-VarId MethodDecl::addLocal(std::string Name, std::string TypeName) {
+VarId MethodDecl::addParam(std::string_view Name, std::string_view TypeName) {
+  Program &P = Owner->program();
+  return addParam(P.intern(Name), P.intern(TypeName));
+}
+
+VarId MethodDecl::addLocal(ir::Name Name, ir::Name TypeName) {
+  Program &P = Owner->program();
   Variable Local;
-  Local.Name = std::move(Name);
-  Local.TypeName = std::move(TypeName);
-  Vars.push_back(std::move(Local));
+  Local.Name = P.adopt(Name);
+  Local.TypeName = P.adopt(TypeName);
+  Vars.push_back(arena(), Local);
   return static_cast<VarId>(Vars.size() - 1);
+}
+
+VarId MethodDecl::addLocal(std::string_view Name, std::string_view TypeName) {
+  Program &P = Owner->program();
+  return addLocal(P.intern(Name), P.intern(TypeName));
 }
 
 VarId MethodDecl::findVar(std::string_view Name) const {
@@ -57,67 +72,137 @@ VarId MethodDecl::findVar(std::string_view Name) const {
   return InvalidVar;
 }
 
+void MethodDecl::appendStmt(const Stmt &S) { Body.push_back(arena(), S); }
+
+void MethodDecl::setBody(std::span<const Stmt> Stmts) {
+  Body.assign(arena(), Stmts.data(), Stmts.size());
+}
+
 //===----------------------------------------------------------------------===//
 // ClassDecl
 //===----------------------------------------------------------------------===//
 
-FieldDecl *ClassDecl::addField(std::string Name, std::string TypeName,
+void ClassDecl::setSuperName(ir::Name Name) {
+  SuperName = OwnerProgram->adopt(Name);
+}
+
+void ClassDecl::setSuperName(std::string_view Name) {
+  setSuperName(OwnerProgram->intern(Name));
+}
+
+void ClassDecl::addInterfaceName(ir::Name Name) {
+  InterfaceNames.push_back(OwnerProgram->DeclArena,
+                           OwnerProgram->adopt(Name));
+}
+
+void ClassDecl::addInterfaceName(std::string_view Name) {
+  addInterfaceName(OwnerProgram->intern(Name));
+}
+
+FieldDecl *ClassDecl::addField(ir::Name Name, ir::Name TypeName,
                                bool IsStatic) {
   support::Arena &A = OwnerProgram->DeclArena;
-  FieldDecl *F =
-      A.create<FieldDecl>(std::move(Name), std::move(TypeName), IsStatic,
-                          this, OwnerProgram->NextFieldId++);
-  OwnerProgram->Names.intern(F->name());
+  FieldDecl *F = A.create<FieldDecl>(
+      OwnerProgram->adopt(Name), OwnerProgram->adopt(TypeName), IsStatic,
+      this, OwnerProgram->NextFieldId++);
   Fields.push_back(A, F);
   return F;
 }
 
-MethodDecl *ClassDecl::addMethod(std::string Name, std::string ReturnTypeName,
+FieldDecl *ClassDecl::addField(std::string_view Name,
+                               std::string_view TypeName, bool IsStatic) {
+  return addField(OwnerProgram->intern(Name), OwnerProgram->intern(TypeName),
+                  IsStatic);
+}
+
+MethodDecl *ClassDecl::addMethod(ir::Name Name, ir::Name ReturnTypeName,
                                  bool IsStatic) {
   ++OwnerProgram->StructureEpoch;
   support::Arena &A = OwnerProgram->DeclArena;
-  MethodDecl *M =
-      A.create<MethodDecl>(std::move(Name), std::move(ReturnTypeName),
-                           IsStatic, this, OwnerProgram->NextMethodId++);
-  OwnerProgram->Names.intern(M->name());
+  MethodDecl *M = A.create<MethodDecl>(
+      OwnerProgram->adopt(Name), OwnerProgram->adopt(ReturnTypeName),
+      IsStatic, this, OwnerProgram->NextMethodId++);
   Methods.push_back(A, M);
-  if (!IsStatic)
-    M->Vars[0].TypeName = this->Name; // `this` has the declaring class type.
+  if (!IsStatic) {
+    // `this` has the declaring class type.
+    Variable This;
+    This.Name = OwnerProgram->intern("this");
+    This.TypeName = DeclName;
+    This.IsThis = true;
+    M->Vars.push_back(A, This);
+  }
   if (IsInterface)
     M->setAbstract(true);
   return M;
 }
 
-FieldDecl *ClassDecl::findOwnField(const std::string &Name) const {
+MethodDecl *ClassDecl::addMethod(std::string_view Name,
+                                 std::string_view ReturnTypeName,
+                                 bool IsStatic) {
+  return addMethod(OwnerProgram->intern(Name),
+                   OwnerProgram->intern(ReturnTypeName), IsStatic);
+}
+
+FieldDecl *ClassDecl::findOwnField(Symbol Sym) const {
   for (FieldDecl *F : Fields)
-    if (F->name() == Name)
+    if (F->name().symbol() == Sym)
       return F;
   return nullptr;
 }
 
-FieldDecl *ClassDecl::findField(const std::string &Name) const {
+FieldDecl *ClassDecl::findOwnField(ir::Name Name) const {
+  Symbol Sym = OwnerProgram->symbolOf(Name);
+  return Sym.isValid() ? findOwnField(Sym) : nullptr;
+}
+
+FieldDecl *ClassDecl::findOwnField(std::string_view Name) const {
+  return findOwnField(OwnerProgram->lookup(Name));
+}
+
+FieldDecl *ClassDecl::findField(ir::Name Name) const {
+  Symbol Sym = OwnerProgram->symbolOf(Name);
+  if (!Sym.isValid())
+    return nullptr;
   for (const ClassDecl *C = this; C; C = C->Super)
-    if (FieldDecl *F = C->findOwnField(Name))
+    if (FieldDecl *F = C->findOwnField(Sym))
       return F;
   return nullptr;
 }
 
-MethodDecl *ClassDecl::findOwnMethod(const std::string &Name,
-                                     unsigned Arity) const {
+FieldDecl *ClassDecl::findField(std::string_view Name) const {
+  return findField(OwnerProgram->lookup(Name));
+}
+
+MethodDecl *ClassDecl::findOwnMethod(Symbol Sym, unsigned Arity) const {
   for (MethodDecl *M : Methods)
-    if (M->paramCount() == Arity && M->name() == Name)
+    if (M->paramCount() == Arity && M->name().symbol() == Sym)
       return M;
   return nullptr;
 }
 
-MethodDecl *ClassDecl::findMethod(const std::string &Name,
-                                  unsigned Arity) const {
+MethodDecl *ClassDecl::findOwnMethod(ir::Name Name, unsigned Arity) const {
+  Symbol Sym = OwnerProgram->symbolOf(Name);
+  return Sym.isValid() ? findOwnMethod(Sym, Arity) : nullptr;
+}
+
+MethodDecl *ClassDecl::findOwnMethod(std::string_view Name,
+                                     unsigned Arity) const {
+  return findOwnMethod(OwnerProgram->lookup(Name), Arity);
+}
+
+MethodDecl *ClassDecl::findMethod(ir::Name Name, unsigned Arity) const {
   // Every declared method name is interned at addMethod() time, so a name
-  // the interner has never seen cannot resolve anywhere in the program —
-  // the miss costs one read-only hash probe and touches no class.
-  Symbol Sym = OwnerProgram->Names.lookup(Name);
-  if (!Sym.isValid())
-    return nullptr;
+  // the interner has never seen cannot resolve anywhere in the program.
+  Symbol Sym = OwnerProgram->symbolOf(Name);
+  return Sym.isValid() ? findMethod(Sym, Arity) : nullptr;
+}
+
+MethodDecl *ClassDecl::findMethod(std::string_view Name,
+                                  unsigned Arity) const {
+  return findMethod(OwnerProgram->lookup(Name), Arity);
+}
+
+MethodDecl *ClassDecl::findMethod(Symbol Sym, unsigned Arity) const {
   if (MethodLookupEpoch != OwnerProgram->structureEpoch()) {
     MethodLookupCache.clear();
     MethodLookupEpoch = OwnerProgram->structureEpoch();
@@ -125,24 +210,22 @@ MethodDecl *ClassDecl::findMethod(const std::string &Name,
   uint64_t Key = support::packSymbolKey(Sym.rawIndex(), Arity);
   if (MethodDecl *const *Hit = MethodLookupCache.get(Key))
     return *Hit;
-  MethodDecl *M = findMethodUncached(Name, Arity);
+  MethodDecl *M = findMethodUncached(Sym, Arity);
   MethodLookupCache.set(Key, M);
   return M;
 }
 
-MethodDecl *ClassDecl::findMethodUncached(const std::string &Name,
-                                          unsigned Arity) const {
+MethodDecl *ClassDecl::findMethodUncached(Symbol Sym, unsigned Arity) const {
   for (const ClassDecl *C = this; C; C = C->Super)
-    if (MethodDecl *M = C->findOwnMethod(Name, Arity))
+    if (MethodDecl *M = C->findOwnMethod(Sym, Arity))
       return M;
-  // Interface default/abstract declarations: search implemented interfaces
-  // transitively so dispatch through an interface-typed receiver works.
-  for (const ClassDecl *I : Interfaces)
-    if (MethodDecl *M = I->findMethod(Name, Arity))
-      return M;
-  if (Super)
-    for (const ClassDecl *I : Super->Interfaces)
-      if (MethodDecl *M = I->findMethod(Name, Arity))
+  // Interface default/abstract declarations: search the interfaces of
+  // every class on the superclass chain, each transitively, so dispatch
+  // through an interface-typed receiver works however deep the class that
+  // names the interface sits.
+  for (const ClassDecl *C = this; C; C = C->Super)
+    for (const ClassDecl *I : C->Interfaces)
+      if (MethodDecl *M = I->findMethod(Sym, Arity))
         return M;
   return nullptr;
 }
@@ -151,33 +234,56 @@ MethodDecl *ClassDecl::findMethodUncached(const std::string &Name,
 // Program
 //===----------------------------------------------------------------------===//
 
-ClassDecl *Program::addClass(std::string Name, bool IsInterface,
+ir::Name Program::intern(std::string_view Text) {
+  Symbol Sym = Names.intern(Text);
+  return ir::Name(Names.text(Sym), Sym);
+}
+
+ir::Name Program::lookup(std::string_view Text) const {
+  Symbol Sym = Names.lookup(Text);
+  return Sym.isValid() ? ir::Name(Names.text(Sym), Sym) : ir::Name();
+}
+
+ClassDecl *Program::addClass(ir::Name Name, bool IsInterface,
                              bool IsPlatform, DiagnosticEngine *Diags) {
-  Symbol Sym = Names.intern(Name);
-  if (ByName.contains(Sym.rawIndex())) {
+  Name = adopt(Name);
+  if (ByName.contains(Name.symbol().rawIndex())) {
     if (Diags)
       Diags->error("duplicate class name '" + Name + "'");
     return nullptr;
   }
-  ClassDecl *C = DeclArena.create<ClassDecl>(std::move(Name), IsInterface,
-                                             IsPlatform, this, NextClassId++);
+  ClassDecl *C = DeclArena.create<ClassDecl>(Name, IsInterface, IsPlatform,
+                                             this, NextClassId++);
   Classes.push_back(DeclArena, C);
-  ByName.set(Sym.rawIndex(), C);
+  ByName.set(Name.symbol().rawIndex(), C);
   Resolved = false;
   return C;
 }
 
-ClassDecl *Program::findClass(const std::string &Name) const {
-  Symbol Sym = Names.lookup(Name);
+ClassDecl *Program::addClass(std::string_view Name, bool IsInterface,
+                             bool IsPlatform, DiagnosticEngine *Diags) {
+  return addClass(intern(Name), IsInterface, IsPlatform, Diags);
+}
+
+ClassDecl *Program::findClass(Symbol Sym) const {
   if (!Sym.isValid())
     return nullptr;
   ClassDecl *const *Hit = ByName.get(Sym.rawIndex());
   return Hit ? *Hit : nullptr;
 }
 
+ClassDecl *Program::findClass(ir::Name Name) const {
+  return findClass(symbolOf(Name));
+}
+
+ClassDecl *Program::findClass(std::string_view Name) const {
+  return findClass(Names.lookup(Name));
+}
+
 bool Program::resolve(DiagnosticEngine &Diags) {
   ++StructureEpoch; // Super/interface links are about to change.
   bool Ok = true;
+  ClassDecl *Object = findClass(ObjectClassName);
   for (ClassDecl *C : Classes) {
     C->Super = nullptr;
     C->Interfaces.clear();
@@ -191,12 +297,12 @@ bool Program::resolve(DiagnosticEngine &Diags) {
       } else {
         C->Super = Super;
       }
-    } else if (!C->isInterface() && C->name() != ObjectClassName) {
+    } else if (!C->isInterface() && C != Object) {
       // Implicit java.lang.Object superclass when present in the program.
-      C->Super = findClass(ObjectClassName);
+      C->Super = Object;
     }
 
-    for (const std::string &IName : C->InterfaceNames) {
+    for (ir::Name IName : C->InterfaceNames) {
       ClassDecl *Iface = findClass(IName);
       if (!Iface) {
         Diags.error("class '" + C->name() + "' implements unknown interface '" +
@@ -210,7 +316,7 @@ bool Program::resolve(DiagnosticEngine &Diags) {
         Ok = false;
         continue;
       }
-      C->Interfaces.push_back(Iface);
+      C->Interfaces.push_back(DeclArena, Iface);
     }
   }
 

@@ -18,12 +18,13 @@
 /// and MethodDecls; a MethodDecl owns its Variables and Stmts. All
 /// cross-references are stable raw pointers resolved by Program::resolve().
 ///
-/// Allocation (docs/MEMORY.md): declarations are bump-allocated from the
-/// Program's Arena in creation order, so one app's whole IR is a handful
-/// of contiguous slabs released together with the Program. Class, method,
-/// and field names are interned into the Program's StringInterner at
-/// declaration time; name lookups (findClass, the findMethod memo) are
-/// interned-id probes of flat tables — no per-query string hashing.
+/// Allocation (docs/MEMORY.md): declarations, method bodies, variable
+/// tables, and call argument lists are bump-allocated from the Program's
+/// DeclArena, so one app's whole IR is a handful of contiguous slabs
+/// released together with the Program. Every name in the IR (class,
+/// method, field, variable, type, resource) is an ir::Name interned into
+/// the Program's StringInterner; name lookups (findClass, findField, the
+/// findMethod memo) compare or probe integer symbols, never strings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,10 +39,11 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
+#include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <type_traits>
 
 namespace gator {
 namespace ir {
@@ -63,16 +65,79 @@ inline constexpr const char *VoidTypeName = "void";
 inline constexpr const char *ObjectClassName = "java.lang.Object";
 
 /// Returns true if \p Name is a primitive (non-reference) type name.
-bool isPrimitiveTypeName(const std::string &Name);
+bool isPrimitiveTypeName(std::string_view Name);
 
-class Program;
+/// An interned IR name: a view of the spelling held by one Program's
+/// StringInterner plus its Symbol there. 16 bytes, trivially copyable and
+/// destructible. Only a Program makes non-empty Names (intern(),
+/// lookup()), so within one program equal spellings have equal symbols
+/// and lookups key on symbol(). Comparison uses the spelling, which keeps
+/// it meaningful across programs; concatenation and streaming render the
+/// spelling exactly as a std::string would.
+class Name {
+public:
+  /// The empty name (no symbol).
+  Name() = default;
+
+  std::string_view view() const { return std::string_view(Ptr, Len); }
+  operator std::string_view() const { return view(); }
+  std::string str() const { return std::string(view()); }
+
+  Symbol symbol() const { return Sym; }
+  const char *data() const { return Ptr; }
+  size_t size() const { return Len; }
+  bool empty() const { return Len == 0; }
+
+private:
+  friend class Program;
+  Name(std::string_view Text, Symbol Sym)
+      : Ptr(Text.data()), Len(static_cast<uint32_t>(Text.size())), Sym(Sym) {}
+
+  const char *Ptr = "";
+  uint32_t Len = 0;
+  Symbol Sym;
+};
+
+static_assert(sizeof(Name) == 16 && std::is_trivially_copyable_v<Name>,
+              "ir::Name must stay a 16-byte trivially copyable handle");
+
+inline bool operator==(Name A, Name B) {
+  return (A.data() == B.data() && A.size() == B.size()) ||
+         A.view() == B.view();
+}
+inline bool operator==(Name A, std::string_view B) { return A.view() == B; }
+
+inline std::string operator+(std::string L, Name R) {
+  L.append(R.view());
+  return L;
+}
+inline std::string operator+(const char *L, Name R) {
+  return std::string(L) + R;
+}
+inline std::string operator+(Name L, std::string_view R) {
+  std::string S(L.view());
+  S.append(R);
+  return S;
+}
+inline std::string operator+(Name L, const char *R) {
+  return L + std::string_view(R);
+}
+inline std::string operator+(Name L, char R) {
+  std::string S(L.view());
+  S += R;
+  return S;
+}
+
+inline std::ostream &operator<<(std::ostream &OS, Name N) {
+  return OS << N.view();
+}
 
 /// A local variable or formal parameter.
 struct Variable {
-  std::string Name;
+  ir::Name Name;
   /// Declared type name; a class name, "int", or empty (treated as
   /// java.lang.Object).
-  std::string TypeName;
+  ir::Name TypeName;
   bool IsParam = false;
   bool IsThis = false;
 };
@@ -81,13 +146,13 @@ struct Variable {
 /// constraint-graph node per FieldDecl, independent of the base object.
 class FieldDecl {
 public:
-  FieldDecl(std::string Name, std::string TypeName, bool IsStatic,
+  FieldDecl(ir::Name Name, ir::Name TypeName, bool IsStatic,
             const ClassDecl *Owner, uint32_t GlobalId)
-      : Name(std::move(Name)), TypeName(std::move(TypeName)),
-        IsStatic(IsStatic), Owner(Owner), GlobalId(GlobalId) {}
+      : DeclName(Name), TypeName(TypeName), IsStatic(IsStatic), Owner(Owner),
+        GlobalId(GlobalId) {}
 
-  const std::string &name() const { return Name; }
-  const std::string &typeName() const { return TypeName; }
+  ir::Name name() const { return DeclName; }
+  ir::Name typeName() const { return TypeName; }
   bool isStatic() const { return IsStatic; }
   const ClassDecl *owner() const { return Owner; }
 
@@ -98,8 +163,8 @@ public:
   std::string qualifiedName() const;
 
 private:
-  std::string Name;
-  std::string TypeName;
+  ir::Name DeclName;
+  ir::Name TypeName;
   bool IsStatic;
   const ClassDecl *Owner;
   uint32_t GlobalId;
@@ -108,7 +173,7 @@ private:
 /// Statement kinds, mirroring the grammar of ALite in Section 3 plus the
 /// Android id-constant extensions of Section 3.2.1 and a class-constant
 /// form used by the activity-transition-graph client.
-enum class StmtKind {
+enum class StmtKind : uint8_t {
   AssignVar,        ///< x := y
   AssignNew,        ///< x := new C (constructor call lowered separately)
   AssignNull,       ///< x := null
@@ -123,10 +188,15 @@ enum class StmtKind {
   Return,           ///< return [x]
 };
 
+/// The argument list of an Invoke: VarIds copied onto the owning
+/// Program's DeclArena (Program::makeArgs()).
+using ArgList = support::ArenaSpan<VarId>;
+
 /// One ALite statement. A tagged aggregate: the meaningful members depend
-/// on Kind (see the per-kind accessors for the exact contract).
+/// on Kind (see the per-kind accessors for the exact contract). Trivially
+/// copyable and destructible: names are interned and Args lives on the
+/// arena, so a method body is one flat array of these.
 struct Stmt {
-  StmtKind Kind;
   SourceLocation Loc;
 
   /// Destination variable (AssignXxx, LoadXxx, Invoke-with-result, Return
@@ -138,36 +208,31 @@ struct Stmt {
   /// StoreField/StoreStaticField value operand.
   VarId Rhs = InvalidVar;
 
+  StmtKind Kind = StmtKind::AssignVar;
+
   /// Field name for Load/StoreField (resolved during analysis against the
   /// base's declared type) and Load/StoreStaticField.
-  std::string FieldName;
+  Name FieldName;
   /// Class name for AssignNew, AssignClassConst, and static field access.
-  std::string ClassName;
+  Name ClassName;
   /// Resource name for AssignLayoutId / AssignViewId.
-  std::string ResourceName;
+  Name ResourceName;
   /// Invoked method name for Invoke.
-  std::string MethodName;
+  Name MethodName;
   /// Argument variables for Invoke.
-  std::vector<VarId> Args;
+  ArgList Args;
 };
 
 /// A method declaration with its body.
 class MethodDecl {
 public:
-  MethodDecl(std::string Name, std::string ReturnTypeName, bool IsStatic,
+  MethodDecl(ir::Name Name, ir::Name ReturnTypeName, bool IsStatic,
              ClassDecl *Owner, uint32_t GlobalId)
-      : Name(std::move(Name)), ReturnTypeName(std::move(ReturnTypeName)),
-        IsStatic(IsStatic), Owner(Owner), GlobalId(GlobalId) {
-    if (!IsStatic) {
-      Variable This;
-      This.Name = "this";
-      This.IsThis = true;
-      Vars.push_back(std::move(This)); // TypeName patched by ClassDecl.
-    }
-  }
+      : DeclName(Name), ReturnTypeName(ReturnTypeName), IsStatic(IsStatic),
+        Owner(Owner), GlobalId(GlobalId) {}
 
-  const std::string &name() const { return Name; }
-  const std::string &returnTypeName() const { return ReturnTypeName; }
+  ir::Name name() const { return DeclName; }
+  ir::Name returnTypeName() const { return ReturnTypeName; }
   bool isStatic() const { return IsStatic; }
   ClassDecl *owner() { return Owner; }
   const ClassDecl *owner() const { return Owner; }
@@ -190,23 +255,34 @@ public:
     return 0;
   }
 
-  /// Appends a formal parameter. Must precede any addLocal() call.
-  VarId addParam(std::string Name, std::string TypeName);
+  /// Appends a formal parameter. Must precede any addLocal() call. The
+  /// string forms intern through the owning Program.
+  VarId addParam(ir::Name Name, ir::Name TypeName);
+  VarId addParam(std::string_view Name, std::string_view TypeName);
 
   /// Appends a local variable, returning its VarId.
-  VarId addLocal(std::string Name, std::string TypeName);
+  VarId addLocal(ir::Name Name, ir::Name TypeName);
+  VarId addLocal(std::string_view Name, std::string_view TypeName);
 
   /// Finds a variable by name, or InvalidVar.
   VarId findVar(std::string_view Name) const;
 
-  const std::vector<Variable> &vars() const { return Vars; }
+  const support::ArenaVector<Variable> &vars() const { return Vars; }
   const Variable &var(VarId Id) const {
     assert(Id >= 0 && static_cast<size_t>(Id) < Vars.size() && "bad VarId");
     return Vars[Id];
   }
 
-  std::vector<Stmt> &body() { return Body; }
-  const std::vector<Stmt> &body() const { return Body; }
+  /// The statements, in order. Mutable in place; appendStmt()/setBody()
+  /// change the length.
+  support::ArenaVector<Stmt> &body() { return Body; }
+  const support::ArenaVector<Stmt> &body() const { return Body; }
+
+  /// Appends one statement. Its names and Args must belong to the owning
+  /// Program.
+  void appendStmt(const Stmt &S);
+  /// Replaces the body with a copy of \p Stmts (one exact-size block).
+  void setBody(std::span<const Stmt> Stmts);
 
   /// True for bodiless declarations (interface methods, abstract methods,
   /// platform API stubs).
@@ -223,27 +299,32 @@ public:
 private:
   friend class ClassDecl;
 
-  std::string Name;
-  std::string ReturnTypeName;
+  support::Arena &arena() const;
+
+  ir::Name DeclName;
+  ir::Name ReturnTypeName;
   bool IsStatic;
   bool Abstract = false;
   ClassDecl *Owner;
   uint32_t GlobalId = 0;
   unsigned NumParams = 0;
-  std::vector<Variable> Vars;
-  std::vector<Stmt> Body;
+  support::ArenaVector<Variable> Vars;
+  support::ArenaVector<Stmt> Body;
 };
 
 /// A class or interface declaration.
 class ClassDecl {
 public:
-  ClassDecl(std::string Name, bool IsInterface, bool IsPlatform,
-            Program *Owner, uint32_t GlobalId)
-      : Name(std::move(Name)), IsInterface(IsInterface),
-        IsPlatform(IsPlatform), OwnerProgram(Owner), GlobalId(GlobalId) {}
+  ClassDecl(ir::Name Name, bool IsInterface, bool IsPlatform, Program *Owner,
+            uint32_t GlobalId)
+      : DeclName(Name), IsInterface(IsInterface), IsPlatform(IsPlatform),
+        OwnerProgram(Owner), GlobalId(GlobalId) {}
 
-  const std::string &name() const { return Name; }
+  ir::Name name() const { return DeclName; }
   bool isInterface() const { return IsInterface; }
+
+  /// The Program this class belongs to.
+  Program &program() const { return *OwnerProgram; }
 
   /// Per-program dense id (creation order); see MethodDecl::globalId().
   uint32_t globalId() const { return GlobalId; }
@@ -253,26 +334,29 @@ public:
   /// in platform classes are not included in the input program").
   bool isPlatform() const { return IsPlatform; }
 
-  const std::string &superName() const { return SuperName; }
-  void setSuperName(std::string Name) { SuperName = std::move(Name); }
+  ir::Name superName() const { return SuperName; }
+  void setSuperName(ir::Name Name);
+  void setSuperName(std::string_view Name);
 
-  const std::vector<std::string> &interfaceNames() const {
+  const support::ArenaVector<ir::Name> &interfaceNames() const {
     return InterfaceNames;
   }
-  void addInterfaceName(std::string Name) {
-    InterfaceNames.push_back(std::move(Name));
-  }
+  void addInterfaceName(ir::Name Name);
+  void addInterfaceName(std::string_view Name);
 
   /// Resolved superclass; null for java.lang.Object and for interfaces
   /// without an extended interface. Populated by Program::resolve().
   const ClassDecl *superClass() const { return Super; }
-  const std::vector<const ClassDecl *> &interfaces() const {
+  const support::ArenaVector<const ClassDecl *> &interfaces() const {
     return Interfaces;
   }
 
-  FieldDecl *addField(std::string Name, std::string TypeName,
+  FieldDecl *addField(ir::Name Name, ir::Name TypeName, bool IsStatic = false);
+  FieldDecl *addField(std::string_view Name, std::string_view TypeName,
                       bool IsStatic = false);
-  MethodDecl *addMethod(std::string Name, std::string ReturnTypeName,
+  MethodDecl *addMethod(ir::Name Name, ir::Name ReturnTypeName,
+                        bool IsStatic = false);
+  MethodDecl *addMethod(std::string_view Name, std::string_view ReturnTypeName,
                         bool IsStatic = false);
 
   /// Declaration lists in creation order. The decls themselves live in the
@@ -282,36 +366,45 @@ public:
   const support::ArenaVector<MethodDecl *> &methods() const { return Methods; }
 
   /// Finds a field declared on this class (no inheritance walk).
-  FieldDecl *findOwnField(const std::string &Name) const;
+  FieldDecl *findOwnField(ir::Name Name) const;
+  FieldDecl *findOwnField(std::string_view Name) const;
   /// Finds a field on this class or a superclass.
-  FieldDecl *findField(const std::string &Name) const;
+  FieldDecl *findField(ir::Name Name) const;
+  FieldDecl *findField(std::string_view Name) const;
 
   /// Finds a method with the given name and parameter count declared on
   /// this class (no inheritance walk).
-  MethodDecl *findOwnMethod(const std::string &Name, unsigned Arity) const;
-  /// Finds a method on this class, superclasses, or implemented interfaces.
-  /// Memoized per class; the cache is dropped whenever any class in the
-  /// owning program gains a method or the program is (re-)resolved (see
-  /// Program::structureEpoch()).
-  MethodDecl *findMethod(const std::string &Name, unsigned Arity) const;
+  MethodDecl *findOwnMethod(ir::Name Name, unsigned Arity) const;
+  MethodDecl *findOwnMethod(std::string_view Name, unsigned Arity) const;
+  /// Finds a method on this class, superclasses, or the interfaces any of
+  /// them implements. Memoized per class; the cache is dropped whenever
+  /// any class in the owning program gains a method or the program is
+  /// (re-)resolved (see Program::structureEpoch()).
+  MethodDecl *findMethod(ir::Name Name, unsigned Arity) const;
+  MethodDecl *findMethod(std::string_view Name, unsigned Arity) const;
+
+  /// Symbol forms of the lookups above; \p Sym must be a valid symbol of
+  /// the owning Program (Program::symbolOf()).
+  MethodDecl *findOwnMethod(Symbol Sym, unsigned Arity) const;
+  FieldDecl *findOwnField(Symbol Sym) const;
+  MethodDecl *findMethod(Symbol Sym, unsigned Arity) const;
 
 private:
   friend class Program;
 
   /// Uncached inheritance/interface walk backing findMethod().
-  MethodDecl *findMethodUncached(const std::string &Name,
-                                 unsigned Arity) const;
+  MethodDecl *findMethodUncached(Symbol Sym, unsigned Arity) const;
 
-  std::string Name;
+  ir::Name DeclName;
   bool IsInterface;
   bool IsPlatform;
   Program *OwnerProgram;
   uint32_t GlobalId;
-  std::string SuperName;
-  std::vector<std::string> InterfaceNames;
+  ir::Name SuperName;
+  support::ArenaVector<ir::Name> InterfaceNames;
 
   const ClassDecl *Super = nullptr;
-  std::vector<const ClassDecl *> Interfaces;
+  support::ArenaVector<const ClassDecl *> Interfaces;
 
   support::ArenaVector<FieldDecl *> Fields;
   support::ArenaVector<MethodDecl *> Methods;
@@ -338,16 +431,51 @@ public:
   Program(const Program &) = delete;
   Program &operator=(const Program &) = delete;
 
+  /// Interns \p Text into this program's name table. Every Name stored in
+  /// this program's IR comes from here; a Name from another Program is
+  /// re-interned by passing it back through this function.
+  ir::Name intern(std::string_view Text);
+
+  /// The Name for \p Text if it was ever interned here, else the empty
+  /// Name. Never grows the table.
+  ir::Name lookup(std::string_view Text) const;
+
+  /// True if \p N was interned by this program (its view points into this
+  /// program's name table).
+  bool owns(ir::Name N) const {
+    return N.symbol().isValid() && N.symbol().rawIndex() < Names.size() &&
+           Names.text(N.symbol()).data() == N.data();
+  }
+
+  /// \p N itself when this program owns it, else its spelling interned
+  /// here (the empty name stays the empty Name). Every declaration mutator
+  /// that takes an ir::Name stores the adopted name, so a Name from
+  /// another program never lands in this one's IR.
+  ir::Name adopt(ir::Name N) {
+    if (owns(N))
+      return N;
+    return N.empty() ? ir::Name() : intern(N.view());
+  }
+
+  /// Copies \p Args onto the DeclArena for a Stmt::Args field.
+  ArgList makeArgs(std::span<const VarId> Args) {
+    return ArgList(DeclArena, Args.data(), Args.size());
+  }
+
   /// Creates and registers a class. Returns null and reports a diagnostic
   /// if the name is already taken.
-  ClassDecl *addClass(std::string Name, bool IsInterface = false,
+  ClassDecl *addClass(ir::Name Name, bool IsInterface = false,
+                      bool IsPlatform = false,
+                      DiagnosticEngine *Diags = nullptr);
+  ClassDecl *addClass(std::string_view Name, bool IsInterface = false,
                       bool IsPlatform = false,
                       DiagnosticEngine *Diags = nullptr);
 
-  /// Finds a class by qualified name, or null. An interned-id probe: a
-  /// name that was never interned misses without hashing a single bucket
-  /// chain of strings.
-  ClassDecl *findClass(const std::string &Name) const;
+  /// Finds a class by qualified name, or null. A Name of this program is
+  /// one symbol probe; a string is looked up in the interner first, and a
+  /// name that was never interned misses without touching the class table.
+  ClassDecl *findClass(ir::Name Name) const;
+  ClassDecl *findClass(std::string_view Name) const;
 
   /// Classes in creation order (arena pointer array, see docs/MEMORY.md).
   const support::ArenaVector<ClassDecl *> &classes() const { return Classes; }
@@ -367,6 +495,9 @@ public:
   unsigned appClassCount() const;
   /// Number of methods with bodies in application classes.
   unsigned appMethodCount() const;
+  /// Number of methods ever declared (platform and application); every
+  /// MethodDecl::globalId() is below it.
+  uint32_t methodIdLimit() const { return NextMethodId; }
 
   /// Monotone counter bumped whenever this program's method/supertype
   /// structure changes (ClassDecl::addMethod, resolve()). Per-class
@@ -377,21 +508,33 @@ public:
   /// (docs/PARALLEL.md).
   uint64_t structureEpoch() const { return StructureEpoch; }
 
-  /// The interner backing all declaration-name lookups. Exposed so
-  /// clients keying their own side tables by name can reuse the symbols.
-  StringInterner &names() { return Names; }
+  /// The interner backing every Name of this program. Exposed so clients
+  /// keying their own side tables by name can reuse the symbols.
   const StringInterner &names() const { return Names; }
 
-  /// The arena owning every declaration of this program. Exposed for
-  /// footprint accounting (AppStats::ArenaBytes).
+  /// The arena owning every declaration, body, and variable table of this
+  /// program. Exposed for footprint accounting (AppStats::ArenaBytes).
   const support::Arena &declArena() const { return DeclArena; }
+
+  /// The symbol \p N has in this program: its own for a Name of this
+  /// program, else the interner's answer for the spelling (invalid when
+  /// never interned here).
+  Symbol symbolOf(ir::Name N) const {
+    return owns(N) ? N.symbol() : Names.lookup(N.view());
+  }
 
 private:
   friend class ClassDecl; // addMethod/addField allocate ids + bump epoch.
+  friend class MethodDecl; // bodies and variable tables live on DeclArena.
 
-  /// Owns all ClassDecl/MethodDecl/FieldDecl storage; declared first so
-  /// it is destroyed last (decl destructors run inside ~Arena, after the
+  ClassDecl *findClass(Symbol Sym) const;
+
+  /// Owns all ClassDecl/MethodDecl/FieldDecl storage, the bodies and
+  /// variable tables, and the per-class lists; declared first so it is
+  /// destroyed last (ClassDecl destructors run inside ~Arena, after the
   /// pointer tables below are gone — they never dereference them).
+  /// Everything but ClassDecl is trivially destructible, so tearing a
+  /// program down frees slabs, not objects.
   support::Arena DeclArena;
   StringInterner Names;
   support::ArenaVector<ClassDecl *> Classes;
@@ -407,6 +550,12 @@ private:
   uint32_t NextMethodId = 0;
   uint32_t NextFieldId = 0;
 };
+
+static_assert(std::is_trivially_destructible_v<Stmt> &&
+                  std::is_trivially_destructible_v<Variable> &&
+                  std::is_trivially_destructible_v<MethodDecl> &&
+                  std::is_trivially_destructible_v<FieldDecl>,
+              "IR bodies and decls are released as arena slabs");
 
 } // namespace ir
 } // namespace gator

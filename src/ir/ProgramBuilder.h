@@ -69,7 +69,7 @@ public:
   MethodBuilder &assignNew(const std::string &X, const std::string &Klass) {
     Stmt S = make(StmtKind::AssignNew);
     S.Lhs = var(X);
-    S.ClassName = Klass;
+    S.ClassName = name(Klass);
     return push(S);
   }
 
@@ -86,7 +86,7 @@ public:
     Stmt S = make(StmtKind::LoadField);
     S.Lhs = var(X);
     S.Base = var(Y);
-    S.FieldName = Field;
+    S.FieldName = name(Field);
     return push(S);
   }
 
@@ -95,7 +95,7 @@ public:
                             const std::string &Y) {
     Stmt S = make(StmtKind::StoreField);
     S.Base = var(X);
-    S.FieldName = Field;
+    S.FieldName = name(Field);
     S.Rhs = var(Y);
     return push(S);
   }
@@ -105,8 +105,8 @@ public:
                             const std::string &Field) {
     Stmt S = make(StmtKind::LoadStaticField);
     S.Lhs = var(X);
-    S.ClassName = Klass;
-    S.FieldName = Field;
+    S.ClassName = name(Klass);
+    S.FieldName = name(Field);
     return push(S);
   }
 
@@ -114,8 +114,8 @@ public:
   MethodBuilder &storeStatic(const std::string &Klass,
                              const std::string &Field, const std::string &Y) {
     Stmt S = make(StmtKind::StoreStaticField);
-    S.ClassName = Klass;
-    S.FieldName = Field;
+    S.ClassName = name(Klass);
+    S.FieldName = name(Field);
     S.Rhs = var(Y);
     return push(S);
   }
@@ -124,7 +124,7 @@ public:
   MethodBuilder &layoutId(const std::string &X, const std::string &Name) {
     Stmt S = make(StmtKind::AssignLayoutId);
     S.Lhs = var(X);
-    S.ResourceName = Name;
+    S.ResourceName = name(Name);
     return push(S);
   }
 
@@ -132,7 +132,7 @@ public:
   MethodBuilder &viewId(const std::string &X, const std::string &Name) {
     Stmt S = make(StmtKind::AssignViewId);
     S.Lhs = var(X);
-    S.ResourceName = Name;
+    S.ResourceName = name(Name);
     return push(S);
   }
 
@@ -140,7 +140,7 @@ public:
   MethodBuilder &classConst(const std::string &X, const std::string &Klass) {
     Stmt S = make(StmtKind::AssignClassConst);
     S.Lhs = var(X);
-    S.ClassName = Klass;
+    S.ClassName = name(Klass);
     return push(S);
   }
 
@@ -148,20 +148,13 @@ public:
   MethodBuilder &invoke(std::optional<std::string> Lhs,
                         const std::string &Base, const std::string &Method,
                         const std::vector<std::string> &Args = {}) {
-    Stmt S = make(StmtKind::Invoke);
-    if (Lhs)
-      S.Lhs = var(*Lhs);
-    S.Base = var(Base);
-    S.MethodName = Method;
-    for (const std::string &A : Args)
-      S.Args.push_back(var(A));
-    return push(S);
+    return emitInvoke(Lhs ? &*Lhs : nullptr, Base, Method, Args);
   }
 
   /// base.m(args) with no result.
   MethodBuilder &call(const std::string &Base, const std::string &Method,
                       const std::vector<std::string> &Args = {}) {
-    return invoke(std::nullopt, Base, Method, Args);
+    return emitInvoke(nullptr, Base, Method, Args);
   }
 
   /// return [x]
@@ -192,8 +185,31 @@ private:
     return S;
   }
 
-  MethodBuilder &push(Stmt &S) {
-    M->body().push_back(std::move(S));
+  /// invoke() and call() share this; \p Lhs is null for no result. (A
+  /// std::nullopt passed on from call() draws a false GCC 12
+  /// -Wmaybe-uninitialized in sanitizer builds.)
+  MethodBuilder &emitInvoke(const std::string *Lhs, const std::string &Base,
+                            const std::string &Method,
+                            const std::vector<std::string> &Args) {
+    Stmt S = make(StmtKind::Invoke);
+    if (Lhs)
+      S.Lhs = var(*Lhs);
+    S.Base = var(Base);
+    S.MethodName = name(Method);
+    std::vector<VarId> Ids;
+    for (const std::string &A : Args)
+      Ids.push_back(var(A));
+    S.Args = M->owner()->program().makeArgs(Ids);
+    return push(S);
+  }
+
+  /// Interns \p Text into the program that owns the method.
+  ir::Name name(std::string_view Text) const {
+    return M->owner()->program().intern(Text);
+  }
+
+  MethodBuilder &push(const Stmt &S) {
+    M->appendStmt(S);
     return *this;
   }
 

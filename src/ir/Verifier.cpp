@@ -36,7 +36,7 @@ private:
   }
 
   const ClassDecl *declaredClass(VarId Id) const {
-    const std::string &TypeName = M.var(Id).TypeName;
+    ir::Name TypeName = M.var(Id).TypeName;
     if (TypeName.empty() || isPrimitiveTypeName(TypeName))
       return nullptr;
     return P.findClass(TypeName);

@@ -5,32 +5,32 @@
 using namespace gator;
 using namespace gator::layout;
 
-ResourceId ResourceTable::internLayoutId(const std::string &Name) {
+ResourceId ResourceTable::internLayoutId(std::string_view Name) {
   auto It = LayoutByName.find(Name);
   if (It != LayoutByName.end())
     return It->second;
   ResourceId Id = LayoutIdBase + static_cast<ResourceId>(LayoutNames.size());
-  LayoutNames.push_back(Name);
-  LayoutByName.emplace(Name, Id);
+  LayoutNames.emplace_back(Name);
+  LayoutByName.emplace(LayoutNames.back(), Id);
   return Id;
 }
 
-ResourceId ResourceTable::internViewId(const std::string &Name) {
+ResourceId ResourceTable::internViewId(std::string_view Name) {
   auto It = ViewIdByName.find(Name);
   if (It != ViewIdByName.end())
     return It->second;
   ResourceId Id = ViewIdBase + static_cast<ResourceId>(ViewIdNames.size());
-  ViewIdNames.push_back(Name);
-  ViewIdByName.emplace(Name, Id);
+  ViewIdNames.emplace_back(Name);
+  ViewIdByName.emplace(ViewIdNames.back(), Id);
   return Id;
 }
 
-ResourceId ResourceTable::lookupLayoutId(const std::string &Name) const {
+ResourceId ResourceTable::lookupLayoutId(std::string_view Name) const {
   auto It = LayoutByName.find(Name);
   return It == LayoutByName.end() ? InvalidResourceId : It->second;
 }
 
-ResourceId ResourceTable::lookupViewId(const std::string &Name) const {
+ResourceId ResourceTable::lookupViewId(std::string_view Name) const {
   auto It = ViewIdByName.find(Name);
   return It == ViewIdByName.end() ? InvalidResourceId : It->second;
 }

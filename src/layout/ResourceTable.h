@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -37,14 +38,14 @@ public:
   static constexpr ResourceId ViewIdBase = 0x7f080000;
 
   /// Interns a layout name, returning its stable integer id.
-  ResourceId internLayoutId(const std::string &Name);
+  ResourceId internLayoutId(std::string_view Name);
   /// Interns a view id name, returning its stable integer id.
-  ResourceId internViewId(const std::string &Name);
+  ResourceId internViewId(std::string_view Name);
 
   /// Looks up an already-interned layout name; InvalidResourceId if absent.
-  ResourceId lookupLayoutId(const std::string &Name) const;
+  ResourceId lookupLayoutId(std::string_view Name) const;
   /// Looks up an already-interned view id name; InvalidResourceId if absent.
-  ResourceId lookupViewId(const std::string &Name) const;
+  ResourceId lookupViewId(std::string_view Name) const;
 
   /// Maps a layout integer back to its name, if it is one.
   std::optional<std::string> layoutName(ResourceId Id) const;
@@ -71,10 +72,21 @@ public:
   }
 
 private:
+  /// Hashes std::string keys and string_view probes alike, so lookups
+  /// with an IR name's spelling build no key string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+  using NameMap =
+      std::unordered_map<std::string, ResourceId, NameHash, std::equal_to<>>;
+
   std::vector<std::string> LayoutNames;
   std::vector<std::string> ViewIdNames;
-  std::unordered_map<std::string, ResourceId> LayoutByName;
-  std::unordered_map<std::string, ResourceId> ViewIdByName;
+  NameMap LayoutByName;
+  NameMap ViewIdByName;
 };
 
 } // namespace layout

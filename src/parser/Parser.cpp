@@ -11,7 +11,8 @@ namespace {
 class AliteParser {
 public:
   AliteParser(std::vector<Token> Tokens, Program &P, DiagnosticEngine &Diags)
-      : Tokens(std::move(Tokens)), P(P), Diags(Diags) {}
+      : Tokens(std::move(Tokens)), P(P), Diags(Diags),
+        VoidName(P.intern(VoidTypeName)) {}
 
   bool run() {
     while (!at(TokenKind::EndOfFile)) {
@@ -96,31 +97,60 @@ private:
   // Names and types
   //===--------------------------------------------------------------------===//
 
+  /// Interns a token's spelling (it views the input buffer).
+  ir::Name intern(const Token &T) { return P.intern(T.Text); }
+
   /// qname := ident ("." ident)*
-  bool parseQName(std::string &Out, const char *Context) {
+  ///
+  /// The spelling is the identifiers joined by '.'. When no trivia sits
+  /// between the tokens it is one contiguous span of the input and is
+  /// interned straight from there; only a split spelling is assembled in
+  /// the reused scratch buffer.
+  bool parseQName(ir::Name &Out, const char *Context) {
     if (!at(TokenKind::Identifier)) {
       error(std::string("expected name ") + Context);
       return false;
     }
-    Out = take().Text;
+    std::string_view First = take().Text;
+    const char *End = First.data() + First.size();
+    bool Contiguous = true;
+    Scratch.clear();
     while (at(TokenKind::Dot) && lookahead().is(TokenKind::Identifier)) {
-      take(); // '.'
-      Out += '.';
-      Out += take().Text;
+      std::string_view Dot = take().Text;
+      std::string_view Part = take().Text;
+      if (Contiguous && Dot.data() == End && Part.data() == End + 1) {
+        End = Part.data() + Part.size();
+        continue;
+      }
+      if (Contiguous) {
+        Scratch.assign(First.data(), End);
+        Contiguous = false;
+      }
+      Scratch += '.';
+      Scratch += Part;
     }
+    Out = P.intern(Contiguous ? std::string_view(First.data(),
+                                                 End - First.data())
+                              : std::string_view(Scratch));
     return true;
   }
 
   /// Splits "a.b.C.f" into class "a.b.C" and member "f".
-  static bool splitLastComponent(const std::string &QName, std::string &Prefix,
-                                 std::string &Last) {
-    size_t Pos = QName.rfind('.');
-    if (Pos == std::string::npos || Pos + 1 >= QName.size())
+  bool splitLastComponent(ir::Name QName, ir::Name &Prefix, ir::Name &Last) {
+    std::string_view Text = QName.view();
+    size_t Pos = Text.rfind('.');
+    if (Pos == std::string_view::npos || Pos + 1 >= Text.size())
       return false;
-    Prefix = QName.substr(0, Pos);
-    Last = QName.substr(Pos + 1);
+    Prefix = P.intern(Text.substr(0, Pos));
+    Last = P.intern(Text.substr(Pos + 1));
     return true;
   }
+
+  /// Appends a statement to the body of the method being parsed.
+  void emit(const Stmt &S) { Body.push_back(S); }
+
+  /// Copies the argument scratch list onto the program's arena.
+  ir::ArgList takeArgs() { return P.makeArgs(Args); }
 
   //===--------------------------------------------------------------------===//
   // Declarations
@@ -138,7 +168,7 @@ private:
       return false;
     }
 
-    std::string Name;
+    ir::Name Name;
     if (!parseQName(Name, "after 'class'/'interface'"))
       return false;
 
@@ -149,14 +179,14 @@ private:
     }
 
     if (accept(TokenKind::KwExtends)) {
-      std::string Super;
+      ir::Name Super;
       if (!parseQName(Super, "after 'extends'"))
         return false;
       C->setSuperName(Super);
     }
     if (accept(TokenKind::KwImplements)) {
       do {
-        std::string Iface;
+        ir::Name Iface;
         if (!parseQName(Iface, "after 'implements'"))
           return false;
         C->addInterfaceName(Iface);
@@ -187,15 +217,15 @@ private:
       error("expected field name");
       return false;
     }
-    std::string Name(take().Text);
+    ir::Name Name = intern(take());
     if (!expect(TokenKind::Colon, "after field name"))
       return false;
-    std::string TypeName;
+    ir::Name TypeName;
     if (!parseQName(TypeName, "as field type"))
       return false;
     if (!expect(TokenKind::Semicolon, "after field declaration"))
       return false;
-    C.addField(std::move(Name), std::move(TypeName), IsStatic);
+    C.addField(Name, TypeName, IsStatic);
     return true;
   }
 
@@ -205,14 +235,11 @@ private:
       error("expected method name");
       return false;
     }
-    std::string Name(take().Text);
+    ir::Name Name = intern(take());
     if (!expect(TokenKind::LParen, "after method name"))
       return false;
 
-    struct Param {
-      std::string Name, TypeName;
-    };
-    std::vector<Param> Params;
+    Params.clear();
     if (!at(TokenKind::RParen)) {
       do {
         if (!at(TokenKind::Identifier)) {
@@ -220,26 +247,28 @@ private:
           return false;
         }
         Param Prm;
-        Prm.Name = take().Text;
+        Prm.Name = intern(take());
         if (!expect(TokenKind::Colon, "after parameter name"))
           return false;
         if (!parseQName(Prm.TypeName, "as parameter type"))
           return false;
-        Params.push_back(std::move(Prm));
+        Params.push_back(Prm);
       } while (accept(TokenKind::Comma));
     }
     if (!expect(TokenKind::RParen, "to close parameter list"))
       return false;
 
-    std::string RetType = VoidTypeName;
+    ir::Name RetType;
     if (accept(TokenKind::Colon)) {
       if (!parseQName(RetType, "as return type"))
         return false;
+    } else {
+      RetType = VoidName;
     }
 
-    MethodDecl *M = C.addMethod(std::move(Name), std::move(RetType), IsStatic);
-    for (Param &Prm : Params)
-      M->addParam(std::move(Prm.Name), std::move(Prm.TypeName));
+    MethodDecl *M = C.addMethod(Name, RetType, IsStatic);
+    for (const Param &Prm : Params)
+      M->addParam(Prm.Name, Prm.TypeName);
 
     if (accept(TokenKind::Semicolon)) {
       M->setAbstract(true);
@@ -247,10 +276,14 @@ private:
     }
     if (!expect(TokenKind::LBrace, "to open method body"))
       return false;
+    // Statements collect in the reused Body scratch and land on the arena
+    // as one exact-size block.
+    Body.clear();
     while (!at(TokenKind::RBrace) && !at(TokenKind::EndOfFile)) {
       if (!parseStmt(*M))
         syncToStmtEnd();
     }
+    M->setBody(Body);
     return expect(TokenKind::RBrace, "to close method body");
   }
 
@@ -268,7 +301,9 @@ private:
     return Id;
   }
 
-  bool parseArgs(MethodDecl &M, std::vector<VarId> &Args) {
+  /// Parses `(a, b, ...)` into the Args scratch list.
+  bool parseArgs(MethodDecl &M) {
+    Args.clear();
     if (!expect(TokenKind::LParen, "to open argument list"))
       return false;
     if (!at(TokenKind::RParen)) {
@@ -304,12 +339,12 @@ private:
       }
       if (!expect(TokenKind::Colon, "after variable name"))
         return false;
-      std::string TypeName;
+      ir::Name TypeName;
       if (!parseQName(TypeName, "as variable type"))
         return false;
       if (!expect(TokenKind::Semicolon, "after variable declaration"))
         return false;
-      M.addLocal(std::string(NameTok.Text), std::move(TypeName));
+      M.addLocal(intern(NameTok), TypeName);
       return true;
     }
 
@@ -325,16 +360,16 @@ private:
       }
       if (!expect(TokenKind::Semicolon, "after return"))
         return false;
-      M.body().push_back(std::move(S));
+      emit(S);
       return true;
     }
 
     // static C.f := y;
     if (accept(TokenKind::KwStatic)) {
-      std::string QName;
+      ir::Name QName;
       if (!parseQName(QName, "after 'static'"))
         return false;
-      std::string ClassName, FieldName;
+      ir::Name ClassName, FieldName;
       if (!splitLastComponent(QName, ClassName, FieldName)) {
         error("static field access needs a qualified 'Class.field' name");
         return false;
@@ -353,10 +388,10 @@ private:
       Stmt S;
       S.Kind = StmtKind::StoreStaticField;
       S.Loc = Loc;
-      S.ClassName = std::move(ClassName);
-      S.FieldName = std::move(FieldName);
+      S.ClassName = ClassName;
+      S.FieldName = FieldName;
       S.Rhs = Rhs;
-      M.body().push_back(std::move(S));
+      emit(S);
       return true;
     }
 
@@ -383,12 +418,13 @@ private:
         S.Kind = StmtKind::Invoke;
         S.Loc = Loc;
         S.Base = Base;
-        S.MethodName = MemberTok.Text;
-        if (!parseArgs(M, S.Args))
+        S.MethodName = intern(MemberTok);
+        if (!parseArgs(M))
           return false;
+        S.Args = takeArgs();
         if (!expect(TokenKind::Semicolon, "after call"))
           return false;
-        M.body().push_back(std::move(S));
+        emit(S);
         return true;
       }
 
@@ -407,9 +443,9 @@ private:
       S.Kind = StmtKind::StoreField;
       S.Loc = Loc;
       S.Base = Base;
-      S.FieldName = MemberTok.Text;
+      S.FieldName = intern(MemberTok);
       S.Rhs = Rhs;
-      M.body().push_back(std::move(S));
+      emit(S);
       return true;
     }
 
@@ -427,19 +463,18 @@ private:
   bool parseRhs(MethodDecl &M, VarId Lhs, const SourceLocation &Loc) {
     // new C [(args)]
     if (accept(TokenKind::KwNew)) {
-      std::string ClassName;
+      ir::Name ClassName;
       if (!parseQName(ClassName, "after 'new'"))
         return false;
       Stmt S;
       S.Kind = StmtKind::AssignNew;
       S.Loc = Loc;
       S.Lhs = Lhs;
-      S.ClassName = std::move(ClassName);
-      M.body().push_back(std::move(S));
+      S.ClassName = ClassName;
+      emit(S);
 
       if (at(TokenKind::LParen)) {
-        std::vector<VarId> Args;
-        if (!parseArgs(M, Args))
+        if (!parseArgs(M))
           return false;
         // Non-empty constructor argument lists lower to an `init` call on
         // the fresh object; `new C()` behaves like plain `new C`.
@@ -448,9 +483,9 @@ private:
           Init.Kind = StmtKind::Invoke;
           Init.Loc = Loc;
           Init.Base = Lhs;
-          Init.MethodName = "init";
-          Init.Args = std::move(Args);
-          M.body().push_back(std::move(Init));
+          Init.MethodName = P.intern("init");
+          Init.Args = takeArgs();
+          emit(Init);
         }
       }
       return true;
@@ -462,7 +497,7 @@ private:
       S.Kind = StmtKind::AssignNull;
       S.Loc = Loc;
       S.Lhs = Lhs;
-      M.body().push_back(std::move(S));
+      emit(S);
       return true;
     }
 
@@ -474,31 +509,31 @@ private:
                                                : StmtKind::AssignViewId;
       S.Loc = Loc;
       S.Lhs = Lhs;
-      S.ResourceName = ResTok.Text;
-      M.body().push_back(std::move(S));
+      S.ResourceName = intern(ResTok);
+      emit(S);
       return true;
     }
 
     // classof C
     if (accept(TokenKind::KwClassof)) {
-      std::string ClassName;
+      ir::Name ClassName;
       if (!parseQName(ClassName, "after 'classof'"))
         return false;
       Stmt S;
       S.Kind = StmtKind::AssignClassConst;
       S.Loc = Loc;
       S.Lhs = Lhs;
-      S.ClassName = std::move(ClassName);
-      M.body().push_back(std::move(S));
+      S.ClassName = ClassName;
+      emit(S);
       return true;
     }
 
     // static C.f
     if (accept(TokenKind::KwStatic)) {
-      std::string QName;
+      ir::Name QName;
       if (!parseQName(QName, "after 'static'"))
         return false;
-      std::string ClassName, FieldName;
+      ir::Name ClassName, FieldName;
       if (!splitLastComponent(QName, ClassName, FieldName)) {
         error("static field access needs a qualified 'Class.field' name");
         return false;
@@ -507,9 +542,9 @@ private:
       S.Kind = StmtKind::LoadStaticField;
       S.Loc = Loc;
       S.Lhs = Lhs;
-      S.ClassName = std::move(ClassName);
-      S.FieldName = std::move(FieldName);
-      M.body().push_back(std::move(S));
+      S.ClassName = ClassName;
+      S.FieldName = FieldName;
+      emit(S);
       return true;
     }
 
@@ -528,7 +563,7 @@ private:
       S.Loc = Loc;
       S.Lhs = Lhs;
       S.Base = Base;
-      M.body().push_back(std::move(S));
+      emit(S);
       return true;
     }
 
@@ -544,10 +579,11 @@ private:
       S.Loc = Loc;
       S.Lhs = Lhs;
       S.Base = Base;
-      S.MethodName = MemberTok.Text;
-      if (!parseArgs(M, S.Args))
+      S.MethodName = intern(MemberTok);
+      if (!parseArgs(M))
         return false;
-      M.body().push_back(std::move(S));
+      S.Args = takeArgs();
+      emit(S);
       return true;
     }
 
@@ -556,16 +592,28 @@ private:
     S.Loc = Loc;
     S.Lhs = Lhs;
     S.Base = Base;
-    S.FieldName = MemberTok.Text;
-    M.body().push_back(std::move(S));
+    S.FieldName = intern(MemberTok);
+    emit(S);
     return true;
   }
+
+  struct Param {
+    ir::Name Name, TypeName;
+  };
 
   std::vector<Token> Tokens;
   Program &P;
   DiagnosticEngine &Diags;
   size_t Index = 0;
   bool Ok = true;
+  ir::Name VoidName;
+
+  // Scratch reused across declarations, so parsing allocates per file,
+  // not per method or statement.
+  std::string Scratch;        ///< a dotted name split by trivia
+  std::vector<Param> Params;  ///< the current method's parameters
+  std::vector<Stmt> Body;     ///< the current method's statements
+  std::vector<VarId> Args;    ///< the current call's arguments
 };
 
 } // namespace

@@ -8,8 +8,13 @@ using namespace gator;
 using namespace gator::parser;
 using namespace gator::ir;
 
-static const char *varName(const MethodDecl &M, VarId Id) {
-  return M.var(Id).Name.c_str();
+static std::string_view varName(const MethodDecl &M, VarId Id) {
+  return M.var(Id).Name;
+}
+
+/// A declared type as printed: the empty type prints as java.lang.Object.
+static std::string_view typeOrObject(ir::Name Type) {
+  return Type.empty() ? std::string_view(ObjectClassName) : Type.view();
 }
 
 void gator::parser::printStmt(const MethodDecl &M, const Stmt &S,
@@ -80,7 +85,7 @@ static void printMethod(const MethodDecl &M, std::ostream &OS) {
       OS << ", ";
     const Variable &Prm = M.var(M.paramVar(I));
     OS << Prm.Name << ": "
-       << (Prm.TypeName.empty() ? ObjectClassName : Prm.TypeName.c_str());
+       << typeOrObject(Prm.TypeName);
   }
   OS << ")";
   if (M.returnTypeName() != VoidTypeName)
@@ -96,7 +101,7 @@ static void printMethod(const MethodDecl &M, std::ostream &OS) {
     if (V.IsThis || V.IsParam)
       continue;
     OS << "    var " << V.Name << ": "
-       << (V.TypeName.empty() ? ObjectClassName : V.TypeName.c_str()) << ";\n";
+       << typeOrObject(V.TypeName) << ";\n";
   }
   for (const Stmt &S : M.body()) {
     OS << "    ";
@@ -126,7 +131,7 @@ void gator::parser::printClass(const ClassDecl &C, std::ostream &OS) {
     if (F->isStatic())
       OS << "static ";
     OS << F->name() << ": "
-       << (F->typeName().empty() ? ObjectClassName : F->typeName().c_str())
+       << typeOrObject(F->typeName())
        << ";\n";
   }
   for (const auto &M : C.methods())

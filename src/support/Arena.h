@@ -20,6 +20,8 @@
 ///    copyable elements whose storage lives in an Arena. The arena is
 ///    passed at mutation time, so readers need no back-pointer and the
 ///    element type stays as small as a raw slice.
+///  - ArenaSpan<T>: an immutable {ptr,size} array copied into an arena
+///    once; trivially copyable, so it can live inside arena records.
 ///  - ArenaString: an immutable NUL-terminated string copied into an
 ///    arena; 12 bytes instead of sizeof(std::string), no destructor.
 ///
@@ -267,9 +269,31 @@ public:
       Count = static_cast<uint32_t>(N);
   }
 
+  /// Element-wise equality, like std::vector's.
+  friend bool operator==(const ArenaVector &L, const ArenaVector &R) {
+    if (L.Count != R.Count)
+      return false;
+    for (size_t I = 0; I < L.Count; ++I)
+      if (!(L.Data[I] == R.Data[I]))
+        return false;
+    return true;
+  }
+
   void reserve(Arena &A, size_t NewCap) {
     if (NewCap > Cap)
       grow(A, NewCap);
+  }
+
+  /// Replaces the contents with \p N elements copied from \p Src. When the
+  /// capacity is too small, the new block holds exactly \p N elements.
+  void assign(Arena &A, const T *Src, size_t N) {
+    if (N > Cap) {
+      Data = A.allocateArray<T>(N);
+      Cap = static_cast<uint32_t>(N);
+    }
+    if (N)
+      std::memcpy(Data, Src, N * sizeof(T));
+    Count = static_cast<uint32_t>(N);
   }
 
   /// Grows to \p N elements, filling new slots with \p Fill. Never shrinks
@@ -297,6 +321,56 @@ private:
   T *Data = nullptr;
   uint32_t Count = 0;
   uint32_t Cap = 0;
+};
+
+/// An immutable array whose elements live in an Arena: a trivially
+/// copyable {ptr, size} view that can sit inside other arena-resident
+/// records (ir::Stmt::Args). Built once, by copying, with the arena that
+/// will own the elements; copies of the span share them.
+template <typename T> class ArenaSpan {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "ArenaSpan elements are memcpy'd and never destroyed");
+
+public:
+  using value_type = T;
+  using iterator = const T *;
+  using const_iterator = const T *;
+
+  ArenaSpan() = default;
+  /// Copies \p N elements from \p Src into \p A. An empty input takes no
+  /// arena space.
+  ArenaSpan(Arena &A, const T *Src, size_t N)
+      : Count(static_cast<uint32_t>(N)) {
+    if (!N)
+      return;
+    T *Mem = A.allocateArray<T>(N);
+    std::memcpy(Mem, Src, N * sizeof(T));
+    Data = Mem;
+  }
+
+  const T *begin() const { return Data; }
+  const T *end() const { return Data + Count; }
+  size_t size() const { return Count; }
+  bool empty() const { return Count == 0; }
+  const T &operator[](size_t I) const {
+    assert(I < Count);
+    return Data[I];
+  }
+
+  /// Element-wise equality (not identity of the backing block).
+  friend bool operator==(const ArenaSpan &L, const ArenaSpan &R) {
+    if (L.Count != R.Count)
+      return false;
+    for (size_t I = 0; I < L.Count; ++I)
+      if (!(L.Data[I] == R.Data[I]))
+        return false;
+    return true;
+  }
+
+private:
+  const T *Data = nullptr;
+  uint32_t Count = 0;
 };
 
 /// An immutable string whose characters live in an Arena. NUL-terminated,

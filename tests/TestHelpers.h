@@ -71,7 +71,7 @@ inline std::vector<std::string> viewClassesAt(analysis::AnalysisResult &Result,
                                               graph::NodeId N) {
   std::vector<std::string> Names;
   for (graph::NodeId V : Result.Sol->viewsAt(N))
-    Names.push_back(Result.Graph->node(V).Klass->name());
+    Names.push_back(Result.Graph->node(V).Klass->name().str());
   std::sort(Names.begin(), Names.end());
   return Names;
 }

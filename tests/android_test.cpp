@@ -40,12 +40,14 @@ protected:
     Stmt S;
     S.Kind = StmtKind::Invoke;
     S.Base = Base;
-    S.MethodName = Method;
+    S.MethodName = P.intern(Method);
+    std::vector<VarId> Args;
     for (size_t I = 0; I < ArgTypes.size(); ++I) {
       std::string Name = "a";
       Name += std::to_string(I);
-      S.Args.push_back(M->addLocal(Name, ArgTypes[I]));
+      Args.push_back(M->addLocal(Name, ArgTypes[I]));
     }
+    S.Args = P.makeArgs(Args);
     return AM.classifyInvoke(*M, S);
   }
 

@@ -52,7 +52,7 @@ protected:
   std::vector<std::string> viewClassesAt(NodeId N) {
     std::vector<std::string> Names;
     for (NodeId V : Result->Sol->viewsAt(N))
-      Names.push_back(Result->Graph->node(V).Klass->name());
+      Names.push_back(Result->Graph->node(V).Klass->name().str());
     std::sort(Names.begin(), Names.end());
     return Names;
   }

@@ -179,7 +179,7 @@ TEST(ContextRefinementTest, ClonesAreWellFormed) {
   const ir::ClassDecl *Base = App->Program.findClass("Base");
   unsigned Lookups = 0;
   for (const auto &M : Base->methods())
-    if (M->name().rfind("lookup", 0) == 0)
+    if (M->name().view().starts_with("lookup"))
       ++Lookups;
   EXPECT_EQ(Lookups, 2u);
 }

@@ -1,13 +1,15 @@
 //===- frontend_alloc_test.cpp - Frontend heap allocations -----*- C++ -*-===//
 //
-// Guards the allocation budget of the ALite lexer (docs/MEMORY.md,
+// Guards the allocation budget of the ALite frontend (docs/MEMORY.md,
 // "Frontend"): lexAll makes a fixed number of heap allocations per file,
-// none per token. A counting global operator new, armed only around the
+// none per token, and parseAlite allocates per table growth, not per
+// statement. A counting global operator new, armed only around the
 // measured call, does the counting.
 //
 //===----------------------------------------------------------------------===//
 
 #include "parser/Lexer.h"
+#include "parser/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -108,6 +110,25 @@ TEST(FrontendAllocTest, LexAllocationsDoNotGrowWithTokens) {
   EXPECT_LE(SmallAllocs, 4u) << SmallTokens << " tokens";
   EXPECT_LE(LargeAllocs, 4u) << LargeTokens << " tokens";
   EXPECT_EQ(SmallAllocs, LargeAllocs);
+}
+
+TEST(FrontendAllocTest, ParseAllocationsAreFarFewerThanStatements) {
+  // Names are interned straight from the token text and bodies, variable
+  // tables and argument lists land on the program's arena, so parsing
+  // allocates per table growth, not per statement or name.
+  const std::string Large = generateAlite(200 * 1024);
+  ir::Program P;
+  DiagnosticEngine Diags;
+  bool Ok = false;
+  size_t Allocs = countAllocations(
+      [&] { Ok = parseAlite(Large, "corpus/Generated/app.alite", P, Diags); });
+  ASSERT_TRUE(Ok);
+  size_t Stmts = 0;
+  for (const ir::ClassDecl *C : P.classes())
+    for (const ir::MethodDecl *M : C->methods())
+      Stmts += M->body().size();
+  EXPECT_GT(Stmts, 3000u);
+  EXPECT_LT(Allocs, Stmts / 10) << Stmts << " statements";
 }
 
 TEST(FrontendAllocTest, InternedFileNameCostsNothingTwice) {

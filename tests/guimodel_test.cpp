@@ -213,6 +213,73 @@ TEST(GuiModelTest, EventSequencesFollowTransitions) {
   EXPECT_NE(OS.str().find("--click["), std::string::npos);
 }
 
+TEST(GuiModelTest, StepsFollowCallOrderNotDeclarationAddresses) {
+  // One click handler calls Helper0..7.go(), each starting Target<i>. The
+  // steps (and the transitions) come out in the order the calls are
+  // reached, whatever the addresses of the method declarations.
+  constexpr unsigned Helpers = 8;
+  std::string Src = R"(
+class Src extends android.app.Activity {
+  method onCreate() {
+    var v: android.widget.Button;
+    var l: L;
+    v := new android.widget.Button;
+    this.setContentView(v);
+    l := new L;
+    l.init(this);
+    v.setOnClickListener(l);
+  }
+}
+class L implements android.view.View.OnClickListener {
+  field owner: Src;
+  method init(q: Src) { this.owner := q; }
+  method onClick(v: android.view.View) {
+    var s: Src;
+)";
+  for (unsigned I = 0; I < Helpers; ++I) {
+    const std::string N = std::to_string(I);
+    Src += "    var h" + N + ": Helper" + N + ";\n";
+  }
+  Src += "    s := this.owner;\n";
+  for (unsigned I = 0; I < Helpers; ++I) {
+    const std::string N = std::to_string(I);
+    Src += "    h" + N + " := new Helper" + N + ";\n    h" + N + ".go(s);\n";
+  }
+  Src += "  }\n}\n";
+  for (unsigned I = 0; I < Helpers; ++I) {
+    const std::string N = std::to_string(I);
+    Src += "class Helper" + N + " {\n  method go(s: Src) {\n"
+           "    var it: android.content.Intent;\n"
+           "    var cc: java.lang.Class;\n"
+           "    it := new android.content.Intent;\n"
+           "    cc := classof Target" + N + ";\n"
+           "    it.setClass(s, cc);\n"
+           "    s.startActivity(it);\n  }\n}\n"
+           "class Target" + N + " extends android.app.Activity {\n"
+           "  method onCreate() { }\n}\n";
+  }
+  auto App = makeBundle(Src);
+  auto R = runAnalysis(*App);
+  const ir::ClassDecl *Start = App->Program.findClass("Src");
+  auto Sequences = enumerateEventSequences(*R, Start, 1);
+  ASSERT_EQ(Sequences.size(), Helpers);
+  for (unsigned I = 0; I < Helpers; ++I) {
+    const std::string N = std::to_string(I);
+    EXPECT_EQ(Sequences[I][0].To->name(), "Target" + N);
+  }
+
+  auto Transitions = buildActivityTransitionGraph(*R);
+  std::vector<std::string> Targets;
+  for (const Transition &T : Transitions)
+    if (T.From == Start)
+      Targets.push_back(T.To->name().str());
+  ASSERT_EQ(Targets.size(), Helpers);
+  for (unsigned I = 0; I < Helpers; ++I) {
+    const std::string N = std::to_string(I);
+    EXPECT_EQ(Targets[I], "Target" + N);
+  }
+}
+
 TEST(GuiModelTest, EventSequencesRespectCaps) {
   corpus::AppSpec Spec;
   Spec.Name = "Cap";

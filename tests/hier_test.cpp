@@ -51,7 +51,7 @@ protected:
   std::vector<std::string> subtypeNames(const char *Name) {
     std::vector<std::string> Result;
     for (const ClassDecl *C : CH->subtypesOf(P.findClass(Name)))
-      Result.push_back(C->name());
+      Result.push_back(C->name().str());
     std::sort(Result.begin(), Result.end());
     return Result;
   }
@@ -60,7 +60,7 @@ protected:
     std::vector<std::string> Result;
     for (const MethodDecl *M :
          CH->resolveVirtualCall(P.findClass(Recv), Method, 0))
-      Result.push_back(M->owner()->name());
+      Result.push_back(M->owner()->name().str());
     std::sort(Result.begin(), Result.end());
     return Result;
   }

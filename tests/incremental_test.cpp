@@ -11,12 +11,14 @@
 
 #include "analysis/Incremental.h"
 #include "corpus/Corpus.h"
+#include "parser/Printer.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -255,6 +257,54 @@ TEST(IncrementalTest, CombinedEditMatchesScratchAcrossEnginesAndOptions) {
           << " options mask " << Mask;
     }
   }
+}
+
+TEST(IncrementalTest, GraftOutlivesTheSourceProgram) {
+  // The edited copy is a separate Program with its own name table and
+  // arena. Once grafted, the base must not reference either: destroying
+  // the source right away leaves every grafted statement intact (under
+  // ASan, a dangling name view or argument list faults here).
+  auto Base = baseBundle();
+  auto Edited =
+      makeBundle(EditedSource, {{"main", EditedMain}, {"second", EditedSecond}});
+  EditDiff Diff = diffBundles(Base->Program, Edited->Program, *Base->Layouts,
+                              *Edited->Layouts);
+  ASSERT_TRUE(Diff.Unsupported.empty());
+  ASSERT_FALSE(Diff.Methods.empty());
+
+  auto render = [](const ir::MethodDecl &M, const ir::Stmt &S) {
+    std::ostringstream OS;
+    parser::printStmt(M, S, OS);
+    return OS.str();
+  };
+  std::vector<std::pair<ir::MethodDecl *, std::vector<std::string>>> Grafted;
+  for (auto &[BaseMethod, EditMethod] : Diff.Methods) {
+    std::vector<std::string> Lines;
+    for (const ir::Stmt &S : EditMethod->body())
+      Lines.push_back(render(*EditMethod, S));
+    ASSERT_TRUE(graftMethodBody(*BaseMethod, *EditMethod));
+    Grafted.emplace_back(BaseMethod, std::move(Lines));
+  }
+  Edited.reset();
+
+  const ir::Program &P = Base->Program;
+  auto ownedOrEmpty = [&](ir::Name N) { return N.empty() || P.owns(N); };
+  for (const auto &[M, Lines] : Grafted) {
+    ASSERT_EQ(M->body().size(), Lines.size());
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      const ir::Stmt &S = M->body()[I];
+      EXPECT_EQ(render(*M, S), Lines[I]);
+      EXPECT_TRUE(ownedOrEmpty(S.FieldName) && ownedOrEmpty(S.ClassName) &&
+                  ownedOrEmpty(S.ResourceName) && ownedOrEmpty(S.MethodName))
+          << Lines[I];
+    }
+    for (const ir::Variable &V : M->vars())
+      EXPECT_TRUE(ownedOrEmpty(V.Name) && ownedOrEmpty(V.TypeName));
+  }
+  auto R = GuiAnalysis::run(Base->Program, *Base->Layouts, Base->Android, {},
+                            Base->Diags);
+  ASSERT_TRUE(R);
+  EXPECT_FALSE(Base->Diags.hasErrors());
 }
 
 TEST(IncrementalTest, MethodEditAloneMatchesAndBeatsScratch) {

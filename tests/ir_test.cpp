@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 using namespace gator;
 using namespace gator::ir;
 
@@ -118,6 +121,67 @@ TEST(IrTest, MethodLookupThroughInterfaces) {
   ASSERT_TRUE(P.resolve(Diags));
   EXPECT_EQ(A->findMethod("h", 1), Decl);
   EXPECT_TRUE(Decl->isAbstract()); // interface methods are abstract
+}
+
+TEST(IrTest, MethodLookupThroughInterfacesOfAnySuperclass) {
+  // C extends B extends A implements I: I is two superclasses up.
+  Program P;
+  DiagnosticEngine Diags;
+  ClassDecl *I = P.addClass("I", /*IsInterface=*/true);
+  MethodDecl *Decl = I->addMethod("h", "void");
+  P.addClass("A")->addInterfaceName("I");
+  P.addClass("B")->setSuperName("A");
+  ClassDecl *C = P.addClass("C");
+  C->setSuperName("B");
+  ASSERT_TRUE(P.resolve(Diags));
+  EXPECT_EQ(P.findClass("B")->findMethod("h", 0), Decl);
+  EXPECT_EQ(C->findMethod("h", 0), Decl);
+  EXPECT_EQ(C->findMethod("h", 1), nullptr);
+}
+
+TEST(IrTest, StmtAndVariableAreFlatArenaRecords) {
+  // Bodies and variable tables are arrays on the program's arena, released
+  // as slabs: their elements must hold no owning member.
+  static_assert(std::is_trivially_destructible_v<Stmt>);
+  static_assert(std::is_trivially_destructible_v<Variable>);
+  static_assert(std::is_trivially_copyable_v<Stmt>);
+  static_assert(sizeof(Stmt) <= 112);
+  static_assert(sizeof(Name) == 16);
+  EXPECT_TRUE(std::is_trivially_destructible_v<MethodDecl>);
+}
+
+TEST(IrTest, NamesAreInternedPerProgram) {
+  Program P, Q;
+  Name A = P.intern("android.view.View");
+  Name B = P.intern(std::string("android.view.") + "View");
+  EXPECT_EQ(A.symbol(), B.symbol());
+  EXPECT_EQ(A.data(), B.data()); // one spelling, shared
+  EXPECT_TRUE(P.owns(A));
+  EXPECT_FALSE(Q.owns(A));
+  // Another program's name compares equal by spelling and is re-interned
+  // when adopted.
+  Name C = Q.adopt(A);
+  EXPECT_EQ(C, A);
+  EXPECT_TRUE(Q.owns(C));
+  EXPECT_NE(C.data(), A.data());
+  EXPECT_EQ(P.lookup("never.Seen").symbol().isValid(), false);
+  EXPECT_TRUE(Name().empty());
+  EXPECT_EQ("x." + P.intern("y") + ".z", "x.y.z");
+}
+
+TEST(IrTest, ForeignNamesAreAdoptedByDeclarations) {
+  Program P, Q;
+  ClassDecl *A = P.addClass(Q.intern("A"));
+  MethodDecl *M = A->addMethod(Q.intern("m"), Q.intern("void"));
+  VarId V = M->addLocal(Q.intern("x"), Q.intern("A"));
+  A->setSuperName(Q.intern("java.lang.Object"));
+  EXPECT_TRUE(P.owns(A->name()));
+  EXPECT_TRUE(P.owns(M->name()));
+  EXPECT_TRUE(P.owns(M->var(V).Name));
+  EXPECT_TRUE(P.owns(M->var(V).TypeName));
+  EXPECT_TRUE(P.owns(A->superName()));
+  EXPECT_EQ(P.findClass(Q.intern("A")), A);
+  EXPECT_EQ(A->findOwnMethod(Q.intern("m"), 0), M);
 }
 
 TEST(IrTest, ThisAndParamVariableLayout) {
@@ -235,8 +299,8 @@ TEST(VerifierTest, RejectsNewOfUnknownClass) {
   Stmt S;
   S.Kind = StmtKind::AssignNew;
   S.Lhs = X;
-  S.ClassName = "Ghost";
-  M->body().push_back(S);
+  S.ClassName = P.intern("Ghost");
+  M->appendStmt(S);
   ASSERT_TRUE(P.resolve(Diags));
   EXPECT_FALSE(verifyProgram(P, Diags));
 }
@@ -251,8 +315,8 @@ TEST(VerifierTest, RejectsNewOfInterface) {
   Stmt S;
   S.Kind = StmtKind::AssignNew;
   S.Lhs = X;
-  S.ClassName = "I";
-  M->body().push_back(S);
+  S.ClassName = P.intern("I");
+  M->appendStmt(S);
   ASSERT_TRUE(P.resolve(Diags));
   EXPECT_FALSE(verifyProgram(P, Diags));
 }
@@ -265,7 +329,7 @@ TEST(VerifierTest, RejectsDanglingVarIndex) {
   Stmt S;
   S.Kind = StmtKind::AssignNull;
   S.Lhs = 99;
-  M->body().push_back(S);
+  M->appendStmt(S);
   ASSERT_TRUE(P.resolve(Diags));
   EXPECT_FALSE(verifyProgram(P, Diags));
 }

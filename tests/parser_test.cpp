@@ -53,6 +53,17 @@ TEST(ParserTest, QualifiedClassNamesAndHeritage) {
   EXPECT_TRUE(P->findClass("pkg.I")->isInterface());
 }
 
+TEST(ParserTest, QualifiedNamesSplitByTriviaJoinWithDots) {
+  // Trivia between the parts of a dotted name is not part of it: both
+  // spellings intern as "pkg.sub.A", whether the tokens touch or not.
+  auto P = parseOk("class pkg . sub /* c */ .A { }\n"
+                   "class B extends pkg.sub\n  .A { }");
+  ClassDecl *A = P->findClass("pkg.sub.A");
+  ASSERT_NE(A, nullptr);
+  EXPECT_EQ(A->name(), "pkg.sub.A");
+  EXPECT_EQ(P->findClass("B")->superName().symbol(), A->name().symbol());
+}
+
 TEST(ParserTest, PlatformModifier) {
   auto P = parseOk("platform class android.x.Y { }");
   EXPECT_TRUE(P->findClass("android.x.Y")->isPlatform());

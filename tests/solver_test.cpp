@@ -555,6 +555,45 @@ class A extends android.app.Activity {
             std::vector<std::string>{"android.widget.Button"});
 }
 
+TEST(SolverTest, ViewsFlowThroughCollectionSubclassesAtAnyDepth) {
+  // The List interface is named two classes up (SubList -> MyList ->
+  // ArrayList implements List); add/get must still resolve to the List
+  // stubs and reach the collection model.
+  auto App = makeBundle(R"(
+class MyList extends java.util.ArrayList {
+}
+class SubList extends MyList {
+}
+class A extends android.app.Activity {
+  method onCreate() {
+    var l1: MyList;
+    var l2: SubList;
+    var a: android.widget.TextView;
+    var b: android.widget.Button;
+    var i: int;
+    var o1: android.view.View;
+    var o2: android.view.View;
+    l1 := new MyList;
+    a := new android.widget.TextView;
+    l1.add(a);
+    o1 := l1.get(i);
+    l2 := new SubList;
+    b := new android.widget.Button;
+    l2.add(b);
+    o2 := l2.get(i);
+  }
+}
+)");
+  auto R = runAnalysis(*App);
+  // The model is field-based: every list shares one elements field.
+  const std::vector<std::string> Both = {"android.widget.Button",
+                                         "android.widget.TextView"};
+  EXPECT_EQ(viewClassesAt(*R, varNode(*App, *R, "A", "onCreate", 0, "o1")),
+            Both);
+  EXPECT_EQ(viewClassesAt(*R, varNode(*App, *R, "A", "onCreate", 0, "o2")),
+            Both);
+}
+
 TEST(SolverTest, CollectionRemoveReturnsElements) {
   auto App = makeBundle(R"(
 class A extends android.app.Activity {
