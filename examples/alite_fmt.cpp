@@ -14,8 +14,8 @@
 #include "ir/Verifier.h"
 #include "parser/Parser.h"
 #include "parser/Printer.h"
+#include "support/FileIO.h"
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -35,14 +35,10 @@ int main(int argc, char **argv) {
     Source = SS.str();
     FileName = "<stdin>";
   } else {
-    std::ifstream In(FileName);
-    if (!In) {
+    if (!support::readFile(FileName, Source)) {
       std::cerr << "error: cannot read " << FileName << "\n";
       return 1;
     }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Source = SS.str();
   }
 
   ir::Program P;

@@ -68,6 +68,7 @@
 #include "guimodel/Lint.h"
 #include "layout/Layout.h"
 #include "parser/Parser.h"
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
@@ -87,16 +88,6 @@ using namespace gator;
 namespace fs = std::filesystem;
 
 namespace {
-
-bool readFile(const fs::path &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
 
 void printUsage(std::ostream &OS) {
   OS << "usage: gator_cli <dir> [--dot <file>] [--tuples] "
@@ -266,7 +257,7 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
                 AliteFiles.size() + DexFiles.size() + XmlFiles.size());
   for (const fs::path &Path : AliteFiles) {
     std::string Text;
-    if (!readFile(Path, Text)) {
+    if (!support::readFile(Path, Text)) {
       Err << "error: cannot read " << Path << "\n";
       return 1;
     }
@@ -274,7 +265,7 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
   }
   for (const fs::path &Path : DexFiles) {
     std::string Text;
-    if (!readFile(Path, Text)) {
+    if (!support::readFile(Path, Text)) {
       Err << "error: cannot read " << Path << "\n";
       return 1;
     }
@@ -282,7 +273,7 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
   }
   for (const fs::path &Path : XmlFiles) {
     std::string Text;
-    if (!readFile(Path, Text)) {
+    if (!support::readFile(Path, Text)) {
       Err << "error: cannot read " << Path << "\n";
       return 1;
     }
@@ -296,7 +287,7 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
   // default start point for --sequences.
   if (!ManifestFile.empty()) {
     std::string Text;
-    if (!readFile(ManifestFile, Text)) {
+    if (!support::readFile(ManifestFile, Text)) {
       Err << "error: cannot read " << ManifestFile << "\n";
       return 1;
     }
@@ -616,17 +607,17 @@ bool loadBundle(const std::string &Dir, corpus::AppBundle &App) {
   bool Ok = true;
   std::string Text;
   for (const fs::path &Path : AliteFiles) {
-    if (!readFile(Path, Text))
+    if (!support::readFile(Path, Text))
       return false;
     Ok &= parser::parseAlite(Text, Path.string(), App.Program, App.Diags);
   }
   for (const fs::path &Path : DexFiles) {
-    if (!readFile(Path, Text))
+    if (!support::readFile(Path, Text))
       return false;
     Ok &= dex::parseDexLite(Text, Path.string(), App.Program, App.Diags);
   }
   for (const fs::path &Path : XmlFiles) {
-    if (!readFile(Path, Text))
+    if (!support::readFile(Path, Text))
       return false;
     Ok &= layout::readLayoutXml(*App.Layouts, Path.stem().string(), Text,
                                 App.Diags) != nullptr;

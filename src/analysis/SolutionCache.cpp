@@ -8,12 +8,12 @@
 #include "analysis/SolutionCache.h"
 
 #include "analysis/Solution.h"
+#include "support/FileIO.h"
 
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 using namespace gator;
 using namespace gator::analysis;
@@ -369,14 +369,11 @@ SolutionCache::Outcome SolutionCache::lookup(const support::Hash128 &Key,
       return Outcome::Miss;
     }
     const fs::path File = fs::path(Dir) / (Hex + ".gsc");
-    std::ifstream In(File, std::ios::binary);
-    if (!In) {
+    std::string Bytes;
+    if (!support::readFile(File, Bytes)) {
       Misses.fetch_add(1, std::memory_order_relaxed);
       return Outcome::Miss;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    const std::string Bytes = Buf.str();
     if (!deserialize(Bytes, Out)) {
       Corrupt.fetch_add(1, std::memory_order_relaxed);
       Misses.fetch_add(1, std::memory_order_relaxed);
@@ -470,11 +467,11 @@ support::Hash128 gator::analysis::hashAppDir(const std::string &Dir) {
   support::ContentHasher H;
   H.field("gator-app-dir", "v1");
   H.u64("files", Files.size());
+  std::string Bytes;
   for (const auto &[Rel, Path] : Files) {
-    std::ifstream In(Path, std::ios::binary);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    H.field(Rel, Buf.str());
+    // An unreadable file hashes as empty content.
+    support::readFile(Path, Bytes);
+    H.field(Rel, Bytes);
   }
   return H.digest();
 }

@@ -149,7 +149,7 @@ public:
   DexParser(std::string_view Input, std::string_view FileName,
             DiagnosticEngine &Diags)
       : Input(Input), File(SourceLocation::internFile(FileName)),
-        Diags(Diags) {}
+        Diags(Diags), ErrorsBefore(Diags.errorCount()) {}
 
   bool run(std::vector<RawClass> &Out) {
     // Lines split as std::getline would: on '\n', with no empty line after
@@ -172,9 +172,9 @@ public:
       error("missing '.end method' at end of input");
     else if (CurClass)
       error("missing '.end class' at end of input");
-    if (CurClass && !Diags.hasErrors())
+    if (CurClass && !hasOwnErrors())
       Out.push_back(std::move(*CurClass));
-    return Ok && !Diags.hasErrors();
+    return Ok && !hasOwnErrors();
   }
 
 private:
@@ -182,6 +182,10 @@ private:
     Diags.error(Loc, Message);
     Ok = false;
   }
+
+  /// True once this buffer reported an error. Diags also holds the errors
+  /// of the app's other files, which must not drop this one.
+  bool hasOwnErrors() const { return Diags.errorCount() != ErrorsBefore; }
 
   bool isRegister(const std::string &Tok) const {
     return Tok.size() >= 2 && (Tok[0] == 'v' || Tok[0] == 'p') &&
@@ -512,6 +516,7 @@ private:
   std::string_view Input;
   SourceLocation::FileRef File;
   DiagnosticEngine &Diags;
+  const unsigned ErrorsBefore;
   SourceLocation Loc;
   std::optional<RawClass> CurClass;
   std::optional<RawMethod> CurMethod;
@@ -524,7 +529,8 @@ private:
 
 class Lowerer {
 public:
-  Lowerer(Program &P, DiagnosticEngine &Diags) : P(P), Diags(Diags) {}
+  Lowerer(Program &P, DiagnosticEngine &Diags)
+      : P(P), Diags(Diags), ErrorsBefore(Diags.errorCount()) {}
 
   bool run(const std::vector<RawClass> &Classes) {
     // Phase A: declare every class with fields and method signatures so
@@ -562,7 +568,7 @@ public:
     for (auto &[RC, C] : Declared)
       for (const RawMethod &RM : RC->Methods)
         lowerMethod(*C, RM);
-    return Ok && !Diags.hasErrors();
+    return Ok && Diags.errorCount() == ErrorsBefore;
   }
 
 private:
@@ -843,6 +849,8 @@ private:
 
   Program &P;
   DiagnosticEngine &Diags;
+  /// Errors already reported by the app's other files.
+  const unsigned ErrorsBefore;
   bool Ok = true;
 };
 

@@ -112,6 +112,7 @@ void ConstraintGraph::reserve(size_t NodeHint, size_t EdgeHint,
 
 NodeId ConstraintGraph::push(Node N) {
   NodeId Id = static_cast<NodeId>(Nodes.size());
+  N.RelSlot = 0;
   KindIndex[static_cast<size_t>(N.Kind)].push_back(EdgeArena, Id);
   Nodes.push_back(std::move(N));
   FlowSucc.emplace_back();
@@ -311,25 +312,32 @@ bool ConstraintGraph::addFlowEdge(NodeId From, NodeId To) {
   return true;
 }
 
-bool ConstraintGraph::addAssocEdge(AssocEdges &E, NodeId From, NodeId To) {
+NodeList &ConstraintGraph::relListForAdd(RelFamily F, NodeId From) {
+  uint32_t &Slot = Nodes[From].RelSlot;
+  if (Slot == 0) {
+    RelRows.emplace_back().Owner = From;
+    Slot = static_cast<uint32_t>(RelRows.size());
+  }
+  return RelRows[Slot - 1].Lists[F];
+}
+
+bool ConstraintGraph::addRelEdge(RelFamily F, NodeId From, NodeId To) {
   if (!GATOR_CHECK(From < Nodes.size() && To < Nodes.size(), Diags,
                    "dangling node id on relationship edge; edge dropped")) {
     ++DroppedInvariants;
     return false;
   }
-  if (E.Lists.size() <= From)
-    E.Lists.resize(std::max<size_t>(From + 1, Nodes.size()));
-  NodeList &List = E.Lists[From];
+  NodeList &List = relListForAdd(F, From);
   if (List.size() <= SmallFlowDegree) {
     if (std::find(List.begin(), List.end(), To) != List.end())
       return false;
     List.push_back(EdgeArena, To);
     if (List.size() > SmallFlowDegree)
       for (NodeId S : List)
-        insertEdgeKey(E.Spill, edgeKey(From, S));
+        insertEdgeKey(RelSpill[F], edgeKey(From, S));
     return true;
   }
-  if (!insertEdgeKey(E.Spill, edgeKey(From, To)))
+  if (!insertEdgeKey(RelSpill[F], edgeKey(From, To)))
     return false;
   List.push_back(EdgeArena, To);
   return true;
@@ -346,7 +354,7 @@ bool ConstraintGraph::addParentChildEdge(NodeId Parent, NodeId Child) {
     ++DroppedInvariants;
     return false;
   }
-  bool Added = addAssocEdge(ChildEdges, Parent, Child);
+  bool Added = addRelEdge(RelChild, Parent, Child);
   if (Added) {
     ++NumParentChild;
     ++HierarchyRev; // invalidates every cached descendantsOf result
@@ -366,12 +374,9 @@ bool ConstraintGraph::addHasIdEdge(NodeId View, NodeId ViewIdNode) {
     ++DroppedInvariants;
     return false;
   }
-  bool Added = addAssocEdge(HasIdEdges, View, ViewIdNode);
-  if (Added) {
-    if (ViewsByIdTable.size() <= ViewIdNode)
-      ViewsByIdTable.resize(std::max<size_t>(ViewIdNode + 1, Nodes.size()));
-    ViewsByIdTable[ViewIdNode].push_back(EdgeArena, View);
-  }
+  bool Added = addRelEdge(RelHasId, View, ViewIdNode);
+  if (Added)
+    relListForAdd(RelViewsById, ViewIdNode).push_back(EdgeArena, View);
   return Added;
 }
 
@@ -383,7 +388,7 @@ bool ConstraintGraph::addRootEdge(NodeId Activity, NodeId View) {
     ++DroppedInvariants;
     return false;
   }
-  bool Added = addAssocEdge(RootEdges, Activity, View);
+  bool Added = addRelEdge(RelRoot, Activity, View);
   if (Added)
     ++HierarchyRev;
   return Added;
@@ -397,7 +402,7 @@ bool ConstraintGraph::addListenerEdge(NodeId View, NodeId ListenerValue) {
     ++DroppedInvariants;
     return false;
   }
-  return addAssocEdge(ListenerEdges, View, ListenerValue);
+  return addRelEdge(RelListener, View, ListenerValue);
 }
 
 bool ConstraintGraph::addRootsLayoutEdge(NodeId View, NodeId LayoutIdNode) {
@@ -410,7 +415,7 @@ bool ConstraintGraph::addRootsLayoutEdge(NodeId View, NodeId LayoutIdNode) {
     ++DroppedInvariants;
     return false;
   }
-  return addAssocEdge(RootsLayoutEdges, View, LayoutIdNode);
+  return addRelEdge(RelRootsLayout, View, LayoutIdNode);
 }
 
 //===----------------------------------------------------------------------===//
@@ -444,17 +449,17 @@ bool ConstraintGraph::removeFlowEdge(NodeId From, NodeId To) {
   return true;
 }
 
-bool ConstraintGraph::removeAssocEdge(AssocEdges &E, NodeId From, NodeId To) {
-  if (From >= E.Lists.size())
+bool ConstraintGraph::removeRelEdge(RelFamily F, NodeId From, NodeId To) {
+  if (From >= Nodes.size() || Nodes[From].RelSlot == 0)
     return false;
-  if (!eraseOrdered(E.Lists[From], To))
+  if (!eraseOrdered(RelRows[Nodes[From].RelSlot - 1].Lists[F], To))
     return false;
-  E.Spill.erase(edgeKey(From, To));
+  RelSpill[F].erase(edgeKey(From, To));
   return true;
 }
 
 bool ConstraintGraph::removeParentChildEdge(NodeId Parent, NodeId Child) {
-  if (!removeAssocEdge(ChildEdges, Parent, Child))
+  if (!removeRelEdge(RelChild, Parent, Child))
     return false;
   --NumParentChild;
   ++HierarchyRev;
@@ -462,61 +467,58 @@ bool ConstraintGraph::removeParentChildEdge(NodeId Parent, NodeId Child) {
 }
 
 bool ConstraintGraph::removeHasIdEdge(NodeId View, NodeId ViewIdNode) {
-  if (!removeAssocEdge(HasIdEdges, View, ViewIdNode))
+  if (!removeRelEdge(RelHasId, View, ViewIdNode))
     return false;
-  if (ViewIdNode < ViewsByIdTable.size())
-    eraseOrdered(ViewsByIdTable[ViewIdNode], View);
+  removeRelEdge(RelViewsById, ViewIdNode, View);
   return true;
 }
 
 bool ConstraintGraph::removeRootEdge(NodeId Activity, NodeId View) {
-  if (!removeAssocEdge(RootEdges, Activity, View))
+  if (!removeRelEdge(RelRoot, Activity, View))
     return false;
   ++HierarchyRev;
   return true;
 }
 
 bool ConstraintGraph::removeListenerEdge(NodeId View, NodeId ListenerValue) {
-  return removeAssocEdge(ListenerEdges, View, ListenerValue);
+  return removeRelEdge(RelListener, View, ListenerValue);
 }
 
 bool ConstraintGraph::removeRootsLayoutEdge(NodeId View, NodeId LayoutIdNode) {
-  return removeAssocEdge(RootsLayoutEdges, View, LayoutIdNode);
+  return removeRelEdge(RelRootsLayout, View, LayoutIdNode);
 }
 
 std::vector<NodeId> ConstraintGraph::rootHolders() const {
   std::vector<NodeId> Result;
-  for (NodeId Holder = 0; Holder < RootEdges.Lists.size(); ++Holder)
-    if (!RootEdges.Lists[Holder].empty())
-      Result.push_back(Holder);
+  for (const RelRow &Row : RelRows)
+    if (!Row.Lists[RelRoot].empty())
+      Result.push_back(Row.Owner);
   std::sort(Result.begin(), Result.end());
   return Result;
 }
 
 const NodeList &ConstraintGraph::children(NodeId View) const {
-  return assocList(ChildEdges, View);
+  return relList(RelChild, View);
 }
 
 const NodeList &ConstraintGraph::viewIds(NodeId View) const {
-  return assocList(HasIdEdges, View);
+  return relList(RelHasId, View);
 }
 
 const NodeList &ConstraintGraph::roots(NodeId Activity) const {
-  return assocList(RootEdges, Activity);
+  return relList(RelRoot, Activity);
 }
 
 const NodeList &ConstraintGraph::listeners(NodeId View) const {
-  return assocList(ListenerEdges, View);
+  return relList(RelListener, View);
 }
 
 const NodeList &ConstraintGraph::rootsOfLayouts(NodeId View) const {
-  return assocList(RootsLayoutEdges, View);
+  return relList(RelRootsLayout, View);
 }
 
 const NodeList &ConstraintGraph::viewsWithId(NodeId ViewIdNode) const {
-  if (ViewIdNode >= ViewsByIdTable.size())
-    return EmptyList;
-  return ViewsByIdTable[ViewIdNode];
+  return relList(RelViewsById, ViewIdNode);
 }
 
 ConstraintGraph::DescCacheEntry &
@@ -660,21 +662,30 @@ void ConstraintGraph::dumpDot(std::ostream &OS, bool IncludeVarNodes) const {
       if (include(To))
         OS << "  n" << Id << " -> n" << To << ";\n";
   }
-  auto dumpAssoc = [&](const AssocEdges &E, const char *Label) {
-    for (NodeId Id = 0; Id < E.Lists.size(); ++Id) {
-      if (!include(Id))
+  // Rows sorted by source id, so each family lists its sources in
+  // ascending order.
+  std::vector<uint32_t> Order(RelRows.size());
+  for (uint32_t R = 0; R < Order.size(); ++R)
+    Order[R] = R;
+  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    return RelRows[A].Owner < RelRows[B].Owner;
+  });
+  auto dumpRel = [&](RelFamily F, const char *Label) {
+    for (uint32_t R : Order) {
+      const RelRow &Row = RelRows[R];
+      if (!include(Row.Owner))
         continue;
-      for (NodeId To : E.Lists[Id])
+      for (NodeId To : Row.Lists[F])
         if (include(To))
-          OS << "  n" << Id << " -> n" << To << " [style=dashed, label=\""
-             << Label << "\"];\n";
+          OS << "  n" << Row.Owner << " -> n" << To
+             << " [style=dashed, label=\"" << Label << "\"];\n";
     }
   };
-  dumpAssoc(ChildEdges, "child");
-  dumpAssoc(HasIdEdges, "id");
-  dumpAssoc(RootEdges, "root");
-  dumpAssoc(ListenerEdges, "listener");
-  dumpAssoc(RootsLayoutEdges, "layout");
+  dumpRel(RelChild, "child");
+  dumpRel(RelHasId, "id");
+  dumpRel(RelRoot, "root");
+  dumpRel(RelListener, "listener");
+  dumpRel(RelRootsLayout, "layout");
   OS << "}\n";
 }
 

@@ -96,6 +96,14 @@ const char *unknownReasonSlug(UnknownReason Reason);
 struct Node {
   NodeKind Kind;
 
+private:
+  friend class ConstraintGraph;
+  /// 1 + the index of this node's relationship row in its graph, or 0 when
+  /// the node is the source of no relationship edge. It sits in the
+  /// padding after Kind, so it costs no space.
+  uint32_t RelSlot = 0;
+
+public:
   /// Var: the owning method; Alloc/ViewAlloc: the allocating method.
   const ir::MethodDecl *Method = nullptr;
   /// Var: the variable index.
@@ -138,6 +146,9 @@ struct Node {
   /// Site location (ops, allocs) for labels and debugging.
   SourceLocation Loc;
 };
+
+static_assert(sizeof(void *) != 8 || sizeof(Node) == 96,
+              "Node::RelSlot must fill padding, not grow the node");
 
 /// True for node kinds whose identity is a *value* propagated by flowsTo
 /// (views, activities, ids, ordinary allocations, class constants).
@@ -331,21 +342,41 @@ private:
     return (static_cast<uint64_t>(From) << 32) | To;
   }
 
-  /// Relationship adjacency, keyed densely by source NodeId. Dedup is
-  /// hybrid like flow edges: a source's list is linear-scanned while
-  /// small; past SmallFlowDegree its edges migrate into the Spill set.
-  struct AssocEdges {
-    std::vector<NodeList> Lists;
-    support::FlatIdMap<uint8_t> Spill;
+  /// The relationship edge families. ViewsById is the reverse of HasId:
+  /// ViewId node -> the views carrying it.
+  enum RelFamily : unsigned {
+    RelChild,
+    RelHasId,
+    RelRoot,
+    RelListener,
+    RelRootsLayout,
+    RelViewsById,
+    NumRelFamilies
   };
 
-  bool addAssocEdge(AssocEdges &E, NodeId From, NodeId To);
-  bool removeAssocEdge(AssocEdges &E, NodeId From, NodeId To);
-  const NodeList &assocList(const AssocEdges &E, NodeId From) const {
-    if (From >= E.Lists.size())
+  /// The relationship lists of one source node (docs/MEMORY.md,
+  /// "Relationship tables"). Only a node that is the source of some
+  /// relationship edge owns a row, found through its Node::RelSlot, so the
+  /// tables grow with the edges and not with the graph: inflation mints
+  /// fresh ViewInfl nodes at the top of the id range, and a table indexed
+  /// by NodeId would regrow to the full graph for each of them.
+  struct RelRow {
+    NodeId Owner = InvalidNode;
+    NodeList Lists[NumRelFamilies];
+  };
+
+  const NodeList &relList(RelFamily F, NodeId From) const {
+    if (From >= Nodes.size() || Nodes[From].RelSlot == 0)
       return EmptyList;
-    return E.Lists[From];
+    return RelRows[Nodes[From].RelSlot - 1].Lists[F];
   }
+  /// \p From's list of family \p F, creating \p From's row if needed.
+  NodeList &relListForAdd(RelFamily F, NodeId From);
+  /// Dedup is hybrid like flow edges: a source's list is linear-scanned
+  /// while small; past SmallFlowDegree its edges migrate into the family's
+  /// RelSpill set.
+  bool addRelEdge(RelFamily F, NodeId From, NodeId To);
+  bool removeRelEdge(RelFamily F, NodeId From, NodeId To);
 
   /// Inserts \p Key into \p Set; true if it was absent. FlatIdMap used
   /// as a set (the value byte is a placeholder).
@@ -373,15 +404,11 @@ private:
   support::FlatIdMap<uint8_t> FlowEdges;
   size_t NumFlowEdges = 0;
 
-  AssocEdges ChildEdges;
+  std::vector<RelRow> RelRows;
+  /// Edge keys of high-degree sources, per family. ViewsById needs none:
+  /// HasId already deduplicates its edges.
+  support::FlatIdMap<uint8_t> RelSpill[NumRelFamilies];
   size_t NumParentChild = 0;
-  AssocEdges HasIdEdges;
-  /// Reverse id index: ViewId node -> views carrying it (deduped by
-  /// HasIdEdges, so a plain dense table suffices).
-  std::vector<NodeList> ViewsByIdTable;
-  AssocEdges RootEdges;
-  AssocEdges ListenerEdges;
-  AssocEdges RootsLayoutEdges;
 
   /// Per-method variable-node tables, indexed by MethodDecl::globalId()
   /// then VarId — two array indexes per lookup, no hashing (these are the

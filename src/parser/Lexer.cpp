@@ -5,7 +5,9 @@
 #include "support/CharClass.h"
 
 #include <algorithm>
-#include <type_traits>
+#include <cstring>
+#include <limits>
+#include <string>
 
 using namespace gator;
 using namespace gator::parser;
@@ -69,9 +71,6 @@ const char *gator::parser::tokenKindName(TokenKind Kind) {
   }
   return "unknown";
 }
-
-static_assert(sizeof(Token) <= 40 && std::is_trivially_copyable_v<Token>,
-              "tokens are compact views; see docs/MEMORY.md, \"Frontend\"");
 
 namespace {
 
@@ -149,22 +148,38 @@ TokenKind keywordOrIdentifier(std::string_view S) {
   return TokenKind::Identifier;
 }
 
+/// The number of '\n' bytes in \p S, counted eight bytes at a time: it
+/// sizes the line-start table before lexing, and a byte-wise count would
+/// cost a tenth of the lexer's time.
+size_t countNewlines(std::string_view S) {
+  constexpr uint64_t Ones = 0x0101010101010101ull;
+  constexpr uint64_t Low7 = 0x7f7f7f7f7f7f7f7full;
+  size_t Count = 0, I = 0;
+  for (; I + 8 <= S.size(); I += 8) {
+    uint64_t Word;
+    std::memcpy(&Word, S.data() + I, 8);
+    Word ^= Ones * '\n'; // newline bytes become zero
+    // Bit 7 of each byte is set exactly when the byte is zero; the
+    // multiply sums those bits into the top byte.
+    const uint64_t Zero = ~(((Word & Low7) + Low7) | Word | Low7);
+    Count += ((Zero >> 7) * Ones) >> 56;
+  }
+  for (; I < S.size(); ++I)
+    Count += S[I] == '\n';
+  return Count;
+}
+
 } // namespace
+
+unsigned TokenBuffer::searchLine(uint32_t Offset) const {
+  return static_cast<unsigned>(
+      std::upper_bound(LineStarts.begin(), LineStarts.end(), Offset) -
+      LineStarts.begin());
+}
 
 Lexer::Lexer(std::string_view Input, std::string_view FileName,
              DiagnosticEngine &Diags)
     : Input(Input), File(SourceLocation::internFile(FileName)), Diags(Diags) {}
-
-void Lexer::advanceTo(size_t End) {
-  std::string_view Skipped = Input.substr(Pos, End - Pos);
-  size_t LastNewline = Skipped.rfind('\n');
-  if (LastNewline != std::string_view::npos) {
-    Line += static_cast<unsigned>(
-        std::count(Skipped.begin(), Skipped.end(), '\n'));
-    LineStart = Pos + LastNewline + 1;
-  }
-  Pos = End;
-}
 
 size_t Lexer::identEnd(size_t From) const {
   while (From < Input.size() && isIdentChar(Input[From]))
@@ -172,14 +187,12 @@ size_t Lexer::identEnd(size_t From) const {
   return From;
 }
 
-void Lexer::skipTrivia() {
+void Lexer::skipTrivia(TokenBuffer &Out) {
   const size_t Size = Input.size();
   for (;;) {
     while (Pos < Size && charclass::isSpace(Input[Pos])) {
-      if (Input[Pos] == '\n') {
-        ++Line;
-        LineStart = Pos + 1;
-      }
+      if (Input[Pos] == '\n')
+        newLine(Out, Pos + 1);
       ++Pos;
     }
     if (Pos + 1 >= Size || Input[Pos] != '/')
@@ -190,97 +203,139 @@ void Lexer::skipTrivia() {
       continue;
     }
     if (Input[Pos + 1] == '*') {
-      SourceLocation Start = here();
-      size_t Close = Input.find("*/", Pos + 2);
+      const SourceLocation Start = locAt(Pos);
+      const size_t Close = Input.find("*/", Pos + 2);
+      const size_t End = Close == std::string_view::npos ? Size : Close + 2;
+      for (size_t NL = Input.find('\n', Pos); NL < End;
+           NL = Input.find('\n', NL + 1))
+        newLine(Out, NL + 1);
+      Pos = End;
       if (Close == std::string_view::npos) {
-        advanceTo(Size);
         Diags.error(Start, "unterminated block comment");
         return;
       }
-      advanceTo(Close + 2);
       continue;
     }
     return;
   }
 }
 
-Token Lexer::next() {
-  skipTrivia();
-  const SourceLocation Loc = here();
-  const size_t Start = Pos;
-  if (Start >= Input.size())
-    return {TokenKind::EndOfFile, Input.substr(Start), Loc};
+void Lexer::push(TokenBuffer &Out, TokenKind Kind, size_t Start) {
+  size_t Length = Pos - Start;
+  if (Length > TokenBuffer::MaxTokenLength) {
+    Diags.error(locAt(Start),
+                "token of " + std::to_string(Length) +
+                    " bytes is longer than the limit of " +
+                    std::to_string(TokenBuffer::MaxTokenLength) + " bytes");
+    Kind = TokenKind::Error;
+    Length = TokenBuffer::MaxTokenLength;
+  }
+  Out.Records.push_back(
+      {static_cast<uint32_t>(Start),
+       static_cast<uint32_t>(Length) << 8 | static_cast<uint32_t>(Kind)});
+}
 
+void Lexer::lexToken(TokenBuffer &Out) {
+  const size_t Start = Pos;
   const char C = Input[Start];
 
-  // Resource references: @layout/NAME and @id/NAME.
+  // Resource references: @layout/NAME and @id/NAME. The record spans the
+  // whole reference; TokenBuffer::get drops the prefix from the text.
   if (C == '@') {
     Pos = identEnd(Start + 1);
     std::string_view Kind = Input.substr(Start + 1, Pos - Start - 1);
     if (Pos >= Input.size() || Input[Pos] != '/') {
-      Diags.error(Loc, "expected '/' in resource reference '@" +
-                           std::string(Kind) + "'");
-      return {TokenKind::Error, Kind, Loc};
+      Diags.error(locAt(Start), "expected '/' in resource reference '@" +
+                                    std::string(Kind) + "'");
+      return push(Out, TokenKind::Error, Start);
     }
     const size_t NameStart = Pos + 1;
     Pos = identEnd(NameStart);
-    std::string_view Name = Input.substr(NameStart, Pos - NameStart);
-    if (Name.empty()) {
-      Diags.error(Loc, "empty resource name in '@" + std::string(Kind) + "/'");
-      return {TokenKind::Error, Name, Loc};
+    if (Pos == NameStart) {
+      Diags.error(locAt(Start),
+                  "empty resource name in '@" + std::string(Kind) + "/'");
+      return push(Out, TokenKind::Error, Start);
     }
     if (Kind == "layout")
-      return {TokenKind::LayoutRef, Name, Loc};
+      return push(Out, TokenKind::LayoutRef, Start);
     if (Kind == "id")
-      return {TokenKind::IdRef, Name, Loc};
-    Diags.error(Loc, "unknown resource kind '@" + std::string(Kind) + "/'");
-    return {TokenKind::Error, Name, Loc};
+      return push(Out, TokenKind::IdRef, Start);
+    Diags.error(locAt(Start),
+                "unknown resource kind '@" + std::string(Kind) + "/'");
+    return push(Out, TokenKind::Error, Start);
   }
 
   if (isIdentStart(C)) {
     Pos = identEnd(Start + 1);
-    std::string_view Text = Input.substr(Start, Pos - Start);
-    return {keywordOrIdentifier(Text), Text, Loc};
+    return push(Out, keywordOrIdentifier(Input.substr(Start, Pos - Start)),
+                Start);
   }
 
   // Every remaining token is one character, except ':='.
   ++Pos;
-  std::string_view One = Input.substr(Start, 1);
+  TokenKind Kind;
   switch (C) {
   case '{':
-    return {TokenKind::LBrace, One, Loc};
+    Kind = TokenKind::LBrace;
+    break;
   case '}':
-    return {TokenKind::RBrace, One, Loc};
+    Kind = TokenKind::RBrace;
+    break;
   case '(':
-    return {TokenKind::LParen, One, Loc};
+    Kind = TokenKind::LParen;
+    break;
   case ')':
-    return {TokenKind::RParen, One, Loc};
+    Kind = TokenKind::RParen;
+    break;
   case ';':
-    return {TokenKind::Semicolon, One, Loc};
+    Kind = TokenKind::Semicolon;
+    break;
   case ',':
-    return {TokenKind::Comma, One, Loc};
+    Kind = TokenKind::Comma;
+    break;
   case '.':
-    return {TokenKind::Dot, One, Loc};
+    Kind = TokenKind::Dot;
+    break;
   case ':':
+    Kind = TokenKind::Colon;
     if (Pos < Input.size() && Input[Pos] == '=') {
       ++Pos;
-      return {TokenKind::Assign, Input.substr(Start, 2), Loc};
+      Kind = TokenKind::Assign;
     }
-    return {TokenKind::Colon, One, Loc};
+    break;
   default:
-    Diags.error(Loc, std::string("unexpected character '") + C + "'");
-    return {TokenKind::Error, One, Loc};
+    Diags.error(locAt(Start), std::string("unexpected character '") + C + "'");
+    Kind = TokenKind::Error;
   }
+  push(Out, Kind, Start);
 }
 
-std::vector<Token> Lexer::lexAll() {
+TokenBuffer Lexer::lexAll() {
+  TokenBuffer Out;
+  Out.Input = Input;
+  Out.File = File;
+  // Records hold 32-bit offsets, so the input must stay under 4 GiB; a
+  // larger one is rejected before any of it is read.
+  if (Input.size() > std::numeric_limits<uint32_t>::max()) {
+    Diags.error(locAt(0), "input of " + std::to_string(Input.size()) +
+                              " bytes is too large; ALite inputs must be "
+                              "under 4 GiB");
+    Out.LineStarts.push_back(0);
+    Out.Records.push_back({0, static_cast<uint32_t>(TokenKind::EndOfFile)});
+    return Out;
+  }
   // ALite averages more than three bytes per token, so one reservation
-  // covers real inputs; denser text falls back to geometric growth.
-  std::vector<Token> Tokens;
-  Tokens.reserve(Input.size() / 3 + 1);
+  // covers real inputs; denser text falls back to geometric growth. The
+  // line starts are counted first and reserved exactly.
+  Out.Records.reserve(Input.size() / 3 + 1);
+  Out.LineStarts.reserve(countNewlines(Input) + 1);
+  Out.LineStarts.push_back(0);
   for (;;) {
-    Tokens.push_back(next());
-    if (Tokens.back().is(TokenKind::EndOfFile))
-      return Tokens;
+    skipTrivia(Out);
+    if (Pos >= Input.size()) {
+      push(Out, TokenKind::EndOfFile, Pos);
+      return Out;
+    }
+    lexToken(Out);
   }
 }

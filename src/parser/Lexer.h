@@ -19,6 +19,7 @@
 #include "support/Diagnostics.h"
 #include "support/SourceLocation.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +27,7 @@
 namespace gator {
 namespace parser {
 
-enum class TokenKind {
+enum class TokenKind : uint8_t {
   // Literals and names.
   Identifier,   ///< e.g. `flip`, `ConsoleActivity`
   LayoutRef,    ///< `@layout/name` (text() is the name)
@@ -65,13 +66,13 @@ enum class TokenKind {
 /// Returns a printable name for \p Kind (for diagnostics).
 const char *tokenKindName(TokenKind Kind);
 
-/// One lexed token: 40 bytes, trivially copyable, never owning memory.
+/// One token as the parser sees it: kind, spelling and location, built by
+/// value from a TokenBuffer record and never stored.
 ///
-/// Lifetime: `Text` views the buffer passed to the Lexer, so a Token (and
-/// every vector returned by lexAll) is only valid while that buffer is
-/// alive and unmodified. Copy the spelling into a std::string before the
-/// buffer goes away. `Loc` holds an interned file name and stays valid for
-/// the life of the process.
+/// Lifetime: `Text` views the buffer passed to the Lexer, so a Token is
+/// only valid while that buffer is alive and unmodified. Copy the spelling
+/// into a std::string before the buffer goes away. `Loc` holds an interned
+/// file name and stays valid for the life of the process.
 struct Token {
   TokenKind Kind = TokenKind::Error;
   std::string_view Text; ///< The token's spelling; for resource
@@ -81,10 +82,77 @@ struct Token {
   bool is(TokenKind K) const { return Kind == K; }
 };
 
-/// Produces the token stream for one ALite source buffer. `//` comments
-/// run to end of line; `/* */` comments do not nest. The lexer makes no
-/// heap allocation per token: lexAll() reserves the token vector once,
-/// sized from the input length, and tokens view the input.
+/// The tokens of one ALite buffer (docs/MEMORY.md, "Token records"). Each
+/// token is an 8-byte record, `{offset, length << 8 | kind}`, and the
+/// buffer keeps one 4-byte line start per source line; a token's line and
+/// column are recovered from the line starts when a Token is built. The
+/// records take one allocation sized from the input (ALite averages more
+/// than three bytes per token) and the line starts one exact allocation,
+/// so lexing allocates no memory per token.
+///
+/// The buffer views the lexer's input, with the same lifetime rule as
+/// Token::Text.
+class TokenBuffer {
+public:
+  /// Longest token a record can hold, in bytes.
+  static constexpr uint32_t MaxTokenLength = (1u << 24) - 1;
+
+  size_t size() const { return Records.size(); }
+  TokenKind kind(size_t I) const {
+    return static_cast<TokenKind>(Records[I].LengthKind & 0xff);
+  }
+
+  /// The token at \p I. Its line is found by binary search; a reader
+  /// walking the tokens in order passes the previous token's line as
+  /// \p LineHint instead, which makes each lookup a short forward scan.
+  Token get(size_t I, unsigned LineHint = 0) const {
+    const Record &R = Records[I];
+    const TokenKind Kind = static_cast<TokenKind>(R.LengthKind & 0xff);
+    const uint32_t Length = R.LengthKind >> 8;
+    const unsigned Line = lineOf(R.Offset, LineHint);
+    // A resource reference's text is the name after "@layout/" or "@id/".
+    const uint32_t Skip = Kind == TokenKind::LayoutRef ? 8
+                          : Kind == TokenKind::IdRef   ? 4
+                                                       : 0;
+    return {Kind,
+            std::string_view(Input.data() + R.Offset + Skip, Length - Skip),
+            SourceLocation(File, Line, R.Offset - LineStarts[Line - 1] + 1)};
+  }
+  Token operator[](size_t I) const { return get(I); }
+
+private:
+  friend class Lexer;
+
+  struct Record {
+    uint32_t Offset;     ///< first byte of the token's full spelling
+    uint32_t LengthKind; ///< spelling length << 8 | TokenKind
+  };
+  static_assert(sizeof(Record) == 8, "see docs/MEMORY.md, \"Token records\"");
+
+  /// The 1-based line holding byte \p Offset.
+  unsigned lineOf(uint32_t Offset, unsigned LineHint) const {
+    if (LineHint == 0 || LineHint > LineStarts.size() ||
+        LineStarts[LineHint - 1] > Offset)
+      return searchLine(Offset);
+    while (LineHint < LineStarts.size() && LineStarts[LineHint] <= Offset)
+      ++LineHint;
+    return LineHint;
+  }
+  /// lineOf without a usable hint: a binary search, kept out of line so
+  /// get() stays small enough to inline into the parser.
+  unsigned searchLine(uint32_t Offset) const;
+
+  std::string_view Input;
+  SourceLocation::FileRef File = nullptr;
+  std::vector<Record> Records;
+  /// Offset of the first byte of each line; LineStarts[0] is 0.
+  std::vector<uint32_t> LineStarts;
+};
+
+/// Produces the tokens of one ALite source buffer. `//` comments run to
+/// end of line; `/* */` comments do not nest. An input of 4 GiB or more,
+/// or a token longer than TokenBuffer::MaxTokenLength, is reported as an
+/// error rather than stored in a record that cannot hold it.
 class Lexer {
 public:
   /// \p Input must outlive the tokens lexAll() returns. \p FileName is
@@ -93,19 +161,25 @@ public:
         DiagnosticEngine &Diags);
 
   /// Lexes the whole input. The final token is always EndOfFile.
-  std::vector<Token> lexAll();
+  TokenBuffer lexAll();
 
 private:
-  Token next();
-  void skipTrivia();
-  /// Moves Pos to \p End, updating Line and LineStart for the skipped
-  /// text.
-  void advanceTo(size_t End);
+  /// Lexes the token at Pos (trivia already skipped) into \p Out.
+  void lexToken(TokenBuffer &Out);
+  /// Appends a record for the spelling [Start, Pos) of kind \p Kind.
+  void push(TokenBuffer &Out, TokenKind Kind, size_t Start);
+  void skipTrivia(TokenBuffer &Out);
+  /// Starts line Line + 1 at offset \p Next (just past a newline).
+  void newLine(TokenBuffer &Out, size_t Next) {
+    ++Line;
+    LineStart = Next;
+    Out.LineStarts.push_back(static_cast<uint32_t>(Next));
+  }
   /// End of the run of identifier characters starting at \p From.
   size_t identEnd(size_t From) const;
-  SourceLocation here() const {
+  SourceLocation locAt(size_t Offset) const {
     return SourceLocation(File, Line,
-                          static_cast<unsigned>(Pos - LineStart + 1));
+                          static_cast<unsigned>(Offset - LineStart + 1));
   }
 
   std::string_view Input;

@@ -2,6 +2,8 @@
 
 #include "parser/Parser.h"
 
+#include <algorithm>
+
 using namespace gator;
 using namespace gator::parser;
 using namespace gator::ir;
@@ -10,7 +12,7 @@ namespace {
 
 class AliteParser {
 public:
-  AliteParser(std::vector<Token> Tokens, Program &P, DiagnosticEngine &Diags)
+  AliteParser(TokenBuffer Tokens, Program &P, DiagnosticEngine &Diags)
       : Tokens(std::move(Tokens)), P(P), Diags(Diags),
         VoidName(P.intern(VoidTypeName)) {}
 
@@ -27,18 +29,19 @@ private:
   // Token helpers
   //===--------------------------------------------------------------------===//
 
-  const Token &cur() const { return Tokens[Index]; }
-  const Token &lookahead(size_t N = 1) const {
-    size_t I = Index + N;
-    return I < Tokens.size() ? Tokens[I] : Tokens.back();
+  /// Tokens are built by value from their records, in order, each with
+  /// the line of the token before it as the line hint.
+  Token cur() const { return Tokens.get(Index, Line); }
+  TokenKind nextKind() const {
+    return Tokens.kind(std::min(Index + 1, Tokens.size() - 1));
   }
-  bool at(TokenKind Kind) const { return cur().is(Kind); }
+  bool at(TokenKind Kind) const { return Tokens.kind(Index) == Kind; }
 
-  /// Consumes the current token. The reference stays valid for the
-  /// parser's lifetime (the token vector never changes).
-  const Token &take() {
-    const Token &T = cur();
-    if (!at(TokenKind::EndOfFile))
+  /// Consumes and returns the current token.
+  Token take() {
+    Token T = cur();
+    Line = T.Loc.line();
+    if (!T.is(TokenKind::EndOfFile))
       ++Index;
     return T;
   }
@@ -115,7 +118,7 @@ private:
     const char *End = First.data() + First.size();
     bool Contiguous = true;
     Scratch.clear();
-    while (at(TokenKind::Dot) && lookahead().is(TokenKind::Identifier)) {
+    while (at(TokenKind::Dot) && nextKind() == TokenKind::Identifier) {
       std::string_view Dot = take().Text;
       std::string_view Part = take().Text;
       if (Contiguous && Dot.data() == End && Part.data() == End + 1) {
@@ -330,7 +333,7 @@ private:
         error("expected variable name after 'var'");
         return false;
       }
-      const Token &NameTok = take();
+      const Token NameTok = take();
       if (M.findVar(NameTok.Text) != InvalidVar) {
         Diags.error(NameTok.Loc, "redeclaration of variable '" +
                                      std::string(NameTok.Text) + "'");
@@ -400,7 +403,7 @@ private:
       error("expected statement");
       return false;
     }
-    const Token &FirstTok = take();
+    const Token FirstTok = take();
 
     // x.f := y;   x.m(args);
     if (accept(TokenKind::Dot)) {
@@ -408,7 +411,7 @@ private:
         error("expected member name after '.'");
         return false;
       }
-      const Token &MemberTok = take();
+      const Token MemberTok = take();
       VarId Base = useVar(M, FirstTok);
       if (Base == InvalidVar)
         return false;
@@ -503,7 +506,7 @@ private:
 
     // @layout/name, @id/name
     if (at(TokenKind::LayoutRef) || at(TokenKind::IdRef)) {
-      const Token &ResTok = take();
+      const Token ResTok = take();
       Stmt S;
       S.Kind = ResTok.is(TokenKind::LayoutRef) ? StmtKind::AssignLayoutId
                                                : StmtKind::AssignViewId;
@@ -571,7 +574,7 @@ private:
       error("expected member name after '.'");
       return false;
     }
-    const Token &MemberTok = take();
+    const Token MemberTok = take();
 
     if (at(TokenKind::LParen)) {
       Stmt S;
@@ -601,10 +604,11 @@ private:
     ir::Name Name, TypeName;
   };
 
-  std::vector<Token> Tokens;
+  TokenBuffer Tokens;
   Program &P;
   DiagnosticEngine &Diags;
   size_t Index = 0;
+  unsigned Line = 1; ///< line of the last token taken
   bool Ok = true;
   ir::Name VoidName;
 
@@ -622,9 +626,12 @@ bool gator::parser::parseAlite(std::string_view Input,
                                const std::string &FileName,
                                ir::Program &Program,
                                DiagnosticEngine &Diags) {
+  // Only this file's lex errors stop it: Diags also holds the errors of
+  // the app's earlier files, which must not drop this one.
+  const unsigned ErrorsBefore = Diags.errorCount();
   Lexer Lex(Input, FileName, Diags);
-  std::vector<Token> Tokens = Lex.lexAll();
-  if (Diags.hasErrors())
+  TokenBuffer Tokens = Lex.lexAll();
+  if (Diags.errorCount() != ErrorsBefore)
     return false;
   return AliteParser(std::move(Tokens), Program, Diags).run();
 }

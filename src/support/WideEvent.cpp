@@ -7,13 +7,12 @@
 
 #include "support/WideEvent.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
 namespace gator {
 namespace support {
@@ -214,14 +213,12 @@ bool readLedger(std::string_view Text, Ledger &Out, std::string &Error) {
 
 bool readLedgerFile(const std::string &Path, Ledger &Out,
                     std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     Error = "cannot open " + Path;
     return false;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return readLedger(Buf.str(), Out, Error);
+  return readLedger(Text, Out, Error);
 }
 
 const std::vector<WideEventField> &wideEventNumericFields() {

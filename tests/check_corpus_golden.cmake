@@ -2,7 +2,9 @@
 # written by export_corpus must analyze to exactly the recorded stdout,
 # stderr and exit code under `gator_cli --batch --no-times`, and two
 # malformed copies of NotePad (one with lex errors, one with a parse error)
-# must report exactly the recorded `--diag-format=json` diagnostics. Run
+# must report exactly the recorded `--diag-format=json` diagnostics. XBMC
+# and NotePad must also give the recorded `--solution --hierarchy` output
+# and `--dot` graph, which pin the order of relationship edges. Run
 # under ASan this also catches a token or location that outlives its
 # buffer on real input. Invoked by ctest with -DCLI=<gator_cli>
 # -DEXPORT=<export_corpus> -DGOLDEN=<tests/fixtures/corpus_golden>
@@ -66,5 +68,37 @@ endfunction()
 
 check_golden(batch 0 --batch --no-times corpus)
 check_golden(malformed 1 --batch --no-times --diag-format=json malformed)
+
+# Solution, hierarchy and constraint graph of two apps. The DOT file is
+# pinned by its SHA-256; its relationship (dashed) edges are also kept as
+# text, so a change in their order shows up as a readable diff.
+foreach(app XBMC NotePad)
+  set(name graph_${app})
+  check_golden(${name} 0 --solution --hierarchy --no-times
+               --dot ${name}.dot corpus/${app})
+  file(READ ${WORK}/${name}.dot dot)
+  # DOT statements end in ';', which CMake would read as list separators.
+  string(REPLACE ";" "<semicolon>" dot "${dot}")
+  string(REGEX MATCHALL "[^\n]*style=dashed[^\n]*\n" relations "${dot}")
+  list(JOIN relations "" relations)
+  string(REPLACE "<semicolon>" ";" relations "${relations}")
+  file(WRITE ${WORK}/${name}.relations "${relations}")
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK}/${name}.relations ${GOLDEN}/${name}.relations
+    RESULT_VARIABLE differs)
+  if(NOT differs EQUAL 0)
+    message(FATAL_ERROR
+      "${name}: relationship edges differ from the golden file; compare\n"
+      "  ${WORK}/${name}.relations\n  ${GOLDEN}/${name}.relations")
+  endif()
+  file(SHA256 ${WORK}/${name}.dot digest)
+  file(READ ${GOLDEN}/${name}.dot.sha256 expected)
+  string(STRIP "${expected}" expected)
+  if(NOT digest STREQUAL expected)
+    message(FATAL_ERROR "${name}: ${WORK}/${name}.dot has SHA-256 ${digest}, "
+                        "expected ${expected}")
+  endif()
+endforeach()
 
 message(STATUS "corpus and malformed copies match the golden output")

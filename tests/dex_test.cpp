@@ -278,6 +278,25 @@ TEST(DexLiteTest, UnknownInstructionIsError) {
                  ".end method\n.end class\n");
 }
 
+TEST(DexLiteTest, BufferAfterAnotherBuffersErrorIsLowered) {
+  // The engine already holds an error from another file of the app; this
+  // clean buffer must still declare and lower its classes.
+  Program P;
+  DiagnosticEngine Diags;
+  Diags.error("an error from an earlier file");
+  EXPECT_TRUE(dex::parseDexLite(".class A\n"
+                                "  .method m() void\n"
+                                "    return-void\n"
+                                "  .end method\n"
+                                ".end class\n",
+                                "second.dexlite", P, Diags));
+  const ClassDecl *A = P.findClass("A");
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(A->findOwnMethod("m", 0), nullptr);
+  EXPECT_FALSE(A->findOwnMethod("m", 0)->isAbstract());
+  EXPECT_EQ(Diags.errorCount(), 1u);
+}
+
 TEST(DexLiteTest, InstructionOutsideMethodIsError) {
   expectDexError(".class A\n  const-null v0\n.end class\n");
 }

@@ -2,9 +2,9 @@
 //
 // Guards the allocation budget of the ALite frontend (docs/MEMORY.md,
 // "Frontend"): lexAll makes a fixed number of heap allocations per file,
-// none per token, and parseAlite allocates per table growth, not per
-// statement. A counting global operator new, armed only around the
-// measured call, does the counting.
+// none per token, and at most 13 bytes per token; parseAlite allocates per
+// table growth, not per statement. A counting global operator new, armed
+// only around the measured call, does the counting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -22,12 +23,15 @@ namespace {
 
 std::atomic<bool> Counting{false};
 std::atomic<size_t> Allocations{0};
+std::atomic<size_t> AllocatedBytes{0};
 
 } // namespace
 
 void *operator new(std::size_t Size) {
-  if (Counting.load(std::memory_order_relaxed))
+  if (Counting.load(std::memory_order_relaxed)) {
     Allocations.fetch_add(1, std::memory_order_relaxed);
+    AllocatedBytes.fetch_add(Size, std::memory_order_relaxed);
+  }
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
@@ -47,6 +51,7 @@ using namespace gator::parser;
 /// Heap allocations made while \p Fn runs.
 template <typename FnT> size_t countAllocations(FnT Fn) {
   Allocations.store(0);
+  AllocatedBytes.store(0);
   Counting.store(true);
   Fn();
   Counting.store(false);
@@ -93,7 +98,7 @@ std::string generateAlite(size_t Bytes) {
 size_t lexAllocations(const std::string &Input, size_t &Tokens) {
   DiagnosticEngine Diags;
   Lexer L(Input, "corpus/Generated/app.alite", Diags);
-  std::vector<Token> Result;
+  TokenBuffer Result;
   size_t Count = countAllocations([&] { Result = L.lexAll(); });
   EXPECT_FALSE(Diags.hasErrors());
   Tokens = Result.size();
@@ -110,6 +115,33 @@ TEST(FrontendAllocTest, LexAllocationsDoNotGrowWithTokens) {
   EXPECT_LE(SmallAllocs, 4u) << SmallTokens << " tokens";
   EXPECT_LE(LargeAllocs, 4u) << LargeTokens << " tokens";
   EXPECT_EQ(SmallAllocs, LargeAllocs);
+}
+
+TEST(FrontendAllocTest, LexBytesPerTokenStayCompact) {
+  // 8-byte token records in one reservation sized from the input, plus
+  // 4 bytes per line for the line starts: at most 13 bytes per token.
+  const std::string Large = generateAlite(200 * 1024);
+  size_t Tokens = 0;
+  lexAllocations(Large, Tokens);
+  const size_t Bytes = AllocatedBytes.load();
+  EXPECT_LE(Bytes, 13 * Tokens)
+      << Bytes << " bytes for " << Tokens << " tokens";
+}
+
+TEST(FrontendAllocTest, LineStartsAreReservedExactly) {
+  // Newlines at every alignment, next to bytes that differ from '\n' only
+  // in the high bit or one low bit (comments may hold any byte).
+  std::string Input;
+  for (unsigned I = 0; I < 300; ++I) {
+    Input += 'a';
+    Input.append(I % 11, ' ');
+    Input += "// \x8a\x0b\x0e\xff\x00";
+    Input.append(I % 3 + 1, '\n');
+  }
+  size_t Tokens = 0;
+  EXPECT_EQ(lexAllocations(Input, Tokens), 2u);
+  const size_t Lines = std::count(Input.begin(), Input.end(), '\n') + 1;
+  EXPECT_EQ(AllocatedBytes.load(), (Input.size() / 3 + 1) * 8 + Lines * 4);
 }
 
 TEST(FrontendAllocTest, ParseAllocationsAreFarFewerThanStatements) {

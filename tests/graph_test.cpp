@@ -5,7 +5,33 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <sstream>
+
+namespace {
+
+// Bytes requested from operator new while Counting is set (see
+// RelationshipTablesDoNotGrowWithTheGraph).
+std::atomic<bool> Counting{false};
+std::atomic<size_t> AllocatedBytes{0};
+
+} // namespace
+
+void *operator new(std::size_t Size) {
+  if (Counting.load(std::memory_order_relaxed))
+    AllocatedBytes.fetch_add(Size, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free with the
+// operator new it sees at the call site.
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 using namespace gator;
 using namespace gator::graph;
@@ -78,6 +104,103 @@ TEST_F(GraphTest, RelationshipEdgesDeduplicate) {
   EXPECT_FALSE(G.addHasIdEdge(V1, Id));
   ASSERT_EQ(G.viewIds(V1).size(), 1u);
   EXPECT_EQ(G.children(V2).size(), 0u);
+}
+
+TEST_F(GraphTest, RelationshipTablesDoNotGrowWithTheGraph) {
+  // Inflation mints views at the top of the id range. Their relationship
+  // edges must cost memory per edge, not per node of the graph.
+  const ClassDecl *A = P.findClass("A");
+  NodeId Child = G.getAllocNode(M, 0, A, /*IsView=*/true, {});
+  NodeId Root = G.getAllocNode(M, 1, A, /*IsView=*/true, {});
+  NodeId Listener = G.getAllocNode(M, 2, A, /*IsView=*/false, {});
+  NodeId Id = G.getViewIdNode(7);
+  while (G.size() < 100000)
+    G.makeOpNode(android::OpKind::FindView1, SourceLocation());
+  NodeId Last = G.getAllocNode(M, 3, A, /*IsView=*/true, {});
+  ASSERT_EQ(Last + 1, G.size());
+
+  const size_t ArenaBefore = G.edgeArena().bytesAllocated();
+  AllocatedBytes.store(0);
+  Counting.store(true);
+  const bool Added = G.addParentChildEdge(Last, Child) &&
+                     G.addHasIdEdge(Last, Id) && G.addRootEdge(Last, Root) &&
+                     G.addListenerEdge(Last, Listener);
+  Counting.store(false);
+  EXPECT_TRUE(Added);
+  const size_t Bytes =
+      AllocatedBytes.load() + G.edgeArena().bytesAllocated() - ArenaBefore;
+  EXPECT_LT(Bytes, 64u * 1024) << Bytes << " bytes for four edges";
+
+  EXPECT_EQ(G.children(Last).size(), 1u);
+  EXPECT_EQ(G.viewsWithId(Id).size(), 1u);
+  EXPECT_EQ(G.roots(Last).size(), 1u);
+  EXPECT_EQ(G.listeners(Last).size(), 1u);
+  EXPECT_TRUE(G.children(Last - 1).empty());
+  EXPECT_TRUE(G.children(G.size() + 5).empty());
+}
+
+TEST_F(GraphTest, RelationshipOrderIsInsertionOrderPerAscendingSource) {
+  const ClassDecl *A = P.findClass("A");
+  std::vector<NodeId> V;
+  for (int32_t I = 0; I < 6; ++I)
+    V.push_back(G.getAllocNode(M, I, A, /*IsView=*/true, {}));
+  NodeId Holder = G.getActivityNode(A);
+  NodeId Layout = G.getLayoutIdNode(3);
+  NodeId Id = G.getViewIdNode(5);
+  // Sources get their first edge in descending id order.
+  EXPECT_TRUE(G.addRootsLayoutEdge(V[5], Layout));
+  EXPECT_TRUE(G.addParentChildEdge(V[4], V[5]));
+  EXPECT_TRUE(G.addRootEdge(Holder, V[4]));
+  EXPECT_TRUE(G.addRootEdge(V[1], V[3]));
+  EXPECT_TRUE(G.addParentChildEdge(V[0], V[3]));
+  EXPECT_TRUE(G.addParentChildEdge(V[0], V[1]));
+  EXPECT_TRUE(G.addParentChildEdge(V[0], V[2]));
+  EXPECT_TRUE(G.addHasIdEdge(V[2], Id));
+  EXPECT_TRUE(G.addHasIdEdge(V[0], Id));
+
+  EXPECT_EQ(std::vector<NodeId>(G.children(V[0]).begin(),
+                                G.children(V[0]).end()),
+            (std::vector<NodeId>{V[3], V[1], V[2]}));
+  EXPECT_EQ(std::vector<NodeId>(G.viewsWithId(Id).begin(),
+                                G.viewsWithId(Id).end()),
+            (std::vector<NodeId>{V[2], V[0]}));
+  EXPECT_TRUE(G.removeParentChildEdge(V[0], V[1]));
+  EXPECT_FALSE(G.removeParentChildEdge(V[0], V[1]));
+  EXPECT_EQ(std::vector<NodeId>(G.children(V[0]).begin(),
+                                G.children(V[0]).end()),
+            (std::vector<NodeId>{V[3], V[2]}));
+  EXPECT_EQ(G.rootHolders(), (std::vector<NodeId>{V[1], Holder}));
+
+  std::ostringstream OS;
+  G.dumpDot(OS);
+  std::string Dashed;
+  std::istringstream Lines(OS.str());
+  for (std::string Line; std::getline(Lines, Line);)
+    if (Line.find("style=dashed") != std::string::npos) {
+      Dashed += Line.substr(0, Line.find(" ["));
+      Dashed += ' ';
+      Dashed += Line.substr(Line.find("label="));
+      Dashed += '\n';
+    }
+  std::string Expected;
+  auto Edge = [&](NodeId From, NodeId To, const char *Label) {
+    Expected += "  n";
+    Expected += std::to_string(From);
+    Expected += " -> n";
+    Expected += std::to_string(To);
+    Expected += " label=\"";
+    Expected += Label;
+    Expected += "\"];\n";
+  };
+  Edge(V[0], V[3], "child");
+  Edge(V[0], V[2], "child");
+  Edge(V[4], V[5], "child");
+  Edge(V[0], Id, "id");
+  Edge(V[2], Id, "id");
+  Edge(V[1], V[3], "root");
+  Edge(Holder, V[4], "root");
+  Edge(V[5], Layout, "layout");
+  EXPECT_EQ(Dashed, Expected);
 }
 
 TEST_F(GraphTest, DescendantsIncludeSelfAndHandleSharing) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <sstream>
 
 using namespace gator;
@@ -13,16 +15,16 @@ namespace {
 
 /// Tokens view their input, so \p Input must outlive the result: pass a
 /// string literal or a string that lives for the rest of the test.
-std::vector<Token> lex(std::string_view Input, DiagnosticEngine &Diags,
-                       std::string_view FileName = "test.alite") {
+TokenBuffer lex(std::string_view Input, DiagnosticEngine &Diags,
+                std::string_view FileName = "test.alite") {
   Lexer L(Input, FileName, Diags);
   return L.lexAll();
 }
 
-std::vector<TokenKind> kinds(const std::vector<Token> &Tokens) {
+std::vector<TokenKind> kinds(const TokenBuffer &Tokens) {
   std::vector<TokenKind> Result;
-  for (const Token &T : Tokens)
-    Result.push_back(T.Kind);
+  for (size_t I = 0; I < Tokens.size(); ++I)
+    Result.push_back(Tokens.kind(I));
   return Result;
 }
 
@@ -258,13 +260,99 @@ TEST(LexerTest, TokensViewTheInput) {
   DiagnosticEngine Diags;
   auto Tokens = lex(Input, Diags);
   ASSERT_EQ(Tokens.size(), 5u);
-  for (const Token &T : Tokens) {
+  for (size_t I = 0; I < Tokens.size(); ++I) {
+    const Token T = Tokens[I];
     EXPECT_GE(T.Text.data(), Input.data());
     EXPECT_LE(T.Text.data() + T.Text.size(), Input.data() + Input.size());
   }
   EXPECT_EQ(Tokens[1].Text, ":=");
   EXPECT_EQ(Tokens[2].Text, "main");
   EXPECT_TRUE(Tokens[4].Text.empty());
+}
+
+TEST(LexerTest, LineHintsGiveTheSameLocations) {
+  const std::string Input = "a\n\n  b c\r\n/* x\ny */ d\n@id/e\n";
+  DiagnosticEngine Diags;
+  auto Tokens = lex(Input, Diags);
+  ASSERT_EQ(Tokens.size(), 6u);
+  for (size_t I = 0; I < Tokens.size(); ++I) {
+    const Token Plain = Tokens[I];
+    // Hints before, at and after the token's own line.
+    for (unsigned Hint = 1; Hint <= 7; ++Hint) {
+      const Token Hinted = Tokens.get(I, Hint);
+      EXPECT_EQ(Hinted.Loc, Plain.Loc) << "token " << I << " hint " << Hint;
+      EXPECT_EQ(Hinted.Text, Plain.Text);
+    }
+  }
+  EXPECT_EQ(Tokens[3].Loc.str(), "test.alite:5:6");
+  EXPECT_EQ(Tokens[4].Text, "e");
+  EXPECT_EQ(Tokens[4].Loc.str(), "test.alite:6:1");
+  EXPECT_EQ(Tokens[5].Loc.str(), "test.alite:7:1");
+}
+
+TEST(LexerTest, LongestTokenFitsItsRecord) {
+  std::string Input(TokenBuffer::MaxTokenLength, 'a');
+  Input += " b";
+  DiagnosticEngine Diags;
+  auto Tokens = lex(Input, Diags);
+  EXPECT_FALSE(Diags.hasErrors());
+  ASSERT_EQ(Tokens.size(), 3u);
+  EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier);
+  EXPECT_EQ(Tokens[0].Text.size(), TokenBuffer::MaxTokenLength);
+  EXPECT_EQ(Tokens[1].Text, "b");
+  EXPECT_EQ(Tokens[1].Loc.column(), TokenBuffer::MaxTokenLength + 2);
+}
+
+TEST(LexerTest, OverlongIdentifierIsAnErrorAtItsStart) {
+  // One byte past what the record's 24-bit length can hold: reported, and
+  // never stored with a wrapped length.
+  std::string Input = "x\n  ";
+  Input.append(TokenBuffer::MaxTokenLength + 1, 'a');
+  Input += " b";
+  DiagnosticEngine Diags;
+  auto Tokens = lex(Input, Diags);
+  ASSERT_EQ(Diags.diagnostics().size(), 1u);
+  EXPECT_EQ(Diags.diagnostics()[0].Loc.str(), "test.alite:2:3");
+  EXPECT_EQ(Diags.diagnostics()[0].Message,
+            "token of 16777216 bytes is longer than the limit of 16777215 "
+            "bytes");
+  ASSERT_EQ(Tokens.size(), 4u);
+  EXPECT_EQ(Tokens[1].Kind, TokenKind::Error);
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::Identifier);
+  EXPECT_EQ(Tokens[2].Text, "b");
+  EXPECT_EQ(Tokens[2].Loc.column(), TokenBuffer::MaxTokenLength + 5);
+}
+
+TEST(LexerTest, OverlongResourceReferenceIsAnError) {
+  std::string Input = "@layout/";
+  Input.append(TokenBuffer::MaxTokenLength, 'n');
+  DiagnosticEngine Diags;
+  auto Tokens = lex(Input, Diags);
+  ASSERT_EQ(Diags.diagnostics().size(), 1u);
+  EXPECT_EQ(Diags.diagnostics()[0].Loc.str(), "test.alite:1:1");
+  ASSERT_EQ(Tokens.size(), 2u);
+  EXPECT_EQ(Tokens[0].Kind, TokenKind::Error);
+}
+
+TEST(LexerTest, InputOfFourGibibytesIsRejectedUnread) {
+  // Records hold 32-bit offsets. The mapping is never touched: the lexer
+  // rejects the input from its size alone.
+  const size_t Size = size_t(1) << 32;
+  void *Map = mmap(nullptr, Size, PROT_READ,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Map == MAP_FAILED)
+    GTEST_SKIP() << "cannot map 4 GiB of address space";
+  DiagnosticEngine Diags;
+  auto Tokens = lex(std::string_view(static_cast<const char *>(Map), Size),
+                    Diags, "huge.alite");
+  munmap(Map, Size);
+  ASSERT_EQ(Diags.diagnostics().size(), 1u);
+  EXPECT_EQ(Diags.diagnostics()[0].Loc.str(), "huge.alite:1:1");
+  EXPECT_EQ(Diags.diagnostics()[0].Message,
+            "input of 4294967296 bytes is too large; ALite inputs must be "
+            "under 4 GiB");
+  ASSERT_EQ(Tokens.size(), 1u);
+  EXPECT_EQ(Tokens.kind(0), TokenKind::EndOfFile);
 }
 
 TEST(LexerTest, TokenKindNamesAreStable) {

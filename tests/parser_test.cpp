@@ -249,14 +249,18 @@ TEST(ParserTest, LexErrorLeavesProgramUntouched) {
   EXPECT_EQ(Diags.diagnostics()[0].Loc, SourceLocation("bad.alite", 1, 39));
 }
 
-TEST(ParserTest, BufferAfterAnErrorIsNotParsed) {
+TEST(ParserTest, BufferAfterAnotherBuffersErrorIsParsed) {
+  // One engine collects the diagnostics of every file of an app. A lex or
+  // parse error in one file must not drop the files parsed after it.
   Program P;
   DiagnosticEngine Diags;
   EXPECT_FALSE(parseAlite("class A { } @", "first.alite", P, Diags));
+  EXPECT_FALSE(parseAlite("class Broken extends { }", "second.alite", P,
+                          Diags));
   const size_t Errors = Diags.errorCount();
-  // Clean on its own, but the engine already holds an error.
-  EXPECT_FALSE(parseAlite("class C { field f: D; }", "second.alite", P, Diags));
-  EXPECT_EQ(P.findClass("C"), nullptr);
+  ASSERT_EQ(Errors, 2u);
+  EXPECT_TRUE(parseAlite("class C { field f: D; }", "third.alite", P, Diags));
+  EXPECT_NE(P.findClass("C"), nullptr);
   EXPECT_EQ(Diags.errorCount(), Errors);
 }
 

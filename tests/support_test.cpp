@@ -2,6 +2,7 @@
 
 #include "support/CharClass.h"
 #include "support/Diagnostics.h"
+#include "support/FileIO.h"
 #include "support/SourceLocation.h"
 #include "support/StringInterner.h"
 #include "support/Json.h"
@@ -10,10 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace gator;
 
@@ -227,4 +232,46 @@ TEST(TimerTest, MeasuresNonNegativeMonotonicTime) {
   EXPECT_GE(B, A);
   T.reset();
   EXPECT_GE(T.millis(), 0.0);
+}
+
+TEST(ReadFileTest, ReadsBytesExactly) {
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::temp_directory_path() / "gator_read_file_test";
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  const char Raw[] = "line one\r\n\0binary\xff\n";
+  std::string Bytes(Raw, sizeof(Raw) - 1);
+  Bytes.append(100000, 'x'); // several pages
+  {
+    std::ofstream OS(Dir / "data.bin", std::ios::binary);
+    OS << Bytes;
+    std::ofstream Empty(Dir / "empty.alite");
+  }
+  std::string Out = "stale";
+  ASSERT_TRUE(support::readFile(Dir / "data.bin", Out));
+  EXPECT_EQ(Out, Bytes);
+  ASSERT_TRUE(support::readFile(Dir / "empty.alite", Out));
+  EXPECT_TRUE(Out.empty());
+  Out = "stale";
+  EXPECT_FALSE(support::readFile(Dir / "missing.alite", Out));
+  EXPECT_TRUE(Out.empty());
+  EXPECT_FALSE(support::readFile(Dir, Out)); // a directory
+  EXPECT_TRUE(Out.empty());
+  fs::remove_all(Dir);
+}
+
+TEST(ReadFileTest, ReadsAStreamWithNoSize) {
+  // A pipe reports size 0; its bytes are read to the end anyway, as for
+  // `gator_cli report <(...)`.
+  int Fds[2];
+  ASSERT_EQ(pipe(Fds), 0);
+  const std::string Text = "{\"ledger_format\":1}\n";
+  ASSERT_EQ(write(Fds[1], Text.data(), Text.size()),
+            static_cast<ssize_t>(Text.size()));
+  close(Fds[1]);
+  std::string Out;
+  EXPECT_TRUE(support::readFile("/proc/self/fd/" + std::to_string(Fds[0]),
+                                Out));
+  close(Fds[0]);
+  EXPECT_EQ(Out, Text);
 }
