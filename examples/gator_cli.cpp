@@ -204,16 +204,55 @@ struct CliConfig {
   analysis::AnalysisOptions Options;
 };
 
-/// Analyzes one application directory end to end. Fail-soft: parse
-/// diagnostics do not abort the run — the analysis still executes and its
-/// solution carries a fidelity marker. Returns 0 (clean), 1 (input
-/// diagnostics), or 2 (internal error).
+/// Parses one loaded `.alite`, `.dexlite` or layout file into \p App.
+/// The manifest is not parsed here: it is read after App.finalize().
+bool parseInputFile(const support::AppFile &F, corpus::AppBundle &App) {
+  switch (F.Kind) {
+  case support::AppFileKind::Alite:
+    return parser::parseAlite(F.Bytes, F.Path.string(), App.Program,
+                              App.Diags);
+  case support::AppFileKind::DexLite:
+    return dex::parseDexLite(F.Bytes, F.Path.string(), App.Program,
+                             App.Diags);
+  case support::AppFileKind::Layout:
+    return layout::readLayoutXml(*App.Layouts, F.Path.stem().string(),
+                                 F.Bytes, App.Diags) != nullptr;
+  case support::AppFileKind::Manifest:
+    break;
+  }
+  return true;
+}
+
+/// Analyzes one application end to end from its loaded inputs, releasing
+/// each file's bytes once it is parsed (nothing refers to them after the
+/// parse), so the app's whole text is not held through the analysis.
+/// Fail-soft: parse diagnostics do not abort the run — the analysis still
+/// executes and its solution carries a fidelity marker. Returns 0 (clean),
+/// 1 (input diagnostics), or 2 (internal error).
 /// \p Out and \p Err receive what a serial run would write to stdout and
 /// stderr. The parallel batch driver passes per-task string buffers and
 /// merges them in input order, which is what makes batch output
 /// byte-identical for every job count.
-int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
+int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
                        std::ostream &Out, std::ostream &Err) {
+  const std::string InputDir = Inputs.Root.string();
+  if (Inputs.ListError) {
+    Err << "error: cannot read directory '" << InputDir
+        << "': " << Inputs.ListError.message() << "\n";
+    return 1;
+  }
+  if (!Inputs.hasSources()) {
+    Err << "error: no .alite or .dexlite files under '" << InputDir
+        << "'\n";
+    return 1;
+  }
+
+  for (const support::AppFile &F : Inputs.Files)
+    if (!F.ReadOk) {
+      Err << "error: cannot read " << F.Path << "\n";
+      return 1;
+    }
+
   corpus::AppBundle App;
   App.Android.install(App.Program);
 
@@ -222,76 +261,26 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
   std::optional<android::Manifest> Manifest;
   {
   support::TraceSpan ParseSpan(Cfg.Options.Trace, "parse");
-
-  // Gather inputs in sorted order for deterministic diagnostics.
-  std::vector<fs::path> AliteFiles, DexFiles, XmlFiles;
-  fs::path ManifestFile;
-  std::error_code EC;
-  for (const auto &Entry : fs::recursive_directory_iterator(InputDir, EC)) {
-    if (!Entry.is_regular_file())
+  support::AppFile *ManifestFile = nullptr;
+  for (support::AppFile &F : Inputs.Files) {
+    if (F.Kind == support::AppFileKind::Manifest) {
+      ManifestFile = &F;
       continue;
-    if (Entry.path().extension() == ".alite")
-      AliteFiles.push_back(Entry.path());
-    else if (Entry.path().extension() == ".dexlite")
-      DexFiles.push_back(Entry.path());
-    else if (Entry.path().filename() == "AndroidManifest.xml")
-      ManifestFile = Entry.path();
-    else if (Entry.path().extension() == ".xml")
-      XmlFiles.push_back(Entry.path());
-  }
-  if (EC) {
-    Err << "error: cannot read directory '" << InputDir
-              << "': " << EC.message() << "\n";
-    return 1;
-  }
-  std::sort(AliteFiles.begin(), AliteFiles.end());
-  std::sort(DexFiles.begin(), DexFiles.end());
-  std::sort(XmlFiles.begin(), XmlFiles.end());
-  if (AliteFiles.empty() && DexFiles.empty()) {
-    Err << "error: no .alite or .dexlite files under '" << InputDir
-              << "'\n";
-    return 1;
-  }
-
-  ParseSpan.arg("files",
-                AliteFiles.size() + DexFiles.size() + XmlFiles.size());
-  for (const fs::path &Path : AliteFiles) {
-    std::string Text;
-    if (!support::readFile(Path, Text)) {
-      Err << "error: cannot read " << Path << "\n";
-      return 1;
     }
-    Ok &= parser::parseAlite(Text, Path.string(), App.Program, App.Diags);
+    Ok &= parseInputFile(F, App);
+    // Swap, not assign: assigning an empty string keeps the capacity.
+    std::string().swap(F.Bytes);
   }
-  for (const fs::path &Path : DexFiles) {
-    std::string Text;
-    if (!support::readFile(Path, Text)) {
-      Err << "error: cannot read " << Path << "\n";
-      return 1;
-    }
-    Ok &= dex::parseDexLite(Text, Path.string(), App.Program, App.Diags);
-  }
-  for (const fs::path &Path : XmlFiles) {
-    std::string Text;
-    if (!support::readFile(Path, Text)) {
-      Err << "error: cannot read " << Path << "\n";
-      return 1;
-    }
-    Ok &= layout::readLayoutXml(*App.Layouts, Path.stem().string(), Text,
-                                App.Diags) != nullptr;
-  }
+  ParseSpan.arg("files", Inputs.Files.size() - (ManifestFile ? 1 : 0));
   Finalized = App.finalize();
   Ok &= Finalized;
 
   // Manifest (optional): validates declared activities and provides the
   // default start point for --sequences.
-  if (!ManifestFile.empty()) {
-    std::string Text;
-    if (!support::readFile(ManifestFile, Text)) {
-      Err << "error: cannot read " << ManifestFile << "\n";
-      return 1;
-    }
-    Manifest = android::parseManifest(Text, ManifestFile.string(), App.Diags);
+  if (ManifestFile) {
+    Manifest = android::parseManifest(
+        ManifestFile->Bytes, ManifestFile->Path.string(), App.Diags);
+    std::string().swap(ManifestFile->Bytes);
     if (Manifest)
       for (const android::ManifestActivity &A : Manifest->Activities)
         if (!App.Program.findClass(A.ClassName))
@@ -488,26 +477,28 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
 /// Crash isolation: a C++ exception escaping one app's analysis is an
 /// internal error (exit 2) for that app, not a process abort — in batch
 /// mode the remaining apps still run.
-int runOneApp(const std::string &InputDir, const CliConfig &Cfg,
+int runOneApp(support::AppInputs &Inputs, const CliConfig &Cfg,
               std::ostream &Out, std::ostream &Err) {
   try {
-    return runOneAppUnguarded(InputDir, Cfg, Out, Err);
+    return runOneAppUnguarded(Inputs, Cfg, Out, Err);
   } catch (const std::exception &E) {
-    Err << "internal error analyzing '" << InputDir
+    Err << "internal error analyzing '" << Inputs.Root.string()
         << "': " << E.what() << "\n";
     return 2;
   } catch (...) {
-    Err << "internal error analyzing '" << InputDir << "'\n";
+    Err << "internal error analyzing '" << Inputs.Root.string() << "'\n";
     return 2;
   }
 }
 
-/// The cache key of one CLI app run: the analysis content key (input
-/// files + canonical options) folded with every flag that shapes the
-/// captured output text. Two invocations share an entry only when they
-/// would print the same bytes.
-support::Hash128 cliCacheKey(const std::string &Dir, const CliConfig &Cfg) {
-  const support::Hash128 Base = analysis::cacheKeyFor(Dir, Cfg.Options);
+/// The cache key of one CLI app run: the analysis content key (the
+/// app's input bytes, \p Content, + canonical options) folded with every
+/// flag that shapes the captured output text. Two invocations share an
+/// entry only when they would print the same bytes.
+support::Hash128 cliCacheKey(const support::Hash128 &Content,
+                             const CliConfig &Cfg) {
+  const support::Hash128 Base = analysis::combineCacheKey(
+      Content, analysis::hashAnalysisOptions(Cfg.Options));
   support::ContentHasher H;
   H.field("gator-cli-key", "v1");
   H.u64("base.hi", Base.Hi);
@@ -525,17 +516,36 @@ support::Hash128 cliCacheKey(const std::string &Dir, const CliConfig &Cfg) {
   return H.digest();
 }
 
+/// Analyzes the app directory \p InputDir: loads its inputs once, keys
+/// them when a cache or the ledger needs the content key, and runs
 /// runOneApp behind the solution cache. A hit replays the captured
 /// stdout/stderr text, exit code, and metrics contribution without
 /// parsing or solving anything; a miss runs cold, captures, and stores.
 /// A corrupt on-disk entry degrades to a cold run with a stderr warning —
-/// stdout and the exit code are identical to an uncached run.
-int runOneAppCached(const std::string &InputDir, const CliConfig &Cfg,
-                    analysis::SolutionCache *Cache, std::ostream &Out,
-                    std::ostream &Err) {
-  if (!Cache)
-    return runOneApp(InputDir, Cfg, Out, Err);
-  const support::Hash128 Key = cliCacheKey(InputDir, Cfg);
+/// stdout and the exit code are identical to an uncached run. A load
+/// that is not complete (a file could not be read) bypasses the cache:
+/// its bytes are not the app's inputs, so it is never looked up or
+/// stored.
+int runAppDir(const std::string &InputDir, const CliConfig &Cfg,
+              analysis::SolutionCache *Cache, std::ostream &Out,
+              std::ostream &Err) {
+  support::AppInputs Inputs;
+  {
+    support::TraceSpan ReadSpan(Cfg.Options.Trace, "read");
+    Inputs = support::loadAppDir(InputDir);
+    ReadSpan.arg("files", Inputs.Files.size());
+    ReadSpan.arg("bytes", Inputs.bytes());
+  }
+  const bool Cacheable = Cache && Inputs.complete();
+  support::Hash128 Content;
+  if (Cacheable || Cfg.Ledger)
+    Content = analysis::hashAppDir(Inputs);
+  if (Cfg.Ledger)
+    Cfg.Ledger->ContentKey = Content.hex();
+  if (!Cacheable)
+    return runOneApp(Inputs, Cfg, Out, Err);
+
+  const support::Hash128 Key = cliCacheKey(Content, Cfg);
   analysis::CachedAnalysis Entry;
   const analysis::SolutionCache::Outcome Found = Cache->lookup(Key, Entry);
   if (Found == analysis::SolutionCache::Outcome::Hit) {
@@ -561,7 +571,7 @@ int runOneAppCached(const std::string &InputDir, const CliConfig &Cfg,
   analysis::CachedAnalysis Fresh;
   CliConfig RunCfg = Cfg;
   RunCfg.CacheCapture = &Fresh;
-  const int Code = runOneApp(InputDir, RunCfg, CapOut, CapErr);
+  const int Code = runOneApp(Inputs, RunCfg, CapOut, CapErr);
   Fresh.ExitCode = Code;
   Fresh.OutText = CapOut.str();
   Fresh.ErrText = CapErr.str();
@@ -574,53 +584,28 @@ int runOneAppCached(const std::string &InputDir, const CliConfig &Cfg,
   return Code;
 }
 
-/// Loads one app directory into \p App for the incremental-edit path:
-/// the same file census as runOneAppUnguarded, but demanding a clean
-/// parse (diagnostics go to stderr; any error fails the load).
-bool loadBundle(const std::string &Dir, corpus::AppBundle &App) {
+/// Builds \p App from loaded inputs for the incremental-edit path: the
+/// same files as runOneAppUnguarded without the manifest, but demanding
+/// a clean parse (diagnostics go to stderr; any error fails the load).
+bool loadBundle(const support::AppInputs &Inputs, corpus::AppBundle &App) {
   App.Android.install(App.Program);
-  std::vector<fs::path> AliteFiles, DexFiles, XmlFiles;
-  std::error_code EC;
-  for (const auto &Entry : fs::recursive_directory_iterator(Dir, EC)) {
-    if (!Entry.is_regular_file())
-      continue;
-    if (Entry.path().extension() == ".alite")
-      AliteFiles.push_back(Entry.path());
-    else if (Entry.path().extension() == ".dexlite")
-      DexFiles.push_back(Entry.path());
-    else if (Entry.path().filename() != "AndroidManifest.xml" &&
-             Entry.path().extension() == ".xml")
-      XmlFiles.push_back(Entry.path());
-  }
-  if (EC) {
-    std::cerr << "error: cannot read directory '" << Dir
-              << "': " << EC.message() << "\n";
+  if (Inputs.ListError) {
+    std::cerr << "error: cannot read directory '" << Inputs.Root.string()
+              << "': " << Inputs.ListError.message() << "\n";
     return false;
   }
-  std::sort(AliteFiles.begin(), AliteFiles.end());
-  std::sort(DexFiles.begin(), DexFiles.end());
-  std::sort(XmlFiles.begin(), XmlFiles.end());
-  if (AliteFiles.empty() && DexFiles.empty()) {
-    std::cerr << "error: no .alite or .dexlite files under '" << Dir << "'\n";
+  if (!Inputs.hasSources()) {
+    std::cerr << "error: no .alite or .dexlite files under '"
+              << Inputs.Root.string() << "'\n";
     return false;
   }
   bool Ok = true;
-  std::string Text;
-  for (const fs::path &Path : AliteFiles) {
-    if (!support::readFile(Path, Text))
+  for (const support::AppFile &F : Inputs.Files) {
+    if (F.Kind == support::AppFileKind::Manifest)
+      continue;
+    if (!F.ReadOk)
       return false;
-    Ok &= parser::parseAlite(Text, Path.string(), App.Program, App.Diags);
-  }
-  for (const fs::path &Path : DexFiles) {
-    if (!support::readFile(Path, Text))
-      return false;
-    Ok &= dex::parseDexLite(Text, Path.string(), App.Program, App.Diags);
-  }
-  for (const fs::path &Path : XmlFiles) {
-    if (!support::readFile(Path, Text))
-      return false;
-    Ok &= layout::readLayoutXml(*App.Layouts, Path.stem().string(), Text,
-                                App.Diags) != nullptr;
+    Ok &= parseInputFile(F, App);
   }
   Ok &= App.finalize();
   App.Diags.print(std::cerr);
@@ -635,8 +620,10 @@ bool loadBundle(const std::string &Dir, corpus::AppBundle &App) {
 /// back to a plain full solve of the edited app.
 int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
                        const CliConfig &Cfg) {
+  const support::AppInputs BaseInputs = support::loadAppDir(BaseDir);
+  support::AppInputs EditInputs = support::loadAppDir(EditDir);
   corpus::AppBundle Base, Edited;
-  if (!loadBundle(BaseDir, Base) || !loadBundle(EditDir, Edited)) {
+  if (!loadBundle(BaseInputs, Base) || !loadBundle(EditInputs, Edited)) {
     std::cerr << "error: --incremental-edit requires cleanly parsing base "
                  "and edited apps\n";
     return 2;
@@ -647,7 +634,7 @@ int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
     for (const std::string &Reason : Diff.Unsupported)
       std::cout << "unsupported edit: " << Reason << "\n";
     std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditDir, Cfg, std::cout, std::cerr);
+    return runOneApp(EditInputs, Cfg, std::cout, std::cerr);
   }
   std::cout << "edit diff: " << Diff.Methods.size() << " method(s), "
             << Diff.Layouts.size() << " layout(s)\n";
@@ -681,7 +668,7 @@ int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
     }
   if (!Applied) {
     std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditDir, Cfg, std::cout, std::cerr);
+    return runOneApp(EditInputs, Cfg, std::cout, std::cerr);
   }
 
   // Differential check: a from-scratch solve over the same (now grafted)
@@ -1126,13 +1113,11 @@ int main(int argc, char **argv) {
     support::WideEvent Event;
     if (!Cfg.LedgerFile.empty())
       Cfg.Ledger = &Event;
-    int Code = runOneAppCached(InputDir, Cfg, Cache.get(), std::cout,
-                               std::cerr);
+    int Code = runAppDir(InputDir, Cfg, Cache.get(), std::cout, std::cerr);
     if (Cache && WantMetrics)
       Cache->recordMetrics(Metrics);
     if (Cfg.Ledger) {
       Event.App = fs::path(InputDir).filename().string();
-      Event.ContentKey = analysis::hashAppDir(InputDir).hex();
       Event.ExitCode = Code;
       if (!writeLedgerFile(Cfg, {Event}))
         return 2;
@@ -1202,13 +1187,12 @@ int main(int argc, char **argv) {
         {
           support::TraceSpan AppSpan(AppCfg.Options.Trace, "analyze-app");
           AppSpan.arg("index", I);
-          R.Code = runOneAppCached(AppDirs[I].string(), AppCfg, Cache.get(),
-                                   Out, Err);
+          R.Code = runAppDir(AppDirs[I].string(), AppCfg, Cache.get(), Out,
+                             Err);
         }
         if (WantLedger) {
           R.Event.Index = I;
           R.Event.App = AppDirs[I].filename().string();
-          R.Event.ContentKey = analysis::hashAppDir(AppDirs[I].string()).hex();
           R.Event.ExitCode = R.Code;
         }
         R.OutText = Out.str();

@@ -10,7 +10,6 @@
 #include "analysis/Solution.h"
 #include "support/FileIO.h"
 
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -448,30 +447,17 @@ void SolutionCache::recordMetrics(support::MetricsRegistry &Metrics) const {
 //===----------------------------------------------------------------------===//
 
 support::Hash128 gator::analysis::hashAppDir(const std::string &Dir) {
-  // Same file census as the CLI loader: sources, manifest, layouts.
-  std::vector<std::pair<std::string, fs::path>> Files;
-  std::error_code EC;
-  const fs::path Root(Dir);
-  for (fs::recursive_directory_iterator It(Root, EC), End; !EC && It != End;
-       It.increment(EC)) {
-    if (!It->is_regular_file(EC))
-      continue;
-    const fs::path &Path = It->path();
-    const std::string Ext = Path.extension().string();
-    if (Ext != ".alite" && Ext != ".dexlite" && Ext != ".xml")
-      continue;
-    Files.emplace_back(Path.lexically_relative(Root).generic_string(), Path);
-  }
-  std::sort(Files.begin(), Files.end());
+  return hashAppDir(support::loadAppDir(Dir));
+}
 
+support::Hash128 gator::analysis::hashAppDir(const support::AppInputs &In) {
   support::ContentHasher H;
-  H.field("gator-app-dir", "v1");
-  H.u64("files", Files.size());
-  std::string Bytes;
-  for (const auto &[Rel, Path] : Files) {
-    // An unreadable file hashes as empty content.
-    support::readFile(Path, Bytes);
-    H.field(Rel, Bytes);
+  H.field("gator-app-dir", "v2");
+  H.u64("files", In.Files.size());
+  for (const support::AppFile &F : In.Files) {
+    H.content(F.Path.lexically_relative(In.Root).generic_string(), F.Bytes);
+    // An unreadable file never keys like an empty one.
+    H.boolean("read", F.ReadOk);
   }
   return H.digest();
 }

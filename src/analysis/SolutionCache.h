@@ -35,6 +35,7 @@
 
 #include "analysis/AppStats.h"
 #include "analysis/Options.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
@@ -144,12 +145,20 @@ private:
   void insertMem(const std::string &Hex, const CachedAnalysis &Entry);
 };
 
-/// Hashes every analysis input file under \p Dir — *.alite, *.dexlite,
-/// AndroidManifest.xml, and layout *.xml — as (relative path, content)
-/// pairs in sorted path order. Relative paths matter (layout names come
-/// from file stems); the directory's own location does not, so moving an
-/// app tree yields the same key.
+/// The content key of an app directory: every analysis input that
+/// support::loadAppDir finds (*.alite, *.dexlite, layout *.xml and
+/// AndroidManifest.xml), as (relative path, content) pairs in the
+/// loader's parse order. Relative paths matter (layout names come from
+/// file stems); the directory's own location does not, so moving an app
+/// tree yields the same key. File bodies go through
+/// ContentHasher::content (XXH64 lanes); the tag is "gator-app-dir" v2.
 support::Hash128 hashAppDir(const std::string &Dir);
+
+/// The same key over inputs already loaded, so a run that parses the
+/// bytes keys exactly those bytes. A file whose read failed is hashed as
+/// such, never as empty content; callers must still not cache a load that
+/// is not AppInputs::complete().
+support::Hash128 hashAppDir(const support::AppInputs &Inputs);
 
 /// Canonical hash of the semantically meaningful options: every knob that
 /// changes the solution, the output text, or the deterministic budget

@@ -1,7 +1,8 @@
-//===- FileIO.cpp - Whole-file reads ----------------------------*- C++ -*-===//
+//===- FileIO.cpp - Whole-file and app-directory reads ----------*- C++ -*-===//
 
 #include "support/FileIO.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -68,4 +69,71 @@ bool support::readFile(const std::filesystem::path &Path, std::string &Out) {
     return false;
   }
   return true;
+}
+
+bool support::AppInputs::complete() const {
+  return !ListError &&
+         std::all_of(Files.begin(), Files.end(),
+                     [](const AppFile &F) { return F.ReadOk; });
+}
+
+bool support::AppInputs::hasSources() const {
+  return count(AppFileKind::Alite) != 0 || count(AppFileKind::DexLite) != 0;
+}
+
+size_t support::AppInputs::count(AppFileKind K) const {
+  return static_cast<size_t>(
+      std::count_if(Files.begin(), Files.end(),
+                    [K](const AppFile &F) { return F.Kind == K; }));
+}
+
+uint64_t support::AppInputs::bytes() const {
+  uint64_t N = 0;
+  for (const AppFile &F : Files)
+    N += F.Bytes.size();
+  return N;
+}
+
+support::AppInputs support::loadAppDir(const std::filesystem::path &Dir) {
+  namespace fs = std::filesystem;
+  AppInputs In;
+  In.Root = Dir;
+  std::vector<fs::path> Groups[3]; // Alite, DexLite, Layout
+  fs::path Manifest;
+  for (fs::recursive_directory_iterator It(Dir, In.ListError), End;
+       !In.ListError && It != End; It.increment(In.ListError)) {
+    std::error_code StatError;
+    if (!It->is_regular_file(StatError))
+      continue;
+    const fs::path &Path = It->path();
+    if (Path.extension() == ".alite")
+      Groups[0].push_back(Path);
+    else if (Path.extension() == ".dexlite")
+      Groups[1].push_back(Path);
+    else if (Path.filename() == "AndroidManifest.xml")
+      Manifest = Path;
+    else if (Path.extension() == ".xml")
+      Groups[2].push_back(Path);
+  }
+  if (In.ListError)
+    return In;
+
+  const AppFileKind Kinds[3] = {AppFileKind::Alite, AppFileKind::DexLite,
+                                AppFileKind::Layout};
+  In.Files.reserve(Groups[0].size() + Groups[1].size() + Groups[2].size() +
+                   1);
+  auto Read = [&In](fs::path Path, AppFileKind Kind) {
+    AppFile &F = In.Files.emplace_back();
+    F.Path = std::move(Path);
+    F.Kind = Kind;
+    F.ReadOk = readFile(F.Path, F.Bytes);
+  };
+  for (int G = 0; G < 3; ++G) {
+    std::sort(Groups[G].begin(), Groups[G].end());
+    for (fs::path &Path : Groups[G])
+      Read(std::move(Path), Kinds[G]);
+  }
+  if (!Manifest.empty())
+    Read(std::move(Manifest), AppFileKind::Manifest);
+  return In;
 }

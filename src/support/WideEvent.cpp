@@ -143,9 +143,10 @@ bool LedgerHeader::fromJson(const JsonValue &V, LedgerHeader &Out,
   }
   Out = LedgerHeader();
   Out.Format = static_cast<uint32_t>(V.u64Or("ledger_format", 0));
-  if (Out.Format != FormatVersion) {
+  if (Out.Format < MinReadableFormat || Out.Format > FormatVersion) {
     Error = "unsupported ledger_format " + std::to_string(Out.Format) +
-            " (this build reads " + std::to_string(FormatVersion) + ")";
+            " (this build reads " + std::to_string(MinReadableFormat) +
+            " to " + std::to_string(FormatVersion) + ")";
     return false;
   }
   Out.Tool = V.stringOr("tool", "");

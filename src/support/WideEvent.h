@@ -104,7 +104,14 @@ struct WideEvent {
 struct LedgerHeader {
   /// Bumped on any schema change (key set, field semantics) so report
   /// tooling refuses skewed inputs instead of mis-aggregating them.
-  static constexpr uint32_t FormatVersion = 1;
+  /// Format 2: `content_key` of an on-disk app is the "gator-app-dir" v2
+  /// key (docs/OBSERVABILITY.md, "Ledger format"); the record schema is
+  /// that of format 1.
+  static constexpr uint32_t FormatVersion = 2;
+  /// The oldest format this build still reads. `report` aggregates any
+  /// readable format; `report --diff` refuses two ledgers whose formats
+  /// differ, since their content keys do not match.
+  static constexpr uint32_t MinReadableFormat = 1;
 
   uint32_t Format = FormatVersion;
   std::string Tool = "gator-cpp";

@@ -242,6 +242,37 @@ TEST(CacheKeyTest, AppDirHashTracksContent) {
   EXPECT_NE(A.hex(), C.hex());
 }
 
+TEST(CacheKeyTest, AppDirHashIsPinned) {
+  // The "gator-app-dir" v2 key: FNV framing of each relative path and
+  // length plus two XXH64 lanes of its bytes, in the loader's parse order
+  // (docs/INCREMENTAL.md, "The key recipe"). A change orphans every
+  // --cache-dir entry and every ledger content_key, so it must be
+  // deliberate: bump the tag and LedgerHeader::FormatVersion with it.
+  EXPECT_EQ(hashAppDir(std::string(GATOR_SOURCE_DIR) +
+                       "/tests/fixtures/incremental_base")
+                .hex(),
+            "61f6e7fe7221e8c135cf70a510c3db21");
+}
+
+TEST(CacheKeyTest, AppDirHashKeysTheLoadedBytes) {
+  const std::string Base =
+      std::string(GATOR_SOURCE_DIR) + "/tests/fixtures/incremental_base";
+  support::AppInputs In = support::loadAppDir(Base);
+  ASSERT_TRUE(In.complete());
+  ASSERT_FALSE(In.Files.empty());
+  EXPECT_EQ(hashAppDir(In).hex(), hashAppDir(Base).hex());
+
+  // An unreadable file keys neither like the readable app nor like the
+  // same file empty.
+  support::AppFile &Last = In.Files.back();
+  Last.Bytes.clear();
+  const std::string Empty = hashAppDir(In).hex();
+  Last.ReadOk = false;
+  const std::string Unreadable = hashAppDir(In).hex();
+  EXPECT_NE(Empty, Unreadable);
+  EXPECT_NE(Unreadable, hashAppDir(Base).hex());
+}
+
 TEST(CacheKeyTest, OptionsHashTracksSemanticKnobsOnly) {
   AnalysisOptions Base;
   support::Hash128 H0 = hashAnalysisOptions(Base);

@@ -190,10 +190,12 @@ TEST(WideEventTest, NoTimesSuppressesVolatileFields) {
 }
 
 TEST(WideEventTest, ReadsRecordsWithRetiredSchedulingFields) {
-  // Timed format-1 ledgers written before the serial-only solver carry
-  // four volatile scheduling counters the writer no longer emits. They
-  // must still parse, drop out on re-serialization, and diff as equal to
-  // the same run written today.
+  // Timed ledgers written before the serial-only solver carry four
+  // volatile scheduling counters the writer no longer emits. They must
+  // still parse, drop out on re-serialization, and diff as equal to the
+  // same run written today. (Such ledgers are format 1; reading that
+  // header is checked in LedgerDiffTest, and a format-1 ledger does not
+  // diff against a current one.)
   LedgerHeader H;
   H.OptionsDigest = "ffff0000ffff0000ffff0000ffff0000";
   const std::string Current = ledgerText(H, {sampleEvent()});
@@ -207,7 +209,7 @@ TEST(WideEventTest, ReadsRecordsWithRetiredSchedulingFields) {
   Ledger L;
   std::string Error;
   ASSERT_TRUE(readLedger(Old, L, Error)) << Error;
-  EXPECT_EQ(L.Header.Format, 1u);
+  EXPECT_EQ(L.Header.Format, LedgerHeader::FormatVersion);
   ASSERT_EQ(L.Events.size(), 1u);
   EXPECT_EQ(L.Events[0].Propagations, 12345u);
 
@@ -227,7 +229,12 @@ TEST(WideEventTest, ReadLedgerRefusesBadHeaders) {
   std::string Error;
   EXPECT_FALSE(readLedger("", L, Error));
   EXPECT_FALSE(readLedger("{\"index\":0,\"app\":\"x\"}", L, Error));
-  // Version skew must refuse, not mis-parse.
+  // Version skew must refuse, not mis-parse: a format from a newer build
+  // and one older than any this build reads.
+  EXPECT_FALSE(readLedger(
+      "{\"ledger_format\":0,\"tool\":\"gator-cpp\",\"options_digest\":\"a\","
+      "\"no_times\":false,\"apps\":0}",
+      L, Error));
   EXPECT_FALSE(readLedger(
       "{\"ledger_format\":99,\"tool\":\"gator-cpp\",\"options_digest\":\"a\","
       "\"no_times\":false,\"apps\":0}",
@@ -421,6 +428,33 @@ TEST(LedgerDiffTest, TracksMembershipByContentKey) {
   ASSERT_EQ(D.OnlyInNew.size(), 1u);
   EXPECT_NE(D.OnlyInNew[0].find("AppNew"), std::string::npos);
   EXPECT_FALSE(D.empty());
+}
+
+TEST(LedgerDiffTest, ReadsFormatOneButRefusesToDiffItAgainstFormatTwo) {
+  // A format-1 ledger (content keys of the v1 app-directory hash) still
+  // reads and reports. Diffed against a current ledger of the same apps,
+  // it is refused as a format mismatch, not listed as every app gone and
+  // every app new.
+  ASSERT_EQ(LedgerHeader::FormatVersion, 2u);
+  const Ledger New = syntheticLedger();
+  std::string Text = ledgerText(New.Header, New.Events);
+  const std::string Stamp = "\"ledger_format\":2";
+  ASSERT_EQ(Text.find(Stamp), 1u);
+  Text.replace(1, Stamp.size(), "\"ledger_format\":1");
+  Ledger Old;
+  std::string Error;
+  ASSERT_TRUE(readLedger(Text, Old, Error)) << Error;
+  EXPECT_EQ(Old.Header.Format, 1u);
+  EXPECT_EQ(Old.Events.size(), New.Events.size());
+  EXPECT_EQ(buildFleetReport(Old).Header.Format, 1u);
+
+  for (WideEvent &E : Old.Events)
+    E.ContentKey = std::string(32, '1');
+  const LedgerDiff D = diffLedgers(Old, New);
+  EXPECT_EQ(D.Incomparable, "ledger_format mismatch");
+  EXPECT_TRUE(D.OnlyInOld.empty());
+  EXPECT_TRUE(D.OnlyInNew.empty());
+  EXPECT_TRUE(D.Apps.empty());
 }
 
 TEST(LedgerDiffTest, RefusesIncomparableLedgers) {

@@ -3,6 +3,7 @@
 #include "support/CharClass.h"
 #include "support/Diagnostics.h"
 #include "support/FileIO.h"
+#include "support/Hash.h"
 #include "support/SourceLocation.h"
 #include "support/StringInterner.h"
 #include "support/Json.h"
@@ -274,4 +275,206 @@ TEST(ReadFileTest, ReadsAStreamWithNoSize) {
                                 Out));
   close(Fds[0]);
   EXPECT_EQ(Out, Text);
+}
+
+//===----------------------------------------------------------------------===//
+// XXH64 and the content hasher
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// XXH64 written from the specification one byte at a time: every word is
+/// assembled from single bytes, so it shares no load or tail code with
+/// support::xxh64.
+uint64_t referenceXxh64(const std::string &Data, uint64_t Seed) {
+  const uint64_t P1 = 0x9E3779B185EBCA87ULL, P2 = 0xC2B2AE3D27D4EB4FULL,
+                 P3 = 0x165667B19E3779F9ULL, P4 = 0x85EBCA77C2B2AE63ULL,
+                 P5 = 0x27D4EB2F165667C5ULL;
+  auto Rotl = [](uint64_t V, int R) { return (V << R) | (V >> (64 - R)); };
+  auto Word = [&Data](size_t At, int Bytes) {
+    uint64_t V = 0;
+    for (int I = 0; I < Bytes; ++I)
+      V |= uint64_t(static_cast<unsigned char>(Data[At + I])) << (8 * I);
+    return V;
+  };
+  auto Round = [&](uint64_t Acc, uint64_t In) {
+    return Rotl(Acc + In * P2, 31) * P1;
+  };
+  size_t At = 0;
+  const size_t Len = Data.size();
+  uint64_t H;
+  if (Len >= 32) {
+    uint64_t V[4] = {Seed + P1 + P2, Seed + P2, Seed, Seed - P1};
+    for (; Len - At >= 32; At += 32)
+      for (int L = 0; L < 4; ++L)
+        V[L] = Round(V[L], Word(At + 8 * L, 8));
+    H = Rotl(V[0], 1) + Rotl(V[1], 7) + Rotl(V[2], 12) + Rotl(V[3], 18);
+    for (int L = 0; L < 4; ++L)
+      H = (H ^ Round(0, V[L])) * P1 + P4;
+  } else {
+    H = Seed + P5;
+  }
+  H += Len;
+  for (; Len - At >= 8; At += 8)
+    H = Rotl(H ^ Round(0, Word(At, 8)), 27) * P1 + P4;
+  if (Len - At >= 4) {
+    H = Rotl(H ^ (Word(At, 4) * P1), 23) * P2 + P3;
+    At += 4;
+  }
+  for (; At < Len; ++At)
+    H = Rotl(H ^ (Word(At, 1) * P5), 11) * P1;
+  H ^= H >> 33;
+  H *= P2;
+  H ^= H >> 29;
+  H *= P3;
+  H ^= H >> 32;
+  return H;
+}
+
+} // namespace
+
+TEST(Xxh64Test, KnownAnswers) {
+  EXPECT_EQ(support::xxh64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(support::xxh64("a", 0), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(support::xxh64("abc", 0), 0x44BC2CF5AD770999ULL);
+}
+
+TEST(Xxh64Test, EveryLengthMatchesTheBytewiseReference) {
+  // 0..64 bytes covers the short path, one and two 32-byte stripes, and
+  // every combination of the 8-, 4- and 1-byte tail steps. The input is
+  // read at an odd offset, so the word loads are unaligned too.
+  std::string Buffer(1, '\0');
+  for (int I = 0; I < 64; ++I)
+    Buffer.push_back(static_cast<char>(I * 37 + 11));
+  for (uint64_t Seed : {uint64_t(0), uint64_t(1), ~uint64_t(0) - 5})
+    for (size_t Len = 0; Len <= 64; ++Len) {
+      const std::string Data = Buffer.substr(1, Len);
+      EXPECT_EQ(support::xxh64(std::string_view(Buffer).substr(1, Len), Seed),
+                referenceXxh64(Data, Seed))
+          << "length " << Len << ", seed " << Seed;
+    }
+}
+
+TEST(ContentHasherTest, ContentIsFramedByLabelAndLength) {
+  auto Key = [](std::initializer_list<std::pair<const char *, const char *>>
+                    Files) {
+    support::ContentHasher H;
+    for (const auto &[Label, Bytes] : Files)
+      H.content(Label, Bytes);
+    return H.digest().hex();
+  };
+  EXPECT_EQ(Key({{"a", "xy"}}), Key({{"a", "xy"}}));
+  EXPECT_NE(Key({{"a", "xy"}}), Key({{"a", "yx"}}));
+  EXPECT_NE(Key({{"a", "xy"}}), Key({{"b", "xy"}}));
+  EXPECT_NE(Key({{"a", "x"}, {"b", "y"}}), Key({{"a", "xy"}, {"b", ""}}));
+  EXPECT_NE(Key({{"a", "x"}, {"b", "y"}}), Key({{"b", "y"}, {"a", "x"}}));
+  // The bulk path and the byte path frame the same pair differently.
+  support::ContentHasher Field;
+  Field.field("a", "xy");
+  EXPECT_NE(Key({{"a", "xy"}}), Field.digest().hex());
+}
+
+//===----------------------------------------------------------------------===//
+// loadAppDir
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A scratch app directory under the system temp dir, removed on exit.
+class ScratchDir {
+public:
+  explicit ScratchDir(const std::string &Name)
+      : Root(std::filesystem::temp_directory_path() / Name) {
+    std::filesystem::remove_all(Root);
+    std::filesystem::create_directories(Root);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(Root); }
+
+  void write(const std::string &Rel, const std::string &Bytes) const {
+    const std::filesystem::path Path = Root / Rel;
+    std::filesystem::create_directories(Path.parent_path());
+    std::ofstream(Path, std::ios::binary) << Bytes;
+  }
+
+  /// The files of \p In as (root-relative path, kind) pairs.
+  std::vector<std::pair<std::string, support::AppFileKind>>
+  census(const support::AppInputs &In) const {
+    std::vector<std::pair<std::string, support::AppFileKind>> Out;
+    for (const support::AppFile &F : In.Files)
+      Out.emplace_back(F.Path.lexically_relative(Root).generic_string(),
+                       F.Kind);
+    return Out;
+  }
+
+  const std::filesystem::path Root;
+};
+
+} // namespace
+
+TEST(LoadAppDirTest, CensusIsTheParseOrder) {
+  using K = support::AppFileKind;
+  ScratchDir D("gator_load_app_dir_census");
+  D.write("b.alite", "class B {}");
+  D.write("a.alite", "class A {}");
+  D.write("sub/c.alite", "class C {}");
+  D.write("x.dexlite", "dex");
+  D.write("res/main.xml", "<LinearLayout/>");
+  D.write("footer.xml", "<TextView/>");
+  D.write("AndroidManifest.xml", "<manifest/>");
+  D.write("notes.txt", "not an input");
+
+  const support::AppInputs In = support::loadAppDir(D.Root);
+  ASSERT_FALSE(In.ListError);
+  const std::vector<std::pair<std::string, K>> Want = {
+      {"a.alite", K::Alite},        {"b.alite", K::Alite},
+      {"sub/c.alite", K::Alite},    {"x.dexlite", K::DexLite},
+      {"footer.xml", K::Layout},    {"res/main.xml", K::Layout},
+      {"AndroidManifest.xml", K::Manifest}};
+  EXPECT_EQ(D.census(In), Want);
+  EXPECT_TRUE(In.complete());
+  EXPECT_TRUE(In.hasSources());
+  EXPECT_EQ(In.count(K::Alite), 3u);
+  EXPECT_EQ(In.count(K::Manifest), 1u);
+  EXPECT_EQ(In.Files[0].Bytes, "class A {}");
+  EXPECT_EQ(In.Files.back().Bytes, "<manifest/>");
+  uint64_t Bytes = 0;
+  for (const support::AppFile &F : In.Files)
+    Bytes += F.Bytes.size();
+  EXPECT_EQ(In.bytes(), Bytes);
+}
+
+TEST(LoadAppDirTest, SortsByPathElementsNotByRelativeString) {
+  // As strings, "a-b/x.alite" < "a/x.alite" ('-' sorts before '/'); as
+  // paths, "a" < "a-b" decides first. The loader, and so the parse order
+  // and the content key, follows the paths.
+  ScratchDir D("gator_load_app_dir_order");
+  D.write("a/x.alite", "class X {}");
+  D.write("a-b/x.alite", "class Y {}");
+  ASSERT_LT(std::string("a-b/x.alite"), std::string("a/x.alite"));
+  const support::AppInputs In = support::loadAppDir(D.Root);
+  ASSERT_EQ(In.Files.size(), 2u);
+  EXPECT_EQ(D.census(In)[0].first, "a/x.alite");
+  EXPECT_EQ(D.census(In)[1].first, "a-b/x.alite");
+}
+
+TEST(LoadAppDirTest, KeepsAFailedReadAndAListingError) {
+  ScratchDir D("gator_load_app_dir_failed");
+  D.write("app.alite", "class A {}");
+  // /proc/self/mem is a regular file whose read at offset 0 fails with
+  // EIO, whoever runs the test.
+  std::filesystem::create_symlink("/proc/self/mem", D.Root / "main.xml");
+  const support::AppInputs In = support::loadAppDir(D.Root);
+  ASSERT_EQ(In.Files.size(), 2u);
+  EXPECT_TRUE(In.Files[0].ReadOk);
+  EXPECT_EQ(In.Files[1].Kind, support::AppFileKind::Layout);
+  EXPECT_FALSE(In.Files[1].ReadOk);
+  EXPECT_TRUE(In.Files[1].Bytes.empty());
+  EXPECT_FALSE(In.complete());
+
+  const support::AppInputs Missing =
+      support::loadAppDir(D.Root / "no_such_dir");
+  EXPECT_TRUE(Missing.ListError);
+  EXPECT_TRUE(Missing.Files.empty());
+  EXPECT_FALSE(Missing.complete());
+  EXPECT_FALSE(Missing.hasSources());
 }
