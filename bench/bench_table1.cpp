@@ -40,7 +40,7 @@ int main() {
   // Stats-only consumer: drop each app's bundle and solution inside the
   // task so at most one app is resident per worker (KeepArtifacts=false).
   std::vector<BatchAppResult> Batch =
-      analyzeCorpus(paperCorpus(), Options, nullptr, /*KeepArtifacts=*/false);
+      analyzeCorpus(paperCorpus(), Options, /*KeepArtifacts=*/false);
 
   for (const BatchAppResult &R : Batch) {
     if (R.GenerationFailed) {

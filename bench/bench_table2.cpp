@@ -66,7 +66,7 @@ int main() {
   // inside the task (KeepArtifacts=false) so at most one app is resident
   // per worker, matching the memory profile of a serial loop.
   std::vector<BatchAppResult> Batch =
-      analyzeCorpus(paperCorpus(), Options, nullptr, /*KeepArtifacts=*/false);
+      analyzeCorpus(paperCorpus(), Options, /*KeepArtifacts=*/false);
 
   std::vector<AppStats> Telemetry;
   for (size_t I = 0; I < Batch.size(); ++I) {

@@ -492,17 +492,21 @@ int runOneApp(support::AppInputs &Inputs, const CliConfig &Cfg,
 }
 
 /// The cache key of one CLI app run: the analysis content key (the
-/// app's input bytes, \p Content, + canonical options) folded with every
+/// app's input bytes, \p Content, + canonical options) folded with the
+/// app directory as spelled on the command line (\p InputDir) and every
 /// flag that shapes the captured output text. Two invocations share an
-/// entry only when they would print the same bytes.
+/// entry only when they would print the same bytes; the directory is part
+/// of that, because diagnostics print each input's path.
 support::Hash128 cliCacheKey(const support::Hash128 &Content,
+                             const std::string &InputDir,
                              const CliConfig &Cfg) {
   const support::Hash128 Base = analysis::combineCacheKey(
       Content, analysis::hashAnalysisOptions(Cfg.Options));
   support::ContentHasher H;
-  H.field("gator-cli-key", "v1");
+  H.field("gator-cli-key", "v2");
   H.u64("base.hi", Base.Hi);
   H.u64("base.lo", Base.Lo);
+  H.field("dir", InputDir);
   H.boolean("tuples", Cfg.WantTuples);
   H.boolean("hierarchy", Cfg.WantHierarchy);
   H.boolean("atg", Cfg.WantAtg);
@@ -545,7 +549,7 @@ int runAppDir(const std::string &InputDir, const CliConfig &Cfg,
   if (!Cacheable)
     return runOneApp(Inputs, Cfg, Out, Err);
 
-  const support::Hash128 Key = cliCacheKey(Content, Cfg);
+  const support::Hash128 Key = cliCacheKey(Content, InputDir, Cfg);
   analysis::CachedAnalysis Entry;
   const analysis::SolutionCache::Outcome Found = Cache->lookup(Key, Entry);
   if (Found == analysis::SolutionCache::Outcome::Hit) {

@@ -321,55 +321,21 @@ bool SolutionCache::deserialize(std::string_view Bytes, CachedAnalysis &Out) {
 }
 
 //===----------------------------------------------------------------------===//
-// The two tiers
+// The disk tier
 //===----------------------------------------------------------------------===//
 
-SolutionCache::SolutionCache(std::string DiskDir, size_t MemCapacity)
-    : Dir(std::move(DiskDir)), Capacity(MemCapacity) {
-  if (!Dir.empty()) {
-    std::error_code EC;
-    fs::create_directories(Dir, EC); // failure degrades to memory-only
-  }
-}
-
-void SolutionCache::insertMem(const std::string &Hex,
-                              const CachedAnalysis &Entry) {
-  // Caller holds Mu.
-  if (Capacity == 0)
-    return;
-  if (Mem.find(Hex) != Mem.end())
-    return;
-  Mem.emplace(Hex, Entry);
-  Order.push_back(Hex);
-  while (Mem.size() > Capacity) {
-    Mem.erase(Order.front());
-    Order.pop_front();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
-  }
+SolutionCache::SolutionCache(std::string DiskDir) : Dir(std::move(DiskDir)) {
+  std::error_code EC;
+  fs::create_directories(Dir, EC); // failure degrades to an uncached run
 }
 
 SolutionCache::Outcome SolutionCache::lookup(const support::Hash128 &Key,
                                              CachedAnalysis &Out,
                                              support::TraceSink *Trace) {
   support::TraceSpan Span(Trace, "cache.lookup");
-  const std::string Hex = Key.hex();
   const Outcome R = [&] {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      auto It = Mem.find(Hex);
-      if (It != Mem.end()) {
-        Out = It->second;
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return Outcome::Hit;
-      }
-    }
-    if (Dir.empty()) {
-      Misses.fetch_add(1, std::memory_order_relaxed);
-      return Outcome::Miss;
-    }
-    const fs::path File = fs::path(Dir) / (Hex + ".gsc");
     std::string Bytes;
-    if (!support::readFile(File, Bytes)) {
+    if (!support::readFile(fs::path(Dir) / (Key.hex() + ".gsc"), Bytes)) {
       Misses.fetch_add(1, std::memory_order_relaxed);
       return Outcome::Miss;
     }
@@ -377,10 +343,6 @@ SolutionCache::Outcome SolutionCache::lookup(const support::Hash128 &Key,
       Corrupt.fetch_add(1, std::memory_order_relaxed);
       Misses.fetch_add(1, std::memory_order_relaxed);
       return Outcome::Corrupt;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      insertMem(Hex, Out);
     }
     Hits.fetch_add(1, std::memory_order_relaxed);
     return Outcome::Hit;
@@ -395,12 +357,6 @@ void SolutionCache::store(const support::Hash128 &Key,
                           support::TraceSink *Trace) {
   support::TraceSpan Span(Trace, "cache.store");
   const std::string Hex = Key.hex();
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    insertMem(Hex, Entry);
-  }
-  if (Dir.empty())
-    return;
   std::string Bytes;
   serialize(Entry, Bytes);
   Span.arg("bytes", Bytes.size());
@@ -412,7 +368,7 @@ void SolutionCache::store(const support::Hash128 &Key,
   {
     std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
     if (!OutF)
-      return; // unwritable cache dir degrades to memory-only
+      return; // unwritable cache dir: the entry is dropped
     OutF.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
     if (!OutF)
       return;
@@ -432,10 +388,6 @@ void SolutionCache::recordMetrics(support::MetricsRegistry &Metrics) const {
       .counter("gator_cache_misses_total",
                "Solution-cache lookups that fell through to a full solve")
       .add(misses());
-  Metrics
-      .counter("gator_cache_evictions_total",
-               "In-memory cache entries evicted by the FIFO bound")
-      .add(evictions());
   Metrics
       .counter("gator_cache_corrupt_total",
                "On-disk cache entries rejected by validation")

@@ -9,18 +9,15 @@
 /// Content-addressed caching of whole-app analysis outcomes
 /// (docs/INCREMENTAL.md). The key is a 128-bit content hash over the
 /// app's inputs — every source unit, layout, and manifest file, plus the
-/// canonicalized analysis options — so a warm hit in batch/fleet mode
-/// skips parse, build, and solve entirely while merging into
-/// byte-identical output at every job count.
+/// canonicalized analysis options — so a warm hit in batch mode skips
+/// parse, build, and solve entirely while merging into byte-identical
+/// output at every job count.
 ///
-/// Two tiers:
-///  - an in-memory FIFO tier (bounded, mutex-guarded, shared across batch
-///    tasks within one process);
-///  - an optional on-disk tier (`--cache-dir`): one file per key named
-///    `<hex>.gsc`, written atomically (tmp + rename) in a versioned,
-///    checksummed binary format ("GSC1"). Corrupt, truncated, or
-///    version-skewed entries are *misses, never errors* — the caller
-///    falls back to a full solve and the poisoned entry is counted.
+/// One tier, on disk (`--cache-dir`): one file per key named `<hex>.gsc`,
+/// written atomically (tmp + rename) in a versioned, checksummed binary
+/// format ("GSC1"). Corrupt, truncated, or version-skewed entries are
+/// *misses, never errors* — the caller falls back to a full solve and the
+/// poisoned entry is counted.
 ///
 /// What a cached entry stores is the externally observable outcome of a
 /// run: the exit code, the captured stdout/stderr text, the AppStats row,
@@ -42,11 +39,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace gator {
@@ -75,9 +69,9 @@ struct CachedAnalysis {
   uint64_t FlowHistCount = 0;
 };
 
-/// Two-tier content-addressed cache. Thread-safe: batch tasks share one
-/// instance. Counters are atomics so recordMetrics can run after a
-/// parallel sweep without synchronization.
+/// Disk-backed content-addressed cache. Thread-safe: batch tasks share
+/// one instance; every entry is its own file, and counters are atomics so
+/// recordMetrics can run after a parallel sweep without synchronization.
 class SolutionCache {
 public:
   /// On-disk format version; bumped on any layout change so stale
@@ -85,15 +79,15 @@ public:
   static constexpr uint32_t FormatVersion = 1;
 
   enum class Outcome {
-    Hit,     ///< found in memory or on disk, checksum verified
+    Hit,     ///< found on disk, checksum verified
     Miss,    ///< no entry under this key
     Corrupt, ///< an entry existed but failed validation; treat as a miss
   };
 
-  /// \p DiskDir empty disables the disk tier. \p MemCapacity bounds the
-  /// in-memory tier (FIFO eviction; disk entries are never evicted).
-  explicit SolutionCache(std::string DiskDir = std::string(),
-                         size_t MemCapacity = 512);
+  /// \p DiskDir names the cache directory (non-empty) and is created if
+  /// needed; if it cannot be created or written, every lookup misses and
+  /// every store is dropped.
+  explicit SolutionCache(std::string DiskDir);
 
   /// \p Trace, when non-null, records a `cache.lookup` span annotated
   /// with hit/corrupt flags (docs/OBSERVABILITY.md span taxonomy); the
@@ -107,18 +101,13 @@ public:
 
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
   uint64_t corruptEntries() const {
     return Corrupt.load(std::memory_order_relaxed);
   }
 
   /// Emits gator_cache_hits_total / gator_cache_misses_total /
-  /// gator_cache_evictions_total / gator_cache_corrupt_total counters.
+  /// gator_cache_corrupt_total counters.
   void recordMetrics(support::MetricsRegistry &Metrics) const;
-
-  const std::string &diskDir() const { return Dir; }
 
   /// The GSC1 artifact codec, exposed for tests: little-endian payload
   /// behind a magic + version + size + FNV-1a checksum header.
@@ -130,19 +119,10 @@ public:
 
 private:
   std::string Dir;
-  size_t Capacity;
-
-  std::mutex Mu;
-  /// Hex key -> entry; FIFO order tracked separately for eviction.
-  std::unordered_map<std::string, CachedAnalysis> Mem;
-  std::deque<std::string> Order;
 
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Evictions{0};
   std::atomic<uint64_t> Corrupt{0};
-
-  void insertMem(const std::string &Hex, const CachedAnalysis &Entry);
 };
 
 /// The content key of an app directory: every analysis input that
@@ -166,8 +146,8 @@ support::Hash128 hashAppDir(const support::AppInputs &Inputs);
 /// cancellation budget fields — those change scheduling, not results.
 support::Hash128 hashAnalysisOptions(const AnalysisOptions &Options);
 
-/// Combines an input-content hash (hashAppDir, corpus::hashAppSpec, ...)
-/// with an options hash into one cache key.
+/// Combines an input-content hash (hashAppDir) with an options hash into
+/// one cache key.
 support::Hash128 combineCacheKey(const support::Hash128 &Inputs,
                                  const support::Hash128 &OptionsHash);
 

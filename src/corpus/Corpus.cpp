@@ -730,32 +730,3 @@ std::vector<AppSpec> gator::corpus::makeFleet(const FleetSpec &Fleet) {
   }
   return Specs;
 }
-
-support::Hash128 gator::corpus::hashAppSpec(const AppSpec &Spec) {
-  support::ContentHasher H;
-  H.field("gator-app-spec", "v1");
-  H.field("Name", Spec.Name);
-  H.u64("Seed", Spec.Seed);
-  H.u64("Activities", Spec.Activities);
-  H.u64("FillerClasses", Spec.FillerClasses);
-  H.u64("MethodsPerFillerClass", Spec.MethodsPerFillerClass);
-  H.u64("ViewsPerLayout", Spec.ViewsPerLayout);
-  H.u64("IdsPerLayout", Spec.IdsPerLayout);
-  H.u64("DirectFindsPerActivity", Spec.DirectFindsPerActivity);
-  H.u64("SharedFindsPerActivity", Spec.SharedFindsPerActivity);
-  H.u64("SharedHelperUsers", Spec.SharedHelperUsers);
-  H.u64("ListenersPerActivity", Spec.ListenersPerActivity);
-  H.u64("ProgViewsPerActivity", Spec.ProgViewsPerActivity);
-  H.u64("InflateItemsPerActivity", Spec.InflateItemsPerActivity);
-  H.u64("ReflectiveViewsPerActivity", Spec.ReflectiveViewsPerActivity);
-  H.u64("DynamicFindsPerActivity", Spec.DynamicFindsPerActivity);
-  H.u64("MissingLayoutRefsPerActivity", Spec.MissingLayoutRefsPerActivity);
-  H.boolean("ActivityAsListener", Spec.ActivityAsListener);
-  H.boolean("UseCommonIds", Spec.UseCommonIds);
-  H.boolean("UseXmlOnClick", Spec.UseXmlOnClick);
-  H.boolean("UseDialog", Spec.UseDialog);
-  H.boolean("UseFragment", Spec.UseFragment);
-  H.boolean("UseFlipper", Spec.UseFlipper);
-  H.boolean("EmitTransitions", Spec.EmitTransitions);
-  return H.digest();
-}

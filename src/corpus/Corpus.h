@@ -29,7 +29,6 @@
 
 #include "android/Ops.h"
 #include "corpus/AppBundle.h"
-#include "support/Hash.h"
 
 #include <cstdint>
 #include <memory>
@@ -109,6 +108,8 @@ struct AppSpec {
   /// Emit startActivity transitions A[i] -> A[i+1] inside click handlers
   /// (exercises the activity-transition-graph client).
   bool EmitTransitions = true;
+
+  bool operator==(const AppSpec &) const = default;
 };
 
 /// Ground truth for one find-view call site.
@@ -190,13 +191,6 @@ struct FleetSpec {
 /// deterministic and order-independent, and a parallel batch produces the
 /// same fleet at every -j value (docs/PARALLEL.md determinism contract).
 std::vector<AppSpec> makeFleet(const FleetSpec &Fleet);
-
-/// Content hash over every generation parameter of \p Spec. Since
-/// generateApp is a pure function of the spec, this key identifies the
-/// generated app's entire input — the corpus-side analogue of
-/// analysis::hashAppDir for on-disk apps, and the key the batch drivers
-/// use for the content-addressed solution cache (docs/INCREMENTAL.md).
-support::Hash128 hashAppSpec(const AppSpec &Spec);
 
 } // namespace corpus
 } // namespace gator

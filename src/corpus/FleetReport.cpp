@@ -7,7 +7,6 @@
 
 #include "corpus/FleetReport.h"
 
-#include "analysis/SolutionCache.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -403,35 +402,4 @@ void corpus::writeLedgerDiffText(std::ostream &OS, const LedgerDiff &D) {
       OS << "    " << C.Field << ": " << formatValue(C.Old) << " -> "
          << formatValue(C.New) << '\n';
   }
-}
-
-support::Ledger corpus::fleetLedger(const std::vector<AppSpec> &Specs,
-                                    const analysis::AnalysisOptions &Options,
-                                    const std::vector<BatchAppResult>
-                                        &Records,
-                                    bool CacheEnabled, bool NoTimes) {
-  support::Ledger L;
-  L.Header.OptionsDigest = analysis::hashAnalysisOptions(Options).hex();
-  L.Header.NoTimes = NoTimes;
-  L.Header.Apps = Records.size();
-  L.Events.reserve(Records.size());
-  for (const BatchAppResult &R : Records) {
-    support::WideEvent E;
-    analysis::fillWideEvent(E, R.Stats);
-    E.Index = R.Index;
-    E.App = R.Name;
-    if (R.Index < Specs.size())
-      E.ContentKey = hashAppSpec(Specs[R.Index]).hex();
-    E.GenerationFailed = R.GenerationFailed;
-    // The per-app CLI exit contract (docs/ROBUSTNESS.md): diagnostics or
-    // a non-complete solution report 1; a batch's own code is the max.
-    E.ExitCode =
-        (R.GenerationFailed ||
-         R.Stats.SolutionFidelity != analysis::Fidelity::Complete)
-            ? 1
-            : 0;
-    E.Cache = CacheEnabled ? (R.CacheHit ? "hit" : "miss") : "off";
-    L.Events.push_back(std::move(E));
-  }
-  return L;
 }

@@ -30,7 +30,6 @@
 #ifndef GATOR_CORPUS_FLEETREPORT_H
 #define GATOR_CORPUS_FLEETREPORT_H
 
-#include "corpus/BatchRunner.h"
 #include "support/WideEvent.h"
 
 #include <cstdint>
@@ -136,16 +135,6 @@ LedgerDiff diffLedgers(const support::Ledger &Old,
 
 void writeLedgerDiffJson(std::ostream &OS, const LedgerDiff &D);
 void writeLedgerDiffText(std::ostream &OS, const LedgerDiff &D);
-
-/// Builds the ledger of a corpus batch run: one wide event per record in
-/// input order, content keys from hashAppSpec, the options digest from
-/// hashAnalysisOptions. \p CacheEnabled distinguishes "miss" from "off"
-/// in the per-app cache field; \p NoTimes marks the header so writers
-/// suppress volatile fields.
-support::Ledger fleetLedger(const std::vector<AppSpec> &Specs,
-                            const analysis::AnalysisOptions &Options,
-                            const std::vector<BatchAppResult> &Records,
-                            bool CacheEnabled, bool NoTimes);
 
 } // namespace corpus
 } // namespace gator

@@ -73,7 +73,9 @@ public:
   unsigned workerCount() const { return static_cast<unsigned>(Threads.size()); }
 
   /// Tasks completed by each worker so far (index = worker). Call after
-  /// wait() for stable values; the strong-scaling bench reports these.
+  /// wait() for stable values; parallelFor returns them in its
+  /// ParallelForStats (per-worker splits of the retired strong-scaling
+  /// bench are kept in bench/history/BENCH_parallel.json).
   std::vector<unsigned long> tasksExecuted() const;
 
   /// Exceptions captured from tasks since the last call, in the order the
@@ -112,16 +114,11 @@ ParallelForStats parallelFor(unsigned Jobs, size_t N,
                              const std::function<void(size_t)> &Body);
 
 /// parallelFor producing a value per index, in index order. Result must be
-/// default-constructible and movable. \p Stats, when non-null, receives
-/// the run's ParallelForStats.
+/// default-constructible and movable.
 template <typename Result, typename Fn>
-std::vector<Result> parallelMap(unsigned Jobs, size_t N, Fn &&Body,
-                                ParallelForStats *Stats = nullptr) {
+std::vector<Result> parallelMap(unsigned Jobs, size_t N, Fn &&Body) {
   std::vector<Result> Out(N);
-  ParallelForStats S =
-      parallelFor(Jobs, N, [&](size_t I) { Out[I] = Body(I); });
-  if (Stats)
-    *Stats = std::move(S);
+  parallelFor(Jobs, N, [&](size_t I) { Out[I] = Body(I); });
   return Out;
 }
 

@@ -17,7 +17,7 @@
 /// null when tracing is off, and every hook (TraceSpan construction,
 /// counter/instant events) starts with one null check, so the disabled
 /// cost is a predicted-not-taken branch — measured within noise on
-/// BM_AnalyzeByActivities/64 (bench/BENCH_observability.json).
+/// BM_AnalyzeByActivities/64 (bench/history/BENCH_observability.json).
 ///
 /// writeJson() emits the Chrome trace-event format ("traceEvents" array of
 /// objects with name/ph/ts/pid/tid), loadable in Perfetto or

@@ -54,8 +54,8 @@ struct WideEvent {
   // --- identity -----------------------------------------------------
   uint64_t Index = 0;     ///< position in the run's input order
   std::string App;        ///< app/spec name or directory stem
-  std::string ContentKey; ///< 32-hex content-only key (hashAppDir /
-                          ///< hashAppSpec); options live in the header
+  std::string ContentKey; ///< 32-hex content-only key (hashAppDir);
+                          ///< options live in the header
 
   // --- outcome ------------------------------------------------------
   int ExitCode = 0;            ///< per-app CLI contract: 0/1/2

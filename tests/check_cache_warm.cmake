@@ -4,7 +4,10 @@
 #  3. a warm *batch* run stays byte-identical at -j 1/2/4/8;
 #  4. poisoning every cached artifact degrades the next run to a full
 #     solve — same stdout, same exit code as cold, a warning on stderr —
-#     never a crash, never different results.
+#     never a crash, never different results;
+#  5. a copy of a cached app under another directory is not served the
+#     original's entry: its diagnostics print its own paths, exactly as
+#     an uncached run of the copy does.
 # Invoked by ctest with -DCLI=<gator_cli> -DAPP=<single app dir>
 # -DDIR=<batch input dir> -DWORK=<scratch dir>.
 
@@ -79,4 +82,39 @@ if(NOT poisoned_err MATCHES "corrupt cache entry")
     "${poisoned_err}")
 endif()
 
-message(STATUS "cache cold/warm/poisoned contract holds (exit ${cold_code})")
+# --- A copied app replays nothing printed under the original's path -----
+# The app gets a syntax error so its stderr names its input files; the
+# copy has the same content key but a different directory.
+set(moved_cache ${WORK}/cache_moved)
+file(MAKE_DIRECTORY ${WORK}/mv)
+file(COPY ${APP}/ DESTINATION ${WORK}/mv/A)
+file(GLOB broken_sources ${WORK}/mv/A/*.alite)
+list(GET broken_sources 0 broken_source)
+file(APPEND ${broken_source} "class Broken extends {\n")
+execute_process(
+  COMMAND ${CLI} ${WORK}/mv/A --no-times --cache-dir ${moved_cache}
+  OUTPUT_QUIET ERROR_QUIET)
+file(COPY ${WORK}/mv/A/ DESTINATION ${WORK}/mv/B)
+execute_process(
+  COMMAND ${CLI} ${WORK}/mv/B --no-times --cache-dir ${moved_cache}
+  OUTPUT_VARIABLE copy_out ERROR_VARIABLE copy_err RESULT_VARIABLE copy_code)
+execute_process(
+  COMMAND ${CLI} ${WORK}/mv/B --no-times
+  OUTPUT_VARIABLE ref_out ERROR_VARIABLE ref_err RESULT_VARIABLE ref_code)
+if(NOT ref_err MATCHES "mv/B/")
+  message(FATAL_ERROR "uncached run of the copy names no input path:\n"
+    "${ref_err}")
+endif()
+if(NOT copy_out STREQUAL ref_out)
+  message(FATAL_ERROR "copied app: cached stdout differs from uncached")
+endif()
+if(NOT copy_err STREQUAL ref_err)
+  message(FATAL_ERROR "copied app: cached stderr differs from uncached:\n"
+    "cached:\n${copy_err}\nuncached:\n${ref_err}")
+endif()
+if(NOT copy_code EQUAL ref_code)
+  message(FATAL_ERROR
+    "copied app: cached exit code ${copy_code} differs from ${ref_code}")
+endif()
+
+message(STATUS "cache cold/warm/poisoned/copied contract holds (exit ${cold_code})")

@@ -5,15 +5,12 @@
 //
 // The run-ledger stack (docs/OBSERVABILITY.md, "Run ledger & reports"):
 // the JSON DOM parser, wide-event JSONL round-trips, fleet-report
-// aggregation and outlier ranking, ledger diffs, and the composition
-// contract — a hostile fleet's ledger is field-identical at every job
-// count, cold or warm, with the cache and fidelity flags telling the
-// truth.
+// aggregation and outlier ranking, and ledger diffs. The job-count
+// determinism of the per-app counters a ledger records is checked on a
+// hostile fleet in parallel_test.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/SolutionCache.h"
-#include "corpus/BatchRunner.h"
 #include "corpus/FleetReport.h"
 #include "support/JsonParse.h"
 #include "support/Metrics.h"
@@ -468,111 +465,4 @@ TEST(LedgerDiffTest, RefusesIncomparableLedgers) {
   std::ostringstream OS;
   writeLedgerDiffText(OS, D);
   EXPECT_NE(OS.str().find("diff refused"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// Composition: hostile fleet x cache x jobs
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A small hostile fleet: every fourth app draws a reflective
-/// constructor, a dynamic find id, or a missing layout, so the ledger
-/// carries both complete and degraded records.
-std::vector<AppSpec> hostileFleet() {
-  FleetSpec FS;
-  FS.Apps = 16;
-  FS.ReflectivePercent = 25;
-  FS.DynamicIdPercent = 25;
-  FS.MissingLayoutPercent = 25;
-  return makeFleet(FS);
-}
-
-std::string noTimesLedgerText(const support::Ledger &L) {
-  support::LedgerHeader H = L.Header;
-  H.NoTimes = true;
-  std::ostringstream OS;
-  writeLedger(OS, H, L.Events);
-  return OS.str();
-}
-
-} // namespace
-
-TEST(LedgerCompositionTest, HostileFleetLedgerIdenticalAtEveryJobCount) {
-  const std::vector<AppSpec> Specs = hostileFleet();
-
-  // Cold reference at the all-serial point.
-  analysis::AnalysisOptions Ref;
-  std::vector<BatchAppResult> RefBatch =
-      analyzeCorpus(Specs, Ref, nullptr, /*KeepArtifacts=*/false);
-  const support::Ledger RefLedger =
-      fleetLedger(Specs, Ref, RefBatch, /*CacheEnabled=*/false,
-                  /*NoTimes=*/true);
-  const std::string RefText = noTimesLedgerText(RefLedger);
-
-  size_t Degraded = 0;
-  for (const support::WideEvent &E : RefLedger.Events) {
-    EXPECT_EQ(E.Cache, "off");
-    if (E.Fidelity != "complete") {
-      ++Degraded;
-      EXPECT_EQ(E.ExitCode, 1);
-      EXPECT_GT(E.unknownTotal(), 0u);
-    } else {
-      EXPECT_EQ(E.ExitCode, 0);
-    }
-  }
-  EXPECT_GT(Degraded, 0u);
-  EXPECT_LT(Degraded, RefLedger.Events.size());
-
-  // Every batch job count reproduces the reference text byte for byte —
-  // the determinism contract of the ledger.
-  for (unsigned Jobs : {1u, 4u}) {
-    analysis::AnalysisOptions Options;
-    Options.Jobs = Jobs;
-    std::vector<BatchAppResult> Batch =
-        analyzeCorpus(Specs, Options, nullptr, /*KeepArtifacts=*/false);
-    const support::Ledger L = fleetLedger(Specs, Options, Batch,
-                                          /*CacheEnabled=*/false,
-                                          /*NoTimes=*/true);
-    EXPECT_EQ(noTimesLedgerText(L), RefText) << "jobs=" << Jobs;
-  }
-}
-
-TEST(LedgerCompositionTest, WarmCacheLedgerMatchesColdWithHitFlags) {
-  const std::vector<AppSpec> Specs = hostileFleet();
-  analysis::AnalysisOptions Options;
-  analysis::SolutionCache Cache("", Specs.size() + 8);
-
-  std::vector<BatchAppResult> Cold = analyzeCorpus(
-      Specs, Options, nullptr, /*KeepArtifacts=*/false, &Cache);
-  const support::Ledger ColdLedger =
-      fleetLedger(Specs, Options, Cold, /*CacheEnabled=*/true,
-                  /*NoTimes=*/true);
-  for (const support::WideEvent &E : ColdLedger.Events)
-    EXPECT_EQ(E.Cache, "miss");
-
-  // Warm passes at every job count replay hits whose ledgers are
-  // byte-identical to each other and field-identical to the cold pass.
-  std::string WarmText;
-  for (unsigned Jobs : {1u, 4u}) {
-    analysis::AnalysisOptions WarmOptions;
-    WarmOptions.Jobs = Jobs;
-    std::vector<BatchAppResult> Warm = analyzeCorpus(
-        Specs, WarmOptions, nullptr, /*KeepArtifacts=*/false, &Cache);
-    const support::Ledger L = fleetLedger(Specs, WarmOptions, Warm,
-                                          /*CacheEnabled=*/true,
-                                          /*NoTimes=*/true);
-    for (const support::WideEvent &E : L.Events)
-      EXPECT_EQ(E.Cache, "hit") << E.App;
-    const std::string Text = noTimesLedgerText(L);
-    if (WarmText.empty())
-      WarmText = Text;
-    else
-      EXPECT_EQ(Text, WarmText) << "jobs=" << Jobs;
-
-    // Cold-vs-warm diff: only the cache flag moved (miss -> hit is not a
-    // regression), so the diff must be empty.
-    const LedgerDiff D = diffLedgers(ColdLedger, L);
-    EXPECT_TRUE(D.empty());
-  }
 }

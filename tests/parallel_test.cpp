@@ -11,6 +11,8 @@
 //    per-app and aggregate AppStats, and identical fidelity markers at
 //    -j 1/2/4/8 — including under injected faults and forced budget
 //    trips;
+//  - a 200-app hostile generated fleet, artifacts dropped per task,
+//    yields identical per-app counters and fidelity at -j 1 and -j 4;
 //  - the batch wall-clock deadline is shared (a slow early app starves
 //    later apps, which report TruncatedBudget/deadline) while work-item
 //    caps stay per-task;
@@ -22,6 +24,7 @@
 #include "guimodel/JsonExport.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
+#include "support/WideEvent.h"
 
 #include <gtest/gtest.h>
 
@@ -257,6 +260,60 @@ TEST(BatchDeterminismTest, IdenticalUnderPerTaskWorkCaps) {
   expectSameFingerprint(Serial, fingerprintCorpus(Options), "work caps");
 }
 
+TEST(BatchDeterminismTest, HostileFleetStatsIdenticalAtEveryJobCount) {
+  // 200 generated apps with artifacts dropped inside each task, a fifth
+  // of them with reflective construction, dynamic find ids, or missing
+  // layouts: at batch scale this runs every per-app slab drop and the
+  // unknown-source paths (node minting, capped FindView fanout, degraded
+  // fidelity), which the sanitizer builds check for memory errors and
+  // races.
+  FleetSpec FS;
+  FS.Apps = 200;
+  FS.ReflectivePercent = 20;
+  FS.DynamicIdPercent = 20;
+  FS.MissingLayoutPercent = 20;
+  const std::vector<AppSpec> Specs = makeFleet(FS);
+
+  // Each app's deterministic record: its no-times run-ledger line (every
+  // counter, the fidelity and the unknown-source reasons a ledger keeps)
+  // plus the Table 1 and solver rows.
+  auto Record = [](const AppStats &Stats) {
+    WideEvent E;
+    fillWideEvent(E, Stats);
+    std::ostringstream OS;
+    E.writeJsonl(OS, /*IncludeVolatile=*/false);
+    printAppStatsRow(OS, Stats);
+    printSolverStatsRow(OS, Stats);
+    return OS.str();
+  };
+  auto Run = [&](unsigned Jobs) {
+    AnalysisOptions Options;
+    Options.Jobs = Jobs;
+    return analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
+  };
+  const std::vector<BatchAppResult> Serial = Run(1);
+  const std::vector<BatchAppResult> Parallel = Run(4);
+  ASSERT_EQ(Serial.size(), Specs.size());
+  ASSERT_EQ(Parallel.size(), Specs.size());
+
+  size_t Degraded = 0;
+  for (size_t I = 0; I < Specs.size(); ++I) {
+    const AppStats &Stats = Serial[I].Stats;
+    EXPECT_FALSE(Serial[I].GenerationFailed) << Specs[I].Name;
+    EXPECT_EQ(Serial[I].Result, nullptr) << Specs[I].Name;
+    EXPECT_EQ(Record(Parallel[I].Stats), Record(Stats)) << "app " << I;
+    if (Stats.SolutionFidelity != Fidelity::Complete) {
+      ++Degraded;
+      EXPECT_GT(std::accumulate(std::begin(Stats.UnknownByReason),
+                                std::end(Stats.UnknownByReason), 0ul),
+                0ul)
+          << Specs[I].Name;
+    }
+  }
+  EXPECT_GT(Degraded, 0u);
+  EXPECT_LT(Degraded, Specs.size());
+}
+
 //===----------------------------------------------------------------------===//
 // Shared batch deadline and cross-thread cancellation
 //===----------------------------------------------------------------------===//
@@ -275,7 +332,7 @@ TEST(BatchArtifactsTest, KeepArtifactsFalseIsAPureArenaDrop) {
   AnalysisOptions Options;
   Options.Jobs = 2;
   std::vector<BatchAppResult> Dropped =
-      analyzeCorpus(Specs, Options, nullptr, /*KeepArtifacts=*/false);
+      analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
   ASSERT_EQ(Dropped.size(), Specs.size());
   for (const BatchAppResult &R : Dropped) {
     EXPECT_EQ(R.Result, nullptr) << R.Name;
@@ -287,7 +344,7 @@ TEST(BatchArtifactsTest, KeepArtifactsFalseIsAPureArenaDrop) {
 
   // Dropping artifacts must not change what was measured.
   std::vector<BatchAppResult> Kept =
-      analyzeCorpus(Specs, Options, nullptr, /*KeepArtifacts=*/true);
+      analyzeCorpus(Specs, Options, /*KeepArtifacts=*/true);
   for (size_t I = 0; I < Specs.size(); ++I) {
     ASSERT_NE(Kept[I].Result, nullptr);
     std::ostringstream A, B;
@@ -312,11 +369,11 @@ TEST(BatchArtifactsTest, ArenaBytesAreDeterministicAcrossJobCounts) {
   AnalysisOptions Options;
   Options.Jobs = 1;
   std::vector<BatchAppResult> Serial =
-      analyzeCorpus(Specs, Options, nullptr, /*KeepArtifacts=*/false);
+      analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
   for (unsigned Jobs : {4u, 8u}) {
     Options.Jobs = Jobs;
     std::vector<BatchAppResult> Parallel =
-        analyzeCorpus(Specs, Options, nullptr, /*KeepArtifacts=*/false);
+        analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
     ASSERT_EQ(Parallel.size(), Serial.size());
     for (size_t I = 0; I < Serial.size(); ++I)
       EXPECT_EQ(Parallel[I].Stats.ArenaBytes, Serial[I].Stats.ArenaBytes)
