@@ -12,6 +12,9 @@ gator::corpus::analyzeCorpus(const std::vector<AppSpec> &Specs,
                              const analysis::AnalysisOptions &Options,
                              bool KeepArtifacts) {
   analysis::AnalysisOptions TaskOptions = Options;
+  // A TraceSink is thread-confined and no caller of the batch traces, so
+  // the tasks run untraced.
+  TaskOptions.Trace = nullptr;
   if (!TaskOptions.Budget.SharedDeadline)
     TaskOptions.Budget.SharedDeadline =
         support::makeSharedDeadline(Options.Budget.MaxWallSeconds);
@@ -22,17 +25,6 @@ gator::corpus::analyzeCorpus(const std::vector<AppSpec> &Specs,
         R.Index = I;
         R.Name = Specs[I].Name;
 
-        // Tracing is thread-confined: each task records into its own sink
-        // and the caller merges them in spec order. The shared sink from
-        // the options is never touched inside the fan-out.
-        analysis::AnalysisOptions AppOptions = TaskOptions;
-        if (Options.Trace) {
-          R.Trace = std::make_unique<support::TraceSink>();
-          AppOptions.Trace = R.Trace.get();
-        }
-        support::TraceSpan AppSpan(AppOptions.Trace, "analyze-app");
-        AppSpan.arg("index", I);
-
         R.App = generateApp(Specs[I]);
         if (R.App.Bundle->Diags.hasErrors()) {
           R.GenerationFailed = true;
@@ -40,7 +32,7 @@ gator::corpus::analyzeCorpus(const std::vector<AppSpec> &Specs,
         }
         R.Result = analysis::GuiAnalysis::run(
             R.App.Bundle->Program, *R.App.Bundle->Layouts,
-            R.App.Bundle->Android, AppOptions, R.App.Bundle->Diags);
+            R.App.Bundle->Android, TaskOptions, R.App.Bundle->Diags);
         R.Stats = analysis::collectAppStats(R.Name, R.App.Bundle->Program,
                                             *R.Result);
         R.Metrics = R.Result->metrics();

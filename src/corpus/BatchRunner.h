@@ -22,7 +22,6 @@
 #include "analysis/AppStats.h"
 #include "analysis/GuiAnalysis.h"
 #include "corpus/Corpus.h"
-#include "support/Trace.h"
 
 #include <memory>
 #include <vector>
@@ -46,12 +45,6 @@ struct BatchAppResult {
   double BuildSeconds = 0.0; ///< graph-construction time of the analysis
   double SolveSeconds = 0.0; ///< fixed-point time of the analysis
   bool GenerationFailed = false;
-  /// Thread-confined trace of this task (an "analyze-app" span wrapping
-  /// the per-phase spans), recorded only when the batch options carry a
-  /// trace sink. The driver appends these into its sink in spec order —
-  /// tagged with the app ordinal as tid — so the merged trace is
-  /// byte-identical across job counts (after timestamp normalization).
-  std::unique_ptr<support::TraceSink> Trace;
 };
 
 /// Generates and analyzes every spec with Options.Jobs workers (0 =
@@ -59,6 +52,7 @@ struct BatchAppResult {
 /// Options.Budget.MaxWallSeconds becomes a shared batch-wide deadline
 /// (computed once before the fan-out) unless the caller already set
 /// Budget.SharedDeadline; work-item and graph caps stay per-task.
+/// Options.Trace is ignored: the tasks run untraced.
 ///
 /// With \p KeepArtifacts false, each task releases its app bundle and
 /// AnalysisResult as soon as Stats/Metrics are harvested, so at most one

@@ -3,8 +3,10 @@
 #include "parser/Lexer.h"
 
 #include "support/CharClass.h"
+#include "support/Hash.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -92,12 +94,53 @@ constexpr std::array<uint8_t, 256> IdentTable = [] {
   return T;
 }();
 
-bool isIdentStart(char C) {
-  return IdentTable[static_cast<unsigned char>(C)] & IdentStart;
+/// The end of the run of identifier characters starting at \p P.
+const char *scanIdent(const char *P, const char *End) {
+  while (P != End && (IdentTable[static_cast<unsigned char>(*P)] & IdentChar))
+    ++P;
+  return P;
 }
-bool isIdentChar(char C) {
-  return IdentTable[static_cast<unsigned char>(C)] & IdentChar;
-}
+
+/// What lexAll's loop does with a byte: the one switch of the lexer.
+enum ByteClass : uint8_t {
+  Other,     ///< an error: no token starts with this byte
+  Blank,     ///< whitespace other than '\n'
+  Newline,   ///< '\n': a new line starts after it, often indented
+  NameStart, ///< an identifier or keyword
+  Punct,     ///< a one-byte token; PunctKinds gives its kind
+  ColonByte, ///< ':' or ':='
+  AtByte,    ///< '@layout/name' or '@id/name'
+  SlashByte, ///< '//' or '/*'; a lone '/' is an error
+};
+
+constexpr std::array<uint8_t, 256> ByteClasses = [] {
+  std::array<uint8_t, 256> T{};
+  for (unsigned C = 0; C < 256; ++C) {
+    if (charclass::Table[C] & charclass::Space)
+      T[C] = Blank;
+    if (IdentTable[C] & IdentStart)
+      T[C] = NameStart;
+  }
+  T['\n'] = Newline;
+  for (unsigned C : {'{', '}', '(', ')', ';', ',', '.'})
+    T[C] = Punct;
+  T[':'] = ColonByte;
+  T['@'] = AtByte;
+  T['/'] = SlashByte;
+  return T;
+}();
+
+constexpr std::array<TokenKind, 256> PunctKinds = [] {
+  std::array<TokenKind, 256> T{};
+  T['{'] = TokenKind::LBrace;
+  T['}'] = TokenKind::RBrace;
+  T['('] = TokenKind::LParen;
+  T[')'] = TokenKind::RParen;
+  T[';'] = TokenKind::Semicolon;
+  T[','] = TokenKind::Comma;
+  T['.'] = TokenKind::Dot;
+  return T;
+}();
 
 /// Keyword lookup without hashing: dispatch on length, then compare.
 TokenKind keywordOrIdentifier(std::string_view S) {
@@ -181,133 +224,72 @@ Lexer::Lexer(std::string_view Input, std::string_view FileName,
              DiagnosticEngine &Diags)
     : Input(Input), File(SourceLocation::internFile(FileName)), Diags(Diags) {}
 
-size_t Lexer::identEnd(size_t From) const {
-  while (From < Input.size() && isIdentChar(Input[From]))
-    ++From;
-  return From;
+SourceLocation Lexer::locAt(const TokenBuffer &Out, const char *P) const {
+  const size_t Offset = static_cast<size_t>(P - Input.data());
+  return SourceLocation(
+      File, static_cast<unsigned>(Out.LineStarts.size()),
+      static_cast<unsigned>(Offset - Out.LineStarts.back() + 1));
 }
 
-void Lexer::skipTrivia(TokenBuffer &Out) {
-  const size_t Size = Input.size();
-  for (;;) {
-    while (Pos < Size && charclass::isSpace(Input[Pos])) {
-      if (Input[Pos] == '\n')
-        newLine(Out, Pos + 1);
-      ++Pos;
-    }
-    if (Pos + 1 >= Size || Input[Pos] != '/')
-      return;
-    if (Input[Pos + 1] == '/') {
-      size_t End = Input.find('\n', Pos);
-      Pos = End == std::string_view::npos ? Size : End;
-      continue;
-    }
-    if (Input[Pos + 1] == '*') {
-      const SourceLocation Start = locAt(Pos);
-      const size_t Close = Input.find("*/", Pos + 2);
-      const size_t End = Close == std::string_view::npos ? Size : Close + 2;
-      for (size_t NL = Input.find('\n', Pos); NL < End;
-           NL = Input.find('\n', NL + 1))
-        newLine(Out, NL + 1);
-      Pos = End;
-      if (Close == std::string_view::npos) {
-        Diags.error(Start, "unterminated block comment");
-        return;
-      }
-      continue;
-    }
-    return;
-  }
+const char *Lexer::blockComment(TokenBuffer &Out, const char *P) {
+  const SourceLocation Start = locAt(Out, P);
+  const size_t Open = static_cast<size_t>(P - Input.data());
+  const size_t Close = Input.find("*/", Open + 2);
+  const size_t End = Close == std::string_view::npos ? Input.size() : Close + 2;
+  for (size_t NL = Input.find('\n', Open); NL < End;
+       NL = Input.find('\n', NL + 1))
+    Out.LineStarts.push_back(static_cast<uint32_t>(NL + 1));
+  if (Close == std::string_view::npos)
+    Diags.error(Start, "unterminated block comment");
+  return Input.data() + End;
 }
 
-void Lexer::push(TokenBuffer &Out, TokenKind Kind, size_t Start) {
-  size_t Length = Pos - Start;
-  if (Length > TokenBuffer::MaxTokenLength) {
-    Diags.error(locAt(Start),
-                "token of " + std::to_string(Length) +
-                    " bytes is longer than the limit of " +
-                    std::to_string(TokenBuffer::MaxTokenLength) + " bytes");
-    Kind = TokenKind::Error;
-    Length = TokenBuffer::MaxTokenLength;
-  }
-  Out.Records.push_back(
-      {static_cast<uint32_t>(Start),
-       static_cast<uint32_t>(Length) << 8 | static_cast<uint32_t>(Kind)});
-}
-
-void Lexer::lexToken(TokenBuffer &Out) {
-  const size_t Start = Pos;
-  const char C = Input[Start];
-
-  // Resource references: @layout/NAME and @id/NAME. The record spans the
-  // whole reference; TokenBuffer::get drops the prefix from the text.
-  if (C == '@') {
-    Pos = identEnd(Start + 1);
-    std::string_view Kind = Input.substr(Start + 1, Pos - Start - 1);
-    if (Pos >= Input.size() || Input[Pos] != '/') {
-      Diags.error(locAt(Start), "expected '/' in resource reference '@" +
-                                    std::string(Kind) + "'");
-      return push(Out, TokenKind::Error, Start);
-    }
-    const size_t NameStart = Pos + 1;
-    Pos = identEnd(NameStart);
-    if (Pos == NameStart) {
-      Diags.error(locAt(Start),
+const char *Lexer::badResource(TokenBuffer &Out, const char *Start) {
+  // The loop has already taken every well-formed `@layout/name` and
+  // `@id/name`, so whatever reaches here is an error. Its record spans
+  // what was scanned, as an Error token.
+  const char *const End = Input.data() + Input.size();
+  const char *P = scanIdent(Start + 1, End);
+  const std::string_view Kind(Start + 1, static_cast<size_t>(P - Start - 1));
+  if (P == End || *P != '/') {
+    Diags.error(locAt(Out, Start), "expected '/' in resource reference '@" +
+                                       std::string(Kind) + "'");
+  } else {
+    const char *NameStart = P + 1;
+    P = scanIdent(NameStart, End);
+    if (P == NameStart)
+      Diags.error(locAt(Out, Start),
                   "empty resource name in '@" + std::string(Kind) + "/'");
-      return push(Out, TokenKind::Error, Start);
-    }
-    if (Kind == "layout")
-      return push(Out, TokenKind::LayoutRef, Start);
-    if (Kind == "id")
-      return push(Out, TokenKind::IdRef, Start);
-    Diags.error(locAt(Start),
-                "unknown resource kind '@" + std::string(Kind) + "/'");
-    return push(Out, TokenKind::Error, Start);
+    else
+      Diags.error(locAt(Out, Start),
+                  "unknown resource kind '@" + std::string(Kind) + "/'");
   }
+  pushChecked(Out, TokenKind::Error, Start, P);
+  return P;
+}
 
-  if (isIdentStart(C)) {
-    Pos = identEnd(Start + 1);
-    return push(Out, keywordOrIdentifier(Input.substr(Start, Pos - Start)),
-                Start);
-  }
+const char *Lexer::unexpectedChar(TokenBuffer &Out, const char *P) {
+  Diags.error(locAt(Out, P),
+              std::string("unexpected character '") + *P + "'");
+  Out.push(static_cast<size_t>(P - Input.data()), 1, TokenKind::Error);
+  return P + 1;
+}
 
-  // Every remaining token is one character, except ':='.
-  ++Pos;
-  TokenKind Kind;
-  switch (C) {
-  case '{':
-    Kind = TokenKind::LBrace;
-    break;
-  case '}':
-    Kind = TokenKind::RBrace;
-    break;
-  case '(':
-    Kind = TokenKind::LParen;
-    break;
-  case ')':
-    Kind = TokenKind::RParen;
-    break;
-  case ';':
-    Kind = TokenKind::Semicolon;
-    break;
-  case ',':
-    Kind = TokenKind::Comma;
-    break;
-  case '.':
-    Kind = TokenKind::Dot;
-    break;
-  case ':':
-    Kind = TokenKind::Colon;
-    if (Pos < Input.size() && Input[Pos] == '=') {
-      ++Pos;
-      Kind = TokenKind::Assign;
-    }
-    break;
-  default:
-    Diags.error(locAt(Start), std::string("unexpected character '") + C + "'");
-    Kind = TokenKind::Error;
-  }
-  push(Out, Kind, Start);
+void Lexer::overlong(TokenBuffer &Out, const char *Start, size_t Length) {
+  Diags.error(locAt(Out, Start),
+              "token of " + std::to_string(Length) +
+                  " bytes is longer than the limit of " +
+                  std::to_string(TokenBuffer::MaxTokenLength) + " bytes");
+  Out.push(static_cast<size_t>(Start - Input.data()),
+           TokenBuffer::MaxTokenLength, TokenKind::Error);
+}
+
+void Lexer::tooLarge(TokenBuffer &Out) {
+  Out.LineStarts.push_back(0);
+  Diags.error(locAt(Out, Input.data()),
+              "input of " + std::to_string(Input.size()) +
+                  " bytes is too large; ALite inputs must be under 4 GiB");
+  Out.push(0, 0, TokenKind::EndOfFile);
 }
 
 TokenBuffer Lexer::lexAll() {
@@ -317,11 +299,7 @@ TokenBuffer Lexer::lexAll() {
   // Records hold 32-bit offsets, so the input must stay under 4 GiB; a
   // larger one is rejected before any of it is read.
   if (Input.size() > std::numeric_limits<uint32_t>::max()) {
-    Diags.error(locAt(0), "input of " + std::to_string(Input.size()) +
-                              " bytes is too large; ALite inputs must be "
-                              "under 4 GiB");
-    Out.LineStarts.push_back(0);
-    Out.Records.push_back({0, static_cast<uint32_t>(TokenKind::EndOfFile)});
+    tooLarge(Out);
     return Out;
   }
   // ALite averages more than three bytes per token, so one reservation
@@ -330,12 +308,94 @@ TokenBuffer Lexer::lexAll() {
   Out.Records.reserve(Input.size() / 3 + 1);
   Out.LineStarts.reserve(countNewlines(Input) + 1);
   Out.LineStarts.push_back(0);
-  for (;;) {
-    skipTrivia(Out);
-    if (Pos >= Input.size()) {
-      push(Out, TokenKind::EndOfFile, Pos);
-      return Out;
+
+  const char *const Begin = Input.data();
+  const char *const End = Begin + Input.size();
+  // Every case below moves P forward, and never past End.
+  const char *P = Begin;
+  while (P != End) {
+    const unsigned char C = static_cast<unsigned char>(*P);
+    switch (ByteClasses[C]) {
+    case Blank:
+      // Take the whole run without going round the switch per byte.
+      do
+        ++P;
+      while (P != End && ByteClasses[static_cast<unsigned char>(*P)] == Blank);
+      break;
+    case Newline:
+      ++P;
+      Out.LineStarts.push_back(static_cast<uint32_t>(P - Begin));
+      // Most lines are indented with spaces: skip up to eight with one
+      // load instead of one trip round the switch each. Byte K of the
+      // little-endian word is P[K]; a longer run goes on as Blank.
+      if (End - P >= 8) {
+        const uint64_t NotSpace =
+            support::detail::readLe64(
+                reinterpret_cast<const unsigned char *>(P)) ^
+            0x2020202020202020ull;
+        P += NotSpace ? __builtin_ctzll(NotSpace) / 8 : 8;
+      }
+      break;
+    case NameStart: {
+      const char *Start = P;
+      P = scanIdent(P + 1, End);
+      const std::string_view Name(Start, static_cast<size_t>(P - Start));
+      pushChecked(Out, keywordOrIdentifier(Name), Start, P);
+      break;
     }
-    lexToken(Out);
+    case Punct:
+      Out.push(static_cast<size_t>(P - Begin), 1, PunctKinds[C]);
+      ++P;
+      break;
+    case ColonByte:
+      if (End - P >= 2 && P[1] == '=') {
+        Out.push(static_cast<size_t>(P - Begin), 2, TokenKind::Assign);
+        P += 2;
+      } else {
+        Out.push(static_cast<size_t>(P - Begin), 1, TokenKind::Colon);
+        ++P;
+      }
+      break;
+    case AtByte: {
+      // The record spans the whole reference; TokenBuffer::text drops
+      // the prefix.
+      const char *Start = P;
+      TokenKind Kind;
+      const char *Name;
+      if (End - P > 8 && std::memcmp(P + 1, "layout/", 7) == 0) {
+        Kind = TokenKind::LayoutRef;
+        Name = P + 8;
+      } else if (End - P > 4 && std::memcmp(P + 1, "id/", 3) == 0) {
+        Kind = TokenKind::IdRef;
+        Name = P + 4;
+      } else {
+        P = badResource(Out, Start);
+        break;
+      }
+      P = scanIdent(Name, End);
+      if (P == Name)
+        P = badResource(Out, Start);
+      else
+        pushChecked(Out, Kind, Start, P);
+      break;
+    }
+    case SlashByte:
+      if (End - P >= 2 && P[1] == '/') {
+        const void *NL = std::memchr(P, '\n', static_cast<size_t>(End - P));
+        P = NL ? static_cast<const char *>(NL) : End;
+        break;
+      }
+      if (End - P >= 2 && P[1] == '*') {
+        P = blockComment(Out, P);
+        break;
+      }
+      P = unexpectedChar(Out, P); // a lone '/'
+      break;
+    default:
+      P = unexpectedChar(Out, P);
+      break;
+    }
   }
+  Out.push(Input.size(), 0, TokenKind::EndOfFile);
+  return Out;
 }

@@ -102,21 +102,27 @@ public:
     return static_cast<TokenKind>(Records[I].LengthKind & 0xff);
   }
 
-  /// The token at \p I. Its line is found by binary search; a reader
-  /// walking the tokens in order passes the previous token's line as
-  /// \p LineHint instead, which makes each lookup a short forward scan.
-  Token get(size_t I, unsigned LineHint = 0) const {
+  /// The spelling of the token at \p I (Token::Text), without computing
+  /// its location.
+  std::string_view text(size_t I) const {
     const Record &R = Records[I];
     const TokenKind Kind = static_cast<TokenKind>(R.LengthKind & 0xff);
-    const uint32_t Length = R.LengthKind >> 8;
-    const unsigned Line = lineOf(R.Offset, LineHint);
     // A resource reference's text is the name after "@layout/" or "@id/".
     const uint32_t Skip = Kind == TokenKind::LayoutRef ? 8
                           : Kind == TokenKind::IdRef   ? 4
                                                        : 0;
-    return {Kind,
-            std::string_view(Input.data() + R.Offset + Skip, Length - Skip),
-            SourceLocation(File, Line, R.Offset - LineStarts[Line - 1] + 1)};
+    return std::string_view(Input.data() + R.Offset + Skip,
+                            (R.LengthKind >> 8) - Skip);
+  }
+
+  /// The token at \p I. Its line is found by binary search; a reader
+  /// walking the tokens in order passes the previous token's line as
+  /// \p LineHint instead, which makes each lookup a short forward scan.
+  Token get(size_t I, unsigned LineHint = 0) const {
+    const uint32_t Offset = Records[I].Offset;
+    const unsigned Line = lineOf(Offset, LineHint);
+    return {kind(I), text(I),
+            SourceLocation(File, Line, Offset - LineStarts[Line - 1] + 1)};
   }
   Token operator[](size_t I) const { return get(I); }
 
@@ -128,6 +134,12 @@ private:
     uint32_t LengthKind; ///< spelling length << 8 | TokenKind
   };
   static_assert(sizeof(Record) == 8, "see docs/MEMORY.md, \"Token records\"");
+
+  void push(size_t Offset, size_t Length, TokenKind Kind) {
+    Records.push_back({static_cast<uint32_t>(Offset),
+                       static_cast<uint32_t>(Length) << 8 |
+                           static_cast<uint32_t>(Kind)});
+  }
 
   /// The 1-based line holding byte \p Offset.
   unsigned lineOf(uint32_t Offset, unsigned LineHint) const {
@@ -153,6 +165,13 @@ private:
 /// end of line; `/* */` comments do not nest. An input of 4 GiB or more,
 /// or a token longer than TokenBuffer::MaxTokenLength, is reported as an
 /// error rather than stored in a record that cannot hold it.
+///
+/// lexAll is one loop that dispatches once per byte on a class table
+/// (docs/MEMORY.md, "Token records"). Whitespace, names, keywords,
+/// punctuation, `:=`, resource references and line comments are handled
+/// in the loop; block comments, errors and the two size limits go to the
+/// out-of-line helpers below, which return to it. The input is read only
+/// within its view: no terminator is assumed.
 class Lexer {
 public:
   /// \p Input must outlive the tokens lexAll() returns. \p FileName is
@@ -164,32 +183,34 @@ public:
   TokenBuffer lexAll();
 
 private:
-  /// Lexes the token at Pos (trivia already skipped) into \p Out.
-  void lexToken(TokenBuffer &Out);
-  /// Appends a record for the spelling [Start, Pos) of kind \p Kind.
-  void push(TokenBuffer &Out, TokenKind Kind, size_t Start);
-  void skipTrivia(TokenBuffer &Out);
-  /// Starts line Line + 1 at offset \p Next (just past a newline).
-  void newLine(TokenBuffer &Out, size_t Next) {
-    ++Line;
-    LineStart = Next;
-    Out.LineStarts.push_back(static_cast<uint32_t>(Next));
+  /// The location of \p P, on the line Out's line starts have reached.
+  SourceLocation locAt(const TokenBuffer &Out, const char *P) const;
+  /// Appends a record for [Start, End), or reports a spelling longer than
+  /// a record can hold and appends an Error record in its place.
+  void pushChecked(TokenBuffer &Out, TokenKind Kind, const char *Start,
+                   const char *End) {
+    const size_t Length = static_cast<size_t>(End - Start);
+    if (Length > TokenBuffer::MaxTokenLength) [[unlikely]]
+      return overlong(Out, Start, Length);
+    Out.push(static_cast<size_t>(Start - Input.data()), Length, Kind);
   }
-  /// End of the run of identifier characters starting at \p From.
-  size_t identEnd(size_t From) const;
-  SourceLocation locAt(size_t Offset) const {
-    return SourceLocation(File, Line,
-                          static_cast<unsigned>(Offset - LineStart + 1));
-  }
+
+  // The rare paths, kept out of lexAll's loop. Those that consume input
+  // return the position lexing resumes at.
+  [[gnu::cold, gnu::noinline]] const char *
+  blockComment(TokenBuffer &Out, const char *P);
+  [[gnu::cold, gnu::noinline]] const char *
+  badResource(TokenBuffer &Out, const char *Start);
+  [[gnu::cold, gnu::noinline]] const char *
+  unexpectedChar(TokenBuffer &Out, const char *P);
+  [[gnu::cold, gnu::noinline]] void overlong(TokenBuffer &Out,
+                                             const char *Start,
+                                             size_t Length);
+  [[gnu::cold, gnu::noinline]] void tooLarge(TokenBuffer &Out);
 
   std::string_view Input;
   SourceLocation::FileRef File;
   DiagnosticEngine &Diags;
-  size_t Pos = 0;
-  unsigned Line = 1;
-  /// Offset of the first byte of the current line; the column is
-  /// derived from it, so scanning within a line only moves Pos.
-  size_t LineStart = 0;
 };
 
 } // namespace parser

@@ -29,21 +29,39 @@ private:
   // Token helpers
   //===--------------------------------------------------------------------===//
 
-  /// Tokens are built by value from their records, in order, each with
-  /// the line of the token before it as the line hint.
-  Token cur() const { return Tokens.get(Index, Line); }
+  /// A token as the parser reads it: its kind, its spelling and where it
+  /// sits in the buffer, but no location. Only a statement's start and a
+  /// diagnostic need one, and locOf computes it from the index then.
+  struct TokenRef {
+    TokenKind Kind;
+    std::string_view Text;
+    size_t Index;
+
+    bool is(TokenKind K) const { return Kind == K; }
+  };
+
+  TokenRef cur() const {
+    return {Tokens.kind(Index), Tokens.text(Index), Index};
+  }
   TokenKind nextKind() const {
     return Tokens.kind(std::min(Index + 1, Tokens.size() - 1));
   }
   bool at(TokenKind Kind) const { return Tokens.kind(Index) == Kind; }
 
   /// Consumes and returns the current token.
-  Token take() {
-    Token T = cur();
-    Line = T.Loc.line();
+  TokenRef take() {
+    TokenRef T = cur();
     if (!T.is(TokenKind::EndOfFile))
       ++Index;
     return T;
+  }
+
+  /// The location of the token at \p I. Locations are asked for roughly
+  /// in token order, so the line of the last one is the hint for the next.
+  SourceLocation locOf(size_t I) {
+    const SourceLocation Loc = Tokens.get(I, Line).Loc;
+    Line = Loc.line();
+    return Loc;
   }
 
   bool accept(TokenKind Kind) {
@@ -54,15 +72,19 @@ private:
   }
 
   bool expect(TokenKind Kind, const char *Context) {
-    if (accept(Kind))
-      return true;
+    return accept(Kind) || expectFailed(Kind, Context);
+  }
+
+  /// expect's error path, kept out of line so expect inlines.
+  [[gnu::cold, gnu::noinline]] bool expectFailed(TokenKind Kind,
+                                                 const char *Context) {
     error(std::string("expected ") + tokenKindName(Kind) + " " + Context +
-          ", found " + tokenKindName(cur().Kind));
+          ", found " + tokenKindName(Tokens.kind(Index)));
     return false;
   }
 
   void error(const std::string &Message) {
-    Diags.error(cur().Loc, Message);
+    Diags.error(locOf(Index), Message);
     Ok = false;
   }
 
@@ -101,7 +123,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// Interns a token's spelling (it views the input buffer).
-  ir::Name intern(const Token &T) { return P.intern(T.Text); }
+  ir::Name intern(const TokenRef &T) { return P.intern(T.Text); }
 
   /// qname := ident ("." ident)*
   ///
@@ -294,11 +316,11 @@ private:
   // Statements
   //===--------------------------------------------------------------------===//
 
-  VarId useVar(MethodDecl &M, const Token &NameTok) {
+  VarId useVar(MethodDecl &M, const TokenRef &NameTok) {
     VarId Id = M.findVar(NameTok.Text);
     if (Id == InvalidVar) {
-      Diags.error(NameTok.Loc, "use of undeclared variable '" +
-                                   std::string(NameTok.Text) + "'");
+      Diags.error(locOf(NameTok.Index), "use of undeclared variable '" +
+                                            std::string(NameTok.Text) + "'");
       Ok = false;
     }
     return Id;
@@ -325,7 +347,7 @@ private:
   }
 
   bool parseStmt(MethodDecl &M) {
-    SourceLocation Loc = cur().Loc;
+    const size_t Start = Index;
 
     // var x: T;
     if (accept(TokenKind::KwVar)) {
@@ -333,10 +355,10 @@ private:
         error("expected variable name after 'var'");
         return false;
       }
-      const Token NameTok = take();
+      const TokenRef NameTok = take();
       if (M.findVar(NameTok.Text) != InvalidVar) {
-        Diags.error(NameTok.Loc, "redeclaration of variable '" +
-                                     std::string(NameTok.Text) + "'");
+        Diags.error(locOf(NameTok.Index), "redeclaration of variable '" +
+                                              std::string(NameTok.Text) + "'");
         Ok = false;
         return false;
       }
@@ -350,6 +372,10 @@ private:
       M.addLocal(intern(NameTok), TypeName);
       return true;
     }
+
+    // The other statements are emitted at the location of their first
+    // token; a `var` declaration needs none.
+    const SourceLocation Loc = locOf(Start);
 
     // return [x];
     if (accept(TokenKind::KwReturn)) {
@@ -403,7 +429,7 @@ private:
       error("expected statement");
       return false;
     }
-    const Token FirstTok = take();
+    const TokenRef FirstTok = take();
 
     // x.f := y;   x.m(args);
     if (accept(TokenKind::Dot)) {
@@ -411,7 +437,7 @@ private:
         error("expected member name after '.'");
         return false;
       }
-      const Token MemberTok = take();
+      const TokenRef MemberTok = take();
       VarId Base = useVar(M, FirstTok);
       if (Base == InvalidVar)
         return false;
@@ -506,7 +532,7 @@ private:
 
     // @layout/name, @id/name
     if (at(TokenKind::LayoutRef) || at(TokenKind::IdRef)) {
-      const Token ResTok = take();
+      const TokenRef ResTok = take();
       Stmt S;
       S.Kind = ResTok.is(TokenKind::LayoutRef) ? StmtKind::AssignLayoutId
                                                : StmtKind::AssignViewId;
@@ -574,7 +600,7 @@ private:
       error("expected member name after '.'");
       return false;
     }
-    const Token MemberTok = take();
+    const TokenRef MemberTok = take();
 
     if (at(TokenKind::LParen)) {
       Stmt S;
@@ -608,7 +634,7 @@ private:
   Program &P;
   DiagnosticEngine &Diags;
   size_t Index = 0;
-  unsigned Line = 1; ///< line of the last token taken
+  unsigned Line = 1; ///< line of the last location computed
   bool Ok = true;
   ir::Name VoidName;
 

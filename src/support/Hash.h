@@ -12,14 +12,18 @@
 /// graph key packers; they now all delegate here, and the content-addressed
 /// solution cache builds its 128-bit keys on the same primitives.
 ///
-///  - fnv1a64(): the classic 64-bit FNV-1a byte loop. Identifiers, labels
-///    and option fields are short byte strings, and at those sizes the
-///    simple loop beats fancier mixers. It is byte-serial (one multiply
-///    per byte, ~1.6 ns/byte), so it is the wrong tool for whole files.
+///  - fnv1a64(): the classic 64-bit FNV-1a byte loop, for the cache's
+///    labels and option fields (ContentHasher) and the GSC1 artifact
+///    checksum. It is byte-serial (one dependent multiply per byte,
+///    ~1.6 ns/byte), so it is the wrong tool for whole files and for the
+///    names on the parser's hot path: StringInterner hashes a name of up
+///    to 16 bytes with two overlapping word loads and one multiply, and a
+///    longer one with xxh64().
 ///  - xxh64(): XXH64, the public-domain xxHash64 algorithm, for bulk
-///    content. It consumes 32-byte stripes in four independent lanes,
-///    ~0.12 ns/byte on file-sized inputs, about 14x the throughput of
-///    FNV-1a.
+///    content and long interned names. It consumes 32-byte stripes in
+///    four independent lanes, ~0.12 ns/byte on file-sized inputs, about
+///    14x the throughput of FNV-1a. readLe64()/readLe32() in `detail` are
+///    its byte-order-independent loads, shared with the interner.
 ///  - fibonacciSlot(): multiply-shift spreading for power-of-2 open
 ///    addressing; FNV low bits correlate on short common-suffix names and
 ///    packed ids share low-bit structure, so every probe multiplies first.

@@ -99,8 +99,32 @@ private:
 
   static constexpr uint32_t EmptySlot = ~0u;
 
+  /// The slot hash of a spelling. Nearly every name is at most 16 bytes:
+  /// those take two overlapping loads that together cover every byte and
+  /// one 64x64->128-bit multiply, folded; longer names take XXH64. The
+  /// constants have bytes >= 0x80, so no ASCII spelling zeroes a factor.
+  /// Only the slot array sees these values: Symbols are handed out in
+  /// interning order and the slots are never iterated, so the hash cannot
+  /// change any output.
   static uint64_t hashText(std::string_view Text) {
-    return support::fnv1a64(Text);
+    using namespace support::detail;
+    const auto *P = reinterpret_cast<const unsigned char *>(Text.data());
+    const size_t N = Text.size();
+    if (N > 16)
+      return support::xxh64(Text, 0);
+    uint64_t Lo = 0, Hi = 0;
+    if (N >= 8) {
+      Lo = readLe64(P);
+      Hi = readLe64(P + N - 8);
+    } else if (N >= 4) {
+      Lo = readLe32(P);
+      Hi = readLe32(P + N - 4);
+    } else if (N > 0) {
+      Lo = P[0] | uint64_t(P[N / 2]) << 8 | uint64_t(P[N - 1]) << 16;
+    }
+    using U128 = unsigned __int128;
+    const U128 M = U128(Lo ^ Xxh64Prime1) * (Hi ^ Xxh64Prime2 ^ N);
+    return static_cast<uint64_t>(M) ^ static_cast<uint64_t>(M >> 64);
   }
 
   static size_t slotIndex(uint64_t Hash, size_t Mask) {

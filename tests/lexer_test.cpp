@@ -2,10 +2,16 @@
 
 #include "parser/Lexer.h"
 
+#include "corpus/Corpus.h"
+#include "parser/Printer.h"
+#include "support/FaultInjection.h"
+
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
 
+#include <cstring>
+#include <memory>
 #include <sstream>
 
 using namespace gator;
@@ -359,6 +365,323 @@ TEST(LexerTest, TokenKindNamesAreStable) {
   EXPECT_STREQ(tokenKindName(TokenKind::Assign), "':='");
   EXPECT_STREQ(tokenKindName(TokenKind::Identifier), "identifier");
   EXPECT_STREQ(tokenKindName(TokenKind::EndOfFile), "end of file");
+}
+
+
+//===----------------------------------------------------------------------===//
+// Differential check against a byte-at-a-time reference lexer
+//===----------------------------------------------------------------------===//
+
+/// One token or diagnostic as both lexers report it. Offset and length
+/// are those of Token::Text (for a resource reference, the name).
+struct LexedToken {
+  TokenKind Kind;
+  size_t Offset, Length;
+  unsigned Line, Column;
+  bool operator==(const LexedToken &) const = default;
+};
+struct LexedDiag {
+  std::string Message;
+  unsigned Line, Column;
+  bool operator==(const LexedDiag &) const = default;
+};
+struct Lexed {
+  std::vector<LexedToken> Tokens;
+  std::vector<LexedDiag> Diags;
+};
+
+/// The ALite token rules, one byte at a time, written for clarity rather
+/// than speed: it tracks the line and column as it goes and shares no code
+/// with the Lexer. The inputs it is used on are far below the record
+/// limits, so it does not model them.
+Lexed referenceLex(std::string_view In) {
+  Lexed R;
+  const size_t N = In.size();
+  size_t I = 0, LineStart = 0;
+  unsigned Line = 1;
+  auto Column = [&](size_t At) { return unsigned(At - LineStart + 1); };
+  auto IsLetter = [](char C) {
+    return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_' ||
+           C == '$' || C == '<';
+  };
+  auto IsNameChar = [&](char C) {
+    return IsLetter(C) || (C >= '0' && C <= '9') || C == '>';
+  };
+  auto NameEnd = [&](size_t J) {
+    while (J < N && IsNameChar(In[J]))
+      ++J;
+    return J;
+  };
+  auto Add = [&](TokenKind Kind, size_t Start, size_t TextStart, size_t End) {
+    R.Tokens.push_back(
+        {Kind, TextStart, End - TextStart, Line, Column(Start)});
+  };
+  auto Error = [&](size_t At, std::string Message) {
+    R.Diags.push_back({std::move(Message), Line, Column(At)});
+  };
+  const std::pair<const char *, TokenKind> Keywords[] = {
+      {"class", TokenKind::KwClass},
+      {"interface", TokenKind::KwInterface},
+      {"extends", TokenKind::KwExtends},
+      {"implements", TokenKind::KwImplements},
+      {"field", TokenKind::KwField},
+      {"method", TokenKind::KwMethod},
+      {"var", TokenKind::KwVar},
+      {"return", TokenKind::KwReturn},
+      {"new", TokenKind::KwNew},
+      {"null", TokenKind::KwNull},
+      {"static", TokenKind::KwStatic},
+      {"classof", TokenKind::KwClassof},
+      {"platform", TokenKind::KwPlatform}};
+  const std::string_view Punct = "{}();,.";
+  const TokenKind PunctKinds[] = {TokenKind::LBrace,    TokenKind::RBrace,
+                                  TokenKind::LParen,    TokenKind::RParen,
+                                  TokenKind::Semicolon, TokenKind::Comma,
+                                  TokenKind::Dot};
+
+  while (I < N) {
+    const char C = In[I];
+    const bool HasNext = I + 1 < N;
+    if (C == '\n') {
+      ++Line;
+      LineStart = ++I;
+    } else if (C == ' ' || C == '\t' || C == '\v' || C == '\f' ||
+               C == '\r') {
+      ++I;
+    } else if (C == '/' && HasNext && In[I + 1] == '/') {
+      while (I < N && In[I] != '\n')
+        ++I;
+    } else if (C == '/' && HasNext && In[I + 1] == '*') {
+      const unsigned StartLine = Line, StartColumn = Column(I);
+      bool Closed = false;
+      for (I += 2; I < N && !Closed; ++I) {
+        if (In[I] == '*' && I + 1 < N && In[I + 1] == '/') {
+          Closed = true;
+          ++I;
+        } else if (In[I] == '\n') {
+          ++Line;
+          LineStart = I + 1;
+        }
+      }
+      if (!Closed)
+        R.Diags.push_back({"unterminated block comment", StartLine,
+                           StartColumn});
+    } else if (C == '@') {
+      const size_t KindEnd = NameEnd(I + 1);
+      const std::string Kind(In.substr(I + 1, KindEnd - I - 1));
+      if (KindEnd == N || In[KindEnd] != '/') {
+        Error(I, "expected '/' in resource reference '@" + Kind + "'");
+        Add(TokenKind::Error, I, I, KindEnd);
+        I = KindEnd;
+        continue;
+      }
+      const size_t End = NameEnd(KindEnd + 1);
+      TokenKind Ref = TokenKind::Error;
+      if (End == KindEnd + 1)
+        Error(I, "empty resource name in '@" + Kind + "/'");
+      else if (Kind == "layout")
+        Ref = TokenKind::LayoutRef;
+      else if (Kind == "id")
+        Ref = TokenKind::IdRef;
+      else
+        Error(I, "unknown resource kind '@" + Kind + "/'");
+      Add(Ref, I, Ref == TokenKind::Error ? I : KindEnd + 1, End);
+      I = End;
+    } else if (IsLetter(C)) {
+      const size_t End = NameEnd(I + 1);
+      TokenKind Kind = TokenKind::Identifier;
+      for (const auto &[Spelling, KwKind] : Keywords)
+        if (In.substr(I, End - I) == Spelling)
+          Kind = KwKind;
+      Add(Kind, I, I, End);
+      I = End;
+    } else if (C == ':') {
+      const size_t End = HasNext && In[I + 1] == '=' ? I + 2 : I + 1;
+      Add(End == I + 2 ? TokenKind::Assign : TokenKind::Colon, I, I, End);
+      I = End;
+    } else if (Punct.find(C) != std::string_view::npos) {
+      Add(PunctKinds[Punct.find(C)], I, I, I + 1);
+      ++I;
+    } else {
+      Error(I, std::string("unexpected character '") + C + "'");
+      Add(TokenKind::Error, I, I, I + 1);
+      ++I;
+    }
+  }
+  Add(TokenKind::EndOfFile, N, N, N);
+  return R;
+}
+
+/// lexAll's view of \p In, in the reference lexer's terms.
+Lexed lexForDiff(std::string_view In) {
+  DiagnosticEngine Diags;
+  const TokenBuffer Tokens = lex(In, Diags, "diff.alite");
+  Lexed R;
+  for (size_t I = 0; I < Tokens.size(); ++I) {
+    const Token T = Tokens[I];
+    R.Tokens.push_back({T.Kind, size_t(T.Text.data() - In.data()),
+                        T.Text.size(), T.Loc.line(), T.Loc.column()});
+    EXPECT_EQ(T.Loc.file(), "diff.alite");
+  }
+  for (const Diagnostic &D : Diags.diagnostics()) {
+    R.Diags.push_back({D.Message, D.Loc.line(), D.Loc.column()});
+    EXPECT_EQ(D.Loc.file(), "diff.alite");
+    EXPECT_EQ(D.Severity, DiagSeverity::Error);
+  }
+  return R;
+}
+
+/// Compares the two lexers on \p In; returns false at the first
+/// difference, after reporting it.
+bool sameAsReference(std::string_view In, const std::string &What) {
+  const Lexed Got = lexForDiff(In), Want = referenceLex(In);
+  const size_t Tokens = std::min(Got.Tokens.size(), Want.Tokens.size());
+  for (size_t I = 0; I < Tokens; ++I) {
+    if (Got.Tokens[I] == Want.Tokens[I])
+      continue;
+    const LexedToken &G = Got.Tokens[I], &W = Want.Tokens[I];
+    ADD_FAILURE() << What << ": token " << I << " is {"
+                  << tokenKindName(G.Kind) << ", " << G.Offset << "+"
+                  << G.Length << ", " << G.Line << ":" << G.Column
+                  << "}, the reference has {" << tokenKindName(W.Kind) << ", "
+                  << W.Offset << "+" << W.Length << ", " << W.Line << ":"
+                  << W.Column << "}";
+    return false;
+  }
+  if (Got.Tokens.size() != Want.Tokens.size()) {
+    ADD_FAILURE() << What << ": " << Got.Tokens.size()
+                  << " tokens, the reference has " << Want.Tokens.size();
+    return false;
+  }
+  if (Got.Diags != Want.Diags) {
+    std::ostringstream OS;
+    for (const auto *List : {&Got.Diags, &Want.Diags}) {
+      OS << (List == &Got.Diags ? "\n  lexAll:" : "\n  reference:");
+      for (const LexedDiag &D : *List)
+        OS << "\n    " << D.Line << ":" << D.Column << ": " << D.Message;
+    }
+    ADD_FAILURE() << What << ": the diagnostics differ" << OS.str();
+    return false;
+  }
+  return true;
+}
+
+/// The ALite of every paper-corpus app, printed as export_corpus writes
+/// app.alite.
+const std::vector<std::string> &corpusSources() {
+  static const std::vector<std::string> Sources = [] {
+    std::vector<std::string> Out;
+    for (const corpus::AppSpec &Spec : corpus::paperCorpus())
+      Out.push_back(
+          parser::programToString(corpus::generateApp(Spec).Bundle->Program));
+    return Out;
+  }();
+  return Sources;
+}
+
+TEST(LexerDifferentialTest, CorpusMatchesTheReference) {
+  const auto &Specs = corpus::paperCorpus();
+  const auto &Sources = corpusSources();
+  ASSERT_EQ(Sources.size(), 20u);
+  size_t Bytes = 0;
+  for (size_t I = 0; I < Sources.size(); ++I) {
+    Bytes += Sources[I].size();
+    EXPECT_TRUE(sameAsReference(Sources[I], Specs[I].Name));
+  }
+  EXPECT_GT(Bytes, size_t(8) << 20); // the 8.75 MB of the exported corpus
+}
+
+/// Applies \p Count seeded edits to \p Text: byte drops, duplicates and
+/// swaps, insertions of the spellings where the lexer's rare paths start,
+/// and new lines with indentation of every width.
+std::string mutate(std::string Text, support::SplitMix64 &Rng,
+                   unsigned Count) {
+  static const char *const Inserts[] = {"/*", "*/", "//", "@",  "@id/",
+                                        "@layout/", ":", "\r", "/"};
+  for (unsigned K = 0; K < Count && !Text.empty(); ++K) {
+    const size_t At = Rng.below(Text.size());
+    switch (Rng.below(7)) {
+    case 0:
+      Text.erase(At, 1);
+      break;
+    case 1:
+      Text.insert(At, 1, Text[At]);
+      break;
+    case 2:
+      std::swap(Text[At], Text[Rng.below(Text.size())]);
+      break;
+    case 3:
+      Text.insert(At, Inserts[Rng.below(std::size(Inserts))]);
+      break;
+    case 4: // a byte >= 0x80, as in UTF-8 text
+      Text.insert(At, 1, static_cast<char>(0x80 + Rng.below(0x80)));
+      break;
+    case 5:
+      Text.insert(At, 1, '\0');
+      break;
+    case 6: { // a new line indented by 0-12 spaces
+      std::string Line = "\n";
+      Line.append(Rng.below(13), ' ');
+      Text.insert(At, Line);
+      break;
+    }
+    }
+  }
+  return Text;
+}
+
+TEST(LexerDifferentialTest, MutatedCorpusMatchesTheReference) {
+  // A fixed budget: 30 mutants of a 2 KB window of every app, each window
+  // drawn from the app's text and edited 1-16 times.
+  const auto &Specs = corpus::paperCorpus();
+  const auto &Sources = corpusSources();
+  support::SplitMix64 Rng(0x1e7e5);
+  unsigned Mutants = 0, WithErrors = 0;
+  for (size_t App = 0; App < Sources.size(); ++App) {
+    const std::string &Text = Sources[App];
+    for (unsigned M = 0; M < 30; ++M) {
+      const size_t Window = std::min<size_t>(Text.size(), 2048);
+      const size_t From = Rng.below(Text.size() - Window + 1);
+      const std::string Input =
+          mutate(Text.substr(From, Window), Rng, 1 + Rng.below(16));
+      const std::string What = Specs[App].Name + " mutant " +
+                               std::to_string(M) + " (window at " +
+                               std::to_string(From) + ")";
+      if (!sameAsReference(Input, What))
+        return; // one reported difference is enough to debug
+      ++Mutants;
+      DiagnosticEngine Diags;
+      lex(Input, Diags);
+      WithErrors += Diags.hasErrors();
+    }
+  }
+  EXPECT_EQ(Mutants, 600u);
+  // The mutations reach the error paths, but do not all end in errors.
+  EXPECT_GT(WithErrors, Mutants / 4);
+  EXPECT_LT(WithErrors, Mutants);
+}
+
+TEST(LexerDifferentialTest, NeverReadsPastTheView) {
+  // Every prefix is copied into a heap block of exactly its size, so under
+  // AddressSanitizer a read of the byte after the view fails the test.
+  // The prefixes end inside every token the lexer looks past: a name, ':'
+  // before '=', '/', '@layout', '@id/', '/*', '//' and '\r', and inside
+  // the indentation after a newline, which is skipped a word at a time.
+  const std::string Inputs[] = {
+      "a := b; v: T/ x @layout/main @id/b /* c */ // d\r\n@layout @id/ z",
+      "@layout/x:=@id/y//\r\n/*\n*/@lay@id/@/@x/y:",
+      std::string("n\0@\xe9", 4) + "@layout/",
+      "a\n          b\n        c\n    \td\n\n   ",
+  };
+  for (const std::string &Input : Inputs) {
+    for (size_t Size = 0; Size <= Input.size(); ++Size) {
+      std::unique_ptr<char[]> Block(new char[Size]);
+      std::memcpy(Block.get(), Input.data(), Size);
+      const std::string_view View(Block.get(), Size);
+      EXPECT_TRUE(sameAsReference(View, "prefix of " + std::to_string(Size) +
+                                            " bytes"));
+    }
+  }
 }
 
 } // namespace

@@ -264,4 +264,244 @@ TEST(ParserTest, BufferAfterAnotherBuffersErrorIsParsed) {
   EXPECT_EQ(Diags.errorCount(), Errors);
 }
 
+
+/// One diagnostic site of Parser.cpp and the exact diagnostics it
+/// produces, recovery included. Every input spans several lines, so a
+/// location computed from the wrong token or with a stale line shows.
+struct DiagCase {
+  const char *Site;
+  std::string Source;
+  const char *Expected; ///< DiagnosticEngine::print output
+};
+
+/// Wraps \p Body in a method that declares `x: T`; the body starts on
+/// line 4, column 1.
+std::string inMethod(const std::string &Body) {
+  return "class A {\n  method m() {\n    var x: T;\n" + Body + "\n  }\n}\n";
+}
+
+// "to open argument list" has no case: parseArgs is only called with the
+// current token already known to be '('.
+const DiagCase DiagCases[] = {
+    // Declarations.
+    {"expected 'class' or 'interface'",
+     "class A { }\n  field f: T;\n",
+     "diag.alite:2:3: error: expected 'class' or 'interface'\n"},
+    {"expected name after 'class'/'interface'",
+     "class\n  { }\n",
+     "diag.alite:2:3: error: expected name after 'class'/'interface'\n"},
+    {"expected name after 'extends'",
+     "class A\n  extends { }\n",
+     "diag.alite:2:11: error: expected name after 'extends'\n"},
+    {"expected name after 'implements'",
+     "class A implements B,\n  { }\n",
+     "diag.alite:2:3: error: expected name after 'implements'\n"},
+    {"expect '{' to open class body",
+     "class A\n  extends B\n  field\n",
+     "diag.alite:3:3: error: expected '{' to open class body, found 'field'\n"},
+    {"expect '}' to close class body",
+     "class A {\n  field f: T;\n",
+     "diag.alite:3:1: error: expected '}' to close class body, found end of "
+     "file\n"},
+    {"expected 'field' or 'method'",
+     "class A {\n  var x: T;\n}\n",
+     "diag.alite:2:3: error: expected 'field' or 'method' in class body\n"},
+    {"expected field name",
+     "class A {\n  field static\n  ;\n}\n",
+     "diag.alite:3:3: error: expected field name\n"},
+    {"expect ':' after field name",
+     "class A {\n  field f\n  T;\n}\n",
+     "diag.alite:3:3: error: expected ':' after field name, found "
+     "identifier\n"},
+    {"expected name as field type",
+     "class A {\n  field f:\n  ;\n}\n",
+     "diag.alite:3:3: error: expected name as field type\n"},
+    {"expect ';' after field declaration",
+     "class A {\n  field f: T\n  field g: T;\n}\n",
+     "diag.alite:3:3: error: expected ';' after field declaration, found "
+     "'field'\n"},
+    {"expected method name",
+     "class A {\n  method\n  ();\n}\n",
+     "diag.alite:3:3: error: expected method name\n"},
+    {"expect '(' after method name",
+     "class A {\n  method m\n  ;\n}\n",
+     "diag.alite:3:3: error: expected '(' after method name, found ';'\n"},
+    {"expected parameter name",
+     "class A {\n  method m(\n    : T);\n}\n",
+     "diag.alite:3:5: error: expected parameter name\n"},
+    {"expect ':' after parameter name",
+     "class A {\n  method m(a\n    T);\n}\n",
+     "diag.alite:3:5: error: expected ':' after parameter name, found "
+     "identifier\n"},
+    {"expected name as parameter type",
+     "class A {\n  method m(a:\n    );\n}\n",
+     "diag.alite:3:5: error: expected name as parameter type\n"},
+    {"expect ')' to close parameter list",
+     "class A {\n  method m(a: T\n    ;\n}\n",
+     "diag.alite:3:5: error: expected ')' to close parameter list, found "
+     "';'\n"},
+    {"expected name as return type",
+     "class A {\n  method m():\n    ;\n}\n",
+     "diag.alite:3:5: error: expected name as return type\n"},
+    {"expect '{' to open method body",
+     "class A {\n  method m()\n    var;\n}\n",
+     "diag.alite:3:5: error: expected '{' to open method body, found 'var'\n"},
+    {"expect '}' to close method body",
+     "class A {\n  method m() {\n",
+     "diag.alite:3:1: error: expected '}' to close method body, found end of "
+     "file\ndiag.alite:3:1: error: expected '}' to close class body, found "
+     "end of file\n"},
+    // Variable declarations and returns.
+    {"expected variable name after 'var'",
+     inMethod("    var\n      : T;"),
+     "diag.alite:5:7: error: expected variable name after 'var'\n"},
+    {"redeclaration of variable",
+     inMethod("    var y: T;\n    var\n  x: T;"),
+     "diag.alite:6:3: error: redeclaration of variable 'x'\n"},
+    {"expect ':' after variable name",
+     inMethod("    var y\n      T;"),
+     "diag.alite:5:7: error: expected ':' after variable name, found "
+     "identifier\n"},
+    {"expected name as variable type",
+     inMethod("    var y:\n      ;"),
+     "diag.alite:5:7: error: expected name as variable type\n"},
+    {"expect ';' after variable declaration",
+     inMethod("    var y: T\n    x := null;"),
+     "diag.alite:5:5: error: expected ';' after variable declaration, found "
+     "identifier\n"},
+    {"expect ';' after return",
+     inMethod("    return x\n    x := null;"),
+     "diag.alite:5:5: error: expected ';' after return, found identifier\n"},
+    {"use of undeclared variable (return)",
+     inMethod("    return\n      y;"),
+     "diag.alite:5:7: error: use of undeclared variable 'y'\n"},
+    // Static stores.
+    {"expected name after 'static' (store)",
+     inMethod("    static\n  := x;"),
+     "diag.alite:5:3: error: expected name after 'static'\n"},
+    {"static store needs a qualified name",
+     inMethod("    static f\n  := x;"),
+     "diag.alite:5:3: error: static field access needs a qualified "
+     "'Class.field' name\n"},
+    {"expect ':=' in static field store",
+     inMethod("    static C.f\n  x;"),
+     "diag.alite:5:3: error: expected ':=' in static field store, found "
+     "identifier\n"},
+    {"expected variable on right-hand side of static store",
+     inMethod("    static C.f :=\n  ;"),
+     "diag.alite:5:3: error: expected variable on right-hand side of static "
+     "store\n"},
+    {"expect ';' after static store",
+     inMethod("    static C.f := x\n"),
+     "diag.alite:6:3: error: expected ';' after static store, found '}'\n"},
+    {"use of undeclared variable (static store)",
+     inMethod("    static C.f :=\n      y;"),
+     "diag.alite:5:7: error: use of undeclared variable 'y'\n"},
+    // Statements that start with a name.
+    {"expected statement",
+     inMethod("    x := null;\n    ;"),
+     "diag.alite:5:5: error: expected statement\n"},
+    {"expected member name after '.' (statement)",
+     inMethod("    x.\n      ;"),
+     "diag.alite:5:7: error: expected member name after '.'\n"},
+    {"use of undeclared variable (base)",
+     inMethod("    x := null;\n  y.m();"),
+     "diag.alite:5:3: error: use of undeclared variable 'y'\n"},
+    {"expected argument variable",
+     inMethod("    x.m(x,\n      );"),
+     "diag.alite:5:7: error: expected argument variable\n"},
+    {"use of undeclared variable (argument)",
+     inMethod("    x.m(x,\n      y);"),
+     "diag.alite:5:7: error: use of undeclared variable 'y'\n"},
+    {"expect ')' to close argument list",
+     inMethod("    x.m(x\n      ;"),
+     "diag.alite:5:7: error: expected ')' to close argument list, found ';'\n"},
+    {"expect ';' after call",
+     inMethod("    x.m(x)\n    x := null;"),
+     "diag.alite:5:5: error: expected ';' after call, found identifier\n"},
+    {"expect ':=' in field store",
+     inMethod("    x.f\n      x;"),
+     "diag.alite:5:7: error: expected ':=' in field store, found identifier\n"},
+    {"expected variable on right-hand side of field store",
+     inMethod("    x.f :=\n      ;"),
+     "diag.alite:5:7: error: expected variable on right-hand side of field "
+     "store\n"},
+    {"use of undeclared variable (field store)",
+     inMethod("    x.f :=\n      y;"),
+     "diag.alite:5:7: error: use of undeclared variable 'y'\n"},
+    {"expect ';' after field store",
+     inMethod("    x.f := x\n"),
+     "diag.alite:6:3: error: expected ';' after field store, found '}'\n"},
+    {"use of undeclared variable (assignment)",
+     inMethod("    x := x;\n  y := x;"),
+     "diag.alite:5:3: error: use of undeclared variable 'y'\n"},
+    {"expect ':=' in assignment",
+     inMethod("    x\n      null;"),
+     "diag.alite:5:7: error: expected ':=' in assignment, found 'null'\n"},
+    {"expect ';' after assignment",
+     inMethod("    x := null\n    x := x;"),
+     "diag.alite:5:5: error: expected ';' after assignment, found "
+     "identifier\n"},
+    // Right-hand sides.
+    {"expected name after 'new'",
+     inMethod("    x := new\n      ;"),
+     "diag.alite:5:7: error: expected name after 'new'\n"},
+    {"expected name after 'classof'",
+     inMethod("    x := classof\n      ;"),
+     "diag.alite:5:7: error: expected name after 'classof'\n"},
+    {"expected name after 'static' (load)",
+     inMethod("    x := static\n  ;"),
+     "diag.alite:5:3: error: expected name after 'static'\n"},
+    {"static load needs a qualified name",
+     inMethod("    x := static f\n  ;"),
+     "diag.alite:5:3: error: static field access needs a qualified "
+     "'Class.field' name\n"},
+    {"expected right-hand side expression",
+     inMethod("    x :=\n      ;"),
+     "diag.alite:5:7: error: expected right-hand side expression\n"},
+    {"use of undeclared variable (right-hand side)",
+     inMethod("    x :=\n      y;"),
+     "diag.alite:5:7: error: use of undeclared variable 'y'\n"},
+    {"expected member name after '.' (right-hand side)",
+     inMethod("    x := x.\n      ;"),
+     "diag.alite:5:7: error: expected member name after '.'\n"},
+    {"use of undeclared variable (constructor argument)",
+     inMethod("    x := new C(x,\n      y);"),
+     "diag.alite:5:7: error: use of undeclared variable 'y'\n"},
+};
+
+TEST(ParserTest, EveryDiagnosticPointsAtItsToken) {
+  for (const DiagCase &C : DiagCases) {
+    Program P;
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(parseAlite(C.Source, "diag.alite", P, Diags)) << C.Site;
+    std::ostringstream OS;
+    Diags.print(OS);
+    EXPECT_EQ(OS.str(), C.Expected) << C.Site;
+  }
+}
+
+TEST(ParserTest, StatementLocationsAreTheirFirstToken) {
+  auto P = parseOk("class A {\n"
+                   "  method m(p: A) {\n"
+                   "    var x: A;\n"
+                   "    x :=\n"
+                   "      new A(p);  p.m(\n"
+                   "  x);\n"
+                   "\n"
+                   "\tx := @id/v; return\n"
+                   "    x;\n"
+                   "  }\n"
+                   "}\n");
+  const MethodDecl *M = P->findClass("A")->findOwnMethod("m", 1);
+  ASSERT_NE(M, nullptr);
+  std::vector<std::string> Locs;
+  for (const Stmt &S : M->body())
+    Locs.push_back(S.Loc.str());
+  // The lowered `init` call of `new A(p)` shares its statement's location.
+  EXPECT_EQ(Locs, (std::vector<std::string>{"t.alite:4:5", "t.alite:4:5",
+                                            "t.alite:5:18", "t.alite:8:2",
+                                            "t.alite:8:14"}));
+}
+
 } // namespace

@@ -13,7 +13,10 @@
 
 #include <cctype>
 #include <filesystem>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -169,6 +172,54 @@ TEST(StringInternerTest, SurvivesGrowth) {
     EXPECT_EQ(Interner.text(Symbols[I]), "sym" + std::to_string(I));
     EXPECT_EQ(Interner.lookup("sym" + std::to_string(I)), Symbols[I]);
   }
+}
+
+TEST(StringInternerTest, EveryLengthUpToSixtyFour) {
+  // Lengths 0-64 reach every load split of the short-name hash (up to 16
+  // bytes) and the XXH64 path beyond it. The two spellings of each length
+  // differ only in their middle byte. Every view is unaligned and ends its
+  // heap block, so under AddressSanitizer a load past a name fails.
+  const std::string Base =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$";
+  ASSERT_EQ(Base.size(), 64u);
+  struct View {
+    std::unique_ptr<char[]> Block;
+    std::string_view Text;
+  };
+  auto Copy = [](const std::string &Text, size_t Skew) {
+    View V{std::make_unique<char[]>(Skew + Text.size()), {}};
+    std::memcpy(V.Block.get() + Skew, Text.data(), Text.size());
+    V.Text = std::string_view(V.Block.get() + Skew, Text.size());
+    return V;
+  };
+
+  StringInterner Interner;
+  std::vector<std::string> Spellings;
+  std::vector<Symbol> Symbols;
+  for (size_t Length = 0; Length <= 64; ++Length) {
+    std::string Plain = Base.substr(0, Length);
+    std::vector<std::string> Pair{Plain};
+    if (Length > 0) {
+      Pair.push_back(Plain);
+      Pair.back()[Length / 2] ^= 1;
+    }
+    for (const std::string &Spelling : Pair) {
+      const View V = Copy(Spelling, 1 + Spellings.size() % 7);
+      Symbols.push_back(Interner.intern(V.Text));
+      Spellings.push_back(Spelling);
+    }
+  }
+  ASSERT_EQ(Spellings.size(), 129u);
+  EXPECT_EQ(Interner.size(), Spellings.size());
+  EXPECT_EQ(std::set<Symbol>(Symbols.begin(), Symbols.end()).size(),
+            Spellings.size());
+  for (size_t I = 0; I < Spellings.size(); ++I) {
+    const View Other = Copy(Spellings[I], 3 + I % 5);
+    EXPECT_EQ(Interner.lookup(Other.Text), Symbols[I]) << Spellings[I];
+    EXPECT_EQ(Interner.intern(Other.Text), Symbols[I]) << Spellings[I];
+    EXPECT_EQ(Interner.text(Symbols[I]), Spellings[I]);
+  }
+  EXPECT_EQ(Interner.size(), Spellings.size());
 }
 
 TEST(StringInternerTest, DefaultSymbolIsInvalid) {
