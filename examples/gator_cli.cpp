@@ -367,9 +367,11 @@ int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
       const graph::ConstraintGraph &G = *Result->Graph;
       constexpr unsigned MaxNodes = 8;
       unsigned Matched = 0;
+      std::string Label;
       for (graph::NodeId N = 0, E = static_cast<graph::NodeId>(G.size());
            N != E; ++N) {
-        std::string Label = G.label(N);
+        Label.clear();
+        G.appendLabel(Label, N);
         if (Label.find(Cfg.ExplainQuery) == std::string::npos)
           continue;
         const analysis::FlowSet &Vals = Result->Sol->valuesAt(N);
@@ -1117,7 +1119,11 @@ int main(int argc, char **argv) {
     support::WideEvent Event;
     if (!Cfg.LedgerFile.empty())
       Cfg.Ledger = &Event;
-    int Code = runAppDir(InputDir, Cfg, Cache.get(), std::cout, std::cerr);
+    // The report is rendered into one buffer and written once, like
+    // each app's report in batch mode.
+    std::ostringstream Report;
+    int Code = runAppDir(InputDir, Cfg, Cache.get(), Report, std::cerr);
+    std::cout << Report.view();
     if (Cache && WantMetrics)
       Cache->recordMetrics(Metrics);
     if (Cfg.Ledger) {

@@ -5,7 +5,7 @@
 #include "support/Check.h"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 using namespace gator;
 using namespace gator::graph;
@@ -573,64 +573,102 @@ void ConstraintGraph::computeDescendantsInto(NodeId View,
 // Labels and dumps
 //===----------------------------------------------------------------------===//
 
-static std::string simpleClassName(const ClassDecl *C) {
+namespace {
+
+/// Appends the decimal spelling of \p V.
+template <typename IntT> void appendInt(std::string &Out, IntT V) {
+  char Buf[24];
+  auto [End, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  (void)Ec; // 24 bytes hold every 64-bit integer
+  Out.append(Buf, End);
+}
+
+/// The class name after its last '.', or "?" for a missing class.
+std::string_view simpleClassName(const ClassDecl *C) {
   if (!C)
     return "?";
   std::string_view Name = C->name();
   size_t Pos = Name.rfind('.');
-  return std::string(Pos == std::string_view::npos ? Name
-                                                   : Name.substr(Pos + 1));
+  return Pos == std::string_view::npos ? Name : Name.substr(Pos + 1);
 }
 
+/// "_<line>" when \p Loc is valid.
+void appendLine(std::string &Out, const SourceLocation &Loc) {
+  if (Loc.isValid()) {
+    Out += '_';
+    appendInt(Out, Loc.line());
+  }
+}
+
+} // namespace
+
 std::string ConstraintGraph::label(NodeId Id) const {
+  std::string Out;
+  appendLabel(Out, Id);
+  return Out;
+}
+
+void ConstraintGraph::appendLabel(std::string &Out, NodeId Id) const {
   const Node &N = Nodes[Id];
-  std::ostringstream OS;
   switch (N.Kind) {
   case NodeKind::Var:
-    OS << N.Method->var(N.Var).Name << '@' << N.Method->qualifiedName();
+    Out += N.Method->var(N.Var).Name.view();
+    Out += '@';
+    N.Method->appendQualifiedName(Out);
     break;
   case NodeKind::Field:
-    OS << N.Field->qualifiedName();
+    Out += N.Field->owner()->name().view();
+    Out += '.';
+    Out += N.Field->name().view();
     break;
   case NodeKind::Alloc:
   case NodeKind::ViewAlloc:
-    OS << "new " << simpleClassName(N.Klass);
-    if (N.Loc.isValid())
-      OS << '_' << N.Loc.line();
+    Out += "new ";
+    Out += simpleClassName(N.Klass);
+    appendLine(Out, N.Loc);
     break;
   case NodeKind::ViewInfl:
-    OS << simpleClassName(N.Klass) << "~infl#" << N.InflateSite;
-    if (N.LNode && N.LNode->hasViewId())
-      OS << '[' << N.LNode->viewIdName() << ']';
+    Out += simpleClassName(N.Klass);
+    Out += "~infl#";
+    appendInt(Out, N.InflateSite);
+    if (N.LNode && N.LNode->hasViewId()) {
+      Out += '[';
+      Out += N.LNode->viewIdName();
+      Out += ']';
+    }
     break;
   case NodeKind::Activity:
-    OS << "act:" << simpleClassName(N.Klass);
+    Out += "act:";
+    Out += simpleClassName(N.Klass);
     break;
   case NodeKind::LayoutId:
-    OS << "R.layout#" << (N.Res - layout::ResourceTable::LayoutIdBase);
+    Out += "R.layout#";
+    appendInt(Out, N.Res - layout::ResourceTable::LayoutIdBase);
     break;
   case NodeKind::ViewId:
-    OS << "R.id#" << (N.Res - layout::ResourceTable::ViewIdBase);
+    Out += "R.id#";
+    appendInt(Out, N.Res - layout::ResourceTable::ViewIdBase);
     break;
   case NodeKind::ClassConst:
-    OS << "classof " << simpleClassName(N.Klass);
+    Out += "classof ";
+    Out += simpleClassName(N.Klass);
     break;
   case NodeKind::Op:
-    OS << android::opKindName(N.Op);
-    if (N.Loc.isValid())
-      OS << '_' << N.Loc.line();
+    Out += android::opKindName(N.Op);
+    appendLine(Out, N.Loc);
     break;
   case NodeKind::UnknownView:
   case NodeKind::UnknownId:
-    OS << (N.Kind == NodeKind::UnknownView ? "unknown-view(" : "unknown-id(")
-       << unknownReasonPhrase(N.Unknown) << ')';
-    if (N.Method)
-      OS << '@' << N.Method->qualifiedName();
-    if (N.Loc.isValid())
-      OS << '_' << N.Loc.line();
+    Out += N.Kind == NodeKind::UnknownView ? "unknown-view(" : "unknown-id(";
+    Out += unknownReasonPhrase(N.Unknown);
+    Out += ')';
+    if (N.Method) {
+      Out += '@';
+      N.Method->appendQualifiedName(Out);
+    }
+    appendLine(Out, N.Loc);
     break;
   }
-  return OS.str();
 }
 
 void ConstraintGraph::dumpDot(std::ostream &OS, bool IncludeVarNodes) const {
@@ -638,6 +676,7 @@ void ConstraintGraph::dumpDot(std::ostream &OS, bool IncludeVarNodes) const {
   auto include = [&](NodeId Id) {
     return IncludeVarNodes || Nodes[Id].Kind != NodeKind::Var;
   };
+  std::string Label;
   for (NodeId Id = 0; Id < Nodes.size(); ++Id) {
     if (!include(Id))
       continue;
@@ -652,7 +691,9 @@ void ConstraintGraph::dumpDot(std::ostream &OS, bool IncludeVarNodes) const {
     } else if (N.Kind == NodeKind::Activity) {
       Fill = "lightblue";
     }
-    OS << "  n" << Id << " [label=\"" << label(Id) << "\", shape=" << Shape
+    Label.clear();
+    appendLabel(Label, Id);
+    OS << "  n" << Id << " [label=\"" << Label << "\", shape=" << Shape
        << ", style=filled, fillcolor=" << Fill << "];\n";
   }
   for (NodeId Id = 0; Id < Nodes.size(); ++Id) {
@@ -690,17 +731,16 @@ void ConstraintGraph::dumpDot(std::ostream &OS, bool IncludeVarNodes) const {
 }
 
 void ConstraintGraph::dumpStats(std::ostream &OS) const {
-  size_t Counts[NumNodeKinds] = {};
-  for (const Node &N : Nodes)
-    ++Counts[static_cast<int>(N.Kind)];
   OS << "nodes=" << Nodes.size();
   static const NodeKind Kinds[] = {
       NodeKind::Var,      NodeKind::Field,    NodeKind::Alloc,
       NodeKind::ViewAlloc, NodeKind::ViewInfl, NodeKind::Activity,
       NodeKind::LayoutId, NodeKind::ViewId,   NodeKind::ClassConst,
       NodeKind::Op,       NodeKind::UnknownView, NodeKind::UnknownId};
+  // Every node is in its kind's index (push() adds it and nothing removes
+  // it), so the index sizes are the per-kind counts.
   for (NodeKind K : Kinds)
-    OS << ' ' << nodeKindName(K) << '=' << Counts[static_cast<int>(K)];
+    OS << ' ' << nodeKindName(K) << '=' << nodesOfKind(K).size();
   OS << " flowEdges=" << NumFlowEdges
      << " parentChild=" << NumParentChild << '\n';
 }

@@ -212,8 +212,12 @@ public:
     return KindIndex[static_cast<size_t>(Kind)];
   }
 
-  /// Human-readable label (e.g. "ViewFlipper@act_console", "FindView1:13").
+  /// Human-readable label (e.g. "new Button_12", "FindView1_13",
+  /// "TextView~infl#229[common_title]").
   std::string label(NodeId Id) const;
+  /// Appends label(\p Id) to \p Out, so a printer can render many labels
+  /// into one buffer without a temporary string each.
+  void appendLabel(std::string &Out, NodeId Id) const;
 
   //===--------------------------------------------------------------------===//
   // Retraction (edit-scale incremental re-solve, docs/INCREMENTAL.md)

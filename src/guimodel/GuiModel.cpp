@@ -3,10 +3,11 @@
 #include "guimodel/GuiModel.h"
 
 #include "hier/ClassHierarchy.h"
+#include "support/FlatMap.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
+#include <array>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -19,22 +20,104 @@ using namespace gator::ir;
 
 namespace {
 
-/// view node -> activity classes whose hierarchy contains it.
-std::unordered_map<NodeId, std::vector<const ClassDecl *>>
-viewOwners(const AnalysisResult &Result) {
-  const ConstraintGraph &G = *Result.Graph;
-  std::unordered_map<NodeId, std::vector<const ClassDecl *>> Owners;
-  for (NodeId Act : G.nodesOfKind(NodeKind::Activity)) {
-    const ClassDecl *AClass = G.node(Act).Klass;
-    for (NodeId Root : G.roots(Act))
-      for (NodeId V : G.descendantsOf(Root)) {
-        auto &List = Owners[V];
-        if (std::find(List.begin(), List.end(), AClass) == List.end())
-          List.push_back(AClass);
+/// A set of fixed-size integer keys that remembers the order keys were
+/// first added. Open addressing over indices into one key array, so
+/// deduplicating a client's output costs no allocation per element.
+template <size_t N> class FlatKeySet {
+public:
+  using Key = std::array<uint64_t, N>;
+
+  /// Adds \p K; true when it was not in the set yet.
+  bool insert(const Key &K) {
+    if ((Keys.size() + 1) * 2 > Slots.size())
+      rehash(Slots.empty() ? 16 : Slots.size() * 2);
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = slotOf(K, Mask);; I = (I + 1) & Mask) {
+      if (Slots[I] == 0) {
+        Keys.push_back(K);
+        Slots[I] = static_cast<uint32_t>(Keys.size());
+        return true;
       }
+      if (Keys[Slots[I] - 1] == K)
+        return false;
+    }
   }
-  return Owners;
-}
+
+private:
+  static size_t slotOf(const Key &K, size_t Mask) {
+    uint64_t H = 0;
+    for (uint64_t Word : K)
+      H = (H ^ Word) * support::GoldenGamma + (H >> 29);
+    return support::fibonacciSlot(H, Mask);
+  }
+
+  void rehash(size_t Size) {
+    Slots.assign(Size, 0);
+    const size_t Mask = Size - 1;
+    for (uint32_t Index = 0; Index < Keys.size(); ++Index) {
+      size_t I = slotOf(Keys[Index], Mask);
+      while (Slots[I] != 0)
+        I = (I + 1) & Mask;
+      Slots[I] = Index + 1;
+    }
+  }
+
+  std::vector<Key> Keys;
+  /// 1 + an index into Keys, or 0 for an empty slot.
+  std::vector<uint32_t> Slots;
+};
+
+uint64_t keyOf(const void *P) { return reinterpret_cast<uintptr_t>(P); }
+
+/// The activity classes whose hierarchy contains each view, in the order
+/// activities, roots and descendants are visited. Each view's owners are
+/// a chain through one entry array, so no list is allocated per view.
+class ViewOwners {
+public:
+  explicit ViewOwners(const ConstraintGraph &G) {
+    for (NodeId Act : G.nodesOfKind(NodeKind::Activity)) {
+      const ClassDecl *AClass = G.node(Act).Klass;
+      for (NodeId Root : G.roots(Act))
+        for (NodeId V : G.descendantsOf(Root))
+          add(V, AClass);
+    }
+  }
+
+  /// Calls \p Fn with each owner of \p V; returns false when V has none.
+  template <typename FnT> bool forEachOwner(NodeId V, FnT Fn) const {
+    const uint32_t *Head = First.get(V);
+    if (!Head)
+      return false;
+    for (uint32_t I = *Head; I != NoEntry; I = Entries[I].Next)
+      Fn(Entries[I].Owner);
+    return true;
+  }
+
+private:
+  static constexpr uint32_t NoEntry = ~0u;
+
+  void add(NodeId V, const ClassDecl *Owner) {
+    const uint32_t New = static_cast<uint32_t>(Entries.size());
+    uint32_t I = First.getOrInsert(V, New);
+    if (I != New) {
+      // Walk V's chain: skip a known owner, else link New after the last.
+      while (Entries[I].Owner != Owner && Entries[I].Next != NoEntry)
+        I = Entries[I].Next;
+      if (Entries[I].Owner == Owner)
+        return;
+      Entries[I].Next = New;
+    }
+    Entries.push_back({Owner, NoEntry});
+  }
+
+  struct Entry {
+    const ClassDecl *Owner;
+    uint32_t Next; ///< the view's next owner, or NoEntry
+  };
+  std::vector<Entry> Entries;
+  /// View -> the first entry of its chain.
+  support::FlatIdMap<uint32_t> First;
+};
 
 } // namespace
 
@@ -43,16 +126,13 @@ gator::guimodel::extractHandlerTuples(const AnalysisResult &Result) {
   const ConstraintGraph &G = *Result.Graph;
   const Solution &Sol = *Result.Sol;
 
-  auto Owners = viewOwners(Result);
   std::vector<HandlerTuple> Tuples;
-  std::set<std::tuple<const ClassDecl *, NodeId, int, NodeId,
-                      const MethodDecl *>>
-      Seen;
-
+  FlatKeySet<4> Seen;
   auto emit = [&](const ClassDecl *Act, NodeId View, EventKind Event,
                   NodeId Listener, const MethodDecl *Handler) {
-    if (Seen.insert({Act, View, static_cast<int>(Event), Listener, Handler})
-            .second)
+    if (Seen.insert({keyOf(Act),
+                     uint64_t(View) << 32 | static_cast<uint32_t>(Event),
+                     Listener, keyOf(Handler)}))
       Tuples.push_back(HandlerTuple{Act, View, Event, Listener, Handler});
   };
 
@@ -78,42 +158,38 @@ gator::guimodel::extractHandlerTuples(const AnalysisResult &Result) {
     }
   }
 
+  const ViewOwners Owners(G);
+  // (listener, handler) pairs of one registration, in listener then
+  // handler-signature order; a listener without an application handler
+  // contributes one pair with a null handler.
+  std::vector<std::pair<NodeId, const MethodDecl *>> Handlers;
   for (const OpSite &Op : Sol.ops()) {
     if (Op.Spec.Kind != OpKind::SetListener)
       continue;
     const ListenerSpec &Spec = *Op.Spec.Listener;
-    for (NodeId V : Sol.receiversOf(Op)) {
-      const std::vector<const ClassDecl *> *Acts = nullptr;
-      auto It = Owners.find(V);
-      if (It != Owners.end())
-        Acts = &It->second;
-
-      for (NodeId L : Sol.listenersAtOp(Op)) {
-        const ClassDecl *LClass = G.node(L).Klass;
-        bool AnyHandler = false;
-        for (const HandlerSig &Sig : Spec.Handlers) {
-          const MethodDecl *H =
-              LClass ? hier::ClassHierarchy::dispatch(LClass, Sig.MethodName,
-                                                      Sig.Arity)
-                     : nullptr;
-          if (!H || H->owner()->isPlatform())
-            continue;
-          AnyHandler = true;
-          if (Acts)
-            for (const ClassDecl *A : *Acts)
-              emit(A, V, Spec.Event, L, H);
-          else
-            emit(nullptr, V, Spec.Event, L, H);
-        }
-        if (!AnyHandler) {
-          if (Acts)
-            for (const ClassDecl *A : *Acts)
-              emit(A, V, Spec.Event, L, nullptr);
-          else
-            emit(nullptr, V, Spec.Event, L, nullptr);
-        }
+    Handlers.clear();
+    for (NodeId L : Sol.listenersAtOp(Op)) {
+      const ClassDecl *LClass = G.node(L).Klass;
+      const size_t Before = Handlers.size();
+      for (const HandlerSig &Sig : Spec.Handlers) {
+        const MethodDecl *H =
+            LClass ? hier::ClassHierarchy::dispatch(LClass, Sig.MethodName,
+                                                    Sig.Arity)
+                   : nullptr;
+        if (H && !H->owner()->isPlatform())
+          Handlers.push_back({L, H});
       }
+      if (Handlers.size() == Before)
+        Handlers.push_back({L, nullptr});
     }
+    if (Handlers.empty())
+      continue;
+    for (NodeId V : Sol.receiversOf(Op))
+      for (const auto &[L, H] : Handlers)
+        if (!Owners.forEachOwner(V, [&](const ClassDecl *A) {
+              emit(A, V, Spec.Event, L, H);
+            }))
+          emit(nullptr, V, Spec.Event, L, H);
   }
   return Tuples;
 }
@@ -123,14 +199,22 @@ void gator::guimodel::printHandlerTuples(std::ostream &OS,
                                          const std::vector<HandlerTuple>
                                              &Tuples) {
   const ConstraintGraph &G = *Result.Graph;
+  std::string Buf;
   for (const HandlerTuple &T : Tuples) {
-    OS << (T.Activity ? T.Activity->name().view()
-                      : std::string_view("<unattached>"))
-       << " | " << G.label(T.View) << " | " << eventKindName(T.Event)
-       << " | "
-       << (T.Handler ? T.Handler->qualifiedName() : std::string("<none>"))
-       << '\n';
+    Buf += T.Activity ? T.Activity->name().view()
+                      : std::string_view("<unattached>");
+    Buf += " | ";
+    G.appendLabel(Buf, T.View);
+    Buf += " | ";
+    Buf += eventKindName(T.Event);
+    Buf += " | ";
+    if (T.Handler)
+      T.Handler->appendQualifiedName(Buf);
+    else
+      Buf += "<none>";
+    Buf += '\n';
   }
+  OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -179,20 +263,53 @@ void gator::guimodel::printViewHierarchies(std::ostream &OS,
 
 namespace {
 
-/// App-level call graph (CHA): callees of each method, indexed by
-/// MethodDecl::globalId().
-using CallGraphTable = std::vector<std::vector<const MethodDecl *>>;
+/// The application's CHA call graph, resolved on demand: the invokes of a
+/// method are resolved, in body order, the first time a walk reaches it,
+/// so a client pays for the methods its handlers reach, not for the
+/// program. Calls into platform code end the walk.
+class LazyCallGraph {
+public:
+  explicit LazyCallGraph(const Program &P) : P(P) {}
 
-CallGraphTable buildCallGraph(const Program &P) {
-  hier::ClassHierarchy CH(P);
-  CallGraphTable CallGraph(P.methodIdLimit());
-  for (const auto &C : P.classes()) {
-    if (C->isPlatform())
-      continue;
-    for (const auto &M : C->methods()) {
-      if (M->isAbstract())
-        continue;
-      auto &Callees = CallGraph[M->globalId()];
+  /// Methods reachable from \p Start (itself included), in breadth-first
+  /// discovery order, so everything derived from the walk is ordered by
+  /// the program, not by where its declarations happen to sit in memory.
+  /// The result is overwritten by the next call.
+  const std::vector<const MethodDecl *> &
+  reachableFrom(const MethodDecl *Start) {
+    if (Stamp.empty())
+      Stamp.resize(P.methodIdLimit(), 0);
+    if (++Gen == 0) { // stamp counter wrapped: invalidate all marks
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Gen = 1;
+    }
+    Order.assign(1, Start);
+    Stamp[Start->globalId()] = Gen;
+    for (size_t Next = 0; Next < Order.size(); ++Next) {
+      const Range R = callees(Order[Next]);
+      for (uint32_t I = R.Begin; I != R.End; ++I) {
+        const MethodDecl *Callee = CalleeList[I];
+        if (Stamp[Callee->globalId()] != Gen) {
+          Stamp[Callee->globalId()] = Gen;
+          Order.push_back(Callee);
+        }
+      }
+    }
+    return Order;
+  }
+
+private:
+  /// CalleeList[Begin, End) holds one method's callees.
+  struct Range {
+    uint32_t Begin = 0, End = 0;
+  };
+
+  Range callees(const MethodDecl *M) {
+    if (const Range *Known = Resolved.get(M->globalId()))
+      return *Known;
+    Range R;
+    R.Begin = static_cast<uint32_t>(CalleeList.size());
+    if (!M->owner()->isPlatform() && !M->isAbstract())
       for (const Stmt &S : M->body()) {
         if (S.Kind != StmtKind::Invoke)
           continue;
@@ -201,101 +318,125 @@ CallGraphTable buildCallGraph(const Program &P) {
             BaseVar.TypeName.empty() ? nullptr : P.findClass(BaseVar.TypeName);
         if (!Recv)
           continue;
-        for (const MethodDecl *T : CH.resolveVirtualCall(
+        if (!CH)
+          CH.emplace(P);
+        for (const MethodDecl *T : CH->resolveVirtualCall(
                  Recv, S.MethodName, static_cast<unsigned>(S.Args.size())))
           if (!T->owner()->isPlatform())
-            Callees.push_back(T);
+            CalleeList.push_back(T);
       }
-    }
+    R.End = static_cast<uint32_t>(CalleeList.size());
+    Resolved.set(M->globalId(), R);
+    return R;
   }
-  return CallGraph;
-}
 
-/// Methods reachable from \p Start (itself included), in breadth-first
-/// discovery order, so everything derived from the walk is ordered by
-/// the program, not by where its declarations happen to sit in memory.
-std::vector<const MethodDecl *> reachableFrom(const MethodDecl *Start,
-                                              const CallGraphTable &CallGraph) {
-  std::vector<bool> Seen(CallGraph.size());
-  std::vector<const MethodDecl *> Order{Start};
-  Seen[Start->globalId()] = true;
-  for (size_t Next = 0; Next < Order.size(); ++Next)
-    for (const MethodDecl *Callee : CallGraph[Order[Next]->globalId()])
-      if (!Seen[Callee->globalId()]) {
-        Seen[Callee->globalId()] = true;
-        Order.push_back(Callee);
-      }
-  return Order;
-}
+  const Program &P;
+  /// Built when the first invoke needs it.
+  std::optional<hier::ClassHierarchy> CH;
+  /// The callees of each method resolved so far, by globalId().
+  support::FlatIdMap<Range> Resolved;
+  std::vector<const MethodDecl *> CalleeList;
+  /// Visited marks of the current walk, by globalId(): a method is
+  /// visited iff its stamp equals Gen.
+  std::vector<uint32_t> Stamp;
+  uint32_t Gen = 0;
+  std::vector<const MethodDecl *> Order;
+};
 
-} // namespace
+/// What the transition clients share within one call: the activity
+/// classes each method can start directly, via intent class constants
+/// (SetIntentClass) flowing into startActivity calls, and the call graph
+/// that carries a handler or callback to those methods.
+class StartWalker {
+public:
+  explicit StartWalker(const AnalysisResult &Result)
+      : Calls(Result.Sol->androidModel().program()) {
+    const ConstraintGraph &G = *Result.Graph;
+    const Solution &Sol = *Result.Sol;
+    const AndroidModel &AM = Sol.androidModel();
 
-namespace {
-
-/// Method -> activity classes it can start directly, via intent class
-/// constants (SetIntentClass) flowing into startActivity calls.
-std::unordered_map<const MethodDecl *, std::vector<const ClassDecl *>>
-collectStarts(const AnalysisResult &Result) {
-  const ConstraintGraph &G = *Result.Graph;
-  const Solution &Sol = *Result.Sol;
-  const AndroidModel &AM = Sol.androidModel();
-
-  std::unordered_map<NodeId, std::vector<const ClassDecl *>> IntentTargets;
-  for (const OpSite &Op : Sol.ops()) {
-    if (Op.Spec.Kind != OpKind::SetIntentClass)
-      continue;
-    for (NodeId Intent : Sol.valuesAt(Op.Recv)) {
-      if (G.node(Intent).Kind != NodeKind::Alloc)
+    // Intent allocation -> the activity classes set on it.
+    support::FlatIdMap<uint32_t> IntentSlot;
+    std::vector<std::vector<const ClassDecl *>> IntentTargets;
+    for (const OpSite &Op : Sol.ops()) {
+      if (Op.Spec.Kind != OpKind::SetIntentClass)
         continue;
-      for (NodeId Cls : Sol.valuesAt(Op.ValArg)) {
-        if (G.node(Cls).Kind != NodeKind::ClassConst)
+      for (NodeId Intent : Sol.valuesAt(Op.Recv)) {
+        if (G.node(Intent).Kind != NodeKind::Alloc)
           continue;
-        const ClassDecl *Target = G.node(Cls).Klass;
-        if (AM.isActivityClass(Target))
-          IntentTargets[Intent].push_back(Target);
+        for (NodeId Cls : Sol.valuesAt(Op.ValArg)) {
+          if (G.node(Cls).Kind != NodeKind::ClassConst)
+            continue;
+          const ClassDecl *Target = G.node(Cls).Klass;
+          if (!AM.isActivityClass(Target))
+            continue;
+          const uint32_t Slot = IntentSlot.getOrInsert(
+              Intent, static_cast<uint32_t>(IntentTargets.size()));
+          if (Slot == IntentTargets.size())
+            IntentTargets.emplace_back();
+          IntentTargets[Slot].push_back(Target);
+        }
+      }
+    }
+    if (IntentTargets.empty())
+      return;
+
+    for (const OpSite &Op : Sol.ops()) {
+      if (Op.Spec.Kind != OpKind::StartActivity || !Op.Method)
+        continue;
+      for (NodeId Intent : Sol.valuesAt(Op.ValArg)) {
+        const uint32_t *Slot = IntentSlot.get(Intent);
+        if (!Slot)
+          continue;
+        uint32_t &MethodSlot = StartSlot.getOrInsert(
+            Op.Method->globalId(), static_cast<uint32_t>(Starts.size()));
+        if (MethodSlot == Starts.size())
+          Starts.emplace_back();
+        std::vector<const ClassDecl *> &List = Starts[MethodSlot];
+        List.insert(List.end(), IntentTargets[*Slot].begin(),
+                    IntentTargets[*Slot].end());
       }
     }
   }
 
-  std::unordered_map<const MethodDecl *, std::vector<const ClassDecl *>>
-      Starts;
-  for (const OpSite &Op : Sol.ops()) {
-    if (Op.Spec.Kind != OpKind::StartActivity)
-      continue;
-    auto &List = Starts[Op.Method];
-    for (NodeId Intent : Sol.valuesAt(Op.ValArg)) {
-      auto It = IntentTargets.find(Intent);
-      if (It == IntentTargets.end())
-        continue;
-      for (const ClassDecl *T : It->second)
-        List.push_back(T);
-    }
+  /// True when no startActivity site has a target class, so no walk can
+  /// find a transition.
+  bool empty() const { return Starts.empty(); }
+
+  /// Calls \p Fn with each activity class a startActivity site reachable
+  /// from \p Entry can start, in walk order.
+  template <typename FnT> void forEachTarget(const MethodDecl *Entry, FnT Fn) {
+    for (const MethodDecl *M : Calls.reachableFrom(Entry))
+      if (const uint32_t *Slot = StartSlot.get(M->globalId()))
+        for (const ClassDecl *To : Starts[*Slot])
+          Fn(To);
   }
-  return Starts;
-}
+
+private:
+  LazyCallGraph Calls;
+  /// Method globalId() -> index into Starts.
+  support::FlatIdMap<uint32_t> StartSlot;
+  std::vector<std::vector<const ClassDecl *>> Starts;
+};
 
 /// All transitioning event steps: tuple (a, v, e, h) where h reaches a
 /// startActivity targeting b yields step (a, v, e, b).
 std::vector<EventStep> collectEventSteps(const AnalysisResult &Result) {
-  const Program &P = Result.Sol->androidModel().program();
-  auto Starts = collectStarts(Result);
-  auto CallGraph = buildCallGraph(P);
-
   std::vector<EventStep> Steps;
-  std::set<std::tuple<const ClassDecl *, NodeId, int, const ClassDecl *>>
-      Seen;
+  StartWalker Walker(Result);
+  if (Walker.empty())
+    return Steps;
+
+  FlatKeySet<3> Seen;
   for (const HandlerTuple &T : extractHandlerTuples(Result)) {
     if (!T.Handler || !T.Activity)
       continue;
-    for (const MethodDecl *M : reachableFrom(T.Handler, CallGraph)) {
-      auto It = Starts.find(M);
-      if (It == Starts.end())
-        continue;
-      for (const ClassDecl *To : It->second)
-        if (Seen.insert({T.Activity, T.View, static_cast<int>(T.Event), To})
-                .second)
-          Steps.push_back(EventStep{T.Activity, T.View, T.Event, To});
-    }
+    Walker.forEachTarget(T.Handler, [&](const ClassDecl *To) {
+      if (Seen.insert({keyOf(T.Activity),
+                       uint64_t(T.View) << 32 | static_cast<uint32_t>(T.Event),
+                       keyOf(To)}))
+        Steps.push_back(EventStep{T.Activity, T.View, T.Event, To});
+    });
   }
   return Steps;
 }
@@ -304,32 +445,20 @@ std::vector<EventStep> collectEventSteps(const AnalysisResult &Result) {
 
 std::vector<Transition>
 gator::guimodel::buildActivityTransitionGraph(const AnalysisResult &Result) {
-  const Solution &Sol = *Result.Sol;
-  const Program &P = Sol.androidModel().program();
-  const AndroidModel &AM = Sol.androidModel();
-
-  auto Starts = collectStarts(Result);
-  auto CallGraph = buildCallGraph(P);
-
-  std::set<std::tuple<const ClassDecl *, int, const ClassDecl *>> Seen;
   std::vector<Transition> Transitions;
-  auto emit = [&](const ClassDecl *From, std::optional<EventKind> Event,
-                  const ClassDecl *To) {
-    int EventTag = Event ? static_cast<int>(*Event) : -1;
-    if (Seen.insert({From, EventTag, To}).second)
-      Transitions.push_back(Transition{From, Event, To});
-  };
+  StartWalker Walker(Result);
+  if (Walker.empty())
+    return Transitions;
 
+  FlatKeySet<3> Seen;
   auto emitReachable = [&](const ClassDecl *From,
                            std::optional<EventKind> Event,
                            const MethodDecl *Entry) {
-    for (const MethodDecl *M : reachableFrom(Entry, CallGraph)) {
-      auto It = Starts.find(M);
-      if (It == Starts.end())
-        continue;
-      for (const ClassDecl *To : It->second)
-        emit(From, Event, To);
-    }
+    const uint64_t EventTag = Event ? static_cast<uint64_t>(*Event) : ~0ull;
+    Walker.forEachTarget(Entry, [&](const ClassDecl *To) {
+      if (Seen.insert({keyOf(From), EventTag, keyOf(To)}))
+        Transitions.push_back(Transition{From, Event, To});
+    });
   };
 
   // 3a. Event handlers: use the handler-tuple extraction.
@@ -338,7 +467,7 @@ gator::guimodel::buildActivityTransitionGraph(const AnalysisResult &Result) {
       emitReachable(T.Activity, T.Event, T.Handler);
 
   // 3b. Lifecycle callbacks of each activity.
-  for (const ClassDecl *A : AM.appActivityClasses())
+  for (const ClassDecl *A : Result.Sol->androidModel().appActivityClasses())
     AndroidModel::forEachLifecycleCallback(A, [&](const MethodDecl *M) {
       emitReachable(A, std::nullopt, M);
     });
@@ -349,7 +478,6 @@ gator::guimodel::buildActivityTransitionGraph(const AnalysisResult &Result) {
 void gator::guimodel::printTransitionsDot(std::ostream &OS,
                                           const std::vector<Transition>
                                               &Transitions) {
-  OS << "digraph atg {\n";
   // Nodes in declaration order.
   auto ByDecl = [](const ClassDecl *A, const ClassDecl *B) {
     return A->globalId() < B->globalId();
@@ -359,75 +487,107 @@ void gator::guimodel::printTransitionsDot(std::ostream &OS,
     Nodes.insert(T.From);
     Nodes.insert(T.To);
   }
-  for (const ClassDecl *N : Nodes)
-    OS << "  \"" << N->name() << "\";\n";
-  for (const Transition &T : Transitions) {
-    OS << "  \"" << T.From->name() << "\" -> \"" << T.To->name() << "\"";
-    if (T.Event)
-      OS << " [label=\"" << eventKindName(*T.Event) << "\"]";
-    else
-      OS << " [label=\"lifecycle\", style=dashed]";
-    OS << ";\n";
+  std::string Buf = "digraph atg {\n";
+  for (const ClassDecl *N : Nodes) {
+    Buf += "  \"";
+    Buf += N->name().view();
+    Buf += "\";\n";
   }
-  OS << "}\n";
+  for (const Transition &T : Transitions) {
+    Buf += "  \"";
+    Buf += T.From->name().view();
+    Buf += "\" -> \"";
+    Buf += T.To->name().view();
+    Buf += '"';
+    if (T.Event) {
+      Buf += " [label=\"";
+      Buf += eventKindName(*T.Event);
+      Buf += "\"]";
+    } else {
+      Buf += " [label=\"lifecycle\", style=dashed]";
+    }
+    Buf += ";\n";
+  }
+  Buf += "}\n";
+  OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
 }
 
 //===----------------------------------------------------------------------===//
 // Event-sequence enumeration
 //===----------------------------------------------------------------------===//
 
-std::vector<EventSequence> gator::guimodel::enumerateEventSequences(
-    const AnalysisResult &Result, const ClassDecl *Start, unsigned MaxLength,
-    unsigned MaxSequences) {
-  std::vector<EventStep> Steps = collectEventSteps(Result);
+namespace {
 
-  // Index steps by source activity.
-  std::unordered_map<const ClassDecl *, std::vector<const EventStep *>>
-      BySource;
-  for (const EventStep &Step : Steps)
-    BySource[Step.From].push_back(&Step);
-
+/// Depth-first enumeration over the step graph; every non-empty prefix is
+/// a sequence. Revisiting activities is allowed (GUIs cycle); the caps
+/// bound the output.
+struct SequenceEnumerator {
+  const std::vector<EventStep> &Steps;
+  unsigned MaxLength, MaxSequences;
   std::vector<EventSequence> Sequences;
   EventSequence Current;
 
-  // DFS over the step graph; every non-empty prefix is a sequence.
-  // Revisiting activities is allowed (GUIs cycle); the caps bound output.
-  std::function<void(const ClassDecl *)> Extend =
-      [&](const ClassDecl *At) {
-        if (Sequences.size() >= MaxSequences ||
-            Current.size() >= MaxLength)
-          return;
-        auto It = BySource.find(At);
-        if (It == BySource.end())
-          return;
-        for (const EventStep *Step : It->second) {
-          if (Sequences.size() >= MaxSequences)
-            return;
-          Current.push_back(*Step);
-          Sequences.push_back(Current);
-          Extend(Step->To);
-          Current.pop_back();
-        }
-      };
-  Extend(Start);
-  return Sequences;
+  void extend(const ClassDecl *At) {
+    if (Sequences.size() >= MaxSequences || Current.size() >= MaxLength)
+      return;
+    for (const EventStep &Step : Steps) {
+      if (Step.From != At)
+        continue;
+      if (Sequences.size() >= MaxSequences)
+        return;
+      Current.push_back(Step);
+      Sequences.push_back(Current);
+      extend(Step.To);
+      Current.pop_back();
+    }
+  }
+};
+
+} // namespace
+
+std::vector<EventSequence> gator::guimodel::enumerateEventSequences(
+    const AnalysisResult &Result, const ClassDecl *Start, unsigned MaxLength,
+    unsigned MaxSequences) {
+  const std::vector<EventStep> Steps = collectEventSteps(Result);
+  SequenceEnumerator E{Steps, MaxLength, MaxSequences, {}, {}};
+  E.extend(Start);
+  return std::move(E.Sequences);
 }
 
 void gator::guimodel::printEventSequences(
     std::ostream &OS, const AnalysisResult &Result,
     const std::vector<EventSequence> &Sequences) {
   const ConstraintGraph &G = *Result.Graph;
+  // Each distinct view is labeled once into Labels; LabelAt maps a view
+  // to its (offset << 32 | length) there.
+  std::string Labels;
+  support::FlatIdMap<uint64_t> LabelAt;
+  std::string Buf;
   for (const EventSequence &Seq : Sequences) {
-    bool First = true;
-    for (const EventStep &Step : Seq) {
-      if (First)
-        OS << Step.From->name();
-      OS << " --" << eventKindName(Step.Event) << '['
-         << G.label(Step.View) << "]--> " << Step.To->name();
-      First = false;
+    for (size_t I = 0; I < Seq.size(); ++I) {
+      const EventStep &Step = Seq[I];
+      if (I == 0)
+        Buf += Step.From->name().view();
+      Buf += " --";
+      Buf += eventKindName(Step.Event);
+      Buf += '[';
+      const uint64_t *At = LabelAt.get(Step.View);
+      uint64_t Span;
+      if (At) {
+        Span = *At;
+      } else {
+        const size_t Offset = Labels.size();
+        G.appendLabel(Labels, Step.View);
+        Span = uint64_t(Offset) << 32 | (Labels.size() - Offset);
+        LabelAt.set(Step.View, Span);
+      }
+      Buf.append(Labels, Span >> 32, Span & 0xffffffffu);
+      Buf += "]--> ";
+      Buf += Step.To->name().view();
     }
-    OS << '\n';
+    Buf += '\n';
   }
+  OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,17 +17,21 @@ ClassHierarchy::ClassHierarchy(const Program &P, DiagnosticEngine *Diags)
                    "hierarchy left empty"))
     return;
 
-  // For each class, register it as a subtype of every supertype reachable
-  // through extends/implements edges (including itself). Tables are
-  // indexed by ClassDecl::globalId(); Seen doubles as a per-walk visited
-  // stamp (stamped with the walk's origin) so no hash set is needed.
+  // Each class is a subtype of every supertype reachable through
+  // extends/implements edges (itself included). One walk per class
+  // records its (supertype, class) pairs in program order, and a counting
+  // sort by supertype lays all subtype lists out in one flat array, so
+  // construction makes the same few allocations whatever the class count.
+  // Tables are indexed by ClassDecl::globalId(); Seen doubles as a
+  // per-walk visited stamp (the walk's origin), so no hash set is needed.
   uint32_t MaxId = 0;
   for (const auto &C : P.classes())
     MaxId = std::max(MaxId, C->globalId());
-  Subtypes.resize(MaxId + 1);
   CallCache.resize(MaxId + 1);
   std::vector<const ClassDecl *> Seen(MaxId + 1, nullptr);
   std::vector<const ClassDecl *> Work;
+  std::vector<std::pair<uint32_t, const ClassDecl *>> Pairs;
+  Pairs.reserve(P.classes().size() * 4);
   for (const auto &C : P.classes()) {
     Work.assign(1, C);
     while (!Work.empty()) {
@@ -37,20 +41,34 @@ ClassHierarchy::ClassHierarchy(const Program &P, DiagnosticEngine *Diags)
       if (Mark == C)
         continue;
       Mark = C;
-      Subtypes[Cur->globalId()].push_back(C);
+      Pairs.push_back({Cur->globalId(), C});
       if (Cur->superClass())
         Work.push_back(Cur->superClass());
       for (const ClassDecl *I : Cur->interfaces())
         Work.push_back(I);
     }
   }
+
+  // The list of class Id is SubtypeList[SubtypeBegin[Id],
+  // SubtypeBegin[Id + 1]).
+  SubtypeBegin.assign(MaxId + 2, 0);
+  for (const auto &[Super, C] : Pairs)
+    ++SubtypeBegin[Super + 1];
+  for (uint32_t Id = 0; Id <= MaxId; ++Id)
+    SubtypeBegin[Id + 1] += SubtypeBegin[Id];
+  SubtypeList.resize(Pairs.size());
+  std::vector<uint32_t> Fill(SubtypeBegin.begin(), SubtypeBegin.end() - 1);
+  for (const auto &[Super, C] : Pairs)
+    SubtypeList[Fill[Super]++] = C;
 }
 
-const std::vector<const ClassDecl *> &
+std::span<const ClassDecl *const>
 ClassHierarchy::subtypesOf(const ClassDecl *C) const {
-  if (C->globalId() >= Subtypes.size())
-    return Empty;
-  return Subtypes[C->globalId()];
+  const uint32_t Id = C->globalId();
+  if (Id + 1 >= SubtypeBegin.size())
+    return {};
+  return {SubtypeList.data() + SubtypeBegin[Id],
+          SubtypeList.data() + SubtypeBegin[Id + 1]};
 }
 
 const MethodDecl *ClassHierarchy::dispatch(const ClassDecl *ExactType,

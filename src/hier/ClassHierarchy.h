@@ -19,6 +19,7 @@
 #include "ir/Ir.h"
 
 #include <deque>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -40,9 +41,9 @@ public:
 
   const ir::Program &program() const { return P; }
 
-  /// All (transitive) subtypes of \p C, including \p C itself. Interfaces
-  /// yield their implementors plus sub-interfaces.
-  const std::vector<const ir::ClassDecl *> &
+  /// All (transitive) subtypes of \p C, including \p C itself, in program
+  /// order. Interfaces yield their implementors plus sub-interfaces.
+  std::span<const ir::ClassDecl *const>
   subtypesOf(const ir::ClassDecl *C) const;
 
   /// CHA resolution of a virtual call through a receiver of declared type
@@ -69,11 +70,13 @@ public:
 
 private:
   const ir::Program &P;
-  /// Subtype lists indexed by ClassDecl::globalId() — the ids of one
-  /// program's classes are dense enough that a flat table beats hashing
-  /// on both construction and lookup.
-  std::vector<std::vector<const ir::ClassDecl *>> Subtypes;
-  std::vector<const ir::ClassDecl *> Empty;
+  /// Subtype lists indexed by ClassDecl::globalId(), all in one array:
+  /// the list of class Id is SubtypeList[SubtypeBegin[Id],
+  /// SubtypeBegin[Id + 1]). The ids of one program's classes are dense
+  /// enough that a flat table beats hashing on both construction and
+  /// lookup.
+  std::vector<const ir::ClassDecl *> SubtypeList;
+  std::vector<uint32_t> SubtypeBegin;
   std::vector<const ir::MethodDecl *> EmptyTargets;
 
   const std::vector<const ir::MethodDecl *> &

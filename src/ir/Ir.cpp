@@ -2,6 +2,8 @@
 
 #include "ir/Ir.h"
 
+#include <algorithm>
+#include <charconv>
 
 using namespace gator;
 using namespace gator::ir;
@@ -23,10 +25,26 @@ std::string FieldDecl::qualifiedName() const {
 //===----------------------------------------------------------------------===//
 
 std::string MethodDecl::qualifiedName() const {
-  std::string S = Owner->name() + '.' + DeclName;
-  S += '/';
-  S += std::to_string(NumParams);
+  std::string S;
+  appendQualifiedName(S);
   return S;
+}
+
+void MethodDecl::appendQualifiedName(std::string &Out) const {
+  // One resize and plain copies: this spelling keys the incremental
+  // engine's node maps, so it is built often.
+  char Digits[16];
+  const std::string_view Arity(
+      Digits, std::to_chars(Digits, Digits + sizeof(Digits), NumParams).ptr -
+                  Digits);
+  const std::string_view OwnerName = Owner->name();
+  const size_t At = Out.size();
+  Out.resize(At + OwnerName.size() + DeclName.size() + Arity.size() + 2);
+  char *P = std::copy(OwnerName.begin(), OwnerName.end(), Out.data() + At);
+  *P++ = '.';
+  P = std::copy(DeclName.data(), DeclName.data() + DeclName.size(), P);
+  *P++ = '/';
+  std::copy(Arity.begin(), Arity.end(), P);
 }
 
 support::Arena &MethodDecl::arena() const {

@@ -239,6 +239,8 @@ public:
 
   /// "Class.method/arity" spelling for diagnostics and dumps.
   std::string qualifiedName() const;
+  /// Appends qualifiedName() to \p Out without a temporary string.
+  void appendQualifiedName(std::string &Out) const;
 
   /// Number of formal parameters (excluding `this`).
   unsigned paramCount() const { return NumParams; }

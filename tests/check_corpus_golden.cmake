@@ -4,7 +4,8 @@
 # malformed copies of NotePad (one with lex errors, one with a parse error)
 # must report exactly the recorded `--diag-format=json` diagnostics. XBMC
 # and NotePad must also give the recorded `--solution --hierarchy` output
-# and `--dot` graph, which pin the order of relationship edges. Run
+# and `--dot` graph, which pin the order of relationship edges, and the
+# recorded `--tuples --atg` output. Run
 # under ASan this also catches a token or location that outlives its
 # buffer on real input. Invoked by ctest with -DCLI=<gator_cli>
 # -DEXPORT=<export_corpus> -DGOLDEN=<tests/fixtures/corpus_golden>
@@ -99,6 +100,13 @@ foreach(app XBMC NotePad)
     message(FATAL_ERROR "${name}: ${WORK}/${name}.dot has SHA-256 ${digest}, "
                         "expected ${expected}")
   endif()
+endforeach()
+
+# Handler tuples and the activity transition graph of the same two apps:
+# the clients that share the call graph walk and the node labels with the
+# default event sequences.
+foreach(app XBMC NotePad)
+  check_golden(clients_${app} 0 --tuples --atg --no-times corpus/${app})
 endforeach()
 
 message(STATUS "corpus and malformed copies match the golden output")

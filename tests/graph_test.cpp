@@ -48,6 +48,7 @@ protected:
     MethodBuilder MB = A.method("m", "void");
     MB.local("x", "A");
     MB.assignNull("x");
+    Builder.makeClass("pkg.sub.Screen");
     ASSERT_TRUE(Builder.finish());
     M = P.findClass("A")->findOwnMethod("m", 0);
     F = P.findClass("A")->findOwnField("f");
@@ -267,6 +268,78 @@ TEST_F(GraphTest, LabelsAreInformative) {
   NodeId Op = G.makeOpNode(android::OpKind::SetListener,
                            SourceLocation("t", 16, 1));
   EXPECT_EQ(G.label(Op), "SetListener_16");
+
+  // Every other NodeKind and edge case, recorded before label() was
+  // rewritten without streams; every printer, dump and --explain query
+  // depends on these exact spellings.
+  const ClassDecl *A = P.findClass("A");
+  const ClassDecl *Dotted = P.findClass("pkg.sub.Screen");
+  ASSERT_NE(Dotted, nullptr);
+
+  EXPECT_EQ(G.label(G.getVarNode(M, M->thisVar())), "this@A.m/0");
+
+  EXPECT_EQ(G.label(G.getAllocNode(M, 10, Dotted, false,
+                                   SourceLocation("t", 7, 3))),
+            "new Screen_7");
+  EXPECT_EQ(G.label(G.getAllocNode(M, 11, A, false, {})), "new A");
+  EXPECT_EQ(G.label(G.getAllocNode(M, 12, nullptr, false, {})), "new ?");
+  EXPECT_EQ(G.label(G.getAllocNode(M, 13, Dotted, true,
+                                   SourceLocation("t", 123456, 1))),
+            "new Screen_123456");
+
+  NodeId Site = G.makeOpNode(android::OpKind::Inflate1,
+                             SourceLocation("t", 9, 1));
+  EXPECT_EQ(G.label(Site), "Inflate1_9");
+  layout::LayoutNode WithId("Button", "ok");
+  layout::LayoutNode NoId("LinearLayout", "");
+  EXPECT_EQ(G.label(G.makeViewInflNode(Dotted, &WithId, Site)),
+            "Screen~infl#" + std::to_string(Site) + "[ok]");
+  EXPECT_EQ(G.label(G.makeViewInflNode(Dotted, &NoId, Site)),
+            "Screen~infl#" + std::to_string(Site));
+  EXPECT_EQ(G.label(G.makeViewInflNode(nullptr, nullptr, InvalidNode)),
+            "?~infl#4294967295");
+
+  EXPECT_EQ(G.label(G.getActivityNode(Dotted)), "act:Screen");
+
+  EXPECT_EQ(G.label(G.getLayoutIdNode(layout::ResourceTable::LayoutIdBase)),
+            "R.layout#0");
+  EXPECT_EQ(
+      G.label(G.getLayoutIdNode(layout::ResourceTable::LayoutIdBase + 42)),
+      "R.layout#42");
+  EXPECT_EQ(G.label(G.getViewIdNode(layout::ResourceTable::ViewIdBase + 7)),
+            "R.id#7");
+  EXPECT_EQ(G.label(G.getViewIdNode(3)), "R.id#-2131230717");
+
+  EXPECT_EQ(G.label(G.getClassConstNode(Dotted)), "classof Screen");
+  EXPECT_EQ(G.label(G.getClassConstNode(A)), "classof A");
+
+  EXPECT_EQ(G.label(G.makeOpNode(android::OpKind::FindView2, {})),
+            "FindView2");
+
+  EXPECT_EQ(G.label(G.makeUnknownViewNode(UnknownReason::ReflectiveNew, M,
+                                          SourceLocation("t", 31, 2))),
+            "unknown-view(reflective construction)@A.m/0_31");
+  EXPECT_EQ(G.label(G.makeUnknownViewNode(UnknownReason::UnknownClass,
+                                          nullptr, {})),
+            "unknown-view(unresolved class)");
+  EXPECT_EQ(G.label(G.makeUnknownViewNode(UnknownReason::MissingLayout,
+                                          nullptr,
+                                          SourceLocation("t", 5, 1))),
+            "unknown-view(missing layout resource)_5");
+  EXPECT_EQ(G.label(G.makeUnknownIdNode(UnknownReason::DynamicId, M,
+                                        SourceLocation("t", 12, 4))),
+            "unknown-id(non-constant id)@A.m/0_12");
+  EXPECT_EQ(G.label(G.makeUnknownIdNode(UnknownReason::DynamicId, M, {})),
+            "unknown-id(non-constant id)@A.m/0");
+  EXPECT_EQ(G.label(G.makeUnknownIdNode(UnknownReason::MissingLayout, nullptr,
+                                        {})),
+            "unknown-id(missing layout resource)");
+
+  // appendLabel appends to what the buffer already holds.
+  std::string Buf = "node ";
+  G.appendLabel(Buf, G.getFieldNode(F));
+  G.appendLabel(Buf, G.getClassConstNode(A));
+  EXPECT_EQ(Buf, "node A.fclassof A");
 }
 
 TEST_F(GraphTest, NodesOfKindFilters) {
