@@ -311,6 +311,7 @@ int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
     return 2; // the facade contract is "always a result"
   }
 
+  auto M = Result->metrics();
   if (Cfg.Metrics || Cfg.CacheCapture || Cfg.Ledger) {
     analysis::AppStats Stats = analysis::collectAppStats(
         fs::path(InputDir).filename().string(), App.Program, *Result);
@@ -320,7 +321,7 @@ int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
       analysis::fillWideEvent(*Cfg.Ledger, Stats);
     if (Cfg.CacheCapture) {
       Cfg.CacheCapture->Stats = std::move(Stats);
-      Cfg.CacheCapture->Precision = Result->metrics();
+      Cfg.CacheCapture->Precision = M;
       analysis::captureFlowsetHistogram(
           *Result->Sol, Cfg.CacheCapture->FlowHistCounts,
           Cfg.CacheCapture->FlowHistSum, Cfg.CacheCapture->FlowHistCount);
@@ -332,7 +333,6 @@ int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
             << "  layouts: " << App.Resources.layoutCount()
             << "  view ids: " << App.Resources.viewIdCount() << "\n";
   Result->Graph->dumpStats(Out);
-  auto M = Result->metrics();
   Out << "precision: receivers=" << M.AvgReceivers;
   if (M.AvgParameters)
     Out << " parameters=" << *M.AvgParameters;

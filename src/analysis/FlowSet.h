@@ -169,10 +169,75 @@ private:
   support::ArenaVector<graph::NodeId> Elements;
   /// Membership index, allocated lazily once the set outgrows SmallLimit.
   /// Behind a pointer so unpromoted sets (the common case) stay at 32
-  /// bytes: the per-node table is value-initialized on every solve.
+  /// bytes.
   std::unique_ptr<std::unordered_set<graph::NodeId>> Index;
   /// Start of the uncommitted suffix of Elements.
   uint32_t DeltaStart = 0;
+};
+
+/// The flowsTo sets of one solution, sized to the facts (docs/MEMORY.md,
+/// "Per-node bytes"). Only a node that has received a value owns a
+/// FlowSet, kept in one dense table in creation order. A node finds its
+/// set through a 4-byte slot holding 1 + the set's index, or 0; slots
+/// live in pages of 1,024 nodes, and a page is allocated only when one of
+/// its nodes receives a value. Creating a set may move every FlowSet
+/// object (never its elements, which live in the arena), so a FlowSet
+/// reference must not be held across a getOrCreate() of another node.
+class FlowSetTable {
+public:
+  /// No set: the index of a node that never received a value.
+  static constexpr uint32_t NoSet = ~0u;
+
+  /// Index of node \p N's set, or NoSet.
+  uint32_t indexOf(graph::NodeId N) const {
+    size_t Page = N >> PageBits;
+    if (Page >= Pages.size() || !Pages[Page])
+      return NoSet;
+    return Pages[Page][N & PageMask] - 1; // slot 0 wraps to NoSet
+  }
+
+  /// Node \p N's set, or null when \p N never received a value.
+  const FlowSet *find(graph::NodeId N) const {
+    uint32_t I = indexOf(N);
+    return I == NoSet ? nullptr : &Sets[I];
+  }
+  FlowSet *find(graph::NodeId N) {
+    uint32_t I = indexOf(N);
+    return I == NoSet ? nullptr : &Sets[I];
+  }
+
+  /// Index of node \p N's set, creating the (empty) set on first use.
+  uint32_t indexFor(graph::NodeId N) {
+    size_t Page = N >> PageBits;
+    if (Page >= Pages.size())
+      Pages.resize(Page + 1);
+    if (!Pages[Page])
+      Pages[Page] = std::make_unique<uint32_t[]>(size_t(1) << PageBits);
+    uint32_t &Slot = Pages[Page][N & PageMask];
+    if (Slot == 0) {
+      Sets.emplace_back();
+      Slot = static_cast<uint32_t>(Sets.size());
+    }
+    return Slot - 1;
+  }
+  FlowSet &getOrCreate(graph::NodeId N) { return Sets[indexFor(N)]; }
+
+  /// The set at \p Index (an indexOf/indexFor result).
+  FlowSet &atIndex(uint32_t Index) { return Sets[Index]; }
+
+  /// Populated sets, in creation order.
+  size_t size() const { return Sets.size(); }
+  const FlowSet *begin() const { return Sets.data(); }
+  const FlowSet *end() const { return Sets.data() + Sets.size(); }
+
+private:
+  static constexpr unsigned PageBits = 10;
+  static constexpr graph::NodeId PageMask = (1u << PageBits) - 1;
+
+  /// Slot pages by node id >> PageBits; null until a node of the page
+  /// receives a value.
+  std::vector<std::unique_ptr<uint32_t[]>> Pages;
+  std::vector<FlowSet> Sets;
 };
 
 } // namespace analysis

@@ -155,7 +155,7 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
         TouchedSet.insert(Ft.A);
         if (Ft.A == Ft.B) {
           const Node &N = G.node(Ft.A);
-          if (N.InflateSite != InvalidNode && !N.Retired && !Retired.count(Ft.A))
+          if (N.mintSite() != InvalidNode && !N.Retired && !Retired.count(Ft.A))
             NewlyDead.insert(Ft.A);
         }
         break;
@@ -201,17 +201,18 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
 
   // Apply: erase dead values from surviving sets (marking survivors
   // all-delta), clear and retire dead nodes.
-  auto &Sets = Sol.flowsToSets();
+  FlowSetTable &Sets = Sol.flowsToSets();
   for (auto &[N, Vals] : ToErase) {
-    if (N >= Sets.size() || Retired.count(N))
+    FlowSet *Set = Sets.find(N);
+    if (!Set || Retired.count(N))
       continue;
     std::unordered_set<NodeId> Del(Vals.begin(), Vals.end());
-    if (Sets[N].eraseValues([&](NodeId V) { return Del.count(V) != 0; }))
+    if (Set->eraseValues([&](NodeId V) { return Del.count(V) != 0; }))
       Out.Touched.push_back(N);
   }
   for (NodeId R : Retired) {
-    if (R < Sets.size())
-      Sets[R].eraseValues([](NodeId) { return true; });
+    if (FlowSet *Set = Sets.find(R))
+      Set->eraseValues([](NodeId) { return true; });
     G.retireNode(R);
     Out.RetiredNodes.push_back(R);
   }
@@ -220,9 +221,9 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
   // retracted RootsLayout fact names the (site, layout/unknown-id) pair.
   for (const auto &[Root, Low] : RootsLayoutKilled)
     if (Retired.count(Root)) {
-      const Node &N = G.node(Root);
-      if (N.InflateSite != InvalidNode)
-        Out.MintsRetired.emplace_back(N.InflateSite, Low);
+      NodeId Site = G.node(Root).mintSite();
+      if (Site != InvalidNode)
+        Out.MintsRetired.emplace_back(Site, Low);
     }
 
   std::sort(Out.Touched.begin(), Out.Touched.end());
@@ -313,14 +314,14 @@ struct DigestContext {
     case NodeKind::UnknownView:
       SS << "unkview r" << static_cast<int>(N.Unknown) << " m="
          << (N.Method ? N.Method->qualifiedName() : "") << " loc="
-         << N.Loc.str();
+         << G.loc(Id).str();
       if (N.InflateSite != InvalidNode)
         SS << " @" << siteKey(N);
       break;
     case NodeKind::UnknownId:
       SS << "unkid r" << static_cast<int>(N.Unknown) << " m="
          << (N.Method ? N.Method->qualifiedName() : "") << " loc="
-         << N.Loc.str();
+         << G.loc(Id).str();
       break;
     case NodeKind::Var:
     case NodeKind::Field:
@@ -361,12 +362,13 @@ std::string analysis::solutionDigest(const Solution &Sol) {
 
   // Flow sets of every live node (op nodes hold no values; empty sets add
   // nothing and retired debris is skipped).
-  const auto &Sets = Sol.flowsToSets();
-  for (NodeId N = 0; N < G.size() && N < Sets.size(); ++N) {
-    if (G.node(N).Retired || G.node(N).Kind == NodeKind::Op)
+  const FlowSetTable &Sets = Sol.flowsToSets();
+  for (NodeId N = 0; N < G.size(); ++N) {
+    const FlowSet *Set = Sets.find(N);
+    if (!Set || G.node(N).Retired || G.node(N).Kind == NodeKind::Op)
       continue;
     std::vector<std::string> Vals;
-    for (NodeId V : Sets[N]) {
+    for (NodeId V : *Set) {
       if (V < G.size() && G.node(V).Retired)
         continue;
       Vals.push_back(Ctx.valueKey(V));
@@ -918,7 +920,7 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
   for (const auto &[From, To] : Old.Edges) {
     const Node &N = G->node(From);
     if ((N.Kind == NodeKind::UnknownView || N.Kind == NodeKind::UnknownId) &&
-        N.Method == &M && !N.Retired && N.InflateSite == InvalidNode &&
+        N.Method == &M && !N.Retired && N.mintSite() == InvalidNode &&
         !NewEdges.count(edgeKey(From, To)))
       In.RetireNodes.push_back(From);
   }

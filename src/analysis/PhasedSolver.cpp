@@ -64,13 +64,6 @@ public:
   }
 
 private:
-  std::vector<FlowSet> &sets() {
-    auto &S = Sol.flowsToSets();
-    if (S.size() < G.size())
-      S.resize(G.size());
-    return S;
-  }
-
   bool typeCompatible(NodeId N, NodeId Value) const {
     if (!Options.DeclaredTypeFilter)
       return true;
@@ -111,7 +104,7 @@ private:
   bool insert(NodeId N, NodeId Value) {
     if (N == InvalidNode || !typeCompatible(N, Value))
       return false;
-    if (!sets()[N].insert(Sol.setArena(), Value))
+    if (!Sol.flowsToSets().getOrCreate(N).insert(Sol.setArena(), Value))
       return false;
     if (Prov)
       Prov->recordFlow(N, Value, PRule, PPrem[0], PPrem[1], PPrem[2]);
@@ -185,12 +178,12 @@ private:
     for (NodeId N = 0; N < G.size(); ++N) {
       if (G.node(N).Kind == NodeKind::Op)
         continue;
-      auto &S = sets();
-      if (S[N].empty())
+      const FlowSet *S = Sol.flowsToSets().find(N);
+      if (!S || S->empty())
         continue;
       if (!Tracker.charge())
         return Changed;
-      std::vector<NodeId> Values(S[N].begin(), S[N].end());
+      std::vector<NodeId> Values(S->begin(), S->end());
       for (NodeId Succ : G.flowSuccessors(N)) {
         if (G.node(Succ).Kind == NodeKind::Op)
           continue;
@@ -224,7 +217,7 @@ private:
     const layout::LayoutDef *Def =
         Layouts.findById(G.node(LayoutIdNode).Res);
     if (!Def) {
-      Diags.warning(G.node(Op.OpNode).Loc,
+      Diags.warning(G.loc(Op.OpNode),
                     "inflation of unknown layout id; site skipped");
       Minted.emplace(Key, InvalidNode);
       return InvalidNode;
@@ -239,7 +232,7 @@ private:
                      "layout definition with no root node; site skipped") ||
         EmptyMerge) {
       if (EmptyMerge)
-        Diags.warning(G.node(Op.OpNode).Loc,
+        Diags.warning(G.loc(Op.OpNode),
                       "layout '" + Def->name() +
                           "' is an empty <merge/> with no inflatable root; "
                           "site skipped");
@@ -358,7 +351,7 @@ private:
         Root = It->second;
       } else {
         Root = G.makeUnknownViewNode(G.node(U).Unknown, Op.Method,
-                                     G.node(Op.OpNode).Loc, Op.OpNode);
+                                     G.loc(Op.OpNode), Op.OpNode);
         Minted.emplace(Key, Root);
         if (Prov)
           provCtx(DerivRule::UnknownSource, provFlow(Op.IdArg, U));

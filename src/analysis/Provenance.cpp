@@ -136,8 +136,8 @@ void printApproxNote(std::ostream &OS, const graph::ConstraintGraph &G,
     OS << "  approx: " << graph::unknownReasonPhrase(N.Unknown);
     if (N.Method)
       OS << " at " << N.Method->qualifiedName();
-    if (N.Loc.isValid())
-      OS << ":" << N.Loc.line();
+    if (G.loc(End).isValid())
+      OS << ":" << G.loc(End).line();
     return;
   }
 }

@@ -34,9 +34,8 @@ void Solution::pruneUnresolvedDeadOps() {
 }
 
 const FlowSet &Solution::valuesAt(NodeId N) const {
-  if (N == InvalidNode || N >= FlowsTo.size())
-    return Empty;
-  return FlowsTo[N];
+  const FlowSet *Set = FlowsTo.find(N);
+  return Set ? *Set : Empty;
 }
 
 std::vector<NodeId> Solution::viewsAt(NodeId N) const {
@@ -48,17 +47,19 @@ std::vector<NodeId> Solution::viewsAt(NodeId N) const {
   return Result;
 }
 
+/// Any object can serve as a listener (Section 4.1 notes the general
+/// case); the registration call's declared parameter type already selects
+/// candidates, so every non-id value reaching the position qualifies.
+static bool isListenerValueKind(NodeKind Kind) {
+  return Kind == NodeKind::Alloc || Kind == NodeKind::Activity ||
+         isViewNodeKind(Kind) || Kind == NodeKind::ClassConst;
+}
+
 std::vector<NodeId> Solution::listenerValuesAt(NodeId N) const {
-  // Any object can serve as a listener (Section 4.1 notes the general
-  // case); the registration call's declared parameter type already selects
-  // candidates, so every non-id value reaching the position qualifies.
   std::vector<NodeId> Result;
-  for (NodeId V : valuesAt(N)) {
-    NodeKind Kind = G.node(V).Kind;
-    if (Kind == NodeKind::Alloc || Kind == NodeKind::Activity ||
-        isViewNodeKind(Kind) || Kind == NodeKind::ClassConst)
+  for (NodeId V : valuesAt(N))
+    if (isListenerValueKind(G.node(V).Kind))
       Result.push_back(V);
-  }
   std::sort(Result.begin(), Result.end());
   return Result;
 }
@@ -87,8 +88,6 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
                                         bool TrackHierarchy,
                                         bool ChildOnlyRefinement,
                                         unsigned UnknownFanoutBudget) const {
-  std::unordered_set<NodeId> Result;
-
   // Unknown-source handling (docs/ROBUSTNESS.md) is gated on the graph
   // actually holding unknown nodes, so clean inputs pay nothing.
   bool HaveUnknown = !G.nodesOfKind(NodeKind::UnknownView).empty() ||
@@ -113,6 +112,7 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
     break;
   case OpKind::Inflate1: {
     // The inflated root(s) for the layout ids reaching this site.
+    std::unordered_set<NodeId> Result;
     for (NodeId V : valuesAt(Op.IdArg)) {
       NodeKind VKind = G.node(V).Kind;
       if (VKind == NodeKind::LayoutId) {
@@ -312,6 +312,16 @@ Solution::computeMetrics(bool TrackViewIds, bool TrackHierarchy,
                          unsigned UnknownFanoutBudget) const {
   PrecisionMetrics M;
 
+  // The role sets are counted in place: a FlowSet holds each value once,
+  // so these counts equal the sizes of receiversOf/parametersOf/
+  // listenersAtOp without building and sorting their vectors.
+  auto countValues = [&](NodeId N, bool (*Keep)(NodeKind)) {
+    size_t Count = 0;
+    for (NodeId V : valuesAt(N))
+      Count += Keep(G.node(V).Kind);
+    return Count;
+  };
+
   // receivers: ops whose receiver role is a view.
   unsigned long ReceiverOps = 0, ReceiverSum = 0;
   // parameters: AddView nodes.
@@ -333,7 +343,7 @@ Solution::computeMetrics(bool TrackViewIds, bool TrackHierarchy,
     case OpKind::AddView2:
     case OpKind::SetId:
     case OpKind::SetListener: {
-      size_t N = receiversOf(Op).size();
+      size_t N = countValues(Op.Recv, isViewNodeKind);
       if (N > 0) {
         ++ReceiverOps;
         ReceiverSum += N;
@@ -346,7 +356,7 @@ Solution::computeMetrics(bool TrackViewIds, bool TrackHierarchy,
 
     if (Op.Spec.Kind == OpKind::AddView1 || Op.Spec.Kind == OpKind::AddView2) {
       HasAddView = true;
-      size_t N = parametersOf(Op).size();
+      size_t N = countValues(Op.ValArg, isViewNodeKind);
       if (N > 0) {
         ++ParamOps;
         ParamSum += N;
@@ -368,8 +378,8 @@ Solution::computeMetrics(bool TrackViewIds, bool TrackHierarchy,
 
     if (Op.Spec.Kind == OpKind::SetListener) {
       HasSetListener = true;
-      size_t Views = receiversOf(Op).size();
-      size_t Ls = listenersAtOp(Op).size();
+      size_t Views = countValues(Op.Recv, isViewNodeKind);
+      size_t Ls = countValues(Op.ValArg, isListenerValueKind);
       if (Views > 0 && Ls > 0) {
         ListenerPairs += Views;
         ListenerSum += Views * Ls;

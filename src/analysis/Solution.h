@@ -78,8 +78,10 @@ public:
   // Raw state (populated by the solver)
   //===--------------------------------------------------------------------===//
 
-  std::vector<FlowSet> &flowsToSets() { return FlowsTo; }
-  const std::vector<FlowSet> &flowsToSets() const { return FlowsTo; }
+  /// The populated flowsTo sets; a node that never received a value has
+  /// none (valuesAt() reads it as empty).
+  FlowSetTable &flowsToSets() { return FlowsTo; }
+  const FlowSetTable &flowsToSets() const { return FlowsTo; }
 
   /// The arena backing every FlowSet's element storage (docs/MEMORY.md):
   /// solvers pass it to FlowSet::insert, and the whole solution's set
@@ -209,7 +211,7 @@ private:
   /// Owns all FlowSet element storage; declared before FlowsTo so slabs
   /// outlive the tables pointing at them.
   support::Arena SetArena;
-  std::vector<FlowSet> FlowsTo;
+  FlowSetTable FlowsTo;
   std::vector<OpSite> Ops;
   FlowSet Empty;
   Fidelity Fid = Fidelity::Complete;

@@ -13,27 +13,6 @@ using namespace gator::graph;
 using namespace gator::android;
 using namespace gator::ir;
 
-void Solver::growSets() {
-  // Grow with 50% slack: the graph keeps growing one node at a time while
-  // inflation mints view subtrees, and FlowSet/vector elements are
-  // expensive to move, so over-reserving once beats reallocating per
-  // doubling.
-  size_t N = G.size();
-  auto &Sets = Sol.flowsToSets();
-  if (Sets.size() < N) {
-    if (Sets.capacity() < N)
-      Sets.reserve(N + N / 2);
-    Sets.resize(N);
-  }
-  if (InVarWorklist.size() < N)
-    InVarWorklist.resize(N, false);
-  if (OpUses.size() != N) {
-    if (OpUses.capacity() < N)
-      OpUses.reserve(N + N / 2);
-    OpUses.resize(N);
-  }
-}
-
 bool Solver::typeCompatible(NodeId N, NodeId Value) const {
   if (!Options.DeclaredTypeFilter)
     return true;
@@ -83,30 +62,42 @@ void Solver::addValue(NodeId N, NodeId Value) {
   ++Stats.ValuesPushed;
   if (!typeCompatible(N, Value))
     return;
-  ensureSets();
-  auto &Sets = Sol.flowsToSets();
-  if (!Sets[N].insert(Sol.setArena(), Value)) {
+  FlowSetTable &Sets = Sol.flowsToSets();
+  uint32_t SetIndex = Sets.indexFor(N);
+  if (!Sets.atIndex(SetIndex).insert(Sol.setArena(), Value)) {
     ++Stats.DedupHits;
     return;
   }
   if (Prov)
     Prov->recordFlow(N, Value, PRule, PPrem[0], PPrem[1], PPrem[2]);
-  if (!InVarWorklist[N]) {
-    InVarWorklist[N] = true;
+  auto Queued = queuedMark(SetIndex);
+  if (!Queued) {
+    Queued = true;
     VarWorklist.push_back(N);
     if (VarWorklist.size() > Stats.PeakVarWorklist)
       Stats.PeakVarWorklist = VarWorklist.size();
   }
-  for (uint32_t OpIndex : OpUses[N])
-    enqueueOp(OpIndex);
+  if (const uint32_t *Head = OpUseHead.get(N))
+    for (uint32_t L = *Head; L != NoLink; L = OpUseLinks[L].Next)
+      enqueueOp(OpUseLinks[L].Op);
 }
 
 void Solver::addOpUse(NodeId N, size_t OpIndex) {
-  ensureSets();
-  auto &Uses = OpUses[N];
   uint32_t Idx = static_cast<uint32_t>(OpIndex);
-  if (std::find(Uses.begin(), Uses.end(), Idx) == Uses.end())
-    Uses.push_back(Idx);
+  uint32_t New = static_cast<uint32_t>(OpUseLinks.size());
+  uint32_t L = OpUseHead.getOrInsert(N, New);
+  if (L != New) {
+    // Walk N's chain: a duplicate registration is dropped, a new op is
+    // linked after the last one.
+    for (;; L = OpUseLinks[L].Next) {
+      if (OpUseLinks[L].Op == Idx)
+        return;
+      if (OpUseLinks[L].Next == NoLink)
+        break;
+    }
+    OpUseLinks[L].Next = New;
+  }
+  OpUseLinks.push_back({Idx, NoLink});
 }
 
 void Solver::enqueueOp(size_t OpIndex) {
@@ -170,7 +161,6 @@ void Solver::sweepXmlOnClickHandlers() {
 }
 
 void Solver::seedValueNodes() {
-  ensureSets();
   provCtx(DerivRule::Seed);
   for (NodeId Id = 0; Id < G.size(); ++Id) {
     const Node &N = G.node(Id);
@@ -195,11 +185,12 @@ void Solver::registerOpUses() {
   // memos (InflatedAt, FragmentWired) stay valid and MUST survive —
   // clearing them would re-mint ViewInfl trees / re-wire fragment
   // callbacks on every re-solve.
-  OpUses.clear();
+  OpUseHead.clear();
+  OpUseHead.reserve(2 * Ops.size());
+  OpUseLinks.clear();
   StructureSensitiveOps.clear();
   OpWorklist.clear();
   InOpWorklist.assign(Ops.size(), false);
-  ensureSets();
   for (size_t I = 0; I < Ops.size(); ++I) {
     const OpSite &Op = Ops[I];
     if (Op.Dead)
@@ -231,7 +222,7 @@ void Solver::propagate(NodeId N) {
   // docs/DELTA_SOLVER.md, "mid-solve edges"). The suffix is copied into
   // the reusable scratch: addValue may resize Sets and insert into the
   // very set being walked.
-  FlowSet &Set = Sol.flowsToSets()[N];
+  FlowSet &Set = *Sol.flowsToSets().find(N); // queued, so it holds values
   if (!Set.hasDelta())
     return; // spurious wakeup: delta drained by an earlier visit
   PropScratch.assign(Set.begin() + Set.deltaBegin(), Set.end());
@@ -262,7 +253,7 @@ NodeId Solver::inflateAt(size_t OpIndex, NodeId LayoutIdNode) {
   const layout::LayoutDef *Def = Layouts.findById(IdNode.Res);
   OpSite &Op = Sol.opSites()[OpIndex];
   if (!Def) {
-    Diags.warning(G.node(Op.OpNode).Loc,
+    Diags.warning(G.loc(Op.OpNode),
                   "inflation of unknown layout id; site skipped");
     InflatedAt.emplace(Key, InvalidNode);
     return InvalidNode;
@@ -279,7 +270,7 @@ NodeId Solver::inflateAt(size_t OpIndex, NodeId LayoutIdNode) {
                    "layout definition with no root node; site skipped") ||
       EmptyMerge) {
     if (EmptyMerge)
-      Diags.warning(G.node(Op.OpNode).Loc,
+      Diags.warning(G.loc(Op.OpNode),
                     "layout '" + Def->name() +
                         "' is an empty <merge/> with no inflatable root; "
                         "site skipped");
@@ -325,8 +316,7 @@ NodeId Solver::inflateAt(size_t OpIndex, NodeId LayoutIdNode) {
     }
 
     NodeId ViewNode = G.makeViewInflNode(Klass, F.LNode, Op.OpNode);
-    ensureSets();
-    Sol.flowsToSets()[ViewNode].insert(Sol.setArena(), ViewNode);
+    Sol.flowsToSets().getOrCreate(ViewNode).insert(Sol.setArena(), ViewNode);
     if (Prov)
       Prov->recordFlow(ViewNode, ViewNode, DerivRule::Inflate, IdFact);
 
@@ -438,10 +428,9 @@ void Solver::fireInflate(OpSite &Op) {
       Root = It->second;
     } else {
       Root = G.makeUnknownViewNode(G.node(U).Unknown, Op.Method,
-                                   G.node(Op.OpNode).Loc, Op.OpNode);
+                                   G.loc(Op.OpNode), Op.OpNode);
       InflatedAt.emplace(Key, Root);
-      ensureSets();
-      Sol.flowsToSets()[Root].insert(Sol.setArena(), Root);
+      Sol.flowsToSets().getOrCreate(Root).insert(Sol.setArena(), Root);
       if (Prov)
         Prov->recordFlow(Root, Root, DerivRule::UnknownSource,
                          provFlow(Op.IdArg, U));
@@ -602,7 +591,7 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
     if (!Factory || Factory->owner()->isPlatform())
       continue;
     // Register on the factory's returns outside the FragmentWired guard:
-    // registerOpUses rebuilds OpUses from role edges only, so a re-solve
+    // registerOpUses rebuilds the op uses from role edges only, so a re-solve
     // must re-establish this registration even when the callback wiring
     // is already memoized (addOpUse dedups).
     for (const Stmt &Ret : Factory->body())
@@ -816,7 +805,6 @@ SolverStats Solver::solve() {
   Stats = SolverStats();
   ViewBaseClass = AM.program().findClass(names::View);
   GroupBaseClass = AM.program().findClass(names::ViewGroup);
-  ensureSets();
   registerOpUses();
   seedValueNodes();
   return runFixpoint();
@@ -827,7 +815,6 @@ SolverStats Solver::resolveIncremental(
   Stats = SolverStats();
   ViewBaseClass = AM.program().findClass(names::View);
   GroupBaseClass = AM.program().findClass(names::ViewGroup);
-  ensureSets();
   registerOpUses();
   seedValueNodes();
 
@@ -841,18 +828,19 @@ SolverStats Solver::resolveIncremental(
     for (NodeId T : Touched)
       if (T < G.size())
         IsTouched[T] = true;
-    auto &Sets = Sol.flowsToSets();
-    for (NodeId P = 0; P < G.size() && P < Sets.size(); ++P) {
+    FlowSetTable &Sets = Sol.flowsToSets();
+    for (NodeId P = 0; P < G.size(); ++P) {
       bool AnyTouchedSucc = false;
       for (NodeId S : G.flowSuccessors(P))
         if (IsTouched[S] && G.node(S).Kind != NodeKind::Op) {
           AnyTouchedSucc = true;
           break;
         }
-      if (!AnyTouchedSucc || Sets[P].empty())
+      const FlowSet *PSet = Sets.find(P);
+      if (!AnyTouchedSucc || !PSet || PSet->empty())
         continue;
-      // Copy out: addValue may grow Sets and invalidate the iterators.
-      std::vector<NodeId> Values(Sets[P].begin(), Sets[P].end());
+      // Copy out: addValue may create sets and move this one.
+      std::vector<NodeId> Values(PSet->begin(), PSet->end());
       for (NodeId S : G.flowSuccessors(P)) {
         if (S >= IsTouched.size() || !IsTouched[S] ||
             G.node(S).Kind == NodeKind::Op)
@@ -866,12 +854,16 @@ SolverStats Solver::resolveIncremental(
     }
     // Surviving values in touched sets are all-delta (FlowSet::eraseValues
     // reset the commit mark); enqueue them so they re-push downstream.
-    for (NodeId T : Touched)
-      if (T < Sol.flowsToSets().size() && Sol.flowsToSets()[T].hasDelta() &&
-          !InVarWorklist[T]) {
-        InVarWorklist[T] = true;
+    for (NodeId T : Touched) {
+      const FlowSet *TSet = Sets.find(T);
+      if (!TSet || !TSet->hasDelta())
+        continue;
+      auto Queued = queuedMark(Sets.indexOf(T));
+      if (!Queued) {
+        Queued = true;
         VarWorklist.push_back(T);
       }
+    }
   }
 
   // Re-fire every live op once: rules read full role sets, so this
@@ -941,7 +933,7 @@ SolverStats Solver::runFixpoint() {
     if (!VarWorklist.empty()) {
       NodeId N = VarWorklist.front();
       VarWorklist.pop_front();
-      InVarWorklist[N] = false;
+      InVarWorklist[Sol.flowsToSets().indexOf(N)] = false;
       propagate(N);
       continue;
     }

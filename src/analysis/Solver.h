@@ -28,6 +28,7 @@
 #include "hier/ClassHierarchy.h"
 #include "layout/Layout.h"
 #include "support/Budget.h"
+#include "support/FlatMap.h"
 
 #include <deque>
 #include <unordered_map>
@@ -126,16 +127,6 @@ private:
   /// and resolveIncremental() differ only in how they seed it.
   SolverStats runFixpoint();
 
-  /// Keeps the per-node tables (flowsTo sets, worklist marks, op-use
-  /// lists) sized to the graph. Hot path: one size compare — OpUses is
-  /// only ever resized together with the others, so it serves as the
-  /// staleness sentinel; growSets() does the actual (rare) resizing.
-  void ensureSets() {
-    if (OpUses.size() != G.size())
-      growSets();
-  }
-  void growSets();
-
   /// Inserts \p Value into node \p N's set; enqueues propagation and
   /// dependent ops when the set grew.
   void addValue(NodeId N, NodeId Value);
@@ -183,7 +174,15 @@ private:
   DiagnosticEngine &Diags;
 
   std::deque<NodeId> VarWorklist;
+  /// Worklist marks, indexed like the solution's populated flowsTo sets
+  /// (FlowSetTable::indexOf): only a node holding a value is ever queued.
   std::vector<bool> InVarWorklist;
+  /// InVarWorklist's entry for set \p SetIndex, grown on demand.
+  std::vector<bool>::reference queuedMark(uint32_t SetIndex) {
+    if (SetIndex >= InVarWorklist.size())
+      InVarWorklist.resize(Sol.flowsToSets().size(), false);
+    return InVarWorklist[SetIndex];
+  }
 
   /// Scratch buffer for propagate(): the values being pushed must be
   /// copied out (addValue may grow the set vector), but the buffer itself
@@ -202,9 +201,17 @@ private:
   /// aliased roles enqueue an op once per value arrival).
   void addOpUse(NodeId N, size_t OpIndex);
 
-  /// Op indices depending on each variable node's set, indexed by node id
-  /// (sized alongside the flowsTo sets by ensureSets).
-  std::vector<std::vector<uint32_t>> OpUses;
+  /// Op indices depending on a node's set, kept for op-role nodes only
+  /// (docs/MEMORY.md, "Per-node bytes"): OpUseHead maps a role node to its
+  /// first link, and each link chains to the next op in registration
+  /// order.
+  struct OpUseLink {
+    uint32_t Op;
+    uint32_t Next;
+  };
+  static constexpr uint32_t NoLink = ~0u;
+  support::FlatIdMap<uint32_t> OpUseHead;
+  std::vector<OpUseLink> OpUseLinks;
 
   /// Ops to re-fire on hierarchy/id/root structure growth.
   std::vector<size_t> StructureSensitiveOps;

@@ -16,12 +16,13 @@
 #define GATOR_ANDROID_OPS_H
 
 #include <cstddef>
+#include <cstdint>
 
 namespace gator {
 namespace android {
 
 /// Operation-node kinds, named after the paper's semantic rules.
-enum class OpKind {
+enum class OpKind : uint8_t {
   /// Rule INFLATE1: `x := inflater.inflate(layoutId)` — inflate a layout,
   /// return the root view.
   Inflate1,

@@ -110,13 +110,18 @@ void ConstraintGraph::reserve(size_t NodeHint, size_t EdgeHint,
   FlowEdges.reserve(EdgeHint / 4); // only high-degree sources land here
 }
 
-NodeId ConstraintGraph::push(Node N) {
+NodeId ConstraintGraph::push(const Node &N) {
   NodeId Id = static_cast<NodeId>(Nodes.size());
-  N.RelSlot = 0;
   KindIndex[static_cast<size_t>(N.Kind)].push_back(EdgeArena, Id);
-  Nodes.push_back(std::move(N));
+  Nodes.push_back(N);
   FlowSucc.emplace_back();
   return Id;
+}
+
+NodeId ConstraintGraph::pushWithLoc(Node N, const SourceLocation &Loc) {
+  Locs.push_back(Loc);
+  N.LocSlot = static_cast<uint32_t>(Locs.size());
+  return push(N);
 }
 
 NodeId ConstraintGraph::getVarNode(const MethodDecl *M, VarId V) {
@@ -134,7 +139,7 @@ NodeId ConstraintGraph::getVarNode(const MethodDecl *M, VarId V) {
   N.Kind = NodeKind::Var;
   N.Method = M;
   N.Var = V;
-  Slot = push(std::move(N));
+  Slot = push(N);
   return Slot;
 }
 
@@ -147,7 +152,7 @@ NodeId ConstraintGraph::getFieldNode(const FieldDecl *F) {
   Node N;
   N.Kind = NodeKind::Field;
   N.Field = F;
-  Slot = push(std::move(N));
+  Slot = push(N);
   return Slot;
 }
 
@@ -171,8 +176,7 @@ NodeId ConstraintGraph::getAllocNode(const MethodDecl *M, int32_t StmtIndex,
   N.Method = M;
   N.StmtIndex = StmtIndex;
   N.Klass = Klass;
-  N.Loc = std::move(Loc);
-  NodeId Id = push(std::move(N));
+  NodeId Id = pushWithLoc(N, Loc);
   AllocNodes.set(Key, Id);
   return Id;
 }
@@ -183,7 +187,7 @@ NodeId ConstraintGraph::getActivityNode(const ClassDecl *Klass) {
   Node N;
   N.Kind = NodeKind::Activity;
   N.Klass = Klass;
-  NodeId Id = push(std::move(N));
+  NodeId Id = push(N);
   ActivityNodes.set(Klass->globalId(), Id);
   return Id;
 }
@@ -210,7 +214,7 @@ NodeId ConstraintGraph::getIdNode(std::vector<NodeId> &Dense,
   Node N;
   N.Kind = Kind;
   N.Res = Res;
-  *Slot = push(std::move(N));
+  *Slot = push(N);
   return *Slot;
 }
 
@@ -231,7 +235,7 @@ NodeId ConstraintGraph::getClassConstNode(const ClassDecl *Klass) {
   Node N;
   N.Kind = NodeKind::ClassConst;
   N.Klass = Klass;
-  NodeId Id = push(std::move(N));
+  NodeId Id = push(N);
   ClassConstNodes.set(Klass->globalId(), Id);
   return Id;
 }
@@ -244,8 +248,7 @@ NodeId ConstraintGraph::makeOpNode(android::OpKind Kind, SourceLocation Loc,
   N.Op = Kind;
   N.Listener = Listener;
   N.ChildOnly = ChildOnly;
-  N.Loc = std::move(Loc);
-  return push(std::move(N));
+  return pushWithLoc(N, Loc);
 }
 
 NodeId ConstraintGraph::makeViewInflNode(const ClassDecl *Klass,
@@ -256,7 +259,7 @@ NodeId ConstraintGraph::makeViewInflNode(const ClassDecl *Klass,
   N.Klass = Klass;
   N.LNode = LNode;
   N.InflateSite = Site;
-  return push(std::move(N));
+  return push(N);
 }
 
 NodeId ConstraintGraph::makeUnknownViewNode(UnknownReason Reason,
@@ -268,8 +271,7 @@ NodeId ConstraintGraph::makeUnknownViewNode(UnknownReason Reason,
   N.Unknown = Reason;
   N.Method = M;
   N.InflateSite = Site;
-  N.Loc = std::move(Loc);
-  return push(std::move(N));
+  return pushWithLoc(N, Loc);
 }
 
 NodeId ConstraintGraph::makeUnknownIdNode(UnknownReason Reason,
@@ -280,8 +282,7 @@ NodeId ConstraintGraph::makeUnknownIdNode(UnknownReason Reason,
   N.Kind = NodeKind::UnknownId;
   N.Unknown = Reason;
   N.Method = M;
-  N.Loc = std::move(Loc);
-  return push(std::move(N));
+  return pushWithLoc(N, Loc);
 }
 
 //===----------------------------------------------------------------------===//
@@ -549,23 +550,22 @@ const std::vector<NodeId> &ConstraintGraph::descendantsOf(NodeId View) const {
 void ConstraintGraph::computeDescendantsInto(NodeId View,
                                              std::vector<NodeId> &Out) const {
   Out.clear();
-  if (DescSeenStamp.size() < Nodes.size())
-    DescSeenStamp.resize(Nodes.size(), 0);
   uint32_t Gen = ++DescSeenGen;
   if (Gen == 0) { // stamp counter wrapped: invalidate all marks
-    std::fill(DescSeenStamp.begin(), DescSeenStamp.end(), 0);
+    DescSeenStamp.clear();
     Gen = ++DescSeenGen;
   }
-  std::vector<NodeId> Work{View};
-  while (!Work.empty()) {
-    NodeId Cur = Work.back();
-    Work.pop_back();
-    if (DescSeenStamp[Cur] == Gen)
+  DescWork.assign(1, View);
+  while (!DescWork.empty()) {
+    NodeId Cur = DescWork.back();
+    DescWork.pop_back();
+    uint32_t &Stamp = DescSeenStamp.getOrInsert(Cur, 0);
+    if (Stamp == Gen)
       continue;
-    DescSeenStamp[Cur] = Gen;
+    Stamp = Gen;
     Out.push_back(Cur);
     for (NodeId Child : children(Cur))
-      Work.push_back(Child);
+      DescWork.push_back(Child);
   }
 }
 
@@ -625,7 +625,7 @@ void ConstraintGraph::appendLabel(std::string &Out, NodeId Id) const {
   case NodeKind::ViewAlloc:
     Out += "new ";
     Out += simpleClassName(N.Klass);
-    appendLine(Out, N.Loc);
+    appendLine(Out, loc(Id));
     break;
   case NodeKind::ViewInfl:
     Out += simpleClassName(N.Klass);
@@ -655,7 +655,7 @@ void ConstraintGraph::appendLabel(std::string &Out, NodeId Id) const {
     break;
   case NodeKind::Op:
     Out += android::opKindName(N.Op);
-    appendLine(Out, N.Loc);
+    appendLine(Out, loc(Id));
     break;
   case NodeKind::UnknownView:
   case NodeKind::UnknownId:
@@ -666,7 +666,7 @@ void ConstraintGraph::appendLabel(std::string &Out, NodeId Id) const {
       Out += '@';
       N.Method->appendQualifiedName(Out);
     }
-    appendLine(Out, N.Loc);
+    appendLine(Out, loc(Id));
     break;
   }
 }

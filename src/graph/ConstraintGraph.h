@@ -32,6 +32,7 @@
 #include "support/Arena.h"
 #include "support/FlatMap.h"
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <ostream>
@@ -52,7 +53,7 @@ inline constexpr NodeId InvalidNode = ~0u;
 /// storage, dropped with the graph as whole slabs.
 using NodeList = support::ArenaVector<NodeId>;
 
-enum class NodeKind {
+enum class NodeKind : uint8_t {
   Var,        ///< a local variable of one method
   Field,      ///< one FieldDecl (the analysis is field-based)
   Alloc,      ///< `new C` for a non-view class (listeners live here)
@@ -92,63 +93,82 @@ const char *unknownReasonPhrase(UnknownReason Reason);
 /// Stable metric-label slug, e.g. "dynamic_id".
 const char *unknownReasonSlug(UnknownReason Reason);
 
-/// Payload of one graph node; which members are meaningful depends on Kind.
+/// Payload of one graph node (docs/MEMORY.md, "Per-node bytes"). Which
+/// members are meaningful depends on Kind: the members of each anonymous
+/// union below belong to disjoint kinds, and a member may be read only for
+/// the kinds its comment names. A node's source location lives in the
+/// graph's side table (ConstraintGraph::loc), not in the node.
 struct Node {
-  NodeKind Kind;
-
-private:
-  friend class ConstraintGraph;
-  /// 1 + the index of this node's relationship row in its graph, or 0 when
-  /// the node is the source of no relationship edge. It sits in the
-  /// padding after Kind, so it costs no space.
-  uint32_t RelSlot = 0;
-
-public:
-  /// Var: the owning method; Alloc/ViewAlloc: the allocating method.
-  const ir::MethodDecl *Method = nullptr;
-  /// Var: the variable index.
-  ir::VarId Var = ir::InvalidVar;
-  /// Alloc/ViewAlloc: index of the `new` statement within Method's body
-  /// (site identity).
-  int32_t StmtIndex = -1;
-
-  /// Field: the field.
-  const ir::FieldDecl *Field = nullptr;
-
-  /// Alloc/ViewAlloc/ViewInfl/Activity/ClassConst: the class.
-  const ir::ClassDecl *Klass = nullptr;
-
-  /// ViewInfl: the layout node this view was minted from, and the Op node
-  /// of the inflation site ("a fresh set of graph nodes is introduced at
-  /// each inflation site", Section 4.1).
-  const layout::LayoutNode *LNode = nullptr;
-  NodeId InflateSite = InvalidNode;
-
-  /// LayoutId/ViewId: the integer resource id.
-  layout::ResourceId Res = layout::InvalidResourceId;
-
-  /// Op: operation kind and, for SetListener, the listener registration.
+  NodeKind Kind = NodeKind::Var;
+  /// Op: operation kind.
   android::OpKind Op = android::OpKind::Inflate1;
-  const android::ListenerSpec *Listener = nullptr;
-  /// Op(FindView3): child-only refinement.
-  bool ChildOnly = false;
-
   /// UnknownView/UnknownId: why this unknown-source node was minted.
-  /// Method (when non-null) and Loc name the hostile site.
+  /// Method (when non-null) and the node's location name the hostile site.
   UnknownReason Unknown = UnknownReason::None;
-
+  /// Op(FindView3): child-only refinement.
+  bool ChildOnly : 1 = false;
   /// Retraction left this node orphaned (docs/INCREMENTAL.md): the minting
   /// site no longer exists after an edit-scale re-analysis. Node ids are
   /// never reused, so retired shells stay in the table but are skipped by
   /// value seeding, solution queries, and dumps.
-  bool Retired = false;
+  bool Retired : 1 = false;
 
-  /// Site location (ops, allocs) for labels and debugging.
-  SourceLocation Loc;
+private:
+  friend class ConstraintGraph;
+  /// 1 + the index of this node's relationship row in its graph, or 0 when
+  /// the node is the source of no relationship edge.
+  uint32_t RelSlot = 0;
+
+public:
+  /// Var: the owning method; Alloc/ViewAlloc: the allocating method;
+  /// UnknownView/UnknownId: the hostile site's method, or null. Null for
+  /// every other kind.
+  const ir::MethodDecl *Method = nullptr;
+
+  /// Alloc/ViewAlloc/ViewInfl/Activity/ClassConst: the class. Null for
+  /// every other kind.
+  const ir::ClassDecl *Klass = nullptr;
+
+  union {
+    /// Field: the field.
+    const ir::FieldDecl *Field = nullptr;
+    /// ViewInfl: the layout node this view was minted from; null once
+    /// neutralized by a layout edit.
+    const layout::LayoutNode *LNode;
+    /// Op: the listener registration of a SetListener op, or null.
+    const android::ListenerSpec *Listener;
+  };
+
+  union {
+    /// Var: the variable index.
+    ir::VarId Var = ir::InvalidVar;
+    /// Alloc/ViewAlloc: index of the `new` statement within Method's body
+    /// (site identity).
+    int32_t StmtIndex;
+    /// LayoutId/ViewId: the integer resource id.
+    layout::ResourceId Res;
+    /// ViewInfl/UnknownView: the Op node of the inflation site ("a fresh
+    /// set of graph nodes is introduced at each inflation site", Section
+    /// 4.1); InvalidNode for an UnknownView minted outside inflation.
+    NodeId InflateSite;
+  };
+
+  /// InflateSite for a ViewInfl or UnknownView node, InvalidNode for every
+  /// other kind: the safe read when the kind is not known.
+  NodeId mintSite() const {
+    return Kind == NodeKind::ViewInfl || Kind == NodeKind::UnknownView
+               ? InflateSite
+               : InvalidNode;
+  }
+
+private:
+  /// 1 + the index of this node's location in its graph's side table, or
+  /// 0 for a kind that carries none.
+  uint32_t LocSlot = 0;
 };
 
-static_assert(sizeof(void *) != 8 || sizeof(Node) == 96,
-              "Node::RelSlot must fill padding, not grow the node");
+static_assert(sizeof(void *) != 8 || sizeof(Node) <= 48,
+              "a graph node must stay within 48 bytes (docs/MEMORY.md)");
 
 /// True for node kinds whose identity is a *value* propagated by flowsTo
 /// (views, activities, ids, ordinary allocations, class constants).
@@ -206,6 +226,14 @@ public:
   const Node &node(NodeId Id) const { return Nodes[Id]; }
   size_t size() const { return Nodes.size(); }
 
+  /// The site location of an Alloc, ViewAlloc, Op, UnknownView or
+  /// UnknownId node (for labels and diagnostics); an invalid location for
+  /// every other kind.
+  const SourceLocation &loc(NodeId Id) const {
+    uint32_t Slot = Nodes[Id].LocSlot;
+    return Slot ? Locs[Slot - 1] : NoLoc;
+  }
+
   /// All node ids of a given kind, in creation order (maintained
   /// incrementally; O(1) per query).
   const NodeList &nodesOfKind(NodeKind Kind) const {
@@ -235,6 +263,7 @@ public:
   /// dangling LNode pointers (label() and the XML-handler sweep both
   /// tolerate a null LNode).
   void neutralizeViewInflNode(NodeId Id) {
+    assert(Nodes[Id].Kind == NodeKind::ViewInfl && "LNode is ViewInfl-only");
     Nodes[Id].LNode = nullptr;
     Nodes[Id].Retired = true;
   }
@@ -340,7 +369,10 @@ public:
   void dumpStats(std::ostream &OS) const;
 
 private:
-  NodeId push(Node N);
+  NodeId push(const Node &N);
+  /// push() for a kind that carries a site location: \p Loc goes to the
+  /// side table.
+  NodeId pushWithLoc(Node N, const SourceLocation &Loc);
 
   static uint64_t edgeKey(NodeId From, NodeId To) {
     return (static_cast<uint64_t>(From) << 32) | To;
@@ -395,6 +427,10 @@ private:
   support::Arena EdgeArena;
 
   std::vector<Node> Nodes;
+  /// Site locations of the kinds that carry one, indexed by
+  /// Node::LocSlot - 1 (most nodes are variables, which have none).
+  std::vector<SourceLocation> Locs;
+  SourceLocation NoLoc;
   /// Node ids per NodeKind, in creation order.
   std::vector<NodeList> KindIndex = std::vector<NodeList>(NumNodeKinds);
 
@@ -461,11 +497,14 @@ private:
   uint64_t HierarchyRev = 1;
   mutable unsigned long DescCacheHits = 0;
   mutable unsigned long DescCacheMisses = 0;
-  /// Generation-stamped visited marks for the descendantsOf BFS: node N is
-  /// visited in the current traversal iff DescSeenStamp[N] == DescSeenGen.
-  /// Avoids one hash-set allocation per recompute.
-  mutable std::vector<uint32_t> DescSeenStamp;
+  /// Generation-stamped visited marks for the descendantsOf walk: node N
+  /// is visited in the current traversal iff its stamp equals
+  /// DescSeenGen. Keyed by node id, so it holds an entry per view ever
+  /// walked rather than a slot per graph node, and it is reused across
+  /// recomputes like the DescWork stack.
+  mutable support::FlatIdMap<uint32_t> DescSeenStamp;
   mutable uint32_t DescSeenGen = 0;
+  mutable std::vector<NodeId> DescWork;
 
   NodeList EmptyList;
 

@@ -58,7 +58,7 @@ gator::guimodel::runLint(const AnalysisResult &Result,
         Sol.resultsOf(Op, Result.Options.TrackViewIds,
                       Result.Options.TrackHierarchy,
                       Result.Options.FindView3ChildOnly);
-    SourceLocation Loc = G.node(Op.OpNode).Loc;
+    SourceLocation Loc = G.loc(Op.OpNode);
 
     if (Results.empty()) {
       report(LintKind::UnresolvedFind, Loc,
@@ -117,7 +117,7 @@ gator::guimodel::runLint(const AnalysisResult &Result,
     if (!C || !AM.isListenerClass(C))
       continue;
     if (!AssociatedListeners.count(A))
-      report(LintKind::DeadListener, G.node(A).Loc,
+      report(LintKind::DeadListener, G.loc(A),
              "listener '" + C->name() +
                  "' allocated but never registered on any view");
   }
@@ -129,7 +129,7 @@ gator::guimodel::runLint(const AnalysisResult &Result,
   for (NodeId V : G.nodesOfKind(NodeKind::ViewAlloc)) {
     if (AttachedViews.count(V))
       continue;
-    report(LintKind::OrphanView, G.node(V).Loc,
+    report(LintKind::OrphanView, G.loc(V),
            "view '" + G.node(V).Klass->name() +
                "' allocated but never attached to any hierarchy");
   }

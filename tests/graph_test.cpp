@@ -342,6 +342,121 @@ TEST_F(GraphTest, LabelsAreInformative) {
   EXPECT_EQ(Buf, "node A.fclassof A");
 }
 
+// Every kind's payload survives node-table growth. The union members of
+// Node are read only for the kinds that own them, and locations come from
+// the graph's side table; the expected values were first checked against
+// the 96-byte node, which kept every field and the location inline.
+TEST_F(GraphTest, EveryKindKeepsItsPayload) {
+  auto locOf = [&](NodeId Id) -> const SourceLocation & { return G.loc(Id); };
+  const ClassDecl *A = P.findClass("A");
+  const ClassDecl *Dotted = P.findClass("pkg.sub.Screen");
+  android::ListenerSpec Spec;
+  Spec.InterfaceName = "android.view.View.OnClickListener";
+  layout::LayoutNode WithId("Button", "ok");
+
+  NodeId Var = G.getVarNode(M, M->findVar("x"));
+  NodeId Field = G.getFieldNode(F);
+  NodeId LayoutId =
+      G.getLayoutIdNode(layout::ResourceTable::LayoutIdBase + 5);
+  NodeId ViewId = G.getViewIdNode(layout::ResourceTable::ViewIdBase + 9);
+  NodeId Act = G.getActivityNode(Dotted);
+  NodeId Cls = G.getClassConstNode(A);
+  NodeId Alloc = G.getAllocNode(M, 4, A, false, SourceLocation("a", 11, 2));
+  NodeId ViewAlloc =
+      G.getAllocNode(M, 7, Dotted, true, SourceLocation("b", 12, 3));
+  NodeId Op = G.makeOpNode(android::OpKind::SetListener,
+                           SourceLocation("c", 13, 4), &Spec,
+                           /*ChildOnly=*/true);
+  NodeId Infl = G.makeViewInflNode(Dotted, &WithId, Op);
+  NodeId InflNoNode = G.makeViewInflNode(A, nullptr, Op);
+  NodeId UView = G.makeUnknownViewNode(UnknownReason::MissingLayout, M,
+                                       SourceLocation("d", 14, 5), Op);
+  NodeId UId = G.makeUnknownIdNode(UnknownReason::DynamicId, M,
+                                   SourceLocation("e", 15, 6));
+
+  // Enough further nodes that the node table and the side table move.
+  for (int I = 0; I < 10000; ++I)
+    G.makeOpNode(android::OpKind::FindView1, SourceLocation("f", 16, 7));
+  ASSERT_EQ(G.size(), 10013u);
+
+  EXPECT_EQ(G.node(Var).Kind, NodeKind::Var);
+  EXPECT_EQ(G.node(Var).Method, M);
+  EXPECT_EQ(G.node(Var).Var, M->findVar("x"));
+  EXPECT_FALSE(locOf(Var).isValid());
+
+  EXPECT_EQ(G.node(Field).Kind, NodeKind::Field);
+  EXPECT_EQ(G.node(Field).Field, F);
+  EXPECT_EQ(G.node(Field).Method, nullptr);
+  EXPECT_EQ(G.node(Field).Klass, nullptr);
+
+  EXPECT_EQ(G.node(LayoutId).Kind, NodeKind::LayoutId);
+  EXPECT_EQ(G.node(LayoutId).Res, layout::ResourceTable::LayoutIdBase + 5);
+  EXPECT_EQ(G.node(ViewId).Kind, NodeKind::ViewId);
+  EXPECT_EQ(G.node(ViewId).Res, layout::ResourceTable::ViewIdBase + 9);
+
+  EXPECT_EQ(G.node(Act).Kind, NodeKind::Activity);
+  EXPECT_EQ(G.node(Act).Klass, Dotted);
+  EXPECT_EQ(G.node(Cls).Kind, NodeKind::ClassConst);
+  EXPECT_EQ(G.node(Cls).Klass, A);
+
+  EXPECT_EQ(G.node(Alloc).Kind, NodeKind::Alloc);
+  EXPECT_EQ(G.node(Alloc).Method, M);
+  EXPECT_EQ(G.node(Alloc).StmtIndex, 4);
+  EXPECT_EQ(G.node(Alloc).Klass, A);
+  EXPECT_EQ(locOf(Alloc), SourceLocation("a", 11, 2));
+  EXPECT_EQ(G.node(ViewAlloc).Kind, NodeKind::ViewAlloc);
+  EXPECT_EQ(G.node(ViewAlloc).Method, M);
+  EXPECT_EQ(G.node(ViewAlloc).StmtIndex, 7);
+  EXPECT_EQ(G.node(ViewAlloc).Klass, Dotted);
+  EXPECT_EQ(locOf(ViewAlloc), SourceLocation("b", 12, 3));
+
+  EXPECT_EQ(G.node(Op).Kind, NodeKind::Op);
+  EXPECT_EQ(G.node(Op).Op, android::OpKind::SetListener);
+  EXPECT_EQ(G.node(Op).Listener, &Spec);
+  EXPECT_TRUE(G.node(Op).ChildOnly);
+  EXPECT_EQ(locOf(Op), SourceLocation("c", 13, 4));
+  EXPECT_EQ(G.node(10012).Op, android::OpKind::FindView1);
+  EXPECT_EQ(G.node(10012).Listener, nullptr);
+  EXPECT_FALSE(G.node(10012).ChildOnly);
+  EXPECT_EQ(locOf(10012), SourceLocation("f", 16, 7));
+
+  EXPECT_EQ(G.node(Infl).Kind, NodeKind::ViewInfl);
+  EXPECT_EQ(G.node(Infl).Klass, Dotted);
+  EXPECT_EQ(G.node(Infl).LNode, &WithId);
+  EXPECT_EQ(G.node(Infl).InflateSite, Op);
+  EXPECT_FALSE(locOf(Infl).isValid());
+  EXPECT_EQ(G.node(InflNoNode).Klass, A);
+  EXPECT_EQ(G.node(InflNoNode).LNode, nullptr);
+  EXPECT_EQ(G.node(InflNoNode).InflateSite, Op);
+
+  EXPECT_EQ(G.node(UView).Kind, NodeKind::UnknownView);
+  EXPECT_EQ(G.node(UView).Unknown, UnknownReason::MissingLayout);
+  EXPECT_EQ(G.node(UView).Method, M);
+  EXPECT_EQ(G.node(UView).InflateSite, Op);
+  EXPECT_EQ(locOf(UView), SourceLocation("d", 14, 5));
+  EXPECT_EQ(G.node(UId).Kind, NodeKind::UnknownId);
+  EXPECT_EQ(G.node(UId).Unknown, UnknownReason::DynamicId);
+  EXPECT_EQ(G.node(UId).Method, M);
+  EXPECT_EQ(locOf(UId), SourceLocation("e", 15, 6));
+
+  for (NodeId Id : {Var, Field, LayoutId, ViewId, Act, Cls, Alloc, ViewAlloc,
+                    Op, Infl, InflNoNode, UView, UId})
+    EXPECT_FALSE(G.node(Id).Retired) << G.label(Id);
+  G.retireNode(UView);
+  EXPECT_TRUE(G.isRetired(UView));
+  EXPECT_EQ(G.node(UView).InflateSite, Op);
+  G.neutralizeViewInflNode(Infl);
+  EXPECT_EQ(G.node(Infl).LNode, nullptr);
+  EXPECT_EQ(G.node(Infl).Klass, Dotted);
+  EXPECT_EQ(G.node(Infl).InflateSite, Op);
+
+  // mintSite() reads InflateSite only for the kinds that own it.
+  EXPECT_EQ(G.node(Infl).mintSite(), Op);
+  EXPECT_EQ(G.node(UView).mintSite(), Op);
+  for (NodeId Id : {Var, LayoutId, Alloc, Op, UId})
+    EXPECT_EQ(G.node(Id).mintSite(), InvalidNode) << G.label(Id);
+}
+
 TEST_F(GraphTest, NodesOfKindFilters) {
   G.getVarNode(M, 0);
   G.getViewIdNode(1);
