@@ -42,9 +42,12 @@
 // fact provenance during the solve and prints the derivation tree of
 // every flow fact at nodes whose label contains <substr> (single-app
 // mode only). `--no-times` also suppresses wall-clock instruments from
-// the metrics export. In batch mode each task records into its own
-// thread-confined sink/registry; the driver merges them in input order,
-// so telemetry is deterministic across every -j value (timestamps aside).
+// the metrics export. Each app yields one result (its exit code, output
+// text and, when a cache, ledger or metrics flag asks for it, its
+// AppStats record); a batch task also records into its own trace sink.
+// The driver folds the results in input order into stdout/stderr, the
+// ledger and the metrics registry, so telemetry is deterministic across
+// every -j value (timestamps aside).
 //
 // Exit codes: 0 = complete run, 1 = degraded run (input diagnostics, or a
 // solution whose fidelity is not Complete — unknown-source degradation and
@@ -59,6 +62,7 @@
 #include "analysis/GuiAnalysis.h"
 #include "analysis/Incremental.h"
 #include "analysis/SolutionCache.h"
+#include "analysis/WideEvent.h"
 #include "android/Manifest.h"
 #include "corpus/AppBundle.h"
 #include "corpus/FleetReport.h"
@@ -72,7 +76,6 @@
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
-#include "support/WideEvent.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -189,18 +192,6 @@ struct CliConfig {
   std::string CacheDir; ///< --cache-dir: content-addressed solution cache
   std::string EditDir;  ///< --incremental-edit: edited copy of the app
   std::string LedgerFile; ///< --ledger-out: JSONL run ledger
-  /// Where per-app stats are recorded when --metrics-out is given. The
-  /// batch driver points each task's copy at a thread-confined registry.
-  support::MetricsRegistry *Metrics = nullptr;
-  /// When non-null, runOneAppUnguarded fills the cacheable outcome
-  /// (stats, precision row, flowset histogram) after a completed
-  /// analysis; the cache wrapper adds exit code and captured text.
-  analysis::CachedAnalysis *CacheCapture = nullptr;
-  /// When non-null (--ledger-out), the run fills this app's wide-event
-  /// record: counters from the completed analysis (or replayed from a
-  /// cache hit), the cache flag from the cache wrapper; identity and the
-  /// exit code are stamped by the driver. Null = ledger off = no cost.
-  support::WideEvent *Ledger = nullptr;
   analysis::AnalysisOptions Options;
 };
 
@@ -230,11 +221,12 @@ bool parseInputFile(const support::AppFile &F, corpus::AppBundle &App) {
 /// executes and its solution carries a fidelity marker. Returns 0 (clean),
 /// 1 (input diagnostics), or 2 (internal error).
 /// \p Out and \p Err receive what a serial run would write to stdout and
-/// stderr. The parallel batch driver passes per-task string buffers and
-/// merges them in input order, which is what makes batch output
-/// byte-identical for every job count.
+/// stderr. When \p Record is non-null, a completed analysis fills its
+/// AppStats (named Record->Stats.Name), precision row and flowset
+/// histogram; the caller adds the exit code and the text.
 int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
-                       std::ostream &Out, std::ostream &Err) {
+                       analysis::CachedAnalysis *Record, std::ostream &Out,
+                       std::ostream &Err) {
   const std::string InputDir = Inputs.Root.string();
   if (Inputs.ListError) {
     Err << "error: cannot read directory '" << InputDir
@@ -312,20 +304,13 @@ int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
   }
 
   auto M = Result->metrics();
-  if (Cfg.Metrics || Cfg.CacheCapture || Cfg.Ledger) {
-    analysis::AppStats Stats = analysis::collectAppStats(
-        fs::path(InputDir).filename().string(), App.Program, *Result);
-    if (Cfg.Metrics)
-      analysis::recordAppMetrics(*Cfg.Metrics, Stats, Result->Sol.get());
-    if (Cfg.Ledger)
-      analysis::fillWideEvent(*Cfg.Ledger, Stats);
-    if (Cfg.CacheCapture) {
-      Cfg.CacheCapture->Stats = std::move(Stats);
-      Cfg.CacheCapture->Precision = M;
-      analysis::captureFlowsetHistogram(
-          *Result->Sol, Cfg.CacheCapture->FlowHistCounts,
-          Cfg.CacheCapture->FlowHistSum, Cfg.CacheCapture->FlowHistCount);
-    }
+  if (Record) {
+    Record->Stats =
+        analysis::collectAppStats(Record->Stats.Name, App.Program, *Result);
+    Record->Precision = M;
+    analysis::captureFlowsetHistogram(*Result->Sol, Record->FlowHistCounts,
+                                      Record->FlowHistSum,
+                                      Record->FlowHistCount);
   }
 
   Out << "classes: " << App.Program.appClassCount()
@@ -480,9 +465,10 @@ int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
 /// internal error (exit 2) for that app, not a process abort — in batch
 /// mode the remaining apps still run.
 int runOneApp(support::AppInputs &Inputs, const CliConfig &Cfg,
-              std::ostream &Out, std::ostream &Err) {
+              analysis::CachedAnalysis *Record, std::ostream &Out,
+              std::ostream &Err) {
   try {
-    return runOneAppUnguarded(Inputs, Cfg, Out, Err);
+    return runOneAppUnguarded(Inputs, Cfg, Record, Out, Err);
   } catch (const std::exception &E) {
     Err << "internal error analyzing '" << Inputs.Root.string()
         << "': " << E.what() << "\n";
@@ -522,19 +508,37 @@ support::Hash128 cliCacheKey(const support::Hash128 &Content,
   return H.digest();
 }
 
+/// The ledger's name for the app at \p Dir: the last component of the
+/// normalized absolute path, so `corpus/APV/` and `corpus/APV/.` both
+/// name APV.
+std::string appName(const std::string &Dir) {
+  fs::path P = fs::absolute(Dir).lexically_normal();
+  if (!P.has_filename())
+    P = P.parent_path();
+  return P.filename().string();
+}
+
+/// One app's result: what a cold run produces and a cache hit reads back
+/// (Run.Stats is filled only when the run collects a record), plus the
+/// app's ledger identity.
+struct AppResult {
+  analysis::CachedAnalysis Run;
+  std::string ContentKey; ///< empty unless a cache or the ledger keyed it
+  const char *Cache = "off"; ///< the ledger's cache value
+};
+
 /// Analyzes the app directory \p InputDir: loads its inputs once, keys
 /// them when a cache or the ledger needs the content key, and runs
-/// runOneApp behind the solution cache. A hit replays the captured
-/// stdout/stderr text, exit code, and metrics contribution without
-/// parsing or solving anything; a miss runs cold, captures, and stores.
-/// A corrupt on-disk entry degrades to a cold run with a stderr warning —
-/// stdout and the exit code are identical to an uncached run. A load
-/// that is not complete (a file could not be read) bypasses the cache:
-/// its bytes are not the app's inputs, so it is never looked up or
-/// stored.
-int runAppDir(const std::string &InputDir, const CliConfig &Cfg,
-              analysis::SolutionCache *Cache, std::ostream &Out,
-              std::ostream &Err) {
+/// runOneApp behind the solution cache. A hit reads the cold run's result
+/// back without parsing or solving anything; a miss runs cold and stores
+/// the result. A corrupt on-disk entry degrades to a cold run with a
+/// stderr warning — stdout and the exit code are identical to an uncached
+/// run. A load that is not complete (a file could not be read) bypasses
+/// the cache: its bytes are not the app's inputs, so it is never looked
+/// up or stored.
+AppResult runAppDir(const std::string &InputDir, const CliConfig &Cfg,
+                    analysis::SolutionCache *Cache) {
+  AppResult R;
   support::AppInputs Inputs;
   {
     support::TraceSpan ReadSpan(Cfg.Options.Trace, "read");
@@ -544,50 +548,43 @@ int runAppDir(const std::string &InputDir, const CliConfig &Cfg,
   }
   const bool Cacheable = Cache && Inputs.complete();
   support::Hash128 Content;
-  if (Cacheable || Cfg.Ledger)
+  if (Cacheable || !Cfg.LedgerFile.empty()) {
     Content = analysis::hashAppDir(Inputs);
-  if (Cfg.Ledger)
-    Cfg.Ledger->ContentKey = Content.hex();
-  if (!Cacheable)
-    return runOneApp(Inputs, Cfg, Out, Err);
-
-  const support::Hash128 Key = cliCacheKey(Content, InputDir, Cfg);
-  analysis::CachedAnalysis Entry;
-  const analysis::SolutionCache::Outcome Found = Cache->lookup(Key, Entry);
-  if (Found == analysis::SolutionCache::Outcome::Hit) {
-    Out << Entry.OutText;
-    Err << Entry.ErrText;
-    if (Cfg.Metrics)
-      analysis::replayAppMetrics(*Cfg.Metrics, Entry);
-    if (Cfg.Ledger) {
-      // Replay the ledger record from the cached stats — same counters
-      // the cold run would have produced, marked as a hit.
-      analysis::fillWideEvent(*Cfg.Ledger, Entry.Stats);
-      Cfg.Ledger->Cache = "hit";
-    }
-    return Entry.ExitCode;
+    R.ContentKey = Content.hex();
   }
-  if (Found == analysis::SolutionCache::Outcome::Corrupt)
-    Err << "warning: corrupt cache entry for '" << InputDir
-        << "' ignored; re-analyzing\n";
-  if (Cfg.Ledger)
-    Cfg.Ledger->Cache = "miss";
+  std::ostringstream Out, Err;
+  std::string Warning;
+  support::Hash128 Key;
+  if (Cacheable) {
+    Key = cliCacheKey(Content, InputDir, Cfg);
+    analysis::CachedAnalysis Entry;
+    const analysis::SolutionCache::Outcome Found = Cache->lookup(Key, Entry);
+    if (Found == analysis::SolutionCache::Outcome::Hit) {
+      R.Run = std::move(Entry);
+      R.Cache = "hit";
+      return R;
+    }
+    if (Found == analysis::SolutionCache::Outcome::Corrupt)
+      Warning = "warning: corrupt cache entry for '" + InputDir +
+                "' ignored; re-analyzing\n";
+    R.Cache = "miss";
+  }
 
-  std::ostringstream CapOut, CapErr;
-  analysis::CachedAnalysis Fresh;
-  CliConfig RunCfg = Cfg;
-  RunCfg.CacheCapture = &Fresh;
-  const int Code = runOneApp(Inputs, RunCfg, CapOut, CapErr);
-  Fresh.ExitCode = Code;
-  Fresh.OutText = CapOut.str();
-  Fresh.ErrText = CapErr.str();
-  Out << Fresh.OutText;
-  Err << Fresh.ErrText;
-  // FlowHistCounts is filled (even if all-zero buckets) exactly when the
-  // analysis completed; early-exit error paths stay uncached.
-  if (!Fresh.FlowHistCounts.empty())
-    Cache->store(Key, Fresh);
-  return Code;
+  // Only the cache, the ledger and the metrics export read the record.
+  analysis::CachedAnalysis *Record = nullptr;
+  if (Cache || !Cfg.LedgerFile.empty() || !Cfg.MetricsFile.empty()) {
+    Record = &R.Run;
+    Record->Stats.Name = appName(InputDir);
+  }
+  R.Run.ExitCode = runOneApp(Inputs, Cfg, Record, Out, Err);
+  R.Run.OutText = std::move(Out).str();
+  R.Run.ErrText = std::move(Err).str();
+  // Only a completed analysis is stored; early-exit error paths stay
+  // uncached.
+  if (Cacheable && R.Run.analyzed())
+    Cache->store(Key, R.Run);
+  R.Run.ErrText.insert(0, Warning);
+  return R;
 }
 
 /// Builds \p App from loaded inputs for the incremental-edit path: the
@@ -623,9 +620,10 @@ bool loadBundle(const support::AppInputs &Inputs, corpus::AppBundle &App) {
 /// (docs/INCREMENTAL.md), then differentially verify the result against a
 /// from-scratch solve of the edited program. Unsupported edit shapes
 /// (class/method/field set changes, include-target layout edits) fall
-/// back to a plain full solve of the edited app.
+/// back to a plain full solve of the edited app, which fills \p Record
+/// when it is non-null.
 int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
-                       const CliConfig &Cfg) {
+                       const CliConfig &Cfg, analysis::CachedAnalysis *Record) {
   const support::AppInputs BaseInputs = support::loadAppDir(BaseDir);
   support::AppInputs EditInputs = support::loadAppDir(EditDir);
   corpus::AppBundle Base, Edited;
@@ -640,7 +638,7 @@ int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
     for (const std::string &Reason : Diff.Unsupported)
       std::cout << "unsupported edit: " << Reason << "\n";
     std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditInputs, Cfg, std::cout, std::cerr);
+    return runOneApp(EditInputs, Cfg, Record, std::cout, std::cerr);
   }
   std::cout << "edit diff: " << Diff.Methods.size() << " method(s), "
             << Diff.Layouts.size() << " layout(s)\n";
@@ -674,7 +672,7 @@ int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
     }
   if (!Applied) {
     std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditInputs, Cfg, std::cout, std::cerr);
+    return runOneApp(EditInputs, Cfg, Record, std::cout, std::cerr);
   }
 
   // Differential check: a from-scratch solve over the same (now grafted)
@@ -762,7 +760,7 @@ bool writeTelemetry(const CliConfig &Cfg, const support::TraceSink &Trace,
 /// flag, so `report --diff` can refuse ledgers measured under different
 /// analysis semantics. Returns false on an I/O failure.
 bool writeLedgerFile(const CliConfig &Cfg,
-                     const std::vector<support::WideEvent> &Events) {
+                     const std::vector<analysis::WideEvent> &Events) {
   if (Cfg.LedgerFile.empty())
     return true;
   std::ofstream OS(Cfg.LedgerFile);
@@ -770,10 +768,10 @@ bool writeLedgerFile(const CliConfig &Cfg,
     std::cerr << "error: cannot write " << Cfg.LedgerFile << "\n";
     return false;
   }
-  support::LedgerHeader H;
+  analysis::LedgerHeader H;
   H.OptionsDigest = analysis::hashAnalysisOptions(Cfg.Options).hex();
   H.NoTimes = Cfg.NoTimes;
-  support::writeLedger(OS, H, Events);
+  analysis::writeLedger(OS, H, Events);
   return true;
 }
 
@@ -848,8 +846,8 @@ int runReportMode(int argc, char **argv) {
 
   std::string Error;
   if (!Diff) {
-    support::Ledger L;
-    if (!support::readLedgerFile(Paths[0], L, Error)) {
+    analysis::Ledger L;
+    if (!analysis::readLedgerFile(Paths[0], L, Error)) {
       std::cerr << "error: cannot read ledger '" << Paths[0]
                 << "': " << Error << "\n";
       return 2;
@@ -862,13 +860,13 @@ int runReportMode(int argc, char **argv) {
     return 0;
   }
 
-  support::Ledger OldLedger, NewLedger;
-  if (!support::readLedgerFile(Paths[0], OldLedger, Error)) {
+  analysis::Ledger OldLedger, NewLedger;
+  if (!analysis::readLedgerFile(Paths[0], OldLedger, Error)) {
     std::cerr << "error: cannot read ledger '" << Paths[0] << "': " << Error
               << "\n";
     return 2;
   }
-  if (!support::readLedgerFile(Paths[1], NewLedger, Error)) {
+  if (!analysis::readLedgerFile(Paths[1], NewLedger, Error)) {
     std::cerr << "error: cannot read ledger '" << Paths[1] << "': " << Error
               << "\n";
     return 2;
@@ -1067,12 +1065,14 @@ int main(int argc, char **argv) {
   }
 
   // Invocation-wide telemetry (docs/OBSERVABILITY.md). In single-app mode
-  // the analysis records straight into these; in batch mode each task
-  // records into thread-confined instances merged below in input order.
+  // the analysis traces straight into this sink; in batch mode each task
+  // traces into its own sink, appended below in input order.
   const bool WantTrace = !Cfg.TraceFile.empty();
   const bool WantMetrics = !Cfg.MetricsFile.empty();
   support::TraceSink Trace;
   support::MetricsRegistry Metrics;
+  if (WantTrace)
+    Cfg.Options.Trace = &Trace;
 
   if (!Cfg.EditDir.empty()) {
     if (Cfg.Batch) {
@@ -1087,11 +1087,11 @@ int main(int argc, char **argv) {
                    "--incremental-edit\n";
       return 2;
     }
-    if (WantTrace)
-      Cfg.Options.Trace = &Trace;
-    if (WantMetrics)
-      Cfg.Metrics = &Metrics;
-    int Code = runIncrementalEdit(InputDir, Cfg.EditDir, Cfg);
+    analysis::CachedAnalysis Record;
+    int Code = runIncrementalEdit(InputDir, Cfg.EditDir, Cfg,
+                                  WantMetrics ? &Record : nullptr);
+    if (Record.analyzed())
+      analysis::recordAppMetrics(Metrics, Record);
     if (!writeTelemetry(Cfg, Trace, Metrics))
       return 2;
     return Code;
@@ -1111,133 +1111,106 @@ int main(int argc, char **argv) {
       Cache = std::make_unique<analysis::SolutionCache>(Cfg.CacheDir);
   }
 
-  if (!Cfg.Batch) {
-    if (WantTrace)
-      Cfg.Options.Trace = &Trace;
-    if (WantMetrics)
-      Cfg.Metrics = &Metrics;
-    support::WideEvent Event;
-    if (!Cfg.LedgerFile.empty())
-      Cfg.Ledger = &Event;
-    // The report is rendered into one buffer and written once, like
-    // each app's report in batch mode.
-    std::ostringstream Report;
-    int Code = runAppDir(InputDir, Cfg, Cache.get(), Report, std::cerr);
-    std::cout << Report.view();
-    if (Cache && WantMetrics)
-      Cache->recordMetrics(Metrics);
-    if (Cfg.Ledger) {
-      Event.App = fs::path(InputDir).filename().string();
-      Event.ExitCode = Code;
-      if (!writeLedgerFile(Cfg, {Event}))
-        return 2;
-    }
-    if (!writeTelemetry(Cfg, Trace, Metrics))
-      return 2;
-    return Code;
-  }
-
-  unsigned Jobs = support::resolveJobs(Cfg.Options.Jobs);
-  if (Jobs > 1 && (!Cfg.JsonFile.empty() || !Cfg.DotFile.empty())) {
-    // Every app would race on the same output file; there is no sensible
-    // merged artifact, so reject rather than corrupt.
-    std::cerr << "error: --json/--dot write one fixed file per app and "
-                 "cannot be combined with --batch -j > 1\n";
-    return 2;
-  }
-
-  // Batch mode: every immediate subdirectory is one app; the process exit
-  // code is the worst per-app code.
+  // Single-app mode is a batch of one app, run on this thread.
+  std::vector<AppResult> Results;
   std::vector<fs::path> AppDirs;
-  std::error_code EC;
-  for (const auto &Entry : fs::directory_iterator(InputDir, EC))
-    if (Entry.is_directory())
-      AppDirs.push_back(Entry.path());
-  if (EC) {
-    std::cerr << "error: cannot read directory '" << InputDir
-              << "': " << EC.message() << "\n";
-    return 1;
+  if (!Cfg.Batch) {
+    Results.push_back(runAppDir(InputDir, Cfg, Cache.get()));
+  } else {
+    unsigned Jobs = support::resolveJobs(Cfg.Options.Jobs);
+    if (Jobs > 1 && (!Cfg.JsonFile.empty() || !Cfg.DotFile.empty())) {
+      // Every app would race on the same output file; there is no
+      // sensible merged artifact, so reject rather than corrupt.
+      std::cerr << "error: --json/--dot write one fixed file per app and "
+                   "cannot be combined with --batch -j > 1\n";
+      return 2;
+    }
+
+    // Every immediate subdirectory is one app.
+    std::error_code EC;
+    for (const auto &Entry : fs::directory_iterator(InputDir, EC))
+      if (Entry.is_directory())
+        AppDirs.push_back(Entry.path());
+    if (EC) {
+      std::cerr << "error: cannot read directory '" << InputDir
+                << "': " << EC.message() << "\n";
+      return 1;
+    }
+    if (AppDirs.empty()) {
+      std::cerr << "error: no app subdirectories under '" << InputDir
+                << "'\n";
+      return 1;
+    }
+    std::sort(AppDirs.begin(), AppDirs.end());
+
+    // One wall-clock deadline for the whole batch, per-app caps per task
+    // (docs/ROBUSTNESS.md, "Batch deadline semantics").
+    CliConfig TaskCfg = Cfg;
+    TaskCfg.Options.Budget.SharedDeadline =
+        support::makeSharedDeadline(Cfg.Options.Budget.MaxWallSeconds);
+
+    // Fan one thread-confined task per app over the pool; each task
+    // returns its result and its own trace sink.
+    struct Task {
+      AppResult Result;
+      std::unique_ptr<support::TraceSink> Trace;
+    };
+    std::vector<Task> Tasks = support::parallelMap<Task>(
+        Cfg.Options.Jobs, AppDirs.size(), [&](size_t I) {
+          Task T;
+          CliConfig AppCfg = TaskCfg;
+          if (WantTrace) {
+            T.Trace = std::make_unique<support::TraceSink>();
+            AppCfg.Options.Trace = T.Trace.get();
+          }
+          {
+            support::TraceSpan AppSpan(AppCfg.Options.Trace, "analyze-app");
+            AppSpan.arg("index", I);
+            T.Result = runAppDir(AppDirs[I].string(), AppCfg, Cache.get());
+          }
+          return T;
+        });
+    // Trace lanes append in input order (tid = 1 + app ordinal).
+    for (size_t I = 0; I < Tasks.size(); ++I) {
+      if (Tasks[I].Trace)
+        Trace.append(std::move(*Tasks[I].Trace), static_cast<uint32_t>(I + 1));
+      Results.push_back(std::move(Tasks[I].Result));
+    }
   }
-  if (AppDirs.empty()) {
-    std::cerr << "error: no app subdirectories under '" << InputDir << "'\n";
-    return 1;
-  }
-  std::sort(AppDirs.begin(), AppDirs.end());
 
-  // One wall-clock deadline for the whole batch, per-app caps per task
-  // (docs/ROBUSTNESS.md, "Batch deadline semantics").
-  CliConfig TaskCfg = Cfg;
-  TaskCfg.Options.Budget.SharedDeadline =
-      support::makeSharedDeadline(Cfg.Options.Budget.MaxWallSeconds);
-
-  // Fan one thread-confined task per app over the pool; each task writes
-  // into its own buffers, and the merge below emits them in input order,
-  // so stdout and stderr are byte-identical for every -j value.
-  struct AppRecord {
-    std::string OutText, ErrText;
-    int Code = 0;
-    std::unique_ptr<support::TraceSink> Trace;
-    support::MetricsRegistry Metrics;
-    support::WideEvent Event; ///< --ledger-out record (unused otherwise)
-  };
-  const bool WantLedger = !Cfg.LedgerFile.empty();
-  std::vector<AppRecord> Records = support::parallelMap<AppRecord>(
-      Cfg.Options.Jobs, AppDirs.size(), [&](size_t I) {
-        AppRecord R;
-        std::ostringstream Out, Err;
-        CliConfig AppCfg = TaskCfg;
-        if (WantTrace) {
-          R.Trace = std::make_unique<support::TraceSink>();
-          AppCfg.Options.Trace = R.Trace.get();
-        }
-        if (WantMetrics)
-          AppCfg.Metrics = &R.Metrics;
-        if (WantLedger)
-          AppCfg.Ledger = &R.Event;
-        {
-          support::TraceSpan AppSpan(AppCfg.Options.Trace, "analyze-app");
-          AppSpan.arg("index", I);
-          R.Code = runAppDir(AppDirs[I].string(), AppCfg, Cache.get(), Out,
-                             Err);
-        }
-        if (WantLedger) {
-          R.Event.Index = I;
-          R.Event.App = AppDirs[I].filename().string();
-          R.Event.ExitCode = R.Code;
-        }
-        R.OutText = Out.str();
-        R.ErrText = Err.str();
-        return R;
-      });
-
-  // Ordered merge: stdout/stderr, trace lanes (tid = 1 + app ordinal),
-  // and metrics registries all fold in input order, so every output of a
-  // batch run is independent of -j (timestamps aside).
+  // The ordered fold: stdout/stderr, the metrics registry and the ledger
+  // take the results in input order, so every output of a batch run is
+  // independent of -j (timestamps aside). The process exit code is the
+  // worst per-app code.
   int Worst = 0;
-  for (size_t I = 0; I < Records.size(); ++I) {
-    std::cout << "=== app: " << AppDirs[I].filename().string() << " ===\n"
-              << Records[I].OutText << "=== exit: " << Records[I].Code
-              << " ===\n";
-    std::cerr << Records[I].ErrText;
-    if (Records[I].Trace)
-      Trace.append(std::move(*Records[I].Trace),
-                   static_cast<uint32_t>(I + 1));
-    if (WantMetrics)
-      Metrics.mergeFrom(Records[I].Metrics);
-    Worst = std::max(Worst, Records[I].Code);
+  std::vector<analysis::WideEvent> Events;
+  for (size_t I = 0; I < Results.size(); ++I) {
+    AppResult &R = Results[I];
+    if (Cfg.Batch) {
+      std::cout << "=== app: " << AppDirs[I].filename().string() << " ===\n"
+                << R.Run.OutText << "=== exit: " << R.Run.ExitCode
+                << " ===\n";
+      std::cerr << R.Run.ErrText;
+    } else {
+      std::cerr << R.Run.ErrText;
+      std::cout << R.Run.OutText;
+    }
+    if (WantMetrics && R.Run.analyzed())
+      analysis::recordAppMetrics(Metrics, R.Run);
+    if (!Cfg.LedgerFile.empty()) {
+      analysis::WideEvent &E = Events.emplace_back();
+      E.Index = I;
+      E.ContentKey = std::move(R.ContentKey);
+      E.ExitCode = R.Run.ExitCode;
+      E.Cache = R.Cache;
+      E.Stats = std::move(R.Run.Stats);
+    }
+    Worst = std::max(Worst, R.Run.ExitCode);
   }
   if (Cache && WantMetrics)
     Cache->recordMetrics(Metrics);
-  if (WantLedger) {
-    // Same ordered merge as stdout/metrics: events fold in input order,
-    // so the ledger is byte-identical at every -j value.
-    std::vector<support::WideEvent> Events;
-    Events.reserve(Records.size());
-    for (AppRecord &R : Records)
-      Events.push_back(std::move(R.Event));
-    if (!writeLedgerFile(Cfg, Events))
-      Worst = std::max(Worst, 2);
-  }
+  if (!writeLedgerFile(Cfg, Events))
+    Worst = std::max(Worst, 2);
   if (!writeTelemetry(Cfg, Trace, Metrics))
     Worst = std::max(Worst, 2);
   return Worst;

@@ -3,10 +3,10 @@
 #include "analysis/AppStats.h"
 
 #include "support/Metrics.h"
-#include "support/WideEvent.h"
 
 #include <algorithm>
 #include <iomanip>
+#include <type_traits>
 
 using namespace gator;
 using namespace gator::analysis;
@@ -128,70 +128,62 @@ AppStats gator::analysis::collectAppStats(const std::string &Name,
   return Stats;
 }
 
+namespace {
+
+/// Folds \p V into \p Acc by \p Merge; arrays fold slot by slot.
+template <typename T>
+void mergeField(FieldMerge Merge, T &Acc, const T &V) {
+  if constexpr (std::is_array_v<T>) {
+    for (size_t I = 0; I < std::extent_v<T>; ++I)
+      mergeField(Merge, Acc[I], V[I]);
+  } else if constexpr (std::is_enum_v<T>) {
+    Acc = std::max(Acc, V);
+  } else if (Merge == FieldMerge::Max) {
+    Acc = std::max(Acc, V);
+  } else {
+    Acc += V;
+  }
+}
+
+/// Canonical gator_flowset_size bounds.
+const std::vector<uint64_t> &flowsetBounds() {
+  static const std::vector<uint64_t> Bounds{1,  2,   4,   8,   16,  32,
+                                            64, 128, 256, 512, 1024};
+  return Bounds;
+}
+
+} // namespace
+
 AppStats
 gator::analysis::aggregateAppStats(const std::string &Name,
                                    const std::vector<AppStats> &PerApp) {
   AppStats Total;
   Total.Name = Name;
-  for (const AppStats &S : PerApp) {
-    Total.Classes += S.Classes;
-    Total.Methods += S.Methods;
-    Total.LayoutIds += S.LayoutIds;
-    Total.ViewIds += S.ViewIds;
-    Total.InflViews += S.InflViews;
-    Total.AllocViews += S.AllocViews;
-    Total.Listeners += S.Listeners;
-    Total.OpInflate += S.OpInflate;
-    Total.OpFindView += S.OpFindView;
-    Total.OpAddView += S.OpAddView;
-    Total.OpSetListener += S.OpSetListener;
-    Total.OpSetId += S.OpSetId;
-    Total.Propagations += S.Propagations;
-    Total.OpFirings += S.OpFirings;
-    Total.ValuesPushed += S.ValuesPushed;
-    Total.DedupHits += S.DedupHits;
-    Total.PeakSetSize = std::max(Total.PeakSetSize, S.PeakSetSize);
-    Total.PromotedSets += S.PromotedSets;
-    Total.DescCacheHits += S.DescCacheHits;
-    Total.DescCacheMisses += S.DescCacheMisses;
-    Total.HierarchyRevisions += S.HierarchyRevisions;
-    // Fidelity degrades monotonically along the enum; the worst app wins.
-    if (S.SolutionFidelity > Total.SolutionFidelity)
-      Total.SolutionFidelity = S.SolutionFidelity;
-    Total.UnresolvedOps += S.UnresolvedOps;
-    Total.WorkCharged += S.WorkCharged;
-    Total.UnknownViews += S.UnknownViews;
-    Total.UnknownIds += S.UnknownIds;
-    for (size_t R = 0; R < graph::NumUnknownReasons; ++R)
-      Total.UnknownByReason[R] += S.UnknownByReason[R];
-
-    Total.GraphNodes += S.GraphNodes;
-    Total.FlowEdges += S.FlowEdges;
-    Total.ParentChildEdges += S.ParentChildEdges;
-    // Peaks are point measurements like PeakSetSize: max, never sum.
-    Total.PeakVarWorklist = std::max(Total.PeakVarWorklist,
-                                     S.PeakVarWorklist);
-    Total.PeakOpWorklist = std::max(Total.PeakOpWorklist, S.PeakOpWorklist);
-    for (size_t K = 0; K < android::NumOpKinds; ++K) {
-      Total.FiringsByKind[K] += S.FiringsByKind[K];
-      Total.SitesByKind[K] += S.SitesByKind[K];
-      Total.ResolvedSitesByKind[K] += S.ResolvedSitesByKind[K];
-    }
-    Total.BuildSeconds += S.BuildSeconds;
-    Total.SolveSeconds += S.SolveSeconds;
-    // Footprints, not volumes: slabs are dropped between apps, so the
-    // batch-wide number is the largest single-app footprint.
-    Total.ArenaBytes = std::max(Total.ArenaBytes, S.ArenaBytes);
-    Total.PeakRssBytes = std::max(Total.PeakRssBytes, S.PeakRssBytes);
-  }
+  for (const AppStats &S : PerApp)
+    forEachAppStatsField(
+        [](const AppStatsField &F, auto &Acc, const auto &V) {
+          mergeField(F.Merge, Acc, V);
+        },
+        Total, S);
   return Total;
 }
 
+void gator::analysis::captureFlowsetHistogram(const Solution &Sol,
+                                              std::vector<uint64_t> &Counts,
+                                              uint64_t &Sum, uint64_t &Count) {
+  support::Histogram H(flowsetBounds());
+  for (const FlowSet &Set : Sol.flowsToSets())
+    if (!Set.empty())
+      H.observe(Set.size());
+  Counts = H.bucketCounts();
+  Sum = H.sum();
+  Count = H.count();
+}
+
 void gator::analysis::recordAppMetrics(support::MetricsRegistry &Metrics,
-                                       const AppStats &Stats,
-                                       const Solution *Sol) {
-  using support::Gauge;
+                                       const CachedAnalysis &Result) {
   using support::MetricUnit;
+  const AppStats &Stats = Result.Stats;
 
   Metrics.counter("gator_apps_total", "Applications analyzed").inc();
   Metrics
@@ -263,22 +255,22 @@ void gator::analysis::recordAppMetrics(support::MetricsRegistry &Metrics,
   Metrics
       .gauge("gator_arena_bytes_per_app",
              "Largest single-app arena footprint (IR + graph + flow sets)",
-             Gauge::Merge::Max, MetricUnit::Bytes)
+             MetricUnit::Bytes)
       .setMax(static_cast<double>(Stats.ArenaBytes));
   if (Stats.PeakRssBytes)
     Metrics
         .gauge("gator_peak_rss_bytes",
                "Process peak resident set size (high-water mark)",
-               Gauge::Merge::Max, MetricUnit::BytesVolatile)
+               MetricUnit::BytesVolatile)
         .setMax(static_cast<double>(Stats.PeakRssBytes));
 
   Metrics
       .gauge("gator_phase_build_seconds", "Graph construction wall-clock",
-             Gauge::Merge::Sum, MetricUnit::Seconds)
+             MetricUnit::Seconds)
       .add(Stats.BuildSeconds);
   Metrics
       .gauge("gator_phase_solve_seconds", "Fixpoint wall-clock",
-             Gauge::Merge::Sum, MetricUnit::Seconds)
+             MetricUnit::Seconds)
       .add(Stats.SolveSeconds);
 
   for (size_t K = 0; K < android::NumOpKinds; ++K) {
@@ -301,14 +293,10 @@ void gator::analysis::recordAppMetrics(support::MetricsRegistry &Metrics,
     }
   }
 
-  if (Sol) {
-    support::Histogram &H = Metrics.histogram(
-        "gator_flowset_size", "Sizes of nonempty flowsTo sets",
-        {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-    for (const FlowSet &Set : Sol->flowsToSets())
-      if (!Set.empty())
-        H.observe(Set.size());
-  }
+  Metrics
+      .histogram("gator_flowset_size", "Sizes of nonempty flowsTo sets",
+                 flowsetBounds())
+      .addRaw(Result.FlowHistCounts, Result.FlowHistSum, Result.FlowHistCount);
 }
 
 void gator::analysis::printAppStatsHeader(std::ostream &OS) {
@@ -351,39 +339,4 @@ void gator::analysis::printSolverStatsRow(std::ostream &OS,
      << S.HierarchyRevisions << std::setw(18)
      << fidelityName(S.SolutionFidelity) << std::setw(11) << S.UnresolvedOps
      << '\n';
-}
-
-void gator::analysis::fillWideEvent(support::WideEvent &Event,
-                                    const AppStats &Stats) {
-  Event.App = Stats.Name;
-  Event.Fidelity = fidelityName(Stats.SolutionFidelity);
-  Event.Classes = Stats.Classes;
-  Event.Methods = Stats.Methods;
-  Event.LayoutIds = Stats.LayoutIds;
-  Event.ViewIds = Stats.ViewIds;
-  Event.InflViews = Stats.InflViews;
-  Event.AllocViews = Stats.AllocViews;
-  Event.Listeners = Stats.Listeners;
-  Event.GraphNodes = Stats.GraphNodes;
-  Event.FlowEdges = Stats.FlowEdges;
-  Event.ParentChildEdges = Stats.ParentChildEdges;
-  Event.Propagations = Stats.Propagations;
-  Event.OpFirings = Stats.OpFirings;
-  Event.ValuesPushed = Stats.ValuesPushed;
-  Event.DedupHits = Stats.DedupHits;
-  Event.PeakSetSize = Stats.PeakSetSize;
-  Event.UnresolvedOps = Stats.UnresolvedOps;
-  Event.WorkCharged = Stats.WorkCharged;
-  Event.UnknownViews = Stats.UnknownViews;
-  Event.UnknownIds = Stats.UnknownIds;
-  Event.UnknownByReason.clear();
-  for (size_t R = 1; R < graph::NumUnknownReasons; ++R)
-    if (Stats.UnknownByReason[R])
-      Event.UnknownByReason.emplace_back(
-          graph::unknownReasonSlug(static_cast<graph::UnknownReason>(R)),
-          Stats.UnknownByReason[R]);
-  Event.ArenaBytes = Stats.ArenaBytes;
-  Event.BuildSeconds = Stats.BuildSeconds;
-  Event.SolveSeconds = Stats.SolveSeconds;
-  Event.PeakRssBytes = Stats.PeakRssBytes;
 }

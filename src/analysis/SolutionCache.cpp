@@ -13,6 +13,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <type_traits>
 
 using namespace gator;
 using namespace gator::analysis;
@@ -26,13 +28,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char Magic[4] = {'G', 'S', 'C', '1'};
-
-/// Canonical gator_flowset_size bounds — must match recordAppMetrics.
-const std::vector<uint64_t> &flowsetBounds() {
-  static const std::vector<uint64_t> Bounds{1,  2,   4,   8,   16,  32,
-                                            64, 128, 256, 512, 1024};
-  return Bounds;
-}
 
 void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
 
@@ -152,96 +147,37 @@ struct Cursor {
   }
 };
 
-void writeStats(std::string &B, const AppStats &S) {
-  putStr(B, S.Name);
-  putU32(B, S.Classes);
-  putU32(B, S.Methods);
-  putU32(B, S.LayoutIds);
-  putU32(B, S.ViewIds);
-  putU32(B, S.InflViews);
-  putU32(B, S.AllocViews);
-  putU32(B, S.Listeners);
-  putU32(B, S.OpInflate);
-  putU32(B, S.OpFindView);
-  putU32(B, S.OpAddView);
-  putU32(B, S.OpSetListener);
-  putU32(B, S.OpSetId);
-  putU64(B, S.Propagations);
-  putU64(B, S.OpFirings);
-  putU64(B, S.ValuesPushed);
-  putU64(B, S.DedupHits);
-  putU64(B, S.PeakSetSize);
-  putU64(B, S.PromotedSets);
-  putU64(B, S.DescCacheHits);
-  putU64(B, S.DescCacheMisses);
-  putU64(B, S.HierarchyRevisions);
-  putU8(B, static_cast<uint8_t>(S.SolutionFidelity));
-  putU64(B, S.UnresolvedOps);
-  putU64(B, S.WorkCharged);
-  putU64(B, S.UnknownViews);
-  putU64(B, S.UnknownIds);
-  putU64Span(B, S.UnknownByReason, graph::NumUnknownReasons);
-  putU64(B, S.GraphNodes);
-  putU64(B, S.FlowEdges);
-  putU64(B, S.ParentChildEdges);
-  putU64(B, S.PeakVarWorklist);
-  putU64(B, S.PeakOpWorklist);
-  putU64Span(B, S.FiringsByKind, android::NumOpKinds);
-  putU64Span(B, S.SitesByKind, android::NumOpKinds);
-  putU64Span(B, S.ResolvedSitesByKind, android::NumOpKinds);
-  putF64(B, S.BuildSeconds);
-  putF64(B, S.SolveSeconds);
-  putU64(B, S.ArenaBytes);
-  putU64(B, S.PeakRssBytes);
+/// Writes one field of the record: integers as u64, doubles as their bits,
+/// the fidelity as a byte, arrays as a length-prefixed span.
+template <typename T> void putField(std::string &B, const T &V) {
+  if constexpr (std::is_array_v<T>)
+    putU64Span(B, V, std::extent_v<T>);
+  else if constexpr (std::is_same_v<T, double>)
+    putF64(B, V);
+  else if constexpr (std::is_same_v<T, Fidelity>)
+    putU8(B, static_cast<uint8_t>(V));
+  else
+    putU64(B, V);
 }
 
-bool readStats(Cursor &C, AppStats &S) {
-  if (!C.str(S.Name))
-    return false;
-  S.Classes = C.u32();
-  S.Methods = C.u32();
-  S.LayoutIds = C.u32();
-  S.ViewIds = C.u32();
-  S.InflViews = C.u32();
-  S.AllocViews = C.u32();
-  S.Listeners = C.u32();
-  S.OpInflate = C.u32();
-  S.OpFindView = C.u32();
-  S.OpAddView = C.u32();
-  S.OpSetListener = C.u32();
-  S.OpSetId = C.u32();
-  S.Propagations = C.u64();
-  S.OpFirings = C.u64();
-  S.ValuesPushed = C.u64();
-  S.DedupHits = C.u64();
-  S.PeakSetSize = C.u64();
-  S.PromotedSets = C.u64();
-  S.DescCacheHits = C.u64();
-  S.DescCacheMisses = C.u64();
-  S.HierarchyRevisions = C.u64();
-  uint8_t Fid = C.u8();
-  if (Fid > static_cast<uint8_t>(Fidelity::TruncatedBudget))
-    return false;
-  S.SolutionFidelity = static_cast<Fidelity>(Fid);
-  S.UnresolvedOps = C.u64();
-  S.WorkCharged = C.u64();
-  S.UnknownViews = C.u64();
-  S.UnknownIds = C.u64();
-  if (!C.span(S.UnknownByReason, graph::NumUnknownReasons))
-    return false;
-  S.GraphNodes = C.u64();
-  S.FlowEdges = C.u64();
-  S.ParentChildEdges = C.u64();
-  S.PeakVarWorklist = C.u64();
-  S.PeakOpWorklist = C.u64();
-  if (!C.span(S.FiringsByKind, android::NumOpKinds) ||
-      !C.span(S.SitesByKind, android::NumOpKinds) ||
-      !C.span(S.ResolvedSitesByKind, android::NumOpKinds))
-    return false;
-  S.BuildSeconds = C.f64();
-  S.SolveSeconds = C.f64();
-  S.ArenaBytes = C.u64();
-  S.PeakRssBytes = C.u64();
+/// Reads one field written by putField; false on a value the field's type
+/// cannot hold.
+template <typename T> bool getField(Cursor &C, T &V) {
+  if constexpr (std::is_array_v<T>) {
+    return C.span(V, std::extent_v<T>);
+  } else if constexpr (std::is_same_v<T, double>) {
+    V = C.f64();
+  } else if constexpr (std::is_same_v<T, Fidelity>) {
+    uint8_t Fid = C.u8();
+    if (Fid > static_cast<uint8_t>(Fidelity::TruncatedBudget))
+      return false;
+    V = static_cast<Fidelity>(Fid);
+  } else {
+    uint64_t X = C.u64();
+    if (X > std::numeric_limits<T>::max())
+      return false;
+    V = static_cast<T>(X);
+  }
   return !C.Fail;
 }
 
@@ -252,7 +188,12 @@ void SolutionCache::serialize(const CachedAnalysis &Entry, std::string &Bytes) {
   putU32(Payload, static_cast<uint32_t>(Entry.ExitCode));
   putStr(Payload, Entry.OutText);
   putStr(Payload, Entry.ErrText);
-  writeStats(Payload, Entry.Stats);
+  putStr(Payload, Entry.Stats.Name);
+  forEachAppStatsField(
+      [&Payload](const AppStatsField &, const auto &V) {
+        putField(Payload, V);
+      },
+      Entry.Stats);
   putF64(Payload, Entry.Precision.AvgReceivers);
   auto PutOpt = [&Payload](const std::optional<double> &V) {
     putU8(Payload, V.has_value());
@@ -295,7 +236,11 @@ bool SolutionCache::deserialize(std::string_view Bytes, CachedAnalysis &Out) {
   Out.ExitCode = static_cast<int32_t>(C.u32());
   if (!C.str(Out.OutText) || !C.str(Out.ErrText))
     return false;
-  if (!readStats(C, Out.Stats))
+  bool Ok = C.str(Out.Stats.Name);
+  forEachAppStatsField(
+      [&](const AppStatsField &, auto &V) { Ok = Ok && getField(C, V); },
+      Out.Stats);
+  if (!Ok)
     return false;
   Out.Precision.AvgReceivers = C.f64();
   auto GetOpt = [&C](std::optional<double> &V) {
@@ -382,7 +327,7 @@ void SolutionCache::store(const support::Hash128 &Key,
 void SolutionCache::recordMetrics(support::MetricsRegistry &Metrics) const {
   Metrics
       .counter("gator_cache_hits_total",
-               "Solution-cache lookups served from memory or disk")
+               "Solution-cache lookups served from the disk cache")
       .add(hits());
   Metrics
       .counter("gator_cache_misses_total",
@@ -464,29 +409,4 @@ bool gator::analysis::cacheEligible(const AnalysisOptions &Options) {
   const support::BudgetPolicy &B = Options.Budget;
   return B.MaxWallSeconds <= 0 && !B.SharedDeadline.has_value() &&
          B.CancelFlag == nullptr;
-}
-
-//===----------------------------------------------------------------------===//
-// Metrics capture / replay
-//===----------------------------------------------------------------------===//
-
-void gator::analysis::captureFlowsetHistogram(const Solution &Sol,
-                                              std::vector<uint64_t> &Counts,
-                                              uint64_t &Sum, uint64_t &Count) {
-  support::Histogram H(flowsetBounds());
-  for (const FlowSet &Set : Sol.flowsToSets())
-    if (!Set.empty())
-      H.observe(Set.size());
-  Counts = H.bucketCounts();
-  Sum = H.sum();
-  Count = H.count();
-}
-
-void gator::analysis::replayAppMetrics(support::MetricsRegistry &Metrics,
-                                       const CachedAnalysis &Entry) {
-  recordAppMetrics(Metrics, Entry.Stats, nullptr);
-  support::Histogram &H =
-      Metrics.histogram("gator_flowset_size", "Sizes of nonempty flowsTo sets",
-                        flowsetBounds());
-  H.addRaw(Entry.FlowHistCounts, Entry.FlowHistSum, Entry.FlowHistCount);
 }

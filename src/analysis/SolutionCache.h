@@ -19,11 +19,11 @@
 /// *misses, never errors* — the caller falls back to a full solve and the
 /// poisoned entry is counted.
 ///
-/// What a cached entry stores is the externally observable outcome of a
-/// run: the exit code, the captured stdout/stderr text, the AppStats row,
-/// and the raw gator_flowset_size histogram contribution (the only
-/// metrics signal recordAppMetrics derives from the Solution itself, so
-/// it must be replayed from raw buckets on a hit).
+/// An entry is one app's CachedAnalysis (AppStats.h), the same result a
+/// cold run produces: the exit code, the captured stdout/stderr text, the
+/// AppStats record, the Table 2 precision row, and the raw
+/// gator_flowset_size histogram buckets, from which recordAppMetrics
+/// folds a hit into the metrics export exactly as the cold run's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,29 +46,6 @@
 namespace gator {
 namespace analysis {
 
-/// The externally observable outcome of one app analysis, as cached.
-struct CachedAnalysis {
-  int ExitCode = 0;
-  /// Captured stdout/stderr text of the run (produced under the same
-  /// options the key hashes, so replaying it verbatim is sound).
-  std::string OutText;
-  std::string ErrText;
-  /// The Table-1 row plus solver/fidelity telemetry — everything
-  /// recordAppMetrics needs except the Solution.
-  AppStats Stats;
-  /// The Table-2 precision row (Solution::computeMetrics under the keyed
-  /// options), so corpus drivers can replay their summary tables without
-  /// a Solution.
-  Solution::PrecisionMetrics Precision;
-  /// Raw gator_flowset_size contribution of this app: bucket counts
-  /// (including the overflow slot), sum, and observation count, captured
-  /// with captureFlowsetHistogram at store time and folded back with
-  /// Histogram::addRaw on a hit.
-  std::vector<uint64_t> FlowHistCounts;
-  uint64_t FlowHistSum = 0;
-  uint64_t FlowHistCount = 0;
-};
-
 /// Disk-backed content-addressed cache. Thread-safe: batch tasks share
 /// one instance; every entry is its own file, and counters are atomics so
 /// recordMetrics can run after a parallel sweep without synchronization.
@@ -76,7 +53,9 @@ class SolutionCache {
 public:
   /// On-disk format version; bumped on any layout change so stale
   /// artifacts from older binaries read as version-skewed (a miss).
-  static constexpr uint32_t FormatVersion = 1;
+  /// Version 2: the AppStats record is written in the order of
+  /// GATOR_APP_STATS_FIELDS, every integer as a u64.
+  static constexpr uint32_t FormatVersion = 2;
 
   enum class Outcome {
     Hit,     ///< found on disk, checksum verified
@@ -160,19 +139,6 @@ support::Hash128 cacheKeyFor(const std::string &Dir,
 /// arbitrary point, and a truncated solution must never be served as the
 /// canonical result for its inputs.
 bool cacheEligible(const AnalysisOptions &Options);
-
-/// Captures the app's raw gator_flowset_size contribution (same bounds as
-/// recordAppMetrics uses) for storage in a CachedAnalysis.
-void captureFlowsetHistogram(const Solution &Sol,
-                             std::vector<uint64_t> &Counts, uint64_t &Sum,
-                             uint64_t &Count);
-
-/// The warm-hit replacement for recordAppMetrics(Metrics, Stats, Sol):
-/// records the cached AppStats row and folds the raw flowset histogram
-/// back in. A warm batch merges into the same metrics document as a cold
-/// one.
-void replayAppMetrics(support::MetricsRegistry &Metrics,
-                      const CachedAnalysis &Entry);
 
 } // namespace analysis
 } // namespace gator

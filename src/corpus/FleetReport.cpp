@@ -63,12 +63,12 @@ sortedPairs(const std::map<std::string, uint64_t> &M) {
 /// Ranks every event on \p Get: value descending, index ascending on
 /// ties. Returns the top ReportTopK rows.
 std::vector<OutlierApp>
-topApps(const std::vector<support::WideEvent> &Events,
-        double (*Get)(const support::WideEvent &)) {
+topApps(const std::vector<analysis::WideEvent> &Events,
+        double (*Get)(const analysis::WideEvent &)) {
   std::vector<OutlierApp> Rows;
   Rows.reserve(Events.size());
-  for (const support::WideEvent &E : Events)
-    Rows.push_back({E.Index, E.App, E.ContentKey, Get(E)});
+  for (const analysis::WideEvent &E : Events)
+    Rows.push_back({E.Index, E.Stats.Name, E.ContentKey, Get(E)});
   std::sort(Rows.begin(), Rows.end(),
             [](const OutlierApp &A, const OutlierApp &B) {
               if (A.Value != B.Value)
@@ -80,9 +80,9 @@ topApps(const std::vector<support::WideEvent> &Events,
   return Rows;
 }
 
-const support::WideEventField *findField(const char *Name) {
-  for (const support::WideEventField &F :
-       support::wideEventNumericFields())
+const analysis::WideEventField *findField(const char *Name) {
+  for (const analysis::WideEventField &F :
+       analysis::wideEventNumericFields())
     if (std::string_view(F.Name) == Name)
       return &F;
   return nullptr;
@@ -90,16 +90,16 @@ const support::WideEventField *findField(const char *Name) {
 
 } // namespace
 
-FleetReport corpus::buildFleetReport(const support::Ledger &L) {
+FleetReport corpus::buildFleetReport(const analysis::Ledger &L) {
   FleetReport R;
   R.Header = L.Header;
   R.Apps = L.Events.size();
 
   std::map<std::string, uint64_t> Fid, Exit, Reasons;
-  for (const support::WideEvent &E : L.Events) {
-    bump(Fid, E.Fidelity);
+  for (const analysis::WideEvent &E : L.Events) {
+    bump(Fid, analysis::fidelityName(E.Stats.SolutionFidelity));
     bump(Exit, std::to_string(E.ExitCode));
-    if (E.Fidelity != "complete")
+    if (E.Stats.SolutionFidelity != analysis::Fidelity::Complete)
       ++R.Degraded;
     if (E.GenerationFailed)
       ++R.GenerationFailures;
@@ -109,15 +109,19 @@ FleetReport corpus::buildFleetReport(const support::Ledger &L) {
       ++R.CacheMisses;
     else
       ++R.CacheOff;
-    for (const auto &Reason : E.UnknownByReason)
-      bump(Reasons, Reason.first, Reason.second);
+    for (size_t Reason = 1; Reason < graph::NumUnknownReasons; ++Reason)
+      if (E.Stats.UnknownByReason[Reason])
+        bump(Reasons,
+             graph::unknownReasonSlug(
+                 static_cast<graph::UnknownReason>(Reason)),
+             E.Stats.UnknownByReason[Reason]);
   }
   R.ByFidelity = sortedPairs(Fid);
   R.ByExitCode = sortedPairs(Exit);
   R.UnknownByReason = sortedPairs(Reasons);
 
-  for (const support::WideEventField &F :
-       support::wideEventNumericFields()) {
+  for (const analysis::WideEventField &F :
+       analysis::wideEventNumericFields()) {
     if (F.Volatile && L.Header.NoTimes)
       continue; // the field was never written; zeros would be fiction
     FieldSummary S;
@@ -125,7 +129,7 @@ FleetReport corpus::buildFleetReport(const support::Ledger &L) {
     S.Volatile = F.Volatile;
     std::vector<double> Values;
     Values.reserve(L.Events.size());
-    for (const support::WideEvent &E : L.Events) {
+    for (const analysis::WideEvent &E : L.Events) {
       double V = F.Get(E);
       Values.push_back(V);
       S.Sum += V;
@@ -146,7 +150,7 @@ FleetReport corpus::buildFleetReport(const support::Ledger &L) {
       "flow_edges",    "arena_bytes",  "unknown_total",
   };
   for (const char *Name : Dimensions) {
-    const support::WideEventField *F = findField(Name);
+    const analysis::WideEventField *F = findField(Name);
     if (!F || (F->Volatile && L.Header.NoTimes))
       continue;
     R.Outliers.push_back({Name, topApps(L.Events, F->Get)});
@@ -270,8 +274,8 @@ void corpus::writeFleetReportText(std::ostream &OS, const FleetReport &R) {
   }
 }
 
-LedgerDiff corpus::diffLedgers(const support::Ledger &Old,
-                               const support::Ledger &New,
+LedgerDiff corpus::diffLedgers(const analysis::Ledger &Old,
+                               const analysis::Ledger &New,
                                double ThresholdPct) {
   LedgerDiff D;
   D.ThresholdPct = ThresholdPct;
@@ -289,34 +293,36 @@ LedgerDiff corpus::diffLedgers(const support::Ledger &Old,
 
   // First occurrence wins on duplicate keys; later duplicates are
   // ignored symmetrically on both sides.
-  std::unordered_map<std::string, const support::WideEvent *> OldByKey;
-  for (const support::WideEvent &E : Old.Events)
+  std::unordered_map<std::string, const analysis::WideEvent *> OldByKey;
+  for (const analysis::WideEvent &E : Old.Events)
     OldByKey.emplace(E.ContentKey, &E);
-  std::unordered_map<std::string, const support::WideEvent *> NewByKey;
-  for (const support::WideEvent &E : New.Events)
+  std::unordered_map<std::string, const analysis::WideEvent *> NewByKey;
+  for (const analysis::WideEvent &E : New.Events)
     NewByKey.emplace(E.ContentKey, &E);
 
-  for (const support::WideEvent &E : Old.Events)
+  for (const analysis::WideEvent &E : Old.Events)
     if (OldByKey.at(E.ContentKey) == &E && !NewByKey.count(E.ContentKey))
-      D.OnlyInOld.push_back(E.App + " (" + E.ContentKey + ")");
-  for (const support::WideEvent &E : New.Events) {
+      D.OnlyInOld.push_back(E.Stats.Name + " (" + E.ContentKey + ")");
+  for (const analysis::WideEvent &E : New.Events) {
     if (NewByKey.at(E.ContentKey) != &E)
       continue; // a duplicate; the first occurrence already compared
     auto It = OldByKey.find(E.ContentKey);
     if (It == OldByKey.end()) {
-      D.OnlyInNew.push_back(E.App + " (" + E.ContentKey + ")");
+      D.OnlyInNew.push_back(E.Stats.Name + " (" + E.ContentKey + ")");
       continue;
     }
-    const support::WideEvent &O = *It->second;
+    const analysis::WideEvent &O = *It->second;
     AppDelta A;
     A.ContentKey = E.ContentKey;
-    A.App = E.App;
-    A.OldFidelity = O.Fidelity;
-    A.NewFidelity = E.Fidelity;
-    A.NewlyDegraded = O.Fidelity == "complete" && E.Fidelity != "complete";
+    A.App = E.Stats.Name;
+    A.OldFidelity = analysis::fidelityName(O.Stats.SolutionFidelity);
+    A.NewFidelity = analysis::fidelityName(E.Stats.SolutionFidelity);
+    A.NewlyDegraded =
+        O.Stats.SolutionFidelity == analysis::Fidelity::Complete &&
+        E.Stats.SolutionFidelity != analysis::Fidelity::Complete;
     A.NewlyCacheMissed = O.Cache == "hit" && E.Cache == "miss";
-    for (const support::WideEventField &F :
-         support::wideEventNumericFields()) {
+    for (const analysis::WideEventField &F :
+         analysis::wideEventNumericFields()) {
       if (F.Volatile)
         continue; // wall-clock and scheduling never count as regressions
       double OldV = F.Get(O), NewV = F.Get(E);

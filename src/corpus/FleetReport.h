@@ -30,7 +30,7 @@
 #ifndef GATOR_CORPUS_FLEETREPORT_H
 #define GATOR_CORPUS_FLEETREPORT_H
 
-#include "support/WideEvent.h"
+#include "analysis/WideEvent.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -64,7 +64,7 @@ struct FleetReport {
   /// Bumped on any change to the report's JSON shape.
   static constexpr uint32_t FormatVersion = 1;
 
-  support::LedgerHeader Header; ///< the folded ledger's header
+  analysis::LedgerHeader Header; ///< the folded ledger's header
   uint64_t Apps = 0;
   uint64_t Degraded = 0; ///< fidelity != "complete"
   uint64_t GenerationFailures = 0;
@@ -86,7 +86,7 @@ struct FleetReport {
 };
 
 /// Folds a parsed ledger into a report.
-FleetReport buildFleetReport(const support::Ledger &L);
+FleetReport buildFleetReport(const analysis::Ledger &L);
 
 /// Renders the report. JSON carries report_format/ledger header stamps;
 /// text is the human summary. Both deterministic for a given ledger.
@@ -129,8 +129,8 @@ struct LedgerDiff {
 /// wins on duplicates). A deterministic counter flags when
 /// |new - old| > ThresholdPct/100 * max(|old|, 1); the default 0 flags
 /// any change.
-LedgerDiff diffLedgers(const support::Ledger &Old,
-                       const support::Ledger &New,
+LedgerDiff diffLedgers(const analysis::Ledger &Old,
+                       const analysis::Ledger &New,
                        double ThresholdPct = 0);
 
 void writeLedgerDiffJson(std::ostream &OS, const LedgerDiff &D);

@@ -29,20 +29,6 @@ uint64_t gator::support::currentPeakRssBytes() {
 #endif
 }
 
-void Histogram::merge(const Histogram &Other) {
-  if (Other.Bounds != Bounds) {
-    // Mismatched shapes would corrupt buckets; fold only the scalar
-    // moments so the total count stays honest.
-    Sum += Other.Sum;
-    Count += Other.Count;
-    return;
-  }
-  for (size_t I = 0; I < Counts.size(); ++I)
-    Counts[I] += Other.Counts[I];
-  Sum += Other.Sum;
-  Count += Other.Count;
-}
-
 double Histogram::quantile(double Q) const {
   if (Count == 0)
     return 0;
@@ -109,11 +95,8 @@ Counter &MetricsRegistry::counter(const std::string &Name,
 }
 
 Gauge &MetricsRegistry::gauge(const std::string &Name, const std::string &Help,
-                              Gauge::Merge Merge, MetricUnit Unit) {
-  Instrument &I =
-      intern(Name, Help, Kind::Gauge, Unit, std::string(), std::string());
-  I.GaugeMerge = Merge;
-  return I.G;
+                              MetricUnit Unit) {
+  return intern(Name, Help, Kind::Gauge, Unit, std::string(), std::string()).G;
 }
 
 Histogram &MetricsRegistry::histogram(const std::string &Name,
@@ -124,37 +107,6 @@ Histogram &MetricsRegistry::histogram(const std::string &Name,
   if (I.H.bounds().empty() && !Bounds.empty())
     I.H = Histogram(Bounds);
   return I.H;
-}
-
-void MetricsRegistry::mergeFrom(const MetricsRegistry &Other) {
-  for (const Instrument &O : Other.Instruments) {
-    Instrument &I = intern(O.Name, O.Help, O.K, O.Unit, O.LabelKey,
-                           O.LabelValue);
-    I.GaugeMerge = O.GaugeMerge;
-    switch (O.K) {
-    case Kind::Counter:
-      I.C.add(O.C.value());
-      break;
-    case Kind::Gauge:
-      switch (O.GaugeMerge) {
-      case Gauge::Merge::Max:
-        I.G.setMax(O.G.value());
-        break;
-      case Gauge::Merge::Sum:
-        I.G.add(O.G.value());
-        break;
-      case Gauge::Merge::Last:
-        I.G.set(O.G.value());
-        break;
-      }
-      break;
-    case Kind::Histogram:
-      if (I.H.bounds().empty())
-        I.H = Histogram(O.H.bounds());
-      I.H.merge(O.H);
-      break;
-    }
-  }
 }
 
 std::vector<size_t> MetricsRegistry::sortedIndices(bool IncludeTimes) const {

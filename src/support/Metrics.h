@@ -7,11 +7,11 @@
 ///
 /// \file
 /// A small typed metrics registry (docs/OBSERVABILITY.md): counters
-/// (monotone sums), gauges (point samples with an explicit merge policy),
-/// and histograms with fixed bucket bounds. The analysis drivers populate
-/// one registry per run; the parallel batch drivers populate one registry
-/// per task and fold them with mergeFrom() in input order, so the exported
-/// document is byte-identical for every job count.
+/// (monotone sums), gauges (point samples, kept as a maximum or a sum),
+/// and histograms with fixed bucket bounds. A run populates one registry:
+/// the batch driver folds each app's result into it in input order
+/// (analysis::recordAppMetrics), so the exported document is
+/// byte-identical for every job count.
 ///
 /// Export formats:
 ///  - writeJson(): one JSON object per instrument, sorted by (name, label)
@@ -65,13 +65,11 @@ private:
   uint64_t Val = 0;
 };
 
-/// A point sample. Merge::Max keeps the largest value across merges
-/// (peaks like PeakSetSize); Merge::Sum accumulates (real-valued totals
-/// like phase seconds); Merge::Last keeps the most recent sample.
+/// A point sample. setMax keeps the largest value recorded (peaks like
+/// PeakSetSize); add accumulates (real-valued totals like phase seconds);
+/// set keeps the most recent sample.
 class Gauge {
 public:
-  enum class Merge : uint8_t { Max, Sum, Last };
-
   void set(double V) { Val = V; }
   void setMax(double V) {
     if (V > Val)
@@ -107,9 +105,6 @@ public:
   uint64_t sum() const { return Sum; }
   uint64_t count() const { return Count; }
 
-  /// Bucket-wise addition; both histograms must share bounds.
-  void merge(const Histogram &Other);
-
   /// Quantile estimate from the fixed buckets, Prometheus
   /// histogram_quantile style: find the bucket where the cumulative count
   /// crosses Q * count, then interpolate linearly inside it. The +Inf
@@ -119,9 +114,9 @@ public:
   /// serial run's. Returns 0 on an empty histogram.
   double quantile(double Q) const;
 
-  /// Folds previously captured raw bucket data back in — the cache-replay
-  /// path (docs/INCREMENTAL.md): a warm hit re-contributes the cold run's
-  /// observations without a Solution to observe. Returns false and leaves
+  /// Folds raw bucket data captured elsewhere (one app's result, cold or
+  /// read back from the cache; docs/INCREMENTAL.md) into this histogram,
+  /// with no Solution to observe. Returns false and leaves
   /// the histogram untouched when \p RawCounts does not match this
   /// histogram's bucket count (including the overflow slot).
   bool addRaw(const std::vector<uint64_t> &RawCounts, uint64_t RawSum,
@@ -146,17 +141,10 @@ public:
                    const std::string &LabelValue = std::string());
 
   Gauge &gauge(const std::string &Name, const std::string &Help,
-               Gauge::Merge Merge = Gauge::Merge::Max,
                MetricUnit Unit = MetricUnit::None);
 
   Histogram &histogram(const std::string &Name, const std::string &Help,
                        const std::vector<uint64_t> &UpperBounds);
-
-  /// Folds \p Other into this registry: counters add, gauges apply their
-  /// merge policy, histograms add bucket-wise. Commutative and
-  /// associative over counters/histograms/Max gauges, so a parallel
-  /// batch's merged registry is independent of task scheduling.
-  void mergeFrom(const MetricsRegistry &Other);
 
   /// JSON document: {"metrics":[{name, type, help, value|buckets...}]}.
   /// Instruments sorted by (name, label). Seconds-unit instruments are
@@ -177,7 +165,6 @@ private:
     std::string LabelKey, LabelValue;
     Kind K = Kind::Counter;
     MetricUnit Unit = MetricUnit::None;
-    Gauge::Merge GaugeMerge = Gauge::Merge::Max;
     Counter C;
     Gauge G;
     Histogram H;

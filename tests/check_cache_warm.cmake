@@ -1,7 +1,10 @@
 # Content-addressed cache contract (docs/INCREMENTAL.md), CLI level:
 #  1. a cold run with --cache-dir populates the disk tier;
 #  2. a warm run replays byte-identical stdout and the same exit code;
-#  3. a warm *batch* run stays byte-identical at -j 1/2/4/8;
+#  3. a warm *batch* run stays byte-identical at -j 1/2/4/8, and its
+#     --ledger-out and --metrics-out (JSON and Prometheus) files equal the
+#     cold batch's once the gator_cache_* samples and the ledger's "cache"
+#     values are dropped;
 #  4. poisoning every cached artifact degrades the next run to a full
 #     solve — same stdout, same exit code as cold, a warning on stderr —
 #     never a crash, never different results;
@@ -56,6 +59,47 @@ foreach(jobs 2 4 8)
   if(NOT batch_code EQUAL batch_ref_code)
     message(FATAL_ERROR
       "warm batch exit code differs between -j 1 and -j ${jobs}")
+  endif()
+endforeach()
+
+# --- Warm exports equal cold ones --------------------------------------
+# A cache hit reads the cold run's per-app record back, so the ledger and
+# both metrics formats come out the same; only the cache counters and the
+# ledger's hit/miss stamps may differ.
+foreach(format json prom)
+  foreach(pass cold warm)
+    execute_process(
+      COMMAND ${CLI} --batch --no-times --cache-dir ${WORK}/cache_${format}
+              ${DIR} --ledger-out ${WORK}/${pass}_${format}.jsonl
+              --metrics-out ${WORK}/${pass}.${format}
+              --metrics-format ${format}
+      OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE export_code)
+    if(export_code GREATER 1)
+      message(FATAL_ERROR "${pass} ${format} export run failed: ${export_code}")
+    endif()
+    file(READ ${WORK}/${pass}.${format} metrics_${pass})
+    file(READ ${WORK}/${pass}_${format}.jsonl ledger_${pass})
+    # JSON: one object per instrument; Prometheus: one line per sample,
+    # HELP or TYPE line.
+    string(REGEX REPLACE "{\"name\":\"gator_cache_[^}]*},?" ""
+           metrics_${pass} "${metrics_${pass}}")
+    string(REGEX REPLACE "[^\n]*gator_cache_[^\n]*\n" ""
+           metrics_${pass} "${metrics_${pass}}")
+    string(REGEX REPLACE "\"cache\":\"[a-z]*\"" "\"cache\":\"\""
+           ledger_${pass} "${ledger_${pass}}")
+  endforeach()
+  if(NOT metrics_warm STREQUAL metrics_cold)
+    message(FATAL_ERROR "warm --metrics-format ${format} export differs from "
+      "the cold one beyond the cache counters:\ncold:\n${metrics_cold}\n"
+      "warm:\n${metrics_warm}")
+  endif()
+  if(NOT ledger_warm STREQUAL ledger_cold)
+    message(FATAL_ERROR "warm ledger differs from the cold one beyond the "
+      "cache values:\ncold:\n${ledger_cold}\nwarm:\n${ledger_warm}")
+  endif()
+  file(READ ${WORK}/warm_${format}.jsonl warm_ledger)
+  if(NOT warm_ledger MATCHES "\"cache\":\"hit\"")
+    message(FATAL_ERROR "warm ledger records no cache hit")
   endif()
 endforeach()
 

@@ -5,7 +5,9 @@
 # formats, a ledger self-diff must be empty (exit 0), a diff against a
 # run with different analysis options must be refused (exit 2), and a
 # warm --cache-dir pass must stamp its records "hit" while staying
-# field-identical to the cold pass. Invoked by ctest with
+# field-identical to the cold pass. A single-app ledger names the app by
+# the last component of its directory, however the path is spelled
+# (`app/` and `app/.` included). Invoked by ctest with
 # -DCLI=<gator_cli> -DDIR=<batch input dir> -DWORK=<scratch dir>.
 
 file(REMOVE_RECURSE "${WORK}")
@@ -127,7 +129,37 @@ if(NOT diff_code EQUAL 0)
     "cold-vs-warm diff exited ${diff_code} (expected 0)")
 endif()
 
-# --- 5. JSON report schema (python3, when present) --------------------------
+# --- 5. single-app ledgers name the app whatever the spelling --------------
+file(GLOB app_dirs LIST_DIRECTORIES true ${DIR}/*)
+list(SORT app_dirs)
+foreach(dir ${app_dirs})
+  if(IS_DIRECTORY ${dir})
+    set(app_dir ${dir})
+    break()
+  endif()
+endforeach()
+get_filename_component(app_name ${app_dir} NAME)
+set(spelling_index 0)
+foreach(spelling "${app_dir}" "${app_dir}/" "${app_dir}/." "${app_dir}//")
+  math(EXPR spelling_index "${spelling_index} + 1")
+  set(single_ledger ${WORK}/single_${spelling_index}.jsonl)
+  execute_process(
+    COMMAND ${CLI} ${spelling} --no-times --ledger-out=${single_ledger}
+    RESULT_VARIABLE run_code
+    OUTPUT_QUIET ERROR_QUIET)
+  if(run_code GREATER 1)
+    message(FATAL_ERROR "single-app run on '${spelling}' failed: ${run_code}")
+  endif()
+  file(READ ${single_ledger} single_text)
+  string(FIND "${single_text}" "\"app\":\"${app_name}\"" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+      "single-app ledger for '${spelling}' does not name ${app_name}:\n"
+      "${single_text}")
+  endif()
+endforeach()
+
+# --- 6. JSON report schema (python3, when present) --------------------------
 find_program(PYTHON3 python3)
 if(NOT PYTHON3)
   message(STATUS "python3 not found; skipping report schema validation")

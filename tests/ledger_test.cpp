@@ -11,16 +11,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
+#include "analysis/WideEvent.h"
 #include "corpus/FleetReport.h"
 #include "support/JsonParse.h"
 #include "support/Metrics.h"
-#include "support/WideEvent.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace gator;
+using namespace gator::analysis;
 using namespace gator::support;
 using namespace gator::corpus;
 
@@ -105,24 +109,24 @@ namespace {
 WideEvent sampleEvent() {
   WideEvent E;
   E.Index = 3;
-  E.App = "App3";
+  E.Stats.Name = "App3";
   E.ContentKey = "0123456789abcdef0123456789abcdef";
   E.ExitCode = 1;
-  E.Fidelity = "degraded-input";
+  E.Stats.SolutionFidelity = Fidelity::DegradedInput;
   E.Cache = "hit";
-  E.Classes = 12;
-  E.Methods = 40;
-  E.GraphNodes = 500;
-  E.FlowEdges = 900;
-  E.Propagations = 12345;
-  E.PeakSetSize = 7;
-  E.UnknownViews = 2;
-  E.UnknownByReason.emplace_back("reflective_new", 2);
-  E.UnknownByReason.emplace_back("dynamic_id", 1);
-  E.ArenaBytes = 65536;
-  E.BuildSeconds = 0.25;
-  E.SolveSeconds = 1.5;
-  E.PeakRssBytes = 4096;
+  E.Stats.Classes = 12;
+  E.Stats.Methods = 40;
+  E.Stats.GraphNodes = 500;
+  E.Stats.FlowEdges = 900;
+  E.Stats.Propagations = 12345;
+  E.Stats.PeakSetSize = 7;
+  E.Stats.UnknownViews = 2;
+  E.Stats.UnknownByReason[size_t(graph::UnknownReason::ReflectiveNew)] = 2;
+  E.Stats.UnknownByReason[size_t(graph::UnknownReason::DynamicId)] = 1;
+  E.Stats.ArenaBytes = 65536;
+  E.Stats.BuildSeconds = 0.25;
+  E.Stats.SolveSeconds = 1.5;
+  E.Stats.PeakRssBytes = 4096;
   return E;
 }
 
@@ -150,21 +154,79 @@ TEST(WideEventTest, RoundTripsThroughJsonl) {
   ASSERT_EQ(L.Events.size(), 1u);
   const WideEvent &E = L.Events[0];
   EXPECT_EQ(E.Index, 3u);
-  EXPECT_EQ(E.App, "App3");
+  EXPECT_EQ(E.Stats.Name, "App3");
   EXPECT_EQ(E.ContentKey, "0123456789abcdef0123456789abcdef");
   EXPECT_EQ(E.ExitCode, 1);
-  EXPECT_EQ(E.Fidelity, "degraded-input");
+  EXPECT_EQ(E.Stats.SolutionFidelity, Fidelity::DegradedInput);
   EXPECT_EQ(E.Cache, "hit");
-  EXPECT_EQ(E.Propagations, 12345u);
-  EXPECT_EQ(E.unknownTotal(), 3u);
-  ASSERT_EQ(E.UnknownByReason.size(), 2u);
-  EXPECT_EQ(E.UnknownByReason[0].first, "reflective_new");
-  EXPECT_EQ(E.UnknownByReason[1].second, 1u);
-  EXPECT_DOUBLE_EQ(E.SolveSeconds, 1.5);
-  EXPECT_EQ(E.PeakRssBytes, 4096u);
+  EXPECT_EQ(E.Stats.Propagations, 12345u);
+  EXPECT_NE(Text.find("\"unknown_total\":3,\"unknown_by_reason\":"
+                      "{\"reflective_new\":2,\"dynamic_id\":1}"),
+            std::string::npos)
+      << Text;
+  using graph::UnknownReason;
+  EXPECT_EQ(E.Stats.UnknownByReason[size_t(UnknownReason::ReflectiveNew)], 2u);
+  EXPECT_EQ(E.Stats.UnknownByReason[size_t(UnknownReason::DynamicId)], 1u);
+  EXPECT_DOUBLE_EQ(E.Stats.SolveSeconds, 1.5);
+  EXPECT_EQ(E.Stats.PeakRssBytes, 4096u);
 
   // Re-serialization is byte-stable: write(read(write(E))) == write(E).
   EXPECT_EQ(ledgerText(L.Header, L.Events), Text);
+}
+
+TEST(WideEventTest, EveryLedgerFieldSurvivesWriteAndRead) {
+  WideEvent E;
+  E.Stats = test::distinctAppStats();
+  for (bool NoTimes : {false, true}) {
+    LedgerHeader H;
+    H.NoTimes = NoTimes;
+    Ledger L;
+    std::string Error;
+    ASSERT_TRUE(readLedger(ledgerText(H, {E}), L, Error)) << Error;
+    ASSERT_EQ(L.Events.size(), 1u);
+    const WideEvent &Read = L.Events[0];
+
+    // The ledger keeps the name, the fidelity (as the outcome) and the
+    // fields the list marks for it; volatile ones only with times.
+    AppStats Want = E.Stats;
+    forEachAppStatsField(
+        [&](const AppStatsField &F, auto &V) {
+          if (F.Ledger != FieldLedger::NotWritten &&
+              !(NoTimes && F.Timing == FieldTiming::Volatile))
+            return;
+          if constexpr (std::is_array_v<std::remove_reference_t<decltype(V)>>)
+            std::fill(std::begin(V), std::end(V), 0);
+          else
+            V = {};
+        },
+        Want);
+    Want.SolutionFidelity = E.Stats.SolutionFidelity;
+    EXPECT_EQ(Read.Stats.Name, E.Stats.Name);
+    EXPECT_EQ(test::differingFields(Read.Stats, Want),
+              std::vector<std::string>())
+        << "no_times=" << NoTimes;
+
+    // report and report --diff see every Reported field, nonzero.
+    std::vector<std::string> Reported;
+    forEachAppStatsField(
+        [&](const AppStatsField &F, const auto &V) {
+          if (F.Ledger == FieldLedger::Reported)
+            Reported.push_back(
+                std::is_array_v<std::remove_reference_t<decltype(V)>>
+                    ? "unknown_total"
+                    : F.Key);
+        },
+        E.Stats);
+    std::vector<std::string> Numeric;
+    for (const WideEventField &F : wideEventNumericFields()) {
+      Numeric.push_back(F.Name);
+      if (NoTimes && F.Volatile)
+        continue;
+      EXPECT_GT(F.Get(Read), 0.0) << F.Name;
+      EXPECT_EQ(F.Get(Read), F.Get(E)) << F.Name;
+    }
+    EXPECT_EQ(Numeric, Reported);
+  }
 }
 
 TEST(WideEventTest, NoTimesSuppressesVolatileFields) {
@@ -181,9 +243,9 @@ TEST(WideEventTest, NoTimesSuppressesVolatileFields) {
   ASSERT_TRUE(readLedger(Text, L, Error)) << Error;
   EXPECT_TRUE(L.Header.NoTimes);
   ASSERT_EQ(L.Events.size(), 1u);
-  EXPECT_DOUBLE_EQ(L.Events[0].SolveSeconds, 0.0);
-  EXPECT_EQ(L.Events[0].PeakRssBytes, 0u);
-  EXPECT_EQ(L.Events[0].Propagations, 12345u);
+  EXPECT_DOUBLE_EQ(L.Events[0].Stats.SolveSeconds, 0.0);
+  EXPECT_EQ(L.Events[0].Stats.PeakRssBytes, 0u);
+  EXPECT_EQ(L.Events[0].Stats.Propagations, 12345u);
 }
 
 TEST(WideEventTest, ReadsRecordsWithRetiredSchedulingFields) {
@@ -208,7 +270,7 @@ TEST(WideEventTest, ReadsRecordsWithRetiredSchedulingFields) {
   ASSERT_TRUE(readLedger(Old, L, Error)) << Error;
   EXPECT_EQ(L.Header.Format, LedgerHeader::FormatVersion);
   ASSERT_EQ(L.Events.size(), 1u);
-  EXPECT_EQ(L.Events[0].Propagations, 12345u);
+  EXPECT_EQ(L.Events[0].Stats.Propagations, 12345u);
 
   const std::string Rewritten = ledgerText(L.Header, L.Events);
   for (const char *Key :
@@ -279,15 +341,15 @@ Ledger syntheticLedger() {
   for (uint64_t I = 0; I < 5; ++I) {
     WideEvent E;
     E.Index = I;
-    E.App = "App" + std::to_string(I);
+    E.Stats.Name = "App" + std::to_string(I);
     E.ContentKey = std::string(31, 'b') + static_cast<char>('0' + I);
-    E.Propagations = (I + 1) * 100; // 100..500
-    E.PeakSetSize = 4;              // constant: outlier ties
+    E.Stats.Propagations = (I + 1) * 100; // 100..500
+    E.Stats.PeakSetSize = 4;              // constant: outlier ties
     E.Cache = I == 2 ? "miss" : "hit";
     if (I == 4) {
-      E.Fidelity = "degraded-input";
+      E.Stats.SolutionFidelity = Fidelity::DegradedInput;
       E.ExitCode = 1;
-      E.UnknownByReason.emplace_back("dynamic_id", 3);
+      E.Stats.UnknownByReason[size_t(graph::UnknownReason::DynamicId)] = 3;
     }
     L.Events.push_back(std::move(E));
   }
@@ -385,12 +447,13 @@ TEST(LedgerDiffTest, SelfDiffIsEmpty) {
 TEST(LedgerDiffTest, FlagsRegressionsAndRespectsThreshold) {
   const Ledger Old = syntheticLedger();
   Ledger New = syntheticLedger();
-  New.Events[0].Fidelity = "truncated-budget"; // newly degraded
+  New.Events[0].Stats.SolutionFidelity =
+      Fidelity::TruncatedBudget; // newly degraded
   New.Events[1].Cache = "miss";                // newly cache-missed
-  New.Events[2].Propagations += 400;           // 300 -> 700
-  New.Events[3].Propagations += 10;            // 400 -> 410 (2.5%)
+  New.Events[2].Stats.Propagations += 400;           // 300 -> 700
+  New.Events[3].Stats.Propagations += 10;            // 400 -> 410 (2.5%)
   // Volatile fields must never flag.
-  New.Events[3].SolveSeconds = 123.0;
+  New.Events[3].Stats.SolveSeconds = 123.0;
 
   const LedgerDiff Any = diffLedgers(Old, New, /*ThresholdPct=*/0);
   ASSERT_EQ(Any.Apps.size(), 4u);
@@ -415,7 +478,7 @@ TEST(LedgerDiffTest, TracksMembershipByContentKey) {
   New.Events.erase(New.Events.begin()); // App0 vanished
   WideEvent Fresh;
   Fresh.Index = 9;
-  Fresh.App = "AppNew";
+  Fresh.Stats.Name = "AppNew";
   Fresh.ContentKey = std::string(32, 'f');
   New.Events.push_back(std::move(Fresh));
 

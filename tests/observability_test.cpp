@@ -96,21 +96,21 @@ TEST(TraceTest, AppendMergesInOrderAndRetagsTid) {
 //===----------------------------------------------------------------------===//
 
 TEST(MetricsTest, CountersAddAndGaugesFollowMergePolicy) {
-  MetricsRegistry A, B;
-  A.counter("apps_total", "apps").add(2);
-  B.counter("apps_total", "apps").add(3);
-  A.gauge("peak", "peak", Gauge::Merge::Max).setMax(10);
-  B.gauge("peak", "peak", Gauge::Merge::Max).setMax(4);
-  A.gauge("seconds", "t", Gauge::Merge::Sum).add(1.5);
-  B.gauge("seconds", "t", Gauge::Merge::Sum).add(2.5);
-  A.gauge("last", "l", Gauge::Merge::Last).set(1);
-  B.gauge("last", "l", Gauge::Merge::Last).set(9);
+  // Two apps recording into one registry, as the batch fold does.
+  MetricsRegistry M;
+  M.counter("apps_total", "apps").add(2);
+  M.counter("apps_total", "apps").add(3);
+  M.gauge("peak", "peak").setMax(10);
+  M.gauge("peak", "peak").setMax(4);
+  M.gauge("seconds", "t").add(1.5);
+  M.gauge("seconds", "t").add(2.5);
+  M.gauge("last", "l").set(1);
+  M.gauge("last", "l").set(9);
 
-  A.mergeFrom(B);
-  EXPECT_EQ(A.counter("apps_total", "apps").value(), 5u);
-  EXPECT_EQ(A.gauge("peak", "peak", Gauge::Merge::Max).value(), 10.0);
-  EXPECT_EQ(A.gauge("seconds", "t", Gauge::Merge::Sum).value(), 4.0);
-  EXPECT_EQ(A.gauge("last", "l", Gauge::Merge::Last).value(), 9.0);
+  EXPECT_EQ(M.counter("apps_total", "apps").value(), 5u);
+  EXPECT_EQ(M.gauge("peak", "peak").value(), 10.0);
+  EXPECT_EQ(M.gauge("seconds", "t").value(), 4.0);
+  EXPECT_EQ(M.gauge("last", "l").value(), 9.0);
 }
 
 TEST(MetricsTest, LabeledCountersAreDistinctInstruments) {
@@ -124,16 +124,19 @@ TEST(MetricsTest, LabeledCountersAreDistinctInstruments) {
       2u);
 }
 
-TEST(MetricsTest, HistogramBucketsObserveAndMerge) {
-  MetricsRegistry A, B;
+TEST(MetricsTest, HistogramBucketsObserveAndAddRaw) {
+  MetricsRegistry A;
   Histogram &HA = A.histogram("sizes", "set sizes", {1, 4, 16});
   HA.observe(1);  // bucket le=1
   HA.observe(3);  // bucket le=4
   HA.observe(99); // overflow (+Inf)
-  Histogram &HB = B.histogram("sizes", "set sizes", {1, 4, 16});
+  // Another app's raw buckets, as a result carries them.
+  Histogram HB({1, 4, 16});
   HB.observe(4); // bucket le=4
 
-  A.mergeFrom(B);
+  ASSERT_TRUE(HA.addRaw(HB.bucketCounts(), HB.sum(), HB.count()));
+  // Raw buckets of another shape are refused and change nothing.
+  EXPECT_FALSE(HA.addRaw({1, 1}, 5, 2));
   ASSERT_EQ(HA.bucketCounts().size(), 4u);
   EXPECT_EQ(HA.bucketCounts()[0], 1u);
   EXPECT_EQ(HA.bucketCounts()[1], 2u);
@@ -146,8 +149,7 @@ TEST(MetricsTest, HistogramBucketsObserveAndMerge) {
 TEST(MetricsTest, NoTimesSuppressesSecondsInstruments) {
   MetricsRegistry M;
   M.counter("apps_total", "apps").inc();
-  M.gauge("phase_solve_seconds", "solve time", Gauge::Merge::Sum,
-          MetricUnit::Seconds)
+  M.gauge("phase_solve_seconds", "solve time", MetricUnit::Seconds)
       .add(1.25);
 
   std::ostringstream WithTimes, NoTimes;
@@ -356,6 +358,36 @@ TEST(AppStatsTest, AggregateSumsVolumesButMaxMergesPeaks) {
   EXPECT_EQ(Total.PeakOpWorklist, 7u);
 }
 
+TEST(AppStatsTest, AggregateMergesEveryFieldByItsRule) {
+  // B doubles every number of A (and has the worse fidelity), so each
+  // field's sum (3x) differs from its max (2x) and from either input.
+  const AppStats A = test::distinctAppStats(1);
+  const AppStats B = test::distinctAppStats(2);
+  const AppStats Total = aggregateAppStats("TOTAL", {A, B});
+  EXPECT_EQ(Total.Name, "TOTAL");
+
+  AppStats Want;
+  forEachAppStatsField(
+      [](const AppStatsField &F, auto &W, const auto &X, const auto &Y) {
+        auto Merge = [&](auto &To, const auto &From1, const auto &From2) {
+          using T = std::remove_reference_t<decltype(To)>;
+          if constexpr (std::is_enum_v<T>)
+            To = From2; // the worse fidelity
+          else
+            To = F.Merge == FieldMerge::Sum ? From1 + From2 : From2;
+        };
+        if constexpr (std::is_array_v<std::remove_reference_t<decltype(W)>>) {
+          for (size_t I = 0; I < std::size(W); ++I)
+            Merge(W[I], X[I], Y[I]);
+        } else {
+          Merge(W, X, Y);
+        }
+      },
+      Want, A, B);
+  EXPECT_EQ(test::differingFields(Total, Want), std::vector<std::string>());
+  EXPECT_EQ(Total.SolutionFidelity, Fidelity::TruncatedBudget);
+}
+
 TEST(AppStatsTest, AggregateMaxMergesMemoryFootprints) {
   // ArenaBytes / PeakRssBytes are footprints, not volumes: per-app slabs
   // are dropped between apps, so the batch-wide number is the largest
@@ -380,7 +412,11 @@ TEST(AppStatsTest, AggregateMaxMergesMemoryFootprints) {
 TEST(AppStatsTest, CollectAppStatsHarvestsArenaBytes) {
   auto App = makeBundle(ProvSource, {{"main", ProvLayout}});
   auto R = runAnalysis(*App);
-  AppStats Stats = collectAppStats("test", App->Program, *R);
+  CachedAnalysis Result;
+  Result.Stats = collectAppStats("test", App->Program, *R);
+  captureFlowsetHistogram(*R->Sol, Result.FlowHistCounts, Result.FlowHistSum,
+                          Result.FlowHistCount);
+  const AppStats &Stats = Result.Stats;
   // Every layer owns arena storage by now: IR decls, graph adjacency,
   // and at least one nonempty flow set.
   EXPECT_GT(Stats.ArenaBytes, 0u);
@@ -390,7 +426,7 @@ TEST(AppStatsTest, CollectAppStatsHarvestsArenaBytes) {
 #endif
 
   MetricsRegistry M;
-  recordAppMetrics(M, Stats, R->Sol.get());
+  recordAppMetrics(M, Result);
   EXPECT_EQ(static_cast<unsigned long long>(
                 M.gauge("gator_arena_bytes_per_app", "").value()),
             Stats.ArenaBytes);
@@ -411,12 +447,16 @@ TEST(AppStatsTest, AggregateIsOrderInvariant) {
 TEST(AppStatsTest, RecordAppMetricsPopulatesRegistry) {
   auto App = makeBundle(ProvSource, {{"main", ProvLayout}});
   auto R = runAnalysis(*App);
-  AppStats Stats = collectAppStats("test", App->Program, *R);
+  CachedAnalysis Result;
+  Result.Stats = collectAppStats("test", App->Program, *R);
+  captureFlowsetHistogram(*R->Sol, Result.FlowHistCounts, Result.FlowHistSum,
+                          Result.FlowHistCount);
+  const AppStats &Stats = Result.Stats;
   EXPECT_GT(Stats.GraphNodes, 0u);
   EXPECT_GT(Stats.FlowEdges, 0u);
 
   MetricsRegistry M;
-  recordAppMetrics(M, Stats, R->Sol.get());
+  recordAppMetrics(M, Result);
   EXPECT_EQ(M.counter("gator_apps_total", "").value(), 1u);
   EXPECT_EQ(M.counter("gator_graph_nodes_total", "").value(),
             Stats.GraphNodes);

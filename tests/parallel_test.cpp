@@ -20,11 +20,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/WideEvent.h"
 #include "corpus/BatchRunner.h"
 #include "guimodel/JsonExport.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
-#include "support/WideEvent.h"
 
 #include <gtest/gtest.h>
 
@@ -279,7 +279,7 @@ TEST(BatchDeterminismTest, HostileFleetStatsIdenticalAtEveryJobCount) {
   // plus the Table 1 and solver rows.
   auto Record = [](const AppStats &Stats) {
     WideEvent E;
-    fillWideEvent(E, Stats);
+    E.Stats = Stats;
     std::ostringstream OS;
     E.writeJsonl(OS, /*IncludeVolatile=*/false);
     printAppStatsRow(OS, Stats);
