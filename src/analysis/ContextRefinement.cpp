@@ -85,7 +85,7 @@ ContextRefinementStats gator::analysis::applyContextRefinement(
         if (!Recv)
           continue;
         std::vector<const MethodDecl *> Targets = CH.resolveVirtualCall(
-            Recv, S.MethodName, static_cast<unsigned>(S.Args.size()));
+            Recv, S.methodName(), static_cast<unsigned>(S.args().size()));
         if (Targets.size() != 1)
           continue; // polymorphic: cloning would change dispatch
         const MethodDecl *T = Targets.front();
@@ -114,7 +114,7 @@ ContextRefinementStats gator::analysis::applyContextRefinement(
           P.intern(T->name() + "$cs" + std::to_string(++Counter));
       cloneMethod(T, CloneName);
       CallSite &Site = CallSites[I];
-      Site.Caller->body()[Site.StmtIndex].MethodName = CloneName;
+      Site.Caller->body()[Site.StmtIndex].setMethodName(CloneName);
       ++Stats.CallSitesRewritten;
     }
   }

@@ -43,9 +43,9 @@ void GraphBuilder::buildCallEdges(ConstraintGraph &G, const MethodDecl &M,
       addFlow(G, G.getVarNode(&M, S.Base), G.getVarNode(T, T->thisVar()));
     // Arguments into parameters.
     unsigned N = std::min<unsigned>(T->paramCount(),
-                                    static_cast<unsigned>(S.Args.size()));
+                                    static_cast<unsigned>(S.args().size()));
     for (unsigned I = 0; I < N; ++I)
-      addFlow(G, G.getVarNode(&M, S.Args[I]),
+      addFlow(G, G.getVarNode(&M, S.args()[I]),
                     G.getVarNode(T, T->paramVar(I)));
     // Returned values into the call result.
     if (S.Lhs != InvalidVar) {
@@ -71,7 +71,7 @@ void GraphBuilder::buildOpSite(ConstraintGraph &G, std::vector<OpSite> &Ops,
   Site.Method = &M;
   Site.Recv = G.getVarNode(&M, S.Base);
 
-  auto argNode = [&](unsigned I) { return G.getVarNode(&M, S.Args[I]); };
+  auto argNode = [&](unsigned I) { return G.getVarNode(&M, S.args()[I]); };
 
   switch (Spec.Kind) {
   case OpKind::Inflate1:
@@ -136,13 +136,13 @@ void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
   auto mintUnknownResult = [&]() -> bool {
     if (!ModelUnknown || S.Lhs == InvalidVar)
       return false;
-    if (S.MethodName == "newInstance" && S.Args.empty()) {
+    if (S.methodName() == "newInstance" && S.args().empty()) {
       addFlow(G, 
           G.makeUnknownViewNode(UnknownReason::ReflectiveNew, &M, S.Loc),
           G.getVarNode(&M, S.Lhs));
       return true;
     }
-    if (S.MethodName == "getIdentifier") {
+    if (S.methodName() == "getIdentifier") {
       addFlow(G, G.makeUnknownIdNode(UnknownReason::DynamicId, &M, S.Loc),
                     G.getVarNode(&M, S.Lhs));
       return true;
@@ -158,8 +158,8 @@ void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
     return;
   }
 
-  unsigned Arity = static_cast<unsigned>(S.Args.size());
-  const MethodDecl *Resolved = Recv->findMethod(S.MethodName, Arity);
+  unsigned Arity = static_cast<unsigned>(S.args().size());
+  const MethodDecl *Resolved = Recv->findMethod(S.methodName(), Arity);
 
   // A call whose static resolution lands on a *platform stub* is an
   // Android operation (Section 3.2 semantics); a concrete application
@@ -178,10 +178,10 @@ void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
       // views stored in collections remain trackable.
       const ir::FieldDecl *Elements = AM.listElementsField();
       if (Elements) {
-        if (S.MethodName == "add" && S.Args.size() == 1)
-          addFlow(G, G.getVarNode(&M, S.Args[0]),
+        if (S.methodName() == "add" && S.args().size() == 1)
+          addFlow(G, G.getVarNode(&M, S.args()[0]),
                         G.getFieldNode(Elements));
-        else if ((S.MethodName == "get" || S.MethodName == "remove") &&
+        else if ((S.methodName() == "get" || S.methodName() == "remove") &&
                  S.Lhs != InvalidVar)
           addFlow(G, G.getFieldNode(Elements), G.getVarNode(&M, S.Lhs));
       }
@@ -190,7 +190,7 @@ void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
     }
   }
   buildCallEdges(G, M, S,
-                 CH.resolveVirtualCall(Recv, S.MethodName, Arity));
+                 CH.resolveVirtualCall(Recv, S.methodName(), Arity));
 }
 
 void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
@@ -203,13 +203,13 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       addFlow(G, G.getVarNode(&M, S.Base), G.getVarNode(&M, S.Lhs));
       break;
     case StmtKind::AssignNew: {
-      const ClassDecl *C = P.findClass(S.ClassName);
+      const ClassDecl *C = P.findClass(S.className());
       if (!C) {
         // Unresolved class (missing library, obfuscated name): model the
         // allocation as an unknown view rather than silently dropping it
         // (docs/ROBUSTNESS.md).
         if (ModelUnknown && S.Lhs != InvalidVar) {
-          Diags.warning(S.Loc, "new of unresolved class '" + S.ClassName +
+          Diags.warning(S.Loc, "new of unresolved class '" + S.className() +
                                    "'; modeling result as unknown");
           addFlow(G, 
               G.makeUnknownViewNode(UnknownReason::UnknownClass, &M, S.Loc),
@@ -236,37 +236,37 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       break;
     case StmtKind::LoadField: {
       const ClassDecl *C = declaredClass(M.var(S.Base));
-      const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
+      const FieldDecl *F = C ? C->findField(S.fieldName()) : nullptr;
       if (F)
         addFlow(G, G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::StoreField: {
       const ClassDecl *C = declaredClass(M.var(S.Base));
-      const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
+      const FieldDecl *F = C ? C->findField(S.fieldName()) : nullptr;
       if (F)
         addFlow(G, G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
       break;
     }
     case StmtKind::LoadStaticField: {
-      const ClassDecl *C = P.findClass(S.ClassName);
-      const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
+      const ClassDecl *C = P.findClass(S.className());
+      const FieldDecl *F = C ? C->findField(S.fieldName()) : nullptr;
       if (F)
         addFlow(G, G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::StoreStaticField: {
-      const ClassDecl *C = P.findClass(S.ClassName);
-      const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
+      const ClassDecl *C = P.findClass(S.className());
+      const FieldDecl *F = C ? C->findField(S.fieldName()) : nullptr;
       if (F)
         addFlow(G, G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
       break;
     }
     case StmtKind::AssignLayoutId: {
-      layout::ResourceId Id = Res.lookupLayoutId(S.ResourceName);
+      layout::ResourceId Id = Res.lookupLayoutId(S.resourceName());
       if (Id == layout::InvalidResourceId) {
         Diags.warning(S.Loc, "reference to unknown layout '@layout/" +
-                                 S.ResourceName + "'");
+                                 S.resourceName() + "'");
         // Missing layout resource: the id still reaches inflate sites as a
         // tagged unknown so downstream ops degrade instead of vanishing.
         if (ModelUnknown && S.Lhs != InvalidVar)
@@ -282,12 +282,12 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       // View ids may be referenced in code even when no layout declares
       // them (e.g. used only with setId); intern on demand.
       layout::ResourceId Id =
-          Layouts.resources().internViewId(S.ResourceName);
+          Layouts.resources().internViewId(S.resourceName());
       addFlow(G, G.getViewIdNode(Id), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::AssignClassConst: {
-      const ClassDecl *C = P.findClass(S.ClassName);
+      const ClassDecl *C = P.findClass(S.className());
       if (C)
         addFlow(G, G.getClassConstNode(C), G.getVarNode(&M, S.Lhs));
       break;

@@ -10,6 +10,12 @@
 using namespace gator;
 using namespace gator::analysis;
 
+const hier::ClassHierarchy &AnalysisResult::hierarchy() const {
+  if (!Hierarchy)
+    Hierarchy.emplace(Sol->androidModel().program());
+  return *Hierarchy;
+}
+
 std::unique_ptr<AnalysisResult>
 GuiAnalysis::run(const ir::Program &P, layout::LayoutRegistry &Layouts,
                  const android::AndroidModel &AM,
@@ -25,8 +31,8 @@ GuiAnalysis::run(const ir::Program &P, layout::LayoutRegistry &Layouts,
   Result->Graph->setDiagnostics(&Diags);
   {
     support::TraceSpan BuildSpan(Options.Trace, "graph-build");
-    hier::ClassHierarchy CH(P, &Diags);
-    GraphBuilder Builder(P, Layouts, AM, CH, Diags);
+    Result->Hierarchy.emplace(P, &Diags);
+    GraphBuilder Builder(P, Layouts, AM, *Result->Hierarchy, Diags);
     Builder.setTrace(Options.Trace);
     Builder.setModelUnknownSources(Options.ModelUnknownSources);
     if (!Builder.build(*Result->Graph, Result->Sol->opSites()))

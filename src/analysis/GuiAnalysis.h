@@ -32,9 +32,11 @@
 #include "analysis/Solver.h"
 #include "android/AndroidModel.h"
 #include "graph/ConstraintGraph.h"
+#include "hier/ClassHierarchy.h"
 #include "layout/Layout.h"
 
 #include <memory>
+#include <optional>
 
 namespace gator {
 namespace analysis {
@@ -51,6 +53,12 @@ struct AnalysisResult {
   /// Fact derivations (docs/OBSERVABILITY.md); non-null only when the run
   /// was configured with RecordProvenance. Feeds `gator_cli --explain`.
   std::unique_ptr<ProvenanceRecorder> Provenance;
+
+  /// The class hierarchy graph build resolved calls with, kept for the
+  /// clients (their call graphs resolve through it), so one analysis
+  /// builds one. A result assembled without one builds it on first use.
+  const hier::ClassHierarchy &hierarchy() const;
+  mutable std::optional<hier::ClassHierarchy> Hierarchy;
 
   /// Table 2 metrics under the options this run used.
   Solution::PrecisionMetrics metrics() const {

@@ -436,9 +436,12 @@ namespace {
 
 bool sameStmt(const Stmt &A, const Stmt &B) {
   return A.Kind == B.Kind && A.Lhs == B.Lhs && A.Base == B.Base &&
-         A.Rhs == B.Rhs && A.FieldName == B.FieldName &&
-         A.ClassName == B.ClassName && A.ResourceName == B.ResourceName &&
-         A.MethodName == B.MethodName && A.Args == B.Args;
+         A.Rhs == B.Rhs &&
+         (!A.hasFieldName() || A.fieldName() == B.fieldName()) &&
+         (!A.hasClassName() || A.className() == B.className()) &&
+         (!A.hasResourceName() || A.resourceName() == B.resourceName()) &&
+         (!A.isInvoke() ||
+          (A.methodName() == B.methodName() && A.args() == B.args()));
 }
 
 bool sameBody(const MethodDecl &A, const MethodDecl &B) {
@@ -629,14 +632,19 @@ bool analysis::graftMethodBody(MethodDecl &Dst, const MethodDecl &Src) {
     N.Lhs = remap(S.Lhs);
     N.Base = remap(S.Base);
     N.Rhs = remap(S.Rhs);
-    N.FieldName = P.adopt(S.FieldName);
-    N.ClassName = P.adopt(S.ClassName);
-    N.ResourceName = P.adopt(S.ResourceName);
-    N.MethodName = P.adopt(S.MethodName);
-    Args.clear();
-    for (ir::VarId A : S.Args)
-      Args.push_back(remap(A));
-    N.Args = P.makeArgs(Args);
+    if (S.hasFieldName())
+      N.setFieldName(P.adopt(S.fieldName()));
+    if (S.hasClassName())
+      N.setClassName(P.adopt(S.className()));
+    if (S.hasResourceName())
+      N.setResourceName(P.adopt(S.resourceName()));
+    if (S.isInvoke()) {
+      N.setMethodName(P.adopt(S.methodName()));
+      Args.clear();
+      for (ir::VarId A : S.args())
+        Args.push_back(remap(A));
+      N.setArgs(P.makeArgs(Args));
+    }
     NewBody.push_back(N);
   }
   Dst.setBody(NewBody);

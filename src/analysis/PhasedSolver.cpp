@@ -820,8 +820,8 @@ std::unique_ptr<AnalysisResult> gator::analysis::runPhasedAnalysis(
   Result->Graph->setDiagnostics(&Diags);
   {
     support::TraceSpan BuildSpan(Options.Trace, "graph-build");
-    hier::ClassHierarchy CH(P, &Diags);
-    GraphBuilder Builder(P, Layouts, AM, CH, Diags);
+    Result->Hierarchy.emplace(P, &Diags);
+    GraphBuilder Builder(P, Layouts, AM, *Result->Hierarchy, Diags);
     Builder.setTrace(Options.Trace);
     Builder.setModelUnknownSources(Options.ModelUnknownSources);
     if (!Builder.build(*Result->Graph, Result->Sol->opSites()))

@@ -485,12 +485,12 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
   // program never interned has the invalid symbol and matches nothing.
   auto is = [](Symbol A, Symbol Known) { return Known.isValid() && A == Known; };
   auto argIsInt = [&](unsigned I) {
-    return is(P->symbolOf(Enclosing.var(S.Args[I]).TypeName), Sym.Int);
+    return is(P->symbolOf(Enclosing.var(S.args()[I]).TypeName), Sym.Int);
   };
 
-  const Symbol Name = P->symbolOf(S.MethodName);
+  const Symbol Name = P->symbolOf(S.methodName());
 
-  if (is(Name, Sym.SetContentView) && S.Args.size() == 1 &&
+  if (is(Name, Sym.SetContentView) && S.args().size() == 1 &&
       isWindowClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = argIsInt(0) ? OpKind::Inflate2 : OpKind::AddView1;
@@ -499,15 +499,15 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
 
   if (is(Name, Sym.Inflate) && InflaterClass &&
       P->isSubtypeOf(Recv, InflaterClass) &&
-      (S.Args.size() == 1 || S.Args.size() == 2) && argIsInt(0)) {
+      (S.args().size() == 1 || S.args().size() == 2) && argIsInt(0)) {
     OpSpec Spec;
     Spec.Kind = OpKind::Inflate1;
-    if (S.Args.size() == 2)
+    if (S.args().size() == 2)
       Spec.AttachParentArgIndex = 1;
     return Spec;
   }
 
-  if (is(Name, Sym.FindViewById) && S.Args.size() == 1 && argIsInt(0)) {
+  if (is(Name, Sym.FindViewById) && S.args().size() == 1 && argIsInt(0)) {
     if (isWindowClass(Recv)) {
       OpSpec Spec;
       Spec.Kind = OpKind::FindView2;
@@ -520,13 +520,13 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     }
   }
 
-  if (is(Name, Sym.AddView) && S.Args.size() == 1 && isViewGroupClass(Recv)) {
+  if (is(Name, Sym.AddView) && S.args().size() == 1 && isViewGroupClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::AddView2;
     return Spec;
   }
 
-  if (is(Name, Sym.SetId) && S.Args.size() == 1 && argIsInt(0) &&
+  if (is(Name, Sym.SetId) && S.args().size() == 1 && argIsInt(0) &&
       isViewClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::SetId;
@@ -534,10 +534,10 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
   }
 
   const std::vector<const ListenerSpec *> *Registered =
-      S.Args.size() == 1 && Name.isValid() ? findRegisterSpecs(Name) : nullptr;
+      S.args().size() == 1 && Name.isValid() ? findRegisterSpecs(Name) : nullptr;
   if (Registered && isViewClass(Recv)) {
     const ListenerSpec *Match = nullptr;
-    const ClassDecl *ArgType = P->findClass(Enclosing.var(S.Args[0]).TypeName);
+    const ClassDecl *ArgType = P->findClass(Enclosing.var(S.args()[0]).TypeName);
     for (const ListenerSpec *Candidate : *Registered) {
       if (!Match)
         Match = Candidate; // fallback: first registered spec
@@ -558,14 +558,14 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     }
   }
 
-  if (is(Name, Sym.FindFocus) && S.Args.empty() && isViewClass(Recv)) {
+  if (is(Name, Sym.FindFocus) && S.args().empty() && isViewClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::FindView3;
     return Spec;
   }
 
-  if ((is(Name, Sym.GetCurrentView) && S.Args.empty()) ||
-      (is(Name, Sym.GetChildAt) && S.Args.size() == 1)) {
+  if ((is(Name, Sym.GetCurrentView) && S.args().empty()) ||
+      (is(Name, Sym.GetChildAt) && S.args().size() == 1)) {
     if (isViewGroupClass(Recv)) {
       OpSpec Spec;
       Spec.Kind = OpKind::FindView3;
@@ -574,14 +574,14 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     }
   }
 
-  if (is(Name, Sym.SetAdapter) && S.Args.size() == 1 &&
+  if (is(Name, Sym.SetAdapter) && S.args().size() == 1 &&
       isViewGroupClass(Recv)) {
     OpSpec Spec;
     Spec.Kind = OpKind::SetAdapter;
     return Spec;
   }
 
-  if ((is(Name, Sym.Add) || is(Name, Sym.Replace)) && S.Args.size() == 2 &&
+  if ((is(Name, Sym.Add) || is(Name, Sym.Replace)) && S.args().size() == 2 &&
       argIsInt(0) && FragmentTxClass &&
       P->isSubtypeOf(Recv, FragmentTxClass)) {
     OpSpec Spec;
@@ -589,14 +589,14 @@ AndroidModel::classifyInvoke(const MethodDecl &Enclosing,
     return Spec;
   }
 
-  if (is(Name, Sym.StartActivity) && S.Args.size() == 1 && ContextClass &&
+  if (is(Name, Sym.StartActivity) && S.args().size() == 1 && ContextClass &&
       P->isSubtypeOf(Recv, ContextClass)) {
     OpSpec Spec;
     Spec.Kind = OpKind::StartActivity;
     return Spec;
   }
 
-  if (is(Name, Sym.SetClass) && S.Args.size() == 2 && IntentClass &&
+  if (is(Name, Sym.SetClass) && S.args().size() == 2 && IntentClass &&
       P->isSubtypeOf(Recv, IntentClass)) {
     OpSpec Spec;
     Spec.Kind = OpKind::SetIntentClass;

@@ -129,13 +129,13 @@ void BaselineSolver::buildInvoke(const MethodDecl &M, const Stmt &S) {
   const ClassDecl *Recv = declaredClass(M, S.Base);
   if (!Recv)
     return;
-  unsigned Arity = static_cast<unsigned>(S.Args.size());
-  const MethodDecl *Resolved = Recv->findMethod(S.MethodName, Arity);
+  unsigned Arity = static_cast<unsigned>(S.args().size());
+  const MethodDecl *Resolved = Recv->findMethod(S.methodName(), Arity);
   bool PlatformTarget =
       Resolved && Resolved->isAbstract() && Resolved->owner()->isPlatform();
 
   // App-method call edges via CHA — the part existing analyses do handle.
-  for (const MethodDecl *T : CH.resolveVirtualCall(Recv, S.MethodName,
+  for (const MethodDecl *T : CH.resolveVirtualCall(Recv, S.methodName(),
                                                    Arity)) {
     if (T->owner()->isPlatform())
       continue;
@@ -143,7 +143,7 @@ void BaselineSolver::buildInvoke(const MethodDecl &M, const Stmt &S) {
       addEdge(varNode(&M, S.Base), varNode(T, T->thisVar()));
     unsigned N = std::min<unsigned>(T->paramCount(), Arity);
     for (unsigned I = 0; I < N; ++I)
-      addEdge(varNode(&M, S.Args[I]), varNode(T, T->paramVar(I)));
+      addEdge(varNode(&M, S.args()[I]), varNode(T, T->paramVar(I)));
     if (S.Lhs != InvalidVar)
       for (const Stmt &Ret : T->body())
         if (Ret.Kind == StmtKind::Return && Ret.Lhs != InvalidVar)
@@ -165,7 +165,7 @@ void BaselineSolver::buildInvoke(const MethodDecl &M, const Stmt &S) {
       break;
     case OpKind::SetListener:
       ListenerSites.push_back(
-          {varNode(&M, S.Base), varNode(&M, S.Args[0])});
+          {varNode(&M, S.Base), varNode(&M, S.args()[0])});
       break;
     default:
       break;
@@ -176,7 +176,7 @@ void BaselineSolver::buildInvoke(const MethodDecl &M, const Stmt &S) {
   // the baseline models it as a summary value of the result variable's
   // declared type (java.lang.Object when untyped) — the coarse analogue
   // of the main pipeline's tagged UnknownView (docs/ROBUSTNESS.md).
-  if (S.MethodName == "newInstance" && S.Lhs != InvalidVar) {
+  if (S.methodName() == "newInstance" && S.Lhs != InvalidVar) {
     const ClassDecl *K = declaredClass(M, S.Lhs);
     if (!K)
       K = P.findClass(ObjectClassName);
@@ -201,7 +201,7 @@ void BaselineSolver::buildMethod(const MethodDecl &M) {
       addEdge(varNode(&M, S.Base), varNode(&M, S.Lhs));
       break;
     case StmtKind::AssignNew: {
-      const ClassDecl *C = P.findClass(S.ClassName);
+      const ClassDecl *C = P.findClass(S.className());
       if (C)
         addValue(varNode(&M, S.Lhs), newValue(C, /*IsSummary=*/false));
       break;
@@ -209,7 +209,7 @@ void BaselineSolver::buildMethod(const MethodDecl &M) {
     case StmtKind::LoadField:
     case StmtKind::StoreField: {
       const ClassDecl *C = declaredClass(M, S.Base);
-      const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
+      const FieldDecl *F = C ? C->findField(S.fieldName()) : nullptr;
       if (!F)
         break;
       if (S.Kind == StmtKind::LoadField)
@@ -220,8 +220,8 @@ void BaselineSolver::buildMethod(const MethodDecl &M) {
     }
     case StmtKind::LoadStaticField:
     case StmtKind::StoreStaticField: {
-      const ClassDecl *C = P.findClass(S.ClassName);
-      const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
+      const ClassDecl *C = P.findClass(S.className());
+      const FieldDecl *F = C ? C->findField(S.fieldName()) : nullptr;
       if (!F)
         break;
       if (S.Kind == StmtKind::LoadStaticField)

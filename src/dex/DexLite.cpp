@@ -661,9 +661,7 @@ private:
         auto Src = use(Instr.B, Instr.Loc);
         if (!Src)
           break;
-        Stmt S;
-        S.Kind = StmtKind::AssignVar;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::AssignVar, Instr.Loc);
         S.Lhs = define(Instr.A, Src->TypeName);
         S.Base = Src->Var;
         M->appendStmt(S);
@@ -675,40 +673,32 @@ private:
         auto It = Regs.find(Instr.A);
         std::string Ty =
             It != Regs.end() ? It->second.TypeName : ObjectClassName;
-        Stmt S;
-        S.Kind = StmtKind::AssignNull;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::AssignNull, Instr.Loc);
         S.Lhs = define(Instr.A, Ty);
         M->appendStmt(S);
         break;
       }
       case InstrKind::ConstLayout:
       case InstrKind::ConstId: {
-        Stmt S;
-        S.Kind = Instr.Kind == InstrKind::ConstLayout
-                     ? StmtKind::AssignLayoutId
-                     : StmtKind::AssignViewId;
-        S.Loc = Instr.Loc;
+        Stmt S(Instr.Kind == InstrKind::ConstLayout ? StmtKind::AssignLayoutId
+                                                    : StmtKind::AssignViewId,
+               Instr.Loc);
         S.Lhs = define(Instr.A, IntTypeName);
-        S.ResourceName = P.intern(Instr.Name);
+        S.setResourceName(P.intern(Instr.Name));
         M->appendStmt(S);
         break;
       }
       case InstrKind::ConstClass: {
-        Stmt S;
-        S.Kind = StmtKind::AssignClassConst;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::AssignClassConst, Instr.Loc);
         S.Lhs = define(Instr.A, "java.lang.Class");
-        S.ClassName = P.intern(Instr.Name);
+        S.setClassName(P.intern(Instr.Name));
         M->appendStmt(S);
         break;
       }
       case InstrKind::NewInstance: {
-        Stmt S;
-        S.Kind = StmtKind::AssignNew;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::AssignNew, Instr.Loc);
         S.Lhs = define(Instr.A, Instr.Name);
-        S.ClassName = P.intern(Instr.Name);
+        S.setClassName(P.intern(Instr.Name));
         M->appendStmt(S);
         break;
       }
@@ -725,12 +715,10 @@ private:
                                          "' on type '" + Base->TypeName +
                                          "'; inferring java.lang.Object");
         }
-        Stmt S;
-        S.Kind = StmtKind::LoadField;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::LoadField, Instr.Loc);
         S.Lhs = define(Instr.A, FieldType);
         S.Base = Base->Var;
-        S.FieldName = P.intern(Instr.Name);
+        S.setFieldName(P.intern(Instr.Name));
         M->appendStmt(S);
         break;
       }
@@ -739,11 +727,9 @@ private:
         auto Base = use(Instr.B, Instr.Loc);
         if (!Val || !Base)
           break;
-        Stmt S;
-        S.Kind = StmtKind::StoreField;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::StoreField, Instr.Loc);
         S.Base = Base->Var;
-        S.FieldName = P.intern(Instr.Name);
+        S.setFieldName(P.intern(Instr.Name));
         S.Rhs = Val->Var;
         M->appendStmt(S);
         break;
@@ -760,22 +746,18 @@ private:
           if (const ClassDecl *SC = P.findClass(ClassName))
             if (const FieldDecl *F = SC->findField(FieldName))
               FieldType = F->typeName();
-          Stmt S;
-          S.Kind = StmtKind::LoadStaticField;
-          S.Loc = Instr.Loc;
+          Stmt S(StmtKind::LoadStaticField, Instr.Loc);
           S.Lhs = define(Instr.A, FieldType);
-          S.ClassName = P.intern(ClassName);
-          S.FieldName = P.intern(FieldName);
+          S.setClassName(P.intern(ClassName));
+          S.setFieldName(P.intern(FieldName));
           M->appendStmt(S);
         } else {
           auto Val = use(Instr.A, Instr.Loc);
           if (!Val)
             break;
-          Stmt S;
-          S.Kind = StmtKind::StoreStaticField;
-          S.Loc = Instr.Loc;
-          S.ClassName = P.intern(ClassName);
-          S.FieldName = P.intern(FieldName);
+          Stmt S(StmtKind::StoreStaticField, Instr.Loc);
+          S.setClassName(P.intern(ClassName));
+          S.setFieldName(P.intern(FieldName));
           S.Rhs = Val->Var;
           M->appendStmt(S);
         }
@@ -785,11 +767,9 @@ private:
         auto Recv = use(Instr.Regs[0], Instr.Loc);
         if (!Recv)
           break;
-        Stmt S;
-        S.Kind = StmtKind::Invoke;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::Invoke, Instr.Loc);
         S.Base = Recv->Var;
-        S.MethodName = P.intern(Instr.Name);
+        S.setMethodName(P.intern(Instr.Name));
         bool ArgsOk = true;
         std::vector<VarId> Args;
         for (size_t I = 1; I < Instr.Regs.size(); ++I) {
@@ -802,13 +782,13 @@ private:
         }
         if (!ArgsOk)
           break;
-        S.Args = P.makeArgs(Args);
+        S.setArgs(P.makeArgs(Args));
 
         // Infer the result type for a following move-result.
         std::string RetType = ObjectClassName;
         if (const ClassDecl *RC = classOf(Recv->TypeName))
           if (const MethodDecl *Callee = RC->findMethod(
-                  Instr.Name, static_cast<unsigned>(S.Args.size())))
+                  Instr.Name, static_cast<unsigned>(S.args().size())))
             RetType = Callee->returnTypeName();
 
         M->appendStmt(S);
@@ -826,9 +806,7 @@ private:
         break;
       }
       case InstrKind::ReturnVoid: {
-        Stmt S;
-        S.Kind = StmtKind::Return;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::Return, Instr.Loc);
         M->appendStmt(S);
         break;
       }
@@ -836,9 +814,7 @@ private:
         auto Val = use(Instr.A, Instr.Loc);
         if (!Val)
           break;
-        Stmt S;
-        S.Kind = StmtKind::Return;
-        S.Loc = Instr.Loc;
+        Stmt S(StmtKind::Return, Instr.Loc);
         S.Lhs = Val->Var;
         M->appendStmt(S);
         break;

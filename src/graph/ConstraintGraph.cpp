@@ -119,7 +119,7 @@ NodeId ConstraintGraph::push(const Node &N) {
 }
 
 NodeId ConstraintGraph::pushWithLoc(Node N, const SourceLocation &Loc) {
-  Locs.push_back(Loc);
+  Locs.push_back(EdgeArena, Loc);
   N.LocSlot = static_cast<uint32_t>(Locs.size());
   return push(N);
 }

@@ -428,8 +428,9 @@ private:
 
   std::vector<Node> Nodes;
   /// Site locations of the kinds that carry one, indexed by
-  /// Node::LocSlot - 1 (most nodes are variables, which have none).
-  std::vector<SourceLocation> Locs;
+  /// Node::LocSlot - 1 (most nodes are variables, which have none). On
+  /// EdgeArena, so growing it takes no heap allocation of its own.
+  support::ArenaVector<SourceLocation> Locs;
   SourceLocation NoLoc;
   /// Node ids per NodeKind, in creation order.
   std::vector<NodeList> KindIndex = std::vector<NodeList>(NumNodeKinds);

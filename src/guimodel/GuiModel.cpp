@@ -269,7 +269,8 @@ namespace {
 /// program. Calls into platform code end the walk.
 class LazyCallGraph {
 public:
-  explicit LazyCallGraph(const Program &P) : P(P) {}
+  explicit LazyCallGraph(const AnalysisResult &Result)
+      : P(Result.Sol->androidModel().program()), Result(Result) {}
 
   /// Methods reachable from \p Start (itself included), in breadth-first
   /// discovery order, so everything derived from the walk is ordered by
@@ -318,10 +319,8 @@ private:
             BaseVar.TypeName.empty() ? nullptr : P.findClass(BaseVar.TypeName);
         if (!Recv)
           continue;
-        if (!CH)
-          CH.emplace(P);
-        for (const MethodDecl *T : CH->resolveVirtualCall(
-                 Recv, S.MethodName, static_cast<unsigned>(S.Args.size())))
+        for (const MethodDecl *T : Result.hierarchy().resolveVirtualCall(
+                 Recv, S.methodName(), static_cast<unsigned>(S.args().size())))
           if (!T->owner()->isPlatform())
             CalleeList.push_back(T);
       }
@@ -331,8 +330,9 @@ private:
   }
 
   const Program &P;
-  /// Built when the first invoke needs it.
-  std::optional<hier::ClassHierarchy> CH;
+  /// Resolves calls through the analysis's hierarchy, asked for when the
+  /// first invoke needs it (AnalysisResult::hierarchy()).
+  const AnalysisResult &Result;
   /// The callees of each method resolved so far, by globalId().
   support::FlatIdMap<Range> Resolved;
   std::vector<const MethodDecl *> CalleeList;
@@ -350,7 +350,7 @@ private:
 class StartWalker {
 public:
   explicit StartWalker(const AnalysisResult &Result)
-      : Calls(Result.Sol->androidModel().program()) {
+      : Calls(Result) {
     const ConstraintGraph &G = *Result.Graph;
     const Solution &Sol = *Result.Sol;
     const AndroidModel &AM = Sol.androidModel();

@@ -192,10 +192,15 @@ enum class StmtKind : uint8_t {
 /// Program's DeclArena (Program::makeArgs()).
 using ArgList = support::ArenaSpan<VarId>;
 
-/// One ALite statement. A tagged aggregate: the meaningful members depend
-/// on Kind (see the per-kind accessors for the exact contract). Trivially
-/// copyable and destructible: names are interned and Args lives on the
-/// arena, so a method body is one flat array of these.
+/// One ALite statement, 64 bytes (docs/MEMORY.md, "Statements"). A tagged
+/// aggregate: the variables are plain members, InvalidVar where a kind has
+/// none, and the names and arguments sit in one primary Name plus a union
+/// of a second Name (the class of a static field access) with the
+/// ArgList. Read and write those only through the per-kind accessors
+/// below, which assert the kind; the has*() predicates say which a kind
+/// carries. Trivially copyable and destructible: names are interned and
+/// the arguments live on the arena, so a method body is one flat array of
+/// these.
 struct Stmt {
   SourceLocation Loc;
 
@@ -210,18 +215,96 @@ struct Stmt {
 
   StmtKind Kind = StmtKind::AssignVar;
 
-  /// Field name for Load/StoreField (resolved during analysis against the
-  /// base's declared type) and Load/StoreStaticField.
-  Name FieldName;
-  /// Class name for AssignNew, AssignClassConst, and static field access.
-  Name ClassName;
-  /// Resource name for AssignLayoutId / AssignViewId.
-  Name ResourceName;
-  /// Invoked method name for Invoke.
-  Name MethodName;
-  /// Argument variables for Invoke.
-  ArgList Args;
+  Stmt() : StaticClass() {}
+  /// A statement of \p Kind at \p Loc, with no operands yet.
+  explicit Stmt(StmtKind Kind, SourceLocation Loc = {})
+      : Loc(Loc), Kind(Kind), StaticClass() {
+    if (Kind == StmtKind::Invoke)
+      CallArgs = ArgList();
+  }
+
+  /// Load/StoreField and Load/StoreStaticField name a field (resolved
+  /// during analysis against the base's declared type, or the class).
+  bool hasFieldName() const {
+    return Kind == StmtKind::LoadField || Kind == StmtKind::StoreField ||
+           isStaticFieldAccess();
+  }
+  /// AssignNew, AssignClassConst and static field accesses name a class.
+  bool hasClassName() const {
+    return Kind == StmtKind::AssignNew || Kind == StmtKind::AssignClassConst ||
+           isStaticFieldAccess();
+  }
+  /// AssignLayoutId and AssignViewId name a resource.
+  bool hasResourceName() const {
+    return Kind == StmtKind::AssignLayoutId || Kind == StmtKind::AssignViewId;
+  }
+  /// Only an Invoke has a method name and arguments.
+  bool isInvoke() const { return Kind == StmtKind::Invoke; }
+
+  Name fieldName() const {
+    assert(hasFieldName() && "statement kind names no field");
+    return Primary;
+  }
+  Name className() const {
+    assert(hasClassName() && "statement kind names no class");
+    return isStaticFieldAccess() ? StaticClass : Primary;
+  }
+  Name resourceName() const {
+    assert(hasResourceName() && "statement kind names no resource");
+    return Primary;
+  }
+  Name methodName() const {
+    assert(isInvoke() && "only an Invoke names a method");
+    return Primary;
+  }
+  const ArgList &args() const {
+    assert(isInvoke() && "only an Invoke has arguments");
+    return CallArgs;
+  }
+
+  // The writers, with the readers' contracts. Set Kind first.
+  void setFieldName(Name N) {
+    assert(hasFieldName() && "statement kind names no field");
+    Primary = N;
+  }
+  void setClassName(Name N) {
+    assert(hasClassName() && "statement kind names no class");
+    (isStaticFieldAccess() ? StaticClass : Primary) = N;
+  }
+  void setResourceName(Name N) {
+    assert(hasResourceName() && "statement kind names no resource");
+    Primary = N;
+  }
+  void setMethodName(Name N) {
+    assert(isInvoke() && "only an Invoke names a method");
+    Primary = N;
+  }
+  void setArgs(ArgList Args) {
+    assert(isInvoke() && "only an Invoke has arguments");
+    CallArgs = Args;
+  }
+
+private:
+  bool isStaticFieldAccess() const {
+    return Kind == StmtKind::LoadStaticField ||
+           Kind == StmtKind::StoreStaticField;
+  }
+
+  /// The field, the class of AssignNew/AssignClassConst, the resource or
+  /// the method: whichever one name the kind carries first.
+  Name Primary;
+  union {
+    /// Load/StoreStaticField: the class.
+    Name StaticClass;
+    /// Invoke: the argument variables.
+    ArgList CallArgs;
+  };
 };
+
+static_assert(sizeof(void *) != 8 || sizeof(Stmt) <= 64,
+              "a statement must stay within 64 bytes (docs/MEMORY.md)");
+static_assert(std::is_trivially_copyable_v<Stmt>,
+              "method bodies are copied as flat arrays");
 
 /// A method declaration with its body.
 class MethodDecl {

@@ -69,7 +69,7 @@ public:
   MethodBuilder &assignNew(const std::string &X, const std::string &Klass) {
     Stmt S = make(StmtKind::AssignNew);
     S.Lhs = var(X);
-    S.ClassName = name(Klass);
+    S.setClassName(name(Klass));
     return push(S);
   }
 
@@ -86,7 +86,7 @@ public:
     Stmt S = make(StmtKind::LoadField);
     S.Lhs = var(X);
     S.Base = var(Y);
-    S.FieldName = name(Field);
+    S.setFieldName(name(Field));
     return push(S);
   }
 
@@ -95,7 +95,7 @@ public:
                             const std::string &Y) {
     Stmt S = make(StmtKind::StoreField);
     S.Base = var(X);
-    S.FieldName = name(Field);
+    S.setFieldName(name(Field));
     S.Rhs = var(Y);
     return push(S);
   }
@@ -105,8 +105,8 @@ public:
                             const std::string &Field) {
     Stmt S = make(StmtKind::LoadStaticField);
     S.Lhs = var(X);
-    S.ClassName = name(Klass);
-    S.FieldName = name(Field);
+    S.setClassName(name(Klass));
+    S.setFieldName(name(Field));
     return push(S);
   }
 
@@ -114,8 +114,8 @@ public:
   MethodBuilder &storeStatic(const std::string &Klass,
                              const std::string &Field, const std::string &Y) {
     Stmt S = make(StmtKind::StoreStaticField);
-    S.ClassName = name(Klass);
-    S.FieldName = name(Field);
+    S.setClassName(name(Klass));
+    S.setFieldName(name(Field));
     S.Rhs = var(Y);
     return push(S);
   }
@@ -124,7 +124,7 @@ public:
   MethodBuilder &layoutId(const std::string &X, const std::string &Name) {
     Stmt S = make(StmtKind::AssignLayoutId);
     S.Lhs = var(X);
-    S.ResourceName = name(Name);
+    S.setResourceName(name(Name));
     return push(S);
   }
 
@@ -132,7 +132,7 @@ public:
   MethodBuilder &viewId(const std::string &X, const std::string &Name) {
     Stmt S = make(StmtKind::AssignViewId);
     S.Lhs = var(X);
-    S.ResourceName = name(Name);
+    S.setResourceName(name(Name));
     return push(S);
   }
 
@@ -140,7 +140,7 @@ public:
   MethodBuilder &classConst(const std::string &X, const std::string &Klass) {
     Stmt S = make(StmtKind::AssignClassConst);
     S.Lhs = var(X);
-    S.ClassName = name(Klass);
+    S.setClassName(name(Klass));
     return push(S);
   }
 
@@ -178,12 +178,7 @@ public:
   }
 
 private:
-  Stmt make(StmtKind Kind) const {
-    Stmt S;
-    S.Kind = Kind;
-    S.Loc = CurLoc;
-    return S;
-  }
+  Stmt make(StmtKind Kind) const { return Stmt(Kind, CurLoc); }
 
   /// invoke() and call() share this; \p Lhs is null for no result. (A
   /// std::nullopt passed on from call() draws a false GCC 12
@@ -195,11 +190,11 @@ private:
     if (Lhs)
       S.Lhs = var(*Lhs);
     S.Base = var(Base);
-    S.MethodName = name(Method);
+    S.setMethodName(name(Method));
     std::vector<VarId> Ids;
     for (const std::string &A : Args)
       Ids.push_back(var(A));
-    S.Args = M->owner()->program().makeArgs(Ids);
+    S.setArgs(M->owner()->program().makeArgs(Ids));
     return push(S);
   }
 

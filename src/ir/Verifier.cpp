@@ -50,11 +50,11 @@ private:
       break;
     case StmtKind::AssignNew: {
       checkVar(S, S.Lhs, "destination");
-      const ClassDecl *C = P.findClass(S.ClassName);
+      const ClassDecl *C = P.findClass(S.className());
       if (!C)
-        error(S, "new of unknown class '" + S.ClassName + "'");
+        error(S, "new of unknown class '" + S.className() + "'");
       else if (C->isInterface())
-        error(S, "new of interface '" + S.ClassName + "'");
+        error(S, "new of interface '" + S.className() + "'");
       break;
     }
     case StmtKind::AssignNull:
@@ -65,8 +65,8 @@ private:
           !checkVar(S, S.Base, "base"))
         break;
       const ClassDecl *C = declaredClass(S.Base);
-      if (C && !C->findField(S.FieldName))
-        warn(S, "field '" + S.FieldName + "' not found on type '" +
+      if (C && !C->findField(S.fieldName()))
+        warn(S, "field '" + S.fieldName() + "' not found on type '" +
                     C->name() + "'");
       break;
     }
@@ -74,8 +74,8 @@ private:
       if (!checkVar(S, S.Base, "base") || !checkVar(S, S.Rhs, "value"))
         break;
       const ClassDecl *C = declaredClass(S.Base);
-      if (C && !C->findField(S.FieldName))
-        warn(S, "field '" + S.FieldName + "' not found on type '" +
+      if (C && !C->findField(S.fieldName()))
+        warn(S, "field '" + S.fieldName() + "' not found on type '" +
                     C->name() + "'");
       break;
     }
@@ -85,26 +85,26 @@ private:
         checkVar(S, S.Lhs, "destination");
       else
         checkVar(S, S.Rhs, "value");
-      const ClassDecl *C = P.findClass(S.ClassName);
+      const ClassDecl *C = P.findClass(S.className());
       if (!C) {
-        error(S, "static field access on unknown class '" + S.ClassName + "'");
+        error(S, "static field access on unknown class '" + S.className() + "'");
         break;
       }
-      if (!C->findField(S.FieldName))
-        warn(S, "static field '" + S.FieldName + "' not found on class '" +
+      if (!C->findField(S.fieldName()))
+        warn(S, "static field '" + S.fieldName() + "' not found on class '" +
                     C->name() + "'");
       break;
     }
     case StmtKind::AssignLayoutId:
     case StmtKind::AssignViewId:
       checkVar(S, S.Lhs, "destination");
-      if (S.ResourceName.empty())
+      if (S.resourceName().empty())
         error(S, "empty resource name");
       break;
     case StmtKind::AssignClassConst: {
       checkVar(S, S.Lhs, "destination");
-      if (!P.findClass(S.ClassName))
-        error(S, "classof unknown class '" + S.ClassName + "'");
+      if (!P.findClass(S.className()))
+        error(S, "classof unknown class '" + S.className() + "'");
       break;
     }
     case StmtKind::Invoke: {
@@ -112,13 +112,13 @@ private:
         checkVar(S, S.Lhs, "destination");
       if (!checkVar(S, S.Base, "receiver"))
         break;
-      for (VarId Arg : S.Args)
+      for (VarId Arg : S.args())
         checkVar(S, Arg, "argument");
       const ClassDecl *C = declaredClass(S.Base);
-      if (C && !C->findMethod(S.MethodName,
-                              static_cast<unsigned>(S.Args.size())))
-        warn(S, "method '" + S.MethodName + "/" +
-                    std::to_string(S.Args.size()) + "' not found on type '" +
+      if (C && !C->findMethod(S.methodName(),
+                              static_cast<unsigned>(S.args().size())))
+        warn(S, "method '" + S.methodName() + "/" +
+                    std::to_string(S.args().size()) + "' not found on type '" +
                     C->name() + "'");
       break;
     }

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <string>
 
 using namespace gator;
@@ -214,6 +216,57 @@ size_t countNewlines(std::string_view S) {
 
 } // namespace
 
+void TokenBuffer::reserve(size_t Bytes) {
+  // Raw storage from the scalar operator new (which allocation counters
+  // replace): the pages the stream never reaches are never touched.
+  std::unique_ptr<uint8_t, FreeStream> Grown(
+      static_cast<uint8_t *>(::operator new(Bytes)));
+  if (Used)
+    std::memcpy(Grown.get(), Data.get(), Used);
+  Data = std::move(Grown);
+  Capacity = Bytes;
+}
+
+void TokenBuffer::grow() {
+  reserve(std::max<size_t>(2 * Capacity, 4 * MaxEncodedBytes));
+}
+
+void TokenBuffer::indexCheckpoints() const {
+  Checkpoints.reserve((Count + CheckpointEvery - 1) / CheckpointEvery);
+  const uint8_t *P = Data.get();
+  Decoded D{0, 0, TokenKind::Identifier};
+  for (size_t I = 0; I < Count; ++I) {
+    if (I % CheckpointEvery == 0)
+      Checkpoints.push_back(
+          {static_cast<size_t>(P - Data.get()), D.Offset + D.Length});
+    P = decode(P, D);
+  }
+}
+
+const TokenBuffer::Decoded &TokenBuffer::seek(size_t I) const {
+  assert(I < Count && "token index out of range");
+  if (I == LastIndex)
+    return Last;
+  size_t Steps;
+  const uint8_t *P;
+  if (LastIndex < I && I - LastIndex <= CheckpointEvery) {
+    Steps = I - LastIndex;
+    P = Data.get() + LastNext;
+  } else {
+    if (Checkpoints.empty())
+      indexCheckpoints();
+    const Checkpoint &C = Checkpoints[I / CheckpointEvery];
+    Steps = I % CheckpointEvery + 1;
+    P = Data.get() + C.Byte;
+    Last = {C.PrevEnd, 0, TokenKind::Identifier};
+  }
+  while (Steps--)
+    P = decode(P, Last);
+  LastIndex = I;
+  LastNext = static_cast<size_t>(P - Data.get());
+  return Last;
+}
+
 unsigned TokenBuffer::searchLine(uint32_t Offset) const {
   return static_cast<unsigned>(
       std::upper_bound(LineStarts.begin(), LineStarts.end(), Offset) -
@@ -246,7 +299,7 @@ const char *Lexer::blockComment(TokenBuffer &Out, const char *P) {
 
 const char *Lexer::badResource(TokenBuffer &Out, const char *Start) {
   // The loop has already taken every well-formed `@layout/name` and
-  // `@id/name`, so whatever reaches here is an error. Its record spans
+  // `@id/name`, so whatever reaches here is an error. Its token spans
   // what was scanned, as an Error token.
   const char *const End = Input.data() + Input.size();
   const char *P = scanIdent(Start + 1, End);
@@ -296,16 +349,15 @@ TokenBuffer Lexer::lexAll() {
   TokenBuffer Out;
   Out.Input = Input;
   Out.File = File;
-  // Records hold 32-bit offsets, so the input must stay under 4 GiB; a
+  // Token offsets are 32-bit, so the input must stay under 4 GiB; a
   // larger one is rejected before any of it is read.
   if (Input.size() > std::numeric_limits<uint32_t>::max()) {
     tooLarge(Out);
     return Out;
   }
-  // ALite averages more than three bytes per token, so one reservation
-  // covers real inputs; denser text falls back to geometric growth. The
-  // line starts are counted first and reserved exactly.
-  Out.Records.reserve(Input.size() / 3 + 1);
+  // One reservation sized from the input covers real inputs; the line
+  // starts are counted first and reserved exactly.
+  Out.reserve(TokenBuffer::reservationFor(Input.size()));
   Out.LineStarts.reserve(countNewlines(Input) + 1);
   Out.LineStarts.push_back(0);
 
@@ -357,7 +409,7 @@ TokenBuffer Lexer::lexAll() {
       }
       break;
     case AtByte: {
-      // The record spans the whole reference; TokenBuffer::text drops
+      // The token spans the whole reference; TokenBuffer::text drops
       // the prefix.
       const char *Start = P;
       TokenKind Kind;

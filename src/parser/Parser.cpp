@@ -2,8 +2,6 @@
 
 #include "parser/Parser.h"
 
-#include <algorithm>
-
 using namespace gator;
 using namespace gator::parser;
 using namespace gator::ir;
@@ -12,8 +10,8 @@ namespace {
 
 class AliteParser {
 public:
-  AliteParser(TokenBuffer Tokens, Program &P, DiagnosticEngine &Diags)
-      : Tokens(std::move(Tokens)), P(P), Diags(Diags),
+  AliteParser(TokenBuffer Buffer, Program &P, DiagnosticEngine &Diags)
+      : Tokens(std::move(Buffer)), Cur(Tokens), P(P), Diags(Diags),
         VoidName(P.intern(VoidTypeName)) {}
 
   bool run() {
@@ -29,37 +27,33 @@ private:
   // Token helpers
   //===--------------------------------------------------------------------===//
 
-  /// A token as the parser reads it: its kind, its spelling and where it
-  /// sits in the buffer, but no location. Only a statement's start and a
-  /// diagnostic need one, and locOf computes it from the index then.
+  /// A token as the parser reads it: its kind, its spelling and the input
+  /// offset it starts at, but no location. Only a statement's start and a
+  /// diagnostic need one, and locOf computes it from the offset then.
   struct TokenRef {
     TokenKind Kind;
     std::string_view Text;
-    size_t Index;
+    uint32_t Offset;
 
     bool is(TokenKind K) const { return Kind == K; }
   };
 
-  TokenRef cur() const {
-    return {Tokens.kind(Index), Tokens.text(Index), Index};
-  }
-  TokenKind nextKind() const {
-    return Tokens.kind(std::min(Index + 1, Tokens.size() - 1));
-  }
-  bool at(TokenKind Kind) const { return Tokens.kind(Index) == Kind; }
+  TokenRef cur() const { return {Cur.kind(), Cur.text(), Cur.offset()}; }
+  TokenKind nextKind() const { return Cur.nextKind(); }
+  bool at(TokenKind Kind) const { return Cur.kind() == Kind; }
 
   /// Consumes and returns the current token.
   TokenRef take() {
     TokenRef T = cur();
-    if (!T.is(TokenKind::EndOfFile))
-      ++Index;
+    Cur.advance();
     return T;
   }
 
-  /// The location of the token at \p I. Locations are asked for roughly
-  /// in token order, so the line of the last one is the hint for the next.
-  SourceLocation locOf(size_t I) {
-    const SourceLocation Loc = Tokens.get(I, Line).Loc;
+  /// The location of the token starting at input byte \p Offset.
+  /// Locations are asked for in token order, so the line of the last one
+  /// is the hint for the next.
+  SourceLocation locOf(uint32_t Offset) {
+    const SourceLocation Loc = Tokens.locAt(Offset, Line);
     Line = Loc.line();
     return Loc;
   }
@@ -79,12 +73,12 @@ private:
   [[gnu::cold, gnu::noinline]] bool expectFailed(TokenKind Kind,
                                                  const char *Context) {
     error(std::string("expected ") + tokenKindName(Kind) + " " + Context +
-          ", found " + tokenKindName(Tokens.kind(Index)));
+          ", found " + tokenKindName(Cur.kind()));
     return false;
   }
 
   void error(const std::string &Message) {
-    Diags.error(locOf(Index), Message);
+    Diags.error(locOf(Cur.offset()), Message);
     Ok = false;
   }
 
@@ -319,8 +313,8 @@ private:
   VarId useVar(MethodDecl &M, const TokenRef &NameTok) {
     VarId Id = M.findVar(NameTok.Text);
     if (Id == InvalidVar) {
-      Diags.error(locOf(NameTok.Index), "use of undeclared variable '" +
-                                            std::string(NameTok.Text) + "'");
+      Diags.error(locOf(NameTok.Offset), "use of undeclared variable '" +
+                                             std::string(NameTok.Text) + "'");
       Ok = false;
     }
     return Id;
@@ -347,7 +341,7 @@ private:
   }
 
   bool parseStmt(MethodDecl &M) {
-    const size_t Start = Index;
+    const uint32_t Start = Cur.offset();
 
     // var x: T;
     if (accept(TokenKind::KwVar)) {
@@ -357,8 +351,8 @@ private:
       }
       const TokenRef NameTok = take();
       if (M.findVar(NameTok.Text) != InvalidVar) {
-        Diags.error(locOf(NameTok.Index), "redeclaration of variable '" +
-                                              std::string(NameTok.Text) + "'");
+        Diags.error(locOf(NameTok.Offset), "redeclaration of variable '" +
+                                               std::string(NameTok.Text) + "'");
         Ok = false;
         return false;
       }
@@ -379,9 +373,7 @@ private:
 
     // return [x];
     if (accept(TokenKind::KwReturn)) {
-      Stmt S;
-      S.Kind = StmtKind::Return;
-      S.Loc = Loc;
+      Stmt S(StmtKind::Return, Loc);
       if (at(TokenKind::Identifier)) {
         S.Lhs = useVar(M, take());
         if (S.Lhs == InvalidVar)
@@ -414,11 +406,9 @@ private:
         return false;
       if (!expect(TokenKind::Semicolon, "after static store"))
         return false;
-      Stmt S;
-      S.Kind = StmtKind::StoreStaticField;
-      S.Loc = Loc;
-      S.ClassName = ClassName;
-      S.FieldName = FieldName;
+      Stmt S(StmtKind::StoreStaticField, Loc);
+      S.setClassName(ClassName);
+      S.setFieldName(FieldName);
       S.Rhs = Rhs;
       emit(S);
       return true;
@@ -443,14 +433,12 @@ private:
         return false;
 
       if (at(TokenKind::LParen)) {
-        Stmt S;
-        S.Kind = StmtKind::Invoke;
-        S.Loc = Loc;
+        Stmt S(StmtKind::Invoke, Loc);
         S.Base = Base;
-        S.MethodName = intern(MemberTok);
+        S.setMethodName(intern(MemberTok));
         if (!parseArgs(M))
           return false;
-        S.Args = takeArgs();
+        S.setArgs(takeArgs());
         if (!expect(TokenKind::Semicolon, "after call"))
           return false;
         emit(S);
@@ -468,11 +456,9 @@ private:
         return false;
       if (!expect(TokenKind::Semicolon, "after field store"))
         return false;
-      Stmt S;
-      S.Kind = StmtKind::StoreField;
-      S.Loc = Loc;
+      Stmt S(StmtKind::StoreField, Loc);
       S.Base = Base;
-      S.FieldName = intern(MemberTok);
+      S.setFieldName(intern(MemberTok));
       S.Rhs = Rhs;
       emit(S);
       return true;
@@ -495,11 +481,9 @@ private:
       ir::Name ClassName;
       if (!parseQName(ClassName, "after 'new'"))
         return false;
-      Stmt S;
-      S.Kind = StmtKind::AssignNew;
-      S.Loc = Loc;
+      Stmt S(StmtKind::AssignNew, Loc);
       S.Lhs = Lhs;
-      S.ClassName = ClassName;
+      S.setClassName(ClassName);
       emit(S);
 
       if (at(TokenKind::LParen)) {
@@ -508,12 +492,10 @@ private:
         // Non-empty constructor argument lists lower to an `init` call on
         // the fresh object; `new C()` behaves like plain `new C`.
         if (!Args.empty()) {
-          Stmt Init;
-          Init.Kind = StmtKind::Invoke;
-          Init.Loc = Loc;
+          Stmt Init(StmtKind::Invoke, Loc);
           Init.Base = Lhs;
-          Init.MethodName = P.intern("init");
-          Init.Args = takeArgs();
+          Init.setMethodName(P.intern("init"));
+          Init.setArgs(takeArgs());
           emit(Init);
         }
       }
@@ -522,9 +504,7 @@ private:
 
     // null
     if (accept(TokenKind::KwNull)) {
-      Stmt S;
-      S.Kind = StmtKind::AssignNull;
-      S.Loc = Loc;
+      Stmt S(StmtKind::AssignNull, Loc);
       S.Lhs = Lhs;
       emit(S);
       return true;
@@ -533,12 +513,11 @@ private:
     // @layout/name, @id/name
     if (at(TokenKind::LayoutRef) || at(TokenKind::IdRef)) {
       const TokenRef ResTok = take();
-      Stmt S;
-      S.Kind = ResTok.is(TokenKind::LayoutRef) ? StmtKind::AssignLayoutId
-                                               : StmtKind::AssignViewId;
-      S.Loc = Loc;
+      Stmt S(ResTok.is(TokenKind::LayoutRef) ? StmtKind::AssignLayoutId
+                                             : StmtKind::AssignViewId,
+             Loc);
       S.Lhs = Lhs;
-      S.ResourceName = intern(ResTok);
+      S.setResourceName(intern(ResTok));
       emit(S);
       return true;
     }
@@ -548,11 +527,9 @@ private:
       ir::Name ClassName;
       if (!parseQName(ClassName, "after 'classof'"))
         return false;
-      Stmt S;
-      S.Kind = StmtKind::AssignClassConst;
-      S.Loc = Loc;
+      Stmt S(StmtKind::AssignClassConst, Loc);
       S.Lhs = Lhs;
-      S.ClassName = ClassName;
+      S.setClassName(ClassName);
       emit(S);
       return true;
     }
@@ -567,12 +544,10 @@ private:
         error("static field access needs a qualified 'Class.field' name");
         return false;
       }
-      Stmt S;
-      S.Kind = StmtKind::LoadStaticField;
-      S.Loc = Loc;
+      Stmt S(StmtKind::LoadStaticField, Loc);
       S.Lhs = Lhs;
-      S.ClassName = ClassName;
-      S.FieldName = FieldName;
+      S.setClassName(ClassName);
+      S.setFieldName(FieldName);
       emit(S);
       return true;
     }
@@ -587,9 +562,7 @@ private:
       return false;
 
     if (!accept(TokenKind::Dot)) {
-      Stmt S;
-      S.Kind = StmtKind::AssignVar;
-      S.Loc = Loc;
+      Stmt S(StmtKind::AssignVar, Loc);
       S.Lhs = Lhs;
       S.Base = Base;
       emit(S);
@@ -603,25 +576,21 @@ private:
     const TokenRef MemberTok = take();
 
     if (at(TokenKind::LParen)) {
-      Stmt S;
-      S.Kind = StmtKind::Invoke;
-      S.Loc = Loc;
+      Stmt S(StmtKind::Invoke, Loc);
       S.Lhs = Lhs;
       S.Base = Base;
-      S.MethodName = intern(MemberTok);
+      S.setMethodName(intern(MemberTok));
       if (!parseArgs(M))
         return false;
-      S.Args = takeArgs();
+      S.setArgs(takeArgs());
       emit(S);
       return true;
     }
 
-    Stmt S;
-    S.Kind = StmtKind::LoadField;
-    S.Loc = Loc;
+    Stmt S(StmtKind::LoadField, Loc);
     S.Lhs = Lhs;
     S.Base = Base;
-    S.FieldName = intern(MemberTok);
+    S.setFieldName(intern(MemberTok));
     emit(S);
     return true;
   }
@@ -631,9 +600,9 @@ private:
   };
 
   TokenBuffer Tokens;
+  TokenBuffer::Cursor Cur; ///< the current token; reads Tokens in order
   Program &P;
   DiagnosticEngine &Diags;
-  size_t Index = 0;
   unsigned Line = 1; ///< line of the last location computed
   bool Ok = true;
   ir::Name VoidName;

@@ -24,44 +24,44 @@ void gator::parser::printStmt(const MethodDecl &M, const Stmt &S,
     OS << varName(M, S.Lhs) << " := " << varName(M, S.Base) << ";";
     break;
   case StmtKind::AssignNew:
-    OS << varName(M, S.Lhs) << " := new " << S.ClassName << ";";
+    OS << varName(M, S.Lhs) << " := new " << S.className() << ";";
     break;
   case StmtKind::AssignNull:
     OS << varName(M, S.Lhs) << " := null;";
     break;
   case StmtKind::LoadField:
     OS << varName(M, S.Lhs) << " := " << varName(M, S.Base) << "."
-       << S.FieldName << ";";
+       << S.fieldName() << ";";
     break;
   case StmtKind::StoreField:
-    OS << varName(M, S.Base) << "." << S.FieldName << " := "
+    OS << varName(M, S.Base) << "." << S.fieldName() << " := "
        << varName(M, S.Rhs) << ";";
     break;
   case StmtKind::LoadStaticField:
-    OS << varName(M, S.Lhs) << " := static " << S.ClassName << "."
-       << S.FieldName << ";";
+    OS << varName(M, S.Lhs) << " := static " << S.className() << "."
+       << S.fieldName() << ";";
     break;
   case StmtKind::StoreStaticField:
-    OS << "static " << S.ClassName << "." << S.FieldName << " := "
+    OS << "static " << S.className() << "." << S.fieldName() << " := "
        << varName(M, S.Rhs) << ";";
     break;
   case StmtKind::AssignLayoutId:
-    OS << varName(M, S.Lhs) << " := @layout/" << S.ResourceName << ";";
+    OS << varName(M, S.Lhs) << " := @layout/" << S.resourceName() << ";";
     break;
   case StmtKind::AssignViewId:
-    OS << varName(M, S.Lhs) << " := @id/" << S.ResourceName << ";";
+    OS << varName(M, S.Lhs) << " := @id/" << S.resourceName() << ";";
     break;
   case StmtKind::AssignClassConst:
-    OS << varName(M, S.Lhs) << " := classof " << S.ClassName << ";";
+    OS << varName(M, S.Lhs) << " := classof " << S.className() << ";";
     break;
   case StmtKind::Invoke: {
     if (S.Lhs != InvalidVar)
       OS << varName(M, S.Lhs) << " := ";
-    OS << varName(M, S.Base) << "." << S.MethodName << "(";
-    for (size_t I = 0; I < S.Args.size(); ++I) {
+    OS << varName(M, S.Base) << "." << S.methodName() << "(";
+    for (size_t I = 0; I < S.args().size(); ++I) {
       if (I)
         OS << ", ";
-      OS << varName(M, S.Args[I]);
+      OS << varName(M, S.args()[I]);
     }
     OS << ");";
     break;

@@ -193,7 +193,7 @@ TEST(DexLiteTest, StaticFieldsAndClassConstants) {
   ASSERT_EQ(M->body().size(), 4u);
   EXPECT_EQ(M->body()[0].Kind, StmtKind::AssignClassConst);
   EXPECT_EQ(M->body()[1].Kind, StmtKind::StoreStaticField);
-  EXPECT_EQ(M->body()[1].ClassName, "Registry");
+  EXPECT_EQ(M->body()[1].className(), "Registry");
   EXPECT_EQ(M->body()[2].Kind, StmtKind::LoadStaticField);
   EXPECT_EQ(M->var(M->findVar("v1")).TypeName, "java.lang.Class");
 }

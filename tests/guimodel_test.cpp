@@ -59,7 +59,7 @@ CallGraphTable buildCallGraph(const Program &P) {
         if (!Recv)
           continue;
         for (const MethodDecl *T : CH.resolveVirtualCall(
-                 Recv, S.MethodName, static_cast<unsigned>(S.Args.size())))
+                 Recv, S.methodName(), static_cast<unsigned>(S.args().size())))
           if (!T->owner()->isPlatform())
             Callees.push_back(T);
       }

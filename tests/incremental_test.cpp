@@ -294,8 +294,10 @@ TEST(IncrementalTest, GraftOutlivesTheSourceProgram) {
     for (size_t I = 0; I < Lines.size(); ++I) {
       const ir::Stmt &S = M->body()[I];
       EXPECT_EQ(render(*M, S), Lines[I]);
-      EXPECT_TRUE(ownedOrEmpty(S.FieldName) && ownedOrEmpty(S.ClassName) &&
-                  ownedOrEmpty(S.ResourceName) && ownedOrEmpty(S.MethodName))
+      EXPECT_TRUE((!S.hasFieldName() || ownedOrEmpty(S.fieldName())) &&
+                  (!S.hasClassName() || ownedOrEmpty(S.className())) &&
+                  (!S.hasResourceName() || ownedOrEmpty(S.resourceName())) &&
+                  (!S.isInvoke() || ownedOrEmpty(S.methodName())))
           << Lines[I];
     }
     for (const ir::Variable &V : M->vars())

@@ -3,11 +3,15 @@
 #include "ir/Ir.h"
 #include "ir/ProgramBuilder.h"
 #include "ir/Verifier.h"
+#include "parser/Parser.h"
+#include "parser/Printer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 using namespace gator;
 using namespace gator::ir;
@@ -234,6 +238,184 @@ TEST(IrTest, PrimitiveTypeNames) {
 }
 
 //===----------------------------------------------------------------------===//
+// Statement payloads
+//===----------------------------------------------------------------------===//
+
+static_assert(sizeof(void *) != 8 || sizeof(Stmt) <= 64,
+              "a statement must stay within 64 bytes (docs/MEMORY.md)");
+
+/// One method with a statement of every StmtKind, in the exact text
+/// printProgram writes, so a print/parse round trip must reproduce it.
+constexpr const char *EveryKindText = R"(class pkg.A {
+  field f: pkg.A;
+  field static s: pkg.A;
+  method m(p: pkg.A, q: int): pkg.A {
+    var x: pkg.A;
+    var y: pkg.A;
+    var i: int;
+    var c: java.lang.Class;
+    x := y;
+    x := new pkg.A;
+    x := null;
+    x := y.f;
+    y.f := x;
+    x := static pkg.A.s;
+    static pkg.A.s := x;
+    i := @layout/main;
+    i := @id/button;
+    c := classof pkg.A;
+    x := y.m(p, i);
+    y.m(x, q);
+    return x;
+    return;
+  }
+}
+)";
+/// The line of the first statement in EveryKindText.
+constexpr unsigned FirstStmtLine = 9;
+
+/// What one statement of EveryKindText carries: its variables by name
+/// ("" for none) and its names ("" for a kind without that name).
+struct StmtPayload {
+  StmtKind Kind;
+  const char *Lhs, *Base, *Rhs;
+  const char *Field, *Class, *Resource, *Method;
+  std::vector<const char *> Args;
+};
+
+const std::vector<StmtPayload> &everyKindPayloads() {
+  static const std::vector<StmtPayload> Payloads = {
+      {StmtKind::AssignVar, "x", "y", "", "", "", "", "", {}},
+      {StmtKind::AssignNew, "x", "", "", "", "pkg.A", "", "", {}},
+      {StmtKind::AssignNull, "x", "", "", "", "", "", "", {}},
+      {StmtKind::LoadField, "x", "y", "", "f", "", "", "", {}},
+      {StmtKind::StoreField, "", "y", "x", "f", "", "", "", {}},
+      {StmtKind::LoadStaticField, "x", "", "", "s", "pkg.A", "", "", {}},
+      {StmtKind::StoreStaticField, "", "", "x", "s", "pkg.A", "", "", {}},
+      {StmtKind::AssignLayoutId, "i", "", "", "", "", "main", "", {}},
+      {StmtKind::AssignViewId, "i", "", "", "", "", "button", "", {}},
+      {StmtKind::AssignClassConst, "c", "", "", "", "pkg.A", "", "", {}},
+      {StmtKind::Invoke, "x", "y", "", "", "", "", "m", {"p", "i"}},
+      {StmtKind::Invoke, "", "y", "", "", "", "", "m", {"x", "q"}},
+      {StmtKind::Return, "x", "", "", "", "", "", "", {}},
+      {StmtKind::Return, "", "", "", "", "", "", "", {}},
+  };
+  return Payloads;
+}
+
+/// Builds EveryKindText's method through ProgramBuilder, the statement at
+/// index I tagged with line 100 + I.
+void buildEveryKind(Program &P, DiagnosticEngine &Diags) {
+  ProgramBuilder B(P, Diags);
+  ClassBuilder A = B.makeClass("pkg.A");
+  A.field("f", "pkg.A").field("s", "pkg.A", /*IsStatic=*/true);
+  MethodBuilder M = A.method("m", "pkg.A");
+  M.param("p", "pkg.A").param("q", "int");
+  M.local("x", "pkg.A");
+  M.local("y", "pkg.A");
+  M.local("i", "int");
+  M.local("c", "java.lang.Class");
+  unsigned Line = 100;
+  M.atLine(Line++).assign("x", "y");
+  M.atLine(Line++).assignNew("x", "pkg.A");
+  M.atLine(Line++).assignNull("x");
+  M.atLine(Line++).loadField("x", "y", "f");
+  M.atLine(Line++).storeField("y", "f", "x");
+  M.atLine(Line++).loadStatic("x", "pkg.A", "s");
+  M.atLine(Line++).storeStatic("pkg.A", "s", "x");
+  M.atLine(Line++).layoutId("i", "main");
+  M.atLine(Line++).viewId("i", "button");
+  M.atLine(Line++).classConst("c", "pkg.A");
+  M.atLine(Line++).invoke("x", "y", "m", {"p", "i"});
+  M.atLine(Line++).call("y", "m", {"x", "q"});
+  M.atLine(Line++).ret("x");
+  M.atLine(Line++).ret();
+}
+
+std::string_view varNameOrEmpty(const MethodDecl &M, VarId Id) {
+  return Id == InvalidVar ? std::string_view() : M.var(Id).Name.view();
+}
+
+/// Reads every accessor of every statement of \p M back against
+/// everyKindPayloads(); \p LocOf gives the location statement I must have.
+template <typename LocFnT>
+void expectEveryPayload(const MethodDecl &M, LocFnT LocOf) {
+  const auto &Want = everyKindPayloads();
+  ASSERT_EQ(M.body().size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I) {
+    const Stmt &S = M.body()[I];
+    const StmtPayload &W = Want[I];
+    SCOPED_TRACE("statement " + std::to_string(I));
+    ASSERT_EQ(S.Kind, W.Kind);
+    EXPECT_EQ(S.Loc, LocOf(I));
+    EXPECT_EQ(varNameOrEmpty(M, S.Lhs), W.Lhs);
+    EXPECT_EQ(varNameOrEmpty(M, S.Base), W.Base);
+    EXPECT_EQ(varNameOrEmpty(M, S.Rhs), W.Rhs);
+    ASSERT_EQ(S.hasFieldName(), *W.Field != 0);
+    if (S.hasFieldName()) {
+      EXPECT_EQ(S.fieldName(), W.Field);
+    }
+    ASSERT_EQ(S.hasClassName(), *W.Class != 0);
+    if (S.hasClassName()) {
+      EXPECT_EQ(S.className(), W.Class);
+    }
+    ASSERT_EQ(S.hasResourceName(), *W.Resource != 0);
+    if (S.hasResourceName()) {
+      EXPECT_EQ(S.resourceName(), W.Resource);
+    }
+    ASSERT_EQ(S.isInvoke(), *W.Method != 0);
+    if (S.isInvoke()) {
+      EXPECT_EQ(S.methodName(), W.Method);
+      ASSERT_EQ(S.args().size(), W.Args.size());
+      for (size_t J = 0; J < W.Args.size(); ++J)
+        EXPECT_EQ(varNameOrEmpty(M, S.args()[J]), W.Args[J]);
+    }
+  }
+}
+
+TEST(IrTest, EveryStmtKindKeepsItsPayload) {
+  // Every kind once, through ProgramBuilder and through the parser; both
+  // programs print as the source text, and the printed text parses back
+  // to the same text.
+  std::vector<StmtKind> Kinds;
+  for (const StmtPayload &W : everyKindPayloads())
+    if (std::find(Kinds.begin(), Kinds.end(), W.Kind) == Kinds.end())
+      Kinds.push_back(W.Kind);
+  EXPECT_EQ(Kinds.size(), 12u);
+
+  Program Built;
+  DiagnosticEngine BuiltDiags;
+  buildEveryKind(Built, BuiltDiags);
+  ASSERT_FALSE(BuiltDiags.hasErrors());
+  const MethodDecl *BuiltM = Built.findClass("pkg.A")->findOwnMethod("m", 2);
+  ASSERT_NE(BuiltM, nullptr);
+  expectEveryPayload(*BuiltM, [](size_t I) {
+    return SourceLocation("pkg.A", 100 + static_cast<unsigned>(I), 1);
+  });
+
+  Program Parsed;
+  DiagnosticEngine ParsedDiags;
+  ASSERT_TRUE(
+      parser::parseAlite(EveryKindText, "every.alite", Parsed, ParsedDiags));
+  const MethodDecl *ParsedM =
+      Parsed.findClass("pkg.A")->findOwnMethod("m", 2);
+  ASSERT_NE(ParsedM, nullptr);
+  expectEveryPayload(*ParsedM, [](size_t I) {
+    return SourceLocation("every.alite",
+                          FirstStmtLine + static_cast<unsigned>(I), 5);
+  });
+
+  EXPECT_EQ(parser::programToString(Built), EveryKindText);
+  const std::string Printed = parser::programToString(Parsed);
+  EXPECT_EQ(Printed, EveryKindText);
+  Program Reparsed;
+  DiagnosticEngine ReparsedDiags;
+  ASSERT_TRUE(
+      parser::parseAlite(Printed, "printed.alite", Reparsed, ReparsedDiags));
+  EXPECT_EQ(parser::programToString(Reparsed), Printed);
+}
+
+//===----------------------------------------------------------------------===//
 // ProgramBuilder
 //===----------------------------------------------------------------------===//
 
@@ -258,7 +440,7 @@ TEST(ProgramBuilderTest, BuildsStatements) {
   ASSERT_EQ(M->body().size(), 5u);
   EXPECT_EQ(M->body()[0].Kind, StmtKind::AssignVar);
   EXPECT_EQ(M->body()[1].Kind, StmtKind::AssignNew);
-  EXPECT_EQ(M->body()[1].ClassName, "A");
+  EXPECT_EQ(M->body()[1].className(), "A");
   EXPECT_EQ(M->body()[2].Kind, StmtKind::LoadField);
   EXPECT_EQ(M->body()[3].Kind, StmtKind::StoreField);
   EXPECT_EQ(M->body()[4].Kind, StmtKind::Return);
@@ -296,10 +478,9 @@ TEST(VerifierTest, RejectsNewOfUnknownClass) {
   ClassDecl *A = P.addClass("A");
   MethodDecl *M = A->addMethod("m", "void");
   VarId X = M->addLocal("x", "A");
-  Stmt S;
-  S.Kind = StmtKind::AssignNew;
+  Stmt S(StmtKind::AssignNew);
   S.Lhs = X;
-  S.ClassName = P.intern("Ghost");
+  S.setClassName(P.intern("Ghost"));
   M->appendStmt(S);
   ASSERT_TRUE(P.resolve(Diags));
   EXPECT_FALSE(verifyProgram(P, Diags));
@@ -312,10 +493,9 @@ TEST(VerifierTest, RejectsNewOfInterface) {
   ClassDecl *A = P.addClass("A");
   MethodDecl *M = A->addMethod("m", "void");
   VarId X = M->addLocal("x", "I");
-  Stmt S;
-  S.Kind = StmtKind::AssignNew;
+  Stmt S(StmtKind::AssignNew);
   S.Lhs = X;
-  S.ClassName = P.intern("I");
+  S.setClassName(P.intern("I"));
   M->appendStmt(S);
   ASSERT_TRUE(P.resolve(Diags));
   EXPECT_FALSE(verifyProgram(P, Diags));
@@ -326,8 +506,7 @@ TEST(VerifierTest, RejectsDanglingVarIndex) {
   DiagnosticEngine Diags;
   ClassDecl *A = P.addClass("A");
   MethodDecl *M = A->addMethod("m", "void");
-  Stmt S;
-  S.Kind = StmtKind::AssignNull;
+  Stmt S(StmtKind::AssignNull);
   S.Lhs = 99;
   M->appendStmt(S);
   ASSERT_TRUE(P.resolve(Diags));

@@ -10,9 +10,12 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 using namespace gator;
 using namespace gator::parser;
@@ -392,8 +395,10 @@ struct Lexed {
 
 /// The ALite token rules, one byte at a time, written for clarity rather
 /// than speed: it tracks the line and column as it goes and shares no code
-/// with the Lexer. The inputs it is used on are far below the record
-/// limits, so it does not model them.
+/// with the Lexer. It models the token length limit (a longer name or
+/// reference is an Error token of TokenBuffer::MaxTokenLength bytes, and
+/// lexing resumes after the whole spelling), but not the 4 GiB input
+/// limit.
 Lexed referenceLex(std::string_view In) {
   Lexed R;
   const size_t N = In.size();
@@ -418,6 +423,18 @@ Lexed referenceLex(std::string_view In) {
   };
   auto Error = [&](size_t At, std::string Message) {
     R.Diags.push_back({std::move(Message), Line, Column(At)});
+  };
+  // A spelling [Start, End) longer than the limit: reports it and adds the
+  // Error token that stands for it.
+  constexpr size_t Limit = TokenBuffer::MaxTokenLength;
+  auto Overlong = [&](size_t Start, size_t End) {
+    if (End - Start <= Limit)
+      return false;
+    Error(Start, "token of " + std::to_string(End - Start) +
+                     " bytes is longer than the limit of " +
+                     std::to_string(Limit) + " bytes");
+    Add(TokenKind::Error, Start, Start, Start + Limit);
+    return true;
   };
   const std::pair<const char *, TokenKind> Keywords[] = {
       {"class", TokenKind::KwClass},
@@ -471,7 +488,8 @@ Lexed referenceLex(std::string_view In) {
       const std::string Kind(In.substr(I + 1, KindEnd - I - 1));
       if (KindEnd == N || In[KindEnd] != '/') {
         Error(I, "expected '/' in resource reference '@" + Kind + "'");
-        Add(TokenKind::Error, I, I, KindEnd);
+        if (!Overlong(I, KindEnd))
+          Add(TokenKind::Error, I, I, KindEnd);
         I = KindEnd;
         continue;
       }
@@ -485,10 +503,15 @@ Lexed referenceLex(std::string_view In) {
         Ref = TokenKind::IdRef;
       else
         Error(I, "unknown resource kind '@" + Kind + "/'");
-      Add(Ref, I, Ref == TokenKind::Error ? I : KindEnd + 1, End);
+      if (!Overlong(I, End))
+        Add(Ref, I, Ref == TokenKind::Error ? I : KindEnd + 1, End);
       I = End;
     } else if (IsLetter(C)) {
       const size_t End = NameEnd(I + 1);
+      if (Overlong(I, End)) {
+        I = End;
+        continue;
+      }
       TokenKind Kind = TokenKind::Identifier;
       for (const auto &[Spelling, KwKind] : Keywords)
         if (In.substr(I, End - I) == Spelling)
@@ -583,12 +606,20 @@ TEST(LexerDifferentialTest, CorpusMatchesTheReference) {
   const auto &Specs = corpus::paperCorpus();
   const auto &Sources = corpusSources();
   ASSERT_EQ(Sources.size(), 20u);
-  size_t Bytes = 0;
+  size_t Bytes = 0, Tokens = 0, StreamBytes = 0;
   for (size_t I = 0; I < Sources.size(); ++I) {
     Bytes += Sources[I].size();
     EXPECT_TRUE(sameAsReference(Sources[I], Specs[I].Name));
+    DiagnosticEngine Diags;
+    const TokenBuffer Stream = lex(Sources[I], Diags);
+    Tokens += Stream.size();
+    StreamBytes += Stream.streamBytes();
   }
   EXPECT_GT(Bytes, size_t(8) << 20); // the 8.75 MB of the exported corpus
+  // The encoding spends one byte per token plus one per name length: 1.44
+  // bytes per token on the corpus.
+  EXPECT_LE(100 * StreamBytes, 145 * Tokens)
+      << StreamBytes << " stream bytes for " << Tokens << " tokens";
 }
 
 /// Applies \p Count seeded edits to \p Text: byte drops, duplicates and
@@ -659,6 +690,112 @@ TEST(LexerDifferentialTest, MutatedCorpusMatchesTheReference) {
   // The mutations reach the error paths, but do not all end in errors.
   EXPECT_GT(WithErrors, Mutants / 4);
   EXPECT_LT(WithErrors, Mutants);
+}
+
+/// The concatenation of \p Parts. (`"literal" + std::string` draws a false
+/// GCC 12 -Wrestrict at -O3.)
+std::string cat(std::initializer_list<std::string_view> Parts) {
+  std::string Out;
+  for (std::string_view Part : Parts)
+    Out += Part;
+  return Out;
+}
+
+/// Reads \p In's tokens four ways and checks they agree: in order by
+/// index (what lexForDiff reads), in reverse and in strides of 97 by
+/// index (from the sparse checkpoints), and with a Cursor (the parser's
+/// path, whose offsets give the locations).
+void expectEveryReadAgrees(std::string_view In, const std::string &What) {
+  SCOPED_TRACE(What);
+  DiagnosticEngine Diags;
+  const TokenBuffer Tokens = lex(In, Diags, "diff.alite");
+  std::vector<Token> InOrder;
+  for (size_t I = 0; I < Tokens.size(); ++I)
+    InOrder.push_back(Tokens[I]);
+  auto ExpectSame = [&](size_t I) {
+    const Token T = Tokens.get(I);
+    EXPECT_EQ(T.Kind, InOrder[I].Kind) << "token " << I;
+    EXPECT_EQ(T.Text.data(), InOrder[I].Text.data()) << "token " << I;
+    EXPECT_EQ(T.Text.size(), InOrder[I].Text.size()) << "token " << I;
+    EXPECT_EQ(T.Loc, InOrder[I].Loc) << "token " << I;
+  };
+  for (size_t I = Tokens.size(); I-- > 0;)
+    ExpectSame(I);
+  for (size_t I = 0; I < Tokens.size(); I += 97)
+    ExpectSame(I);
+  TokenBuffer::Cursor C(Tokens);
+  for (size_t I = 0; I < Tokens.size(); ++I) {
+    EXPECT_EQ(C.kind(), InOrder[I].Kind) << "token " << I;
+    EXPECT_EQ(C.text().data(), InOrder[I].Text.data()) << "token " << I;
+    EXPECT_EQ(C.text().size(), InOrder[I].Text.size()) << "token " << I;
+    EXPECT_EQ(Tokens.locAt(C.offset()), InOrder[I].Loc) << "token " << I;
+    EXPECT_EQ(C.nextKind(), InOrder[std::min(I + 1, Tokens.size() - 1)].Kind)
+        << "token " << I;
+    C.advance();
+  }
+  EXPECT_EQ(C.kind(), TokenKind::EndOfFile); // and it stays there
+}
+
+TEST(LexerDifferentialTest, EncodingEscapesMatchTheReference) {
+  // Every path of the token stream's encoding: gaps that fit the kind
+  // byte and gaps that escape to a varint of one to three bytes (deep
+  // indentation, long comments and runs of blanks), lengths of one- and
+  // two-byte varints on names, references and Error tokens, and the end
+  // of the input right after a token or after trivia.
+  std::vector<std::string> Cases = {
+      "", " ", "\n\n  \n", "a", "a;", "x:=", "x:", "@id/b", "@layout/m",
+      "a   ", "a\n", "class", "a /* c */", "a /* open",
+      "a # b", "@foo/bar x", "@layout/ x", "@idx y", "a / b", "\x80z",
+      "#", "@", "a@", "a\n            b", "{\n\t\t\t\t\t\t\t}",
+      // Every kind with a fixed length, which the stream does not store.
+      "class interface extends implements field method var return new "
+      "null static classof platform{}();,.:=:",
+  };
+  for (unsigned Gap : {0u, 1u, 5u, 6u, 7u, 8u, 126u, 127u, 128u, 129u,
+                       16383u, 16384u, 20000u}) {
+    Cases.push_back(cat({"a", std::string(Gap, ' '), "b"}));
+    Cases.push_back(cat({"a;", std::string(Gap, '\n'), "}"}));
+    Cases.push_back(cat({"a/*", std::string(Gap, '*'), "*/b"}));
+    Cases.push_back(cat({"x := @id/n", std::string(Gap, '\t'), "#"}));
+  }
+  for (unsigned Length : {1u, 126u, 127u, 128u, 129u, 16383u, 16384u}) {
+    const std::string Name(Length, 'n');
+    Cases.push_back(Name);
+    Cases.push_back(cat({Name, " ", Name, ";"}));
+    Cases.push_back(cat({"x := @layout/", Name, ";"}));
+    Cases.push_back(cat({"x := @id/", Name}));
+    Cases.push_back(cat({"@", Name, " y"})); // an Error token of Length + 1
+    Cases.push_back(cat({"@bad/", Name, "\n z"}));
+  }
+  for (size_t I = 0; I < Cases.size(); ++I) {
+    const std::string What = cat({"case ", std::to_string(I), " (",
+                                  std::to_string(Cases[I].size()), " bytes)"});
+    EXPECT_TRUE(sameAsReference(Cases[I], What));
+    expectEveryReadAgrees(Cases[I], What);
+  }
+  // A corpus app spans hundreds of checkpoints.
+  expectEveryReadAgrees(corpusSources()[0], corpus::paperCorpus()[0].Name);
+}
+
+TEST(LexerDifferentialTest, LongestAndOverlongTokensMatchTheReference) {
+  // A name of MaxTokenLength bytes has a four-byte length varint; one byte
+  // more is an Error token of MaxTokenLength bytes, and the next token's
+  // gap covers the rest of the spelling.
+  const std::string Longest(TokenBuffer::MaxTokenLength, 'a');
+  const std::string Overlong = cat({Longest, "a"});
+  const std::string Cases[] = {
+      cat({Longest, " b"}),
+      cat({"x\n  ", Overlong, " b"}),
+      Overlong,
+      cat({"@layout/", Longest, ";"}),
+      cat({"@id/", Longest.substr(4), ";"}), // exactly the limit, '@' included
+      cat({"@nope/", Longest, " c"}),
+  };
+  for (size_t I = 0; I < std::size(Cases); ++I) {
+    const std::string What = cat({"case ", std::to_string(I)});
+    EXPECT_TRUE(sameAsReference(Cases[I], What));
+    expectEveryReadAgrees(Cases[I], What);
+  }
 }
 
 TEST(LexerDifferentialTest, NeverReadsPastTheView) {

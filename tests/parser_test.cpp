@@ -119,16 +119,16 @@ class A {
   EXPECT_EQ(Body[1].Kind, StmtKind::AssignNew);
   EXPECT_EQ(Body[2].Kind, StmtKind::AssignNull);
   EXPECT_EQ(Body[3].Kind, StmtKind::LoadField);
-  EXPECT_EQ(Body[3].FieldName, "f");
+  EXPECT_EQ(Body[3].fieldName(), "f");
   EXPECT_EQ(Body[4].Kind, StmtKind::StoreField);
   EXPECT_EQ(Body[5].Kind, StmtKind::LoadStaticField);
-  EXPECT_EQ(Body[5].ClassName, "A");
-  EXPECT_EQ(Body[5].FieldName, "s");
+  EXPECT_EQ(Body[5].className(), "A");
+  EXPECT_EQ(Body[5].fieldName(), "s");
   EXPECT_EQ(Body[6].Kind, StmtKind::StoreStaticField);
   EXPECT_EQ(Body[7].Kind, StmtKind::AssignLayoutId);
-  EXPECT_EQ(Body[7].ResourceName, "main");
+  EXPECT_EQ(Body[7].resourceName(), "main");
   EXPECT_EQ(Body[8].Kind, StmtKind::AssignViewId);
-  EXPECT_EQ(Body[8].ResourceName, "button");
+  EXPECT_EQ(Body[8].resourceName(), "button");
   EXPECT_EQ(Body[9].Kind, StmtKind::AssignClassConst);
   EXPECT_EQ(Body[10].Kind, StmtKind::Invoke);
   EXPECT_NE(Body[10].Lhs, InvalidVar);
@@ -151,9 +151,9 @@ class D {
   const MethodDecl *M = P->findClass("D")->findOwnMethod("m", 0);
   const auto &Body = M->body();
   ASSERT_EQ(Body.size(), 2u);
-  EXPECT_EQ(Body[0].ClassName, "a.b.C");
-  EXPECT_EQ(Body[0].FieldName, "s");
-  EXPECT_EQ(Body[1].ClassName, "a.b.C");
+  EXPECT_EQ(Body[0].className(), "a.b.C");
+  EXPECT_EQ(Body[0].fieldName(), "s");
+  EXPECT_EQ(Body[1].className(), "a.b.C");
 }
 
 TEST(ParserTest, ConstructorArgumentsLowerToInitCall) {
@@ -171,8 +171,8 @@ class A {
   ASSERT_EQ(Body.size(), 2u);
   EXPECT_EQ(Body[0].Kind, StmtKind::AssignNew);
   EXPECT_EQ(Body[1].Kind, StmtKind::Invoke);
-  EXPECT_EQ(Body[1].MethodName, "init");
-  ASSERT_EQ(Body[1].Args.size(), 1u);
+  EXPECT_EQ(Body[1].methodName(), "init");
+  ASSERT_EQ(Body[1].args().size(), 1u);
 }
 
 TEST(ParserTest, EmptyConstructorParensNoInitCall) {

@@ -57,15 +57,23 @@ void expectSameStructure(const Program &A, const Program &B) {
       for (size_t K = 0; K < MA.body().size(); ++K) {
         const Stmt &SA = MA.body()[K];
         const Stmt &SB = MB.body()[K];
-        EXPECT_EQ(SA.Kind, SB.Kind) << MA.qualifiedName() << " stmt " << K;
+        ASSERT_EQ(SA.Kind, SB.Kind) << MA.qualifiedName() << " stmt " << K;
         EXPECT_EQ(SA.Lhs, SB.Lhs);
         EXPECT_EQ(SA.Base, SB.Base);
         EXPECT_EQ(SA.Rhs, SB.Rhs);
-        EXPECT_EQ(SA.FieldName, SB.FieldName);
-        EXPECT_EQ(SA.ClassName, SB.ClassName);
-        EXPECT_EQ(SA.ResourceName, SB.ResourceName);
-        EXPECT_EQ(SA.MethodName, SB.MethodName);
-        EXPECT_EQ(SA.Args, SB.Args);
+        if (SA.hasFieldName()) {
+          EXPECT_EQ(SA.fieldName(), SB.fieldName());
+        }
+        if (SA.hasClassName()) {
+          EXPECT_EQ(SA.className(), SB.className());
+        }
+        if (SA.hasResourceName()) {
+          EXPECT_EQ(SA.resourceName(), SB.resourceName());
+        }
+        if (SA.isInvoke()) {
+          EXPECT_EQ(SA.methodName(), SB.methodName());
+          EXPECT_EQ(SA.args(), SB.args());
+        }
       }
     }
   }
