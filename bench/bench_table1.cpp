@@ -14,9 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AppStats.h"
-#include "corpus/BatchRunner.h"
+#include "corpus/Corpus.h"
 
-#include <cstdlib>
 #include <iostream>
 
 using namespace gator;
@@ -31,27 +30,23 @@ int main() {
   unsigned AppsWithAllocViews = 0;
   unsigned AppsWithAddView = 0;
 
-  // The corpus-wide run goes through the parallel batch layer
-  // (docs/PARALLEL.md); GATOR_JOBS picks the worker count and never
-  // changes a single number below.
-  AnalysisOptions Options;
-  if (const char *Env = std::getenv("GATOR_JOBS"))
-    Options.Jobs = static_cast<unsigned>(std::strtoul(Env, nullptr, 10));
-  // Stats-only consumer: drop each app's bundle and solution inside the
-  // task so at most one app is resident per worker (KeepArtifacts=false).
-  std::vector<BatchAppResult> Batch =
-      analyzeCorpus(paperCorpus(), Options, /*KeepArtifacts=*/false);
-
-  for (const BatchAppResult &R : Batch) {
-    if (R.GenerationFailed) {
-      std::cerr << "generation failed for " << R.Name << "\n";
-      R.App.Bundle->Diags.print(std::cerr);
+  // One app at a time: each app's bundle and solution are dropped before
+  // the next app is generated.
+  for (const AppSpec &Spec : paperCorpus()) {
+    GeneratedApp App = generateApp(Spec);
+    AppBundle &B = *App.Bundle;
+    if (B.Diags.hasErrors()) {
+      std::cerr << "generation failed for " << Spec.Name << "\n";
+      B.Diags.print(std::cerr);
       return 1;
     }
-    printAppStatsRow(std::cout, R.Stats);
-    if (R.Stats.AllocViews > 0)
+    auto Result = GuiAnalysis::run(B.Program, *B.Layouts, B.Android,
+                                   AnalysisOptions(), B.Diags);
+    const AppStats Stats = collectAppStats(Spec.Name, B.Program, *Result);
+    printAppStatsRow(std::cout, Stats);
+    if (Stats.AllocViews > 0)
       ++AppsWithAllocViews;
-    if (R.Stats.OpAddView > 0)
+    if (Stats.OpAddView > 0)
       ++AppsWithAddView;
   }
 

@@ -11,10 +11,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AppStats.h"
-#include "corpus/BatchRunner.h"
+#include "corpus/Corpus.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
@@ -55,35 +54,29 @@ int main() {
   std::printf("%-16s %14s %18s %12s %10s %11s\n", "app", "time(s)[paper]",
               "receivers[paper]", "parameters", "results", "listeners");
 
-  // Corpus-wide run over the parallel batch layer (docs/PARALLEL.md):
-  // GATOR_JOBS picks the worker count; the printed per-app time is the
-  // analysis's own build+solve clock, so it stays meaningful (and the
-  // precision columns stay identical) at every job count.
-  AnalysisOptions Options;
-  if (const char *Env = std::getenv("GATOR_JOBS"))
-    Options.Jobs = static_cast<unsigned>(std::strtoul(Env, nullptr, 10));
-  // Stats/metrics-only consumer: drop each app's bundle and solution
-  // inside the task (KeepArtifacts=false) so at most one app is resident
-  // per worker, matching the memory profile of a serial loop.
-  std::vector<BatchAppResult> Batch =
-      analyzeCorpus(paperCorpus(), Options, /*KeepArtifacts=*/false);
-
+  // One app at a time; the printed time is the analysis's own
+  // build+solve clock.
+  const std::vector<AppSpec> &Corpus = paperCorpus();
   std::vector<AppStats> Telemetry;
-  for (size_t I = 0; I < Batch.size(); ++I) {
-    const BatchAppResult &R = Batch[I];
-    if (R.GenerationFailed) {
-      std::fprintf(stderr, "generation failed for %s\n", R.Name.c_str());
-      R.App.Bundle->Diags.print(std::cerr);
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    const AppSpec &Spec = Corpus[I];
+    GeneratedApp App = generateApp(Spec);
+    AppBundle &B = *App.Bundle;
+    if (B.Diags.hasErrors()) {
+      std::fprintf(stderr, "generation failed for %s\n", Spec.Name.c_str());
+      B.Diags.print(std::cerr);
       return 1;
     }
-    double Elapsed = R.BuildSeconds + R.SolveSeconds;
-    const auto &M = R.Metrics;
+    auto Result = GuiAnalysis::run(B.Program, *B.Layouts, B.Android,
+                                   AnalysisOptions(), B.Diags);
+    double Elapsed = Result->BuildSeconds + Result->SolveSeconds;
+    const auto M = Result->metrics();
     std::printf("%-16s %6.3f [%4.2f] %8.2f [%5.2f] %12s %10s %11s\n",
-                R.Name.c_str(), Elapsed, PaperTable2[I].TimeSec,
+                Spec.Name.c_str(), Elapsed, PaperTable2[I].TimeSec,
                 M.AvgReceivers, PaperTable2[I].Receivers,
                 fmtOpt(M.AvgParameters).c_str(), fmtOpt(M.AvgResults).c_str(),
                 fmtOpt(M.AvgListeners).c_str());
-    Telemetry.push_back(R.Stats);
+    Telemetry.push_back(collectAppStats(Spec.Name, B.Program, *Result));
   }
 
   std::printf("\nSolver telemetry (difference propagation; "

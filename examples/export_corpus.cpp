@@ -22,15 +22,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
-#include "layout/LayoutWriter.h"
-#include "parser/Printer.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cctype>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -67,48 +64,8 @@ int exportOneApp(const corpus::AppSpec &Spec, const fs::path &OutDir,
   }
 
   fs::path AppDir = OutDir / Spec.Name;
-  std::error_code EC;
-  fs::create_directories(AppDir, EC);
-  if (EC) {
-    Err << "error: cannot create " << AppDir << ": " << EC.message()
-              << "\n";
+  if (!corpus::writeAppDir(Spec, *App.Bundle, AppDir, Err))
     return 1;
-  }
-
-  {
-    std::ofstream Out(AppDir / "app.alite");
-    if (!Out) {
-      Err << "error: cannot write app.alite for " << Spec.Name << "\n";
-      return 1;
-    }
-    parser::printProgram(App.Bundle->Program, Out);
-  }
-  for (const auto &Def : App.Bundle->Layouts->layouts()) {
-    std::ofstream Out(AppDir / (Def->name() + ".xml"));
-    Out << layout::layoutToXml(*Def);
-  }
-  {
-    // Manifest: every activity declared, Activity0 as the launcher.
-    std::ofstream Out(AppDir / "AndroidManifest.xml");
-    Out << "<manifest package=\"corpus." << Spec.Name << "\">\n"
-        << "  <application>\n";
-    for (unsigned I = 0; I < Spec.Activities; ++I) {
-      Out << "    <activity android:name=\"" << Spec.Name << "Activity"
-          << I << "\"";
-      if (I == 0)
-        Out << ">\n"
-            << "      <intent-filter>\n"
-            << "        <action android:name=\"android.intent.action."
-               "MAIN\" />\n"
-            << "        <category android:name=\"android.intent.category."
-               "LAUNCHER\" />\n"
-            << "      </intent-filter>\n"
-            << "    </activity>\n";
-      else
-        Out << " />\n";
-    }
-    Out << "  </application>\n</manifest>\n";
-  }
   Log << Spec.Name << ": "
       << App.Bundle->Program.appClassCount() << " classes, "
       << App.Bundle->Layouts->layouts().size() << " layouts -> "

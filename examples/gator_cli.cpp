@@ -45,9 +45,13 @@
 // the metrics export. Each app yields one result (its exit code, output
 // text and, when a cache, ledger or metrics flag asks for it, its
 // AppStats record); a batch task also records into its own trace sink.
-// The driver folds the results in input order into stdout/stderr, the
+// main() folds the results in input order into stdout/stderr, the
 // ledger and the metrics registry, so telemetry is deterministic across
 // every -j value (timestamps aside).
+//
+// The per-app pipeline (load, analyze, render, cache, batch fan-out and
+// the incremental edit) lives in src/driver/; this file parses arguments,
+// renders `report`, and folds the results into the process's outputs.
 //
 // Exit codes: 0 = complete run, 1 = degraded run (input diagnostics, or a
 // solution whose fidelity is not Complete — unknown-source degradation and
@@ -58,32 +62,21 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/AppStats.h"
-#include "analysis/GuiAnalysis.h"
-#include "analysis/Incremental.h"
 #include "analysis/SolutionCache.h"
 #include "analysis/WideEvent.h"
-#include "android/Manifest.h"
-#include "corpus/AppBundle.h"
 #include "corpus/FleetReport.h"
-#include "dex/DexLite.h"
-#include "guimodel/GuiModel.h"
-#include "guimodel/JsonExport.h"
-#include "guimodel/Lint.h"
-#include "layout/Layout.h"
-#include "parser/Parser.h"
-#include "support/FileIO.h"
+#include "driver/Driver.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -169,550 +162,49 @@ int usage() {
   return 2;
 }
 
-struct CliConfig {
-  std::string DotFile;
-  bool WantTuples = false, WantHierarchy = false, WantAtg = false;
-  bool WantSolution = false;
-  bool WantReach = false;
-  std::string SequencesFrom;
-  std::string JsonFile;
-  bool WantLint = false;
-  bool Batch = false;
-  /// Suppresses the wall-clock "time:" line — the one output line that
-  /// differs between any two runs — and the Seconds-unit instruments of
-  /// the metrics export. With it, batch output is literally
-  /// byte-identical across runs and across every -j value; the
-  /// determinism harness compares with this on.
-  bool NoTimes = false;
-  std::string TraceFile;   ///< --trace-out: Chrome trace-event JSON
-  std::string MetricsFile; ///< --metrics-out
-  bool MetricsProm = false; ///< --metrics-format prom
-  std::string ExplainQuery; ///< --explain: node-label substring
-  bool DiagJson = false;    ///< --diag-format json
-  std::string CacheDir; ///< --cache-dir: content-addressed solution cache
-  std::string EditDir;  ///< --incremental-edit: edited copy of the app
-  std::string LedgerFile; ///< --ledger-out: JSONL run ledger
-  analysis::AnalysisOptions Options;
-};
+/// Walks argv from index \p First. `--flag=value` is equivalent to
+/// `--flag value`: next() splits off the inline value and value() reads it.
+class ArgReader {
+public:
+  ArgReader(int Argc, char **Argv, int First)
+      : Argc(Argc), Argv(Argv), I(First - 1) {}
 
-/// Parses one loaded `.alite`, `.dexlite` or layout file into \p App.
-/// The manifest is not parsed here: it is read after App.finalize().
-bool parseInputFile(const support::AppFile &F, corpus::AppBundle &App) {
-  switch (F.Kind) {
-  case support::AppFileKind::Alite:
-    return parser::parseAlite(F.Bytes, F.Path.string(), App.Program,
-                              App.Diags);
-  case support::AppFileKind::DexLite:
-    return dex::parseDexLite(F.Bytes, F.Path.string(), App.Program,
-                             App.Diags);
-  case support::AppFileKind::Layout:
-    return layout::readLayoutXml(*App.Layouts, F.Path.stem().string(),
-                                 F.Bytes, App.Diags) != nullptr;
-  case support::AppFileKind::Manifest:
-    break;
-  }
-  return true;
-}
-
-/// Analyzes one application end to end from its loaded inputs, releasing
-/// each file's bytes once it is parsed (nothing refers to them after the
-/// parse), so the app's whole text is not held through the analysis.
-/// Fail-soft: parse diagnostics do not abort the run — the analysis still
-/// executes and its solution carries a fidelity marker. Returns 0 (clean),
-/// 1 (input diagnostics), or 2 (internal error).
-/// \p Out and \p Err receive what a serial run would write to stdout and
-/// stderr. When \p Record is non-null, a completed analysis fills its
-/// AppStats (named Record->Stats.Name), precision row and flowset
-/// histogram; the caller adds the exit code and the text.
-int runOneAppUnguarded(support::AppInputs &Inputs, const CliConfig &Cfg,
-                       analysis::CachedAnalysis *Record, std::ostream &Out,
-                       std::ostream &Err) {
-  const std::string InputDir = Inputs.Root.string();
-  if (Inputs.ListError) {
-    Err << "error: cannot read directory '" << InputDir
-        << "': " << Inputs.ListError.message() << "\n";
-    return 1;
-  }
-  if (!Inputs.hasSources()) {
-    Err << "error: no .alite or .dexlite files under '" << InputDir
-        << "'\n";
-    return 1;
-  }
-
-  for (const support::AppFile &F : Inputs.Files)
-    if (!F.ReadOk) {
-      Err << "error: cannot read " << F.Path << "\n";
-      return 1;
-    }
-
-  corpus::AppBundle App;
-  App.Android.install(App.Program);
-
-  bool Ok = true;
-  bool Finalized = false;
-  std::optional<android::Manifest> Manifest;
-  {
-  support::TraceSpan ParseSpan(Cfg.Options.Trace, "parse");
-  support::AppFile *ManifestFile = nullptr;
-  for (support::AppFile &F : Inputs.Files) {
-    if (F.Kind == support::AppFileKind::Manifest) {
-      ManifestFile = &F;
-      continue;
-    }
-    Ok &= parseInputFile(F, App);
-    // Swap, not assign: assigning an empty string keeps the capacity.
-    std::string().swap(F.Bytes);
-  }
-  ParseSpan.arg("files", Inputs.Files.size() - (ManifestFile ? 1 : 0));
-  Finalized = App.finalize();
-  Ok &= Finalized;
-
-  // Manifest (optional): validates declared activities and provides the
-  // default start point for --sequences.
-  if (ManifestFile) {
-    Manifest = android::parseManifest(
-        ManifestFile->Bytes, ManifestFile->Path.string(), App.Diags);
-    std::string().swap(ManifestFile->Bytes);
-    if (Manifest)
-      for (const android::ManifestActivity &A : Manifest->Activities)
-        if (!App.Program.findClass(A.ClassName))
-          App.Diags.warning("manifest declares unknown activity '" +
-                            A.ClassName + "'");
-  }
-  } // end of the "parse" span
-
-  if (Cfg.DiagJson)
-    App.Diags.printJson(Err);
-  else
-    App.Diags.print(Err);
-  // An unresolved program has no coherent hierarchy to analyze; anything
-  // short of that proceeds fail-soft, with diagnostics reflected in the
-  // exit code and the fidelity marker.
-  if (!Finalized)
-    return 1;
-  bool HadInputErrors = !Ok || App.Diags.hasErrors();
-
-  auto Result = analysis::GuiAnalysis::run(App.Program, *App.Layouts,
-                                           App.Android, Cfg.Options,
-                                           App.Diags);
-  if (!Result) {
-    if (Cfg.DiagJson)
-      App.Diags.printJson(Err);
-    else
-      App.Diags.print(Err);
-    return 2; // the facade contract is "always a result"
-  }
-
-  auto M = Result->metrics();
-  if (Record) {
-    Record->Stats =
-        analysis::collectAppStats(Record->Stats.Name, App.Program, *Result);
-    Record->Precision = M;
-    analysis::captureFlowsetHistogram(*Result->Sol, Record->FlowHistCounts,
-                                      Record->FlowHistSum,
-                                      Record->FlowHistCount);
-  }
-
-  Out << "classes: " << App.Program.appClassCount()
-            << "  methods: " << App.Program.appMethodCount()
-            << "  layouts: " << App.Resources.layoutCount()
-            << "  view ids: " << App.Resources.viewIdCount() << "\n";
-  Result->Graph->dumpStats(Out);
-  Out << "precision: receivers=" << M.AvgReceivers;
-  if (M.AvgParameters)
-    Out << " parameters=" << *M.AvgParameters;
-  if (M.AvgResults)
-    Out << " results=" << *M.AvgResults;
-  if (M.AvgListeners)
-    Out << " listeners=" << *M.AvgListeners;
-  Out << "\n";
-  if (!Cfg.NoTimes)
-    Out << "time: build=" << Result->BuildSeconds * 1000
-        << "ms solve=" << Result->SolveSeconds * 1000 << "ms\n";
-  Out << "fidelity: " << analysis::fidelityName(Result->Sol->fidelity());
-  if (Result->Sol->fidelity() == analysis::Fidelity::TruncatedBudget)
-    Out << " (budget: "
-              << support::budgetReasonName(Result->Sol->truncationReason())
-              << ")";
-  if (!Result->Sol->unresolvedOps().empty())
-    Out << " unresolved-ops=" << Result->Sol->unresolvedOps().size();
-  size_t UnknownSources =
-      Result->Graph->nodesOfKind(graph::NodeKind::UnknownView).size() +
-      Result->Graph->nodesOfKind(graph::NodeKind::UnknownId).size();
-  if (UnknownSources)
-    Out << " unknown-sources=" << UnknownSources;
-  Out << "\n";
-
-  if (!Cfg.ExplainQuery.empty()) {
-    Out << "\nexplain '" << Cfg.ExplainQuery << "':\n";
-    const analysis::ProvenanceRecorder *Prov = Result->Provenance.get();
-    if (!Prov) {
-      Out << "(provenance was not recorded for this run)\n";
-    } else {
-      const graph::ConstraintGraph &G = *Result->Graph;
-      constexpr unsigned MaxNodes = 8;
-      unsigned Matched = 0;
-      std::string Label;
-      for (graph::NodeId N = 0, E = static_cast<graph::NodeId>(G.size());
-           N != E; ++N) {
-        Label.clear();
-        G.appendLabel(Label, N);
-        if (Label.find(Cfg.ExplainQuery) == std::string::npos)
-          continue;
-        const analysis::FlowSet &Vals = Result->Sol->valuesAt(N);
-        if (Vals.empty())
-          continue;
-        ++Matched;
-        if (Matched > MaxNodes)
-          continue;
-        Out << "node " << Label << ":\n";
-        for (graph::NodeId V : Vals) {
-          analysis::ProvenanceRecorder::FactId F = Prov->flowFact(N, V);
-          if (F != analysis::ProvenanceRecorder::NoFact)
-            Prov->printDerivation(Out, F, G);
-        }
-      }
-      if (Matched > MaxNodes)
-        Out << "(" << Matched - MaxNodes << " more matching nodes elided)\n";
-      if (Matched == 0)
-        Out << "(no node with flow facts matches '" << Cfg.ExplainQuery
-            << "')\n";
-    }
-  }
-
-  if (Cfg.WantSolution) {
-    Out << "\nper-operation solution:\n";
-    Result->Sol->dump(Out, Cfg.Options.TrackViewIds,
-                      Cfg.Options.TrackHierarchy,
-                      Cfg.Options.FindView3ChildOnly,
-                      Cfg.Options.UnknownFanoutBudget);
-  }
-  if (Cfg.WantTuples) {
-    Out << "\n(activity, view, event, handler) tuples:\n";
-    guimodel::printHandlerTuples(Out, *Result,
-                                 guimodel::extractHandlerTuples(*Result));
-  }
-  if (Cfg.WantHierarchy) {
-    Out << "\nview hierarchies:\n";
-    guimodel::printViewHierarchies(Out, *Result);
-  }
-  if (Cfg.WantAtg) {
-    Out << "\nactivity transition graph:\n";
-    guimodel::printTransitionsDot(
-        Out, guimodel::buildActivityTransitionGraph(*Result));
-  }
-  std::string SequencesFrom = Cfg.SequencesFrom;
-  if (Manifest) {
-    Out << "manifest: package=" << Manifest->Package;
-    if (auto Launcher = Manifest->launcherActivity())
-      Out << " launcher=" << *Launcher;
-    Out << "\n";
-    if (SequencesFrom.empty())
-      if (auto Launcher = Manifest->launcherActivity())
-        SequencesFrom = *Launcher;
-  }
-
-  if (!SequencesFrom.empty()) {
-    const ir::ClassDecl *Start = App.Program.findClass(SequencesFrom);
-    if (!Start) {
-      Err << "error: unknown activity class '" << SequencesFrom
-                << "'\n";
-      return 1;
-    }
-    Out << "\nevent sequences from " << SequencesFrom
-              << " (length <= 5):\n";
-    guimodel::printEventSequences(
-        Out, *Result,
-        guimodel::enumerateEventSequences(*Result, Start, 5, 64));
-  }
-  if (Cfg.WantReach) {
-    Out << "\nEditText view-reach report:\n";
-    guimodel::printViewReach(Out, *Result,
-                             guimodel::computeViewReach(*Result));
-  }
-  if (Cfg.WantLint) {
-    Out << "\nlint findings:\n";
-    guimodel::printLintFindings(Out,
-                                guimodel::runLint(*Result, *App.Layouts));
-  }
-  if (!Cfg.JsonFile.empty()) {
-    std::ofstream Json(Cfg.JsonFile);
-    if (!Json) {
-      Err << "error: cannot write " << Cfg.JsonFile << "\n";
-      return 1;
-    }
-    guimodel::writeAnalysisJson(Json, *Result);
-    Out << "analysis JSON written to " << Cfg.JsonFile << "\n";
-  }
-  if (!Cfg.DotFile.empty()) {
-    std::ofstream Dot(Cfg.DotFile);
-    if (!Dot) {
-      Err << "error: cannot write " << Cfg.DotFile << "\n";
-      return 1;
-    }
-    Result->Graph->dumpDot(Dot);
-    Out << "constraint graph written to " << Cfg.DotFile << "\n";
-  }
-  // Degraded-but-sound runs exit 1 like input diagnostics do: the contract
-  // is "0 means every fact is exact". Unknown-source degradation and budget
-  // truncation both leave the solution usable, so nothing above aborted.
-  bool Degraded =
-      Result->Sol->fidelity() != analysis::Fidelity::Complete;
-  return (HadInputErrors || Degraded) ? 1 : 0;
-}
-
-/// Crash isolation: a C++ exception escaping one app's analysis is an
-/// internal error (exit 2) for that app, not a process abort — in batch
-/// mode the remaining apps still run.
-int runOneApp(support::AppInputs &Inputs, const CliConfig &Cfg,
-              analysis::CachedAnalysis *Record, std::ostream &Out,
-              std::ostream &Err) {
-  try {
-    return runOneAppUnguarded(Inputs, Cfg, Record, Out, Err);
-  } catch (const std::exception &E) {
-    Err << "internal error analyzing '" << Inputs.Root.string()
-        << "': " << E.what() << "\n";
-    return 2;
-  } catch (...) {
-    Err << "internal error analyzing '" << Inputs.Root.string() << "'\n";
-    return 2;
-  }
-}
-
-/// The cache key of one CLI app run: the analysis content key (the
-/// app's input bytes, \p Content, + canonical options) folded with the
-/// app directory as spelled on the command line (\p InputDir) and every
-/// flag that shapes the captured output text. Two invocations share an
-/// entry only when they would print the same bytes; the directory is part
-/// of that, because diagnostics print each input's path.
-support::Hash128 cliCacheKey(const support::Hash128 &Content,
-                             const std::string &InputDir,
-                             const CliConfig &Cfg) {
-  const support::Hash128 Base = analysis::combineCacheKey(
-      Content, analysis::hashAnalysisOptions(Cfg.Options));
-  support::ContentHasher H;
-  H.field("gator-cli-key", "v2");
-  H.u64("base.hi", Base.Hi);
-  H.u64("base.lo", Base.Lo);
-  H.field("dir", InputDir);
-  H.boolean("tuples", Cfg.WantTuples);
-  H.boolean("hierarchy", Cfg.WantHierarchy);
-  H.boolean("atg", Cfg.WantAtg);
-  H.boolean("solution", Cfg.WantSolution);
-  H.boolean("reach", Cfg.WantReach);
-  H.boolean("lint", Cfg.WantLint);
-  H.boolean("no-times", Cfg.NoTimes);
-  H.boolean("diag-json", Cfg.DiagJson);
-  H.field("sequences", Cfg.SequencesFrom);
-  H.field("explain", Cfg.ExplainQuery);
-  return H.digest();
-}
-
-/// The ledger's name for the app at \p Dir: the last component of the
-/// normalized absolute path, so `corpus/APV/` and `corpus/APV/.` both
-/// name APV.
-std::string appName(const std::string &Dir) {
-  fs::path P = fs::absolute(Dir).lexically_normal();
-  if (!P.has_filename())
-    P = P.parent_path();
-  return P.filename().string();
-}
-
-/// One app's result: what a cold run produces and a cache hit reads back
-/// (Run.Stats is filled only when the run collects a record), plus the
-/// app's ledger identity.
-struct AppResult {
-  analysis::CachedAnalysis Run;
-  std::string ContentKey; ///< empty unless a cache or the ledger keyed it
-  const char *Cache = "off"; ///< the ledger's cache value
-};
-
-/// Analyzes the app directory \p InputDir: loads its inputs once, keys
-/// them when a cache or the ledger needs the content key, and runs
-/// runOneApp behind the solution cache. A hit reads the cold run's result
-/// back without parsing or solving anything; a miss runs cold and stores
-/// the result. A corrupt on-disk entry degrades to a cold run with a
-/// stderr warning — stdout and the exit code are identical to an uncached
-/// run. A load that is not complete (a file could not be read) bypasses
-/// the cache: its bytes are not the app's inputs, so it is never looked
-/// up or stored.
-AppResult runAppDir(const std::string &InputDir, const CliConfig &Cfg,
-                    analysis::SolutionCache *Cache) {
-  AppResult R;
-  support::AppInputs Inputs;
-  {
-    support::TraceSpan ReadSpan(Cfg.Options.Trace, "read");
-    Inputs = support::loadAppDir(InputDir);
-    ReadSpan.arg("files", Inputs.Files.size());
-    ReadSpan.arg("bytes", Inputs.bytes());
-  }
-  const bool Cacheable = Cache && Inputs.complete();
-  support::Hash128 Content;
-  if (Cacheable || !Cfg.LedgerFile.empty()) {
-    Content = analysis::hashAppDir(Inputs);
-    R.ContentKey = Content.hex();
-  }
-  std::ostringstream Out, Err;
-  std::string Warning;
-  support::Hash128 Key;
-  if (Cacheable) {
-    Key = cliCacheKey(Content, InputDir, Cfg);
-    analysis::CachedAnalysis Entry;
-    const analysis::SolutionCache::Outcome Found = Cache->lookup(Key, Entry);
-    if (Found == analysis::SolutionCache::Outcome::Hit) {
-      R.Run = std::move(Entry);
-      R.Cache = "hit";
-      return R;
-    }
-    if (Found == analysis::SolutionCache::Outcome::Corrupt)
-      Warning = "warning: corrupt cache entry for '" + InputDir +
-                "' ignored; re-analyzing\n";
-    R.Cache = "miss";
-  }
-
-  // Only the cache, the ledger and the metrics export read the record.
-  analysis::CachedAnalysis *Record = nullptr;
-  if (Cache || !Cfg.LedgerFile.empty() || !Cfg.MetricsFile.empty()) {
-    Record = &R.Run;
-    Record->Stats.Name = appName(InputDir);
-  }
-  R.Run.ExitCode = runOneApp(Inputs, Cfg, Record, Out, Err);
-  R.Run.OutText = std::move(Out).str();
-  R.Run.ErrText = std::move(Err).str();
-  // Only a completed analysis is stored; early-exit error paths stay
-  // uncached.
-  if (Cacheable && R.Run.analyzed())
-    Cache->store(Key, R.Run);
-  R.Run.ErrText.insert(0, Warning);
-  return R;
-}
-
-/// Builds \p App from loaded inputs for the incremental-edit path: the
-/// same files as runOneAppUnguarded without the manifest, but demanding
-/// a clean parse (diagnostics go to stderr; any error fails the load).
-bool loadBundle(const support::AppInputs &Inputs, corpus::AppBundle &App) {
-  App.Android.install(App.Program);
-  if (Inputs.ListError) {
-    std::cerr << "error: cannot read directory '" << Inputs.Root.string()
-              << "': " << Inputs.ListError.message() << "\n";
-    return false;
-  }
-  if (!Inputs.hasSources()) {
-    std::cerr << "error: no .alite or .dexlite files under '"
-              << Inputs.Root.string() << "'\n";
-    return false;
-  }
-  bool Ok = true;
-  for (const support::AppFile &F : Inputs.Files) {
-    if (F.Kind == support::AppFileKind::Manifest)
-      continue;
-    if (!F.ReadOk)
+  /// Moves to the next argument; false past the last one.
+  bool next(std::string &Arg) {
+    if (++I >= Argc)
       return false;
-    Ok &= parseInputFile(F, App);
-  }
-  Ok &= App.finalize();
-  App.Diags.print(std::cerr);
-  return Ok && !App.Diags.hasErrors();
-}
-
-/// --incremental-edit: solve the base app, apply the edited copy's
-/// method/layout differences through the DRed incremental session
-/// (docs/INCREMENTAL.md), then differentially verify the result against a
-/// from-scratch solve of the edited program. Unsupported edit shapes
-/// (class/method/field set changes, include-target layout edits) fall
-/// back to a plain full solve of the edited app, which fills \p Record
-/// when it is non-null.
-int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
-                       const CliConfig &Cfg, analysis::CachedAnalysis *Record) {
-  const support::AppInputs BaseInputs = support::loadAppDir(BaseDir);
-  support::AppInputs EditInputs = support::loadAppDir(EditDir);
-  corpus::AppBundle Base, Edited;
-  if (!loadBundle(BaseInputs, Base) || !loadBundle(EditInputs, Edited)) {
-    std::cerr << "error: --incremental-edit requires cleanly parsing base "
-                 "and edited apps\n";
-    return 2;
-  }
-  analysis::EditDiff Diff = analysis::diffBundles(
-      Base.Program, Edited.Program, *Base.Layouts, *Edited.Layouts);
-  if (!Diff.Unsupported.empty()) {
-    for (const std::string &Reason : Diff.Unsupported)
-      std::cout << "unsupported edit: " << Reason << "\n";
-    std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditInputs, Cfg, Record, std::cout, std::cerr);
-  }
-  std::cout << "edit diff: " << Diff.Methods.size() << " method(s), "
-            << Diff.Layouts.size() << " layout(s)\n";
-
-  analysis::IncrementalAnalysis Inc(Base.Program, *Base.Layouts, Base.Android,
-                                    Cfg.Options, Base.Diags);
-  Inc.solveInitial();
-
-  unsigned long IncPropagations = 0;
-  size_t Retracted = 0;
-  bool Applied = true;
-  for (auto &[BaseMethod, EditMethod] : Diff.Methods) {
-    if (!analysis::graftMethodBody(*BaseMethod, *EditMethod) ||
-        !Inc.reanalyzeMethod(*BaseMethod)) {
-      Applied = false;
-      break;
-    }
-    IncPropagations += Inc.lastStats().Propagations;
-    Retracted += Inc.lastFactsRetracted();
-  }
-  if (Applied)
-    for (const std::string &Name : Diff.Layouts) {
-      const layout::LayoutDef *Def = Edited.Layouts->findByName(Name);
-      if (!Def || !Def->root() ||
-          !Inc.reanalyzeLayout(Name, Def->root()->clone())) {
-        Applied = false;
-        break;
+    Arg = Argv[I];
+    HasInline = false;
+    if (Arg.size() > 2 && Arg[0] == '-' && Arg[1] == '-') {
+      size_t Eq = Arg.find('=');
+      if (Eq != std::string::npos) {
+        Inline = Arg.substr(Eq + 1);
+        Arg.resize(Eq);
+        HasInline = true;
       }
-      IncPropagations += Inc.lastStats().Propagations;
-      Retracted += Inc.lastFactsRetracted();
     }
-  if (!Applied) {
-    std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditInputs, Cfg, Record, std::cout, std::cerr);
+    return true;
   }
 
-  // Differential check: a from-scratch solve over the same (now grafted)
-  // program and layout objects must reach the same fixed point.
-  analysis::AnalysisOptions ScratchOptions = Cfg.Options;
-  ScratchOptions.RecordProvenance = false;
-  auto Scratch = analysis::GuiAnalysis::run(Base.Program, *Base.Layouts,
-                                            Base.Android, ScratchOptions,
-                                            Base.Diags);
-  if (!Scratch)
-    return 2;
-  const std::string IncDigest = analysis::solutionDigest(Inc.solution());
-  const std::string ScratchDigest = analysis::solutionDigest(*Scratch->Sol);
-  const bool Match = IncDigest == ScratchDigest;
-  std::cout << "facts retracted: " << Retracted << "\n"
-            << "incremental propagations: " << IncPropagations
-            << "  scratch propagations: " << Scratch->Stats.Propagations
-            << "\n"
-            << "incremental matches scratch: " << (Match ? "yes" : "no")
-            << "\n";
-  if (!Match) {
-    // Line-level digest diff, capped — enough to localize a divergence.
-    auto Split = [](const std::string &Text) {
-      std::vector<std::string> Lines;
-      std::istringstream SS(Text);
-      for (std::string Line; std::getline(SS, Line);)
-        Lines.push_back(Line);
-      return Lines;
-    };
-    const std::vector<std::string> A = Split(IncDigest), B = Split(ScratchDigest);
-    unsigned Shown = 0;
-    for (const std::string &L : A)
-      if (!std::binary_search(B.begin(), B.end(), L) && Shown++ < 16)
-        std::cout << "  only-incremental: " << L << "\n";
-    for (const std::string &L : B)
-      if (!std::binary_search(A.begin(), A.end(), L) && Shown++ < 32)
-        std::cout << "  only-scratch: " << L << "\n";
+  /// Reads the current flag's value; false when it is missing.
+  bool value(std::string &Out) {
+    if (HasInline) {
+      Out = Inline;
+      return true;
+    }
+    if (++I >= Argc)
+      return false;
+    Out = Argv[I];
+    return true;
   }
-  return Match ? 0 : 1;
-}
+
+private:
+  int Argc;
+  char **Argv;
+  int I;
+  std::string Inline;
+  bool HasInline = false;
+};
 
 /// Parses a non-negative number for a --max-* flag; false on garbage.
 bool parseCount(const std::string &Text, unsigned long &Out) {
@@ -731,7 +223,8 @@ bool parseCount(const std::string &Text, unsigned long &Out) {
 
 /// Writes the --trace-out / --metrics-out files (a no-op for whichever
 /// was not requested). Returns false on an I/O failure.
-bool writeTelemetry(const CliConfig &Cfg, const support::TraceSink &Trace,
+bool writeTelemetry(const driver::RunConfig &Cfg,
+                    const support::TraceSink &Trace,
                     const support::MetricsRegistry &Metrics) {
   if (!Cfg.TraceFile.empty()) {
     std::ofstream OS(Cfg.TraceFile);
@@ -759,7 +252,7 @@ bool writeTelemetry(const CliConfig &Cfg, const support::TraceSink &Trace,
 /// The header stamps the canonical options digest and the --no-times
 /// flag, so `report --diff` can refuse ledgers measured under different
 /// analysis semantics. Returns false on an I/O failure.
-bool writeLedgerFile(const CliConfig &Cfg,
+bool writeLedgerFile(const driver::RunConfig &Cfg,
                      const std::vector<analysis::WideEvent> &Events) {
   if (Cfg.LedgerFile.empty())
     return true;
@@ -785,28 +278,8 @@ int runReportMode(int argc, char **argv) {
   bool Json = false;
   double ThresholdPct = 0;
   std::vector<std::string> Paths;
-  for (int I = 2; I < argc; ++I) {
-    std::string Arg = argv[I];
-    std::string Inline;
-    bool HasInline = false;
-    if (Arg.size() > 2 && Arg[0] == '-' && Arg[1] == '-') {
-      size_t Eq = Arg.find('=');
-      if (Eq != std::string::npos) {
-        Inline = Arg.substr(Eq + 1);
-        Arg.resize(Eq);
-        HasInline = true;
-      }
-    }
-    auto NextValue = [&](std::string &Out) {
-      if (HasInline) {
-        Out = Inline;
-        return true;
-      }
-      if (++I >= argc)
-        return false;
-      Out = argv[I];
-      return true;
-    };
+  ArgReader Args(argc, argv, 2);
+  for (std::string Arg; Args.next(Arg);) {
     std::string Val;
     if (Arg == "--help" || Arg == "-h") {
       printUsage(std::cout);
@@ -814,7 +287,7 @@ int runReportMode(int argc, char **argv) {
     } else if (Arg == "--diff") {
       Diff = true;
     } else if (Arg == "--report-format") {
-      if (!NextValue(Val))
+      if (!Args.value(Val))
         return usage();
       if (Val == "json") {
         Json = true;
@@ -826,7 +299,7 @@ int runReportMode(int argc, char **argv) {
         return 2;
       }
     } else if (Arg == "--threshold") {
-      if (!NextValue(Val))
+      if (!Args.value(Val))
         return usage();
       try {
         ThresholdPct = std::stod(Val);
@@ -907,43 +380,23 @@ int main(int argc, char **argv) {
     return runReportMode(argc, argv);
 
   std::string InputDir;
-  CliConfig Cfg;
+  driver::RunConfig Cfg;
+  unsigned Jobs = 1;
   bool JobsFromFlag = false;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    // `--flag=value` is equivalent to `--flag value`.
-    std::string Inline;
-    bool HasInline = false;
-    if (Arg.size() > 2 && Arg[0] == '-' && Arg[1] == '-') {
-      size_t Eq = Arg.find('=');
-      if (Eq != std::string::npos) {
-        Inline = Arg.substr(Eq + 1);
-        Arg.resize(Eq);
-        HasInline = true;
-      }
-    }
-    auto NextValue = [&](std::string &Out) {
-      if (HasInline) {
-        Out = Inline;
-        return true;
-      }
-      if (++I >= argc)
-        return false;
-      Out = argv[I];
-      return true;
-    };
+  ArgReader Args(argc, argv, 1);
+  for (std::string Arg; Args.next(Arg);) {
     std::string Val;
     if (Arg == "--help" || Arg == "-h") {
       printUsage(std::cout);
       return 0;
     } else if (Arg == "-j" || Arg == "--jobs") {
-      if (!NextValue(Val))
+      if (!Args.value(Val))
         return usage();
-      if (!parseJobs(Val, "the -j flag", Cfg.Options.Jobs))
+      if (!parseJobs(Val, "the -j flag", Jobs))
         return 2;
       JobsFromFlag = true;
     } else if (Arg == "--dot") {
-      if (!NextValue(Cfg.DotFile))
+      if (!Args.value(Cfg.DotFile))
         return usage();
     } else if (Arg == "--tuples") {
       Cfg.WantTuples = true;
@@ -954,24 +407,24 @@ int main(int argc, char **argv) {
     } else if (Arg == "--solution") {
       Cfg.WantSolution = true;
     } else if (Arg == "--sequences") {
-      if (!NextValue(Cfg.SequencesFrom))
+      if (!Args.value(Cfg.SequencesFrom))
         return usage();
     } else if (Arg == "--reach") {
       Cfg.WantReach = true;
     } else if (Arg == "--json") {
-      if (!NextValue(Cfg.JsonFile))
+      if (!Args.value(Cfg.JsonFile))
         return usage();
     } else if (Arg == "--trace-out") {
-      if (!NextValue(Cfg.TraceFile))
+      if (!Args.value(Cfg.TraceFile))
         return usage();
     } else if (Arg == "--metrics-out") {
-      if (!NextValue(Cfg.MetricsFile))
+      if (!Args.value(Cfg.MetricsFile))
         return usage();
     } else if (Arg == "--ledger-out") {
-      if (!NextValue(Cfg.LedgerFile) || Cfg.LedgerFile.empty())
+      if (!Args.value(Cfg.LedgerFile) || Cfg.LedgerFile.empty())
         return usage();
     } else if (Arg == "--metrics-format") {
-      if (!NextValue(Val))
+      if (!Args.value(Val))
         return usage();
       if (Val == "prom" || Val == "prometheus") {
         Cfg.MetricsProm = true;
@@ -983,10 +436,10 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg == "--explain") {
-      if (!NextValue(Cfg.ExplainQuery) || Cfg.ExplainQuery.empty())
+      if (!Args.value(Cfg.ExplainQuery) || Cfg.ExplainQuery.empty())
         return usage();
     } else if (Arg == "--diag-format") {
-      if (!NextValue(Val))
+      if (!Args.value(Val))
         return usage();
       if (Val == "json") {
         Cfg.DiagJson = true;
@@ -998,10 +451,10 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg == "--cache-dir") {
-      if (!NextValue(Cfg.CacheDir) || Cfg.CacheDir.empty())
+      if (!Args.value(Cfg.CacheDir) || Cfg.CacheDir.empty())
         return usage();
     } else if (Arg == "--incremental-edit") {
-      if (!NextValue(Cfg.EditDir) || Cfg.EditDir.empty())
+      if (!Args.value(Cfg.EditDir) || Cfg.EditDir.empty())
         return usage();
     } else if (Arg == "--lint") {
       Cfg.WantLint = true;
@@ -1010,7 +463,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--batch") {
       Cfg.Batch = true;
     } else if (Arg == "--max-seconds") {
-      if (!NextValue(Val))
+      if (!Args.value(Val))
         return usage();
       try {
         Cfg.Options.Budget.MaxWallSeconds = std::stod(Val);
@@ -1020,24 +473,24 @@ int main(int argc, char **argv) {
       if (Cfg.Options.Budget.MaxWallSeconds < 0)
         return usage();
     } else if (Arg == "--max-work") {
-      if (!NextValue(Val) ||
+      if (!Args.value(Val) ||
           !parseCount(Val, Cfg.Options.Budget.MaxWorkItems))
         return usage();
     } else if (Arg == "--max-nodes") {
       unsigned long N = 0;
-      if (!NextValue(Val) || !parseCount(Val, N))
+      if (!Args.value(Val) || !parseCount(Val, N))
         return usage();
       Cfg.Options.Budget.MaxGraphNodes = N;
     } else if (Arg == "--no-unknown-sources") {
       Cfg.Options.ModelUnknownSources = false;
     } else if (Arg == "--unknown-fanout") {
       unsigned long N = 0;
-      if (!NextValue(Val) || !parseCount(Val, N))
+      if (!Args.value(Val) || !parseCount(Val, N))
         return usage();
       Cfg.Options.UnknownFanoutBudget = static_cast<unsigned>(N);
     } else if (Arg == "--max-edges") {
       unsigned long N = 0;
-      if (!NextValue(Val) || !parseCount(Val, N))
+      if (!Args.value(Val) || !parseCount(Val, N))
         return usage();
       Cfg.Options.Budget.MaxGraphEdges = N;
     } else if (!Arg.empty() && Arg[0] == '-') {
@@ -1051,8 +504,7 @@ int main(int argc, char **argv) {
 
   if (!JobsFromFlag)
     if (const char *Env = std::getenv("GATOR_JOBS"))
-      if (!parseJobs(Env, "the GATOR_JOBS environment variable",
-                     Cfg.Options.Jobs))
+      if (!parseJobs(Env, "the GATOR_JOBS environment variable", Jobs))
         return 2;
 
   if (!Cfg.ExplainQuery.empty()) {
@@ -1066,7 +518,7 @@ int main(int argc, char **argv) {
 
   // Invocation-wide telemetry (docs/OBSERVABILITY.md). In single-app mode
   // the analysis traces straight into this sink; in batch mode each task
-  // traces into its own sink, appended below in input order.
+  // traces into its own sink, which runBatch appends in input order.
   const bool WantTrace = !Cfg.TraceFile.empty();
   const bool WantMetrics = !Cfg.MetricsFile.empty();
   support::TraceSink Trace;
@@ -1088,8 +540,9 @@ int main(int argc, char **argv) {
       return 2;
     }
     analysis::CachedAnalysis Record;
-    int Code = runIncrementalEdit(InputDir, Cfg.EditDir, Cfg,
-                                  WantMetrics ? &Record : nullptr);
+    int Code = driver::runIncrementalEdit(InputDir, Cfg.EditDir, Cfg,
+                                          WantMetrics ? &Record : nullptr,
+                                          std::cout, std::cerr);
     if (Record.analyzed())
       analysis::recordAppMetrics(Metrics, Record);
     if (!writeTelemetry(Cfg, Trace, Metrics))
@@ -1112,13 +565,13 @@ int main(int argc, char **argv) {
   }
 
   // Single-app mode is a batch of one app, run on this thread.
-  std::vector<AppResult> Results;
+  std::vector<driver::AppResult> Results;
   std::vector<fs::path> AppDirs;
   if (!Cfg.Batch) {
-    Results.push_back(runAppDir(InputDir, Cfg, Cache.get()));
+    Results.push_back(driver::runAppDir(InputDir, Cfg, Cache.get()));
   } else {
-    unsigned Jobs = support::resolveJobs(Cfg.Options.Jobs);
-    if (Jobs > 1 && (!Cfg.JsonFile.empty() || !Cfg.DotFile.empty())) {
+    if (support::resolveJobs(Jobs) > 1 &&
+        (!Cfg.JsonFile.empty() || !Cfg.DotFile.empty())) {
       // Every app would race on the same output file; there is no
       // sensible merged artifact, so reject rather than corrupt.
       std::cerr << "error: --json/--dot write one fixed file per app and "
@@ -1142,40 +595,7 @@ int main(int argc, char **argv) {
       return 1;
     }
     std::sort(AppDirs.begin(), AppDirs.end());
-
-    // One wall-clock deadline for the whole batch, per-app caps per task
-    // (docs/ROBUSTNESS.md, "Batch deadline semantics").
-    CliConfig TaskCfg = Cfg;
-    TaskCfg.Options.Budget.SharedDeadline =
-        support::makeSharedDeadline(Cfg.Options.Budget.MaxWallSeconds);
-
-    // Fan one thread-confined task per app over the pool; each task
-    // returns its result and its own trace sink.
-    struct Task {
-      AppResult Result;
-      std::unique_ptr<support::TraceSink> Trace;
-    };
-    std::vector<Task> Tasks = support::parallelMap<Task>(
-        Cfg.Options.Jobs, AppDirs.size(), [&](size_t I) {
-          Task T;
-          CliConfig AppCfg = TaskCfg;
-          if (WantTrace) {
-            T.Trace = std::make_unique<support::TraceSink>();
-            AppCfg.Options.Trace = T.Trace.get();
-          }
-          {
-            support::TraceSpan AppSpan(AppCfg.Options.Trace, "analyze-app");
-            AppSpan.arg("index", I);
-            T.Result = runAppDir(AppDirs[I].string(), AppCfg, Cache.get());
-          }
-          return T;
-        });
-    // Trace lanes append in input order (tid = 1 + app ordinal).
-    for (size_t I = 0; I < Tasks.size(); ++I) {
-      if (Tasks[I].Trace)
-        Trace.append(std::move(*Tasks[I].Trace), static_cast<uint32_t>(I + 1));
-      Results.push_back(std::move(Tasks[I].Result));
-    }
+    Results = driver::runBatch(AppDirs, Cfg, Jobs, Cache.get());
   }
 
   // The ordered fold: stdout/stderr, the metrics registry and the ledger
@@ -1185,7 +605,7 @@ int main(int argc, char **argv) {
   int Worst = 0;
   std::vector<analysis::WideEvent> Events;
   for (size_t I = 0; I < Results.size(); ++I) {
-    AppResult &R = Results[I];
+    driver::AppResult &R = Results[I];
     if (Cfg.Batch) {
       std::cout << "=== app: " << AppDirs[I].filename().string() << " ===\n"
                 << R.Run.OutText << "=== exit: " << R.Run.ExitCode

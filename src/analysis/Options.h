@@ -68,15 +68,6 @@ struct AnalysisOptions {
   /// helper by the context refinement.
   unsigned ContextHelperMaxStmts = 12;
 
-  /// Worker threads for multi-app drivers (docs/PARALLEL.md): batch CLI
-  /// runs, corpus-wide analyses, and the benches fan one whole-app
-  /// analysis per task over a support::ThreadPool. 0 = hardware
-  /// concurrency, 1 = exact serial execution (the default; no pool is
-  /// constructed). A single solve is always serial and thread-confined —
-  /// nothing parallelizes inside one app's analysis — so results are
-  /// identical for every value.
-  unsigned Jobs = 1;
-
   /// Resource budgets (docs/ROBUSTNESS.md): work items (the historical
   /// MaxWorkItems safety valve), wall-clock deadline, graph size caps,
   /// cooperative cancellation. Exhaustion yields a consistent partial

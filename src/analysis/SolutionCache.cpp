@@ -379,9 +379,10 @@ gator::analysis::hashAnalysisOptions(const AnalysisOptions &O) {
   H.u64("UnknownFanoutBudget", O.UnknownFanoutBudget);
   // Deterministic budget limits shape the (possibly truncated) result;
   // wall-clock and cancellation do too, but non-reproducibly — those gate
-  // eligibility instead (cacheEligible). Jobs and Trace never change the
-  // per-app outcome (each app is solved serially — docs/PARALLEL.md), so
-  // a cache warmed serially serves parallel runs and vice versa.
+  // eligibility instead (cacheEligible). Trace never changes the per-app
+  // outcome, and neither does the batch's worker count (each app is
+  // solved serially — docs/PARALLEL.md), so a cache warmed serially
+  // serves parallel runs and vice versa.
   H.u64("Budget.MaxWorkItems", O.Budget.MaxWorkItems);
   H.u64("Budget.MaxGraphNodes", O.Budget.MaxGraphNodes);
   H.u64("Budget.MaxGraphEdges", O.Budget.MaxGraphEdges);

@@ -121,8 +121,8 @@ support::Hash128 hashAppDir(const support::AppInputs &Inputs);
 
 /// Canonical hash of the semantically meaningful options: every knob that
 /// changes the solution, the output text, or the deterministic budget
-/// limits. Deliberately excludes Jobs, Trace, and the wall-clock /
-/// cancellation budget fields — those change scheduling, not results.
+/// limits. Deliberately excludes Trace and the wall-clock / cancellation
+/// budget fields — those change scheduling, not results.
 support::Hash128 hashAnalysisOptions(const AnalysisOptions &Options);
 
 /// Combines an input-content hash (hashAppDir) with an options hash into

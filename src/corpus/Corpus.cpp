@@ -4,7 +4,10 @@
 
 #include "ir/ProgramBuilder.h"
 #include "layout/Layout.h"
+#include "layout/LayoutWriter.h"
+#include "parser/Printer.h"
 
+#include <fstream>
 #include <random>
 #include <sstream>
 
@@ -729,4 +732,51 @@ std::vector<AppSpec> gator::corpus::makeFleet(const FleetSpec &Fleet) {
     Specs.push_back(std::move(Spec));
   }
   return Specs;
+}
+
+bool gator::corpus::writeAppDir(const AppSpec &Spec, const AppBundle &App,
+                                const std::filesystem::path &AppDir,
+                                std::ostream &Err) {
+  std::error_code EC;
+  std::filesystem::create_directories(AppDir, EC);
+  if (EC) {
+    Err << "error: cannot create " << AppDir << ": " << EC.message() << "\n";
+    return false;
+  }
+
+  {
+    std::ofstream Out(AppDir / "app.alite");
+    if (!Out) {
+      Err << "error: cannot write app.alite for " << Spec.Name << "\n";
+      return false;
+    }
+    parser::printProgram(App.Program, Out);
+  }
+  for (const auto &Def : App.Layouts->layouts()) {
+    std::ofstream Out(AppDir / (Def->name() + ".xml"));
+    Out << layout::layoutToXml(*Def);
+  }
+  {
+    // Manifest: every activity declared, Activity0 as the launcher.
+    std::ofstream Out(AppDir / "AndroidManifest.xml");
+    Out << "<manifest package=\"corpus." << Spec.Name << "\">\n"
+        << "  <application>\n";
+    for (unsigned I = 0; I < Spec.Activities; ++I) {
+      Out << "    <activity android:name=\"" << Spec.Name << "Activity"
+          << I << "\"";
+      if (I == 0)
+        Out << ">\n"
+            << "      <intent-filter>\n"
+            << "        <action android:name=\"android.intent.action."
+               "MAIN\" />\n"
+            << "        <category android:name=\"android.intent.category."
+               "LAUNCHER\" />\n"
+            << "      </intent-filter>\n"
+            << "    </activity>\n";
+      else
+        Out << " />\n";
+    }
+    Out << "  </application>\n</manifest>\n";
+  }
+  return true;
 }

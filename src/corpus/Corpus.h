@@ -31,7 +31,9 @@
 #include "corpus/AppBundle.h"
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -191,6 +193,15 @@ struct FleetSpec {
 /// deterministic and order-independent, and a parallel batch produces the
 /// same fleet at every -j value (docs/PARALLEL.md determinism contract).
 std::vector<AppSpec> makeFleet(const FleetSpec &Fleet);
+
+/// Writes \p App, generated from \p Spec, as an app directory that
+/// gator_cli analyzes: \p AppDir/app.alite (the printed program), one
+/// `<name>.xml` per layout, and an AndroidManifest.xml declaring every
+/// activity with Activity0 as the launcher. Creates \p AppDir. Returns
+/// false, with an error on \p Err, when the directory or app.alite cannot
+/// be written.
+bool writeAppDir(const AppSpec &Spec, const AppBundle &App,
+                 const std::filesystem::path &AppDir, std::ostream &Err);
 
 } // namespace corpus
 } // namespace gator

@@ -27,7 +27,7 @@
 ///
 /// Thread confinement: an Arena is NOT thread-safe. The batch engine gives
 /// each worker task its own arena (docs/PARALLEL.md), which is also what
-/// makes KeepArtifacts=false a pure slab drop.
+/// makes dropping a finished app a pure slab drop.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -261,11 +261,6 @@ TEST(CacheKeyTest, OptionsHashTracksSemanticKnobsOnly) {
   AnalysisOptions Budgeted = Base;
   Budgeted.Budget.MaxWorkItems = 1000;
   EXPECT_NE(H0.hex(), hashAnalysisOptions(Budgeted).hex());
-
-  // Scheduling knobs change how the batch runs, not what it computes.
-  AnalysisOptions Jobs = Base;
-  Jobs.Jobs = 8;
-  EXPECT_EQ(H0.hex(), hashAnalysisOptions(Jobs).hex());
 }
 
 TEST(CacheKeyTest, DefaultOptionsDigestIsPinned) {

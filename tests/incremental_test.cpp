@@ -5,18 +5,25 @@
 // id renumbering, reanalyzeMethod/reanalyzeLayout must reach the exact
 // fixed point a from-scratch solve over the edited program reaches —
 // across both engines and the semantic options matrix — while performing
-// strictly fewer propagations than the scratch solve.
+// strictly fewer propagations than the scratch solve. The
+// `--incremental-edit` driver loads both apps the way the run path does:
+// diagnostics follow --diag-format, and an unreadable input is named.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Incremental.h"
 #include "corpus/Corpus.h"
+#include "driver/Driver.h"
 #include "parser/Printer.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -461,6 +468,68 @@ TEST(IncrementalTest, CorpusMethodBodySwapMatchesScratch) {
     EXPECT_LT(Inc.lastStats().Propagations, Scratch->Stats.Propagations)
         << Specs[I].Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The --incremental-edit driver (src/driver/)
+//===----------------------------------------------------------------------===//
+
+TEST(IncrementalEditDriverTest, MalformedEditFollowsJsonDiagnostics) {
+  namespace fs = std::filesystem;
+  const fs::path Fixtures = fs::path(GATOR_SOURCE_DIR) / "tests" / "fixtures";
+  const fs::path Edit =
+      fs::temp_directory_path() /
+      ("gator_incremental_edit_" + std::to_string(::getpid()));
+  fs::remove_all(Edit);
+  fs::copy(Fixtures / "incremental_edit", Edit);
+  {
+    std::ofstream Tail(Edit / "app.alite", std::ios::app);
+    Tail << "class Broken extends {\n  field f T;\n}\n";
+  }
+
+  driver::RunConfig Cfg;
+  Cfg.NoTimes = true;
+  Cfg.DiagJson = true;
+  std::ostringstream Out, Err;
+  const int Code = driver::runIncrementalEdit(
+      (Fixtures / "incremental_base").string(), Edit.string(), Cfg, nullptr,
+      Out, Err);
+  fs::remove_all(Edit);
+
+  EXPECT_EQ(Code, 2);
+  EXPECT_EQ(Out.str(), "");
+  // One JSON document per load (the clean base, then the broken copy),
+  // then the refusal; no text-format diagnostic.
+  std::vector<std::string> Lines;
+  std::istringstream SS(Err.str());
+  for (std::string Line; std::getline(SS, Line);)
+    Lines.push_back(Line);
+  ASSERT_EQ(Lines.size(), 3u) << Err.str();
+  EXPECT_EQ(Lines[0].rfind("{\"diagnostics\":[]", 0), 0u) << Lines[0];
+  EXPECT_EQ(Lines[1].rfind("{\"diagnostics\":[{\"severity\":\"error\"", 0),
+            0u)
+      << Lines[1];
+  EXPECT_EQ(Lines[2], "error: --incremental-edit requires cleanly parsing "
+                      "base and edited apps");
+}
+
+TEST(IncrementalEditDriverTest, UnreadableInputIsNamed) {
+  support::AppInputs Inputs = support::loadAppDir(
+      std::filesystem::path(GATOR_SOURCE_DIR) / "tests" / "fixtures" /
+      "incremental_edit");
+  ASSERT_EQ(Inputs.Files.size(), 3u);
+  ASSERT_TRUE(Inputs.complete());
+  support::AppFile &Layout = Inputs.Files[1];
+  Layout.ReadOk = false;
+  Layout.Bytes.clear();
+
+  corpus::AppBundle App;
+  std::ostringstream Err, Expected;
+  EXPECT_EQ(driver::loadApp(Inputs, App, /*Manifest=*/nullptr,
+                            /*DiagJson=*/false, /*Trace=*/nullptr, Err),
+            driver::LoadStatus::Failed);
+  Expected << "error: cannot read " << Layout.Path << "\n";
+  EXPECT_EQ(Err.str(), Expected.str());
 }
 
 } // namespace

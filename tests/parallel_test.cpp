@@ -7,29 +7,37 @@
 //    per-worker task counts;
 //  - parallelFor is an exact inline serial loop at Jobs=1 and rethrows
 //    the lowest-index exception deterministically at any job count;
-//  - a corpus batch produces byte-identical per-app JSON, identical
-//    per-app and aggregate AppStats, and identical fidelity markers at
-//    -j 1/2/4/8 — including under injected faults and forced budget
-//    trips;
-//  - a 200-app hostile generated fleet, artifacts dropped per task,
-//    yields identical per-app counters and fidelity at -j 1 and -j 4;
+//  - driver::runBatch, the fan-out behind `gator_cli --batch`, run in
+//    process on apps written to disk by the export_corpus writer: the
+//    20 corpus apps give byte-identical output text, exit codes, records
+//    and precision rows at -j 1/2/4/8 — also under forced budget trips
+//    and per-task work caps — and so does a 200-app hostile generated
+//    fleet at -j 1 and -j 4;
+//  - single-app mode is a batch of one, and a cache hit reads back the
+//    cold run's result field for field;
 //  - the batch wall-clock deadline is shared (a slow early app starves
 //    later apps, which report TruncatedBudget/deadline) while work-item
-//    caps stay per-task;
+//    caps stay per-task, and the cancel flag stops every task;
 //  - BudgetTracker cancellation is safe to trip from another thread.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
+#include "analysis/SolutionCache.h"
 #include "analysis/WideEvent.h"
-#include "corpus/BatchRunner.h"
-#include "guimodel/JsonExport.h"
+#include "corpus/Corpus.h"
+#include "driver/Driver.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -40,6 +48,7 @@ using namespace gator;
 using namespace gator::analysis;
 using namespace gator::corpus;
 using namespace gator::support;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -160,67 +169,120 @@ TEST(ParallelMapTest, ResultsComeBackInIndexOrder) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corpus batch determinism across job counts
+// The batch driver (src/driver/): apps written to disk, run in process
 //===----------------------------------------------------------------------===//
 
-/// Everything about one batch run that must not depend on the job count.
-struct BatchFingerprint {
-  std::vector<std::string> AppJson;      ///< per-app full JSON export
-  std::vector<std::string> AppStatsRows; ///< per-app Table 1 + solver rows
-  std::string AggregateRow;              ///< summed AppStats
-  std::vector<Fidelity> Fidelities;
-  std::vector<support::BudgetReason> TruncReasons;
+/// A directory under the system temp dir, unique to this process and
+/// removed at exit.
+struct ScratchTree {
+  fs::path Root = fs::temp_directory_path() /
+                  ("gator_parallel_test_" + std::to_string(::getpid()));
+  ScratchTree() { fs::remove_all(Root); }
+  ~ScratchTree() {
+    std::error_code EC;
+    fs::remove_all(Root, EC);
+  }
 };
 
-BatchFingerprint fingerprintCorpus(const AnalysisOptions &Options) {
-  BatchFingerprint F;
-  std::vector<BatchAppResult> Batch = analyzeCorpus(paperCorpus(), Options);
-  std::vector<AppStats> PerApp;
-  for (const BatchAppResult &R : Batch) {
-    EXPECT_FALSE(R.GenerationFailed) << R.Name;
-    if (!R.Result)
-      continue;
-    std::ostringstream Json;
-    guimodel::writeAnalysisJson(Json, *R.Result);
-    F.AppJson.push_back(Json.str());
-    std::ostringstream Rows;
-    printAppStatsRow(Rows, R.Stats);
-    printSolverStatsRow(Rows, R.Stats);
-    Rows << " workCharged=" << R.Stats.WorkCharged;
-    F.AppStatsRows.push_back(Rows.str());
-    F.Fidelities.push_back(R.Result->Sol->fidelity());
-    F.TruncReasons.push_back(R.Result->Sol->truncationReason());
-    PerApp.push_back(R.Stats);
-  }
-  std::ostringstream Agg;
-  printSolverStatsRow(Agg, aggregateAppStats("TOTAL", PerApp));
-  F.AggregateRow = Agg.str();
-  return F;
+fs::path scratchRoot() {
+  static ScratchTree Tree;
+  return Tree.Root;
 }
 
-void expectSameFingerprint(const BatchFingerprint &A,
-                           const BatchFingerprint &B, const char *Label) {
-  ASSERT_EQ(A.AppJson.size(), B.AppJson.size()) << Label;
-  for (size_t I = 0; I < A.AppJson.size(); ++I) {
-    EXPECT_EQ(A.AppJson[I], B.AppJson[I]) << Label << " app " << I;
-    EXPECT_EQ(A.AppStatsRows[I], B.AppStatsRows[I]) << Label << " app " << I;
-    EXPECT_EQ(A.Fidelities[I], B.Fidelities[I]) << Label << " app " << I;
-    EXPECT_EQ(A.TruncReasons[I], B.TruncReasons[I]) << Label << " app " << I;
+/// Writes every spec's generated app to \p Root/<name> with the
+/// export_corpus writer and returns the app directories in spec order.
+std::vector<fs::path> writeApps(const std::vector<AppSpec> &Specs,
+                                const fs::path &Root) {
+  std::vector<fs::path> Dirs;
+  for (const AppSpec &Spec : Specs) {
+    GeneratedApp App = generateApp(Spec);
+    EXPECT_FALSE(App.Bundle->Diags.hasErrors()) << Spec.Name;
+    std::ostringstream Err;
+    EXPECT_TRUE(writeAppDir(Spec, *App.Bundle, Root / Spec.Name, Err))
+        << Err.str();
+    Dirs.push_back(Root / Spec.Name);
   }
-  EXPECT_EQ(A.AggregateRow, B.AggregateRow) << Label;
+  return Dirs;
+}
+
+/// The 20 paper-corpus apps on disk, written once per test binary.
+const std::vector<fs::path> &corpusDirs() {
+  static const std::vector<fs::path> Dirs =
+      writeApps(paperCorpus(), scratchRoot() / "corpus");
+  return Dirs;
+}
+
+/// A --no-times run that renders the solution, the hierarchies and the
+/// handler tuples. The ledger flag only makes each task collect its record
+/// and content key; the driver writes no file.
+driver::RunConfig recordingConfig() {
+  driver::RunConfig Cfg;
+  Cfg.NoTimes = true;
+  Cfg.WantSolution = true;
+  Cfg.WantHierarchy = true;
+  Cfg.WantTuples = true;
+  Cfg.LedgerFile = "ledger.jsonl";
+  return Cfg;
+}
+
+/// Everything about one app's result that must not depend on the job
+/// count or on the run: the exit code, the output text, the no-times
+/// ledger line (every stable AppStats field, the content key and the
+/// cache stamp), the fidelity and the Table 2 precision row.
+std::string fingerprint(const driver::AppResult &R) {
+  std::ostringstream OS;
+  OS << "exit " << R.Run.ExitCode << "\n"
+     << R.Run.OutText << "--- stderr\n"
+     << R.Run.ErrText << "--- record\n";
+  WideEvent E;
+  E.ContentKey = R.ContentKey;
+  E.ExitCode = R.Run.ExitCode;
+  E.Cache = R.Cache;
+  E.Stats = R.Run.Stats;
+  E.writeJsonl(OS, /*IncludeVolatile=*/false);
+  const Solution::PrecisionMetrics &P = R.Run.Precision;
+  OS << "\nfidelity " << fidelityName(R.Run.Stats.SolutionFidelity)
+     << " receivers " << P.AvgReceivers << " parameters "
+     << P.AvgParameters.value_or(-1) << " results "
+     << P.AvgResults.value_or(-1) << " listeners "
+     << P.AvgListeners.value_or(-1) << "\n";
+  return OS.str();
+}
+
+/// Fingerprints runBatch's results, checking that each one belongs to the
+/// app directory at its index.
+std::vector<std::string>
+fingerprintBatch(const std::vector<fs::path> &Dirs,
+                 const driver::RunConfig &Cfg, unsigned Jobs) {
+  const std::vector<driver::AppResult> Results =
+      driver::runBatch(Dirs, Cfg, Jobs, nullptr);
+  EXPECT_EQ(Results.size(), Dirs.size());
+  std::vector<std::string> Out;
+  for (size_t I = 0; I < Results.size(); ++I) {
+    EXPECT_EQ(Results[I].Run.Stats.Name, Dirs[I].filename().string())
+        << "jobs=" << Jobs;
+    Out.push_back(fingerprint(Results[I]));
+  }
+  return Out;
+}
+
+void expectSameBatch(const std::vector<std::string> &A,
+                     const std::vector<std::string> &B, const char *Label) {
+  ASSERT_EQ(A.size(), B.size()) << Label;
+  for (size_t I = 0; I < A.size(); ++I)
+    EXPECT_EQ(A[I], B[I]) << Label << " app " << I;
 }
 
 TEST(BatchDeterminismTest, IdenticalResultsAtEveryJobCount) {
-  AnalysisOptions Options;
-  Options.Jobs = 1;
-  BatchFingerprint Serial = fingerprintCorpus(Options);
-  ASSERT_EQ(Serial.AppJson.size(), paperCorpus().size());
-  for (unsigned Jobs : {2u, 4u, 8u}) {
-    Options.Jobs = Jobs;
-    BatchFingerprint Parallel = fingerprintCorpus(Options);
-    expectSameFingerprint(Serial, Parallel,
-                          ("jobs=" + std::to_string(Jobs)).c_str());
-  }
+  const driver::RunConfig Cfg = recordingConfig();
+  const std::vector<std::string> Serial =
+      fingerprintBatch(corpusDirs(), Cfg, 1);
+  ASSERT_EQ(Serial.size(), paperCorpus().size());
+  for (const std::string &F : Serial)
+    EXPECT_NE(F.find("fidelity: complete"), std::string::npos) << F;
+  for (unsigned Jobs : {2u, 4u, 8u})
+    expectSameBatch(Serial, fingerprintBatch(corpusDirs(), Cfg, Jobs),
+                    ("jobs=" + std::to_string(Jobs)).c_str());
 }
 
 TEST(BatchDeterminismTest, IdenticalUnderForcedBudgetTrips) {
@@ -230,133 +292,139 @@ TEST(BatchDeterminismTest, IdenticalUnderForcedBudgetTrips) {
   // Corpus apps charge 77..1435 work items: step 50 truncates every app,
   // step 500 truncates only the large ones — both cut points must be
   // identical at any -j.
+  const driver::RunConfig Cfg = recordingConfig();
   for (unsigned long Step : {50ul, 500ul}) {
     ScopedForcedBudgetTrip Trip(Step);
-    AnalysisOptions Options;
-    Options.Jobs = 1;
-    BatchFingerprint Serial = fingerprintCorpus(Options);
+    const std::vector<std::string> Serial =
+        fingerprintBatch(corpusDirs(), Cfg, 1);
     bool AnyTruncated = false;
-    for (Fidelity F : Serial.Fidelities)
-      AnyTruncated |= F == Fidelity::TruncatedBudget;
+    for (const std::string &F : Serial)
+      AnyTruncated |= F.find("fidelity truncated-budget") != std::string::npos;
     EXPECT_TRUE(AnyTruncated) << "step " << Step
                               << ": forced trip should truncate some app";
-    Options.Jobs = 4;
-    BatchFingerprint Parallel = fingerprintCorpus(Options);
-    expectSameFingerprint(Serial, Parallel,
-                          ("trip=" + std::to_string(Step)).c_str());
+    expectSameBatch(Serial, fingerprintBatch(corpusDirs(), Cfg, 4),
+                    ("trip=" + std::to_string(Step)).c_str());
   }
 }
 
 TEST(BatchDeterminismTest, IdenticalUnderPerTaskWorkCaps) {
-  AnalysisOptions Options;
-  Options.Budget.MaxWorkItems = 50; // below the smallest app's 77 items
-  Options.Jobs = 1;
-  BatchFingerprint Serial = fingerprintCorpus(Options);
+  driver::RunConfig Cfg = recordingConfig();
+  Cfg.Options.Budget.MaxWorkItems = 50; // below the smallest app's 77 items
+  const std::vector<driver::AppResult> Serial =
+      driver::runBatch(corpusDirs(), Cfg, 1, nullptr);
   // The cap is per task: every app charges at most its own 50 items and
   // reports its own truncation, not only the first app in the batch.
-  for (size_t I = 0; I < Serial.Fidelities.size(); ++I)
-    EXPECT_EQ(Serial.Fidelities[I], Fidelity::TruncatedBudget) << "app " << I;
-  Options.Jobs = 8;
-  expectSameFingerprint(Serial, fingerprintCorpus(Options), "work caps");
+  for (size_t I = 0; I < Serial.size(); ++I) {
+    EXPECT_EQ(Serial[I].Run.Stats.SolutionFidelity, Fidelity::TruncatedBudget)
+        << "app " << I;
+    EXPECT_EQ(Serial[I].Run.ExitCode, 1) << "app " << I;
+  }
+  std::vector<std::string> SerialPrints;
+  for (const driver::AppResult &R : Serial)
+    SerialPrints.push_back(fingerprint(R));
+  expectSameBatch(SerialPrints, fingerprintBatch(corpusDirs(), Cfg, 8),
+                  "work caps");
 }
 
 TEST(BatchDeterminismTest, HostileFleetStatsIdenticalAtEveryJobCount) {
-  // 200 generated apps with artifacts dropped inside each task, a fifth
-  // of them with reflective construction, dynamic find ids, or missing
-  // layouts: at batch scale this runs every per-app slab drop and the
-  // unknown-source paths (node minting, capped FindView fanout, degraded
-  // fidelity), which the sanitizer builds check for memory errors and
-  // races.
+  // 200 generated apps, a fifth of them with reflective construction,
+  // dynamic find ids, or missing layouts: at batch scale this runs every
+  // per-app slab drop and the unknown-source paths (node minting, capped
+  // FindView fanout, degraded fidelity), which the sanitizer builds check
+  // for memory errors and races.
   FleetSpec FS;
   FS.Apps = 200;
   FS.ReflectivePercent = 20;
   FS.DynamicIdPercent = 20;
   FS.MissingLayoutPercent = 20;
-  const std::vector<AppSpec> Specs = makeFleet(FS);
+  const std::vector<fs::path> Dirs =
+      writeApps(makeFleet(FS), scratchRoot() / "hostile_fleet");
 
-  // Each app's deterministic record: its no-times run-ledger line (every
-  // counter, the fidelity and the unknown-source reasons a ledger keeps)
-  // plus the Table 1 and solver rows.
-  auto Record = [](const AppStats &Stats) {
-    WideEvent E;
-    E.Stats = Stats;
-    std::ostringstream OS;
-    E.writeJsonl(OS, /*IncludeVolatile=*/false);
-    printAppStatsRow(OS, Stats);
-    printSolverStatsRow(OS, Stats);
-    return OS.str();
-  };
-  auto Run = [&](unsigned Jobs) {
-    AnalysisOptions Options;
-    Options.Jobs = Jobs;
-    return analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
-  };
-  const std::vector<BatchAppResult> Serial = Run(1);
-  const std::vector<BatchAppResult> Parallel = Run(4);
-  ASSERT_EQ(Serial.size(), Specs.size());
-  ASSERT_EQ(Parallel.size(), Specs.size());
+  const driver::RunConfig Cfg = recordingConfig();
+  const std::vector<driver::AppResult> Serial =
+      driver::runBatch(Dirs, Cfg, 1, nullptr);
+  const std::vector<std::string> Parallel = fingerprintBatch(Dirs, Cfg, 4);
+  ASSERT_EQ(Serial.size(), Dirs.size());
+  ASSERT_EQ(Parallel.size(), Dirs.size());
 
   size_t Degraded = 0;
-  for (size_t I = 0; I < Specs.size(); ++I) {
-    const AppStats &Stats = Serial[I].Stats;
-    EXPECT_FALSE(Serial[I].GenerationFailed) << Specs[I].Name;
-    EXPECT_EQ(Serial[I].Result, nullptr) << Specs[I].Name;
-    EXPECT_EQ(Record(Parallel[I].Stats), Record(Stats)) << "app " << I;
+  for (size_t I = 0; I < Dirs.size(); ++I) {
+    const AppStats &Stats = Serial[I].Run.Stats;
+    EXPECT_TRUE(Serial[I].Run.analyzed()) << Dirs[I];
+    EXPECT_EQ(Parallel[I], fingerprint(Serial[I])) << "app " << I;
     if (Stats.SolutionFidelity != Fidelity::Complete) {
       ++Degraded;
+      EXPECT_EQ(Serial[I].Run.ExitCode, 1) << Dirs[I];
       EXPECT_GT(std::accumulate(std::begin(Stats.UnknownByReason),
                                 std::end(Stats.UnknownByReason), 0ul),
                 0ul)
-          << Specs[I].Name;
+          << Dirs[I];
     }
   }
   EXPECT_GT(Degraded, 0u);
-  EXPECT_LT(Degraded, Specs.size());
+  EXPECT_LT(Degraded, Dirs.size());
 }
 
-//===----------------------------------------------------------------------===//
-// Shared batch deadline and cross-thread cancellation
-//===----------------------------------------------------------------------===//
+TEST(BatchDriverTest, SingleAppModeIsABatchOfOne) {
+  const driver::RunConfig Cfg = recordingConfig();
+  for (const fs::path &Dir :
+       {fs::path(GATOR_SOURCE_DIR) / "examples" / "sample_full_app",
+        fs::path(GATOR_SOURCE_DIR) / "tests" / "fixtures" / "hostile_batch" /
+            "dynamic_id_app",
+        corpusDirs()[1]}) {
+    const driver::AppResult Single =
+        driver::runAppDir(Dir.string(), Cfg, nullptr);
+    const std::vector<driver::AppResult> Batch =
+        driver::runBatch({Dir}, Cfg, 1, nullptr);
+    ASSERT_EQ(Batch.size(), 1u);
+    EXPECT_TRUE(Single.Run.analyzed()) << Dir;
+    EXPECT_EQ(fingerprint(Batch[0]), fingerprint(Single)) << Dir;
+  }
+}
+
+TEST(BatchDriverTest, CacheHitEqualsTheColdRunFieldForField) {
+  const fs::path CacheDir = scratchRoot() / "cache";
+  SolutionCache Cache(CacheDir.string());
+  std::vector<fs::path> Dirs(corpusDirs().begin(), corpusDirs().begin() + 3);
+  for (const auto &Entry : fs::directory_iterator(
+           fs::path(GATOR_SOURCE_DIR) / "tests" / "fixtures" / "hostile_batch"))
+    Dirs.push_back(Entry.path());
+
+  driver::RunConfig Cfg = recordingConfig();
+  Cfg.LedgerFile.clear(); // the cache alone makes the tasks record
+  const std::vector<driver::AppResult> Cold =
+      driver::runBatch(Dirs, Cfg, 2, &Cache);
+  const std::vector<driver::AppResult> Warm =
+      driver::runBatch(Dirs, Cfg, 2, &Cache);
+  ASSERT_EQ(Cold.size(), Dirs.size());
+  ASSERT_EQ(Warm.size(), Dirs.size());
+  for (size_t I = 0; I < Dirs.size(); ++I) {
+    const analysis::CachedAnalysis &C = Cold[I].Run, &W = Warm[I].Run;
+    EXPECT_STREQ(Cold[I].Cache, "miss") << Dirs[I];
+    EXPECT_STREQ(Warm[I].Cache, "hit") << Dirs[I];
+    EXPECT_EQ(Warm[I].ContentKey, Cold[I].ContentKey) << Dirs[I];
+    EXPECT_TRUE(C.analyzed()) << Dirs[I];
+    EXPECT_EQ(W.ExitCode, C.ExitCode) << Dirs[I];
+    EXPECT_EQ(W.OutText, C.OutText) << Dirs[I];
+    EXPECT_EQ(W.ErrText, C.ErrText) << Dirs[I];
+    // Every field, the volatile ones included: a hit reads back the
+    // record the cold run stored.
+    EXPECT_EQ(test::differingFields(W.Stats, C.Stats),
+              std::vector<std::string>())
+        << Dirs[I];
+    EXPECT_EQ(W.Precision.AvgReceivers, C.Precision.AvgReceivers) << Dirs[I];
+    EXPECT_EQ(W.Precision.AvgParameters, C.Precision.AvgParameters) << Dirs[I];
+    EXPECT_EQ(W.Precision.AvgResults, C.Precision.AvgResults) << Dirs[I];
+    EXPECT_EQ(W.Precision.AvgListeners, C.Precision.AvgListeners) << Dirs[I];
+    EXPECT_EQ(W.FlowHistCounts, C.FlowHistCounts) << Dirs[I];
+    EXPECT_EQ(W.FlowHistSum, C.FlowHistSum) << Dirs[I];
+    EXPECT_EQ(W.FlowHistCount, C.FlowHistCount) << Dirs[I];
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Arena-backed artifact lifecycle (docs/MEMORY.md)
 //===----------------------------------------------------------------------===//
-
-TEST(BatchArtifactsTest, KeepArtifactsFalseIsAPureArenaDrop) {
-  // With KeepArtifacts=false every per-app owner (bundle, graph,
-  // solution) is destroyed inside the task, which releases the app's
-  // arena slabs wholesale — nothing object-shaped survives into the
-  // merged results, only the harvested stats row.
-  std::vector<AppSpec> Specs(paperCorpus().begin(),
-                             paperCorpus().begin() + 4);
-  AnalysisOptions Options;
-  Options.Jobs = 2;
-  std::vector<BatchAppResult> Dropped =
-      analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
-  ASSERT_EQ(Dropped.size(), Specs.size());
-  for (const BatchAppResult &R : Dropped) {
-    EXPECT_EQ(R.Result, nullptr) << R.Name;
-    EXPECT_EQ(R.App.Bundle, nullptr) << R.Name;
-    // The stats were harvested before the drop, arenas included.
-    EXPECT_GT(R.Stats.Classes, 0u) << R.Name;
-    EXPECT_GT(R.Stats.ArenaBytes, 0u) << R.Name;
-  }
-
-  // Dropping artifacts must not change what was measured.
-  std::vector<BatchAppResult> Kept =
-      analyzeCorpus(Specs, Options, /*KeepArtifacts=*/true);
-  for (size_t I = 0; I < Specs.size(); ++I) {
-    ASSERT_NE(Kept[I].Result, nullptr);
-    std::ostringstream A, B;
-    printAppStatsRow(A, Dropped[I].Stats);
-    printSolverStatsRow(A, Dropped[I].Stats);
-    printAppStatsRow(B, Kept[I].Stats);
-    printSolverStatsRow(B, Kept[I].Stats);
-    EXPECT_EQ(A.str(), B.str()) << Specs[I].Name;
-    EXPECT_EQ(Dropped[I].Stats.ArenaBytes, Kept[I].Stats.ArenaBytes)
-        << Specs[I].Name;
-  }
-}
 
 TEST(BatchArtifactsTest, ArenaBytesAreDeterministicAcrossJobCounts) {
   // Arena byte counts are allocation-order accounting, and per-app
@@ -365,19 +433,39 @@ TEST(BatchArtifactsTest, ArenaBytesAreDeterministicAcrossJobCounts) {
   FleetSpec FS;
   FS.Apps = 12;
   FS.Seed = 7;
-  std::vector<AppSpec> Specs = makeFleet(FS);
-  AnalysisOptions Options;
-  Options.Jobs = 1;
-  std::vector<BatchAppResult> Serial =
-      analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
+  const std::vector<fs::path> Dirs =
+      writeApps(makeFleet(FS), scratchRoot() / "arena_fleet");
+  const driver::RunConfig Cfg = recordingConfig();
+  const std::vector<driver::AppResult> Serial =
+      driver::runBatch(Dirs, Cfg, 1, nullptr);
   for (unsigned Jobs : {4u, 8u}) {
-    Options.Jobs = Jobs;
-    std::vector<BatchAppResult> Parallel =
-        analyzeCorpus(Specs, Options, /*KeepArtifacts=*/false);
+    const std::vector<driver::AppResult> Parallel =
+        driver::runBatch(Dirs, Cfg, Jobs, nullptr);
     ASSERT_EQ(Parallel.size(), Serial.size());
-    for (size_t I = 0; I < Serial.size(); ++I)
-      EXPECT_EQ(Parallel[I].Stats.ArenaBytes, Serial[I].Stats.ArenaBytes)
+    for (size_t I = 0; I < Serial.size(); ++I) {
+      EXPECT_GT(Serial[I].Run.Stats.ArenaBytes, 0u) << "app " << I;
+      EXPECT_EQ(Parallel[I].Run.Stats.ArenaBytes,
+                Serial[I].Run.Stats.ArenaBytes)
           << "jobs=" << Jobs << " app " << I;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Shared batch deadline and cross-thread cancellation
+//===----------------------------------------------------------------------===//
+
+/// Expects every app of \p Batch to have stopped early for \p Reason.
+void expectAllTruncated(const std::vector<driver::AppResult> &Batch,
+                        BudgetReason Reason) {
+  const std::string Line = std::string("fidelity: truncated-budget (budget: ") +
+                           budgetReasonName(Reason) + ")";
+  for (size_t I = 0; I < Batch.size(); ++I) {
+    EXPECT_EQ(Batch[I].Run.ExitCode, 1) << "app " << I;
+    EXPECT_EQ(Batch[I].Run.Stats.SolutionFidelity, Fidelity::TruncatedBudget)
+        << "app " << I;
+    EXPECT_NE(Batch[I].Run.OutText.find(Line), std::string::npos)
+        << Batch[I].Run.OutText;
   }
 }
 
@@ -386,21 +474,13 @@ TEST(BatchDeadlineTest, DeadlineIsSharedAcrossTheBatch) {
   // early app by exhausting the deadline before the fan-out: every app
   // must then report TruncatedBudget/deadline, even though each would
   // easily finish under a fresh per-app allowance.
-  AnalysisOptions Options;
-  Options.Jobs = 2;
-  Options.Budget.SharedDeadline = makeSharedDeadline(0.02);
+  driver::RunConfig Cfg = recordingConfig();
+  Cfg.Options.Budget.SharedDeadline = makeSharedDeadline(0.02);
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  std::vector<BatchAppResult> Batch =
-      analyzeCorpus({paperCorpus()[0], paperCorpus()[1], paperCorpus()[2]},
-                    Options);
-  for (const BatchAppResult &R : Batch) {
-    ASSERT_TRUE(R.Result) << R.Name;
-    EXPECT_EQ(R.Result->Sol->fidelity(), Fidelity::TruncatedBudget)
-        << R.Name;
-    EXPECT_EQ(R.Result->Sol->truncationReason(),
-              support::BudgetReason::Deadline)
-        << R.Name;
-  }
+  const std::vector<fs::path> Dirs(corpusDirs().begin(),
+                                   corpusDirs().begin() + 3);
+  expectAllTruncated(driver::runBatch(Dirs, Cfg, 2, nullptr),
+                     BudgetReason::Deadline);
 }
 
 TEST(BatchDeadlineTest, SharedDeadlineOverridesRelativeSeconds) {
@@ -446,19 +526,12 @@ TEST(BudgetCancelTest, TripFromAnotherThreadIsSafe) {
 
 TEST(BudgetCancelTest, CancelFlagStopsEveryTaskInTheBatch) {
   std::atomic<bool> Cancel{true};
-  AnalysisOptions Options;
-  Options.Jobs = 4;
-  Options.Budget.CancelFlag = &Cancel;
-  std::vector<BatchAppResult> Batch =
-      analyzeCorpus({paperCorpus()[0], paperCorpus()[1]}, Options);
-  for (const BatchAppResult &R : Batch) {
-    ASSERT_TRUE(R.Result) << R.Name;
-    EXPECT_EQ(R.Result->Sol->fidelity(), Fidelity::TruncatedBudget)
-        << R.Name;
-    EXPECT_EQ(R.Result->Sol->truncationReason(),
-              support::BudgetReason::Cancelled)
-        << R.Name;
-  }
+  driver::RunConfig Cfg = recordingConfig();
+  Cfg.Options.Budget.CancelFlag = &Cancel;
+  const std::vector<fs::path> Dirs(corpusDirs().begin(),
+                                   corpusDirs().begin() + 2);
+  expectAllTruncated(driver::runBatch(Dirs, Cfg, 4, nullptr),
+                     BudgetReason::Cancelled);
 }
 
 } // namespace
