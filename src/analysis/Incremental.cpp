@@ -659,8 +659,8 @@ IncrementalAnalysis::IncrementalAnalysis(ir::Program &P,
                                          layout::LayoutRegistry &Layouts,
                                          const android::AndroidModel &AM,
                                          const AnalysisOptions &Options,
-                                         DiagnosticEngine &Diags, Engine E)
-    : P(P), Layouts(Layouts), AM(AM), Options(Options), Diags(Diags), Eng(E) {
+                                         DiagnosticEngine &Diags)
+    : P(P), Layouts(Layouts), AM(AM), Options(Options), Diags(Diags) {
   // The closure is a provenance consumer; there is no incremental mode
   // without recording.
   this->Options.RecordProvenance = true;
@@ -733,13 +733,9 @@ void IncrementalAnalysis::solveInitial() {
         buildAndJournal(B, *M);
   }
 
-  if (Eng == Engine::Fused) {
-    S = std::make_unique<Solver>(*G, *Sol, Layouts, AM, Options, Diags);
-    S->setProvenance(Prov.get());
-    LastStats = S->solve();
-  } else {
-    solvePhased(*G, *Sol, Layouts, AM, Options, Diags, Prov.get());
-  }
+  S = std::make_unique<Solver>(*G, *Sol, Layouts, AM, Options, Diags);
+  S->setProvenance(Prov.get());
+  LastStats = S->solve();
   if (!G->nodesOfKind(NodeKind::UnknownView).empty() ||
       !G->nodesOfKind(NodeKind::UnknownId).empty())
     Sol->markDegraded();
@@ -761,32 +757,24 @@ void IncrementalAnalysis::rederive(const RetractionResult &R,
   Span.arg("touched", LastTouched);
   Span.arg("facts_retracted", LastRetracted);
 
-  if (Eng == Engine::Fused) {
-    // Memo hygiene before re-deriving (docs/INCREMENTAL.md).
-    for (uint32_t OpI : DeadOps)
-      S->forgetOpMemos(OpI);
-    for (NodeId L : DirtyLayoutNodes)
-      S->forgetLayoutMemos(L);
-    std::unordered_map<NodeId, uint32_t> OpIndexOfNode;
-    for (size_t I = 0; I < Sol->opSites().size(); ++I)
-      OpIndexOfNode.emplace(Sol->opSites()[I].OpNode,
-                            static_cast<uint32_t>(I));
-    for (const auto &[Site, Low] : R.MintsRetired)
-      if (auto It = OpIndexOfNode.find(Site); It != OpIndexOfNode.end())
-        S->forgetInflation(It->second, Low);
-    for (NodeId V : R.WiredValuesForgotten)
-      S->forgetWiredValue(V);
-    for (NodeId Dead : R.RetiredNodes)
-      if (G->node(Dead).Kind == NodeKind::UnknownId)
-        S->forgetLayoutMemos(Dead);
-    LastStats = S->resolveIncremental(Touched);
-  } else {
-    // The phased engine reconstructs its inflation memo from graph state
-    // (retired roots drop out), so a warm full run over the surviving
-    // facts is the re-derive pass.
-    solvePhased(*G, *Sol, Layouts, AM, Options, Diags, Prov.get());
-    LastStats = SolverStats();
-  }
+  // Memo hygiene before re-deriving (docs/INCREMENTAL.md).
+  for (uint32_t OpI : DeadOps)
+    S->forgetOpMemos(OpI);
+  for (NodeId L : DirtyLayoutNodes)
+    S->forgetLayoutMemos(L);
+  std::unordered_map<NodeId, uint32_t> OpIndexOfNode;
+  for (size_t I = 0; I < Sol->opSites().size(); ++I)
+    OpIndexOfNode.emplace(Sol->opSites()[I].OpNode,
+                          static_cast<uint32_t>(I));
+  for (const auto &[Site, Low] : R.MintsRetired)
+    if (auto It = OpIndexOfNode.find(Site); It != OpIndexOfNode.end())
+      S->forgetInflation(It->second, Low);
+  for (NodeId V : R.WiredValuesForgotten)
+    S->forgetWiredValue(V);
+  for (NodeId Dead : R.RetiredNodes)
+    if (G->node(Dead).Kind == NodeKind::UnknownId)
+      S->forgetLayoutMemos(Dead);
+  LastStats = S->resolveIncremental(Touched);
   if (!G->nodesOfKind(NodeKind::UnknownView).empty() ||
       !G->nodesOfKind(NodeKind::UnknownId).empty())
     Sol->markDegraded();

@@ -15,10 +15,9 @@
 /// the app.
 ///
 /// Three layers:
-///  - retractAndClose(): the engine-independent deletion closure over the
-///    provenance fact table. Over-deletion is sound (the re-derive pass
-///    restores anything still derivable); under-deletion is what the
-///    closure rules out.
+///  - retractAndClose(): the deletion closure over the provenance fact
+///    table. Over-deletion is sound (the re-derive pass restores anything
+///    still derivable); under-deletion is what the closure rules out.
 ///  - IncrementalAnalysis: a long-lived session owning the graph,
 ///    solution, provenance, and per-method EDB footprints; supports
 ///    reanalyzeMethod() and reanalyzeLayout().
@@ -33,7 +32,6 @@
 #define GATOR_ANALYSIS_INCREMENTAL_H
 
 #include "analysis/Options.h"
-#include "analysis/PhasedSolver.h"
 #include "analysis/Provenance.h"
 #include "analysis/Solution.h"
 #include "analysis/Solver.h"
@@ -99,9 +97,9 @@ struct RetractionResult {
 /// Soundness: a fact is kept only if its *recorded* derivation survives,
 /// and recorded derivations are recursively grounded in EDB (seeds and
 /// journaled edges), so every kept fact is still genuinely derivable.
-/// Completeness: the subsequent re-derive pass (Solver::resolveIncremental
-/// or a warm phased run) runs the normal monotone rules to quiescence, so
-/// any over-deleted fact reappears. See docs/INCREMENTAL.md for the full
+/// Completeness: the subsequent re-derive pass (Solver::resolveIncremental)
+/// runs the normal monotone rules to quiescence, so any over-deleted fact
+/// reappears. See docs/INCREMENTAL.md for the full
 /// argument.
 RetractionResult retractAndClose(graph::ConstraintGraph &G, Solution &Sol,
                                  ProvenanceRecorder &Prov,
@@ -156,15 +154,12 @@ bool graftMethodBody(ir::MethodDecl &Dst, const ir::MethodDecl &Src);
 /// footprint, retracts the difference, and re-derives.
 class IncrementalAnalysis {
 public:
-  enum class Engine { Fused, Phased };
-
   /// Provenance recording is forced on regardless of
   /// \p Options.RecordProvenance — the retraction closure is the
   /// provenance consumer.
   IncrementalAnalysis(ir::Program &P, layout::LayoutRegistry &Layouts,
                       const android::AndroidModel &AM,
-                      const AnalysisOptions &Options, DiagnosticEngine &Diags,
-                      Engine E = Engine::Fused);
+                      const AnalysisOptions &Options, DiagnosticEngine &Diags);
   ~IncrementalAnalysis();
 
   /// Full build + solve. Call exactly once, before any reanalyze.
@@ -215,13 +210,12 @@ private:
   const android::AndroidModel &AM;
   AnalysisOptions Options;
   DiagnosticEngine &Diags;
-  Engine Eng;
 
   std::unique_ptr<hier::ClassHierarchy> CH;
   std::unique_ptr<graph::ConstraintGraph> G;
   std::unique_ptr<Solution> Sol;
   std::unique_ptr<ProvenanceRecorder> Prov;
-  std::unique_ptr<Solver> S; ///< persistent fused engine (null when Phased)
+  std::unique_ptr<Solver> S; ///< persistent solver, kept across edits
 
   SolverStats LastStats;
   size_t LastRetracted = 0;

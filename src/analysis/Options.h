@@ -83,7 +83,8 @@ struct AnalysisOptions {
   /// Record the producing rule and premise facts of every committed
   /// flowsTo fact and relationship edge (docs/OBSERVABILITY.md), making
   /// `gator_cli --explain` able to print derivation trees. Off by default:
-  /// recording costs one hash insert per committed fact.
+  /// recording costs one hash insert per committed fact. Only the fused
+  /// Solver records; runPhasedAnalysis ignores it.
   bool RecordProvenance = false;
 
   /// Incomplete-information modeling (docs/ROBUSTNESS.md): reflective

@@ -20,6 +20,13 @@ using namespace gator::ir;
 
 namespace {
 
+/// Per-phase statistics, reported as trace span arguments.
+struct PhasedStats {
+  unsigned long ReachabilitySteps = 0;
+  unsigned long Inflations = 0;
+  unsigned long PropagationRounds = 0;
+};
+
 /// Round-based (sweep-to-fixpoint) solver engine — deliberately a
 /// different evaluation strategy from Solver.h's fine-grained worklist,
 /// so the differential tests exercise two independent engines.
@@ -27,13 +34,11 @@ class PhasedEngine {
 public:
   PhasedEngine(ConstraintGraph &G, Solution &Sol,
                const layout::LayoutRegistry &Layouts, const AndroidModel &AM,
-               const AnalysisOptions &Options, DiagnosticEngine &Diags,
-               ProvenanceRecorder *Prov)
+               const AnalysisOptions &Options, DiagnosticEngine &Diags)
       : G(G), Sol(Sol), Layouts(Layouts), AM(AM), Options(Options),
-        Diags(Diags), Tracker(Options.Budget), Prov(Prov) {}
+        Diags(Diags), Tracker(Options.Budget) {}
 
   PhasedStats run() {
-    reconstructMinted();
     seed();
     {
       support::TraceSpan S(Options.Trace, "phased.reachability");
@@ -104,69 +109,13 @@ private:
   bool insert(NodeId N, NodeId Value) {
     if (N == InvalidNode || !typeCompatible(N, Value))
       return false;
-    if (!Sol.flowsToSets().getOrCreate(N).insert(Sol.setArena(), Value))
-      return false;
-    if (Prov)
-      Prov->recordFlow(N, Value, PRule, PPrem[0], PPrem[1], PPrem[2]);
-    return true;
-  }
-
-  // Provenance context staging, mirroring Solver::provCtx/provEdge: the
-  // recording sites set the producing rule and premises just before the
-  // insert they explain. Single predicted branch when provenance is off.
-  using FactId = ProvenanceRecorder::FactId;
-  void provCtx(DerivRule Rule, FactId P0 = ProvenanceRecorder::NoFact,
-               FactId P1 = ProvenanceRecorder::NoFact) {
-    if (!Prov)
-      return;
-    PRule = Rule;
-    PPrem[0] = P0;
-    PPrem[1] = P1;
-    PPrem[2] = ProvenanceRecorder::NoFact;
-  }
-  void provEdge(FactKind Kind, NodeId From, NodeId To, DerivRule Rule,
-                FactId P0 = ProvenanceRecorder::NoFact,
-                FactId P1 = ProvenanceRecorder::NoFact) {
-    if (Prov)
-      Prov->recordEdge(Kind, From, To, Rule, P0, P1);
-  }
-  FactId provFlow(NodeId Target, NodeId Value) const {
-    return Prov ? Prov->flowFact(Target, Value) : ProvenanceRecorder::NoFact;
-  }
-
-  /// The (inflate-site, layout) memo is engine-local, but a warm re-run
-  /// over an edit-scale-retracted graph (docs/INCREMENTAL.md) must not
-  /// re-mint ViewInfl subtrees that survived retraction. Surviving roots
-  /// are recoverable from graph state alone: every minted root carries its
-  /// InflateSite and a RootsLayout edge to the layout id that produced it.
-  /// On a cold run the graph has no minted roots yet, so this is a no-op.
-  /// (InvalidNode entries for skipped degenerate sites are not
-  /// reconstructible; those sites re-diagnose on a warm run.)
-  void reconstructMinted() {
-    for (NodeKind K : {NodeKind::ViewInfl, NodeKind::UnknownView})
-      for (NodeId V : G.nodesOfKind(K)) {
-        const Node &N = G.node(V);
-        if (N.Retired || N.InflateSite == InvalidNode)
-          continue;
-        for (NodeId L : G.rootsOfLayouts(V))
-          Minted.emplace((static_cast<uint64_t>(N.InflateSite) << 32) | L, V);
-      }
+    return Sol.flowsToSets().getOrCreate(N).insert(Sol.setArena(), Value);
   }
 
   void seed() {
-    provCtx(DerivRule::Seed);
-    for (NodeId Id = 0; Id < G.size(); ++Id) {
-      const Node &N = G.node(Id);
-      // Retired nodes are orphans of an edit-scale retraction
-      // (docs/INCREMENTAL.md); their minting site no longer exists.
-      if (!isValueNodeKind(N.Kind) || N.Retired)
-        continue;
-      if (Prov)
-        provCtx(N.Kind == NodeKind::UnknownView || N.Kind == NodeKind::UnknownId
-                    ? DerivRule::UnknownSource
-                    : DerivRule::Seed);
-      insert(Id, Id);
-    }
+    for (NodeId Id = 0; Id < G.size(); ++Id)
+      if (isValueNodeKind(G.node(Id).Kind))
+        insert(Id, Id);
   }
 
   /// One full sweep over all flow edges; returns whether anything grew.
@@ -190,8 +139,6 @@ private:
         for (NodeId V : Values) {
           if (!ViewsToo && isViewNodeKind(G.node(V).Kind))
             continue;
-          if (Prov)
-            provCtx(DerivRule::FlowEdge, Prov->flowFact(N, V));
           Changed |= insert(Succ, V);
         }
       }
@@ -243,7 +190,6 @@ private:
     }
     ++Stats.Inflations;
 
-    FactId IdFact = provFlow(Op.IdArg, LayoutIdNode);
     const ClassDecl *ViewBase = AM.program().findClass(names::View);
     const ClassDecl *GroupBase = AM.program().findClass(names::ViewGroup);
 
@@ -262,41 +208,20 @@ private:
         Klass = ViewBase;
       }
       NodeId ViewNode = G.makeViewInflNode(Klass, &LNode, Op.OpNode);
-      provCtx(DerivRule::Inflate, IdFact);
       insert(ViewNode, ViewNode);
       if (LNode.hasViewId()) {
         layout::ResourceId VId =
             Layouts.resources().lookupViewId(LNode.viewIdName());
-        if (VId != layout::InvalidResourceId) {
-          size_t NodesBefore = G.size();
-          NodeId IdNode = G.getViewIdNode(VId);
-          if (IdNode >= NodesBefore) {
-            // An id name first interned by an edit-scale layout
-            // re-analysis has no pre-built node, so the seed phase never
-            // saw it; seed the fresh node here or its value set stays
-            // empty.
-            provCtx(DerivRule::Seed);
-            insert(IdNode, IdNode);
-            provCtx(DerivRule::Inflate, IdFact);
-          }
-          G.addHasIdEdge(ViewNode, IdNode);
-          provEdge(FactKind::HasId, ViewNode, IdNode, DerivRule::Inflate,
-                   IdFact);
-        }
+        if (VId != layout::InvalidResourceId)
+          G.addHasIdEdge(ViewNode, G.getViewIdNode(VId));
       }
-      for (const auto &Child : LNode.children()) {
-        NodeId ChildNode = Self(Self, *Child);
-        G.addParentChildEdge(ViewNode, ChildNode);
-        provEdge(FactKind::ParentChild, ViewNode, ChildNode,
-                 DerivRule::Inflate, IdFact);
-      }
+      for (const auto &Child : LNode.children())
+        G.addParentChildEdge(ViewNode, Self(Self, *Child));
       return ViewNode;
     };
 
     NodeId Root = Build(Build, *RootDef);
     G.addRootsLayoutEdge(Root, LayoutIdNode);
-    provEdge(FactKind::RootsLayout, Root, LayoutIdNode, DerivRule::Inflate,
-             IdFact);
     Minted.emplace(Key, Root);
     return Root;
   }
@@ -312,26 +237,15 @@ private:
       if (Root == InvalidNode)
         continue;
       if (Op.Spec.Kind == OpKind::Inflate1) {
-        provCtx(DerivRule::Inflate, provFlow(Op.IdArg, IdVal),
-                provFlow(Root, Root));
         Changed |= insert(Op.Out, Root);
         if (Op.AttachParent != InvalidNode)
           for (NodeId P : Sol.viewsAt(Op.AttachParent))
-            if (G.addParentChildEdge(P, Root)) {
-              provEdge(FactKind::ParentChild, P, Root,
-                       DerivRule::InflateAttach, provFlow(Op.AttachParent, P),
-                       provFlow(Root, Root));
-              Changed = true;
-            }
+            Changed |= G.addParentChildEdge(P, Root);
       } else {
         for (NodeId W : Sol.valuesAt(Op.Recv)) {
           NodeKind K = G.node(W).Kind;
           if (K == NodeKind::Activity || K == NodeKind::Alloc)
-            if (G.addRootEdge(W, Root)) {
-              provEdge(FactKind::Root, W, Root, DerivRule::Inflate,
-                       provFlow(Op.Recv, W), provFlow(Op.IdArg, IdVal));
-              Changed = true;
-            }
+            Changed |= G.addRootEdge(W, Root);
         }
       }
     }
@@ -353,39 +267,22 @@ private:
         Root = G.makeUnknownViewNode(G.node(U).Unknown, Op.Method,
                                      G.loc(Op.OpNode), Op.OpNode);
         Minted.emplace(Key, Root);
-        if (Prov)
-          provCtx(DerivRule::UnknownSource, provFlow(Op.IdArg, U));
         insert(Root, Root);
         G.addRootsLayoutEdge(Root, U);
-        provEdge(FactKind::RootsLayout, Root, U, DerivRule::UnknownSource,
-                 provFlow(Op.IdArg, U));
         Sol.markDegraded();
         Sol.noteUnresolvedOp(static_cast<uint32_t>(OpIndex));
         Changed = true;
       }
-      if (Root == InvalidNode)
-        continue;
       if (Op.Spec.Kind == OpKind::Inflate1) {
-        provCtx(DerivRule::UnknownSource, provFlow(Op.IdArg, U),
-                provFlow(Root, Root));
         Changed |= insert(Op.Out, Root);
         if (Op.AttachParent != InvalidNode)
           for (NodeId P : Sol.viewsAt(Op.AttachParent))
-            if (P != Root && G.addParentChildEdge(P, Root)) {
-              provEdge(FactKind::ParentChild, P, Root,
-                       DerivRule::UnknownSource, provFlow(Op.AttachParent, P),
-                       provFlow(Root, Root));
-              Changed = true;
-            }
+            Changed |= P != Root && G.addParentChildEdge(P, Root);
       } else {
         for (NodeId W : Sol.valuesAt(Op.Recv)) {
           NodeKind K = G.node(W).Kind;
           if (K == NodeKind::Activity || K == NodeKind::Alloc)
-            if (G.addRootEdge(W, Root)) {
-              provEdge(FactKind::Root, W, Root, DerivRule::UnknownSource,
-                       provFlow(Op.Recv, W), provFlow(Op.IdArg, U));
-              Changed = true;
-            }
+            Changed |= G.addRootEdge(W, Root);
         }
       }
     }
@@ -396,8 +293,7 @@ private:
     const auto &Ops = Sol.opSites();
     for (size_t I = 0, E = Ops.size(); I < E; ++I) {
       const OpSite &Op = Ops[I];
-      if (Op.Dead || (Op.Spec.Kind != OpKind::Inflate1 &&
-                      Op.Spec.Kind != OpKind::Inflate2))
+      if (Op.Spec.Kind != OpKind::Inflate1 && Op.Spec.Kind != OpKind::Inflate2)
         continue;
       if (!Tracker.charge())
         break;
@@ -461,18 +357,12 @@ private:
       }
       for (NodeId Cand : Candidates)
         for (NodeId IdNode : G.viewIds(Cand))
-          if (Wanted.count(IdNode)) {
-            if (Prov)
-              provCtx(DerivRule::FindView, provFlow(Cand, Cand),
-                      Prov->edgeFact(FactKind::HasId, Cand, IdNode));
+          if (Wanted.count(IdNode))
             Changed |= insert(Op.Out, Cand);
-          }
       if (UnknownIdAtArg != InvalidNode) {
         // A non-constant id makes every candidate a sound match, capped
         // by the deterministic fanout budget (first N of the sorted
         // candidate universe, like Solution::resultsOf::appendCapped).
-        // The unknown-id flow is cited as a premise so --explain's
-        // derivation tree reaches the reason-carrying node.
         Sol.markDegraded();
         Sol.noteUnresolvedOp(
             static_cast<uint32_t>(&Op - Sol.opSites().data()));
@@ -484,11 +374,8 @@ private:
                        ? std::min<size_t>(Universe.size(),
                                           Options.UnknownFanoutBudget)
                        : Universe.size();
-        for (size_t I = 0; I < N; ++I) {
-          provCtx(DerivRule::UnknownSource, provFlow(Universe[I], Universe[I]),
-                  provFlow(Op.IdArg, UnknownIdAtArg));
+        for (size_t I = 0; I < N; ++I)
           Changed |= insert(Op.Out, Universe[I]);
-        }
       } else if (HaveUnknown) {
         // A view carrying an unknown id may match any constant lookup,
         // and an unknown view matches any lookup it reaches.
@@ -500,56 +387,42 @@ private:
                 Match = true;
                 break;
               }
-          if (Match) {
-            provCtx(DerivRule::UnknownSource, provFlow(Cand, Cand));
+          if (Match)
             Changed |= insert(Op.Out, Cand);
-          }
         }
       }
     } else {
-      for (NodeId Cand : Candidates) {
-        provCtx(DerivRule::FindView, provFlow(Cand, Cand));
+      for (NodeId Cand : Candidates)
         Changed |= insert(Op.Out, Cand);
-      }
     }
     return Changed;
   }
 
-  bool wireHandler(NodeId View, NodeId ListenerValue,
+  /// The callback y.n(x) of a new (view, listener) association.
+  void wireHandler(NodeId View, NodeId ListenerValue,
                    const ListenerSpec &Spec) {
     const ClassDecl *LClass = G.node(ListenerValue).Klass;
     if (!LClass || LClass->isPlatform())
-      return false;
-    FactId LFact =
-        Prov ? Prov->edgeFact(FactKind::Listener, View, ListenerValue)
-             : ProvenanceRecorder::NoFact;
-    if (Prov)
-      provCtx(DerivRule::ListenerCallback, LFact);
-    bool Changed = false;
+      return;
     for (const HandlerSig &Sig : Spec.Handlers) {
       const MethodDecl *Handler =
           hier::ClassHierarchy::dispatch(LClass, Sig.MethodName, Sig.Arity);
       if (!Handler || Handler->owner()->isPlatform())
         continue;
       NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
-      Changed |= G.addFlowEdge(ListenerValue, ThisNode);
-      provEdge(FactKind::FlowLink, ListenerValue, ThisNode,
-               DerivRule::ListenerCallback, LFact);
-      Changed |= insert(ThisNode, ListenerValue);
+      G.addFlowEdge(ListenerValue, ThisNode);
+      insert(ThisNode, ListenerValue);
       if (Sig.ViewParamIndex >= 0 &&
           static_cast<unsigned>(Sig.ViewParamIndex) < Handler->paramCount())
-        Changed |= insert(
-            G.getVarNode(Handler, Handler->paramVar(
-                                      static_cast<unsigned>(Sig.ViewParamIndex))),
-            View);
+        insert(G.getVarNode(Handler,
+                            Handler->paramVar(
+                                static_cast<unsigned>(Sig.ViewParamIndex))),
+               View);
     }
-    return Changed;
   }
 
   bool fireOp(size_t OpIndex) {
     const OpSite &Op = Sol.opSites()[OpIndex];
-    if (Op.Dead)
-      return false; // edit-scale tombstone (docs/INCREMENTAL.md)
     switch (Op.Spec.Kind) {
     case OpKind::Inflate1:
     case OpKind::Inflate2:
@@ -561,11 +434,7 @@ private:
         if (K != NodeKind::Activity && K != NodeKind::Alloc)
           continue;
         for (NodeId V : Sol.viewsAt(Op.ValArg))
-          if (G.addRootEdge(W, V)) {
-            provEdge(FactKind::Root, W, V, DerivRule::AddView1,
-                     provFlow(Op.Recv, W), provFlow(Op.ValArg, V));
-            Changed = true;
-          }
+          Changed |= G.addRootEdge(W, V);
       }
       return Changed;
     }
@@ -573,11 +442,7 @@ private:
       bool Changed = false;
       for (NodeId P : Sol.viewsAt(Op.Recv))
         for (NodeId C : Sol.viewsAt(Op.ValArg))
-          if (P != C && G.addParentChildEdge(P, C)) {
-            provEdge(FactKind::ParentChild, P, C, DerivRule::AddView2,
-                     provFlow(Op.Recv, P), provFlow(Op.ValArg, C));
-            Changed = true;
-          }
+          Changed |= P != C && G.addParentChildEdge(P, C);
       return Changed;
     }
     case OpKind::SetId: {
@@ -586,13 +451,7 @@ private:
         for (NodeId IdVal : Sol.valuesAt(Op.IdArg)) {
           NodeKind K = G.node(IdVal).Kind;
           if (K == NodeKind::ViewId || K == NodeKind::UnknownId)
-            if (G.addHasIdEdge(V, IdVal)) {
-              provEdge(FactKind::HasId, V, IdVal,
-                       K == NodeKind::UnknownId ? DerivRule::UnknownSource
-                                                : DerivRule::SetId,
-                       provFlow(Op.Recv, V), provFlow(Op.IdArg, IdVal));
-              Changed = true;
-            }
+            Changed |= G.addHasIdEdge(V, IdVal);
         }
       return Changed;
     }
@@ -605,16 +464,12 @@ private:
       }
       bool Changed = false;
       for (NodeId V : Sol.viewsAt(Op.Recv))
-        for (NodeId L : Sol.listenerValuesAt(Op.ValArg)) {
-          bool New = G.addListenerEdge(V, L);
-          Changed |= New;
-          if (New) {
-            provEdge(FactKind::Listener, V, L, DerivRule::SetListener,
-                     provFlow(Op.Recv, V), provFlow(Op.ValArg, L));
+        for (NodeId L : Sol.listenerValuesAt(Op.ValArg))
+          if (G.addListenerEdge(V, L)) {
+            Changed = true;
             if (Options.ModelListenerCallbacks)
-              Changed |= wireHandler(V, L, *Op.Spec.Listener);
+              wireHandler(V, L, *Op.Spec.Listener);
           }
-        }
       return Changed;
     }
     case OpKind::FindView1:
@@ -646,9 +501,6 @@ private:
         continue;
       NodeId ThisNode = G.getVarNode(Factory, Factory->thisVar());
       Changed |= G.addFlowEdge(F, ThisNode);
-      provEdge(FactKind::FlowLink, F, ThisNode, DerivRule::FragmentAdd,
-               provFlow(Op.ValArg, F));
-      provCtx(DerivRule::FragmentAdd, provFlow(Op.ValArg, F));
       Changed |= insert(ThisNode, F);
       for (const Stmt &Ret : Factory->body())
         if (Ret.Kind == StmtKind::Return && Ret.Lhs != InvalidVar)
@@ -671,11 +523,7 @@ private:
       if (!Matches)
         continue;
       for (NodeId Root : FragmentRoots)
-        if (Container != Root && G.addParentChildEdge(Container, Root)) {
-          provEdge(FactKind::ParentChild, Container, Root,
-                   DerivRule::FragmentAdd, provFlow(Root, Root));
-          Changed = true;
-        }
+        Changed |= Container != Root && G.addParentChildEdge(Container, Root);
     }
     return Changed;
   }
@@ -693,21 +541,14 @@ private:
         continue;
       NodeId ThisNode = G.getVarNode(Factory, Factory->thisVar());
       Changed |= G.addFlowEdge(A, ThisNode);
-      provEdge(FactKind::FlowLink, A, ThisNode, DerivRule::SetAdapter,
-               provFlow(Op.ValArg, A));
-      provCtx(DerivRule::SetAdapter, provFlow(Op.ValArg, A));
       Changed |= insert(ThisNode, A);
       for (const Stmt &Ret : Factory->body()) {
         if (Ret.Kind != StmtKind::Return || Ret.Lhs == InvalidVar)
           continue;
         for (NodeId Item : Sol.viewsAt(G.getVarNode(Factory, Ret.Lhs)))
           for (NodeId ListView : Sol.viewsAt(Op.Recv))
-            if (ListView != Item && G.addParentChildEdge(ListView, Item)) {
-              provEdge(FactKind::ParentChild, ListView, Item,
-                       DerivRule::SetAdapter, provFlow(Op.Recv, ListView),
-                       provFlow(Item, Item));
-              Changed = true;
-            }
+            Changed |=
+                ListView != Item && G.addParentChildEdge(ListView, Item);
       }
     }
     return Changed;
@@ -728,8 +569,6 @@ private:
           if (!G.addListenerEdge(V, Holder))
             continue;
           Changed = true;
-          provEdge(FactKind::Listener, V, Holder, DerivRule::XmlOnClick,
-                   provFlow(V, V));
           if (!HolderClass || HolderClass->isPlatform())
             continue;
           const MethodDecl *Handler = hier::ClassHierarchy::dispatch(
@@ -745,13 +584,7 @@ private:
             continue;
           }
           NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
-          Changed |= G.addFlowEdge(Holder, ThisNode);
-          if (Prov) {
-            FactId LFact = Prov->edgeFact(FactKind::Listener, V, Holder);
-            provEdge(FactKind::FlowLink, Holder, ThisNode,
-                     DerivRule::XmlOnClick, LFact);
-            provCtx(DerivRule::XmlOnClick, LFact);
-          }
+          G.addFlowEdge(Holder, ThisNode);
           Changed |= insert(ThisNode, Holder);
           Changed |= insert(G.getVarNode(Handler, Handler->paramVar(0)), V);
         }
@@ -789,23 +622,9 @@ private:
   support::BudgetTracker Tracker;
   std::unordered_map<uint64_t, NodeId> Minted;
   PhasedStats Stats;
-
-  ProvenanceRecorder *Prov = nullptr;
-  DerivRule PRule = DerivRule::External;
-  FactId PPrem[3] = {ProvenanceRecorder::NoFact, ProvenanceRecorder::NoFact,
-                     ProvenanceRecorder::NoFact};
 };
 
 } // namespace
-
-PhasedStats gator::analysis::solvePhased(ConstraintGraph &G, Solution &Sol,
-                                         const layout::LayoutRegistry &Layouts,
-                                         const AndroidModel &AM,
-                                         const AnalysisOptions &Options,
-                                         DiagnosticEngine &Diags,
-                                         ProvenanceRecorder *Prov) {
-  return PhasedEngine(G, Sol, Layouts, AM, Options, Diags, Prov).run();
-}
 
 std::unique_ptr<AnalysisResult> gator::analysis::runPhasedAnalysis(
     const ir::Program &P, layout::LayoutRegistry &Layouts,
@@ -830,16 +649,11 @@ std::unique_ptr<AnalysisResult> gator::analysis::runPhasedAnalysis(
   }
   Result->BuildSeconds = BuildTimer.seconds();
 
-  if (Options.RecordProvenance) {
-    Result->Provenance = std::make_unique<ProvenanceRecorder>();
-    Result->Provenance->bindGraph(Result->Graph.get());
-  }
-
   Timer SolveTimer;
   {
     support::TraceSpan SolveSpan(Options.Trace, "solve");
-    solvePhased(*Result->Graph, *Result->Sol, Layouts, AM, Options, Diags,
-                Result->Provenance.get());
+    PhasedEngine(*Result->Graph, *Result->Sol, Layouts, AM, Options, Diags)
+        .run();
   }
   Result->SolveSeconds = SolveTimer.seconds();
   // Unknown-source nodes mean conservative approximations of hostile

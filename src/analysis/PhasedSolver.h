@@ -34,7 +34,9 @@
 ///
 /// This solver is the differential-testing oracle for the fused engine,
 /// so its value lies in staying simple and independently convincing, not
-/// fast.
+/// fast. It only ever solves a freshly built graph from scratch: it
+/// records no provenance (`--explain` and the incremental session's
+/// retraction closure read the fused Solver's) and has no warm start.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +45,7 @@
 
 #include "analysis/GuiAnalysis.h"
 #include "analysis/Options.h"
-#include "analysis/Provenance.h"
-#include "analysis/Solution.h"
 #include "android/AndroidModel.h"
-#include "graph/ConstraintGraph.h"
 #include "layout/Layout.h"
 
 #include <memory>
@@ -54,27 +53,10 @@
 namespace gator {
 namespace analysis {
 
-/// Per-phase statistics.
-struct PhasedStats {
-  unsigned long ReachabilitySteps = 0;
-  unsigned long Inflations = 0;
-  unsigned long PropagationRounds = 0;
-};
-
-/// Runs the 3-phase pipeline over an already-built graph, filling \p Sol.
-/// When \p Prov is non-null, every committed fact is stamped with its
-/// derivation (docs/OBSERVABILITY.md), same contract as
-/// Solver::setProvenance.
-PhasedStats solvePhased(graph::ConstraintGraph &G, Solution &Sol,
-                        const layout::LayoutRegistry &Layouts,
-                        const android::AndroidModel &AM,
-                        const AnalysisOptions &Options,
-                        DiagnosticEngine &Diags,
-                        ProvenanceRecorder *Prov = nullptr);
-
-/// Convenience facade mirroring GuiAnalysis::run but using the phased
-/// solver. Fail-soft: graph-construction errors yield a result whose
-/// solution is marked DegradedInput rather than a null pointer.
+/// Builds the constraint graph and solves it with the 3-phase pipeline,
+/// mirroring GuiAnalysis::run. Fail-soft: graph-construction errors yield
+/// a result whose solution is marked DegradedInput rather than a null
+/// pointer.
 std::unique_ptr<AnalysisResult>
 runPhasedAnalysis(const ir::Program &P, layout::LayoutRegistry &Layouts,
                   const android::AndroidModel &AM,

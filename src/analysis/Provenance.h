@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Opt-in provenance for the fixed point (docs/OBSERVABILITY.md): when
-/// AnalysisOptions::RecordProvenance is set, both solver engines stamp
+/// AnalysisOptions::RecordProvenance is set, the fused Solver stamps
 /// every committed flowsTo fact and every relationship (`=>`) edge with
 /// the semantic rule that produced it plus the premise facts the rule
 /// consumed. The recorded derivations form an acyclic DAG (a premise is

@@ -2,6 +2,8 @@
 
 #include "analysis/SolutionChecker.h"
 
+#include "hier/ClassHierarchy.h"
+
 #include <algorithm>
 #include <sstream>
 #include <unordered_set>
@@ -13,16 +15,20 @@ using namespace gator::android;
 
 namespace {
 
+/// Retired nodes (docs/INCREMENTAL.md) are debris of an incremental
+/// session's retraction; no rule holds them to anything.
 class Checker {
 public:
-  explicit Checker(const AnalysisResult &Result)
-      : Result(Result), G(*Result.Graph), Sol(*Result.Sol),
-        P(Sol.androidModel().program()) {}
+  Checker(const ConstraintGraph &G, const Solution &Sol,
+          const AnalysisOptions &Options)
+      : Options(Options), G(G), Sol(Sol), P(Sol.androidModel().program()) {}
 
   std::vector<std::string> run() {
     checkFlowClosure();
     for (const OpSite &Op : Sol.ops())
-      checkOp(Op);
+      if (!Op.Dead)
+        checkOp(Op);
+    checkXmlOnClick();
     return std::move(Violations);
   }
 
@@ -34,7 +40,7 @@ private:
 
   /// Re-implements the solver's declared-type filter for checking.
   bool typeCompatible(NodeId N, NodeId Value) const {
-    if (!Result.Options.DeclaredTypeFilter)
+    if (!Options.DeclaredTypeFilter)
       return true;
     const Node &Target = G.node(N);
     const ir::ClassDecl *DeclType = nullptr;
@@ -71,7 +77,7 @@ private:
 
   void checkFlowClosure() {
     for (NodeId N = 0; N < G.size(); ++N) {
-      if (G.node(N).Kind == NodeKind::Op)
+      if (G.node(N).Kind == NodeKind::Op || G.node(N).Retired)
         continue;
       const auto &SrcSet = Sol.valuesAt(N);
       if (SrcSet.empty())
@@ -81,13 +87,65 @@ private:
           continue; // ops consume role variables, not edge targets
         const auto &DstSet = Sol.valuesAt(Succ);
         for (NodeId V : SrcSet) {
-          if (!typeCompatible(Succ, V))
+          if (G.node(V).Retired || !typeCompatible(Succ, V))
             continue;
           if (!DstSet.count(V))
             violation("flow closure: " + G.label(V) + " in " + G.label(N) +
                       " missing from successor " + G.label(Succ));
         }
       }
+    }
+  }
+
+  /// Rule 8: the implicit callback y.n(x) of the (view, listener) pair
+  /// \p View, \p Listener: the listener reaches the handler's `this` and
+  /// the view reaches its view parameter (\p ViewParam, -1 for none).
+  void checkCallback(const char *Rule, NodeId View, NodeId Listener,
+                     const ir::MethodDecl *Handler, int ViewParam) {
+    auto expect = [&](ir::VarId Var, NodeId Value) {
+      NodeId N = G.findVarNode(Handler, Var);
+      if (N != InvalidNode &&
+          (Sol.valuesAt(N).count(Value) || !typeCompatible(N, Value)))
+        return;
+      violation(std::string(Rule) + " callback: " + G.label(Value) +
+                " missing from " +
+                (N != InvalidNode ? G.label(N)
+                                  : Handler->owner()->name().str() + "." +
+                                        Handler->name().str()));
+    };
+    expect(Handler->thisVar(), Listener);
+    if (ViewParam >= 0 &&
+        static_cast<unsigned>(ViewParam) < Handler->paramCount())
+      expect(Handler->paramVar(static_cast<unsigned>(ViewParam)), View);
+  }
+
+  /// Rule 8 for `android:onClick`: every view carrying the attribute in a
+  /// window's hierarchy has the window as listener, and the named handler
+  /// of the window's class receives both.
+  void checkXmlOnClick() {
+    if (!Options.ModelXmlOnClickHandlers)
+      return;
+    for (NodeId Holder : G.rootHolders()) {
+      if (G.node(Holder).Retired)
+        continue;
+      const ir::ClassDecl *HolderClass = G.node(Holder).Klass;
+      for (NodeId Root : G.roots(Holder))
+        for (NodeId V : G.descendantsOf(Root)) {
+          const Node &VN = G.node(V);
+          if (VN.Kind != NodeKind::ViewInfl || VN.Retired || !VN.LNode ||
+              !VN.LNode->hasOnClickHandler())
+            continue;
+          const auto &Ls = G.listeners(V);
+          if (std::find(Ls.begin(), Ls.end(), Holder) == Ls.end())
+            violation("XmlOnClick closure: missing association " +
+                      G.label(V) + " => " + G.label(Holder));
+          if (!HolderClass || HolderClass->isPlatform())
+            continue;
+          const ir::MethodDecl *Handler = hier::ClassHierarchy::dispatch(
+              HolderClass, VN.LNode->onClickHandlerName(), 1);
+          if (Handler && !Handler->owner()->isPlatform())
+            checkCallback("XmlOnClick", V, Holder, Handler, 0);
+        }
     }
   }
 
@@ -125,6 +183,17 @@ private:
           if (std::find(Ls.begin(), Ls.end(), L) == Ls.end())
             violation("SetListener closure: missing association " +
                       G.label(View) + " => " + G.label(L));
+          const ir::ClassDecl *LClass = G.node(L).Klass;
+          if (!Options.ModelListenerCallbacks || !Op.Spec.Listener ||
+              !LClass || LClass->isPlatform())
+            continue;
+          for (const HandlerSig &Sig : Op.Spec.Listener->Handlers) {
+            const ir::MethodDecl *Handler = hier::ClassHierarchy::dispatch(
+                LClass, Sig.MethodName, Sig.Arity);
+            if (Handler && !Handler->owner()->isPlatform())
+              checkCallback("SetListener", View, L, Handler,
+                            Sig.ViewParamIndex);
+          }
         }
       break;
     }
@@ -134,10 +203,10 @@ private:
       if (Op.Out == InvalidNode)
         break;
       const auto &OutSet = Sol.valuesAt(Op.Out);
-      for (NodeId V : Sol.resultsOf(Op, Result.Options.TrackViewIds,
-                                    Result.Options.TrackHierarchy,
-                                    Result.Options.FindView3ChildOnly,
-                                    Result.Options.UnknownFanoutBudget))
+      for (NodeId V : Sol.resultsOf(Op, Options.TrackViewIds,
+                                    Options.TrackHierarchy,
+                                    Options.FindView3ChildOnly,
+                                    Options.UnknownFanoutBudget))
         if (!OutSet.count(V) && typeCompatible(Op.Out, V))
           violation("FindView closure: result " + G.label(V) +
                     " missing from output of " + G.label(Op.OpNode));
@@ -153,7 +222,7 @@ private:
           continue;
         std::vector<NodeId> Roots;
         for (NodeId V : G.nodesOfKind(NodeKind::ViewInfl)) {
-          if (G.node(V).InflateSite != Op.OpNode)
+          if (G.node(V).InflateSite != Op.OpNode || G.node(V).Retired)
             continue;
           const auto &Layouts = G.rootsOfLayouts(V);
           if (std::find(Layouts.begin(), Layouts.end(), IdVal) !=
@@ -210,19 +279,15 @@ private:
     }
   }
 
-  const AnalysisResult &Result;
+  const AnalysisOptions &Options;
   const ConstraintGraph &G;
   const Solution &Sol;
   const ir::Program &P;
   std::vector<std::string> Violations;
 };
 
-} // namespace
-
-std::vector<std::string>
-gator::analysis::checkSolutionConsistency(const AnalysisResult &Result) {
-  const ConstraintGraph &G = *Result.Graph;
-  const Solution &Sol = *Result.Sol;
+std::vector<std::string> consistencyOf(const ConstraintGraph &G,
+                                       const Solution &Sol) {
   std::vector<std::string> V;
   auto violation = [&](const std::string &Message) {
     if (V.size() < 50)
@@ -267,7 +332,7 @@ gator::analysis::checkSolutionConsistency(const AnalysisResult &Result) {
   // later stopped the run. Unknown roots minted by the solver follow the
   // same discipline.
   for (NodeId View : G.nodesOfKind(NodeKind::ViewInfl))
-    if (!Sol.valuesAt(View).count(View))
+    if (!G.node(View).Retired && !Sol.valuesAt(View).count(View))
       violation("consistency: minted view " + G.label(View) +
                 " not in its own set");
   // Every unknown node must carry a reason tag — an untagged unknown would
@@ -293,15 +358,29 @@ gator::analysis::checkSolutionConsistency(const AnalysisResult &Result) {
   return V;
 }
 
+} // namespace
+
 std::vector<std::string>
-gator::analysis::checkSolutionClosure(const AnalysisResult &Result) {
-  std::vector<std::string> V = checkSolutionConsistency(Result);
+gator::analysis::checkSolutionConsistency(const AnalysisResult &Result) {
+  return consistencyOf(*Result.Graph, *Result.Sol);
+}
+
+std::vector<std::string>
+gator::analysis::checkSolutionClosure(const ConstraintGraph &G,
+                                      const Solution &Sol,
+                                      const AnalysisOptions &Options) {
+  std::vector<std::string> V = consistencyOf(G, Sol);
   // Partial solutions are deliberate under-approximations: the closure
   // properties quantify over the *final* state and do not hold mid-run, so
   // only Complete solutions are held to them.
-  if (Result.Sol->isComplete()) {
-    std::vector<std::string> Closure = Checker(Result).run();
+  if (Sol.isComplete()) {
+    std::vector<std::string> Closure = Checker(G, Sol, Options).run();
     V.insert(V.end(), Closure.begin(), Closure.end());
   }
   return V;
+}
+
+std::vector<std::string>
+gator::analysis::checkSolutionClosure(const AnalysisResult &Result) {
+  return checkSolutionClosure(*Result.Graph, *Result.Sol, Result.Options);
 }

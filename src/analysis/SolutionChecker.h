@@ -25,9 +25,18 @@
 ///     minted view tree at that site (root with a roots-layout edge).
 ///  7. ADDVIEW1/INFLATE2 closure: every window value reaching the
 ///     receiver has a root edge to the respective root view(s).
+///  8. Callback closure (under ModelListenerCallbacks): for every (view,
+///     listener) pair reaching a SetListener node and every handler of
+///     the op's listener spec the listener's class dispatches, the
+///     listener is in the handler's `this` and the view in its view
+///     parameter. Under ModelXmlOnClickHandlers the same holds for every
+///     view with an `android:onClick` attribute in a window's hierarchy:
+///     it has the window as listener, and the named handler receives both.
 ///
-/// Used by the property tests across the whole corpus; failures indicate
-/// solver bugs (premature termination, missed re-firing).
+/// Used by the property tests across the whole corpus and on incremental
+/// sessions after each edit; failures indicate solver bugs (premature
+/// termination, missed re-firing). Dead op sites and retired nodes of an
+/// incremental session are exempt.
 ///
 /// Partial solutions (docs/ROBUSTNESS.md): a solution marked
 /// TruncatedBudget or DegradedInput is deliberately not a fixed point, so
@@ -55,6 +64,12 @@ namespace analysis {
 /// only for partial ones. Returns the list of violations (empty when the
 /// solution honors its contract).
 std::vector<std::string> checkSolutionClosure(const AnalysisResult &Result);
+
+/// The same check over a graph and solution computed under \p Options,
+/// such as an IncrementalAnalysis session's state.
+std::vector<std::string> checkSolutionClosure(const graph::ConstraintGraph &G,
+                                              const Solution &Sol,
+                                              const AnalysisOptions &Options);
 
 /// The structural-consistency half alone: valid for any solution,
 /// including truncated and degraded ones.

@@ -127,22 +127,25 @@ void Solver::sweepXmlOnClickHandlers() {
         if (ViewNode.Kind != NodeKind::ViewInfl || !ViewNode.LNode ||
             !ViewNode.LNode->hasOnClickHandler())
           continue;
-        if (!G.addListenerEdge(V, Holder))
+        bool New = G.addListenerEdge(V, Holder);
+        if (!New && !RewireCallbacks)
           continue; // this (view, window) pair is already wired
-        provEdge(FactKind::Listener, V, Holder, DerivRule::XmlOnClick,
-                 provFlow(V, V));
+        if (New)
+          provEdge(FactKind::Listener, V, Holder, DerivRule::XmlOnClick,
+                   provFlow(V, V));
         if (!HolderClass || HolderClass->isPlatform())
           continue;
         const MethodDecl *Handler = hier::ClassHierarchy::dispatch(
             HolderClass, ViewNode.LNode->onClickHandlerName(), 1);
         if (!Handler || Handler->owner()->isPlatform()) {
-          Diags.warning(ViewNode.LNode->loc(),
-                        "android:onClick handler '" +
-                            ViewNode.LNode->onClickHandlerName() +
-                            "' not found on class '" +
-                            (HolderClass ? HolderClass->name().str()
-                                         : std::string("?")) +
-                            "'");
+          if (New)
+            Diags.warning(ViewNode.LNode->loc(),
+                          "android:onClick handler '" +
+                              ViewNode.LNode->onClickHandlerName() +
+                              "' not found on class '" +
+                              (HolderClass ? HolderClass->name().str()
+                                           : std::string("?")) +
+                              "'");
           continue;
         }
         NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
@@ -559,13 +562,14 @@ void Solver::fireSetListener(OpSite &Op) {
     return;
   }
   for (NodeId V : Sol.viewsAt(Op.Recv))
-    for (NodeId L : Sol.listenerValuesAt(Op.ValArg))
-      if (G.addListenerEdge(V, L)) {
+    for (NodeId L : Sol.listenerValuesAt(Op.ValArg)) {
+      bool New = G.addListenerEdge(V, L);
+      if (New)
         provEdge(FactKind::Listener, V, L, DerivRule::SetListener,
                  provFlow(Op.Recv, V), provFlow(Op.ValArg, L));
-        if (Options.ModelListenerCallbacks)
-          wireListenerCallback(V, L, *Op.Spec.Listener);
-      }
+      if ((New || RewireCallbacks) && Options.ModelListenerCallbacks)
+        wireListenerCallback(V, L, *Op.Spec.Listener);
+    }
 }
 
 void Solver::fireFragmentAdd(size_t OpIndex) {
@@ -877,7 +881,10 @@ SolverStats Solver::resolveIncremental(
   // Force one structure round: retraction may have removed hierarchy/id
   // edges the structure-sensitive ops and the XML sweep must re-derive.
   StructureDirty = true;
-  return runFixpoint();
+  RewireCallbacks = true;
+  SolverStats Result = runFixpoint();
+  RewireCallbacks = false;
+  return Result;
 }
 
 void Solver::forgetOpMemos(uint32_t OpIndex) {

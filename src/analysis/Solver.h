@@ -153,7 +153,8 @@ private:
   NodeId inflateAt(size_t OpIndex, NodeId LayoutIdNode);
 
   /// Wires the implicit handler callback `y.n(x)` for a new (view,
-  /// listener) association (Section 3.2, "Effects of callbacks").
+  /// listener) association (Section 3.2, "Effects of callbacks"), and
+  /// for an existing one while RewireCallbacks is set.
   void wireListenerCallback(NodeId View, NodeId ListenerValue,
                             const android::ListenerSpec &Spec);
 
@@ -227,6 +228,13 @@ private:
   /// Set by structure growth; triggers the XML onClick sweep when the
   /// worklists drain.
   bool StructureDirty = false;
+  /// Set only during resolveIncremental()'s fixpoint: the listener rules
+  /// re-wire the callback of every (view, listener) pair they see, not
+  /// just of new edges. A retraction can kill a callback fact whose
+  /// recorded derivation cited another listener edge while the pair's own
+  /// edge survives, so "edge already present" no longer implies "callback
+  /// wired" (docs/INCREMENTAL.md).
+  bool RewireCallbacks = false;
 
   /// Derivation recorder; null when provenance is off. Recording sites
   /// stage the producing rule and premises in PRule/PPrem before calling

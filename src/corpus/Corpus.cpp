@@ -744,26 +744,36 @@ bool gator::corpus::writeAppDir(const AppSpec &Spec, const AppBundle &App,
     return false;
   }
 
-  {
-    std::ofstream Out(AppDir / "app.alite");
-    if (!Out) {
-      Err << "error: cannot write app.alite for " << Spec.Name << "\n";
-      return false;
+  // Each file is checked after its write and close, so an unopenable
+  // path or a short write names the file instead of leaving a partial app.
+  auto writeFile = [&](const std::string &Name, auto &&Emit) {
+    const std::filesystem::path Path = AppDir / Name;
+    std::ofstream Out(Path);
+    if (Out) {
+      Emit(Out);
+      Out.close();
     }
-    parser::printProgram(App.Program, Out);
-  }
-  for (const auto &Def : App.Layouts->layouts()) {
-    std::ofstream Out(AppDir / (Def->name() + ".xml"));
-    Out << layout::layoutToXml(*Def);
-  }
-  {
-    // Manifest: every activity declared, Activity0 as the launcher.
-    std::ofstream Out(AppDir / "AndroidManifest.xml");
+    if (!Out)
+      Err << "error: cannot write " << Path.string() << "\n";
+    return static_cast<bool>(Out);
+  };
+
+  if (!writeFile("app.alite", [&](std::ostream &Out) {
+        parser::printProgram(App.Program, Out);
+      }))
+    return false;
+  for (const auto &Def : App.Layouts->layouts())
+    if (!writeFile(Def->name() + ".xml", [&](std::ostream &Out) {
+          Out << layout::layoutToXml(*Def);
+        }))
+      return false;
+  // Manifest: every activity declared, Activity0 as the launcher.
+  return writeFile("AndroidManifest.xml", [&](std::ostream &Out) {
     Out << "<manifest package=\"corpus." << Spec.Name << "\">\n"
         << "  <application>\n";
     for (unsigned I = 0; I < Spec.Activities; ++I) {
-      Out << "    <activity android:name=\"" << Spec.Name << "Activity"
-          << I << "\"";
+      Out << "    <activity android:name=\"" << Spec.Name << "Activity" << I
+          << "\"";
       if (I == 0)
         Out << ">\n"
             << "      <intent-filter>\n"
@@ -777,6 +787,5 @@ bool gator::corpus::writeAppDir(const AppSpec &Spec, const AppBundle &App,
         Out << " />\n";
     }
     Out << "  </application>\n</manifest>\n";
-  }
-  return true;
+  });
 }

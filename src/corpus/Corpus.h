@@ -198,8 +198,8 @@ std::vector<AppSpec> makeFleet(const FleetSpec &Fleet);
 /// gator_cli analyzes: \p AppDir/app.alite (the printed program), one
 /// `<name>.xml` per layout, and an AndroidManifest.xml declaring every
 /// activity with Activity0 as the launcher. Creates \p AppDir. Returns
-/// false, with an error on \p Err, when the directory or app.alite cannot
-/// be written.
+/// false, with an error naming the path on \p Err, when the directory or
+/// any of these files cannot be opened or written.
 bool writeAppDir(const AppSpec &Spec, const AppBundle &App,
                  const std::filesystem::path &AppDir, std::ostream &Err);
 

@@ -191,6 +191,13 @@ public:
   void reserve(size_t NodeHint, size_t EdgeHint, size_t MethodIdLimit = 0);
 
   NodeId getVarNode(const ir::MethodDecl *M, ir::VarId V);
+  /// The node getVarNode would return, or InvalidNode when none was made.
+  NodeId findVarNode(const ir::MethodDecl *M, ir::VarId V) const {
+    if (M->globalId() >= VarNodes.size() ||
+        static_cast<size_t>(V) >= VarNodes[M->globalId()].size())
+      return InvalidNode;
+    return VarNodes[M->globalId()][V];
+  }
   NodeId getFieldNode(const ir::FieldDecl *F);
   NodeId getAllocNode(const ir::MethodDecl *M, int32_t StmtIndex,
                       const ir::ClassDecl *Klass, bool IsView,

@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <sstream>
+
 using namespace gator;
 using namespace gator::analysis;
 using namespace gator::corpus;
@@ -215,6 +220,30 @@ TEST(CorpusTest, FullTextualRoundTripPreservesMetrics) {
   EXPECT_DOUBLE_EQ(*MOrig.AvgResults, *MNew.AvgResults);
   EXPECT_EQ(ROrig->Graph->parentChildEdgeCount(),
             RNew->Graph->parentChildEdgeCount());
+}
+
+TEST(CorpusTest, WriteAppDirNamesAFileItCannotWrite) {
+  // A directory squatting on a file's path makes that file unopenable;
+  // the writer must stop there and name it rather than report success.
+  namespace fs = std::filesystem;
+  AppSpec Spec = smallSpec();
+  GeneratedApp App = generateApp(Spec);
+  const fs::path Dir = fs::temp_directory_path() /
+                       ("gator_write_app_dir_" + std::to_string(::getpid()));
+  for (const char *Name : {"app.alite", "main_0.xml", "AndroidManifest.xml"}) {
+    fs::remove_all(Dir);
+    ASSERT_TRUE(fs::create_directories(Dir / Name));
+    std::ostringstream Err;
+    EXPECT_FALSE(writeAppDir(Spec, *App.Bundle, Dir, Err)) << Name;
+    EXPECT_EQ(Err.str(),
+              "error: cannot write " + (Dir / Name).string() + "\n");
+  }
+  fs::remove_all(Dir);
+  std::ostringstream Err;
+  EXPECT_TRUE(writeAppDir(Spec, *App.Bundle, Dir, Err));
+  EXPECT_EQ(Err.str(), "");
+  EXPECT_TRUE(fs::is_regular_file(Dir / "main_0.xml"));
+  fs::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,14 +4,17 @@
 // (docs/INCREMENTAL.md): after a method-body edit, a layout edit, or an
 // id renumbering, reanalyzeMethod/reanalyzeLayout must reach the exact
 // fixed point a from-scratch solve over the edited program reaches —
-// across both engines and the semantic options matrix — while performing
-// strictly fewer propagations than the scratch solve. The
-// `--incremental-edit` driver loads both apps the way the run path does:
-// diagnostics follow --diag-format, and an unreadable input is named.
+// across the semantic options matrix — while performing strictly fewer
+// propagations than the scratch solve. On every corpus app, a 24-step
+// activity-graft replay must match scratch and pass checkSolutionClosure
+// after each step. The `--incremental-edit` driver loads both apps the
+// way the run path does: diagnostics follow --diag-format, and an
+// unreadable input is named.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Incremental.h"
+#include "analysis/SolutionChecker.h"
 #include "corpus/Corpus.h"
 #include "driver/Driver.h"
 #include "parser/Printer.h"
@@ -198,7 +201,6 @@ struct SessionRun {
 /// diff, graft, reanalyze, then differentially verify against a
 /// from-scratch solve over the same (grafted) program and layouts.
 SessionRun runSession(corpus::AppBundle &Base, corpus::AppBundle &Edited,
-                      IncrementalAnalysis::Engine Eng,
                       const AnalysisOptions &Options = {}) {
   SessionRun R;
   EditDiff Diff = diffBundles(Base.Program, Edited.Program, *Base.Layouts,
@@ -208,7 +210,7 @@ SessionRun runSession(corpus::AppBundle &Base, corpus::AppBundle &Edited,
   R.Supported = true;
 
   IncrementalAnalysis Inc(Base.Program, *Base.Layouts, Base.Android, Options,
-                          Base.Diags, Eng);
+                          Base.Diags);
   Inc.solveInitial();
   for (auto &[BaseMethod, EditMethod] : Diff.Methods) {
     if (!graftMethodBody(*BaseMethod, *EditMethod) ||
@@ -239,30 +241,23 @@ SessionRun runSession(corpus::AppBundle &Base, corpus::AppBundle &Edited,
 }
 
 //===----------------------------------------------------------------------===//
-// Fixture edits, both engines, semantic options matrix
+// Fixture edits, semantic options matrix
 //===----------------------------------------------------------------------===//
 
-TEST(IncrementalTest, CombinedEditMatchesScratchAcrossEnginesAndOptions) {
-  for (auto Eng : {IncrementalAnalysis::Engine::Fused,
-                   IncrementalAnalysis::Engine::Phased}) {
-    for (unsigned Mask = 0; Mask < 16; ++Mask) {
-      AnalysisOptions Options;
-      Options.TrackViewIds = (Mask & 1) != 0;
-      Options.TrackHierarchy = (Mask & 2) != 0;
-      Options.FindView3ChildOnly = (Mask & 4) != 0;
-      Options.ModelListenerCallbacks = (Mask & 8) != 0;
-      auto Base = baseBundle();
-      auto Edited = makeBundle(
-          EditedSource, {{"main", EditedMain}, {"second", EditedSecond}});
-      SessionRun R = runSession(*Base, *Edited, Eng, Options);
-      ASSERT_TRUE(R.Supported) << "mask " << Mask;
-      ASSERT_TRUE(R.Applied) << "mask " << Mask;
-      EXPECT_TRUE(R.Match)
-          << "engine " << (Eng == IncrementalAnalysis::Engine::Fused
-                               ? "fused"
-                               : "phased")
-          << " options mask " << Mask;
-    }
+TEST(IncrementalTest, CombinedEditMatchesScratchAcrossOptions) {
+  for (unsigned Mask = 0; Mask < 16; ++Mask) {
+    AnalysisOptions Options;
+    Options.TrackViewIds = (Mask & 1) != 0;
+    Options.TrackHierarchy = (Mask & 2) != 0;
+    Options.FindView3ChildOnly = (Mask & 4) != 0;
+    Options.ModelListenerCallbacks = (Mask & 8) != 0;
+    auto Base = baseBundle();
+    auto Edited = makeBundle(EditedSource,
+                             {{"main", EditedMain}, {"second", EditedSecond}});
+    SessionRun R = runSession(*Base, *Edited, Options);
+    ASSERT_TRUE(R.Supported) << "mask " << Mask;
+    ASSERT_TRUE(R.Applied) << "mask " << Mask;
+    EXPECT_TRUE(R.Match) << "options mask " << Mask;
   }
 }
 
@@ -320,8 +315,7 @@ TEST(IncrementalTest, MethodEditAloneMatchesAndBeatsScratch) {
   auto Base = baseBundle();
   auto Edited =
       makeBundle(EditedSource, {{"main", BaseMain}, {"second", BaseSecond}});
-  SessionRun R =
-      runSession(*Base, *Edited, IncrementalAnalysis::Engine::Fused);
+  SessionRun R = runSession(*Base, *Edited);
   ASSERT_TRUE(R.Supported);
   ASSERT_TRUE(R.Applied);
   EXPECT_TRUE(R.Match);
@@ -335,8 +329,7 @@ TEST(IncrementalTest, LayoutReorderEditMatchesScratch) {
   auto Base = baseBundle();
   auto Edited =
       makeBundle(BaseSource, {{"main", EditedMain}, {"second", BaseSecond}});
-  SessionRun R =
-      runSession(*Base, *Edited, IncrementalAnalysis::Engine::Fused);
+  SessionRun R = runSession(*Base, *Edited);
   ASSERT_TRUE(R.Supported);
   ASSERT_TRUE(R.Applied);
   EXPECT_TRUE(R.Match);
@@ -347,17 +340,56 @@ TEST(IncrementalTest, LayoutReorderEditMatchesScratch) {
 // interned mints the ViewId node mid-re-solve; the solver must self-seed
 // it exactly as seedValueNodes() would have in a scratch run.
 TEST(IncrementalTest, LayoutEditWithNewIdNameMatchesScratch) {
-  for (auto Eng : {IncrementalAnalysis::Engine::Fused,
-                   IncrementalAnalysis::Engine::Phased}) {
-    auto Base = baseBundle();
-    auto Edited = makeBundle(
-        BaseSource, {{"main", BaseMain}, {"second", EditedSecond}});
-    SessionRun R = runSession(*Base, *Edited, Eng);
-    ASSERT_TRUE(R.Supported);
-    ASSERT_TRUE(R.Applied);
-    EXPECT_TRUE(R.Match)
-        << (Eng == IncrementalAnalysis::Engine::Fused ? "fused" : "phased");
+  auto Base = baseBundle();
+  auto Edited =
+      makeBundle(BaseSource, {{"main", BaseMain}, {"second", EditedSecond}});
+  SessionRun R = runSession(*Base, *Edited);
+  ASSERT_TRUE(R.Supported);
+  ASSERT_TRUE(R.Applied);
+  EXPECT_TRUE(R.Match);
+}
+
+// Regression: the handler's `this` fact of two android:onClick views of
+// one activity cites the first view's listener edge. A layout edit that
+// retires that view kills the fact while the second view's edge
+// survives; the re-derive pass must re-wire the surviving callback.
+TEST(IncrementalTest, XmlOnClickEditRewiresSurvivingCallback) {
+  const char *Source = R"(
+class A extends android.app.Activity {
+  method onCreate() {
+    var m: int;
+    var s: int;
+    m := @layout/main;
+    this.setContentView(m);
+    s := @layout/second;
+    this.setContentView(s);
   }
+  method onHelp(v: android.view.View) { }
+}
+)";
+  const char *Second =
+      R"(<LinearLayout><TextView android:onClick="onHelp" /></LinearLayout>)";
+  auto App = makeBundle(Source, {{"main", R"(<LinearLayout>
+  <Button android:onClick="onHelp" />
+</LinearLayout>)"},
+                                 {"second", Second}});
+  auto Edited = makeBundle(
+      Source, {{"main", "<LinearLayout><Button /></LinearLayout>"},
+               {"second", Second}});
+  const AnalysisOptions Options;
+  IncrementalAnalysis Inc(App->Program, *App->Layouts, App->Android, Options,
+                          App->Diags);
+  Inc.solveInitial();
+  ASSERT_TRUE(Inc.reanalyzeLayout(
+      "main", Edited->Layouts->findByName("main")->root()->clone()));
+
+  auto Scratch = GuiAnalysis::run(App->Program, *App->Layouts, App->Android,
+                                  Options, App->Diags);
+  ASSERT_TRUE(Scratch);
+  EXPECT_EQ(solutionDigest(Inc.solution()), solutionDigest(*Scratch->Sol));
+  for (const std::string &V :
+       checkSolutionClosure(Inc.constraintGraph(), Inc.solution(), Options))
+    ADD_FAILURE() << V;
 }
 
 TEST(IncrementalTest, StructuralEditIsUnsupported) {
@@ -468,6 +500,74 @@ TEST(IncrementalTest, CorpusMethodBodySwapMatchesScratch) {
     EXPECT_LT(Inc.lastStats().Propagations, Scratch->Stats.Propagations)
         << Specs[I].Name;
   }
+}
+
+/// Replays the edit sequence that once took the session off the fixed
+/// point on eight corpus apps: graft Activity<k+1>.onCreate onto
+/// Activity<k>, then reverse the children of main_<k>, with k advancing
+/// after each pair. Each step is compared with a scratch solve and held to
+/// the closure rules. Returns "<app> step <n>: <reasons>" for the first
+/// failing step, or "" when all steps match. An edit that does not apply
+/// (no Activity<k+1>, an <include> target) ends the replay.
+std::string replayActivityGrafts(const corpus::AppSpec &Spec, unsigned Steps) {
+  corpus::GeneratedApp App = corpus::generateApp(Spec);
+  if (!App.Bundle)
+    return Spec.Name + ": generation failed";
+  corpus::AppBundle &B = *App.Bundle;
+  const AnalysisOptions Options;
+  IncrementalAnalysis Inc(B.Program, *B.Layouts, B.Android, Options, B.Diags);
+  Inc.solveInitial();
+  auto onCreateOf = [&](unsigned K) -> ir::MethodDecl * {
+    ir::ClassDecl *C =
+        B.Program.findClass(Spec.Name + "Activity" + std::to_string(K));
+    return C ? C->findOwnMethod("onCreate", 0) : nullptr;
+  };
+  const unsigned Span = Spec.Activities > 1 ? Spec.Activities - 1 : 1;
+  for (unsigned Step = 0; Step < Steps; ++Step) {
+    const unsigned K = (Step / 2) % Span;
+    const std::string Where = Spec.Name + " step " + std::to_string(Step + 1);
+    if (Step % 2 == 0) {
+      ir::MethodDecl *Dst = onCreateOf(K), *Src = onCreateOf(K + 1);
+      if (!Dst || !Src || !graftMethodBody(*Dst, *Src))
+        break;
+      if (!Inc.reanalyzeMethod(*Dst))
+        return Where + ": the session refused the graft";
+    } else {
+      const std::string Name = "main_" + std::to_string(K);
+      const layout::LayoutDef *Def = B.Layouts->findByName(Name);
+      if (!Def || !Def->root())
+        break;
+      auto Root = Def->root()->clone();
+      auto Children = Root->takeChildren();
+      for (auto It = Children.rbegin(); It != Children.rend(); ++It)
+        Root->addChild(std::move(*It));
+      if (!Inc.reanalyzeLayout(Name, std::move(Root)))
+        break;
+    }
+    auto Scratch =
+        GuiAnalysis::run(B.Program, *B.Layouts, B.Android, Options, B.Diags);
+    if (!Scratch)
+      return Where + ": scratch solve failed";
+    std::string Why;
+    if (solutionDigest(Inc.solution()) != solutionDigest(*Scratch->Sol))
+      Why = "incremental digest differs from scratch";
+    std::vector<std::string> Violations =
+        checkSolutionClosure(Inc.constraintGraph(), Inc.solution(), Options);
+    if (!Violations.empty())
+      Why += (Why.empty() ? "" : "; ") + std::to_string(Violations.size()) +
+             " closure violation(s), first: " + Violations.front();
+    if (!Why.empty())
+      return Where + ": " + Why;
+  }
+  return "";
+}
+
+TEST(IncrementalTest, CorpusActivityGraftReplayMatchesScratch) {
+  std::string Failures;
+  for (const corpus::AppSpec &Spec : corpus::paperCorpus())
+    if (std::string F = replayActivityGrafts(Spec, 24); !F.empty())
+      Failures += "\n  " + F;
+  EXPECT_EQ(Failures, "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,7 +2,7 @@
 //
 // Tests for docs/OBSERVABILITY.md: the trace sink and its ordered merge,
 // the metrics registry (merge policies, export formats, --no-times
-// suppression), fact provenance in both solver engines, the max-merge
+// suppression), fact provenance in the solver, the max-merge
 // semantics of peak counters in aggregateAppStats, and the JSON
 // diagnostics printer.
 //
@@ -11,7 +11,6 @@
 #include "TestHelpers.h"
 
 #include "analysis/AppStats.h"
-#include "analysis/PhasedSolver.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -289,16 +288,6 @@ TEST(ProvenanceTest, FusedSolverRecordsFindViewDerivation) {
   AnalysisOptions Options;
   Options.RecordProvenance = true;
   auto R = runAnalysis(*App, Options);
-  expectFindViewDerivation(*App, *R);
-}
-
-TEST(ProvenanceTest, PhasedSolverRecordsFindViewDerivation) {
-  auto App = makeBundle(ProvSource, {{"main", ProvLayout}});
-  AnalysisOptions Options;
-  Options.RecordProvenance = true;
-  auto R = runPhasedAnalysis(App->Program, *App->Layouts, App->Android,
-                             Options, App->Diags);
-  ASSERT_TRUE(R);
   expectFindViewDerivation(*App, *R);
 }
 

@@ -724,6 +724,91 @@ class A extends android.app.Activity {
   EXPECT_TRUE(R->Sol->valuesAt(Param).empty());
 }
 
+//===----------------------------------------------------------------------===//
+// Closure rule 8 (callbacks), proven with mutants: erase one callback fact
+// from a correct solution and the checker must name it.
+//===----------------------------------------------------------------------===//
+
+/// Erases \p Value from \p N's flowsTo set.
+void eraseFact(AnalysisResult &R, NodeId N, NodeId Value) {
+  FlowSet *Set = R.Sol->flowsToSets().find(N);
+  ASSERT_NE(Set, nullptr);
+  ASSERT_EQ(Set->eraseValues([&](NodeId V) { return V == Value; }), 1u);
+}
+
+size_t violationsStartingWith(const AnalysisResult &R,
+                              const std::string &Prefix) {
+  size_t N = 0;
+  for (const std::string &V : checkSolutionClosure(R))
+    N += V.rfind(Prefix, 0) == 0;
+  return N;
+}
+
+const char *CallbackSource = R"(
+class A extends android.app.Activity {
+  method onCreate() {
+    var lid: int;
+    var okId: int;
+    var ok: android.view.View;
+    var l: L;
+    lid := @layout/main;
+    this.setContentView(lid);
+    okId := @id/ok;
+    ok := this.findViewById(okId);
+    l := new L;
+    ok.setOnClickListener(l);
+  }
+  method onHelp(v: android.view.View) { }
+}
+class L implements android.view.View.OnClickListener {
+  method onClick(v: android.view.View) { }
+}
+)";
+
+const char *CallbackLayout = R"(
+<LinearLayout>
+  <Button android:id="@+id/ok" />
+  <TextView android:onClick="onHelp" />
+</LinearLayout>
+)";
+
+TEST(SolutionCheckerTest, CallbackRuleCatchesEachErasedCallbackFact) {
+  struct Mutant {
+    const char *Class, *Method, *Var, *Violation;
+  };
+  const Mutant Mutants[] = {
+      {"L", "onClick", "v", "SetListener callback: "},
+      {"L", "onClick", "this", "SetListener callback: "},
+      {"A", "onHelp", "v", "XmlOnClick callback: "},
+      {"A", "onHelp", "this", "XmlOnClick callback: "},
+  };
+  for (const Mutant &M : Mutants) {
+    auto App = makeBundle(CallbackSource, {{"main", CallbackLayout}});
+    auto R = runAnalysis(*App);
+    ASSERT_TRUE(checkSolutionClosure(*R).empty());
+    NodeId N = varNode(*App, *R, M.Class, M.Method, 1, M.Var);
+    ASSERT_EQ(R->Sol->valuesAt(N).size(), 1u) << M.Method << " " << M.Var;
+    eraseFact(*R, N, *R->Sol->valuesAt(N).begin());
+    EXPECT_EQ(violationsStartingWith(*R, M.Violation), 1u)
+        << M.Method << " " << M.Var;
+  }
+}
+
+TEST(SolutionCheckerTest, CallbackRuleFollowsTheModelingOptions) {
+  // With both callback models off, no handler parameter receives a view,
+  // and the rule must not demand one.
+  auto App = makeBundle(CallbackSource, {{"main", CallbackLayout}});
+  AnalysisOptions Options;
+  Options.ModelListenerCallbacks = false;
+  Options.ModelXmlOnClickHandlers = false;
+  auto R = runAnalysis(*App, Options);
+  EXPECT_TRUE(R->Sol->valuesAt(varNode(*App, *R, "L", "onClick", 1, "v"))
+                  .empty());
+  EXPECT_TRUE(R->Sol->valuesAt(varNode(*App, *R, "A", "onHelp", 1, "v"))
+                  .empty());
+  EXPECT_TRUE(checkSolutionClosure(*R).empty());
+}
+
 TEST(SolverTest, DialogLifecycleSeedsAllocation) {
   auto App = makeBundle(R"(
 class MyDialog extends android.app.Dialog {
