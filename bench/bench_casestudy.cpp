@@ -89,7 +89,7 @@ void runApp(const char *Name, bool WithRefinement) {
   ContextRefinementStats RefStats;
   if (WithRefinement)
     RefStats = applyContextRefinement(App.Bundle->Program, App.Bundle->Android,
-                                      Options.ContextHelperMaxStmts,
+                                      DefaultHelperMaxStmts,
                                       App.Bundle->Diags);
 
   auto Result =

@@ -22,7 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <cctype>

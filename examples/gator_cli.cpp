@@ -67,11 +67,12 @@
 #include "corpus/FleetReport.h"
 #include "driver/Driver.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -221,6 +222,18 @@ bool parseCount(const std::string &Text, unsigned long &Out) {
   return true;
 }
 
+/// Parses a finite, non-negative number for --max-seconds and --threshold;
+/// false on trailing garbage, inf, nan, or a negative value.
+bool parseNonNegative(const std::string &Text, double &Out) {
+  size_t End = 0;
+  try {
+    Out = std::stod(Text, &End);
+  } catch (const std::exception &) {
+    return false;
+  }
+  return End == Text.size() && std::isfinite(Out) && Out >= 0;
+}
+
 /// Writes the --trace-out / --metrics-out files (a no-op for whichever
 /// was not requested). Returns false on an I/O failure.
 bool writeTelemetry(const driver::RunConfig &Cfg,
@@ -299,14 +312,7 @@ int runReportMode(int argc, char **argv) {
         return 2;
       }
     } else if (Arg == "--threshold") {
-      if (!Args.value(Val))
-        return usage();
-      try {
-        ThresholdPct = std::stod(Val);
-      } catch (const std::exception &) {
-        return usage();
-      }
-      if (ThresholdPct < 0)
+      if (!Args.value(Val) || !parseNonNegative(Val, ThresholdPct))
         return usage();
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage();
@@ -463,14 +469,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--batch") {
       Cfg.Batch = true;
     } else if (Arg == "--max-seconds") {
-      if (!Args.value(Val))
-        return usage();
-      try {
-        Cfg.Options.Budget.MaxWallSeconds = std::stod(Val);
-      } catch (const std::exception &) {
-        return usage();
-      }
-      if (Cfg.Options.Budget.MaxWallSeconds < 0)
+      if (!Args.value(Val) ||
+          !parseNonNegative(Val, Cfg.Options.Budget.MaxWallSeconds))
         return usage();
     } else if (Arg == "--max-work") {
       if (!Args.value(Val) ||

@@ -30,6 +30,10 @@
 namespace gator {
 namespace analysis {
 
+/// Maximum statement count for a method to be considered a cloneable
+/// helper; the value every caller of the refinement uses.
+inline constexpr unsigned DefaultHelperMaxStmts = 12;
+
 struct ContextRefinementStats {
   unsigned HelpersCloned = 0;
   unsigned CallSitesRewritten = 0;

@@ -58,20 +58,10 @@ struct AnalysisOptions {
   /// (the paper's configuration).
   bool DeclaredTypeFilter = false;
 
-  /// Pre-pass cloning small view-returning helper methods per call site —
-  /// the context-sensitivity refinement the paper names as the cure for
-  /// the XBMC outlier (Section 5). Off by default (the paper's analysis
-  /// is calling-context-insensitive).
-  bool ContextSensitiveHelpers = false;
-
-  /// Maximum statement count for a method to be considered a cloneable
-  /// helper by the context refinement.
-  unsigned ContextHelperMaxStmts = 12;
-
   /// Resource budgets (docs/ROBUSTNESS.md): work items (the historical
-  /// MaxWorkItems safety valve), wall-clock deadline, graph size caps,
-  /// cooperative cancellation. Exhaustion yields a consistent partial
-  /// Solution marked TruncatedBudget rather than an aborted run.
+  /// MaxWorkItems safety valve), wall-clock deadline, graph size caps.
+  /// Exhaustion yields a consistent partial Solution marked
+  /// TruncatedBudget rather than an aborted run.
   support::BudgetPolicy Budget;
 
   /// Span/event sink for this analysis (docs/OBSERVABILITY.md). Null (the

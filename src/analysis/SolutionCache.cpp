@@ -369,20 +369,22 @@ gator::analysis::hashAnalysisOptions(const AnalysisOptions &O) {
   H.boolean("ModelListenerCallbacks", O.ModelListenerCallbacks);
   H.boolean("ModelXmlOnClickHandlers", O.ModelXmlOnClickHandlers);
   H.boolean("DeclaredTypeFilter", O.DeclaredTypeFilter);
-  H.boolean("ContextSensitiveHelpers", O.ContextSensitiveHelpers);
-  H.u64("ContextHelperMaxStmts", O.ContextHelperMaxStmts);
-  // Constant: every run since the first release propagates deltas; the
-  // field stays hashed so keys and ledger options digests never change.
+  // Constants: fields of retired options stay hashed at the values every
+  // run has used, so keys and ledger options digests never change. The
+  // context refinement is a bench-only pre-pass outside AnalysisOptions,
+  // and every run since the first release propagates deltas.
+  H.boolean("ContextSensitiveHelpers", false);
+  H.u64("ContextHelperMaxStmts", 12);
   H.boolean("DeltaPropagation", true);
   H.boolean("RecordProvenance", O.RecordProvenance);
   H.boolean("ModelUnknownSources", O.ModelUnknownSources);
   H.u64("UnknownFanoutBudget", O.UnknownFanoutBudget);
   // Deterministic budget limits shape the (possibly truncated) result;
-  // wall-clock and cancellation do too, but non-reproducibly — those gate
-  // eligibility instead (cacheEligible). Trace never changes the per-app
-  // outcome, and neither does the batch's worker count (each app is
-  // solved serially — docs/PARALLEL.md), so a cache warmed serially
-  // serves parallel runs and vice versa.
+  // the wall clock does too, but non-reproducibly — it gates eligibility
+  // instead (cacheEligible). Trace never changes the per-app outcome, and
+  // neither does the batch's worker count (each app is solved serially —
+  // docs/PARALLEL.md), so a cache warmed serially serves parallel runs and
+  // vice versa.
   H.u64("Budget.MaxWorkItems", O.Budget.MaxWorkItems);
   H.u64("Budget.MaxGraphNodes", O.Budget.MaxGraphNodes);
   H.u64("Budget.MaxGraphEdges", O.Budget.MaxGraphEdges);
@@ -408,6 +410,5 @@ support::Hash128 gator::analysis::cacheKeyFor(const std::string &Dir,
 
 bool gator::analysis::cacheEligible(const AnalysisOptions &Options) {
   const support::BudgetPolicy &B = Options.Budget;
-  return B.MaxWallSeconds <= 0 && !B.SharedDeadline.has_value() &&
-         B.CancelFlag == nullptr;
+  return B.MaxWallSeconds <= 0 && !B.SharedDeadline.has_value();
 }

@@ -121,8 +121,8 @@ support::Hash128 hashAppDir(const support::AppInputs &Inputs);
 
 /// Canonical hash of the semantically meaningful options: every knob that
 /// changes the solution, the output text, or the deterministic budget
-/// limits. Deliberately excludes Trace and the wall-clock / cancellation
-/// budget fields — those change scheduling, not results.
+/// limits. Deliberately excludes Trace and the wall-clock budget fields —
+/// those change scheduling, not results.
 support::Hash128 hashAnalysisOptions(const AnalysisOptions &Options);
 
 /// Combines an input-content hash (hashAppDir) with an options hash into
@@ -135,9 +135,8 @@ support::Hash128 cacheKeyFor(const std::string &Dir,
                              const AnalysisOptions &Options);
 
 /// False when the run's outcome can depend on timing — a wall-clock
-/// deadline or an external cancel flag can truncate the solve at an
-/// arbitrary point, and a truncated solution must never be served as the
-/// canonical result for its inputs.
+/// deadline can truncate the solve at an arbitrary point, and a truncated
+/// solution must never be served as the canonical result for its inputs.
 bool cacheEligible(const AnalysisOptions &Options);
 
 } // namespace analysis

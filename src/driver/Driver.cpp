@@ -11,7 +11,7 @@
 #include "guimodel/Lint.h"
 #include "layout/Layout.h"
 #include "parser/Parser.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -411,7 +411,7 @@ gator::driver::runBatch(const std::vector<fs::path> &Dirs,
     TaskCfg.Options.Budget.SharedDeadline =
         support::makeSharedDeadline(Cfg.Options.Budget.MaxWallSeconds);
 
-  // Fan one thread-confined task per app over the pool; each task
+  // Fan one thread-confined task per app over the workers; each task
   // returns its result and its own trace sink.
   struct Task {
     AppResult Result;

@@ -2,8 +2,6 @@
 
 #include "support/Budget.h"
 
-#include "support/FaultInjection.h"
-
 #include <algorithm>
 
 using namespace gator;
@@ -21,54 +19,39 @@ const char *gator::support::budgetReasonName(BudgetReason Reason) {
     return "graph-nodes";
   case BudgetReason::GraphEdges:
     return "graph-edges";
-  case BudgetReason::Cancelled:
-    return "cancelled";
   }
   return "unknown";
 }
 
-BudgetTracker::BudgetTracker(const BudgetPolicy &Policy) : Policy(Policy) {
-  // Fault injection: a forced trip at step N behaves exactly like a
-  // work-item budget of N, deterministically.
-  if (auto Forced = forcedBudgetTripStep()) {
-    if (*Forced == 0)
-      trip(BudgetReason::WorkItems); // step 0: no work at all
-    else
-      this->Policy.MaxWorkItems =
-          this->Policy.MaxWorkItems == 0
-              ? *Forced
-              : std::min(this->Policy.MaxWorkItems, *Forced);
-  }
-  if (Policy.SharedDeadline) {
-    // Batch-wide deadline: absolute, computed by the driver before the
-    // fan-out, identical for every task in the batch.
-    HasDeadline = true;
-    Deadline = *Policy.SharedDeadline;
-  } else if (Policy.MaxWallSeconds > 0.0) {
-    HasDeadline = true;
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(Policy.MaxWallSeconds));
-  }
-}
-
 std::optional<std::chrono::steady_clock::time_point>
 gator::support::makeSharedDeadline(double MaxWallSeconds) {
-  if (MaxWallSeconds <= 0.0)
+  using Clock = std::chrono::steady_clock;
+  if (!(MaxWallSeconds > 0.0))
     return std::nullopt;
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(MaxWallSeconds));
+  const Clock::time_point Now = Clock::now();
+  // Compare in the clock's ticks as doubles before converting: a cast of
+  // an out-of-range double is undefined. Half the remaining range leaves
+  // room for rounding; a deadline that far out is centuries away.
+  const std::chrono::duration<double, Clock::period> Wait =
+      std::chrono::duration<double>(MaxWallSeconds);
+  const double Room =
+      static_cast<double>((Clock::time_point::max() - Now).count());
+  if (!(Wait.count() < Room / 2))
+    return std::nullopt;
+  return Now + std::chrono::duration_cast<Clock::duration>(Wait);
 }
 
-bool BudgetTracker::overDeadlineOrCancelled() {
-  if (Policy.CancelFlag &&
-      Policy.CancelFlag->load(std::memory_order_relaxed)) {
-    trip(BudgetReason::Cancelled);
-    return true;
-  }
-  if (HasDeadline && std::chrono::steady_clock::now() >= Deadline) {
-    trip(BudgetReason::Deadline);
+BudgetTracker::BudgetTracker(const BudgetPolicy &Policy)
+    : Policy(Policy),
+      // A batch-wide deadline is absolute, computed by the driver before
+      // the fan-out and identical for every task in the batch.
+      Deadline(Policy.SharedDeadline
+                   ? Policy.SharedDeadline
+                   : makeSharedDeadline(Policy.MaxWallSeconds)) {}
+
+bool BudgetTracker::overDeadline() {
+  if (Deadline && std::chrono::steady_clock::now() >= *Deadline) {
+    Reason = BudgetReason::Deadline;
     return true;
   }
   return false;
@@ -79,12 +62,12 @@ bool BudgetTracker::refillSlice() {
     return false;
   Committed += SliceSize;
   SliceSize = 0;
-  if (overDeadlineOrCancelled())
+  if (overDeadline())
     return false;
   unsigned long Slice = SliceInterval;
   if (Policy.MaxWorkItems != 0) {
     if (Committed >= Policy.MaxWorkItems) {
-      trip(BudgetReason::WorkItems);
+      Reason = BudgetReason::WorkItems;
       return false;
     }
     Slice = std::min(Slice, Policy.MaxWorkItems - Committed);
@@ -99,12 +82,12 @@ bool BudgetTracker::checkpoint(size_t GraphNodes, size_t GraphEdges) {
   if (exhausted())
     return false;
   if (Policy.MaxGraphNodes != 0 && GraphNodes > Policy.MaxGraphNodes) {
-    trip(BudgetReason::GraphNodes);
+    Reason = BudgetReason::GraphNodes;
     return false;
   }
   if (Policy.MaxGraphEdges != 0 && GraphEdges > Policy.MaxGraphEdges) {
-    trip(BudgetReason::GraphEdges);
+    Reason = BudgetReason::GraphEdges;
     return false;
   }
-  return !overDeadlineOrCancelled();
+  return !overDeadline();
 }

@@ -8,10 +8,11 @@
 /// \file
 /// Resource budgets for the analysis pipeline (docs/ROBUSTNESS.md). A
 /// BudgetPolicy bundles every limit a caller may impose — work items,
-/// wall-clock deadline, graph size caps, cooperative cancellation — and a
-/// BudgetTracker enforces one policy over one run with a hot path cheap
-/// enough for the solver's inner loop (a decrement and branch; the clock
-/// and the caps are consulted only at slice refills and checkpoints).
+/// wall-clock deadline, graph size caps — and a BudgetTracker enforces one
+/// policy over one run with a hot path cheap enough for the solver's inner
+/// loop (a decrement and branch; the clock and the caps are consulted only
+/// at slice refills and checkpoints). A tracker belongs to the one thread
+/// running its analysis; nothing in it is shared across threads.
 ///
 /// Exhaustion is sticky and carries a reason; the solver translates it
 /// into a TruncatedBudget fidelity marker on the Solution rather than
@@ -22,7 +23,6 @@
 #ifndef GATOR_SUPPORT_BUDGET_H
 #define GATOR_SUPPORT_BUDGET_H
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <optional>
@@ -37,19 +37,20 @@ enum class BudgetReason : unsigned char {
   Deadline,   ///< the wall-clock deadline passed
   GraphNodes, ///< the constraint graph outgrew the node cap
   GraphEdges, ///< the constraint graph outgrew the edge cap
-  Cancelled,  ///< the caller's cancellation flag was raised
 };
 
 /// Human-readable label ("work-items", "deadline", ...).
 const char *budgetReasonName(BudgetReason Reason);
 
-/// The batch-wide deadline for \p MaxWallSeconds from now, or nullopt when
-/// the knob is off. Drivers compute this once before fanning a batch out
-/// and store it in every task's BudgetPolicy::SharedDeadline.
+/// The deadline \p MaxWallSeconds from now, or nullopt when the knob is
+/// off (<= 0 or NaN) or the deadline lies past the steady clock's range
+/// (such a run has no deadline). Drivers compute this once before fanning
+/// a batch out and store it in every task's BudgetPolicy::SharedDeadline;
+/// a tracker without a shared deadline converts MaxWallSeconds with it.
 std::optional<std::chrono::steady_clock::time_point>
 makeSharedDeadline(double MaxWallSeconds);
 
-/// The limits one analysis run must respect. Zero (or null) means
+/// The limits one analysis run must respect. Zero (or unset) means
 /// unlimited for every knob.
 struct BudgetPolicy {
   /// Maximum solver work items (worklist pops / sweep visits). The
@@ -57,7 +58,8 @@ struct BudgetPolicy {
   unsigned long MaxWorkItems = 50'000'000;
 
   /// Wall-clock deadline in seconds from tracker construction; checked
-  /// at slice refills and checkpoints, never per work item. <= 0 = none.
+  /// at slice refills and checkpoints, never per work item. <= 0 = none
+  /// (see makeSharedDeadline).
   double MaxWallSeconds = 0.0;
 
   /// Absolute wall-clock deadline shared by every tracker in a batch
@@ -72,16 +74,12 @@ struct BudgetPolicy {
   /// structure rounds, phase boundaries). 0 = unlimited.
   size_t MaxGraphNodes = 0;
   size_t MaxGraphEdges = 0;
-
-  /// Cooperative cancellation: when non-null and set, the run winds down
-  /// at the next checkpoint/refill with BudgetReason::Cancelled.
-  const std::atomic<bool> *CancelFlag = nullptr;
 };
 
 /// Enforces one BudgetPolicy over one run. Work items are charged through
 /// an inline slice countdown; every SliceInterval items (or sooner when
 /// the work budget is nearly spent) the slow path commits the slice and
-/// consults the clock and the cancellation flag.
+/// consults the clock. Exhaustion is sticky: the first reason stays.
 class BudgetTracker {
 public:
   explicit BudgetTracker(const BudgetPolicy &Policy);
@@ -96,30 +94,16 @@ public:
     return refillSlice();
   }
 
-  /// Deadline / cancellation / graph-cap check for phase boundaries and
-  /// op firings. Does not charge work. Returns false once exhausted.
+  /// Deadline / graph-cap check for phase boundaries and op firings. Does
+  /// not charge work. Returns false once exhausted.
   bool checkpoint(size_t GraphNodes, size_t GraphEdges);
 
-  bool exhausted() const {
-    return Reason.load(std::memory_order_relaxed) != BudgetReason::None;
-  }
-  BudgetReason reason() const {
-    return Reason.load(std::memory_order_relaxed);
-  }
+  bool exhausted() const { return Reason != BudgetReason::None; }
+  BudgetReason reason() const { return Reason; }
 
   /// Work items successfully charged so far.
   unsigned long workCharged() const {
     return Committed + (SliceSize - FastRemaining);
-  }
-
-  /// Manually trips the budget (e.g. an enclosing pipeline or another
-  /// thread cancelling this task). Idempotent; the first reason wins.
-  /// Safe to call from any thread — Reason is atomic, and the owning
-  /// thread observes the trip at its next charge slow path or checkpoint
-  /// (everything else in the tracker stays thread-confined).
-  void trip(BudgetReason R) {
-    BudgetReason Expected = BudgetReason::None;
-    Reason.compare_exchange_strong(Expected, R, std::memory_order_relaxed);
   }
 
 private:
@@ -127,15 +111,14 @@ private:
   static constexpr unsigned long SliceInterval = 1024;
 
   bool refillSlice();
-  bool overDeadlineOrCancelled();
+  bool overDeadline();
 
   BudgetPolicy Policy;
-  std::atomic<BudgetReason> Reason{BudgetReason::None};
+  BudgetReason Reason = BudgetReason::None;
   unsigned long FastRemaining = 0; ///< charges left in the current slice
   unsigned long SliceSize = 0;     ///< size the current slice started at
   unsigned long Committed = 0;     ///< work from fully-drained slices
-  std::chrono::steady_clock::time_point Deadline;
-  bool HasDeadline = false;
+  std::optional<std::chrono::steady_clock::time_point> Deadline;
 };
 
 } // namespace support

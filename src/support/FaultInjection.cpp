@@ -2,8 +2,6 @@
 
 #include "support/FaultInjection.h"
 
-#include <atomic>
-
 using namespace gator;
 using namespace gator::support;
 
@@ -27,24 +25,4 @@ std::string gator::support::corruptInput(std::string_view Input,
                                  (1u << Bit));
   }
   return Out;
-}
-
-namespace {
-/// 0 = disarmed; otherwise the armed step + 1 (so step 0 is expressible).
-std::atomic<unsigned long> ForcedTripPlusOne{0};
-} // namespace
-
-void gator::support::armForcedBudgetTrip(unsigned long StepN) {
-  ForcedTripPlusOne.store(StepN + 1, std::memory_order_relaxed);
-}
-
-void gator::support::disarmForcedBudgetTrip() {
-  ForcedTripPlusOne.store(0, std::memory_order_relaxed);
-}
-
-std::optional<unsigned long> gator::support::forcedBudgetTripStep() {
-  unsigned long V = ForcedTripPlusOne.load(std::memory_order_relaxed);
-  if (V == 0)
-    return std::nullopt;
-  return V - 1;
 }

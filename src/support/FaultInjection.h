@@ -6,18 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Seeded, deterministic fault points for the robustness harness
-/// (tests/fault_injection_test.cpp, docs/ROBUSTNESS.md):
-///
-///  - input truncation and byte/bit corruption derived from a SplitMix64
-///    stream, so every fault is reproducible from (input, seed) alone —
-///    no wall-clock or global-RNG nondeterminism;
-///  - a forced budget trip at work-item N, which BudgetTracker folds into
-///    its work budget at construction, exercising the solver's
-///    partial-solution paths at arbitrary cut points.
-///
-/// All fault points are inert unless explicitly armed; production code
-/// pays one relaxed atomic load per BudgetTracker construction.
+/// Seeded, deterministic input faults for the robustness harness
+/// (tests/fault_injection_test.cpp, docs/ROBUSTNESS.md): truncation and
+/// bit corruption derived from a SplitMix64 stream, so every fault is
+/// reproducible from (input, seed) alone — no wall-clock or global-RNG
+/// nondeterminism. Solver cut points need no fault hook: a test sets
+/// BudgetPolicy::MaxWorkItems to the step it wants to cut at.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +19,6 @@
 #define GATOR_SUPPORT_FAULTINJECTION_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -65,30 +58,6 @@ std::string truncateInput(std::string_view Input, uint64_t Seed);
 /// drawn from \p Seed. Empty input is returned unchanged.
 std::string corruptInput(std::string_view Input, uint64_t Seed,
                          unsigned Flips = 8);
-
-//===----------------------------------------------------------------------===//
-// Forced budget exhaustion
-//===----------------------------------------------------------------------===//
-
-/// Arms a forced budget trip: every BudgetTracker constructed while armed
-/// behaves as if its work budget were at most \p StepN. Deterministic and
-/// process-global; tests arm/disarm around one run.
-void armForcedBudgetTrip(unsigned long StepN);
-void disarmForcedBudgetTrip();
-
-/// The armed step, or nullopt when disarmed.
-std::optional<unsigned long> forcedBudgetTripStep();
-
-/// RAII arm/disarm for one scope.
-class ScopedForcedBudgetTrip {
-public:
-  explicit ScopedForcedBudgetTrip(unsigned long StepN) {
-    armForcedBudgetTrip(StepN);
-  }
-  ~ScopedForcedBudgetTrip() { disarmForcedBudgetTrip(); }
-  ScopedForcedBudgetTrip(const ScopedForcedBudgetTrip &) = delete;
-  ScopedForcedBudgetTrip &operator=(const ScopedForcedBudgetTrip &) = delete;
-};
 
 } // namespace support
 } // namespace gator

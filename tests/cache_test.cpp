@@ -283,11 +283,6 @@ TEST(CacheKeyTest, EligibilityExcludesTimingDependentRuns) {
   Deadline.Budget.SharedDeadline = std::chrono::steady_clock::now();
   EXPECT_FALSE(cacheEligible(Deadline));
 
-  std::atomic<bool> Cancel{false};
-  AnalysisOptions Cancellable = Base;
-  Cancellable.Budget.CancelFlag = &Cancel;
-  EXPECT_FALSE(cacheEligible(Cancellable));
-
   // Deterministic work budgets stay eligible: they are part of the key.
   AnalysisOptions Work = Base;
   Work.Budget.MaxWorkItems = 10;

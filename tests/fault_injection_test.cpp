@@ -8,9 +8,9 @@
 //
 //  - degenerate layouts (empty <merge/>) degrade, identically in both
 //    solver engines;
-//  - work/node/edge budgets and cooperative cancellation truncate, and
-//    SolutionChecker accepts the partial solution;
-//  - a forced budget trip swept over cut points 0..N exercises arbitrary
+//  - work/node/edge budgets truncate, and SolutionChecker accepts the
+//    partial solution;
+//  - a work budget swept over cut points 1..N exercises arbitrary
 //    partial-solution states;
 //  - seeded (SplitMix64) truncation and bit-flip corruption of the
 //    sample_full_app inputs (ALite, DexLite, layout XML, manifest) must
@@ -30,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -160,18 +159,6 @@ TEST(BudgetTrip, EdgeCapMarksTruncated) {
   EXPECT_TRUE(checkSolutionClosure(*R).empty());
 }
 
-TEST(BudgetTrip, CancellationMarksTruncated) {
-  GeneratedApp App = generateApp(paperCorpus()[0]);
-  std::atomic<bool> Cancel{true};
-  AnalysisOptions Options;
-  Options.Budget.CancelFlag = &Cancel;
-  auto R = runAnalysis(*App.Bundle, Options);
-  ASSERT_TRUE(R);
-  EXPECT_EQ(R->Sol->fidelity(), Fidelity::TruncatedBudget);
-  EXPECT_EQ(R->Sol->truncationReason(), BudgetReason::Cancelled);
-  EXPECT_TRUE(checkSolutionClosure(*R).empty());
-}
-
 TEST(BudgetTrip, GenerousBudgetStaysComplete) {
   GeneratedApp App = generateApp(paperCorpus()[0]);
   AnalysisOptions Options;
@@ -185,30 +172,23 @@ TEST(BudgetTrip, GenerousBudgetStaysComplete) {
 }
 
 //===----------------------------------------------------------------------===//
-// Forced budget trips: cut the solver at every early step
+// Work-budget trips: cut the solver at every early step
 //===----------------------------------------------------------------------===//
 
 TEST(ForcedTripSweep, EveryCutPointYieldsConsistentSolution) {
-  for (unsigned long Step = 0; Step <= 64; ++Step) {
-    ScopedForcedBudgetTrip Trip(Step);
+  for (unsigned long Step = 1; Step <= 64; ++Step) {
     GeneratedApp App = generateApp(paperCorpus()[0]);
-    auto R = runAnalysis(*App.Bundle);
+    AnalysisOptions Options;
+    Options.Budget.MaxWorkItems = Step;
+    auto R = runAnalysis(*App.Bundle, Options);
     ASSERT_TRUE(R);
     EXPECT_LE(R->Stats.WorkCharged, Step);
     EXPECT_EQ(R->Sol->fidelity(), Fidelity::TruncatedBudget)
         << "step=" << Step;
+    EXPECT_EQ(R->Sol->truncationReason(), BudgetReason::WorkItems)
+        << "step=" << Step;
     EXPECT_TRUE(checkSolutionClosure(*R).empty()) << "step=" << Step;
   }
-}
-
-TEST(ForcedTripSweep, DisarmRestoresCompleteRuns) {
-  armForcedBudgetTrip(0);
-  disarmForcedBudgetTrip();
-  EXPECT_FALSE(forcedBudgetTripStep().has_value());
-  GeneratedApp App = generateApp(paperCorpus()[0]);
-  auto R = runAnalysis(*App.Bundle);
-  ASSERT_TRUE(R);
-  EXPECT_EQ(R->Sol->fidelity(), Fidelity::Complete);
 }
 
 //===----------------------------------------------------------------------===//

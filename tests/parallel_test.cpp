@@ -3,22 +3,20 @@
 // The determinism and thread-safety contract of the parallel execution
 // layer (docs/PARALLEL.md):
 //
-//  - ThreadPool runs every task, survives task exceptions, and reports
-//    per-worker task counts;
-//  - parallelFor is an exact inline serial loop at Jobs=1 and rethrows
-//    the lowest-index exception deterministically at any job count;
+//  - parallelFor runs every index once at any job count, is an in-order
+//    loop on the calling thread at Jobs=1, and after running every index
+//    rethrows the lowest-index exception, the same at every job count;
 //  - driver::runBatch, the fan-out behind `gator_cli --batch`, run in
 //    process on apps written to disk by the export_corpus writer: the
 //    20 corpus apps give byte-identical output text, exit codes, records
-//    and precision rows at -j 1/2/4/8 — also under forced budget trips
-//    and per-task work caps — and so does a 200-app hostile generated
-//    fleet at -j 1 and -j 4;
+//    and precision rows at -j 1/2/4/8 — also under per-task work caps
+//    that truncate every app or only the large ones — and so does a
+//    200-app hostile generated fleet at -j 1 and -j 4;
 //  - single-app mode is a batch of one, and a cache hit reads back the
 //    cold run's result field for field;
 //  - the batch wall-clock deadline is shared (a slow early app starves
 //    later apps, which report TruncatedBudget/deadline) while work-item
-//    caps stay per-task, and the cancel flag stops every task;
-//  - BudgetTracker cancellation is safe to trip from another thread.
+//    caps stay per-task, and a deadline past the clock's range is none.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +26,7 @@
 #include "analysis/WideEvent.h"
 #include "corpus/Corpus.h"
 #include "driver/Driver.h"
-#include "support/FaultInjection.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -38,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -52,49 +50,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// ThreadPool
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool Pool(4);
-  std::atomic<int> Sum{0};
-  for (int I = 0; I < 100; ++I)
-    Pool.submit([&Sum] { Sum.fetch_add(1, std::memory_order_relaxed); });
-  Pool.wait();
-  EXPECT_EQ(Sum.load(), 100);
-
-  std::vector<unsigned long> Counts = Pool.tasksExecuted();
-  EXPECT_EQ(Counts.size(), 4u);
-  EXPECT_EQ(std::accumulate(Counts.begin(), Counts.end(), 0ul), 100ul);
-}
-
-TEST(ThreadPoolTest, SurvivesTaskExceptions) {
-  ThreadPool Pool(2);
-  std::atomic<int> Ran{0};
-  Pool.submit([] { throw std::runtime_error("task failed"); });
-  Pool.submit([&Ran] { ++Ran; });
-  Pool.wait();
-  EXPECT_EQ(Ran.load(), 1);
-
-  std::vector<std::exception_ptr> Errors = Pool.takeExceptions();
-  ASSERT_EQ(Errors.size(), 1u);
-  EXPECT_THROW(std::rethrow_exception(Errors[0]), std::runtime_error);
-  // Drained: a second take returns nothing.
-  EXPECT_TRUE(Pool.takeExceptions().empty());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> Sum{0};
-  {
-    ThreadPool Pool(3);
-    for (int I = 0; I < 64; ++I)
-      Pool.submit([&Sum] { Sum.fetch_add(1, std::memory_order_relaxed); });
-    // No wait(): destruction itself must finish the queue.
-  }
-  EXPECT_EQ(Sum.load(), 64);
-}
-
 TEST(ResolveJobsTest, ZeroMeansHardwareAndNeverZero) {
   EXPECT_GE(resolveJobs(0), 1u);
   EXPECT_EQ(resolveJobs(1), 1u);
@@ -108,49 +63,42 @@ TEST(ResolveJobsTest, ZeroMeansHardwareAndNeverZero) {
 TEST(ParallelForTest, SingleJobRunsInlineInOrder) {
   std::vector<size_t> Order;
   std::thread::id Caller = std::this_thread::get_id();
-  ParallelForStats Stats = parallelFor(1, 10, [&](size_t I) {
+  parallelFor(1, 10, [&](size_t I) {
     EXPECT_EQ(std::this_thread::get_id(), Caller);
     Order.push_back(I);
   });
   std::vector<size_t> Expected(10);
   std::iota(Expected.begin(), Expected.end(), 0);
   EXPECT_EQ(Order, Expected);
-  EXPECT_EQ(Stats.WorkersUsed, 1u);
-  ASSERT_EQ(Stats.TasksPerWorker.size(), 1u);
-  EXPECT_EQ(Stats.TasksPerWorker[0], 10ul);
 }
 
 TEST(ParallelForTest, CoversEveryIndexAtAnyJobCount) {
-  for (unsigned Jobs : {2u, 4u, 8u}) {
+  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
     std::vector<std::atomic<int>> Hits(50);
-    ParallelForStats Stats =
-        parallelFor(Jobs, Hits.size(), [&](size_t I) { ++Hits[I]; });
+    parallelFor(Jobs, Hits.size(), [&](size_t I) { ++Hits[I]; });
     for (size_t I = 0; I < Hits.size(); ++I)
       EXPECT_EQ(Hits[I].load(), 1) << "index " << I << " jobs " << Jobs;
-    EXPECT_EQ(std::accumulate(Stats.TasksPerWorker.begin(),
-                              Stats.TasksPerWorker.end(), 0ul),
-              50ul);
   }
 }
 
-TEST(ParallelForTest, NeverMoreWorkersThanItems) {
-  ParallelForStats Stats = parallelFor(8, 3, [](size_t) {});
-  EXPECT_LE(Stats.WorkersUsed, 3u);
-}
-
-TEST(ParallelForTest, RethrowsLowestIndexException) {
-  // Whatever the scheduling, attribution must be deterministic: the
-  // lowest failing index wins.
-  for (unsigned Jobs : {2u, 4u}) {
+TEST(ParallelForTest, RunsEveryIndexThenRethrowsTheLowestException) {
+  // Whatever the scheduling and the job count, an exception skips no
+  // other index, and attribution is deterministic: the lowest failing
+  // index wins.
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    std::vector<std::atomic<int>> Hits(16);
     try {
-      parallelFor(Jobs, 16, [](size_t I) {
+      parallelFor(Jobs, Hits.size(), [&](size_t I) {
+        ++Hits[I];
         if (I == 3 || I == 11)
           throw std::runtime_error("index " + std::to_string(I));
       });
-      FAIL() << "expected an exception";
+      ADD_FAILURE() << "expected an exception, jobs " << Jobs;
     } catch (const std::runtime_error &E) {
-      EXPECT_STREQ(E.what(), "index 3");
+      EXPECT_STREQ(E.what(), "index 3") << "jobs " << Jobs;
     }
+    for (size_t I = 0; I < Hits.size(); ++I)
+      EXPECT_EQ(Hits[I].load(), 1) << "index " << I << " jobs " << Jobs;
   }
 }
 
@@ -285,45 +233,36 @@ TEST(BatchDeterminismTest, IdenticalResultsAtEveryJobCount) {
                     ("jobs=" + std::to_string(Jobs)).c_str());
 }
 
-TEST(BatchDeterminismTest, IdenticalUnderForcedBudgetTrips) {
-  // The fault-injection forced trip (docs/ROBUSTNESS.md) caps every
-  // tracker's work budget — including every parallel task's — so each
-  // app truncates at the same deterministic cut point at any -j.
-  // Corpus apps charge 77..1435 work items: step 50 truncates every app,
-  // step 500 truncates only the large ones — both cut points must be
-  // identical at any -j.
-  const driver::RunConfig Cfg = recordingConfig();
-  for (unsigned long Step : {50ul, 500ul}) {
-    ScopedForcedBudgetTrip Trip(Step);
-    const std::vector<std::string> Serial =
-        fingerprintBatch(corpusDirs(), Cfg, 1);
-    bool AnyTruncated = false;
-    for (const std::string &F : Serial)
-      AnyTruncated |= F.find("fidelity truncated-budget") != std::string::npos;
-    EXPECT_TRUE(AnyTruncated) << "step " << Step
-                              << ": forced trip should truncate some app";
-    expectSameBatch(Serial, fingerprintBatch(corpusDirs(), Cfg, 4),
-                    ("trip=" + std::to_string(Step)).c_str());
-  }
-}
-
 TEST(BatchDeterminismTest, IdenticalUnderPerTaskWorkCaps) {
+  // Corpus apps charge 77..1435 work items: a cap of 50 truncates every
+  // app, a cap of 500 only the large ones. The cap is per task, so each
+  // app truncates at its own deterministic cut point at any -j.
   driver::RunConfig Cfg = recordingConfig();
-  Cfg.Options.Budget.MaxWorkItems = 50; // below the smallest app's 77 items
-  const std::vector<driver::AppResult> Serial =
-      driver::runBatch(corpusDirs(), Cfg, 1, nullptr);
-  // The cap is per task: every app charges at most its own 50 items and
-  // reports its own truncation, not only the first app in the batch.
-  for (size_t I = 0; I < Serial.size(); ++I) {
-    EXPECT_EQ(Serial[I].Run.Stats.SolutionFidelity, Fidelity::TruncatedBudget)
-        << "app " << I;
-    EXPECT_EQ(Serial[I].Run.ExitCode, 1) << "app " << I;
+  for (unsigned long Cap : {50ul, 500ul}) {
+    Cfg.Options.Budget.MaxWorkItems = Cap;
+    const std::vector<driver::AppResult> Serial =
+        driver::runBatch(corpusDirs(), Cfg, 1, nullptr);
+    std::vector<std::string> SerialPrints;
+    size_t Truncated = 0;
+    for (const driver::AppResult &R : Serial) {
+      SerialPrints.push_back(fingerprint(R));
+      if (R.Run.Stats.SolutionFidelity == Fidelity::TruncatedBudget) {
+        ++Truncated;
+        EXPECT_EQ(R.Run.ExitCode, 1) << R.Run.Stats.Name;
+      }
+    }
+    // Every app charges its own allowance and reports its own truncation,
+    // not only the first app in the batch.
+    if (Cap == 50)
+      EXPECT_EQ(Truncated, Serial.size());
+    else
+      EXPECT_GT(Truncated, 0u);
+    for (unsigned Jobs : {4u, 8u})
+      expectSameBatch(SerialPrints, fingerprintBatch(corpusDirs(), Cfg, Jobs),
+                      ("cap=" + std::to_string(Cap) +
+                       " jobs=" + std::to_string(Jobs))
+                          .c_str());
   }
-  std::vector<std::string> SerialPrints;
-  for (const driver::AppResult &R : Serial)
-    SerialPrints.push_back(fingerprint(R));
-  expectSameBatch(SerialPrints, fingerprintBatch(corpusDirs(), Cfg, 8),
-                  "work caps");
 }
 
 TEST(BatchDeterminismTest, HostileFleetStatsIdenticalAtEveryJobCount) {
@@ -452,7 +391,7 @@ TEST(BatchArtifactsTest, ArenaBytesAreDeterministicAcrossJobCounts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shared batch deadline and cross-thread cancellation
+// Shared batch deadline
 //===----------------------------------------------------------------------===//
 
 /// Expects every app of \p Batch to have stopped early for \p Reason.
@@ -511,27 +450,27 @@ TEST(BatchDeadlineTest, PerTaskCapsAreNotShared) {
   EXPECT_EQ(B.workCharged(), 5ul);
 }
 
-TEST(BudgetCancelTest, TripFromAnotherThreadIsSafe) {
+TEST(BatchDeadlineTest, DeadlinePastTheClockRangeIsNoDeadline) {
+  // 1e300 s is far past the steady clock's range: no deadline at all, not
+  // one that an overflowing conversion puts in the past.
+  for (double Seconds :
+       {1e300, 1e18, std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(makeSharedDeadline(Seconds).has_value()) << Seconds;
+    BudgetPolicy Policy;
+    Policy.MaxWallSeconds = Seconds;
+    BudgetTracker Tracker(Policy);
+    for (int I = 0; I < 5000; ++I)
+      ASSERT_TRUE(Tracker.charge()) << Seconds;
+    EXPECT_TRUE(Tracker.checkpoint(0, 0)) << Seconds;
+    EXPECT_EQ(Tracker.reason(), BudgetReason::None) << Seconds;
+  }
+  // A deadline within range still trips.
   BudgetPolicy Policy;
+  Policy.MaxWallSeconds = 1e-9;
   BudgetTracker Tracker(Policy);
-  std::thread Other(
-      [&Tracker] { Tracker.trip(BudgetReason::Cancelled); });
-  Other.join();
-  EXPECT_TRUE(Tracker.exhausted());
-  EXPECT_EQ(Tracker.reason(), BudgetReason::Cancelled);
-  // First reason wins; a later trip does not overwrite it.
-  Tracker.trip(BudgetReason::Deadline);
-  EXPECT_EQ(Tracker.reason(), BudgetReason::Cancelled);
-}
-
-TEST(BudgetCancelTest, CancelFlagStopsEveryTaskInTheBatch) {
-  std::atomic<bool> Cancel{true};
-  driver::RunConfig Cfg = recordingConfig();
-  Cfg.Options.Budget.CancelFlag = &Cancel;
-  const std::vector<fs::path> Dirs(corpusDirs().begin(),
-                                   corpusDirs().begin() + 2);
-  expectAllTruncated(driver::runBatch(Dirs, Cfg, 4, nullptr),
-                     BudgetReason::Cancelled);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_FALSE(Tracker.checkpoint(0, 0));
+  EXPECT_EQ(Tracker.reason(), BudgetReason::Deadline);
 }
 
 } // namespace
