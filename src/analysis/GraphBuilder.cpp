@@ -23,10 +23,11 @@ void GraphBuilder::buildActivityNodes(ConstraintGraph &G) {
   // represent instances created implicitly by the Android platform", with
   // edges "to all this_m variable nodes, where m is a callback method that
   // could be invoked by the framework with this activity as the receiver".
+  // No method body contributes these edges, so they bypass the journal.
   for (const ClassDecl *A : AM.appActivityClasses()) {
     NodeId ActNode = G.getActivityNode(A);
     AndroidModel::forEachLifecycleCallback(A, [&](const MethodDecl *M) {
-      addFlow(G, ActNode, G.getVarNode(M, M->thisVar()));
+      G.addFlowEdge(ActNode, G.getVarNode(M, M->thisVar()));
     });
   }
 }
@@ -338,6 +339,8 @@ bool GraphBuilder::build(ConstraintGraph &G, std::vector<OpSite> &Ops) {
       for (const auto &M : C->methods())
         if (!M->isAbstract()) {
           buildMethod(G, Ops, *M);
+          if (MethodBuilt)
+            MethodBuilt(*M);
           ++Methods;
         }
     }

@@ -64,20 +64,24 @@ public:
   // Edit-scale rebuild support (docs/INCREMENTAL.md)
   //===--------------------------------------------------------------------===//
 
-  /// build() composes exactly these three passes; an incremental session
-  /// drives them one unit at a time against an edge journal.
-  void buildResources(graph::ConstraintGraph &G) { buildResourceNodes(G); }
-  void buildActivities(graph::ConstraintGraph &G) { buildActivityNodes(G); }
+  /// Builds one method body alone: reanalyzeMethod's rebuild of an
+  /// edited method against the graph of the whole app.
   void buildOneMethod(graph::ConstraintGraph &G, std::vector<OpSite> &Ops,
                       const ir::MethodDecl &M) {
     buildMethod(G, Ops, M);
   }
 
-  /// When set, every flow edge this builder newly adds is appended to
-  /// \p J — the EDB footprint an edit-scale retraction later removes.
+  /// When set, every flow edge a method body contributes is appended to
+  /// \p J: the EDB footprint an edit-scale retraction later removes. The
+  /// activity seeding edges belong to no method and are not journaled.
   void setEdgeJournal(std::vector<std::pair<graph::NodeId, graph::NodeId>> *J) {
     Journal = J;
   }
+
+  /// When set, build() calls \p Fn after each method body, so a caller
+  /// can cut the journal and the op table into per-method footprints.
+  using MethodBuiltFn = std::function<void(const ir::MethodDecl &)>;
+  void setMethodBuilt(MethodBuiltFn Fn) { MethodBuilt = std::move(Fn); }
 
   /// When set, buildOpSite offers each new site (roles resolved, OpNode
   /// not yet minted) to this callback, which may return the index of a
@@ -107,9 +111,9 @@ private:
     return V.TypeName.empty() ? nullptr : P.findClass(V.TypeName);
   }
 
-  /// All builder-contributed flow edges funnel through here so the edit
-  /// journal sees exactly the EDB this builder *contributes* — including
-  /// re-adds of edges already present. An edit-scale rebuild runs against
+  /// All method-body flow edges funnel through here so the edit journal
+  /// sees exactly the EDB each body *contributes* — including re-adds of
+  /// edges already present. An edit-scale rebuild runs against
   /// a graph that still holds the old body's edges; an identical
   /// contribution (say, the shared common-id edge into a same-named
   /// local) dedups in the graph but must still land in the footprint, or
@@ -131,6 +135,7 @@ private:
   bool ModelUnknown = true;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> *Journal = nullptr;
   OpReuseFn OpReuse;
+  MethodBuiltFn MethodBuilt;
 };
 
 } // namespace analysis

@@ -20,6 +20,18 @@ std::unique_ptr<AnalysisResult>
 GuiAnalysis::run(const ir::Program &P, layout::LayoutRegistry &Layouts,
                  const android::AndroidModel &AM,
                  const AnalysisOptions &Options, DiagnosticEngine &Diags) {
+  return runWith(P, Layouts, AM, Options, Diags, [&](AnalysisResult &R) {
+    Solver S(*R.Graph, *R.Sol, Layouts, AM, R.Options, Diags);
+    S.setProvenance(R.Provenance.get());
+    R.Stats = S.solve();
+  });
+}
+
+std::unique_ptr<AnalysisResult>
+GuiAnalysis::runWith(const ir::Program &P, layout::LayoutRegistry &Layouts,
+                     const android::AndroidModel &AM,
+                     const AnalysisOptions &Options, DiagnosticEngine &Diags,
+                     const SolveStep &Solve, const BuildHook &Prepare) {
   auto Result = std::make_unique<AnalysisResult>();
   Result->Options = Options;
   Result->Graph = std::make_unique<graph::ConstraintGraph>();
@@ -35,6 +47,8 @@ GuiAnalysis::run(const ir::Program &P, layout::LayoutRegistry &Layouts,
     GraphBuilder Builder(P, Layouts, AM, *Result->Hierarchy, Diags);
     Builder.setTrace(Options.Trace);
     Builder.setModelUnknownSources(Options.ModelUnknownSources);
+    if (Prepare)
+      Prepare(Builder, *Result);
     if (!Builder.build(*Result->Graph, Result->Sol->opSites()))
       Result->Sol->markDegraded();
     BuildSpan.arg("nodes", Result->Graph->size());
@@ -52,22 +66,19 @@ GuiAnalysis::run(const ir::Program &P, layout::LayoutRegistry &Layouts,
   Timer SolveTimer;
   {
     support::TraceSpan SolveSpan(Options.Trace, "solve");
-    Solver S(*Result->Graph, *Result->Sol, Layouts, AM, Options, Diags);
-    S.setProvenance(Result->Provenance.get());
-    Result->Stats = S.solve();
+    Solve(*Result);
     SolveSpan.arg("propagations", Result->Stats.Propagations);
   }
   Result->SolveSeconds = SolveTimer.seconds();
 
-  // Any recoverable-invariant failure during this run (graph edge drops,
-  // hierarchy degradations) means facts may have been discarded.
-  if (Diags.checkFailureCount() != CheckFailuresBefore)
-    Result->Sol->markDegraded();
-  // Unknown-source nodes mean some facts are conservative approximations
-  // of hostile input (reflection, dynamic ids, missing resources): the
-  // solution is usable but must not claim completeness.
-  if (!Result->Graph->nodesOfKind(graph::NodeKind::UnknownView).empty() ||
-      !Result->Graph->nodesOfKind(graph::NodeKind::UnknownId).empty())
-    Result->Sol->markDegraded();
+  markFidelity(*Result, Diags, CheckFailuresBefore);
   return Result;
+}
+
+void GuiAnalysis::markFidelity(AnalysisResult &R,
+                               const DiagnosticEngine &Diags,
+                               unsigned CheckFailuresBefore) {
+  if (Diags.checkFailureCount() != CheckFailuresBefore ||
+      R.Graph->hasUnknownSources())
+    R.Sol->markDegraded();
 }

@@ -35,11 +35,14 @@
 #include "hier/ClassHierarchy.h"
 #include "layout/Layout.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 
 namespace gator {
 namespace analysis {
+
+class GraphBuilder;
 
 /// Everything one analysis run produces.
 struct AnalysisResult {
@@ -62,22 +65,42 @@ struct AnalysisResult {
 
   /// Table 2 metrics under the options this run used.
   Solution::PrecisionMetrics metrics() const {
-    return Sol->computeMetrics(Options.TrackViewIds, Options.TrackHierarchy,
-                               Options.FindView3ChildOnly,
-                               Options.UnknownFanoutBudget);
+    return Sol->computeMetrics(Options);
   }
 };
 
 class GuiAnalysis {
 public:
-  /// Runs the full pipeline. \p P must be resolved and \p AM bound to it.
-  /// Fail-soft (docs/ROBUSTNESS.md): always returns a result; build errors
-  /// or recoverable-invariant failures mark the solution DegradedInput and
-  /// budget exhaustion marks it TruncatedBudget.
+  /// Runs the full pipeline with the fused Solver. \p P must be resolved
+  /// and \p AM bound to it. Fail-soft (docs/ROBUSTNESS.md): always returns
+  /// a result; build errors or recoverable-invariant failures mark the
+  /// solution DegradedInput and budget exhaustion marks it TruncatedBudget.
   static std::unique_ptr<AnalysisResult>
   run(const ir::Program &P, layout::LayoutRegistry &Layouts,
       const android::AndroidModel &AM, const AnalysisOptions &Options,
       DiagnosticEngine &Diags);
+
+  /// Solves R's built graph into R.Sol (and R.Stats, where kept).
+  using SolveStep = std::function<void(AnalysisResult &R)>;
+  /// Configures R's graph builder before it runs.
+  using BuildHook = std::function<void(GraphBuilder &, AnalysisResult &R)>;
+
+  /// The one scaffold of every run (Section 4.3): GuiAnalysis::run, the
+  /// phased oracle and the incremental session differ only in \p Solve.
+  /// Builds the graph with GraphBuilder::build (build errors mark
+  /// DegradedInput), runs \p Solve, then markFidelity.
+  static std::unique_ptr<AnalysisResult>
+  runWith(const ir::Program &P, layout::LayoutRegistry &Layouts,
+          const android::AndroidModel &AM, const AnalysisOptions &Options,
+          DiagnosticEngine &Diags, const SolveStep &Solve,
+          const BuildHook &Prepare = nullptr);
+
+  /// The post-solve fidelity rules (docs/ROBUSTNESS.md), applied after
+  /// every solve and re-derive: a recoverable invariant failed since
+  /// \p CheckFailuresBefore (facts may be missing) or an unknown source
+  /// (facts approximate hostile input) marks R DegradedInput.
+  static void markFidelity(AnalysisResult &R, const DiagnosticEngine &Diags,
+                           unsigned CheckFailuresBefore);
 };
 
 } // namespace analysis

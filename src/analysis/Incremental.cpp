@@ -668,19 +668,21 @@ IncrementalAnalysis::IncrementalAnalysis(ir::Program &P,
 
 IncrementalAnalysis::~IncrementalAnalysis() = default;
 
-void IncrementalAnalysis::indexRetLinks(const ir::MethodDecl &M,
+void IncrementalAnalysis::indexRetLinks(const ConstraintGraph &G,
+                                        const ir::MethodDecl &M,
                                         const MethodFootprint &FP) {
   for (const auto &[From, To] : FP.Edges) {
-    const Node &N = G->node(From);
+    const Node &N = G.node(From);
     if (N.Kind == NodeKind::Var && N.Method && N.Method != &M)
       RetLinksByCallee[N.Method].emplace_back(From, To);
   }
 }
 
-void IncrementalAnalysis::unindexRetLinks(const ir::MethodDecl &M,
+void IncrementalAnalysis::unindexRetLinks(const ConstraintGraph &G,
+                                          const ir::MethodDecl &M,
                                           const MethodFootprint &FP) {
   for (const auto &[From, To] : FP.Edges) {
-    const Node &N = G->node(From);
+    const Node &N = G.node(From);
     if (N.Kind != NodeKind::Var || !N.Method || N.Method == &M)
       continue;
     auto It = RetLinksByCallee.find(N.Method);
@@ -696,58 +698,45 @@ void IncrementalAnalysis::unindexRetLinks(const ir::MethodDecl &M,
   }
 }
 
-void IncrementalAnalysis::buildAndJournal(GraphBuilder &B,
-                                          const ir::MethodDecl &M) {
-  std::vector<std::pair<NodeId, NodeId>> J;
-  B.setEdgeJournal(&J);
-  size_t OpsBefore = Sol->opSites().size();
-  B.buildOneMethod(*G, Sol->opSites(), M);
-  B.setEdgeJournal(nullptr);
-  MethodFootprint FP;
-  FP.Edges = std::move(J);
-  for (size_t I = OpsBefore; I < Sol->opSites().size(); ++I)
-    FP.OpIndices.push_back(static_cast<uint32_t>(I));
-  indexRetLinks(M, FP);
-  Footprints[&M] = std::move(FP);
-}
-
 void IncrementalAnalysis::solveInitial() {
-  G = std::make_unique<ConstraintGraph>();
-  G->setDiagnostics(&Diags);
-  Sol = std::make_unique<Solution>(*G, AM);
-  Prov = std::make_unique<ProvenanceRecorder>();
-  Prov->bindGraph(G.get());
-  CH = std::make_unique<hier::ClassHierarchy>(P, &Diags);
-
-  GraphBuilder B(P, Layouts, AM, *CH, Diags);
-  B.setModelUnknownSources(Options.ModelUnknownSources);
-  B.buildResources(*G);
-  B.buildActivities(*G);
-  // Same method order as GraphBuilder::build(), but one journaled unit at
-  // a time.
-  for (const auto &C : P.classes()) {
-    if (C->isPlatform())
-      continue;
-    for (const auto &M : C->methods())
-      if (!M->isAbstract())
-        buildAndJournal(B, *M);
-  }
-
-  S = std::make_unique<Solver>(*G, *Sol, Layouts, AM, Options, Diags);
-  S->setProvenance(Prov.get());
-  LastStats = S->solve();
-  if (!G->nodesOfKind(NodeKind::UnknownView).empty() ||
-      !G->nodesOfKind(NodeKind::UnknownId).empty())
-    Sol->markDegraded();
+  // The scratch run's build and fidelity path, with the journal cut into
+  // one footprint per method as build() goes.
+  std::vector<std::pair<NodeId, NodeId>> Journal;
+  size_t OpsBefore = 0;
+  auto Journaled = [&](GraphBuilder &B, AnalysisResult &R) {
+    B.setEdgeJournal(&Journal);
+    B.setMethodBuilt([&](const ir::MethodDecl &M) {
+      MethodFootprint FP;
+      FP.Edges = std::move(Journal);
+      Journal.clear();
+      const size_t Ops = R.Sol->opSites().size();
+      for (; OpsBefore < Ops; ++OpsBefore)
+        FP.OpIndices.push_back(static_cast<uint32_t>(OpsBefore));
+      indexRetLinks(*R.Graph, M, FP);
+      Footprints[&M] = std::move(FP);
+    });
+  };
+  Result = GuiAnalysis::runWith(
+      P, Layouts, AM, Options, Diags,
+      [&](AnalysisResult &R) {
+        S = std::make_unique<Solver>(*R.Graph, *R.Sol, Layouts, AM, R.Options,
+                                     Diags);
+        S->setProvenance(R.Provenance.get());
+        R.Stats = S->solve();
+      },
+      Journaled);
 }
 
 void IncrementalAnalysis::rederive(const RetractionResult &R,
                                    const std::vector<NodeId> &ExtraTouched,
                                    const std::vector<uint32_t> &DeadOps,
-                                   const std::vector<NodeId> &DirtyLayoutNodes) {
+                                   const std::vector<NodeId> &DirtyLayoutNodes,
+                                   unsigned CheckFailuresBefore) {
   support::TraceSpan Span(Options.Trace, "incremental.rederive");
+  ConstraintGraph &G = *Result->Graph;
+  Solution &Sol = *Result->Sol;
   LastRetracted = R.FactsRetracted;
-  Sol->pruneUnresolvedDeadOps();
+  Sol.pruneUnresolvedDeadOps();
 
   std::vector<NodeId> Touched = R.Touched;
   Touched.insert(Touched.end(), ExtraTouched.begin(), ExtraTouched.end());
@@ -763,36 +752,35 @@ void IncrementalAnalysis::rederive(const RetractionResult &R,
   for (NodeId L : DirtyLayoutNodes)
     S->forgetLayoutMemos(L);
   std::unordered_map<NodeId, uint32_t> OpIndexOfNode;
-  for (size_t I = 0; I < Sol->opSites().size(); ++I)
-    OpIndexOfNode.emplace(Sol->opSites()[I].OpNode,
-                          static_cast<uint32_t>(I));
+  for (size_t I = 0; I < Sol.opSites().size(); ++I)
+    OpIndexOfNode.emplace(Sol.opSites()[I].OpNode, static_cast<uint32_t>(I));
   for (const auto &[Site, Low] : R.MintsRetired)
     if (auto It = OpIndexOfNode.find(Site); It != OpIndexOfNode.end())
       S->forgetInflation(It->second, Low);
   for (NodeId V : R.WiredValuesForgotten)
     S->forgetWiredValue(V);
   for (NodeId Dead : R.RetiredNodes)
-    if (G->node(Dead).Kind == NodeKind::UnknownId)
+    if (G.node(Dead).Kind == NodeKind::UnknownId)
       S->forgetLayoutMemos(Dead);
-  LastStats = S->resolveIncremental(Touched);
-  if (!G->nodesOfKind(NodeKind::UnknownView).empty() ||
-      !G->nodesOfKind(NodeKind::UnknownId).empty())
-    Sol->markDegraded();
+  Result->Stats = S->resolveIncremental(Touched);
+  GuiAnalysis::markFidelity(*Result, Diags, CheckFailuresBefore);
 }
 
 bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
   auto FpIt = Footprints.find(&M);
-  if (FpIt == Footprints.end() || !G)
+  if (FpIt == Footprints.end() || !Result)
     return false;
+  const unsigned CheckFailuresBefore = Diags.checkFailureCount();
+  ConstraintGraph &G = *Result->Graph;
   MethodFootprint Old = std::move(FpIt->second);
-  auto &Ops = Sol->opSites();
+  auto &Ops = Result->Sol->opSites();
 
   // Tombstone the old sites; the rebuild resurrects role-identical ones.
   for (uint32_t I : Old.OpIndices)
     Ops[I].Dead = true;
-  unindexRetLinks(M, Old);
+  unindexRetLinks(G, M, Old);
 
-  GraphBuilder B(P, Layouts, AM, *CH, Diags);
+  GraphBuilder B(P, Layouts, AM, Result->hierarchy(), Diags);
   B.setModelUnknownSources(Options.ModelUnknownSources);
   std::vector<std::pair<NodeId, NodeId>> J;
   B.setEdgeJournal(&J);
@@ -812,7 +800,7 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     return ~0u;
   });
   size_t OpsBefore = Ops.size();
-  B.buildOneMethod(*G, Ops, M);
+  B.buildOneMethod(G, Ops, M);
   B.setEdgeJournal(nullptr);
 
   MethodFootprint New;
@@ -845,13 +833,13 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     std::unordered_set<NodeId> NewRet;
     for (const Stmt &St : M.body())
       if (St.Kind == StmtKind::Return && St.Lhs != ir::InvalidVar)
-        NewRet.insert(G->getVarNode(&M, St.Lhs));
+        NewRet.insert(G.getVarNode(&M, St.Lhs));
     auto Links = RlIt->second; // copy: we rewrite the index below
     std::vector<std::pair<NodeId, NodeId>> Kept;
     std::unordered_set<NodeId> CallerLhs;
     std::unordered_set<uint64_t> Present;
     for (const auto &[From, To] : Links) {
-      const Node &ToN = G->node(To);
+      const Node &ToN = G.node(To);
       if (ToN.Method == &M) {
         Kept.emplace_back(From, To); // self-link, owned by M's footprint
         continue;
@@ -878,10 +866,10 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     for (NodeId To : CallerLhs)
       for (NodeId From : NewRet)
         if (!Present.count(edgeKey(From, To))) {
-          if (G->addFlowEdge(From, To)) {
+          if (G.addFlowEdge(From, To)) {
             Kept.emplace_back(From, To);
             ExtraTouched.push_back(To);
-            const Node &ToN = G->node(To);
+            const Node &ToN = G.node(To);
             auto OwnIt = Footprints.find(ToN.Method);
             if (OwnIt != Footprints.end())
               OwnIt->second.Edges.emplace_back(From, To);
@@ -893,7 +881,7 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
   // Physically remove the stale EDB (each journaled edge has a unique
   // contributing method, so nothing else still claims it).
   for (const auto &[From, To] : In.RemovedEdges)
-    G->removeFlowEdge(From, To);
+    G.removeFlowEdge(From, To);
 
   // Unresurrected ops die; their minted view subtrees die with them.
   for (uint32_t I : Old.OpIndices)
@@ -904,8 +892,8 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     for (uint32_t I : In.DeadOps)
       DeadSites.insert(Ops[I].OpNode);
     for (NodeKind K : {NodeKind::ViewInfl, NodeKind::UnknownView})
-      for (NodeId V : G->nodesOfKind(K)) {
-        const Node &N = G->node(V);
+      for (NodeId V : G.nodesOfKind(K)) {
+        const Node &N = G.node(V);
         if (!N.Retired && N.InflateSite != InvalidNode &&
             DeadSites.count(N.InflateSite))
           In.RetireNodes.push_back(V);
@@ -914,7 +902,7 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
   // Builder-minted unknown sources of the old body are gone: the rebuild
   // minted fresh ones for surviving hostile statements.
   for (const auto &[From, To] : Old.Edges) {
-    const Node &N = G->node(From);
+    const Node &N = G.node(From);
     if ((N.Kind == NodeKind::UnknownView || N.Kind == NodeKind::UnknownId) &&
         N.Method == &M && !N.Retired && N.mintSite() == InvalidNode &&
         !NewEdges.count(edgeKey(From, To)))
@@ -932,7 +920,7 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     for (NodeId V : In.RetireNodes)
       Listed.insert(V);
     for (const auto &[From, To] : Old.Edges) {
-      const Node &N = G->node(From);
+      const Node &N = G.node(From);
       if ((N.Kind == NodeKind::Alloc || N.Kind == NodeKind::ViewAlloc) &&
           N.Method == &M && !N.Retired && !NewSources.count(From) &&
           Listed.insert(From).second)
@@ -940,23 +928,23 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     }
   }
 
-  indexRetLinks(M, New);
+  indexRetLinks(G, M, New);
   Footprints[&M] = std::move(New);
 
   RetractionResult R;
   {
     support::TraceSpan Span(Options.Trace, "incremental.retract");
-    R = retractAndClose(*G, *Sol, *Prov, In);
+    R = retractAndClose(G, *Result->Sol, *Result->Provenance, In);
     Span.arg("facts_retracted", R.FactsRetracted);
     Span.arg("retired_nodes", R.RetiredNodes.size());
   }
-  rederive(R, ExtraTouched, In.DeadOps, {});
+  rederive(R, ExtraTouched, In.DeadOps, {}, CheckFailuresBefore);
   return true;
 }
 
 bool IncrementalAnalysis::reanalyzeLayout(
     const std::string &Name, std::unique_ptr<layout::LayoutNode> NewRoot) {
-  if (!G || !NewRoot)
+  if (!Result || !NewRoot)
     return false;
   layout::LayoutDef *Def = Layouts.findByName(Name);
   if (!Def || !Def->root())
@@ -975,9 +963,11 @@ bool IncrementalAnalysis::reanalyzeLayout(
     for (const auto &C : N->children())
       Stack.push_back(C.get());
   }
+  const unsigned CheckFailuresBefore = Diags.checkFailureCount();
+  ConstraintGraph &G = *Result->Graph;
   RetractionInputs In;
-  for (NodeId V : G->nodesOfKind(NodeKind::ViewInfl)) {
-    const Node &N = G->node(V);
+  for (NodeId V : G.nodesOfKind(NodeKind::ViewInfl)) {
+    const Node &N = G.node(V);
     if (!N.Retired && N.LNode && OldNodes.count(N.LNode))
       In.RetireNodes.push_back(V);
   }
@@ -997,18 +987,18 @@ bool IncrementalAnalysis::reanalyzeLayout(
   RetractionResult R;
   {
     support::TraceSpan Span(Options.Trace, "incremental.retract");
-    R = retractAndClose(*G, *Sol, *Prov, In);
+    R = retractAndClose(G, *Result->Sol, *Result->Provenance, In);
     Span.arg("facts_retracted", R.FactsRetracted);
     Span.arg("retired_nodes", R.RetiredNodes.size());
   }
 
   // Null dangling layout-node pointers before the old tree is freed.
   for (NodeId V : R.RetiredNodes)
-    if (G->node(V).Kind == NodeKind::ViewInfl)
-      G->neutralizeViewInflNode(V);
+    if (G.node(V).Kind == NodeKind::ViewInfl)
+      G.neutralizeViewInflNode(V);
   Def->setRoot(std::move(NewRoot));
 
-  NodeId LayoutIdNode = G->getLayoutIdNode(Def->id());
-  rederive(R, {}, {}, {LayoutIdNode});
+  NodeId LayoutIdNode = G.getLayoutIdNode(Def->id());
+  rederive(R, {}, {}, {LayoutIdNode}, CheckFailuresBefore);
   return true;
 }

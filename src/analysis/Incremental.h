@@ -18,9 +18,10 @@
 ///  - retractAndClose(): the deletion closure over the provenance fact
 ///    table. Over-deletion is sound (the re-derive pass restores anything
 ///    still derivable); under-deletion is what the closure rules out.
-///  - IncrementalAnalysis: a long-lived session owning the graph,
-///    solution, provenance, and per-method EDB footprints; supports
-///    reanalyzeMethod() and reanalyzeLayout().
+///  - IncrementalAnalysis: a long-lived session owning an AnalysisResult
+///    (graph, solution, provenance, hierarchy, options), its persistent
+///    Solver, and per-method EDB footprints; supports reanalyzeMethod()
+///    and reanalyzeLayout().
 ///  - solutionDigest() / diffBundles() / graftMethodBody(): the
 ///    differential-testing surface — digest two solutions for semantic
 ///    equality, diff two parses of an app, and graft an edited body onto
@@ -31,13 +32,13 @@
 #ifndef GATOR_ANALYSIS_INCREMENTAL_H
 #define GATOR_ANALYSIS_INCREMENTAL_H
 
+#include "analysis/GuiAnalysis.h"
 #include "analysis/Options.h"
 #include "analysis/Provenance.h"
 #include "analysis/Solution.h"
 #include "analysis/Solver.h"
 #include "android/AndroidModel.h"
 #include "graph/ConstraintGraph.h"
-#include "hier/ClassHierarchy.h"
 #include "ir/Ir.h"
 #include "layout/Layout.h"
 
@@ -49,8 +50,6 @@
 
 namespace gator {
 namespace analysis {
-
-class GraphBuilder;
 
 //===----------------------------------------------------------------------===//
 // Retraction closure
@@ -149,7 +148,8 @@ bool graftMethodBody(ir::MethodDecl &Dst, const ir::MethodDecl &Src);
 //===----------------------------------------------------------------------===//
 
 /// A long-lived analysis session over one (mutable) application.
-/// solveInitial() journals each method's EDB footprint as it builds; a
+/// solveInitial() is GuiAnalysis::runWith with the session's persistent
+/// Solver, journaling each method's EDB footprint as the build goes; a
 /// reanalyze call then rebuilds just the edited unit against the old
 /// footprint, retracts the difference, and re-derives.
 class IncrementalAnalysis {
@@ -178,10 +178,12 @@ public:
   bool reanalyzeLayout(const std::string &Name,
                        std::unique_ptr<layout::LayoutNode> NewRoot);
 
-  Solution &solution() { return *Sol; }
-  const Solution &solution() const { return *Sol; }
-  graph::ConstraintGraph &constraintGraph() { return *G; }
-  const SolverStats &lastStats() const { return LastStats; }
+  /// The session's current state; Stats are the last solve's or
+  /// re-derive's. Valid after solveInitial().
+  const AnalysisResult &result() const { return *Result; }
+  Solution &solution() { return *Result->Sol; }
+  const Solution &solution() const { return *Result->Sol; }
+  const SolverStats &lastStats() const { return Result->Stats; }
   size_t lastFactsRetracted() const { return LastRetracted; }
   size_t lastTouchedNodes() const { return LastTouched; }
 
@@ -193,17 +195,18 @@ private:
     std::vector<uint32_t> OpIndices;
   };
 
-  /// Builds one method with the journal attached and installs its
-  /// footprint (plus return-link index entries).
-  void buildAndJournal(GraphBuilder &B, const ir::MethodDecl &M);
   /// Removes \p M's old footprint edges from the return-link index.
-  void unindexRetLinks(const ir::MethodDecl &M, const MethodFootprint &FP);
-  void indexRetLinks(const ir::MethodDecl &M, const MethodFootprint &FP);
-  /// Runs the re-derive pass over the closure result.
+  void unindexRetLinks(const graph::ConstraintGraph &G,
+                       const ir::MethodDecl &M, const MethodFootprint &FP);
+  void indexRetLinks(const graph::ConstraintGraph &G, const ir::MethodDecl &M,
+                     const MethodFootprint &FP);
+  /// Runs the re-derive pass over the closure result, then the
+  /// post-solve fidelity rules against \p CheckFailuresBefore.
   void rederive(const RetractionResult &R,
                 const std::vector<NodeId> &ExtraTouched,
                 const std::vector<uint32_t> &DeadOps,
-                const std::vector<NodeId> &DirtyLayoutNodes);
+                const std::vector<NodeId> &DirtyLayoutNodes,
+                unsigned CheckFailuresBefore);
 
   ir::Program &P;
   layout::LayoutRegistry &Layouts;
@@ -211,13 +214,9 @@ private:
   AnalysisOptions Options;
   DiagnosticEngine &Diags;
 
-  std::unique_ptr<hier::ClassHierarchy> CH;
-  std::unique_ptr<graph::ConstraintGraph> G;
-  std::unique_ptr<Solution> Sol;
-  std::unique_ptr<ProvenanceRecorder> Prov;
+  std::unique_ptr<AnalysisResult> Result;
   std::unique_ptr<Solver> S; ///< persistent solver, kept across edits
 
-  SolverStats LastStats;
   size_t LastRetracted = 0;
   size_t LastTouched = 0;
 

@@ -2,11 +2,9 @@
 
 #include "analysis/PhasedSolver.h"
 
-#include "analysis/GraphBuilder.h"
 #include "hier/ClassHierarchy.h"
 #include "support/Budget.h"
 #include "support/Check.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <unordered_map>
@@ -343,8 +341,7 @@ private:
     // Unknown-source handling mirrors Solution::resultsOf so the two
     // engines agree on degraded apps (docs/ROBUSTNESS.md); gated on the
     // graph actually holding unknown nodes so clean inputs pay nothing.
-    bool HaveUnknown = !G.nodesOfKind(NodeKind::UnknownView).empty() ||
-                       !G.nodesOfKind(NodeKind::UnknownId).empty();
+    bool HaveUnknown = G.hasUnknownSources();
     if (Filter) {
       std::unordered_set<NodeId> Wanted;
       NodeId UnknownIdAtArg = InvalidNode;
@@ -630,36 +627,12 @@ std::unique_ptr<AnalysisResult> gator::analysis::runPhasedAnalysis(
     const ir::Program &P, layout::LayoutRegistry &Layouts,
     const AndroidModel &AM, const AnalysisOptions &Options,
     DiagnosticEngine &Diags) {
-  auto Result = std::make_unique<AnalysisResult>();
-  Result->Options = Options;
-  Result->Graph = std::make_unique<ConstraintGraph>();
-  Result->Sol = std::make_unique<Solution>(*Result->Graph, AM);
-
-  Timer BuildTimer;
-  Result->Graph->setDiagnostics(&Diags);
-  {
-    support::TraceSpan BuildSpan(Options.Trace, "graph-build");
-    Result->Hierarchy.emplace(P, &Diags);
-    GraphBuilder Builder(P, Layouts, AM, *Result->Hierarchy, Diags);
-    Builder.setTrace(Options.Trace);
-    Builder.setModelUnknownSources(Options.ModelUnknownSources);
-    if (!Builder.build(*Result->Graph, Result->Sol->opSites()))
-      Result->Sol->markDegraded();
-    BuildSpan.arg("nodes", Result->Graph->size());
-  }
-  Result->BuildSeconds = BuildTimer.seconds();
-
-  Timer SolveTimer;
-  {
-    support::TraceSpan SolveSpan(Options.Trace, "solve");
-    PhasedEngine(*Result->Graph, *Result->Sol, Layouts, AM, Options, Diags)
-        .run();
-  }
-  Result->SolveSeconds = SolveTimer.seconds();
-  // Unknown-source nodes mean conservative approximations of hostile
-  // input: the solution is usable but must not claim completeness.
-  if (!Result->Graph->nodesOfKind(NodeKind::UnknownView).empty() ||
-      !Result->Graph->nodesOfKind(NodeKind::UnknownId).empty())
-    Result->Sol->markDegraded();
-  return Result;
+  return GuiAnalysis::runWith(P, Layouts, AM, Options, Diags,
+                              [&](AnalysisResult &R) {
+                                // This engine records no derivations.
+                                R.Provenance.reset();
+                                PhasedEngine(*R.Graph, *R.Sol, Layouts, AM,
+                                             R.Options, Diags)
+                                    .run();
+                              });
 }

@@ -53,10 +53,10 @@
 namespace gator {
 namespace analysis {
 
-/// Builds the constraint graph and solves it with the 3-phase pipeline,
-/// mirroring GuiAnalysis::run. Fail-soft: graph-construction errors yield
-/// a result whose solution is marked DegradedInput rather than a null
-/// pointer.
+/// GuiAnalysis::runWith with the 3-phase pipeline as its solver step, so
+/// build and fidelity marking are GuiAnalysis::run's. Fail-soft:
+/// graph-construction errors yield a result whose solution is marked
+/// DegradedInput rather than a null pointer.
 std::unique_ptr<AnalysisResult>
 runPhasedAnalysis(const ir::Program &P, layout::LayoutRegistry &Layouts,
                   const android::AndroidModel &AM,

@@ -84,14 +84,11 @@ std::vector<NodeId> Solution::listenersAtOp(const OpSite &Op) const {
   return listenerValuesAt(Op.ValArg);
 }
 
-std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
-                                        bool TrackHierarchy,
-                                        bool ChildOnlyRefinement,
-                                        unsigned UnknownFanoutBudget) const {
+std::vector<NodeId> Solution::resultsOf(const OpSite &Op,
+                                        const AnalysisOptions &Options) const {
   // Unknown-source handling (docs/ROBUSTNESS.md) is gated on the graph
   // actually holding unknown nodes, so clean inputs pay nothing.
-  bool HaveUnknown = !G.nodesOfKind(NodeKind::UnknownView).empty() ||
-                     !G.nodesOfKind(NodeKind::UnknownId).empty();
+  bool HaveUnknown = G.hasUnknownSources();
 
   // The roots to search under.
   std::vector<NodeId> SearchRoots;
@@ -144,8 +141,9 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
   }
 
   // FindView1/2 filter by the view ids reaching the id argument.
-  bool FilterByIds = TrackViewIds && (Op.Spec.Kind == OpKind::FindView1 ||
-                                      Op.Spec.Kind == OpKind::FindView2);
+  bool FilterByIds =
+      Options.TrackViewIds && (Op.Spec.Kind == OpKind::FindView1 ||
+                               Op.Spec.Kind == OpKind::FindView2);
 
   // A non-constant id at the argument makes every candidate a sound
   // match: drop the filter, capped by the per-app fanout budget.
@@ -164,17 +162,16 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
 
   // Appends the first UnknownFanoutBudget of \p Universe (sorted, deduped
   // — the cap must be deterministic). 0 = uncapped.
+  const unsigned Cap = Options.UnknownFanoutBudget;
   auto appendCapped = [&](std::vector<NodeId> Universe) {
     std::sort(Universe.begin(), Universe.end());
     Universe.erase(std::unique(Universe.begin(), Universe.end()),
                    Universe.end());
-    size_t N = UnknownFanoutBudget
-                   ? std::min<size_t>(Universe.size(), UnknownFanoutBudget)
-                   : Universe.size();
+    size_t N = Cap ? std::min<size_t>(Universe.size(), Cap) : Universe.size();
     Out.insert(Out.end(), Universe.begin(), Universe.begin() + N);
   };
 
-  if (!TrackHierarchy) {
+  if (!Options.TrackHierarchy) {
     // Every view is a candidate; with an id filter the reverse
     // viewId -> views index yields the matches directly.
     if (FilterByIds) {
@@ -211,7 +208,7 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
             Out.push_back(V);
     }
   } else {
-    bool ChildOnly = Op.Spec.ChildOnly && ChildOnlyRefinement;
+    bool ChildOnly = Op.Spec.ChildOnly && Options.FindView3ChildOnly;
     std::vector<NodeId> Candidates;
     for (NodeId Root : SearchRoots) {
       if (ChildOnly) {
@@ -253,9 +250,7 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
   return Out;
 }
 
-void Solution::dump(std::ostream &OS, bool TrackViewIds, bool TrackHierarchy,
-                    bool ChildOnlyRefinement,
-                    unsigned UnknownFanoutBudget) const {
+void Solution::dump(std::ostream &OS, const AnalysisOptions &Options) const {
   auto printSet = [&](const std::vector<NodeId> &Values) {
     OS << '{';
     for (size_t I = 0; I < Values.size(); ++I) {
@@ -299,17 +294,14 @@ void Solution::dump(std::ostream &OS, bool TrackViewIds, bool TrackHierarchy,
         Op.Spec.Kind == OpKind::FindView3 ||
         Op.Spec.Kind == OpKind::Inflate1) {
       OS << " -> ";
-      printSet(resultsOf(Op, TrackViewIds, TrackHierarchy,
-                         ChildOnlyRefinement, UnknownFanoutBudget));
+      printSet(resultsOf(Op, Options));
     }
     OS << '\n';
   }
 }
 
 Solution::PrecisionMetrics
-Solution::computeMetrics(bool TrackViewIds, bool TrackHierarchy,
-                         bool ChildOnlyRefinement,
-                         unsigned UnknownFanoutBudget) const {
+Solution::computeMetrics(const AnalysisOptions &Options) const {
   PrecisionMetrics M;
 
   // The role sets are counted in place: a FlowSet holds each value once,
@@ -367,9 +359,7 @@ Solution::computeMetrics(bool TrackViewIds, bool TrackHierarchy,
         Op.Spec.Kind == OpKind::FindView2 ||
         Op.Spec.Kind == OpKind::FindView3) {
       HasFindView = true;
-      size_t N = resultsOf(Op, TrackViewIds, TrackHierarchy,
-                           ChildOnlyRefinement, UnknownFanoutBudget)
-                     .size();
+      size_t N = resultsOf(Op, Options).size();
       if (N > 0) {
         ++ResultOps;
         ResultSum += N;

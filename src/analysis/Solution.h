@@ -15,6 +15,7 @@
 #define GATOR_ANALYSIS_SOLUTION_H
 
 #include "analysis/FlowSet.h"
+#include "analysis/Options.h"
 #include "android/AndroidModel.h"
 #include "graph/ConstraintGraph.h"
 #include "support/Budget.h"
@@ -159,14 +160,12 @@ public:
   std::vector<graph::NodeId> parametersOf(const OpSite &Op) const;
 
   /// Views an operation with an output (FindView1/2/3, Inflate1) resolves
-  /// to, re-evaluating its rule over the final state. Options mirror the
-  /// solver's (supplied because ablations change resolution).
-  /// \p UnknownFanoutBudget caps what an unknown id may yield
-  /// (docs/ROBUSTNESS.md); pass the solver's value for self-consistency.
-  std::vector<graph::NodeId> resultsOf(const OpSite &Op, bool TrackViewIds,
-                                       bool TrackHierarchy,
-                                       bool ChildOnlyRefinement,
-                                       unsigned UnknownFanoutBudget = 64) const;
+  /// to, re-evaluating its rule over the final state under the options the
+  /// solution was computed with: the ablations change resolution, and
+  /// UnknownFanoutBudget caps what an unknown id may yield
+  /// (docs/ROBUSTNESS.md).
+  std::vector<graph::NodeId> resultsOf(const OpSite &Op,
+                                       const AnalysisOptions &Options) const;
 
   /// Listener values flowing into a SetListener op.
   std::vector<graph::NodeId> listenersAtOp(const OpSite &Op) const;
@@ -190,20 +189,16 @@ public:
     std::optional<double> AvgListeners;
   };
 
-  PrecisionMetrics computeMetrics(bool TrackViewIds = true,
-                                  bool TrackHierarchy = true,
-                                  bool ChildOnlyRefinement = true,
-                                  unsigned UnknownFanoutBudget = 64) const;
+  /// The metrics under the options the solution was computed with.
+  PrecisionMetrics computeMetrics(const AnalysisOptions &Options) const;
 
   const graph::ConstraintGraph &constraintGraph() const { return G; }
   const android::AndroidModel &androidModel() const { return AM; }
 
   /// Prints every operation site with its resolved receiver / parameter /
   /// result / listener sets, one op per line ("FindView2_10 @ A.onCreate/0
-  /// recv{act:A} -> {Button~infl#4[ok]}").
-  void dump(std::ostream &OS, bool TrackViewIds = true,
-            bool TrackHierarchy = true, bool ChildOnlyRefinement = true,
-            unsigned UnknownFanoutBudget = 64) const;
+  /// recv{act:A} -> {Button~infl#4[ok]}"), results under \p Options.
+  void dump(std::ostream &OS, const AnalysisOptions &Options) const;
 
 private:
   const graph::ConstraintGraph &G;

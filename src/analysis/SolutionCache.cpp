@@ -409,6 +409,8 @@ support::Hash128 gator::analysis::cacheKeyFor(const std::string &Dir,
 }
 
 bool gator::analysis::cacheEligible(const AnalysisOptions &Options) {
+  // A deadline past the steady clock's range is no deadline: such a run
+  // is as reproducible as one without the knob.
   const support::BudgetPolicy &B = Options.Budget;
-  return B.MaxWallSeconds <= 0 && !B.SharedDeadline.has_value();
+  return !B.SharedDeadline && !support::makeSharedDeadline(B.MaxWallSeconds);
 }

@@ -137,6 +137,8 @@ support::Hash128 cacheKeyFor(const std::string &Dir,
 /// False when the run's outcome can depend on timing — a wall-clock
 /// deadline can truncate the solve at an arbitrary point, and a truncated
 /// solution must never be served as the canonical result for its inputs.
+/// True exactly when the run has no shared deadline and
+/// support::makeSharedDeadline(MaxWallSeconds) gives none.
 bool cacheEligible(const AnalysisOptions &Options);
 
 } // namespace analysis

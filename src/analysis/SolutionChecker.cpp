@@ -203,10 +203,7 @@ private:
       if (Op.Out == InvalidNode)
         break;
       const auto &OutSet = Sol.valuesAt(Op.Out);
-      for (NodeId V : Sol.resultsOf(Op, Options.TrackViewIds,
-                                    Options.TrackHierarchy,
-                                    Options.FindView3ChildOnly,
-                                    Options.UnknownFanoutBudget))
+      for (NodeId V : Sol.resultsOf(Op, Options))
         if (!OutSet.count(V) && typeCompatible(Op.Out, V))
           violation("FindView closure: result " + G.label(V) +
                     " missing from output of " + G.label(Op.OpNode));
@@ -366,21 +363,15 @@ gator::analysis::checkSolutionConsistency(const AnalysisResult &Result) {
 }
 
 std::vector<std::string>
-gator::analysis::checkSolutionClosure(const ConstraintGraph &G,
-                                      const Solution &Sol,
-                                      const AnalysisOptions &Options) {
-  std::vector<std::string> V = consistencyOf(G, Sol);
+gator::analysis::checkSolutionClosure(const AnalysisResult &Result) {
+  std::vector<std::string> V = checkSolutionConsistency(Result);
   // Partial solutions are deliberate under-approximations: the closure
   // properties quantify over the *final* state and do not hold mid-run, so
   // only Complete solutions are held to them.
-  if (Sol.isComplete()) {
-    std::vector<std::string> Closure = Checker(G, Sol, Options).run();
+  if (Result.Sol->isComplete()) {
+    std::vector<std::string> Closure =
+        Checker(*Result.Graph, *Result.Sol, Result.Options).run();
     V.insert(V.end(), Closure.begin(), Closure.end());
   }
   return V;
-}
-
-std::vector<std::string>
-gator::analysis::checkSolutionClosure(const AnalysisResult &Result) {
-  return checkSolutionClosure(*Result.Graph, *Result.Sol, Result.Options);
 }

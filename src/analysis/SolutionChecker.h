@@ -62,14 +62,9 @@ namespace analysis {
 /// Checks a solution against the contract its fidelity marker promises:
 /// full closure (plus consistency) for Complete solutions, consistency
 /// only for partial ones. Returns the list of violations (empty when the
-/// solution honors its contract).
+/// solution honors its contract). An IncrementalAnalysis session is
+/// checked through its result().
 std::vector<std::string> checkSolutionClosure(const AnalysisResult &Result);
-
-/// The same check over a graph and solution computed under \p Options,
-/// such as an IncrementalAnalysis session's state.
-std::vector<std::string> checkSolutionClosure(const graph::ConstraintGraph &G,
-                                              const Solution &Sol,
-                                              const AnalysisOptions &Options);
 
 /// The structural-consistency half alone: valid for any solution,
 /// including truncated and degraded ones.

@@ -732,10 +732,7 @@ void Solver::fireFindView(OpSite &Op) {
     Sol.markDegraded();
     Sol.noteUnresolvedOp(static_cast<uint32_t>(&Op - Sol.opSites().data()));
   }
-  for (NodeId R :
-       Sol.resultsOf(Op, Options.TrackViewIds, Options.TrackHierarchy,
-                     Options.FindView3ChildOnly,
-                     Options.UnknownFanoutBudget)) {
+  for (NodeId R : Sol.resultsOf(Op, Options)) {
     if (Prov) {
       // Premises: the view's existence, and — for id-driven lookups — the
       // hasId fact that matched one of the ids reaching the id argument.

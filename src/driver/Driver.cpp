@@ -152,10 +152,7 @@ int runAppUnguarded(support::AppInputs &Inputs, const RunConfig &Cfg,
 
   if (Cfg.WantSolution) {
     Out << "\nper-operation solution:\n";
-    Result->Sol->dump(Out, Cfg.Options.TrackViewIds,
-                      Cfg.Options.TrackHierarchy,
-                      Cfg.Options.FindView3ChildOnly,
-                      Cfg.Options.UnknownFanoutBudget);
+    Result->Sol->dump(Out, Result->Options);
   }
   if (Cfg.WantTuples) {
     Out << "\n(activity, view, event, handler) tuples:\n";

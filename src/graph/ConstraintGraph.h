@@ -247,6 +247,14 @@ public:
     return KindIndex[static_cast<size_t>(Kind)];
   }
 
+  /// True when the graph holds an UnknownView or UnknownId node (retired
+  /// ones included): some facts approximate hostile input
+  /// (docs/ROBUSTNESS.md).
+  bool hasUnknownSources() const {
+    return !nodesOfKind(NodeKind::UnknownView).empty() ||
+           !nodesOfKind(NodeKind::UnknownId).empty();
+  }
+
   /// Human-readable label (e.g. "new Button_12", "FindView1_13",
   /// "TextView~infl#229[common_title]").
   std::string label(NodeId Id) const;

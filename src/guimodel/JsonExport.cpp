@@ -96,10 +96,7 @@ void gator::guimodel::writeAnalysisJson(std::ostream &OS,
     J.endArray();
     J.key("results");
     J.beginArray();
-    for (NodeId V :
-         Sol.resultsOf(Op, Result.Options.TrackViewIds,
-                       Result.Options.TrackHierarchy,
-                       Result.Options.FindView3ChildOnly))
+    for (NodeId V : Sol.resultsOf(Op, Result.Options))
       J.value(static_cast<unsigned long long>(V));
     J.endArray();
     J.endObject();

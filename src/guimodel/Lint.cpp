@@ -54,10 +54,7 @@ gator::guimodel::runLint(const AnalysisResult &Result,
     if (Sol.valuesAt(Op.Recv).empty())
       continue; // the call itself is unreached; nothing to diagnose
 
-    std::vector<NodeId> Results =
-        Sol.resultsOf(Op, Result.Options.TrackViewIds,
-                      Result.Options.TrackHierarchy,
-                      Result.Options.FindView3ChildOnly);
+    std::vector<NodeId> Results = Sol.resultsOf(Op, Result.Options);
     SourceLocation Loc = G.loc(Op.OpNode);
 
     if (Results.empty()) {

@@ -283,6 +283,12 @@ TEST(CacheKeyTest, EligibilityExcludesTimingDependentRuns) {
   Deadline.Budget.SharedDeadline = std::chrono::steady_clock::now();
   EXPECT_FALSE(cacheEligible(Deadline));
 
+  // A deadline past the steady clock's range is no deadline
+  // (makeSharedDeadline), so the run is as reproducible as one without it.
+  AnalysisOptions FarWall = Base;
+  FarWall.Budget.MaxWallSeconds = 1e300;
+  EXPECT_TRUE(cacheEligible(FarWall));
+
   // Deterministic work budgets stay eligible: they are part of the key.
   AnalysisOptions Work = Base;
   Work.Budget.MaxWorkItems = 10;

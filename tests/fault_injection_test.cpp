@@ -14,22 +14,29 @@
 //    partial-solution states;
 //  - seeded (SplitMix64) truncation and bit-flip corruption of the
 //    sample_full_app inputs (ALite, DexLite, layout XML, manifest) must
-//    surface as diagnostics, never as crashes.
+//    surface as diagnostics, never as crashes;
+//  - the scratch solve, the phased oracle and an incremental session's
+//    initial solve mark every input with the same fidelity: the corpus,
+//    the hostile batch fixtures, the empty merge and every mutated input
+//    that finalizes.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Incremental.h"
 #include "analysis/PhasedSolver.h"
 #include "analysis/SolutionCache.h"
 #include "analysis/SolutionChecker.h"
 #include "android/Manifest.h"
 #include "corpus/Corpus.h"
 #include "dex/DexLite.h"
+#include "driver/Driver.h"
 #include "support/FaultInjection.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -44,6 +51,24 @@ using namespace gator::support;
 using namespace gator::test;
 
 namespace {
+
+/// Checks that the phased oracle and an incremental session's initial
+/// solve give \p App the fidelity the scratch solve \p Scratch gave it.
+void expectFidelityParity(corpus::AppBundle &App,
+                          const AnalysisResult &Scratch,
+                          const std::string &Name) {
+  const AnalysisOptions Options;
+  auto Phased = runPhasedAnalysis(App.Program, *App.Layouts, App.Android,
+                                  Options, App.Diags);
+  IncrementalAnalysis Session(App.Program, *App.Layouts, App.Android,
+                              Options, App.Diags);
+  Session.solveInitial();
+  const char *Want = fidelityName(Scratch.Sol->fidelity());
+  EXPECT_STREQ(fidelityName(Phased->Sol->fidelity()), Want)
+      << Name << ": phased";
+  EXPECT_STREQ(fidelityName(Session.solution().fidelity()), Want)
+      << Name << ": session";
+}
 
 /// An activity that inflates an empty <merge/> layout: the degenerate
 /// input of the Solver "layout with no root" regression.
@@ -80,6 +105,7 @@ TEST(EmptyMergeTest, FusedEngineSkipsSiteWithDiagnostic) {
   auto R = runAnalysis(*App);
   ASSERT_TRUE(R);
   expectEmptyMergeDegradation(*App, *R);
+  expectFidelityParity(*App, *R, "empty merge");
 }
 
 TEST(EmptyMergeTest, PhasedEngineSkipsSiteWithDiagnostic) {
@@ -349,6 +375,7 @@ void runPipelineOnMutatedInput(const SampleInput &Input,
                             AnalysisOptions(), App.Diags);
   ASSERT_TRUE(R) << "pipeline must be fail-soft";
   EXPECT_TRUE(checkSolutionClosure(*R).empty());
+  expectFidelityParity(App, *R, Input.File);
 }
 
 TEST(MutationSweep, TruncatedInputsDiagnoseNotCrash) {
@@ -373,6 +400,46 @@ TEST(MutationSweep, MutatorsAreDeterministic) {
     EXPECT_EQ(truncateInput(Original, Seed), truncateInput(Original, Seed));
     EXPECT_EQ(corruptInput(Original, Seed), corruptInput(Original, Seed));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Fidelity parity: every run goes through GuiAnalysis::runWith, so the
+// fidelity rules cannot drift between the three (docs/ROBUSTNESS.md)
+//===----------------------------------------------------------------------===//
+
+TEST(FidelityParity, CorpusApps) {
+  for (const AppSpec &Spec : paperCorpus()) {
+    GeneratedApp App = generateApp(Spec);
+    auto R = runAnalysis(*App.Bundle);
+    ASSERT_TRUE(R) << Spec.Name;
+    expectFidelityParity(*App.Bundle, *R, Spec.Name);
+  }
+}
+
+TEST(FidelityParity, HostileBatchApps) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> Dirs;
+  for (const auto &E : fs::directory_iterator(
+           fs::path(GATOR_SOURCE_DIR) / "tests" / "fixtures" / "hostile_batch"))
+    Dirs.push_back(E.path());
+  std::sort(Dirs.begin(), Dirs.end());
+  ASSERT_EQ(Dirs.size(), 4u);
+  unsigned Degraded = 0;
+  for (const fs::path &Dir : Dirs) {
+    support::AppInputs Inputs = support::loadAppDir(Dir);
+    corpus::AppBundle App;
+    std::ostringstream Err;
+    ASSERT_NE(driver::loadApp(Inputs, App, /*Manifest=*/nullptr,
+                              /*DiagJson=*/false, /*Trace=*/nullptr, Err),
+              driver::LoadStatus::Failed)
+        << Dir << ": " << Err.str();
+    auto R = runAnalysis(App);
+    ASSERT_TRUE(R) << Dir;
+    expectFidelityParity(App, *R, Dir.filename().string());
+    Degraded += R->Sol->fidelity() == Fidelity::DegradedInput;
+  }
+  // Three of the four fixtures are hostile.
+  EXPECT_EQ(Degraded, 3u);
 }
 
 //===----------------------------------------------------------------------===//

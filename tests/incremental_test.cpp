@@ -387,8 +387,7 @@ class A extends android.app.Activity {
                                   Options, App->Diags);
   ASSERT_TRUE(Scratch);
   EXPECT_EQ(solutionDigest(Inc.solution()), solutionDigest(*Scratch->Sol));
-  for (const std::string &V :
-       checkSolutionClosure(Inc.constraintGraph(), Inc.solution(), Options))
+  for (const std::string &V : checkSolutionClosure(Inc.result()))
     ADD_FAILURE() << V;
 }
 
@@ -551,8 +550,7 @@ std::string replayActivityGrafts(const corpus::AppSpec &Spec, unsigned Steps) {
     std::string Why;
     if (solutionDigest(Inc.solution()) != solutionDigest(*Scratch->Sol))
       Why = "incremental digest differs from scratch";
-    std::vector<std::string> Violations =
-        checkSolutionClosure(Inc.constraintGraph(), Inc.solution(), Options);
+    std::vector<std::string> Violations = checkSolutionClosure(Inc.result());
     if (!Violations.empty())
       Why += (Why.empty() ? "" : "; ") + std::to_string(Violations.size()) +
              " closure violation(s), first: " + Violations.front();

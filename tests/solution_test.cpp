@@ -50,7 +50,7 @@ TEST_F(SolutionTest, OpsOfKindPartitionsAllOps) {
 TEST_F(SolutionTest, Inflate1ResultsAreTheMintedRoots) {
   auto Inflates = Result->Sol->opsOfKind(android::OpKind::Inflate1);
   ASSERT_EQ(Inflates.size(), 1u);
-  auto Roots = Result->Sol->resultsOf(*Inflates.front(), true, true, true);
+  auto Roots = Result->Sol->resultsOf(*Inflates.front(), Result->Options);
   ASSERT_EQ(Roots.size(), 1u);
   const Node &N = Result->Graph->node(Roots.front());
   EXPECT_EQ(N.Kind, NodeKind::ViewInfl);
@@ -80,7 +80,7 @@ TEST_F(SolutionTest, OpSitesRecordEnclosingMethod) {
 
 TEST_F(SolutionTest, DumpMentionsEveryOp) {
   std::ostringstream OS;
-  Result->Sol->dump(OS);
+  Result->Sol->dump(OS, Result->Options);
   std::string Text = OS.str();
   EXPECT_NE(Text.find("SetListener"), std::string::npos);
   EXPECT_NE(Text.find("FindView2"), std::string::npos);
@@ -97,7 +97,7 @@ TEST_F(SolutionTest, MetricsMatchHandComputation) {
   // ConnectBot example: receiver ops are FindView1, FindView3, SetId,
   // SetListener, 2x AddView2 — all singleton => 1.0; results over 2x
   // FindView2 + FindView1 + FindView3, all singleton => 1.0.
-  auto M = Result->Sol->computeMetrics();
+  auto M = Result->metrics();
   EXPECT_DOUBLE_EQ(M.AvgReceivers, 1.0);
   EXPECT_DOUBLE_EQ(*M.AvgResults, 1.0);
   EXPECT_DOUBLE_EQ(*M.AvgParameters, 1.0);
@@ -107,10 +107,10 @@ TEST_F(SolutionTest, MetricsMatchHandComputation) {
 TEST_F(SolutionTest, AblatedMetricQueriesUseTheFlags) {
   // Re-querying the same solved state without id tracking inflates the
   // results metric (FindView ignores the id filter).
-  auto Loose = Result->Sol->computeMetrics(/*TrackViewIds=*/false,
-                                           /*TrackHierarchy=*/true,
-                                           /*ChildOnlyRefinement=*/true);
-  auto Tight = Result->Sol->computeMetrics();
+  AnalysisOptions NoIds = Result->Options;
+  NoIds.TrackViewIds = false;
+  auto Loose = Result->Sol->computeMetrics(NoIds);
+  auto Tight = Result->metrics();
   EXPECT_GT(*Loose.AvgResults, *Tight.AvgResults);
 }
 

@@ -85,7 +85,7 @@ SolveRun solveGeneratedApp(unsigned FillerClasses) {
   Run.Bytes = AllocatedBytes.load();
   Run.Sets = Sol.flowsToSets().size();
   Run.Propagations = Stats.Propagations;
-  Run.Metrics = Sol.computeMetrics();
+  Run.Metrics = Sol.computeMetrics(Options);
   return Run;
 }
 

@@ -126,8 +126,7 @@ bool hasUnknownWithReason(const AnalysisResult &R, NodeKind K,
 std::string dumpSolution(const AnalysisResult &R,
                          const AnalysisOptions &Options) {
   std::ostringstream OS;
-  R.Sol->dump(OS, Options.TrackViewIds, Options.TrackHierarchy,
-              Options.FindView3ChildOnly, Options.UnknownFanoutBudget);
+  R.Sol->dump(OS, Options);
   return OS.str();
 }
 
