@@ -141,7 +141,6 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
   std::unordered_map<NodeId, std::vector<NodeId>> ToErase;
   std::unordered_set<NodeId> TouchedSet;
   std::unordered_set<NodeId> NewlyDead;
-  std::vector<std::pair<NodeId, NodeId>> RootsLayoutKilled;
   auto drain = [&] {
     while (!Work.empty()) {
       FactId I = Work.back();
@@ -162,12 +161,10 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
       case FactKind::FlowLink:
         // IDB graph structure (listener/xml/fragment/adapter wiring):
         // remove the edge and everything that crossed it.
-        if (G.removeFlowEdge(Ft.A, Ft.B)) {
-          Out.WiredValuesForgotten.push_back(Ft.A);
+        if (G.removeFlowEdge(Ft.A, Ft.B))
           if (auto It = EdgeUse.find(edgeKey(Ft.A, Ft.B)); It != EdgeUse.end())
             for (FactId Dep : It->second)
               kill(Dep);
-        }
         break;
       case FactKind::ParentChild:
         G.removeParentChildEdge(Ft.A, Ft.B);
@@ -183,7 +180,6 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
         break;
       case FactKind::RootsLayout:
         G.removeRootsLayoutEdge(Ft.A, Ft.B);
-        RootsLayoutKilled.emplace_back(Ft.A, Ft.B);
         break;
       }
       for (FactId Dep : Dependents[I])
@@ -216,15 +212,6 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
     G.retireNode(R);
     Out.RetiredNodes.push_back(R);
   }
-
-  // Exact inflation-memo keys whose minted subtree died: the root's
-  // retracted RootsLayout fact names the (site, layout/unknown-id) pair.
-  for (const auto &[Root, Low] : RootsLayoutKilled)
-    if (Retired.count(Root)) {
-      NodeId Site = G.node(Root).mintSite();
-      if (Site != InvalidNode)
-        Out.MintsRetired.emplace_back(Site, Low);
-    }
 
   std::sort(Out.Touched.begin(), Out.Touched.end());
   return Out;
@@ -729,14 +716,9 @@ void IncrementalAnalysis::solveInitial() {
 
 void IncrementalAnalysis::rederive(const RetractionResult &R,
                                    const std::vector<NodeId> &ExtraTouched,
-                                   const std::vector<uint32_t> &DeadOps,
-                                   const std::vector<NodeId> &DirtyLayoutNodes,
                                    unsigned CheckFailuresBefore) {
   support::TraceSpan Span(Options.Trace, "incremental.rederive");
-  ConstraintGraph &G = *Result->Graph;
-  Solution &Sol = *Result->Sol;
   LastRetracted = R.FactsRetracted;
-  Sol.pruneUnresolvedDeadOps();
 
   std::vector<NodeId> Touched = R.Touched;
   Touched.insert(Touched.end(), ExtraTouched.begin(), ExtraTouched.end());
@@ -746,22 +728,6 @@ void IncrementalAnalysis::rederive(const RetractionResult &R,
   Span.arg("touched", LastTouched);
   Span.arg("facts_retracted", LastRetracted);
 
-  // Memo hygiene before re-deriving (docs/INCREMENTAL.md).
-  for (uint32_t OpI : DeadOps)
-    S->forgetOpMemos(OpI);
-  for (NodeId L : DirtyLayoutNodes)
-    S->forgetLayoutMemos(L);
-  std::unordered_map<NodeId, uint32_t> OpIndexOfNode;
-  for (size_t I = 0; I < Sol.opSites().size(); ++I)
-    OpIndexOfNode.emplace(Sol.opSites()[I].OpNode, static_cast<uint32_t>(I));
-  for (const auto &[Site, Low] : R.MintsRetired)
-    if (auto It = OpIndexOfNode.find(Site); It != OpIndexOfNode.end())
-      S->forgetInflation(It->second, Low);
-  for (NodeId V : R.WiredValuesForgotten)
-    S->forgetWiredValue(V);
-  for (NodeId Dead : R.RetiredNodes)
-    if (G.node(Dead).Kind == NodeKind::UnknownId)
-      S->forgetLayoutMemos(Dead);
   Result->Stats = S->resolveIncremental(Touched);
   GuiAnalysis::markFidelity(*Result, Diags, CheckFailuresBefore);
 }
@@ -938,7 +904,7 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     Span.arg("facts_retracted", R.FactsRetracted);
     Span.arg("retired_nodes", R.RetiredNodes.size());
   }
-  rederive(R, ExtraTouched, In.DeadOps, {}, CheckFailuresBefore);
+  rederive(R, ExtraTouched, CheckFailuresBefore);
   return true;
 }
 
@@ -998,7 +964,9 @@ bool IncrementalAnalysis::reanalyzeLayout(
       G.neutralizeViewInflNode(V);
   Def->setRoot(std::move(NewRoot));
 
-  NodeId LayoutIdNode = G.getLayoutIdNode(Def->id());
-  rederive(R, {}, {}, {LayoutIdNode}, CheckFailuresBefore);
+  // The solver's other memos validate themselves on a hit; a failed
+  // inflation of the old tree (memoized as InvalidNode) may now succeed.
+  S->forgetLayoutMemos(G.getLayoutIdNode(Def->id()));
+  rederive(R, {}, CheckFailuresBefore);
   return true;
 }

@@ -76,14 +76,6 @@ struct RetractionResult {
   /// Nodes whose flowsTo sets shrank (retired nodes excluded). The
   /// re-solve must pull their predecessors' full sets back through.
   std::vector<graph::NodeId> Touched;
-  /// From-nodes of retracted FlowLink facts: Solver::forgetWiredValue
-  /// targets, so fragment/adapter wiring re-fires.
-  std::vector<graph::NodeId> WiredValuesForgotten;
-  /// (inflate-site OpNode, layout-or-unknown-id node) pairs whose minted
-  /// subtree was retired by the closure cascade; the solver must drop
-  /// exactly these inflation memo entries so the site re-mints on demand
-  /// (dropping more would duplicate surviving subtrees).
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> MintsRetired;
   /// Everything retired: the explicit RetireNodes plus minted view
   /// subtrees whose seed fact died in the cascade.
   std::vector<graph::NodeId> RetiredNodes;
@@ -204,8 +196,6 @@ private:
   /// post-solve fidelity rules against \p CheckFailuresBefore.
   void rederive(const RetractionResult &R,
                 const std::vector<NodeId> &ExtraTouched,
-                const std::vector<uint32_t> &DeadOps,
-                const std::vector<NodeId> &DirtyLayoutNodes,
                 unsigned CheckFailuresBefore);
 
   ir::Program &P;

@@ -40,16 +40,6 @@ struct AnalysisOptions {
   /// applies ... employed by our implementation").
   bool FindView3ChildOnly = true;
 
-  /// Model the implicit callback `y.n(x)` injected by a resolved
-  /// set-listener call (Section 3.2, "Effects of callbacks").
-  bool ModelListenerCallbacks = true;
-
-  /// Model layout-declared handlers (`android:onClick="name"`): a clicked
-  /// view with the attribute invokes the named one-argument method on the
-  /// activity (or dialog) owning its hierarchy. A GATOR-tool feature on
-  /// top of the paper's core analysis.
-  bool ModelXmlOnClickHandlers = true;
-
   /// Declared-type filtering: drop a class-bearing value from a variable
   /// or field whose declared type is cast-incompatible with the value's
   /// class (neither is a subtype of the other). Downcasts in the source

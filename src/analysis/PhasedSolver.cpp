@@ -275,7 +275,7 @@ private:
         Changed |= insert(Op.Out, Root);
         if (Op.AttachParent != InvalidNode)
           for (NodeId P : Sol.viewsAt(Op.AttachParent))
-            Changed |= P != Root && G.addParentChildEdge(P, Root);
+            Changed |= G.addParentChildEdge(P, Root);
       } else {
         for (NodeId W : Sol.valuesAt(Op.Recv)) {
           NodeKind K = G.node(W).Kind;
@@ -439,7 +439,7 @@ private:
       bool Changed = false;
       for (NodeId P : Sol.viewsAt(Op.Recv))
         for (NodeId C : Sol.viewsAt(Op.ValArg))
-          Changed |= P != C && G.addParentChildEdge(P, C);
+          Changed |= G.addParentChildEdge(P, C);
       return Changed;
     }
     case OpKind::SetId: {
@@ -464,8 +464,7 @@ private:
         for (NodeId L : Sol.listenerValuesAt(Op.ValArg))
           if (G.addListenerEdge(V, L)) {
             Changed = true;
-            if (Options.ModelListenerCallbacks)
-              wireHandler(V, L, *Op.Spec.Listener);
+            wireHandler(V, L, *Op.Spec.Listener);
           }
       return Changed;
     }
@@ -520,7 +519,7 @@ private:
       if (!Matches)
         continue;
       for (NodeId Root : FragmentRoots)
-        Changed |= Container != Root && G.addParentChildEdge(Container, Root);
+        Changed |= G.addParentChildEdge(Container, Root);
     }
     return Changed;
   }
@@ -544,16 +543,13 @@ private:
           continue;
         for (NodeId Item : Sol.viewsAt(G.getVarNode(Factory, Ret.Lhs)))
           for (NodeId ListView : Sol.viewsAt(Op.Recv))
-            Changed |=
-                ListView != Item && G.addParentChildEdge(ListView, Item);
+            Changed |= G.addParentChildEdge(ListView, Item);
       }
     }
     return Changed;
   }
 
   bool sweepXmlOnClick() {
-    if (!Options.ModelXmlOnClickHandlers)
-      return false;
     bool Changed = false;
     for (NodeId Holder : G.rootHolders()) {
       const ClassDecl *HolderClass = G.node(Holder).Klass;

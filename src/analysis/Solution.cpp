@@ -27,12 +27,6 @@ void Solution::noteUnresolvedOp(uint32_t OpIndex) {
     Unresolved.insert(It, OpIndex);
 }
 
-void Solution::pruneUnresolvedDeadOps() {
-  Unresolved.erase(std::remove_if(Unresolved.begin(), Unresolved.end(),
-                                  [&](uint32_t I) { return Ops[I].Dead; }),
-                   Unresolved.end());
-}
-
 const FlowSet &Solution::valuesAt(NodeId N) const {
   const FlowSet *Set = FlowsTo.find(N);
   return Set ? *Set : Empty;

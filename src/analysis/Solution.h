@@ -63,7 +63,7 @@ struct OpSite {
   graph::NodeId Out = graph::InvalidNode;
   /// The op's statement disappeared in an edit-scale re-analysis
   /// (docs/INCREMENTAL.md). Dead sites keep their slot — op indices are
-  /// stable memo keys (InflatedAt, FragmentWired) — but the solvers and
+  /// stable memo keys (InflatedAt, FactoryWired) — but the solvers and
   /// every query skip them.
   bool Dead = false;
 };
@@ -123,10 +123,11 @@ public:
   /// Sorted indices into ops() of unresolved operation sites.
   const std::vector<uint32_t> &unresolvedOps() const { return Unresolved; }
 
-  /// Drops unresolved-op entries whose site died in an edit-scale
-  /// re-analysis (docs/INCREMENTAL.md). Fidelity stays as-is: downgrade
+  /// Drops every unresolved-op entry before an edit-scale re-derive
+  /// (docs/INCREMENTAL.md), which re-fires every live op and so notes each
+  /// site that is still unresolved again. Fidelity stays as-is: downgrade
   /// marks are sticky-conservative across incremental re-solves.
-  void pruneUnresolvedDeadOps();
+  void clearUnresolvedOps() { Unresolved.clear(); }
 
   //===--------------------------------------------------------------------===//
   // flowsTo queries

@@ -366,13 +366,15 @@ gator::analysis::hashAnalysisOptions(const AnalysisOptions &O) {
   H.boolean("TrackViewIds", O.TrackViewIds);
   H.boolean("TrackHierarchy", O.TrackHierarchy);
   H.boolean("FindView3ChildOnly", O.FindView3ChildOnly);
-  H.boolean("ModelListenerCallbacks", O.ModelListenerCallbacks);
-  H.boolean("ModelXmlOnClickHandlers", O.ModelXmlOnClickHandlers);
-  H.boolean("DeclaredTypeFilter", O.DeclaredTypeFilter);
   // Constants: fields of retired options stay hashed at the values every
-  // run has used, so keys and ledger options digests never change. The
-  // context refinement is a bench-only pre-pass outside AnalysisOptions,
-  // and every run since the first release propagates deltas.
+  // run has used, so keys and ledger options digests never change. Both
+  // callback models are always on.
+  H.boolean("ModelListenerCallbacks", true);
+  H.boolean("ModelXmlOnClickHandlers", true);
+  H.boolean("DeclaredTypeFilter", O.DeclaredTypeFilter);
+  // More constants: the context refinement is a bench-only pre-pass
+  // outside AnalysisOptions, and every run since the first release
+  // propagates deltas.
   H.boolean("ContextSensitiveHelpers", false);
   H.u64("ContextHelperMaxStmts", 12);
   H.boolean("DeltaPropagation", true);

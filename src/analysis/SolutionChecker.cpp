@@ -123,8 +123,6 @@ private:
   /// window's hierarchy has the window as listener, and the named handler
   /// of the window's class receives both.
   void checkXmlOnClick() {
-    if (!Options.ModelXmlOnClickHandlers)
-      return;
     for (NodeId Holder : G.rootHolders()) {
       if (G.node(Holder).Retired)
         continue;
@@ -184,8 +182,7 @@ private:
             violation("SetListener closure: missing association " +
                       G.label(View) + " => " + G.label(L));
           const ir::ClassDecl *LClass = G.node(L).Klass;
-          if (!Options.ModelListenerCallbacks || !Op.Spec.Listener ||
-              !LClass || LClass->isPlatform())
+          if (!Op.Spec.Listener || !LClass || LClass->isPlatform())
             continue;
           for (const HandlerSig &Sig : Op.Spec.Listener->Handlers) {
             const ir::MethodDecl *Handler = hier::ClassHierarchy::dispatch(

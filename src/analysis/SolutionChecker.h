@@ -25,11 +25,10 @@
 ///     minted view tree at that site (root with a roots-layout edge).
 ///  7. ADDVIEW1/INFLATE2 closure: every window value reaching the
 ///     receiver has a root edge to the respective root view(s).
-///  8. Callback closure (under ModelListenerCallbacks): for every (view,
-///     listener) pair reaching a SetListener node and every handler of
-///     the op's listener spec the listener's class dispatches, the
-///     listener is in the handler's `this` and the view in its view
-///     parameter. Under ModelXmlOnClickHandlers the same holds for every
+///  8. Callback closure: for every (view, listener) pair reaching a
+///     SetListener node and every handler of the op's listener spec the
+///     listener's class dispatches, the listener is in the handler's
+///     `this` and the view in its view parameter. The same holds for every
 ///     view with an `android:onClick` attribute in a window's hierarchy:
 ///     it has the window as listener, and the named handler receives both.
 ///

@@ -117,8 +117,6 @@ void Solver::noteStructureChange() {
 }
 
 void Solver::sweepXmlOnClickHandlers() {
-  if (!Options.ModelXmlOnClickHandlers)
-    return;
   for (NodeId Holder : G.rootHolders()) {
     const ClassDecl *HolderClass = G.node(Holder).Klass;
     for (NodeId Root : G.roots(Holder)) {
@@ -148,16 +146,9 @@ void Solver::sweepXmlOnClickHandlers() {
                               "'");
           continue;
         }
-        NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
-        G.addFlowEdge(Holder, ThisNode);
-        if (Prov) {
-          FactId LFact = Prov->edgeFact(FactKind::Listener, V, Holder);
-          provLink(Holder, ThisNode, DerivRule::XmlOnClick, LFact);
-          provCtx(DerivRule::XmlOnClick, LFact);
-        }
-        addValue(ThisNode, Holder);
-        NodeId ParamNode = G.getVarNode(Handler, Handler->paramVar(0));
-        addValue(ParamNode, V);
+        wireHandler(V, Holder, Handler, 0, DerivRule::XmlOnClick,
+                    Prov ? Prov->edgeFact(FactKind::Listener, V, Holder)
+                         : ProvenanceRecorder::NoFact);
       }
     }
   }
@@ -185,7 +176,7 @@ void Solver::registerOpUses() {
   // A Solver may be driven through several solve() calls; the op table
   // only ever grows (GraphBuilder appends, the solver never reorders), so
   // index-derived registrations are rebuilt here while the op-index-keyed
-  // memos (InflatedAt, FragmentWired) stay valid and MUST survive —
+  // memos (InflatedAt, FactoryWired) stay valid and MUST survive —
   // clearing them would re-mint ViewInfl trees / re-wire fragment
   // callbacks on every re-solve.
   OpUseHead.clear();
@@ -246,19 +237,31 @@ void Solver::propagate(NodeId N) {
 // Inflation (rules INFLATE1/INFLATE2, Section 3.2.1)
 //===----------------------------------------------------------------------===//
 
-NodeId Solver::inflateAt(size_t OpIndex, NodeId LayoutIdNode) {
-  uint64_t Key = (static_cast<uint64_t>(OpIndex) << 32) | LayoutIdNode;
-  auto It = InflatedAt.find(Key);
-  if (It != InflatedAt.end())
-    return It->second;
+NodeId Solver::inflateAt(size_t OpIndex, NodeId IdNode) {
+  uint64_t Key = (static_cast<uint64_t>(OpIndex) << 32) | IdNode;
+  auto [It, Fresh] = InflatedAt.try_emplace(Key, InvalidNode);
+  NodeId &Root = It->second;
+  if (!Fresh && (Root == InvalidNode || !G.node(Root).Retired)) {
+    // A re-derive clears the unresolved markers: a hit notes its site
+    // again wherever the minting did (a degenerate layout, an unknown id).
+    if (Root == InvalidNode ? Layouts.findById(G.node(IdNode).Res) != nullptr
+                            : G.node(Root).Kind == NodeKind::UnknownView)
+      Sol.noteUnresolvedOp(static_cast<uint32_t>(OpIndex));
+    return Root;
+  }
+  Root = G.node(IdNode).Kind == NodeKind::UnknownId
+             ? mintUnknownRoot(OpIndex, IdNode)
+             : mintLayout(OpIndex, IdNode);
+  return Root;
+}
 
+NodeId Solver::mintLayout(size_t OpIndex, NodeId LayoutIdNode) {
   const Node &IdNode = G.node(LayoutIdNode);
   const layout::LayoutDef *Def = Layouts.findById(IdNode.Res);
   OpSite &Op = Sol.opSites()[OpIndex];
   if (!Def) {
     Diags.warning(G.loc(Op.OpNode),
                   "inflation of unknown layout id; site skipped");
-    InflatedAt.emplace(Key, InvalidNode);
     return InvalidNode;
   }
 
@@ -279,7 +282,6 @@ NodeId Solver::inflateAt(size_t OpIndex, NodeId LayoutIdNode) {
                         "site skipped");
     Sol.markDegraded();
     Sol.noteUnresolvedOp(static_cast<uint32_t>(OpIndex));
-    InflatedAt.emplace(Key, InvalidNode);
     return InvalidNode;
   }
 
@@ -362,41 +364,62 @@ NodeId Solver::inflateAt(size_t OpIndex, NodeId LayoutIdNode) {
                    "layout walk minted no root view; site skipped")) {
     Sol.markDegraded();
     Sol.noteUnresolvedOp(static_cast<uint32_t>(OpIndex));
-    InflatedAt.emplace(Key, InvalidNode);
     return InvalidNode;
   }
   // Record the inflation origin: view => layoutId, per Section 4.1.
   G.addRootsLayoutEdge(Root, LayoutIdNode);
   provEdge(FactKind::RootsLayout, Root, LayoutIdNode, DerivRule::Inflate,
            IdFact);
+  noteStructureChange();
+  return Root;
+}
 
-  InflatedAt.emplace(Key, Root);
+NodeId Solver::mintUnknownRoot(size_t OpIndex, NodeId UnknownIdNode) {
+  // Unknown-source ids (docs/ROBUSTNESS.md): a dynamic or missing layout
+  // id reaching an inflation site mints one tagged unknown root per
+  // (site, id) — enough to keep downstream rules flowing while the
+  // degradation stays visible through the node's reason tag.
+  OpSite &Op = Sol.opSites()[OpIndex];
+  FactId IdFact = provFlow(Op.IdArg, UnknownIdNode);
+  NodeId Root = G.makeUnknownViewNode(G.node(UnknownIdNode).Unknown,
+                                      Op.Method, G.loc(Op.OpNode), Op.OpNode);
+  Sol.flowsToSets().getOrCreate(Root).insert(Sol.setArena(), Root);
+  if (Prov)
+    Prov->recordFlow(Root, Root, DerivRule::UnknownSource, IdFact);
+  G.addRootsLayoutEdge(Root, UnknownIdNode);
+  provEdge(FactKind::RootsLayout, Root, UnknownIdNode, DerivRule::UnknownSource,
+           IdFact);
+  Sol.markDegraded();
+  Sol.noteUnresolvedOp(static_cast<uint32_t>(OpIndex));
   noteStructureChange();
   return Root;
 }
 
 void Solver::fireInflate(OpSite &Op) {
-  // Collect the layout ids reaching the id argument.
-  std::vector<NodeId> LayoutIds;
-  for (NodeId V : Sol.valuesAt(Op.IdArg))
-    if (G.node(V).Kind == NodeKind::LayoutId)
-      LayoutIds.push_back(V);
+  // The ids reaching the id argument: layout ids first, then unknown ids.
+  std::vector<NodeId> Ids;
+  for (NodeKind Kind : {NodeKind::LayoutId, NodeKind::UnknownId})
+    for (NodeId V : Sol.valuesAt(Op.IdArg))
+      if (G.node(V).Kind == Kind)
+        Ids.push_back(V);
 
   size_t OpIndex = &Op - Sol.opSites().data();
-  for (NodeId L : LayoutIds) {
-    NodeId Root = inflateAt(OpIndex, L);
+  for (NodeId Id : Ids) {
+    NodeId Root = inflateAt(OpIndex, Id);
     if (Root == InvalidNode)
       continue;
-
+    bool Unknown = G.node(Id).Kind == NodeKind::UnknownId;
+    DerivRule Rule = Unknown ? DerivRule::UnknownSource : DerivRule::Inflate;
     if (Op.Spec.Kind == OpKind::Inflate1) {
       // Rule INFLATE1: the root is the call's result.
-      provCtx(DerivRule::Inflate, provFlow(Op.IdArg, L), provFlow(Root, Root));
+      provCtx(Rule, provFlow(Op.IdArg, Id), provFlow(Root, Root));
       addValue(Op.Out, Root);
       // inflate(id, parent): the root also becomes a child of the parent.
       if (Op.AttachParent != InvalidNode)
         for (NodeId P : Sol.viewsAt(Op.AttachParent))
           if (G.addParentChildEdge(P, Root)) {
-            provEdge(FactKind::ParentChild, P, Root, DerivRule::InflateAttach,
+            provEdge(FactKind::ParentChild, P, Root,
+                     Unknown ? Rule : DerivRule::InflateAttach,
                      provFlow(Op.AttachParent, P), provFlow(Root, Root));
             noteStructureChange();
           }
@@ -407,65 +430,8 @@ void Solver::fireInflate(OpSite &Op) {
         if (K != NodeKind::Activity && K != NodeKind::Alloc)
           continue;
         if (G.addRootEdge(W, Root)) {
-          provEdge(FactKind::Root, W, Root, DerivRule::Inflate,
-                   provFlow(Op.Recv, W), provFlow(Op.IdArg, L));
-          noteStructureChange();
-        }
-      }
-    }
-  }
-
-  // Unknown-source ids (docs/ROBUSTNESS.md): a dynamic or missing layout
-  // id reaching an inflation site mints one tagged unknown root per
-  // (site, id) — enough to keep downstream rules flowing while the
-  // degradation stays visible through the node's reason tag.
-  std::vector<NodeId> UnknownIds;
-  for (NodeId V : Sol.valuesAt(Op.IdArg))
-    if (G.node(V).Kind == NodeKind::UnknownId)
-      UnknownIds.push_back(V);
-  for (NodeId U : UnknownIds) {
-    uint64_t Key = (static_cast<uint64_t>(OpIndex) << 32) | U;
-    auto It = InflatedAt.find(Key);
-    NodeId Root;
-    if (It != InflatedAt.end()) {
-      Root = It->second;
-    } else {
-      Root = G.makeUnknownViewNode(G.node(U).Unknown, Op.Method,
-                                   G.loc(Op.OpNode), Op.OpNode);
-      InflatedAt.emplace(Key, Root);
-      Sol.flowsToSets().getOrCreate(Root).insert(Sol.setArena(), Root);
-      if (Prov)
-        Prov->recordFlow(Root, Root, DerivRule::UnknownSource,
-                         provFlow(Op.IdArg, U));
-      G.addRootsLayoutEdge(Root, U);
-      provEdge(FactKind::RootsLayout, Root, U, DerivRule::UnknownSource,
-               provFlow(Op.IdArg, U));
-      Sol.markDegraded();
-      Sol.noteUnresolvedOp(static_cast<uint32_t>(OpIndex));
-      noteStructureChange();
-    }
-    if (Root == InvalidNode)
-      continue;
-    if (Op.Spec.Kind == OpKind::Inflate1) {
-      provCtx(DerivRule::UnknownSource, provFlow(Op.IdArg, U),
-              provFlow(Root, Root));
-      addValue(Op.Out, Root);
-      if (Op.AttachParent != InvalidNode)
-        for (NodeId P : Sol.viewsAt(Op.AttachParent))
-          if (P != Root && G.addParentChildEdge(P, Root)) {
-            provEdge(FactKind::ParentChild, P, Root,
-                     DerivRule::UnknownSource, provFlow(Op.AttachParent, P),
-                     provFlow(Root, Root));
-            noteStructureChange();
-          }
-    } else {
-      for (NodeId W : Sol.valuesAt(Op.Recv)) {
-        NodeKind K = G.node(W).Kind;
-        if (K != NodeKind::Activity && K != NodeKind::Alloc)
-          continue;
-        if (G.addRootEdge(W, Root)) {
-          provEdge(FactKind::Root, W, Root, DerivRule::UnknownSource,
-                   provFlow(Op.Recv, W), provFlow(Op.IdArg, U));
+          provEdge(FactKind::Root, W, Root, Rule, provFlow(Op.Recv, W),
+                   provFlow(Op.IdArg, Id));
           noteStructureChange();
         }
       }
@@ -496,7 +462,7 @@ void Solver::fireAddView2(OpSite &Op) {
   // Rule ADDVIEW2: parent.addView(child).
   for (NodeId P : Sol.viewsAt(Op.Recv))
     for (NodeId C : Sol.viewsAt(Op.ValArg))
-      if (P != C && G.addParentChildEdge(P, C)) {
+      if (G.addParentChildEdge(P, C)) {
         provEdge(FactKind::ParentChild, P, C, DerivRule::AddView2,
                  provFlow(Op.Recv, P), provFlow(Op.ValArg, C));
         noteStructureChange();
@@ -532,24 +498,27 @@ void Solver::wireListenerCallback(NodeId View, NodeId ListenerValue,
   FactId LFact = Prov
                      ? Prov->edgeFact(FactKind::Listener, View, ListenerValue)
                      : ProvenanceRecorder::NoFact;
-  if (Prov)
-    provCtx(DerivRule::ListenerCallback, LFact);
   for (const HandlerSig &Sig : Spec.Handlers) {
     const MethodDecl *Handler =
         hier::ClassHierarchy::dispatch(LClass, Sig.MethodName, Sig.Arity);
-    if (!Handler || Handler->owner()->isPlatform())
-      continue;
-    NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
-    G.addFlowEdge(ListenerValue, ThisNode);
-    provLink(ListenerValue, ThisNode, DerivRule::ListenerCallback, LFact);
-    addValue(ThisNode, ListenerValue);
-    if (Sig.ViewParamIndex >= 0 &&
-        static_cast<unsigned>(Sig.ViewParamIndex) < Handler->paramCount()) {
-      NodeId ParamNode = G.getVarNode(
-          Handler, Handler->paramVar(static_cast<unsigned>(Sig.ViewParamIndex)));
-      addValue(ParamNode, View);
-    }
+    if (Handler && !Handler->owner()->isPlatform())
+      wireHandler(View, ListenerValue, Handler, Sig.ViewParamIndex,
+                  DerivRule::ListenerCallback, LFact);
   }
+}
+
+void Solver::wireHandler(NodeId View, NodeId Receiver,
+                         const MethodDecl *Handler, int ViewParam,
+                         DerivRule Rule, FactId ListenerFact) {
+  NodeId ThisNode = G.getVarNode(Handler, Handler->thisVar());
+  G.addFlowEdge(Receiver, ThisNode);
+  provLink(Receiver, ThisNode, Rule, ListenerFact);
+  provCtx(Rule, ListenerFact);
+  addValue(ThisNode, Receiver);
+  if (ViewParam >= 0 && static_cast<unsigned>(ViewParam) < Handler->paramCount())
+    addValue(G.getVarNode(Handler,
+                          Handler->paramVar(static_cast<unsigned>(ViewParam))),
+             View);
 }
 
 void Solver::fireSetListener(OpSite &Op) {
@@ -567,9 +536,47 @@ void Solver::fireSetListener(OpSite &Op) {
       if (New)
         provEdge(FactKind::Listener, V, L, DerivRule::SetListener,
                  provFlow(Op.Recv, V), provFlow(Op.ValArg, L));
-      if ((New || RewireCallbacks) && Options.ModelListenerCallbacks)
+      if (New || RewireCallbacks)
         wireListenerCallback(V, L, *Op.Spec.Listener);
     }
+}
+
+std::vector<NodeId> Solver::wireFactories(size_t OpIndex,
+                                          const char *FactoryName,
+                                          DerivRule Rule) {
+  OpSite &Op = Sol.opSites()[OpIndex];
+  // Copy the value set: addValue below may insert into the very set being
+  // walked (a factory calling tx.add or setAdapter on its own `this`).
+  std::vector<NodeId> Values(Sol.valuesAt(Op.ValArg).begin(),
+                             Sol.valuesAt(Op.ValArg).end());
+  std::vector<NodeId> Returns;
+  for (NodeId V : Values) {
+    if (G.node(V).Kind != NodeKind::Alloc)
+      continue;
+    const ClassDecl *VClass = G.node(V).Klass;
+    const MethodDecl *Factory =
+        VClass ? hier::ClassHierarchy::dispatch(VClass, FactoryName, 1)
+               : nullptr;
+    if (!Factory || Factory->owner()->isPlatform())
+      continue;
+    // Register on the factory's returns outside the memo: registerOpUses
+    // rebuilds the op uses from role nodes only, so a re-solve must
+    // re-establish this registration (addOpUse dedups).
+    for (const Stmt &Ret : Factory->body())
+      if (Ret.Kind == StmtKind::Return && Ret.Lhs != InvalidVar) {
+        Returns.push_back(G.getVarNode(Factory, Ret.Lhs));
+        addOpUse(Returns.back(), OpIndex);
+      }
+    NodeId ThisNode = G.getVarNode(Factory, Factory->thisVar());
+    bool Relinked = G.addFlowEdge(V, ThisNode);
+    uint64_t Key = (static_cast<uint64_t>(OpIndex) << 32) | V;
+    if (!FactoryWired.insert(Key).second && !Relinked)
+      continue;
+    provLink(V, ThisNode, Rule, provFlow(Op.ValArg, V));
+    provCtx(Rule, provFlow(Op.ValArg, V));
+    addValue(ThisNode, V);
+  }
+  return Returns;
 }
 
 void Solver::fireFragmentAdd(size_t OpIndex) {
@@ -577,42 +584,11 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
   // calls fragment.onCreateView(inflater); the returned view becomes a
   // child of every view carrying the container id.
   OpSite &Op = Sol.opSites()[OpIndex];
+  std::vector<NodeId> Returns =
+      wireFactories(OpIndex, "onCreateView", DerivRule::FragmentAdd);
 
-  // 1. Wire the onCreateView callback per reaching fragment allocation,
-  // and register this op on the callback's return variables so it
-  // re-fires when the returned views become known. Copy the value set:
-  // addValue below may insert into the very set being walked (a factory
-  // calling tx.add on its own `this`).
-  std::vector<NodeId> FragmentValues(Sol.valuesAt(Op.ValArg).begin(),
-                                     Sol.valuesAt(Op.ValArg).end());
-  for (NodeId F : FragmentValues) {
-    if (G.node(F).Kind != NodeKind::Alloc)
-      continue;
-    const ClassDecl *FClass = G.node(F).Klass;
-    const MethodDecl *Factory =
-        FClass ? hier::ClassHierarchy::dispatch(FClass, "onCreateView", 1)
-               : nullptr;
-    if (!Factory || Factory->owner()->isPlatform())
-      continue;
-    // Register on the factory's returns outside the FragmentWired guard:
-    // registerOpUses rebuilds the op uses from role edges only, so a re-solve
-    // must re-establish this registration even when the callback wiring
-    // is already memoized (addOpUse dedups).
-    for (const Stmt &Ret : Factory->body())
-      if (Ret.Kind == StmtKind::Return && Ret.Lhs != InvalidVar)
-        addOpUse(G.getVarNode(Factory, Ret.Lhs), OpIndex);
-    uint64_t Key = (static_cast<uint64_t>(OpIndex) << 32) | F;
-    if (!FragmentWired.insert(Key).second)
-      continue;
-    NodeId ThisNode = G.getVarNode(Factory, Factory->thisVar());
-    G.addFlowEdge(F, ThisNode);
-    provLink(F, ThisNode, DerivRule::FragmentAdd, provFlow(Op.ValArg, F));
-    provCtx(DerivRule::FragmentAdd, provFlow(Op.ValArg, F));
-    addValue(ThisNode, F);
-  }
-
-  // 2. Attach every known fragment root under every container view whose
-  // id reaches the container-id argument.
+  // Attach every known fragment root under every container view whose id
+  // reaches the container-id argument.
   std::vector<NodeId> WantedIds;
   for (NodeId IdVal : Sol.valuesAt(Op.IdArg))
     if (G.node(IdVal).Kind == NodeKind::ViewId)
@@ -621,20 +597,9 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
     return;
 
   std::vector<NodeId> FragmentRoots;
-  for (NodeId F : FragmentValues) {
-    if (G.node(F).Kind != NodeKind::Alloc)
-      continue;
-    const ClassDecl *FClass = G.node(F).Klass;
-    const MethodDecl *Factory =
-        FClass ? hier::ClassHierarchy::dispatch(FClass, "onCreateView", 1)
-               : nullptr;
-    if (!Factory || Factory->owner()->isPlatform())
-      continue;
-    for (const Stmt &Ret : Factory->body())
-      if (Ret.Kind == StmtKind::Return && Ret.Lhs != InvalidVar)
-        for (NodeId V : Sol.viewsAt(G.getVarNode(Factory, Ret.Lhs)))
-          FragmentRoots.push_back(V);
-  }
+  for (NodeId Ret : Returns)
+    for (NodeId V : Sol.viewsAt(Ret))
+      FragmentRoots.push_back(V);
   if (FragmentRoots.empty())
     return;
 
@@ -647,7 +612,7 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
                                    G.viewsWithId(IdNode).end());
     for (NodeId Container : Containers)
       for (NodeId Root : FragmentRoots)
-        if (Container != Root && G.addParentChildEdge(Container, Root)) {
+        if (G.addParentChildEdge(Container, Root)) {
           provEdge(FactKind::ParentChild, Container, Root,
                    DerivRule::FragmentAdd, provFlow(Root, Root),
                    Prov ? Prov->edgeFact(FactKind::HasId, Container, IdNode)
@@ -662,57 +627,15 @@ void Solver::fireSetAdapter(size_t OpIndex) {
   // adapter.getView(inflater) per row; every returned view becomes a
   // child of the AdapterView.
   OpSite &Op = Sol.opSites()[OpIndex];
-
-  // Copy the adapter values: addValue below may insert into the set being
-  // walked when the factory registers on its own `this`.
-  std::vector<NodeId> AdapterValues(Sol.valuesAt(Op.ValArg).begin(),
-                                    Sol.valuesAt(Op.ValArg).end());
-  for (NodeId A : AdapterValues) {
-    if (G.node(A).Kind != NodeKind::Alloc)
-      continue;
-    const ClassDecl *AClass = G.node(A).Klass;
-    const MethodDecl *Factory =
-        AClass ? hier::ClassHierarchy::dispatch(AClass, "getView", 1)
-               : nullptr;
-    if (!Factory || Factory->owner()->isPlatform())
-      continue;
-    // As in fireFragmentAdd: return-variable registration must survive a
-    // registerOpUses rebuild, so it stays outside the memo guard.
-    for (const Stmt &Ret : Factory->body())
-      if (Ret.Kind == StmtKind::Return && Ret.Lhs != InvalidVar)
-        addOpUse(G.getVarNode(Factory, Ret.Lhs), OpIndex);
-    uint64_t Key = (static_cast<uint64_t>(OpIndex) << 32) | A;
-    if (!FragmentWired.insert(Key).second)
-      continue; // reuse the factory-wiring dedup table
-    NodeId ThisNode = G.getVarNode(Factory, Factory->thisVar());
-    G.addFlowEdge(A, ThisNode);
-    provLink(A, ThisNode, DerivRule::SetAdapter, provFlow(Op.ValArg, A));
-    provCtx(DerivRule::SetAdapter, provFlow(Op.ValArg, A));
-    addValue(ThisNode, A);
-  }
-
-  for (NodeId A : AdapterValues) {
-    if (G.node(A).Kind != NodeKind::Alloc)
-      continue;
-    const ClassDecl *AClass = G.node(A).Klass;
-    const MethodDecl *Factory =
-        AClass ? hier::ClassHierarchy::dispatch(AClass, "getView", 1)
-               : nullptr;
-    if (!Factory || Factory->owner()->isPlatform())
-      continue;
-    for (const Stmt &Ret : Factory->body()) {
-      if (Ret.Kind != StmtKind::Return || Ret.Lhs == InvalidVar)
-        continue;
-      for (NodeId Item : Sol.viewsAt(G.getVarNode(Factory, Ret.Lhs)))
-        for (NodeId ListView : Sol.viewsAt(Op.Recv))
-          if (ListView != Item && G.addParentChildEdge(ListView, Item)) {
-            provEdge(FactKind::ParentChild, ListView, Item,
-                     DerivRule::SetAdapter, provFlow(Op.Recv, ListView),
-                     provFlow(Item, Item));
-            noteStructureChange();
-          }
-    }
-  }
+  for (NodeId Ret : wireFactories(OpIndex, "getView", DerivRule::SetAdapter))
+    for (NodeId Item : Sol.viewsAt(Ret))
+      for (NodeId ListView : Sol.viewsAt(Op.Recv))
+        if (G.addParentChildEdge(ListView, Item)) {
+          provEdge(FactKind::ParentChild, ListView, Item,
+                   DerivRule::SetAdapter, provFlow(Op.Recv, ListView),
+                   provFlow(Item, Item));
+          noteStructureChange();
+        }
 }
 
 void Solver::fireFindView(OpSite &Op) {
@@ -814,6 +737,9 @@ SolverStats Solver::solve() {
 SolverStats Solver::resolveIncremental(
     const std::vector<graph::NodeId> &Touched) {
   Stats = SolverStats();
+  // Every live op re-fires below and notes its site again if it is still
+  // unresolved; an edit may have resolved it, or killed it.
+  Sol.clearUnresolvedOps();
   ViewBaseClass = AM.program().findClass(names::View);
   GroupBaseClass = AM.program().findClass(names::ViewGroup);
   registerOpUses();
@@ -868,7 +794,7 @@ SolverStats Solver::resolveIncremental(
   }
 
   // Re-fire every live op once: rules read full role sets, so this
-  // re-derives over-deleted op facts and re-mints forgotten inflations
+  // re-derives over-deleted op facts and re-mints retired inflations
   // even when no role set has a delta. Idempotent (dedup absorbs the
   // rest) and edit-scale cheap.
   for (size_t I = 0; I < Sol.opSites().size(); ++I)
@@ -884,24 +810,10 @@ SolverStats Solver::resolveIncremental(
   return Result;
 }
 
-void Solver::forgetOpMemos(uint32_t OpIndex) {
-  for (auto It = InflatedAt.begin(); It != InflatedAt.end();)
-    It = (It->first >> 32) == OpIndex ? InflatedAt.erase(It) : std::next(It);
-  for (auto It = FragmentWired.begin(); It != FragmentWired.end();)
-    It = (*It >> 32) == OpIndex ? FragmentWired.erase(It) : std::next(It);
-}
-
 void Solver::forgetLayoutMemos(graph::NodeId LayoutIdNode) {
   for (auto It = InflatedAt.begin(); It != InflatedAt.end();)
     It = static_cast<NodeId>(It->first & 0xffffffffu) == LayoutIdNode
              ? InflatedAt.erase(It)
-             : std::next(It);
-}
-
-void Solver::forgetWiredValue(graph::NodeId Value) {
-  for (auto It = FragmentWired.begin(); It != FragmentWired.end();)
-    It = static_cast<NodeId>(*It & 0xffffffffu) == Value
-             ? FragmentWired.erase(It)
              : std::next(It);
 }
 

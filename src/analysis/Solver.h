@@ -93,21 +93,11 @@ public:
   /// solve over the edited graph.
   SolverStats resolveIncremental(const std::vector<graph::NodeId> &Touched);
 
-  /// Memo hygiene for the retraction closure (docs/INCREMENTAL.md): the
-  /// (op index, node) keyed memos must drop entries whose op died, whose
-  /// layout was edited, or whose wired value lost its reaching fact, or a
-  /// later re-solve would skip re-inflating / re-wiring. Over-forgetting
-  /// is safe — the rules re-fire idempotently.
-  void forgetOpMemos(uint32_t OpIndex);
+  /// Drops the inflation memos of the layout with id node \p LayoutIdNode.
+  /// The other memo hits validate themselves against the graph (a retired
+  /// root, a removed factory link), but a failed inflation is memoized as
+  /// InvalidNode, and only an edit of its layout can make it succeed.
   void forgetLayoutMemos(graph::NodeId LayoutIdNode);
-  void forgetWiredValue(graph::NodeId Value);
-  /// Drops exactly one inflation memo entry — for a minted subtree the
-  /// closure retired while its op and layout both survive. (Dropping the
-  /// op's or layout's whole memo row would re-mint duplicates of subtrees
-  /// that did survive.)
-  void forgetInflation(uint32_t OpIndex, graph::NodeId Low) {
-    InflatedAt.erase((static_cast<uint64_t>(OpIndex) << 32) | Low);
-  }
 
   /// Attaches a derivation recorder (docs/OBSERVABILITY.md). Null (the
   /// default) disables recording; non-null makes every committed flowsTo
@@ -148,15 +138,36 @@ private:
   void fireFragmentAdd(size_t OpIndex);
   void fireSetAdapter(size_t OpIndex);
 
-  /// Inflates the layout with id node \p LayoutIdNode at site \p OpIndex
-  /// (memoized); returns the root view node or InvalidNode.
-  NodeId inflateAt(size_t OpIndex, NodeId LayoutIdNode);
+  /// Inflates the layout id or unknown id \p IdNode at site \p OpIndex
+  /// (memoized per pair); returns the root view node or InvalidNode. A
+  /// memoized root that a retraction retired counts as a miss.
+  NodeId inflateAt(size_t OpIndex, NodeId IdNode);
+  /// The two minting steps behind inflateAt: a fresh ViewInfl subtree for
+  /// a layout id, one tagged unknown root for an unknown id.
+  NodeId mintLayout(size_t OpIndex, NodeId LayoutIdNode);
+  NodeId mintUnknownRoot(size_t OpIndex, NodeId UnknownIdNode);
+
+  /// The framework-callback step shared by FragmentAdd and SetAdapter:
+  /// for each allocation reaching the op's value argument, dispatches
+  /// \p FactoryName/1, registers the op on the factory's return
+  /// variables, and wires the value into the factory's `this` (memoized
+  /// per (op, value)). Returns the return-variable nodes, in value order.
+  std::vector<NodeId> wireFactories(size_t OpIndex, const char *FactoryName,
+                                    DerivRule Rule);
 
   /// Wires the implicit handler callback `y.n(x)` for a new (view,
   /// listener) association (Section 3.2, "Effects of callbacks"), and
   /// for an existing one while RewireCallbacks is set.
   void wireListenerCallback(NodeId View, NodeId ListenerValue,
                             const android::ListenerSpec &Spec);
+
+  /// The handler-wiring step shared by listener callbacks and
+  /// `android:onClick`: \p Receiver flows into \p Handler's `this` over a
+  /// solver-added link (a FlowLink fact citing \p ListenerFact), and
+  /// \p View into its parameter \p ViewParam (-1 for none).
+  void wireHandler(NodeId View, NodeId Receiver,
+                   const ir::MethodDecl *Handler, int ViewParam,
+                   DerivRule Rule, FactId ListenerFact);
 
   /// Models `android:onClick="name"` attributes: every view carrying the
   /// attribute inside some window's hierarchy gets the window value as a
@@ -217,12 +228,17 @@ private:
   /// Ops to re-fire on hierarchy/id/root structure growth.
   std::vector<size_t> StructureSensitiveOps;
 
-  /// (op index, layout-id node) -> inflated root.
+  /// (op index, layout-id or unknown-id node) -> inflated root, or
+  /// InvalidNode for a failed inflation. A hit whose root is retired is
+  /// stale: the retraction closure retired the subtree while the site and
+  /// the id survived, so the site mints again.
   std::unordered_map<uint64_t, NodeId> InflatedAt;
 
-  /// (FragmentAdd op index, fragment value) pairs whose onCreateView
-  /// callback is already wired.
-  std::unordered_set<uint64_t> FragmentWired;
+  /// (FragmentAdd/SetAdapter op index, value) pairs whose factory `this`
+  /// is wired. A hit counts only while the value's link to the factory's
+  /// `this` is still in the graph: the retraction closure removes that
+  /// link when the wiring's premise dies.
+  std::unordered_set<uint64_t> FactoryWired;
 
   SolverStats Stats;
   /// Set by structure growth; triggers the XML onClick sweep when the

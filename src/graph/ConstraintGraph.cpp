@@ -355,6 +355,10 @@ bool ConstraintGraph::addParentChildEdge(NodeId Parent, NodeId Child) {
     ++DroppedInvariants;
     return false;
   }
+  // A view is never its own parent. Rules reach Parent == Child on sound
+  // input (`v := infl.inflate(lid, v)`), so this is no invariant failure.
+  if (Parent == Child)
+    return false;
   bool Added = addRelEdge(RelChild, Parent, Child);
   if (Added) {
     ++NumParentChild;

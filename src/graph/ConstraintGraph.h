@@ -320,7 +320,8 @@ public:
   // Relationship edges (=>)
   //===--------------------------------------------------------------------===//
 
-  /// view1 => view2 parent-child. Returns true if new.
+  /// view1 => view2 parent-child. Returns true if new; a self edge is
+  /// refused (false).
   bool addParentChildEdge(NodeId Parent, NodeId Child);
   /// view => viewId association (INFLATE, SETID). Returns true if new.
   bool addHasIdEdge(NodeId View, NodeId ViewIdNode);

@@ -1,8 +1,8 @@
 //===- DifferentialHelpers.h - Solution-equality test helpers ---*- C++ -*-===//
 //
-// Shared between differential_test.cpp (fused vs. phased engines) and
-// solver_delta_test.cpp (delta vs. naive propagation): a node-id-independent
-// fingerprint of an analysis solution and a full structural comparison.
+// Shared by differential_test.cpp (fused vs. phased engines),
+// unknown_sources_test.cpp and solver_test.cpp: a full comparison of two
+// analysis solutions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,35 +10,14 @@
 #define GATOR_TESTS_DIFFERENTIALHELPERS_H
 
 #include "analysis/GuiAnalysis.h"
+#include "analysis/Incremental.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
 #include <string>
 
 namespace gator {
 namespace test {
-
-/// A node-id-independent fingerprint of one solution: for every variable
-/// and field node (identified by stable names), the multiset of value
-/// labels reaching it, with ViewInfl labels normalized to
-/// (class, layoutNodeId-name) — site identity folded away only in the
-/// label, which is enough because all engines mint per (site, layout).
-inline std::map<std::string, std::multiset<std::string>>
-fingerprint(const analysis::AnalysisResult &R) {
-  const graph::ConstraintGraph &G = *R.Graph;
-  std::map<std::string, std::multiset<std::string>> Print;
-  for (graph::NodeId N = 0; N < G.size(); ++N) {
-    graph::NodeKind K = G.node(N).Kind;
-    if (K != graph::NodeKind::Var && K != graph::NodeKind::Field)
-      continue;
-    auto &Labels = Print[G.label(N)];
-    for (graph::NodeId V : R.Sol->valuesAt(N))
-      Labels.insert(G.label(V));
-  }
-  return Print;
-}
 
 struct EdgeCounts {
   size_t ParentChild, Flow, Nodes, ViewInfl;
@@ -51,9 +30,12 @@ inline EdgeCounts edgeCounts(const analysis::AnalysisResult &R) {
       R.Graph->nodesOfKind(graph::NodeKind::ViewInfl).size()};
 }
 
-/// Asserts that two independently computed results describe the same
-/// solution: identical edge/node counts, identical per-node value sets
-/// (matched structurally by label), identical Table 2 metrics.
+/// Asserts that two results describe the same solution: identical
+/// edge/node counts, identical solutionDigest (every flowsTo set, every
+/// relationship edge and every unresolved-op marker, under semantic keys),
+/// identical Table 2 metrics. Both results must be computed over the same
+/// program and layout objects: the digest names inflated views by their
+/// layout node's address.
 inline void expectSameSolution(const analysis::AnalysisResult &A,
                                const analysis::AnalysisResult &B,
                                const std::string &Context) {
@@ -63,14 +45,8 @@ inline void expectSameSolution(const analysis::AnalysisResult &A,
   EXPECT_EQ(CA.ViewInfl, CB.ViewInfl) << Context;
   EXPECT_EQ(CA.Flow, CB.Flow) << Context;
 
-  auto FA = fingerprint(A);
-  auto FB = fingerprint(B);
-  ASSERT_EQ(FA.size(), FB.size()) << Context;
-  for (const auto &[Name, Labels] : FA) {
-    auto It = FB.find(Name);
-    ASSERT_NE(It, FB.end()) << Context << ": node " << Name;
-    EXPECT_EQ(Labels, It->second) << Context << ": values at " << Name;
-  }
+  EXPECT_EQ(analysis::solutionDigest(*A.Sol), analysis::solutionDigest(*B.Sol))
+      << Context;
 
   auto MA = A.metrics();
   auto MB = B.metrics();

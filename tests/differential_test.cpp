@@ -2,13 +2,14 @@
 //
 // Two independently written solvers (Solver.h: fine-grained worklist;
 // PhasedSolver.h: the paper's literal phase pipeline with round-based
-// sweeps) must compute identical solutions. Compared per app:
-//  - every flowsTo set of every graph node (matched structurally, since
-//    node ids of minted ViewInfl nodes may differ between runs);
-//  - the counts of every relationship-edge family;
+// sweeps) must compute identical solutions. Both engines run over the same
+// program and layouts, and per app the test compares:
+//  - solutionDigest: every flowsTo set, every relationship edge and every
+//    unresolved-op marker, under semantic keys (node ids may differ);
+//  - the node, flow-edge, parent-child-edge and ViewInfl counts;
 //  - the Table 2 precision metrics.
 // Checked on every corpus app, and on ConnectBot and an extension-op app
-// under all 32 combinations of five boolean analysis options.
+// under all 16 combinations of four boolean analysis options.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,12 +35,10 @@ using namespace gator::test;
 namespace {
 
 TEST(DifferentialTest, ConnectBotSolversAgree) {
-  auto App1 = buildConnectBotExample();
-  auto Fused = runAnalysis(*App1);
-  auto App2 = buildConnectBotExample();
-  auto Phased = runPhasedAnalysis(App2->Program, *App2->Layouts,
-                                  App2->Android, AnalysisOptions(),
-                                  App2->Diags);
+  auto App = buildConnectBotExample();
+  auto Fused = runAnalysis(*App);
+  auto Phased = runPhasedAnalysis(App->Program, *App->Layouts, App->Android,
+                                  AnalysisOptions(), App->Diags);
   ASSERT_TRUE(Phased);
   expectSameSolution(*Fused, *Phased, "ConnectBot");
   EXPECT_TRUE(checkSolutionClosure(*Phased).empty());
@@ -98,17 +97,16 @@ const std::vector<std::pair<std::string, std::string>> ExtensionLayouts = {
 )"},
     {"row", "<TextView android:id=\"@+id/row_text\"/>"}};
 
-/// Runs both engines on fresh copies of one app under \p Options and
-/// compares their solutions.
+/// Runs both engines on one app under \p Options and compares their
+/// solutions.
 template <typename MakeApp>
 void expectEnginesAgree(MakeApp Make, const AnalysisOptions &Options,
                         const std::string &Label) {
-  auto App1 = Make();
-  ASSERT_TRUE(App1 && !App1->Diags.hasErrors()) << Label;
-  auto Fused = runAnalysis(*App1, Options);
-  auto App2 = Make();
-  auto Phased = runPhasedAnalysis(App2->Program, *App2->Layouts,
-                                  App2->Android, Options, App2->Diags);
+  auto App = Make();
+  ASSERT_TRUE(App && !App->Diags.hasErrors()) << Label;
+  auto Fused = runAnalysis(*App, Options);
+  auto Phased = runPhasedAnalysis(App->Program, *App->Layouts, App->Android,
+                                  Options, App->Diags);
   ASSERT_TRUE(Phased) << Label;
   expectSameSolution(*Fused, *Phased, Label);
 }
@@ -123,14 +121,13 @@ TEST(DifferentialTest, ExtensionOpsAgree) {
 // Options matrix: the engines agree under every option combination
 //===----------------------------------------------------------------------===//
 
-/// One bit per option; 5 options = 32 combinations.
+/// One bit per option; 4 options = 16 combinations.
 AnalysisOptions optionsFromIndex(unsigned Index) {
   AnalysisOptions Options;
   Options.TrackViewIds = (Index & 1) != 0;
   Options.TrackHierarchy = (Index & 2) != 0;
   Options.FindView3ChildOnly = (Index & 4) != 0;
-  Options.ModelListenerCallbacks = (Index & 8) != 0;
-  Options.DeclaredTypeFilter = (Index & 16) != 0;
+  Options.DeclaredTypeFilter = (Index & 8) != 0;
   return Options;
 }
 
@@ -149,21 +146,19 @@ TEST_P(OptionsMatrix, SolversAgreeOnExtensionOps) {
       "ext combo " + std::to_string(GetParam()));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCombos, OptionsMatrix, ::testing::Range(0u, 32u));
+INSTANTIATE_TEST_SUITE_P(AllCombos, OptionsMatrix, ::testing::Range(0u, 16u));
 
 class CorpusDifferential : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CorpusDifferential, SolversAgree) {
   const AppSpec &Spec = paperCorpus()[GetParam()];
 
-  GeneratedApp App1 = generateApp(Spec);
-  auto Fused = runAnalysis(*App1.Bundle);
-
-  GeneratedApp App2 = generateApp(Spec);
+  GeneratedApp App = generateApp(Spec);
+  auto Fused = runAnalysis(*App.Bundle);
   auto Phased =
-      runPhasedAnalysis(App2.Bundle->Program, *App2.Bundle->Layouts,
-                        App2.Bundle->Android, AnalysisOptions(),
-                        App2.Bundle->Diags);
+      runPhasedAnalysis(App.Bundle->Program, *App.Bundle->Layouts,
+                        App.Bundle->Android, AnalysisOptions(),
+                        App.Bundle->Diags);
   ASSERT_TRUE(Phased);
 
   expectSameSolution(*Fused, *Phased, Spec.Name);
@@ -179,13 +174,11 @@ TEST_P(CorpusDifferential, SolversAgreeUnderTypeFilter) {
   AnalysisOptions Options;
   Options.DeclaredTypeFilter = true;
 
-  GeneratedApp App1 = generateApp(Spec);
-  auto Fused = runAnalysis(*App1.Bundle, Options);
-
-  GeneratedApp App2 = generateApp(Spec);
+  GeneratedApp App = generateApp(Spec);
+  auto Fused = runAnalysis(*App.Bundle, Options);
   auto Phased =
-      runPhasedAnalysis(App2.Bundle->Program, *App2.Bundle->Layouts,
-                        App2.Bundle->Android, Options, App2.Bundle->Diags);
+      runPhasedAnalysis(App.Bundle->Program, *App.Bundle->Layouts,
+                        App.Bundle->Android, Options, App.Bundle->Diags);
   ASSERT_TRUE(Phased);
   expectSameSolution(*Fused, *Phased, Spec.Name + "+filter");
 }

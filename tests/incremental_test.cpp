@@ -7,9 +7,10 @@
 // across the semantic options matrix — while performing strictly fewer
 // propagations than the scratch solve. On every corpus app, a 24-step
 // activity-graft replay must match scratch and pass checkSolutionClosure
-// after each step. The `--incremental-edit` driver loads both apps the
-// way the run path does: diagnostics follow --diag-format, and an
-// unreadable input is named.
+// after each step. Small regressions pin the solver's memo validation and
+// the re-derived unresolved-op markers. The `--incremental-edit` driver
+// loads both apps the way the run path does: diagnostics follow
+// --diag-format, and an unreadable input is named.
 //
 //===----------------------------------------------------------------------===//
 
@@ -245,12 +246,11 @@ SessionRun runSession(corpus::AppBundle &Base, corpus::AppBundle &Edited,
 //===----------------------------------------------------------------------===//
 
 TEST(IncrementalTest, CombinedEditMatchesScratchAcrossOptions) {
-  for (unsigned Mask = 0; Mask < 16; ++Mask) {
+  for (unsigned Mask = 0; Mask < 8; ++Mask) {
     AnalysisOptions Options;
     Options.TrackViewIds = (Mask & 1) != 0;
     Options.TrackHierarchy = (Mask & 2) != 0;
     Options.FindView3ChildOnly = (Mask & 4) != 0;
-    Options.ModelListenerCallbacks = (Mask & 8) != 0;
     auto Base = baseBundle();
     auto Edited = makeBundle(EditedSource,
                              {{"main", EditedMain}, {"second", EditedSecond}});
@@ -389,6 +389,172 @@ class A extends android.app.Activity {
   EXPECT_EQ(solutionDigest(Inc.solution()), solutionDigest(*Scratch->Sol));
   for (const std::string &V : checkSolutionClosure(Inc.result()))
     ADD_FAILURE() << V;
+}
+
+// Regressions for memo validation: an edit that renames the local a
+// callee returns through keeps every op site and layout, but retracts the
+// value the unedited caller passed on, and with it what the solver's
+// memos recorded.
+const char *RenameEditSource = R"(
+class F extends android.app.Fragment {
+  method onCreateView(inflater: android.view.LayoutInflater): android.view.View {
+    var b: android.widget.Button;
+    b := new android.widget.Button;
+    return b;
+  }
+}
+class A extends android.app.Activity {
+  method onCreate() {
+    var lid: int;
+    var infl: android.view.LayoutInflater;
+    var v: android.view.View;
+    var fm: android.app.FragmentManager;
+    var tx: android.app.FragmentTransaction;
+    var f: F;
+    var cid: int;
+    lid := this.helper();
+    v := infl.inflate(lid);
+    this.setContentView(v);
+    fm := this.getFragmentManager();
+    tx := fm.beginTransaction();
+    f := this.makeFrag();
+    cid := @id/root;
+    tx.add(cid, f);
+  }
+  method helper(): int {
+    var $H: int;
+    $H := @layout/main;
+    return $H;
+  }
+  method makeFrag(): F {
+    var $M: F;
+    $M := new F;
+    return $M;
+  }
+}
+)";
+
+/// The base app, with helper()'s and makeFrag()'s locals named \p H and
+/// \p M.
+std::unique_ptr<corpus::AppBundle> renameEditBundle(const std::string &H,
+                                                    const std::string &M) {
+  std::string Source = RenameEditSource;
+  for (const auto &[Var, Name] : {std::pair{"$H", H}, std::pair{"$M", M}})
+    for (size_t At; (At = Source.find(Var)) != std::string::npos;)
+      Source.replace(At, 2, Name);
+  return makeBundle(Source,
+                    {{"main", R"(<LinearLayout android:id="@+id/root" />)"}});
+}
+
+// (a) The inflated subtree is retired while its site and layout survive;
+// the inflation memo's retired root must count as a miss.
+TEST(IncrementalTest, RetiredInflationIsMintedAgain) {
+  auto Base = renameEditBundle("x", "m");
+  auto Edited = renameEditBundle("y", "m");
+  SessionRun R = runSession(*Base, *Edited);
+  ASSERT_TRUE(R.Supported);
+  ASSERT_TRUE(R.Applied);
+  EXPECT_GT(R.Retracted, 0u);
+  EXPECT_TRUE(R.Match);
+}
+
+// (b) The fragment's link to onCreateView's `this` is retracted; the
+// factory memo must see the missing link and wire it again.
+TEST(IncrementalTest, RetractedFactoryLinkIsWiredAgain) {
+  auto Base = renameEditBundle("h", "x");
+  auto Edited = renameEditBundle("h", "y");
+  SessionRun R = runSession(*Base, *Edited);
+  ASSERT_TRUE(R.Supported);
+  ASSERT_TRUE(R.Applied);
+  EXPECT_GT(R.Retracted, 0u);
+  EXPECT_TRUE(R.Match);
+}
+
+// A failed inflation is memoized as InvalidNode; the layout edit that
+// makes it inflatable must drop that memo.
+TEST(IncrementalTest, EditedEmptyMergeInflates) {
+  const char *Source = R"(
+class A extends android.app.Activity {
+  method onCreate() {
+    var lid: int;
+    lid := @layout/main;
+    this.setContentView(lid);
+  }
+}
+)";
+  auto Base = makeBundle(Source, {{"main", "<merge/>"}});
+  auto Edited =
+      makeBundle(Source, {{"main", "<LinearLayout><Button/></LinearLayout>"}});
+  SessionRun R = runSession(*Base, *Edited);
+  ASSERT_TRUE(R.Supported);
+  ASSERT_TRUE(R.Applied);
+  EXPECT_TRUE(R.Match);
+}
+
+// An edit that stops an unknown id from reaching an unedited find site
+// resolves the site: its unresolved marker must go.
+TEST(IncrementalTest, ResolvedSiteLosesItsUnresolvedMarker) {
+  auto bundle = [](const char *IdSource) {
+    std::string Source = R"(
+class A extends android.app.Activity {
+  method onCreate() {
+    var lid: int;
+    var did: int;
+    var v: android.view.View;
+    lid := @layout/main;
+    this.setContentView(lid);
+    did := this.pick();
+    v := this.findViewById(did);
+  }
+  method pick(): int {
+    var r: int;
+    r := )";
+    Source += IdSource;
+    Source += ";\n    return r;\n  }\n}\n";
+    return makeBundle(Source, {{"main", R"(<LinearLayout>
+  <TextView android:id="@+id/title" />
+</LinearLayout>)"}});
+  };
+  auto Base = bundle("this.getIdentifier()");
+  auto Edited = bundle("@id/title");
+  SessionRun R = runSession(*Base, *Edited);
+  ASSERT_TRUE(R.Supported);
+  ASSERT_TRUE(R.Applied);
+  EXPECT_TRUE(R.Match);
+}
+
+// A re-derive re-notes the unresolved sites it does not touch: a memoized
+// failed inflation and a memoized unknown root keep their markers.
+TEST(IncrementalTest, UnrelatedEditKeepsUnresolvedMarkers) {
+  auto bundle = [](const char *Local) {
+    std::string Source = R"(
+class A extends android.app.Activity {
+  method onCreate() {
+    var eid: int;
+    var did: int;
+    var infl: android.view.LayoutInflater;
+    var v: android.view.View;
+    var w: android.view.View;
+    eid := @layout/empty;
+    v := infl.inflate(eid);
+    did := this.getIdentifier();
+    w := infl.inflate(did);
+    this.other();
+  }
+  method other() {
+    var )";
+    Source += Local;
+    Source += ": int;\n    ";
+    Source += Local;
+    Source += " := @layout/empty;\n  }\n}\n";
+    return makeBundle(Source, {{"empty", "<merge/>"}});
+  };
+  auto Base = bundle("x");
+  auto Edited = bundle("y");
+  SessionRun R = runSession(*Base, *Edited);
+  ASSERT_TRUE(R.Supported);
+  ASSERT_TRUE(R.Applied);
+  EXPECT_TRUE(R.Match);
 }
 
 TEST(IncrementalTest, StructuralEditIsUnsupported) {

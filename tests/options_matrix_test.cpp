@@ -22,18 +22,17 @@ using namespace gator::test;
 
 namespace {
 
-/// One bit per option; 5 options = 32 combinations.
+/// One bit per option; 4 options = 16 combinations.
 struct OptionCombo {
   bool TrackViewIds;
   bool TrackHierarchy;
   bool FindView3ChildOnly;
-  bool ModelListenerCallbacks;
   bool DeclaredTypeFilter;
 };
 
 OptionCombo comboFromIndex(unsigned Index) {
-  return OptionCombo{(Index & 1) != 0,  (Index & 2) != 0, (Index & 4) != 0,
-                     (Index & 8) != 0,  (Index & 16) != 0};
+  return OptionCombo{(Index & 1) != 0, (Index & 2) != 0, (Index & 4) != 0,
+                     (Index & 8) != 0};
 }
 
 AnalysisOptions toOptions(const OptionCombo &Combo) {
@@ -41,7 +40,6 @@ AnalysisOptions toOptions(const OptionCombo &Combo) {
   Options.TrackViewIds = Combo.TrackViewIds;
   Options.TrackHierarchy = Combo.TrackHierarchy;
   Options.FindView3ChildOnly = Combo.FindView3ChildOnly;
-  Options.ModelListenerCallbacks = Combo.ModelListenerCallbacks;
   Options.DeclaredTypeFilter = Combo.DeclaredTypeFilter;
   return Options;
 }
@@ -82,25 +80,20 @@ TEST_P(OptionsMatrix, SoundAndClosedOnConnectBot) {
     EscHasListener |= !R->Graph->listeners(V).empty();
   EXPECT_TRUE(EscHasListener);
 
-  // 4. The callback parameter is populated exactly when callback modeling
-  // is on.
+  // 4. The callback parameter is populated under every combination.
   NodeId Param = varNode(*App, *R, "EscapeButtonListener", "onClick", 1, "r");
-  if (Combo.ModelListenerCallbacks)
-    EXPECT_FALSE(R->Sol->viewsAt(Param).empty());
-  else
-    EXPECT_TRUE(R->Sol->viewsAt(Param).empty());
+  EXPECT_FALSE(R->Sol->viewsAt(Param).empty());
 
   // 5. With the full configuration the solution is singleton-precise
   // (Table 2's ConnectBot row); ablations may only be coarser.
   auto M = R->metrics();
-  if (Combo.TrackViewIds && Combo.TrackHierarchy &&
-      Combo.FindView3ChildOnly && Combo.ModelListenerCallbacks)
+  if (Combo.TrackViewIds && Combo.TrackHierarchy && Combo.FindView3ChildOnly)
     EXPECT_DOUBLE_EQ(M.AvgReceivers, 1.0);
   else
     EXPECT_GE(M.AvgReceivers + 1e-9, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, OptionsMatrix,
-                         ::testing::Range(0u, 32u));
+                         ::testing::Range(0u, 16u));
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "TestHelpers.h"
 
 #include "analysis/FlowSet.h"
+#include "analysis/PhasedSolver.h"
 #include "analysis/SolutionChecker.h"
 #include "analysis/Solver.h"
 #include "corpus/ConnectBot.h"
@@ -128,6 +129,38 @@ class A extends android.app.Activity {
   EXPECT_EQ(R->Graph->descendantsOf(Root).size(), 4u); // 3 + attached item
 }
 
+TEST(SolverTest, ViewIsNeverItsOwnParent) {
+  // Once v holds the inflated root, inflate(lid, v) would attach the root
+  // under itself; neither engine may record that self edge.
+  auto App = makeBundle(R"(
+class A extends android.app.Activity {
+  method onCreate() {
+    var infl: android.view.LayoutInflater;
+    var lid: int;
+    var v: android.view.View;
+    infl := this.getLayoutInflater();
+    lid := @layout/item;
+    v := infl.inflate(lid, v);
+  }
+}
+)",
+                        {{"item", "<LinearLayout><TextView/></LinearLayout>"}});
+  auto Fused = runAnalysis(*App);
+  auto Phased = runPhasedAnalysis(App->Program, *App->Layouts, App->Android,
+                                  AnalysisOptions(), App->Diags);
+  for (AnalysisResult *R : {Fused.get(), Phased.get()}) {
+    ASSERT_NE(R, nullptr);
+    NodeId V = varNode(*App, *R, "A", "onCreate", 0, "v");
+    ASSERT_EQ(R->Sol->viewsAt(V).size(), 1u);
+    NodeId Root = R->Sol->viewsAt(V).front();
+    for (NodeId C : R->Graph->children(Root))
+      EXPECT_NE(C, Root);
+    EXPECT_EQ(R->Graph->parentChildEdgeCount(), 1u); // LinearLayout => TextView
+    EXPECT_TRUE(checkSolutionClosure(*R).empty());
+  }
+  EXPECT_EQ(App->Diags.checkFailureCount(), 0u);
+}
+
 TEST(SolverTest, AddView1SetsProgrammaticRoot) {
   auto App = makeBundle(R"(
 class A extends android.app.Activity {
@@ -217,31 +250,6 @@ class L implements android.view.View.OnClickListener {
   NodeId Param = varNode(*App, *R, "L", "onClick", 1, "v");
   EXPECT_EQ(viewClassesAt(*R, Param),
             std::vector<std::string>{"android.widget.Button"});
-}
-
-TEST(SolverTest, ListenerCallbackCanBeDisabled) {
-  auto App = makeBundle(R"(
-class A extends android.app.Activity {
-  method onCreate() {
-    var v: android.widget.Button;
-    var l: L;
-    v := new android.widget.Button;
-    l := new L;
-    v.setOnClickListener(l);
-  }
-}
-class L implements android.view.View.OnClickListener {
-  method onClick(v: android.view.View) { }
-}
-)");
-  AnalysisOptions Options;
-  Options.ModelListenerCallbacks = false;
-  auto R = runAnalysis(*App, Options);
-  NodeId Param = varNode(*App, *R, "L", "onClick", 1, "v");
-  EXPECT_TRUE(R->Sol->valuesAt(Param).empty());
-  // The association edge itself is still recorded.
-  NodeId V = varNode(*App, *R, "A", "onCreate", 0, "v");
-  EXPECT_EQ(R->Graph->listeners(R->Sol->viewsAt(V).front()).size(), 1u);
 }
 
 TEST(SolverTest, DialogFindView) {
@@ -703,27 +711,6 @@ class A extends android.app.Activity {
   EXPECT_EQ(App->Diags.warningCount(), 1u);
 }
 
-TEST(SolverTest, XmlOnClickCanBeDisabled) {
-  auto App = makeBundle(R"(
-class A extends android.app.Activity {
-  method onCreate() {
-    var lid: int;
-    lid := @layout/main;
-    this.setContentView(lid);
-  }
-  method onHelp(v: android.view.View) { }
-}
-)",
-                        {{"main",
-                          "<LinearLayout><Button android:onClick=\"onHelp\"/>"
-                          "</LinearLayout>"}});
-  AnalysisOptions Options;
-  Options.ModelXmlOnClickHandlers = false;
-  auto R = runAnalysis(*App, Options);
-  NodeId Param = varNode(*App, *R, "A", "onHelp", 1, "v");
-  EXPECT_TRUE(R->Sol->valuesAt(Param).empty());
-}
-
 //===----------------------------------------------------------------------===//
 // Closure rule 8 (callbacks), proven with mutants: erase one callback fact
 // from a correct solution and the checker must name it.
@@ -792,21 +779,6 @@ TEST(SolutionCheckerTest, CallbackRuleCatchesEachErasedCallbackFact) {
     EXPECT_EQ(violationsStartingWith(*R, M.Violation), 1u)
         << M.Method << " " << M.Var;
   }
-}
-
-TEST(SolutionCheckerTest, CallbackRuleFollowsTheModelingOptions) {
-  // With both callback models off, no handler parameter receives a view,
-  // and the rule must not demand one.
-  auto App = makeBundle(CallbackSource, {{"main", CallbackLayout}});
-  AnalysisOptions Options;
-  Options.ModelListenerCallbacks = false;
-  Options.ModelXmlOnClickHandlers = false;
-  auto R = runAnalysis(*App, Options);
-  EXPECT_TRUE(R->Sol->valuesAt(varNode(*App, *R, "L", "onClick", 1, "v"))
-                  .empty());
-  EXPECT_TRUE(R->Sol->valuesAt(varNode(*App, *R, "A", "onHelp", 1, "v"))
-                  .empty());
-  EXPECT_TRUE(checkSolutionClosure(*R).empty());
 }
 
 TEST(SolverTest, DialogLifecycleSeedsAllocation) {
@@ -1266,7 +1238,7 @@ TEST(SolverReuse, SecondSolveIsStable) {
   SolverStats Stats1 = Again.solve();
   EXPECT_FALSE(Stats1.HitWorkLimit);
 
-  auto Fingerprint1 = fingerprint(*R);
+  std::string Digest1 = solutionDigest(*R->Sol);
   EdgeCounts Counts1 = edgeCounts(*R);
 
   SolverStats Stats2 = Again.solve();
@@ -1277,7 +1249,7 @@ TEST(SolverReuse, SecondSolveIsStable) {
   EXPECT_EQ(Counts1.Flow, Counts2.Flow);
   EXPECT_EQ(Counts1.ParentChild, Counts2.ParentChild);
   EXPECT_EQ(Counts1.ViewInfl, Counts2.ViewInfl);
-  EXPECT_EQ(Fingerprint1, fingerprint(*R));
+  EXPECT_EQ(Digest1, solutionDigest(*R->Sol));
   EXPECT_TRUE(checkSolutionClosure(*R).empty());
 }
 

@@ -206,10 +206,9 @@ TEST(UnknownSources, CleanInputMintsNothingAndMatchesDisabledMode) {
   AnalysisOptions Off;
   Off.ModelUnknownSources = false;
 
-  auto App1 = makeBundle(CleanSource, MainLayout);
-  auto R1 = runAnalysis(*App1, On);
-  auto App2 = makeBundle(CleanSource, MainLayout);
-  auto R2 = runAnalysis(*App2, Off);
+  auto App = makeBundle(CleanSource, MainLayout);
+  auto R1 = runAnalysis(*App, On);
+  auto R2 = runAnalysis(*App, Off);
 
   EXPECT_EQ(unknownNodeCount(*R1), 0u);
   EXPECT_EQ(R1->Sol->fidelity(), Fidelity::Complete);
@@ -295,11 +294,10 @@ TEST(UnknownSources, AllEnginesAgreeOnDegradedApps) {
     AnalysisOptions Options;
     Options.UnknownFanoutBudget = 0;
 
-    auto App1 = makeBundle(Source, MainLayout);
-    auto RFused = runAnalysis(*App1, Options);
-    auto App2 = makeBundle(Source, MainLayout);
-    auto RPhased = runPhasedAnalysis(App2->Program, *App2->Layouts,
-                                     App2->Android, Options, App2->Diags);
+    auto App = makeBundle(Source, MainLayout);
+    auto RFused = runAnalysis(*App, Options);
+    auto RPhased = runPhasedAnalysis(App->Program, *App->Layouts,
+                                     App->Android, Options, App->Diags);
     ASSERT_NE(RPhased, nullptr);
 
     EXPECT_EQ(RFused->Sol->fidelity(), Fidelity::DegradedInput);
