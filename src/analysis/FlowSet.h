@@ -136,30 +136,31 @@ public:
   /// elements removed.
   ///
   /// This is the one non-monotone entry point, used only between solver
-  /// runs by the delete-and-rederive closure. The committed/delta split is
-  /// reset to "everything is delta" so the next solve re-propagates the
-  /// whole surviving set — retraction may have removed values downstream,
-  /// and re-pushing survivors is exactly the DRed re-derive step.
+  /// runs by the delete-and-rederive closure. A surviving committed value
+  /// stays committed: it was pushed to every flow successor, and a
+  /// successor that lost it pulls it back in the re-derive
+  /// (docs/INCREMENTAL.md).
   template <typename Pred> size_t eraseValues(Pred IsDead) {
     size_t W = 0;
+    size_t Committed = DeltaStart;
     for (size_t R = 0; R < Elements.size(); ++R) {
-      if (!IsDead(Elements[R]))
+      if (!IsDead(Elements[R])) {
         Elements[W++] = Elements[R];
+        continue;
+      }
+      if (R < DeltaStart)
+        --Committed;
+      if (Index)
+        Index->erase(Elements[R]);
     }
     size_t Removed = Elements.size() - W;
     if (Removed) {
       Elements.truncate(W);
-      if (Index) {
-        if (Elements.size() <= SmallLimit) {
-          // Back to the small representation; a later insert re-promotes.
-          Index.reset();
-        } else {
-          Index = std::make_unique<std::unordered_set<graph::NodeId>>(
-              Elements.begin(), Elements.end());
-        }
-      }
+      // Back to the small representation; a later insert re-promotes.
+      if (Index && Elements.size() <= SmallLimit)
+        Index.reset();
     }
-    DeltaStart = 0;
+    DeltaStart = static_cast<uint32_t>(Committed);
     return Removed;
   }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
 #include <unordered_set>
 
@@ -41,179 +42,326 @@ uint64_t edgeKey(NodeId From, NodeId To) {
   return (static_cast<uint64_t>(From) << 32) | To;
 }
 
+/// The variables \p M returns, sorted, when it is a factory method the
+/// solver reads (Solver::FragmentFactory, Solver::AdapterFactory); empty
+/// otherwise.
+std::vector<NodeId> factoryReturns(const ConstraintGraph &G,
+                                   const ir::MethodDecl &M) {
+  std::vector<NodeId> Returns;
+  if (M.paramCount() != 1 || (M.name() != Solver::FragmentFactory &&
+                              M.name() != Solver::AdapterFactory))
+    return Returns;
+  for (const Stmt &St : M.body())
+    if (St.Kind == StmtKind::Return && St.Lhs != ir::InvalidVar)
+      if (NodeId Ret = G.findVarNode(&M, St.Lhs); Ret != InvalidNode)
+        Returns.push_back(Ret);
+  std::sort(Returns.begin(), Returns.end());
+  Returns.erase(std::unique(Returns.begin(), Returns.end()), Returns.end());
+  return Returns;
+}
+
 } // namespace
 
 RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
                                            ProvenanceRecorder &Prov,
                                            const RetractionInputs &In) {
   RetractionResult Out;
-  const size_t F = Prov.factCount();
+  RederiveFrontier &F = Out.Frontier;
 
-  // One pass over the fact table builds the two deletion indexes:
-  //  - Dependents: premise fact -> facts whose recorded derivation cites it
-  //  - EdgeUse: flow edge (From,To) -> facts derived by propagating across
-  //    it (rule FlowEdge; premise 0 is the source-side flow fact).
-  std::vector<std::vector<FactId>> Dependents(F);
-  std::unordered_map<uint64_t, std::vector<FactId>> EdgeUse;
-  for (FactId I = 0; I < F; ++I) {
-    if (Prov.isDead(I))
-      continue;
-    const Derivation &D = Prov.derivation(I);
-    for (FactId Prem : D.Premises)
-      if (Prem != NoFact && Prem < F)
-        Dependents[Prem].push_back(I);
-    if (D.Rule == DerivRule::FlowEdge && D.Premises[0] != NoFact &&
-        D.Premises[0] < F) {
-      const Fact &Ft = Prov.fact(I);
-      const Fact &Src = Prov.fact(D.Premises[0]);
-      if (Ft.Kind == FactKind::Flow && Src.Kind == FactKind::Flow)
-        EdgeUse[edgeKey(Src.A, Ft.A)].push_back(I);
-    }
-  }
-
+  // The worklist may hold a fact twice; the second pop finds it dead.
   std::vector<FactId> Work;
-  std::vector<bool> Marked(F, false);
   auto kill = [&](FactId I) {
-    if (I < F && !Marked[I] && !Prov.isDead(I)) {
-      Marked[I] = true;
+    if (!Prov.isDead(I))
       Work.push_back(I);
-    }
+  };
+  auto retire = [&](NodeId N) {
+    G.retireNode(N);
+    Out.RetiredNodes.push_back(N);
   };
 
   // Seed 1: facts carried across removed EDB edges.
   for (const auto &[From, To] : In.RemovedEdges)
-    if (auto It = EdgeUse.find(edgeKey(From, To)); It != EdgeUse.end())
-      for (FactId I : It->second)
-        kill(I);
+    Prov.forEachFactAcross(From, To, kill);
 
-  // Seed 2 and 3 need one sweep: facts touching a retired node, and the
-  // over-approximate consequence set of dead ops — flow facts into their
-  // Out nodes plus relationship facts whose recorded premises sit at one
-  // of their role nodes. Over-deletion is fine: a live role-sharing op
-  // re-derives its facts in the re-derive pass.
-  std::unordered_set<NodeId> Retired(In.RetireNodes.begin(),
-                                     In.RetireNodes.end());
-  std::unordered_set<NodeId> DeadOuts, DeadRoles;
+  // Seed 2: every fact touching a retired node.
+  for (NodeId N : In.RetireNodes)
+    retire(N);
+  for (NodeId N : In.RetireNodes)
+    Prov.forEachFactAt(N, kill);
+
+  // Seed 3: the over-approximate consequence set of dead ops — flow facts
+  // into their Out nodes, and relationship facts whose recorded premises
+  // sit at one of their role nodes. Over-deletion is fine: another op that
+  // derives the same fact re-fires (below).
   for (uint32_t OpI : In.DeadOps) {
     const OpSite &Op = Sol.opSites()[OpI];
     if (Op.Out != InvalidNode)
-      DeadOuts.insert(Op.Out);
-    for (NodeId Role : {Op.Recv, Op.IdArg, Op.ValArg, Op.AttachParent})
-      if (Role != InvalidNode)
-        DeadRoles.insert(Role);
-  }
-  auto sweepSeeds = [&](const std::unordered_set<NodeId> &Nodes) {
-    for (FactId I = 0; I < F; ++I) {
-      if (Marked[I] || Prov.isDead(I))
-        continue;
-      const Fact &Ft = Prov.fact(I);
-      if (Nodes.count(Ft.A) || Nodes.count(Ft.B)) {
-        kill(I);
-        continue;
-      }
-      if (&Nodes != &Retired)
-        continue;
-      if (Ft.Kind == FactKind::Flow) {
-        if (DeadOuts.count(Ft.A))
+      Prov.forEachFactAt(Op.Out, [&](FactId I) {
+        const Fact &Ft = Prov.fact(I);
+        if (Ft.Kind == FactKind::Flow && Ft.A == Op.Out)
           kill(I);
+      });
+    for (NodeId Role : {Op.Recv, Op.IdArg, Op.ValArg, Op.AttachParent}) {
+      if (Role == InvalidNode)
         continue;
-      }
-      if (DeadRoles.empty())
-        continue;
-      const Derivation &D = Prov.derivation(I);
-      for (FactId Prem : D.Premises) {
-        if (Prem == NoFact || Prem >= F)
-          continue;
-        const Fact &PF = Prov.fact(Prem);
-        if (PF.Kind == FactKind::Flow && DeadRoles.count(PF.A)) {
-          kill(I);
-          break;
-        }
-      }
+      Prov.forEachFactAt(Role, [&](FactId I) {
+        const Fact &Ft = Prov.fact(I);
+        if (Ft.Kind == FactKind::Flow && Ft.A == Role)
+          Prov.forEachDependent(I, [&](FactId Dep) {
+            if (Prov.fact(Dep).Kind != FactKind::Flow)
+              kill(Dep);
+          });
+      });
     }
-  };
-  sweepSeeds(Retired);
+  }
 
   // The closure proper. Killing a minted view's self-seed means its whole
   // subtree is gone (all subtree seeds share the inflation's id-fact
   // premise); those nodes retire in a follow-up wave so every fact
   // touching them dies too.
-  std::unordered_map<NodeId, std::vector<NodeId>> ToErase;
-  std::unordered_set<NodeId> TouchedSet;
-  std::unordered_set<NodeId> NewlyDead;
+  std::vector<NodeId> NewlyDead, RewireAt;
+  std::vector<std::pair<NodeId, NodeId>> LostEdges;
+  // Inputs the closure shrank of rules that cite less than they read
+  // (below): nodes that lost a value, the values they lost, and the
+  // children of deleted hierarchy and root edges.
+  std::vector<NodeId> ShrunkRoles, LostValues, Cut;
+  for (NodeId Ret : In.ChangedFactoryReturns)
+    for (NodeId V : Sol.valuesAt(Ret))
+      LostValues.push_back(V);
+  F.FactoriesChanged = !In.ChangedFactoryReturns.empty();
   auto drain = [&] {
     while (!Work.empty()) {
       FactId I = Work.back();
       Work.pop_back();
+      if (Prov.isDead(I))
+        continue;
       const Fact Ft = Prov.fact(I);
-      Prov.retract(I);
-      ++Out.FactsRetracted;
+      const DerivRule Rule = Prov.derivation(I).Rule;
+      if (Rule == DerivRule::ListenerCallback || Rule == DerivRule::XmlOnClick)
+        // A callback fact: the (view, listener) edges at its value (the
+        // view or the listener) may survive it.
+        RewireAt.push_back(Ft.Kind == FactKind::FlowLink ? Ft.A : Ft.B);
+      if (Ft.Kind != FactKind::Flow)
+        LostEdges.emplace_back(Ft.A, Ft.B);
       switch (Ft.Kind) {
       case FactKind::Flow:
-        ToErase[Ft.A].push_back(Ft.B);
-        TouchedSet.insert(Ft.A);
-        if (Ft.A == Ft.B) {
-          const Node &N = G.node(Ft.A);
-          if (N.mintSite() != InvalidNode && !N.Retired && !Retired.count(Ft.A))
-            NewlyDead.insert(Ft.A);
+        F.Lost.emplace_back(Ft.A, Ft.B);
+        ShrunkRoles.push_back(Ft.A);
+        LostValues.push_back(Ft.B);
+        if (Ft.A == Ft.B && G.node(Ft.A).mintSite() != InvalidNode &&
+            !G.isRetired(Ft.A)) {
+          retire(Ft.A);
+          NewlyDead.push_back(Ft.A);
         }
         break;
       case FactKind::FlowLink:
         // IDB graph structure (listener/xml/fragment/adapter wiring):
         // remove the edge and everything that crossed it.
         if (G.removeFlowEdge(Ft.A, Ft.B))
-          if (auto It = EdgeUse.find(edgeKey(Ft.A, Ft.B)); It != EdgeUse.end())
-            for (FactId Dep : It->second)
-              kill(Dep);
+          Prov.forEachFactAcross(Ft.A, Ft.B, kill);
         break;
       case FactKind::ParentChild:
         G.removeParentChildEdge(Ft.A, Ft.B);
+        F.StructureRetracted = true;
+        Cut.push_back(Ft.B);
         break;
       case FactKind::HasId:
         G.removeHasIdEdge(Ft.A, Ft.B);
+        F.StructureRetracted = true;
         break;
       case FactKind::Root:
         G.removeRootEdge(Ft.A, Ft.B);
+        F.StructureRetracted = true;
+        Cut.push_back(Ft.B);
         break;
       case FactKind::Listener:
         G.removeListenerEdge(Ft.A, Ft.B);
         break;
       case FactKind::RootsLayout:
         G.removeRootsLayoutEdge(Ft.A, Ft.B);
+        F.StructureRetracted = true;
         break;
       }
-      for (FactId Dep : Dependents[I])
-        kill(Dep);
+      Prov.forEachDependent(I, kill);
+      Prov.retract(I);
+      ++Out.FactsRetracted;
     }
   };
+  // Some rules cite less than they read, so the closure kills their
+  // conclusions whenever an uncited input may have shrunk. Over-deletion
+  // is sound: the ops re-fire from Lost or from the deleted edges' sources
+  // (below), and the structure round re-runs the structure-sensitive ops
+  // and the android:onClick sweep.
+  //  - A FindView* result cites the view and the id edge that matched, not
+  //    the receiver, the id argument or the hierarchy path of its search.
+  //  - An android:onClick listener edge cites only its view, not the root
+  //    path of the sweep.
+  //  - A FragmentAdd or SetAdapter child edge cites the container's id
+  //    edge or the receiver, and the child's seed, not the id argument,
+  //    the fragment or adapter argument, or the factory's return value.
+  auto isSearchResult = [&](FactId I, NodeId Out) {
+    const Fact &Ft = Prov.fact(I);
+    const DerivRule Rule = Prov.derivation(I).Rule;
+    return Ft.Kind == FactKind::Flow && Ft.A == Out && Ft.B != Out &&
+           (Rule == DerivRule::FindView || Rule == DerivRule::UnknownSource);
+  };
+  auto isFactoryEdge = [&](FactId I) {
+    const DerivRule Rule = Prov.derivation(I).Rule;
+    return Prov.fact(I).Kind == FactKind::ParentChild &&
+           (Rule == DerivRule::FragmentAdd || Rule == DerivRule::SetAdapter);
+  };
+  auto killFactoryEdgesFrom = [&](NodeId Parent) {
+    Prov.forEachFactAt(Parent, [&](FactId I) {
+      if (isFactoryEdge(I) && Prov.fact(I).A == Parent)
+        kill(I);
+    });
+  };
+  auto killOutputsOfOpsAt = [&](NodeId Role) {
+    if (G.isRetired(Role))
+      return;
+    for (NodeId OpNode : G.flowSuccessors(Role)) {
+      const Node &N = G.node(OpNode);
+      if (N.Kind != NodeKind::Op)
+        continue;
+      switch (N.Op) {
+      case android::OpKind::FindView1:
+      case android::OpKind::FindView2:
+      case android::OpKind::FindView3:
+        for (NodeId Out : G.flowSuccessors(OpNode))
+          Prov.forEachFactAt(Out, [&](FactId I) {
+            if (isSearchResult(I, Out))
+              kill(I);
+          });
+        break;
+      case android::OpKind::FragmentAdd:
+      case android::OpKind::SetAdapter:
+        // The op's child edges start at its containers (views with an id
+        // its id argument holds) or at its receiver's list views. The sets
+        // still hold the values this closure deletes.
+        for (const OpSite &Op : Sol.opSites()) {
+          if (Op.OpNode != OpNode || Op.Dead)
+            continue;
+          if (N.Op == android::OpKind::SetAdapter) {
+            for (NodeId ListView : Sol.valuesAt(Op.Recv))
+              killFactoryEdgesFrom(ListView);
+          } else if (Op.IdArg != InvalidNode) {
+            for (NodeId Id : Sol.valuesAt(Op.IdArg))
+              for (NodeId Container : G.viewsWithId(Id))
+                killFactoryEdgesFrom(Container);
+          }
+        }
+        break;
+      default:
+        break;
+      }
+    }
+  };
+  auto killFactoryEdgesTo = [&](NodeId Child) {
+    if (G.isRetired(Child) || !isViewNodeKind(G.node(Child).Kind))
+      return;
+    Prov.forEachFactAt(Child, [&](FactId I) {
+      if (isFactoryEdge(I) && Prov.fact(I).B == Child)
+        kill(I);
+    });
+  };
+  auto killBelow = [&](NodeId Child) {
+    if (G.isRetired(Child) || !isViewNodeKind(G.node(Child).Kind))
+      return;
+    for (NodeId V : G.descendantsOf(Child))
+      if (!G.isRetired(V))
+        Prov.forEachFactAt(V, [&](FactId I) {
+          const Fact &Ft = Prov.fact(I);
+          if ((Ft.Kind == FactKind::Flow && Ft.B == V &&
+               isSearchResult(I, Ft.A)) ||
+              (Ft.Kind == FactKind::Listener && Ft.A == V &&
+               Prov.derivation(I).Rule == DerivRule::XmlOnClick))
+            kill(I);
+        });
+  };
+  auto uniq = [](auto &V) {
+    std::sort(V.begin(), V.end());
+    V.erase(std::unique(V.begin(), V.end()), V.end());
+  };
   drain();
-  while (!NewlyDead.empty()) {
-    std::unordered_set<NodeId> Wave;
+  while (!NewlyDead.empty() || !ShrunkRoles.empty() || !LostValues.empty() ||
+         !Cut.empty()) {
+    std::vector<NodeId> Wave, Roles, Values, Cuts;
     Wave.swap(NewlyDead);
-    Retired.insert(Wave.begin(), Wave.end());
-    sweepSeeds(Wave);
+    Roles.swap(ShrunkRoles);
+    Values.swap(LostValues);
+    Cuts.swap(Cut);
+    uniq(Roles);
+    uniq(Values);
+    uniq(Cuts);
+    for (NodeId N : Wave)
+      Prov.forEachFactAt(N, kill);
+    for (NodeId N : Roles)
+      killOutputsOfOpsAt(N);
+    for (NodeId V : Values)
+      killFactoryEdgesTo(V);
+    for (NodeId N : Cuts)
+      killBelow(N);
     drain();
   }
 
-  // Apply: erase dead values from surviving sets (marking survivors
-  // all-delta), clear and retire dead nodes.
+  // Apply: erase the lost values from surviving sets, and clear the sets
+  // of retired nodes.
   FlowSetTable &Sets = Sol.flowsToSets();
-  for (auto &[N, Vals] : ToErase) {
-    FlowSet *Set = Sets.find(N);
-    if (!Set || Retired.count(N))
-      continue;
-    std::unordered_set<NodeId> Del(Vals.begin(), Vals.end());
-    if (Set->eraseValues([&](NodeId V) { return Del.count(V) != 0; }))
-      Out.Touched.push_back(N);
+  std::sort(F.Lost.begin(), F.Lost.end());
+  F.Lost.erase(std::remove_if(F.Lost.begin(), F.Lost.end(),
+                              [&](const std::pair<NodeId, NodeId> &L) {
+                                return G.isRetired(L.first);
+                              }),
+               F.Lost.end());
+  for (auto It = F.Lost.begin(); It != F.Lost.end();) {
+    const NodeId N = It->first;
+    auto End = std::find_if(It, F.Lost.end(),
+                            [&](const auto &L) { return L.first != N; });
+    if (FlowSet *Set = Sets.find(N))
+      Set->eraseValues([&](NodeId V) {
+        return std::binary_search(It, End, std::pair{N, V});
+      });
+    F.OpInputs.push_back(N);
+    It = End;
   }
-  for (NodeId R : Retired) {
+  for (NodeId R : Out.RetiredNodes) {
     if (FlowSet *Set = Sets.find(R))
       Set->eraseValues([](NodeId) { return true; });
-    G.retireNode(R);
-    Out.RetiredNodes.push_back(R);
+    if (NodeId Site = G.node(R).mintSite(); Site != InvalidNode)
+      F.ShrunkSites.push_back(Site);
   }
+  uniq(F.ShrunkSites);
 
-  std::sort(Out.Touched.begin(), Out.Touched.end());
+  // A deleted relationship edge (or solver-added flow edge) between two
+  // surviving nodes may have a derivation other than the recorded one:
+  // any op that reads a node holding the edge's source value derives it
+  // (every op rule's edge starts at a value of one of its roles). Those
+  // nodes join the op frontier; the recorder lists them as the value's
+  // flowsTo facts.
+  std::vector<NodeId> Sources;
+  for (const auto &[A, B] : LostEdges)
+    if (!G.isRetired(A) && !G.isRetired(B))
+      Sources.push_back(A);
+  uniq(Sources);
+  for (NodeId V : Sources)
+    Prov.forEachFactAt(V, [&](FactId I) {
+      const Fact &Ft = Prov.fact(I);
+      if (Ft.Kind == FactKind::Flow && Ft.B == V)
+        F.OpInputs.push_back(Ft.A);
+    });
+  uniq(F.OpInputs);
+
+  // The surviving (view, listener) edges at the nodes whose callback facts
+  // died, for the re-derive to wire again.
+  uniq(RewireAt);
+  for (NodeId N : RewireAt)
+    if (!G.isRetired(N))
+      Prov.forEachFactAt(N, [&](FactId I) {
+        const Fact &Ft = Prov.fact(I);
+        if (Ft.Kind == FactKind::Listener)
+          F.Rewire.emplace_back(Ft.A, Ft.B);
+      });
+  uniq(F.Rewire);
   return Out;
 }
 
@@ -400,11 +548,12 @@ std::string analysis::solutionDigest(const Solution &Sol) {
         if (liveEdge(H, R))
           Lines.push_back("root " + Ctx.valueKey(H) + " " + Ctx.valueKey(R));
 
-  // Unresolved-op markers (fidelity itself is deliberately excluded: it is
-  // sticky-conservative across incremental re-solves).
+  // Unresolved-op markers and fidelity: an incremental session re-marks
+  // both from its live state after every edit.
   for (uint32_t I : Sol.unresolvedOps())
     if (I < Sol.opSites().size() && !Sol.opSites()[I].Dead)
       Lines.push_back("unresolved " + opIdentity(G, Sol.opSites()[I]));
+  Lines.push_back(std::string("fidelity ") + fidelityName(Sol.fidelity()));
 
   std::sort(Lines.begin(), Lines.end());
   std::string Digest;
@@ -699,10 +848,13 @@ void IncrementalAnalysis::solveInitial() {
       const size_t Ops = R.Sol->opSites().size();
       for (; OpsBefore < Ops; ++OpsBefore)
         FP.OpIndices.push_back(static_cast<uint32_t>(OpsBefore));
+      FP.FactoryReturns = factoryReturns(*R.Graph, M);
       indexRetLinks(*R.Graph, M, FP);
       Footprints[&M] = std::move(FP);
     });
   };
+  const unsigned ErrorsBefore = Diags.errorCount();
+  const unsigned CheckFailuresBefore = Diags.checkFailureCount();
   Result = GuiAnalysis::runWith(
       P, Layouts, AM, Options, Diags,
       [&](AnalysisResult &R) {
@@ -712,31 +864,67 @@ void IncrementalAnalysis::solveInitial() {
         R.Stats = S->solve();
       },
       Journaled);
+  InputDegraded = Diags.errorCount() != ErrorsBefore ||
+                  Diags.checkFailureCount() != CheckFailuresBefore;
+  // The graph lives on: give back the one-shot build's pre-sizing.
+  Result->Graph->shrinkToFit();
 }
 
-void IncrementalAnalysis::rederive(const RetractionResult &R,
-                                   const std::vector<NodeId> &ExtraTouched,
+void IncrementalAnalysis::rederive(RetractionResult &R,
                                    unsigned CheckFailuresBefore) {
   support::TraceSpan Span(Options.Trace, "incremental.rederive");
   LastRetracted = R.FactsRetracted;
+  const RederiveFrontier &F = R.Frontier;
 
-  std::vector<NodeId> Touched = R.Touched;
-  Touched.insert(Touched.end(), ExtraTouched.begin(), ExtraTouched.end());
+  std::vector<NodeId> Touched;
+  Touched.reserve(F.Lost.size() + F.NewEdges.size());
+  for (const auto &L : F.Lost)
+    Touched.push_back(L.first);
+  for (const auto &E : F.NewEdges)
+    Touched.push_back(E.second);
   std::sort(Touched.begin(), Touched.end());
-  Touched.erase(std::unique(Touched.begin(), Touched.end()), Touched.end());
-  LastTouched = Touched.size();
+  LastTouched = std::unique(Touched.begin(), Touched.end()) - Touched.begin();
   Span.arg("touched", LastTouched);
   Span.arg("facts_retracted", LastRetracted);
 
-  Result->Stats = S->resolveIncremental(Touched);
+  Result->Stats = S->resolveIncremental(F);
+
+  // Fidelity is part of the fixed point: mark it afresh from what is live
+  // now, as a scratch solve of the edited app would. A budget truncation
+  // stays.
+  Solution &Sol = *Result->Sol;
+  Sol.clearDegraded();
+  if (InputDegraded || !Sol.unresolvedOps().empty())
+    Sol.markDegraded();
   GuiAnalysis::markFidelity(*Result, Diags, CheckFailuresBefore);
 }
+
+namespace {
+
+/// Sorted, deduplicated edge keys of \p Edges.
+std::vector<uint64_t>
+edgeKeys(const std::vector<std::pair<NodeId, NodeId>> &Edges) {
+  std::vector<uint64_t> Keys;
+  Keys.reserve(Edges.size());
+  for (const auto &[From, To] : Edges)
+    Keys.push_back(edgeKey(From, To));
+  std::sort(Keys.begin(), Keys.end());
+  Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
+  return Keys;
+}
+
+bool hasKey(const std::vector<uint64_t> &Keys, uint64_t K) {
+  return std::binary_search(Keys.begin(), Keys.end(), K);
+}
+
+} // namespace
 
 bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
   auto FpIt = Footprints.find(&M);
   if (FpIt == Footprints.end() || !Result)
     return false;
   const unsigned CheckFailuresBefore = Diags.checkFailureCount();
+  const unsigned ErrorsBefore = Diags.errorCount();
   ConstraintGraph &G = *Result->Graph;
   MethodFootprint Old = std::move(FpIt->second);
   auto &Ops = Result->Sol->opSites();
@@ -768,52 +956,53 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
   size_t OpsBefore = Ops.size();
   B.buildOneMethod(G, Ops, M);
   B.setEdgeJournal(nullptr);
+  InputDegraded |= Diags.errorCount() != ErrorsBefore;
 
   MethodFootprint New;
   New.Edges = std::move(J);
-  New.OpIndices = std::move(Resurrected);
+  New.OpIndices = Resurrected;
   for (size_t I = OpsBefore; I < Ops.size(); ++I)
     New.OpIndices.push_back(static_cast<uint32_t>(I));
+  New.FactoryReturns = factoryReturns(G, M);
 
   // Footprint diff: edges the new body no longer contributes get removed;
-  // edges it newly contributes need their targets re-pulled (a committed
-  // predecessor set never re-propagates on its own).
-  std::unordered_set<uint64_t> NewEdges, OldEdges;
-  for (const auto &[From, To] : New.Edges)
-    NewEdges.insert(edgeKey(From, To));
-  for (const auto &[From, To] : Old.Edges)
-    OldEdges.insert(edgeKey(From, To));
+  // edges it newly contributes carry their source's set across (a
+  // committed predecessor set never re-propagates on its own).
+  const std::vector<uint64_t> NewKeys = edgeKeys(New.Edges);
+  const std::vector<uint64_t> OldKeys = edgeKeys(Old.Edges);
   RetractionInputs In;
-  std::vector<NodeId> ExtraTouched;
+  std::vector<std::pair<NodeId, NodeId>> AddedEdges;
   for (const auto &[From, To] : Old.Edges)
-    if (!NewEdges.count(edgeKey(From, To)))
+    if (!hasKey(NewKeys, edgeKey(From, To)))
       In.RemovedEdges.emplace_back(From, To);
   for (const auto &[From, To] : New.Edges)
-    if (!OldEdges.count(edgeKey(From, To)))
-      ExtraTouched.push_back(To);
+    if (!hasKey(OldKeys, edgeKey(From, To)))
+      AddedEdges.emplace_back(From, To);
 
   // Return-link fixup for M as a *callee*: callers' result edges must
   // track M's new return statements. (Self-recursive links were already
   // rebuilt with M's own footprint.)
   if (auto RlIt = RetLinksByCallee.find(&M); RlIt != RetLinksByCallee.end()) {
-    std::unordered_set<NodeId> NewRet;
+    std::vector<NodeId> NewRet;
     for (const Stmt &St : M.body())
       if (St.Kind == StmtKind::Return && St.Lhs != ir::InvalidVar)
-        NewRet.insert(G.getVarNode(&M, St.Lhs));
+        NewRet.push_back(G.getVarNode(&M, St.Lhs));
+    std::sort(NewRet.begin(), NewRet.end());
+    NewRet.erase(std::unique(NewRet.begin(), NewRet.end()), NewRet.end());
     auto Links = RlIt->second; // copy: we rewrite the index below
     std::vector<std::pair<NodeId, NodeId>> Kept;
-    std::unordered_set<NodeId> CallerLhs;
-    std::unordered_set<uint64_t> Present;
+    std::vector<NodeId> CallerLhs;
+    std::vector<uint64_t> Present;
     for (const auto &[From, To] : Links) {
       const Node &ToN = G.node(To);
       if (ToN.Method == &M) {
         Kept.emplace_back(From, To); // self-link, owned by M's footprint
         continue;
       }
-      CallerLhs.insert(To);
-      if (NewRet.count(From)) {
+      CallerLhs.push_back(To);
+      if (std::binary_search(NewRet.begin(), NewRet.end(), From)) {
         Kept.emplace_back(From, To);
-        Present.insert(edgeKey(From, To));
+        Present.push_back(edgeKey(From, To));
         continue;
       }
       // Stale: the old return var no longer returns.
@@ -829,12 +1018,16 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
           }
       }
     }
+    std::sort(CallerLhs.begin(), CallerLhs.end());
+    CallerLhs.erase(std::unique(CallerLhs.begin(), CallerLhs.end()),
+                    CallerLhs.end());
+    std::sort(Present.begin(), Present.end());
     for (NodeId To : CallerLhs)
       for (NodeId From : NewRet)
-        if (!Present.count(edgeKey(From, To))) {
+        if (!hasKey(Present, edgeKey(From, To))) {
           if (G.addFlowEdge(From, To)) {
             Kept.emplace_back(From, To);
-            ExtraTouched.push_back(To);
+            AddedEdges.emplace_back(From, To);
             const Node &ToN = G.node(To);
             auto OwnIt = Footprints.find(ToN.Method);
             if (OwnIt != Footprints.end())
@@ -854,46 +1047,55 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     if (Ops[I].Dead)
       In.DeadOps.push_back(I);
   if (!In.DeadOps.empty()) {
-    std::unordered_set<NodeId> DeadSites;
+    std::vector<NodeId> DeadSites;
     for (uint32_t I : In.DeadOps)
-      DeadSites.insert(Ops[I].OpNode);
+      DeadSites.push_back(Ops[I].OpNode);
+    std::sort(DeadSites.begin(), DeadSites.end());
     for (NodeKind K : {NodeKind::ViewInfl, NodeKind::UnknownView})
       for (NodeId V : G.nodesOfKind(K)) {
         const Node &N = G.node(V);
         if (!N.Retired && N.InflateSite != InvalidNode &&
-            DeadSites.count(N.InflateSite))
+            std::binary_search(DeadSites.begin(), DeadSites.end(),
+                               N.InflateSite))
           In.RetireNodes.push_back(V);
       }
   }
   // Builder-minted unknown sources of the old body are gone: the rebuild
-  // minted fresh ones for surviving hostile statements.
+  // minted fresh ones for surviving hostile statements. Allocation nodes
+  // of the old body the rebuild no longer produces — deleted statements,
+  // or a `new` re-lowered with a different class (the graph minted a
+  // fresh node for it) — retire too: retiring kills the stale seed value.
+  // An alloc still minted by the new body appears as a new-edge source
+  // and survives.
+  std::vector<NodeId> NewSources;
+  for (const auto &[From, To] : New.Edges)
+    NewSources.push_back(From);
+  std::sort(NewSources.begin(), NewSources.end());
+  const size_t Listed = In.RetireNodes.size();
   for (const auto &[From, To] : Old.Edges) {
     const Node &N = G.node(From);
-    if ((N.Kind == NodeKind::UnknownView || N.Kind == NodeKind::UnknownId) &&
-        N.Method == &M && !N.Retired && N.mintSite() == InvalidNode &&
-        !NewEdges.count(edgeKey(From, To)))
+    if (N.Method != &M || N.Retired)
+      continue;
+    bool Unknown =
+        (N.Kind == NodeKind::UnknownView || N.Kind == NodeKind::UnknownId) &&
+        N.mintSite() == InvalidNode && !hasKey(NewKeys, edgeKey(From, To));
+    bool Alloc =
+        (N.Kind == NodeKind::Alloc || N.Kind == NodeKind::ViewAlloc) &&
+        !std::binary_search(NewSources.begin(), NewSources.end(), From);
+    if (Unknown || Alloc)
       In.RetireNodes.push_back(From);
   }
-  // Allocation nodes of the old body the rebuild no longer produces —
-  // deleted statements, or a `new` re-lowered with a different class (the
-  // graph minted a fresh node for it). Retiring kills the stale seed
-  // value; an alloc still minted by the new body appears as a new-edge
-  // source and survives.
-  {
-    std::unordered_set<NodeId> NewSources, Listed;
-    for (const auto &[From, To] : New.Edges)
-      NewSources.insert(From);
-    for (NodeId V : In.RetireNodes)
-      Listed.insert(V);
-    for (const auto &[From, To] : Old.Edges) {
-      const Node &N = G.node(From);
-      if ((N.Kind == NodeKind::Alloc || N.Kind == NodeKind::ViewAlloc) &&
-          N.Method == &M && !N.Retired && !NewSources.count(From) &&
-          Listed.insert(From).second)
-        In.RetireNodes.push_back(From);
-    }
-  }
+  std::sort(In.RetireNodes.begin() + Listed, In.RetireNodes.end());
+  In.RetireNodes.erase(
+      std::unique(In.RetireNodes.begin() + Listed, In.RetireNodes.end()),
+      In.RetireNodes.end());
 
+  // A factory whose return statements changed: the solver reads them
+  // without a graph edge, so the footprint diff does not see it.
+  if (Old.FactoryReturns != New.FactoryReturns)
+    std::set_union(Old.FactoryReturns.begin(), Old.FactoryReturns.end(),
+                   New.FactoryReturns.begin(), New.FactoryReturns.end(),
+                   std::back_inserter(In.ChangedFactoryReturns));
   indexRetLinks(G, M, New);
   Footprints[&M] = std::move(New);
 
@@ -904,7 +1106,9 @@ bool IncrementalAnalysis::reanalyzeMethod(ir::MethodDecl &M) {
     Span.arg("facts_retracted", R.FactsRetracted);
     Span.arg("retired_nodes", R.RetiredNodes.size());
   }
-  rederive(R, ExtraTouched, CheckFailuresBefore);
+  R.Frontier.NewEdges = std::move(AddedEdges);
+  R.Frontier.Ops = std::move(Resurrected);
+  rederive(R, CheckFailuresBefore);
   return true;
 }
 
@@ -939,13 +1143,15 @@ bool IncrementalAnalysis::reanalyzeLayout(
   }
 
   // View ids the edited tree introduces intern into the session's table
-  // (append-only, so existing ids keep their numbers).
+  // (append-only, so existing ids keep their numbers), and get their value
+  // nodes as a scratch build gives every interned id one, inflated or not.
+  // The re-derive seeds them.
   std::vector<const layout::LayoutNode *> NewStack{NewRoot.get()};
   while (!NewStack.empty()) {
     const layout::LayoutNode *N = NewStack.back();
     NewStack.pop_back();
     if (N->hasViewId())
-      Layouts.resources().internViewId(N->viewIdName());
+      G.getViewIdNode(Layouts.resources().internViewId(N->viewIdName()));
     for (const auto &C : N->children())
       NewStack.push_back(C.get());
   }
@@ -965,8 +1171,9 @@ bool IncrementalAnalysis::reanalyzeLayout(
   Def->setRoot(std::move(NewRoot));
 
   // The solver's other memos validate themselves on a hit; a failed
-  // inflation of the old tree (memoized as InvalidNode) may now succeed.
-  S->forgetLayoutMemos(G.getLayoutIdNode(Def->id()));
-  rederive(R, {}, CheckFailuresBefore);
+  // inflation of the old tree (memoized as InvalidNode) may now succeed,
+  // so its sites re-fire.
+  R.Frontier.Ops = S->forgetLayoutMemos(G.getLayoutIdNode(Def->id()));
+  rederive(R, CheckFailuresBefore);
   return true;
 }

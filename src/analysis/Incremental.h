@@ -69,13 +69,19 @@ struct RetractionInputs {
   /// edited layout). The closure kills every fact touching them and
   /// retires them in the graph.
   std::vector<graph::NodeId> RetireNodes;
+  /// The old and new return variables of a factory method
+  /// (Solver::FragmentFactory, Solver::AdapterFactory) whose return
+  /// statements changed: the child edges to their values die, and every
+  /// FragmentAdd and SetAdapter op re-fires.
+  std::vector<graph::NodeId> ChangedFactoryReturns;
 };
 
 /// What the closure deleted; the inputs of the re-derive pass.
 struct RetractionResult {
-  /// Nodes whose flowsTo sets shrank (retired nodes excluded). The
-  /// re-solve must pull their predecessors' full sets back through.
-  std::vector<graph::NodeId> Touched;
+  /// The re-derive frontier (Solver::resolveIncremental): lost values,
+  /// the ops and callbacks to redo, and whether structure died. The
+  /// session adds the edit's new edges and ops.
+  RederiveFrontier Frontier;
   /// Everything retired: the explicit RetireNodes plus minted view
   /// subtrees whose seed fact died in the cascade.
   std::vector<graph::NodeId> RetiredNodes;
@@ -88,10 +94,14 @@ struct RetractionResult {
 /// Soundness: a fact is kept only if its *recorded* derivation survives,
 /// and recorded derivations are recursively grounded in EDB (seeds and
 /// journaled edges), so every kept fact is still genuinely derivable.
+/// FindView* results, android:onClick edges and FragmentAdd/SetAdapter
+/// child edges cite less than their rules read, so they also die when an
+/// uncited input may have shrunk.
 /// Completeness: the subsequent re-derive pass (Solver::resolveIncremental)
-/// runs the normal monotone rules to quiescence, so any over-deleted fact
-/// reappears. See docs/INCREMENTAL.md for the full
-/// argument.
+/// redoes every rule whose inputs the closure shrank, from the frontier it
+/// returns, so any over-deleted fact reappears. The walk goes through the
+/// recorder's deletion indexes and visits the deleted facts and their
+/// neighbours only. See docs/INCREMENTAL.md for the full argument.
 RetractionResult retractAndClose(graph::ConstraintGraph &G, Solution &Sol,
                                  ProvenanceRecorder &Prov,
                                  const RetractionInputs &In);
@@ -102,7 +112,8 @@ RetractionResult retractAndClose(graph::ConstraintGraph &G, Solution &Sol,
 
 /// Canonical text rendering of the externally observable solution: live
 /// op sites with their role sets, every non-retired node's flowsTo set,
-/// relationship edges, and unresolved-op markers, all under semantic keys
+/// relationship edges, unresolved-op markers and the fidelity, all under
+/// semantic keys
 /// (method-qualified variable names, resource ids, layout-node
 /// identities) rather than node ids. Two solutions over the *same*
 /// program and layout objects digest equal iff they are the same fixed
@@ -185,6 +196,9 @@ private:
   struct MethodFootprint {
     std::vector<std::pair<NodeId, NodeId>> Edges;
     std::vector<uint32_t> OpIndices;
+    /// A factory method's returned variables, sorted (empty for every
+    /// other method): the solver reads them without a graph edge.
+    std::vector<NodeId> FactoryReturns;
   };
 
   /// Removes \p M's old footprint edges from the return-link index.
@@ -192,11 +206,10 @@ private:
                        const ir::MethodDecl &M, const MethodFootprint &FP);
   void indexRetLinks(const graph::ConstraintGraph &G, const ir::MethodDecl &M,
                      const MethodFootprint &FP);
-  /// Runs the re-derive pass over the closure result, then the
-  /// post-solve fidelity rules against \p CheckFailuresBefore.
-  void rederive(const RetractionResult &R,
-                const std::vector<NodeId> &ExtraTouched,
-                unsigned CheckFailuresBefore);
+  /// Runs the re-derive pass over the closure's frontier, then marks
+  /// fidelity afresh from the live state (check failures since
+  /// \p CheckFailuresBefore count).
+  void rederive(RetractionResult &R, unsigned CheckFailuresBefore);
 
   ir::Program &P;
   layout::LayoutRegistry &Layouts;
@@ -209,6 +222,9 @@ private:
 
   size_t LastRetracted = 0;
   size_t LastTouched = 0;
+  /// The initial build or a rebuild reported errors or a failed check:
+  /// the session stays DegradedInput (docs/INCREMENTAL.md).
+  bool InputDegraded = false;
 
   std::unordered_map<const ir::MethodDecl *, MethodFootprint> Footprints;
   /// Callee method -> return-link edges (callee return var node, caller

@@ -92,32 +92,82 @@ void ProvenanceRecorder::record(FactKind Kind, graph::NodeId A,
     }
 
   auto &Map = IndexByKind[static_cast<size_t>(Kind)];
-  auto [It, Inserted] =
-      Map.try_emplace(key(A, B), static_cast<FactId>(Facts.size()));
-  if (Inserted) {
+  const FactId Fresh = static_cast<FactId>(Facts.size());
+  const FactId Id = Map.getOrInsert(key(A, B), Fresh);
+  if (Id == Fresh) {
     Facts.push_back(Fact{Kind, A, B});
     Derivs.push_back(D);
+    Dead.push_back(false);
+    DepHead.push_back(NoLink);
     if (D.Approx)
       ++ApproxFacts;
-  } else if (D.Depth < Derivs[It->second].Depth) {
+    link(NodeHead.getOrInsert(A, NoLink), Id);
+    if (B != A && B != graph::InvalidNode)
+      link(NodeHead.getOrInsert(B, NoLink), Id);
+    indexDerivation(Id);
+  } else if (D.Depth < Derivs[Id].Depth) {
     // A shallower re-derivation wins: --explain reports the shortest
     // route the solve found to this fact.
-    if (D.Approx && !Derivs[It->second].Approx)
+    if (D.Approx && !Derivs[Id].Approx)
       ++ApproxFacts;
-    else if (!D.Approx && Derivs[It->second].Approx)
+    else if (!D.Approx && Derivs[Id].Approx)
       --ApproxFacts;
-    Derivs[It->second] = D;
+    Derivs[Id] = D;
+    indexDerivation(Id);
   }
   if (D.Depth > MaxDepth)
     MaxDepth = D.Depth;
 }
 
+void ProvenanceRecorder::link(uint32_t &Head, FactId Fact) {
+  uint32_t L = FreeLinks;
+  if (L != NoLink) {
+    FreeLinks = Links[L].Next;
+    Links[L] = {Fact, Head};
+  } else {
+    L = static_cast<uint32_t>(Links.size());
+    Links.push_back({Fact, Head});
+  }
+  Head = L;
+}
+
+void ProvenanceRecorder::indexDerivation(FactId Id) {
+  const Derivation &D = Derivs[Id];
+  for (size_t I = 0; I < D.Premises.size(); ++I) {
+    FactId P = D.Premises[I];
+    // A premise cited twice needs one entry.
+    if (P != NoFact && (I == 0 || P != D.Premises[I - 1]) &&
+        (I < 2 || P != D.Premises[0]))
+      link(DepHead[P], Id);
+  }
+  const Fact &F = Facts[Id];
+  if (D.Rule == DerivRule::FlowEdge && F.Kind == FactKind::Flow &&
+      D.Premises[0] != NoFact && Facts[D.Premises[0]].Kind == FactKind::Flow)
+    link(EdgeUseHead.getOrInsert(key(Facts[D.Premises[0]].A, F.A), NoLink),
+         Id);
+}
+
+void ProvenanceRecorder::retract(FactId Id) {
+  if (Id >= Facts.size() || Dead[Id])
+    return;
+  Dead[Id] = true;
+  if (Derivs[Id].Approx)
+    --ApproxFacts;
+  const Fact &F = Facts[Id];
+  auto &Map = IndexByKind[static_cast<size_t>(F.Kind)];
+  // Only unlink if the index still points at *this* fact: the key may
+  // already map to a re-recorded successor.
+  if (const FactId *Cur = Map.get(key(F.A, F.B)); Cur && *Cur == Id)
+    Map.erase(key(F.A, F.B));
+  // Nothing cites a dead fact as a live premise any more: free its chain.
+  walk(DepHead[Id], [](FactId) { return false; });
+}
+
 ProvenanceRecorder::FactId ProvenanceRecorder::find(FactKind Kind,
                                                     graph::NodeId A,
                                                     graph::NodeId B) const {
-  const auto &Map = IndexByKind[static_cast<size_t>(Kind)];
-  auto It = Map.find(key(A, B));
-  return It == Map.end() ? NoFact : It->second;
+  const FactId *Id = IndexByKind[static_cast<size_t>(Kind)].get(key(A, B));
+  return Id ? *Id : NoFact;
 }
 
 namespace {

@@ -27,11 +27,11 @@
 #define GATOR_ANALYSIS_PROVENANCE_H
 
 #include "graph/ConstraintGraph.h"
+#include "support/FlatMap.h"
 
 #include <array>
 #include <cstdint>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
 namespace gator {
@@ -135,27 +135,65 @@ public:
   /// the same (kind, A, B) mints a fresh FactId. The Fact/Derivation slots
   /// stay readable (old premise ids embedded in live derivations must not
   /// dangle) but are flagged dead. Idempotent.
-  void retract(FactId Id) {
-    if (Id >= Facts.size())
-      return;
-    if (Dead.size() < Facts.size())
-      Dead.resize(Facts.size(), false);
-    if (Dead[Id])
-      return;
-    Dead[Id] = true;
-    if (Derivs[Id].Approx)
-      --ApproxFacts;
-    const Fact &F = Facts[Id];
-    auto &Map = IndexByKind[static_cast<size_t>(F.Kind)];
-    auto It = Map.find(key(F.A, F.B));
-    // Only unlink if the index still points at *this* fact: the key may
-    // already map to a re-recorded successor.
-    if (It != Map.end() && It->second == Id)
-      Map.erase(It);
-  }
+  void retract(FactId Id);
 
   /// True when \p Id has been retracted.
   bool isDead(FactId Id) const { return Id < Dead.size() && Dead[Id]; }
+
+  //===--------------------------------------------------------------------===//
+  // Deletion indexes (docs/INCREMENTAL.md), kept up to date by record()
+  //===--------------------------------------------------------------------===//
+
+  /// Calls \p Fn(D) for each live fact D whose current derivation cites
+  /// \p Premise. A shallower re-derivation replaces a recorded one, so an
+  /// entry counts only while D still cites \p Premise; stale entries are
+  /// dropped as the walk meets them.
+  template <typename F> void forEachDependent(FactId Premise, F Fn) {
+    if (Premise >= DepHead.size())
+      return;
+    walk(DepHead[Premise], [&](FactId D) {
+      if (Dead[D])
+        return false;
+      for (FactId P : Derivs[D].Premises)
+        if (P == Premise) {
+          Fn(D);
+          return true;
+        }
+      return false;
+    });
+  }
+
+  /// Calls \p Fn(D) for each live flow fact D derived by propagating
+  /// across the flow edge \p From -> \p To (rule FlowEdge).
+  template <typename F> void forEachFactAcross(graph::NodeId From,
+                                               graph::NodeId To, F Fn) {
+    uint32_t *Head = EdgeUseHead.find(key(From, To));
+    if (!Head)
+      return;
+    walk(*Head, [&](FactId D) {
+      if (Dead[D] || !carriedAcross(D, From))
+        return false;
+      Fn(D);
+      return true;
+    });
+    if (*Head == NoLink)
+      EdgeUseHead.erase(key(From, To));
+  }
+
+  /// Calls \p Fn(D) for each live fact D with \p N as either endpoint.
+  template <typename F> void forEachFactAt(graph::NodeId N, F Fn) {
+    uint32_t *Head = NodeHead.find(N);
+    if (!Head)
+      return;
+    walk(*Head, [&](FactId D) {
+      if (Dead[D])
+        return false;
+      Fn(D);
+      return true;
+    });
+    if (*Head == NoLink)
+      NodeHead.erase(N);
+  }
 
   /// Binds the graph used to classify unknown-node endpoints when
   /// computing Derivation::Approx. Optional; without it only the rule and
@@ -185,12 +223,56 @@ private:
     return (static_cast<uint64_t>(A) << 32) | B;
   }
 
+  /// The deletion indexes are singly linked chains in one pool: a chain
+  /// head per fact (dependents), per flow edge (facts carried across it)
+  /// and per node (facts touching it). Entries are checked when walked,
+  /// and freed links are reused.
+  struct Link {
+    FactId Fact;
+    uint32_t Next;
+  };
+  static constexpr uint32_t NoLink = ~0u;
+
+  void link(uint32_t &Head, FactId Fact);
+  /// Indexes \p Id's current derivation: its premises' dependent chains
+  /// and, for a FlowEdge derivation, the edge it crossed.
+  void indexDerivation(FactId Id);
+  /// True when \p Id's current derivation propagated it from \p From.
+  bool carriedAcross(FactId Id, graph::NodeId From) const {
+    const Derivation &D = Derivs[Id];
+    return D.Rule == DerivRule::FlowEdge && D.Premises[0] != NoFact &&
+           Facts[D.Premises[0]].A == From;
+  }
+  /// Walks the chain at \p Head, calling \p Keep(fact) per entry and
+  /// unlinking (and freeing) each entry it returns false for.
+  template <typename F> void walk(uint32_t &Head, F Keep) {
+    for (uint32_t *L = &Head; *L != NoLink;) {
+      Link &Cur = Links[*L];
+      if (Keep(Cur.Fact)) {
+        L = &Cur.Next;
+        continue;
+      }
+      uint32_t Freed = *L;
+      *L = Cur.Next;
+      Links[Freed].Next = FreeLinks;
+      FreeLinks = Freed;
+    }
+  }
+
   /// Per-kind fact index; NodeId pairs do not collide across kinds.
-  std::array<std::unordered_map<uint64_t, FactId>, NumFactKinds> IndexByKind;
+  std::array<support::FlatIdMap<FactId>, NumFactKinds> IndexByKind;
   std::vector<Fact> Facts;
   std::vector<Derivation> Derivs;
-  /// Retracted facts (grown lazily; short of Facts.size() means "alive").
+  /// Retracted facts, one flag per fact.
   std::vector<bool> Dead;
+  std::vector<Link> Links;
+  uint32_t FreeLinks = NoLink;
+  /// Per fact: the chain of facts whose derivation cited it.
+  std::vector<uint32_t> DepHead;
+  /// Per flow edge (From, To): the chain of FlowEdge facts across it.
+  support::FlatIdMap<uint32_t> EdgeUseHead;
+  /// Per node: the chain of facts with the node as an endpoint.
+  support::FlatIdMap<uint32_t> NodeHead;
   uint32_t MaxDepth = 0;
   size_t ApproxFacts = 0;
   const graph::ConstraintGraph *G = nullptr;

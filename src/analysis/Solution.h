@@ -20,6 +20,7 @@
 #include "graph/ConstraintGraph.h"
 #include "support/Budget.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -116,6 +117,14 @@ public:
       Fid = Fidelity::DegradedInput;
   }
 
+  /// Drops a DegradedInput marker; TruncatedBudget stays. An edit-scale
+  /// session calls this before it re-marks fidelity from the live state
+  /// (docs/INCREMENTAL.md), since an edit can resolve a degraded site.
+  void clearDegraded() {
+    if (Fid == Fidelity::DegradedInput)
+      Fid = Fidelity::Complete;
+  }
+
   /// Records an operation site whose rule was skipped or left unfinished
   /// (degraded inflation, budget cut). Deduplicated, kept sorted.
   void noteUnresolvedOp(uint32_t OpIndex);
@@ -123,11 +132,16 @@ public:
   /// Sorted indices into ops() of unresolved operation sites.
   const std::vector<uint32_t> &unresolvedOps() const { return Unresolved; }
 
-  /// Drops every unresolved-op entry before an edit-scale re-derive
-  /// (docs/INCREMENTAL.md), which re-fires every live op and so notes each
-  /// site that is still unresolved again. Fidelity stays as-is: downgrade
-  /// marks are sticky-conservative across incremental re-solves.
-  void clearUnresolvedOps() { Unresolved.clear(); }
+  /// Drops the unresolved-op entries \p Drop selects. An edit-scale
+  /// re-derive (docs/INCREMENTAL.md) drops the entries of the ops it
+  /// re-fires, each of which notes its site again if it is still
+  /// unresolved, and of dead ops. Fidelity is not touched here: the
+  /// session recomputes it from the live state after the re-derive.
+  template <typename Pred> void clearUnresolvedOps(Pred Drop) {
+    Unresolved.erase(
+        std::remove_if(Unresolved.begin(), Unresolved.end(), Drop),
+        Unresolved.end());
+  }
 
   //===--------------------------------------------------------------------===//
   // flowsTo queries

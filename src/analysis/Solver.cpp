@@ -118,45 +118,45 @@ void Solver::noteStructureChange() {
 
 void Solver::sweepXmlOnClickHandlers() {
   for (NodeId Holder : G.rootHolders()) {
-    const ClassDecl *HolderClass = G.node(Holder).Klass;
     for (NodeId Root : G.roots(Holder)) {
       for (NodeId V : G.descendantsOf(Root)) {
         const Node &ViewNode = G.node(V);
         if (ViewNode.Kind != NodeKind::ViewInfl || !ViewNode.LNode ||
             !ViewNode.LNode->hasOnClickHandler())
           continue;
-        bool New = G.addListenerEdge(V, Holder);
-        if (!New && !RewireCallbacks)
+        if (!G.addListenerEdge(V, Holder))
           continue; // this (view, window) pair is already wired
-        if (New)
-          provEdge(FactKind::Listener, V, Holder, DerivRule::XmlOnClick,
-                   provFlow(V, V));
-        if (!HolderClass || HolderClass->isPlatform())
-          continue;
-        const MethodDecl *Handler = hier::ClassHierarchy::dispatch(
-            HolderClass, ViewNode.LNode->onClickHandlerName(), 1);
-        if (!Handler || Handler->owner()->isPlatform()) {
-          if (New)
-            Diags.warning(ViewNode.LNode->loc(),
-                          "android:onClick handler '" +
-                              ViewNode.LNode->onClickHandlerName() +
-                              "' not found on class '" +
-                              (HolderClass ? HolderClass->name().str()
-                                           : std::string("?")) +
-                              "'");
-          continue;
-        }
-        wireHandler(V, Holder, Handler, 0, DerivRule::XmlOnClick,
-                    Prov ? Prov->edgeFact(FactKind::Listener, V, Holder)
-                         : ProvenanceRecorder::NoFact);
+        provEdge(FactKind::Listener, V, Holder, DerivRule::XmlOnClick,
+                 provFlow(V, V));
+        wireXmlHandler(V, Holder, /*NewEdge=*/true);
       }
     }
   }
 }
 
-void Solver::seedValueNodes() {
+void Solver::wireXmlHandler(NodeId V, NodeId Holder, bool NewEdge) {
+  const ClassDecl *HolderClass = G.node(Holder).Klass;
+  const layout::LayoutNode *LNode = G.node(V).LNode;
+  if (!HolderClass || HolderClass->isPlatform() || !LNode)
+    return;
+  const MethodDecl *Handler = hier::ClassHierarchy::dispatch(
+      HolderClass, LNode->onClickHandlerName(), 1);
+  if (!Handler || Handler->owner()->isPlatform()) {
+    if (NewEdge)
+      Diags.warning(LNode->loc(), "android:onClick handler '" +
+                                      LNode->onClickHandlerName() +
+                                      "' not found on class '" +
+                                      HolderClass->name().str() + "'");
+    return;
+  }
+  wireHandler(V, Holder, Handler, 0, DerivRule::XmlOnClick,
+              Prov ? Prov->edgeFact(FactKind::Listener, V, Holder)
+                   : ProvenanceRecorder::NoFact);
+}
+
+void Solver::seedValueNodes(NodeId From) {
   provCtx(DerivRule::Seed);
-  for (NodeId Id = 0; Id < G.size(); ++Id) {
+  for (NodeId Id = From; Id < G.size(); ++Id) {
     const Node &N = G.node(Id);
     // Retired nodes are orphans of an edit-scale retraction
     // (docs/INCREMENTAL.md); re-seeding one would resurrect a value whose
@@ -186,24 +186,29 @@ void Solver::registerOpUses() {
   OpWorklist.clear();
   InOpWorklist.assign(Ops.size(), false);
   for (size_t I = 0; I < Ops.size(); ++I) {
-    const OpSite &Op = Ops[I];
-    if (Op.Dead)
+    if (Ops[I].Dead)
       continue; // tombstoned by an edit-scale re-analysis; slot kept so
                 // op indices stay stable memo keys (docs/INCREMENTAL.md)
-    for (NodeId Role : {Op.Recv, Op.IdArg, Op.ValArg, Op.AttachParent})
-      if (Role != InvalidNode)
-        addOpUse(Role, I);
-    switch (Op.Spec.Kind) {
-    case OpKind::FindView1:
-    case OpKind::FindView2:
-    case OpKind::FindView3:
-    case OpKind::FragmentAdd: // containers may appear via later inflation
-      StructureSensitiveOps.push_back(I);
-      break;
-    default:
-      break;
-    }
+    registerOp(I);
     enqueueOp(I);
+  }
+  RegisteredOps = Ops.size();
+}
+
+void Solver::registerOp(size_t I) {
+  const OpSite &Op = Sol.opSites()[I];
+  for (NodeId Role : {Op.Recv, Op.IdArg, Op.ValArg, Op.AttachParent})
+    if (Role != InvalidNode)
+      addOpUse(Role, I);
+  switch (Op.Spec.Kind) {
+  case OpKind::FindView1:
+  case OpKind::FindView2:
+  case OpKind::FindView3:
+  case OpKind::FragmentAdd: // containers may appear via later inflation
+    StructureSensitiveOps.push_back(I);
+    break;
+  default:
+    break;
   }
 }
 
@@ -507,6 +512,30 @@ void Solver::wireListenerCallback(NodeId View, NodeId ListenerValue,
   }
 }
 
+void Solver::rewireCallback(NodeId View, NodeId ListenerValue) {
+  FactId Edge = Prov->edgeFact(FactKind::Listener, View, ListenerValue);
+  if (Edge == ProvenanceRecorder::NoFact)
+    return; // the edge died too: the rule that re-adds it wires it
+  const ProvenanceRecorder::Derivation &D = Prov->derivation(Edge);
+  if (D.Rule == DerivRule::XmlOnClick) {
+    wireXmlHandler(View, ListenerValue, /*NewEdge=*/false);
+    return;
+  }
+  if (D.Premises[0] == ProvenanceRecorder::NoFact ||
+      D.Premises[1] == ProvenanceRecorder::NoFact)
+    return;
+  const NodeId Recv = Prov->fact(D.Premises[0]).A;
+  const NodeId Val = Prov->fact(D.Premises[1]).A;
+  const uint32_t *Head = OpUseHead.get(Recv);
+  for (uint32_t L = Head ? *Head : NoLink; L != NoLink;
+       L = OpUseLinks[L].Next) {
+    const OpSite &Op = Sol.opSites()[OpUseLinks[L].Op];
+    if (!Op.Dead && Op.Spec.Kind == OpKind::SetListener && Op.Recv == Recv &&
+        Op.ValArg == Val && Op.Spec.Listener)
+      wireListenerCallback(View, ListenerValue, *Op.Spec.Listener);
+  }
+}
+
 void Solver::wireHandler(NodeId View, NodeId Receiver,
                          const MethodDecl *Handler, int ViewParam,
                          DerivRule Rule, FactId ListenerFact) {
@@ -532,12 +561,11 @@ void Solver::fireSetListener(OpSite &Op) {
   }
   for (NodeId V : Sol.viewsAt(Op.Recv))
     for (NodeId L : Sol.listenerValuesAt(Op.ValArg)) {
-      bool New = G.addListenerEdge(V, L);
-      if (New)
-        provEdge(FactKind::Listener, V, L, DerivRule::SetListener,
-                 provFlow(Op.Recv, V), provFlow(Op.ValArg, L));
-      if (New || RewireCallbacks)
-        wireListenerCallback(V, L, *Op.Spec.Listener);
+      if (!G.addListenerEdge(V, L))
+        continue; // this (view, listener) pair is already wired
+      provEdge(FactKind::Listener, V, L, DerivRule::SetListener,
+               provFlow(Op.Recv, V), provFlow(Op.ValArg, L));
+      wireListenerCallback(V, L, *Op.Spec.Listener);
     }
 }
 
@@ -585,7 +613,7 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
   // child of every view carrying the container id.
   OpSite &Op = Sol.opSites()[OpIndex];
   std::vector<NodeId> Returns =
-      wireFactories(OpIndex, "onCreateView", DerivRule::FragmentAdd);
+      wireFactories(OpIndex, FragmentFactory, DerivRule::FragmentAdd);
 
   // Attach every known fragment root under every container view whose id
   // reaches the container-id argument.
@@ -627,7 +655,7 @@ void Solver::fireSetAdapter(size_t OpIndex) {
   // adapter.getView(inflater) per row; every returned view becomes a
   // child of the AdapterView.
   OpSite &Op = Sol.opSites()[OpIndex];
-  for (NodeId Ret : wireFactories(OpIndex, "getView", DerivRule::SetAdapter))
+  for (NodeId Ret : wireFactories(OpIndex, AdapterFactory, DerivRule::SetAdapter))
     for (NodeId Item : Sol.viewsAt(Ret))
       for (NodeId ListView : Sol.viewsAt(Op.Recv))
         if (G.addParentChildEdge(ListView, Item)) {
@@ -731,90 +759,121 @@ SolverStats Solver::solve() {
   GroupBaseClass = AM.program().findClass(names::ViewGroup);
   registerOpUses();
   seedValueNodes();
-  return runFixpoint();
-}
-
-SolverStats Solver::resolveIncremental(
-    const std::vector<graph::NodeId> &Touched) {
-  Stats = SolverStats();
-  // Every live op re-fires below and notes its site again if it is still
-  // unresolved; an edit may have resolved it, or killed it.
-  Sol.clearUnresolvedOps();
-  ViewBaseClass = AM.program().findClass(names::View);
-  GroupBaseClass = AM.program().findClass(names::ViewGroup);
-  registerOpUses();
-  seedValueNodes();
-
-  // The retraction closure may have deleted facts at a touched node that
-  // an untouched (fully committed) flow predecessor still implies, and
-  // committed values never re-propagate on their own — pull every
-  // predecessor's full set across edges into the touched nodes. One
-  // reverse-adjacency scan; edit-scale, not per-solve.
-  if (!Touched.empty()) {
-    std::vector<bool> IsTouched(G.size(), false);
-    for (NodeId T : Touched)
-      if (T < G.size())
-        IsTouched[T] = true;
-    FlowSetTable &Sets = Sol.flowsToSets();
-    for (NodeId P = 0; P < G.size(); ++P) {
-      bool AnyTouchedSucc = false;
-      for (NodeId S : G.flowSuccessors(P))
-        if (IsTouched[S] && G.node(S).Kind != NodeKind::Op) {
-          AnyTouchedSucc = true;
-          break;
-        }
-      const FlowSet *PSet = Sets.find(P);
-      if (!AnyTouchedSucc || !PSet || PSet->empty())
-        continue;
-      // Copy out: addValue may create sets and move this one.
-      std::vector<NodeId> Values(PSet->begin(), PSet->end());
-      for (NodeId S : G.flowSuccessors(P)) {
-        if (S >= IsTouched.size() || !IsTouched[S] ||
-            G.node(S).Kind == NodeKind::Op)
-          continue;
-        for (NodeId V : Values) {
-          if (Prov)
-            provCtx(DerivRule::FlowEdge, Prov->flowFact(P, V));
-          addValue(S, V);
-        }
-      }
-    }
-    // Surviving values in touched sets are all-delta (FlowSet::eraseValues
-    // reset the commit mark); enqueue them so they re-push downstream.
-    for (NodeId T : Touched) {
-      const FlowSet *TSet = Sets.find(T);
-      if (!TSet || !TSet->hasDelta())
-        continue;
-      auto Queued = queuedMark(Sets.indexOf(T));
-      if (!Queued) {
-        Queued = true;
-        VarWorklist.push_back(T);
-      }
-    }
-  }
-
-  // Re-fire every live op once: rules read full role sets, so this
-  // re-derives over-deleted op facts and re-mints retired inflations
-  // even when no role set has a delta. Idempotent (dedup absorbs the
-  // rest) and edit-scale cheap.
-  for (size_t I = 0; I < Sol.opSites().size(); ++I)
-    if (!Sol.opSites()[I].Dead)
-      enqueueOp(I);
-
-  // Force one structure round: retraction may have removed hierarchy/id
-  // edges the structure-sensitive ops and the XML sweep must re-derive.
-  StructureDirty = true;
-  RewireCallbacks = true;
   SolverStats Result = runFixpoint();
-  RewireCallbacks = false;
+  SeededNodes = static_cast<NodeId>(G.size());
   return Result;
 }
 
-void Solver::forgetLayoutMemos(graph::NodeId LayoutIdNode) {
-  for (auto It = InflatedAt.begin(); It != InflatedAt.end();)
-    It = static_cast<NodeId>(It->first & 0xffffffffu) == LayoutIdNode
-             ? InflatedAt.erase(It)
-             : std::next(It);
+SolverStats Solver::resolveIncremental(const RederiveFrontier &F) {
+  Stats = SolverStats();
+  ViewBaseClass = AM.program().findClass(names::View);
+  GroupBaseClass = AM.program().findClass(names::ViewGroup);
+  auto &Ops = Sol.opSites();
+
+  // The rebuild appended ops: register their uses and fire them. A
+  // resurrected op keeps its slot, roles and registrations.
+  InOpWorklist.resize(Ops.size(), false);
+  for (; RegisteredOps < Ops.size(); ++RegisteredOps)
+    if (!Ops[RegisteredOps].Dead) {
+      registerOp(RegisteredOps);
+      enqueueOp(RegisteredOps);
+    }
+  for (; IndexedOps < Ops.size(); ++IndexedOps) {
+    const OpSite &Op = Ops[IndexedOps];
+    const uint32_t Idx = static_cast<uint32_t>(IndexedOps);
+    OpOfSite.set(Op.OpNode, Idx);
+    if (Op.Out == InvalidNode)
+      continue;
+    const uint32_t New = static_cast<uint32_t>(OutUseLinks.size());
+    uint32_t &Head = OutUseHead.getOrInsert(Op.Out, NoLink);
+    OutUseLinks.push_back({Idx, Head});
+    Head = New;
+  }
+  // Only the rebuild's value nodes are unseeded: the solver seeds what it
+  // mints at the mint, and no retraction kills a surviving node's seed.
+  seedValueNodes(SeededNodes);
+
+  // The frontier ops, whatever their role sets hold now: a re-fire reads
+  // full sets, so it restores the facts the closure over-deleted, and it
+  // re-mints a retired inflation (the memo hit is stale).
+  for (NodeId N : F.OpInputs)
+    enqueueOpsAt(N);
+  for (NodeId Site : F.ShrunkSites)
+    if (const uint32_t *Op = OpOfSite.get(Site))
+      enqueueOp(*Op);
+  for (uint32_t Op : F.Ops)
+    enqueueOp(Op);
+  if (F.FactoriesChanged)
+    for (size_t I = 0; I < Ops.size(); ++I)
+      if (Ops[I].Spec.Kind == OpKind::FragmentAdd ||
+          Ops[I].Spec.Kind == OpKind::SetAdapter)
+        enqueueOp(I);
+  // Each re-fired op notes its site again while it is still unresolved;
+  // the markers of ops that do not re-fire stand, since nothing they read
+  // shrank.
+  Sol.clearUnresolvedOps(
+      [&](uint32_t I) { return Ops[I].Dead || InOpWorklist[I]; });
+
+  // Give each lost value back from a flow predecessor that still holds
+  // it. The recorder lists the nodes that hold the value (its flowsTo
+  // facts), so no reverse adjacency is kept. A value no predecessor holds
+  // stays lost unless a rule re-derives it.
+  for (const auto &[T, V] : F.Lost) {
+    NodeId From = InvalidNode;
+    Prov->forEachFactAt(V, [&](FactId I) {
+      const ProvenanceRecorder::Fact &Held = Prov->fact(I);
+      if (From == InvalidNode && Held.Kind == FactKind::Flow &&
+          Held.B == V && G.hasFlowEdge(Held.A, T))
+        From = Held.A;
+    });
+    if (From == InvalidNode)
+      continue;
+    provCtx(DerivRule::FlowEdge, Prov->flowFact(From, V));
+    addValue(T, V);
+  }
+  // A new edge carries its source's whole set, committed values included.
+  for (const auto &[From, To] : F.NewEdges) {
+    const FlowSet *FSet = Sol.flowsToSets().find(From);
+    if (!FSet || G.node(To).Kind == NodeKind::Op)
+      continue;
+    // Copy out: addValue may create sets and move this one.
+    PropScratch.assign(FSet->begin(), FSet->end());
+    for (NodeId V : PropScratch) {
+      provCtx(DerivRule::FlowEdge, Prov->flowFact(From, V));
+      addValue(To, V);
+    }
+  }
+  for (const auto &[View, Listener] : F.Rewire)
+    rewireCallback(View, Listener);
+
+  // Structure the closure deleted may be re-derivable from what is left:
+  // run the structure-sensitive ops and the android:onClick sweep once.
+  StructureDirty = StructureDirty || F.StructureRetracted;
+  SolverStats Result = runFixpoint();
+  SeededNodes = static_cast<NodeId>(G.size());
+  return Result;
+}
+
+void Solver::enqueueOpsAt(NodeId N) {
+  for (const auto &[Head, Links] :
+       {std::pair{OpUseHead.get(N), &OpUseLinks},
+        std::pair{OutUseHead.get(N), &OutUseLinks}})
+    for (uint32_t L = Head ? *Head : NoLink; L != NoLink;
+         L = (*Links)[L].Next)
+      enqueueOp((*Links)[L].Op);
+}
+
+std::vector<uint32_t> Solver::forgetLayoutMemos(graph::NodeId LayoutIdNode) {
+  std::vector<uint32_t> Sites;
+  for (auto It = InflatedAt.begin(); It != InflatedAt.end();) {
+    if (static_cast<NodeId>(It->first & 0xffffffffu) != LayoutIdNode) {
+      ++It;
+      continue;
+    }
+    Sites.push_back(static_cast<uint32_t>(It->first >> 32));
+    It = InflatedAt.erase(It);
+  }
+  return Sites;
 }
 
 SolverStats Solver::runFixpoint() {

@@ -33,6 +33,7 @@
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace gator {
@@ -70,6 +71,37 @@ struct SolverStats {
   support::BudgetReason BudgetTripped = support::BudgetReason::None;
 };
 
+/// What a delete-and-rederive retraction left for the re-derive pass to
+/// redo (docs/INCREMENTAL.md, step 4). Everything here is edit-scale.
+struct RederiveFrontier {
+  /// (node, value) flowsTo facts the closure deleted at surviving nodes,
+  /// sorted. A flow predecessor that still holds the value gives it back.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> Lost;
+  /// Nodes whose ops (as a role or as the output) re-fire: every node in
+  /// Lost, and every node holding the source value of a relationship or
+  /// solver-added edge the closure deleted between surviving nodes, since
+  /// any op reading such a node may derive the edge again.
+  std::vector<graph::NodeId> OpInputs;
+  /// Flow edges the edit added; the source's whole set crosses each.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> NewEdges;
+  /// Op nodes of the inflation sites whose minted views the closure
+  /// retired.
+  std::vector<graph::NodeId> ShrunkSites;
+  /// Ops that re-fire whatever their inputs: new or resurrected sites, and
+  /// sites whose inflation memos a layout edit dropped.
+  std::vector<uint32_t> Ops;
+  /// (view, listener) edges that survived while callback facts they imply
+  /// died: the closure killed a fact whose recorded derivation cited
+  /// another edge.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> Rewire;
+  /// A hierarchy, id, root or layout-root edge died, so the
+  /// structure-sensitive ops and the android:onClick sweep run once.
+  bool StructureRetracted = false;
+  /// A factory method's return statements changed, so every FragmentAdd
+  /// and SetAdapter op re-fires.
+  bool FactoriesChanged = false;
+};
+
 /// Runs the fixed point over an already-built constraint graph.
 class Solver {
 public:
@@ -83,21 +115,33 @@ public:
   SolverStats solve();
 
   /// Re-derives after a delete-and-rederive retraction
-  /// (docs/INCREMENTAL.md). \p Touched lists the nodes whose flowsTo sets
-  /// the closure shrank; their surviving values were already marked
-  /// all-delta by FlowSet::eraseValues. Re-registers op uses (skipping
-  /// dead sites), re-seeds value nodes (skipping retired ones), pulls
-  /// every flow predecessor's full set into the touched nodes — committed
-  /// values never re-propagate on their own — and runs the normal fixpoint
-  /// to quiescence, reaching the same least fixed point as a from-scratch
-  /// solve over the edited graph.
-  SolverStats resolveIncremental(const std::vector<graph::NodeId> &Touched);
+  /// (docs/INCREMENTAL.md) from the closure's frontier \p F alone:
+  /// registers the ops the rebuild appended and seeds the value nodes it
+  /// created, gives each lost value back from a flow predecessor that
+  /// still holds it (committed values never re-propagate on their own;
+  /// the provenance recorder names the holders, so no reverse adjacency
+  /// is kept), pushes each new edge's source set across it, re-wires the
+  /// frontier callbacks, re-fires the frontier ops (and every FragmentAdd
+  /// and SetAdapter op when a factory's returns changed), dropping their
+  /// unresolved-op markers first so each still unresolved site notes
+  /// itself again, and runs the normal fixpoint to quiescence. A structure round runs only
+  /// when a structure edge died or grew. The result is the least fixed
+  /// point a from-scratch solve over the edited graph reaches. Needs the
+  /// recorder (setProvenance) that the closure walked.
+  SolverStats resolveIncremental(const RederiveFrontier &F);
 
-  /// Drops the inflation memos of the layout with id node \p LayoutIdNode.
-  /// The other memo hits validate themselves against the graph (a retired
-  /// root, a removed factory link), but a failed inflation is memoized as
-  /// InvalidNode, and only an edit of its layout can make it succeed.
-  void forgetLayoutMemos(graph::NodeId LayoutIdNode);
+  /// The framework callbacks whose returned views FragmentAdd and
+  /// SetAdapter attach (one parameter each). The solver reads their return
+  /// statements directly, with no graph edge.
+  static constexpr const char *FragmentFactory = "onCreateView";
+  static constexpr const char *AdapterFactory = "getView";
+
+  /// Drops the inflation memos of the layout with id node \p LayoutIdNode
+  /// and returns the ops they belonged to. The other memo hits validate
+  /// themselves against the graph (a retired root, a removed factory
+  /// link), but a failed inflation is memoized as InvalidNode, and only an
+  /// edit of its layout can make it succeed.
+  std::vector<uint32_t> forgetLayoutMemos(graph::NodeId LayoutIdNode);
 
   /// Attaches a derivation recorder (docs/OBSERVABILITY.md). Null (the
   /// default) disables recording; non-null makes every committed flowsTo
@@ -109,8 +153,12 @@ private:
   using NodeId = graph::NodeId;
   using FactId = ProvenanceRecorder::FactId;
 
-  void seedValueNodes();
+  /// Seeds every value node from \p From up (all of them by default).
+  void seedValueNodes(graph::NodeId From = 0);
   void registerOpUses();
+  /// registerOpUses' step for one live op: its role uses and, for a
+  /// structure-sensitive kind, its structure-round entry.
+  void registerOp(size_t OpIndex);
 
   /// The shared worklist loop: drains values/ops with budget checkpoints,
   /// runs batched structure rounds, and collects final telemetry. solve()
@@ -156,10 +204,15 @@ private:
                                     DerivRule Rule);
 
   /// Wires the implicit handler callback `y.n(x)` for a new (view,
-  /// listener) association (Section 3.2, "Effects of callbacks"), and
-  /// for an existing one while RewireCallbacks is set.
+  /// listener) association (Section 3.2, "Effects of callbacks").
   void wireListenerCallback(NodeId View, NodeId ListenerValue,
                             const android::ListenerSpec &Spec);
+
+  /// Wires the callback of the surviving (view, listener) edge again, as
+  /// the rule that added the edge did: the android:onClick handler, or
+  /// the listener spec of the SetListener sites with the roles its
+  /// recorded derivation cites (docs/INCREMENTAL.md).
+  void rewireCallback(NodeId View, NodeId ListenerValue);
 
   /// The handler-wiring step shared by listener callbacks and
   /// `android:onClick`: \p Receiver flows into \p Handler's `this` over a
@@ -174,6 +227,9 @@ private:
   /// click listener, with the named activity method as handler. Runs when
   /// the hierarchy structure has grown.
   void sweepXmlOnClickHandlers();
+  /// The android:onClick handler of view \p View in window \p Holder;
+  /// \p NewEdge reports a handler that is not found.
+  void wireXmlHandler(NodeId View, NodeId Holder, bool NewEdge);
 
   void noteStructureChange();
   void enqueueOp(size_t OpIndex);
@@ -228,6 +284,20 @@ private:
   /// Ops to re-fire on hierarchy/id/root structure growth.
   std::vector<size_t> StructureSensitiveOps;
 
+  /// The re-derive pass's own indexes, built by resolveIncremental() only
+  /// (a scratch solve never pays for them): op indices by output node,
+  /// chained like OpUseLinks, and op index by op node. Ops below
+  /// IndexedOps are indexed; ops below RegisteredOps have their uses
+  /// registered. Value nodes below SeededNodes have been seeded.
+  support::FlatIdMap<uint32_t> OutUseHead;
+  std::vector<OpUseLink> OutUseLinks;
+  support::FlatIdMap<uint32_t> OpOfSite;
+  size_t IndexedOps = 0;
+  size_t RegisteredOps = 0;
+  NodeId SeededNodes = 0;
+  /// Enqueues the ops that read or write node \p N's set.
+  void enqueueOpsAt(NodeId N);
+
   /// (op index, layout-id or unknown-id node) -> inflated root, or
   /// InvalidNode for a failed inflation. A hit whose root is retired is
   /// stale: the retraction closure retired the subtree while the site and
@@ -244,13 +314,6 @@ private:
   /// Set by structure growth; triggers the XML onClick sweep when the
   /// worklists drain.
   bool StructureDirty = false;
-  /// Set only during resolveIncremental()'s fixpoint: the listener rules
-  /// re-wire the callback of every (view, listener) pair they see, not
-  /// just of new edges. A retraction can kill a callback fact whose
-  /// recorded derivation cited another listener edge while the pair's own
-  /// edge survives, so "edge already present" no longer implies "callback
-  /// wired" (docs/INCREMENTAL.md).
-  bool RewireCallbacks = false;
 
   /// Derivation recorder; null when provenance is off. Recording sites
   /// stage the producing rule and premises in PRule/PPrem before calling

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iterator>
 
 using namespace gator;
 using namespace gator::graph;
@@ -118,6 +119,23 @@ NodeId ConstraintGraph::push(const Node &N) {
   return Id;
 }
 
+void ConstraintGraph::shrinkToFit() {
+  // Keep an eighth as headroom: each edit mints a few nodes, and an exact
+  // fit would make the first of them copy the whole table.
+  const size_t Keep = Nodes.size() + Nodes.size() / 8 + 64;
+  auto fit = [&](auto &Table) {
+    if (Table.capacity() <= Keep)
+      return;
+    std::decay_t<decltype(Table)> Fitted;
+    Fitted.reserve(Keep);
+    std::move(Table.begin(), Table.end(), std::back_inserter(Fitted));
+    Table.swap(Fitted);
+  };
+  fit(Nodes);
+  fit(FlowSucc);
+  FlowEdges.shrinkToFit();
+}
+
 NodeId ConstraintGraph::pushWithLoc(Node N, const SourceLocation &Loc) {
   Locs.push_back(EdgeArena, Loc);
   N.LocSlot = static_cast<uint32_t>(Locs.size());
@@ -167,8 +185,10 @@ NodeId ConstraintGraph::getAllocNode(const MethodDecl *M, int32_t StmtIndex,
     // statement index with a different allocated class; the class is part
     // of the allocation's identity, so a mismatched memo hit mints a
     // fresh node and the session retires the stale one.
+    // A retired node (its statement was deleted, then restored) is never
+    // revived either: its facts are gone, and seeding skips it.
     const Node &Existing = node(*Hit);
-    if (Existing.Klass == Klass && Existing.Kind == Kind)
+    if (Existing.Klass == Klass && Existing.Kind == Kind && !Existing.Retired)
       return *Hit;
   }
   Node N;
@@ -288,6 +308,13 @@ NodeId ConstraintGraph::makeUnknownIdNode(UnknownReason Reason,
 //===----------------------------------------------------------------------===//
 // Edges
 //===----------------------------------------------------------------------===//
+
+bool ConstraintGraph::hasFlowEdge(NodeId From, NodeId To) const {
+  const NodeList &Succ = FlowSucc[From];
+  if (Succ.size() <= SmallFlowDegree)
+    return std::find(Succ.begin(), Succ.end(), To) != Succ.end();
+  return FlowEdges.contains(edgeKey(From, To));
+}
 
 bool ConstraintGraph::addFlowEdge(NodeId From, NodeId To) {
   if (!GATOR_CHECK(From < Nodes.size() && To < Nodes.size(), Diags,

@@ -247,12 +247,15 @@ public:
     return KindIndex[static_cast<size_t>(Kind)];
   }
 
-  /// True when the graph holds an UnknownView or UnknownId node (retired
-  /// ones included): some facts approximate hostile input
+  /// True when the graph holds an UnknownView or UnknownId node that is
+  /// not retired: some facts approximate hostile input
   /// (docs/ROBUSTNESS.md).
   bool hasUnknownSources() const {
-    return !nodesOfKind(NodeKind::UnknownView).empty() ||
-           !nodesOfKind(NodeKind::UnknownId).empty();
+    for (NodeKind K : {NodeKind::UnknownView, NodeKind::UnknownId})
+      for (NodeId Id : nodesOfKind(K))
+        if (!Nodes[Id].Retired)
+          return true;
+    return false;
   }
 
   /// Human-readable label (e.g. "new Button_12", "FindView1_13",
@@ -313,6 +316,14 @@ public:
   bool addFlowEdge(NodeId From, NodeId To);
 
   const NodeList &flowSuccessors(NodeId Id) const { return FlowSucc[Id]; }
+
+  /// True when the flow edge \p From -> \p To is present.
+  bool hasFlowEdge(NodeId From, NodeId To) const;
+
+  /// Releases the capacity reserve() left unused: a long-lived session
+  /// keeps its graph after the first solve, which reserve() sized for a
+  /// one-shot build (docs/INCREMENTAL.md).
+  void shrinkToFit();
 
   size_t flowEdgeCount() const { return NumFlowEdges; }
 

@@ -74,6 +74,7 @@ public:
     const Slot &S = const_cast<FlatIdMap *>(this)->findSlot(Key);
     return S.Key == Key ? &S.Value : nullptr;
   }
+  V *find(uint64_t Key) { return const_cast<V *>(get(Key)); }
 
   /// Returns the value slot for \p Key, inserting \p Default if absent.
   V &getOrInsert(uint64_t Key, const V &Default) {
@@ -126,10 +127,13 @@ public:
   }
 
   void reserve(size_t N) {
-    size_t Want = 16;
-    while (Want * 3 < N * 4) // invert the 3/4 load factor
-      Want *= 2;
-    if (Want > Slots.size())
+    if (size_t Want = slotsFor(N); Want > Slots.size())
+      rehash(Want);
+  }
+
+  /// Shrinks the slot array to what the current entries need.
+  void shrinkToFit() {
+    if (size_t Want = slotsFor(Count); Want < Slots.size())
       rehash(Want);
   }
 
@@ -138,6 +142,13 @@ private:
     uint64_t Key = EmptyKey;
     V Value{};
   };
+
+  static size_t slotsFor(size_t N) {
+    size_t Want = 16;
+    while (Want * 3 < N * 4) // invert the 3/4 load factor
+      Want *= 2;
+    return Want;
+  }
 
   Slot &findSlot(uint64_t Key) {
     // Fibonacci multiply-shift spreads packed ids (which share low-bit

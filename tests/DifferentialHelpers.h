@@ -32,7 +32,8 @@ inline EdgeCounts edgeCounts(const analysis::AnalysisResult &R) {
 
 /// Asserts that two results describe the same solution: identical
 /// edge/node counts, identical solutionDigest (every flowsTo set, every
-/// relationship edge and every unresolved-op marker, under semantic keys),
+/// relationship edge, every unresolved-op marker and the fidelity, under
+/// semantic keys),
 /// identical Table 2 metrics. Both results must be computed over the same
 /// program and layout objects: the digest names inflated views by their
 /// layout node's address.
