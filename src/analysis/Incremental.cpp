@@ -120,7 +120,7 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
   // premise); those nodes retire in a follow-up wave so every fact
   // touching them dies too.
   std::vector<NodeId> NewlyDead, RewireAt;
-  std::vector<std::pair<NodeId, NodeId>> LostEdges;
+  std::vector<std::pair<NodeId, NodeId>> LostEdges, LostFragmentEdges;
   // Inputs the closure shrank of rules that cite less than they read
   // (below): nodes that lost a value, the values they lost, and the
   // children of deleted hierarchy and root edges.
@@ -164,6 +164,8 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
         G.removeParentChildEdge(Ft.A, Ft.B);
         F.StructureRetracted = true;
         Cut.push_back(Ft.B);
+        if (Rule == DerivRule::FragmentAdd)
+          LostFragmentEdges.emplace_back(Ft.A, Ft.B);
         break;
       case FactKind::HasId:
         G.removeHasIdEdge(Ft.A, Ft.B);
@@ -189,9 +191,9 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
   };
   // Some rules cite less than they read, so the closure kills their
   // conclusions whenever an uncited input may have shrunk. Over-deletion
-  // is sound: the ops re-fire from Lost or from the deleted edges' sources
-  // (below), and the structure round re-runs the structure-sensitive ops
-  // and the android:onClick sweep.
+  // is sound: the ops re-fire from Lost, from the deleted edges' sources,
+  // or from the changed ids of the deleted fragment edges (below), and the
+  // structure round re-runs the android:onClick sweep.
   //  - A FindView* result cites the view and the id edge that matched, not
   //    the receiver, the id argument or the hierarchy path of its search.
   //  - An android:onClick listener edge cites only its view, not the root
@@ -350,6 +352,15 @@ RetractionResult analysis::retractAndClose(ConstraintGraph &G, Solution &Sol,
         F.OpInputs.push_back(Ft.A);
     });
   uniq(F.OpInputs);
+  // A FragmentAdd op finds its containers through their id edges, not
+  // through a role, so the deleted fragment edges between surviving nodes
+  // name the ids their containers still carry; the structure round fires
+  // the ops whose id argument holds one.
+  for (const auto &[Container, Child] : LostFragmentEdges)
+    if (!G.isRetired(Container) && !G.isRetired(Child))
+      for (NodeId Id : G.viewIds(Container))
+        F.ChangedIds.push_back(Id);
+  uniq(F.ChangedIds);
 
   // The surviving (view, listener) edges at the nodes whose callback facts
   // died, for the re-derive to wire again.
@@ -1123,7 +1134,16 @@ bool IncrementalAnalysis::reanalyzeLayout(
   if (Layouts.includedLayouts().count(Name))
     return false;
 
-  // Views minted from the old tree: collect by layout-node membership.
+  // The solver's other memos validate themselves on a hit; a failed
+  // inflation of the old tree (memoized as InvalidNode) may now succeed,
+  // so the sites of every memo of this layout re-fire.
+  const unsigned CheckFailuresBefore = Diags.checkFailureCount();
+  ConstraintGraph &G = *Result->Graph;
+  Solver::LayoutMemos Memos =
+      S->forgetLayoutMemos(G.getLayoutIdNode(Def->id()));
+
+  // Views minted from the old tree: the subtree of each memoized root,
+  // without the views other rules attached below it.
   std::unordered_set<const layout::LayoutNode *> OldNodes;
   std::vector<const layout::LayoutNode *> Stack{Def->root()};
   while (!Stack.empty()) {
@@ -1133,14 +1153,22 @@ bool IncrementalAnalysis::reanalyzeLayout(
     for (const auto &C : N->children())
       Stack.push_back(C.get());
   }
-  const unsigned CheckFailuresBefore = Diags.checkFailureCount();
-  ConstraintGraph &G = *Result->Graph;
   RetractionInputs In;
-  for (NodeId V : G.nodesOfKind(NodeKind::ViewInfl)) {
-    const Node &N = G.node(V);
-    if (!N.Retired && N.LNode && OldNodes.count(N.LNode))
-      In.RetireNodes.push_back(V);
+  for (NodeId Root : Memos.Roots) {
+    if (Root == InvalidNode || G.isRetired(Root))
+      continue;
+    const NodeId Site = G.node(Root).InflateSite;
+    for (NodeId V : G.descendantsOf(Root)) {
+      const Node &N = G.node(V);
+      if (N.Kind == NodeKind::ViewInfl && !N.Retired &&
+          N.InflateSite == Site && OldNodes.count(N.LNode))
+        In.RetireNodes.push_back(V);
+    }
   }
+  std::sort(In.RetireNodes.begin(), In.RetireNodes.end());
+  In.RetireNodes.erase(
+      std::unique(In.RetireNodes.begin(), In.RetireNodes.end()),
+      In.RetireNodes.end());
 
   // View ids the edited tree introduces intern into the session's table
   // (append-only, so existing ids keep their numbers), and get their value
@@ -1169,11 +1197,7 @@ bool IncrementalAnalysis::reanalyzeLayout(
     if (G.node(V).Kind == NodeKind::ViewInfl)
       G.neutralizeViewInflNode(V);
   Def->setRoot(std::move(NewRoot));
-
-  // The solver's other memos validate themselves on a hit; a failed
-  // inflation of the old tree (memoized as InvalidNode) may now succeed,
-  // so its sites re-fire.
-  R.Frontier.Ops = S->forgetLayoutMemos(G.getLayoutIdNode(Def->id()));
+  R.Frontier.Ops = std::move(Memos.Sites);
   rederive(R, CheckFailuresBefore);
   return true;
 }

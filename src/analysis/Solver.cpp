@@ -109,11 +109,19 @@ void Solver::enqueueOp(size_t OpIndex) {
     Stats.PeakOpWorklist = OpWorklist.size();
 }
 
-void Solver::noteStructureChange() {
-  // Structure-sensitive ops re-fire once per quiescent round (runFixpoint),
-  // not once per added edge; monotonicity makes the batched schedule reach
-  // the same least fixed point.
+// Structure-sensitive ops re-fire once per quiescent round (runFixpoint),
+// not once per added edge; monotonicity makes the batched schedule reach
+// the same least fixed point.
+void Solver::notePlaced(NodeId View) {
   StructureDirty = true;
+  if (TrackPlaced)
+    Placed.push_back(View);
+}
+
+void Solver::noteNewId(NodeId View, NodeId Id) {
+  StructureDirty = true;
+  if (TrackPlaced)
+    NewIds.emplace_back(View, Id);
 }
 
 void Solver::sweepXmlOnClickHandlers() {
@@ -246,6 +254,8 @@ NodeId Solver::inflateAt(size_t OpIndex, NodeId IdNode) {
   uint64_t Key = (static_cast<uint64_t>(OpIndex) << 32) | IdNode;
   auto [It, Fresh] = InflatedAt.try_emplace(Key, InvalidNode);
   NodeId &Root = It->second;
+  if (Fresh && MemosIndexed)
+    MemosById[IdNode].push_back(static_cast<uint32_t>(OpIndex));
   if (!Fresh && (Root == InvalidNode || !G.node(Root).Retired)) {
     // A re-derive clears the unresolved markers: a hit notes its site
     // again wherever the minting did (a degenerate layout, an unknown id).
@@ -375,7 +385,7 @@ NodeId Solver::mintLayout(size_t OpIndex, NodeId LayoutIdNode) {
   G.addRootsLayoutEdge(Root, LayoutIdNode);
   provEdge(FactKind::RootsLayout, Root, LayoutIdNode, DerivRule::Inflate,
            IdFact);
-  noteStructureChange();
+  notePlaced(Root);
   return Root;
 }
 
@@ -396,7 +406,7 @@ NodeId Solver::mintUnknownRoot(size_t OpIndex, NodeId UnknownIdNode) {
            IdFact);
   Sol.markDegraded();
   Sol.noteUnresolvedOp(static_cast<uint32_t>(OpIndex));
-  noteStructureChange();
+  notePlaced(Root);
   return Root;
 }
 
@@ -426,7 +436,7 @@ void Solver::fireInflate(OpSite &Op) {
             provEdge(FactKind::ParentChild, P, Root,
                      Unknown ? Rule : DerivRule::InflateAttach,
                      provFlow(Op.AttachParent, P), provFlow(Root, Root));
-            noteStructureChange();
+            notePlaced(Root);
           }
     } else {
       // Rule INFLATE2: the root is associated with the activity/dialog.
@@ -437,7 +447,7 @@ void Solver::fireInflate(OpSite &Op) {
         if (G.addRootEdge(W, Root)) {
           provEdge(FactKind::Root, W, Root, Rule, provFlow(Op.Recv, W),
                    provFlow(Op.IdArg, Id));
-          noteStructureChange();
+          notePlaced(Root);
         }
       }
     }
@@ -458,7 +468,7 @@ void Solver::fireAddView1(OpSite &Op) {
       if (G.addRootEdge(W, V)) {
         provEdge(FactKind::Root, W, V, DerivRule::AddView1,
                  provFlow(Op.Recv, W), provFlow(Op.ValArg, V));
-        noteStructureChange();
+        notePlaced(V);
       }
   }
 }
@@ -470,7 +480,7 @@ void Solver::fireAddView2(OpSite &Op) {
       if (G.addParentChildEdge(P, C)) {
         provEdge(FactKind::ParentChild, P, C, DerivRule::AddView2,
                  provFlow(Op.Recv, P), provFlow(Op.ValArg, C));
-        noteStructureChange();
+        notePlaced(C);
       }
 }
 
@@ -488,7 +498,7 @@ void Solver::fireSetId(OpSite &Op) {
                    K == NodeKind::UnknownId ? DerivRule::UnknownSource
                                             : DerivRule::SetId,
                    provFlow(Op.Recv, V), provFlow(Op.IdArg, IdVal));
-          noteStructureChange();
+          noteNewId(V, IdVal);
         }
     }
 }
@@ -645,7 +655,7 @@ void Solver::fireFragmentAdd(size_t OpIndex) {
                    DerivRule::FragmentAdd, provFlow(Root, Root),
                    Prov ? Prov->edgeFact(FactKind::HasId, Container, IdNode)
                         : ProvenanceRecorder::NoFact);
-          noteStructureChange();
+          notePlaced(Root);
         }
   }
 }
@@ -662,7 +672,7 @@ void Solver::fireSetAdapter(size_t OpIndex) {
           provEdge(FactKind::ParentChild, ListView, Item,
                    DerivRule::SetAdapter, provFlow(Op.Recv, ListView),
                    provFlow(Item, Item));
-          noteStructureChange();
+          notePlaced(Item);
         }
 }
 
@@ -769,6 +779,11 @@ SolverStats Solver::resolveIncremental(const RederiveFrontier &F) {
   ViewBaseClass = AM.program().findClass(names::View);
   GroupBaseClass = AM.program().findClass(names::ViewGroup);
   auto &Ops = Sol.opSites();
+  TrackPlaced = true;
+  Placed.clear();
+  NewIds.clear();
+  for (NodeId Id : F.ChangedIds)
+    NewIds.emplace_back(InvalidNode, Id);
 
   // The rebuild appended ops: register their uses and fire them. A
   // resurrected op keeps its slot, roles and registrations.
@@ -847,8 +862,10 @@ SolverStats Solver::resolveIncremental(const RederiveFrontier &F) {
     rewireCallback(View, Listener);
 
   // Structure the closure deleted may be re-derivable from what is left:
-  // run the structure-sensitive ops and the android:onClick sweep once.
-  StructureDirty = StructureDirty || F.StructureRetracted;
+  // the structure round fires the ops the changed ids reach and runs the
+  // android:onClick sweep once.
+  StructureDirty =
+      StructureDirty || F.StructureRetracted || !F.ChangedIds.empty();
   SolverStats Result = runFixpoint();
   SeededNodes = static_cast<NodeId>(G.size());
   return Result;
@@ -863,17 +880,114 @@ void Solver::enqueueOpsAt(NodeId N) {
       enqueueOp((*Links)[L].Op);
 }
 
-std::vector<uint32_t> Solver::forgetLayoutMemos(graph::NodeId LayoutIdNode) {
-  std::vector<uint32_t> Sites;
-  for (auto It = InflatedAt.begin(); It != InflatedAt.end();) {
-    if (static_cast<NodeId>(It->first & 0xffffffffu) != LayoutIdNode) {
-      ++It;
-      continue;
-    }
-    Sites.push_back(static_cast<uint32_t>(It->first >> 32));
-    It = InflatedAt.erase(It);
+void Solver::enqueueStructureOps() {
+  auto fire = [&](size_t OpIndex) {
+    Stats.StructureRefires += !InOpWorklist[OpIndex];
+    enqueueOp(OpIndex);
+  };
+  if (!TrackPlaced || !Options.TrackViewIds || !Options.TrackHierarchy ||
+      G.hasUnknownSources()) {
+    for (size_t OpIndex : StructureSensitiveOps)
+      fire(OpIndex);
+    Placed.clear();
+    NewIds.clear();
+    return;
   }
-  return Sites;
+  auto uniq = [](std::vector<NodeId> &V) {
+    std::sort(V.begin(), V.end());
+    V.erase(std::unique(V.begin(), V.end()), V.end());
+  };
+  // The ids a lookup may now match: the new has-id ids, and the ids of
+  // the views in each placed subtree.
+  std::vector<NodeId> Ids, Reached;
+  for (const auto &[View, Id] : NewIds) {
+    Ids.push_back(Id);
+    if (View != InvalidNode)
+      Reached.push_back(View);
+  }
+  NewIds.clear();
+  for (NodeId View : Placed) {
+    Reached.push_back(View);
+    for (NodeId V : G.descendantsOf(View))
+      for (NodeId Id : G.viewIds(V))
+        Ids.push_back(Id);
+  }
+  Placed.clear();
+  uniq(Ids);
+  // The searches that may now find more start at a view above a placed
+  // view or a view with a new id, or at a window holding such a view as a
+  // root. The recorder's per-node index lists the parent-child and root
+  // facts that end at a view, so no reverse adjacency is kept.
+  uniq(Reached);
+  std::vector<NodeId> Work(Reached);
+  while (!Work.empty()) {
+    const NodeId V = Work.back();
+    Work.pop_back();
+    Prov->forEachFactAt(V, [&](FactId I) {
+      const ProvenanceRecorder::Fact &Ft = Prov->fact(I);
+      if (Ft.B != V ||
+          (Ft.Kind != FactKind::ParentChild && Ft.Kind != FactKind::Root) ||
+          std::find(Reached.begin(), Reached.end(), Ft.A) != Reached.end())
+        return;
+      Reached.push_back(Ft.A);
+      if (Ft.Kind == FactKind::ParentChild)
+        Work.push_back(Ft.A);
+    });
+  }
+  uniq(Reached);
+
+  auto holdsAny = [&](NodeId Role, const std::vector<NodeId> &Held) {
+    if (Role == InvalidNode || Held.empty())
+      return false;
+    for (NodeId V : Sol.valuesAt(Role))
+      if (std::binary_search(Held.begin(), Held.end(), V))
+        return true;
+    return false;
+  };
+  const auto &Ops = Sol.opSites();
+  for (size_t OpIndex : StructureSensitiveOps) {
+    const OpSite &Op = Ops[OpIndex];
+    if (Op.Dead)
+      continue;
+    bool Reaches = false;
+    switch (Op.Spec.Kind) {
+    case OpKind::FindView1:
+    case OpKind::FindView2:
+      Reaches = holdsAny(Op.IdArg, Ids) && holdsAny(Op.Recv, Reached);
+      break;
+    case OpKind::FindView3:
+      Reaches = holdsAny(Op.Recv, Reached);
+      break;
+    default: // FragmentAdd: its containers are the views with its ids
+      Reaches = holdsAny(Op.IdArg, Ids);
+      break;
+    }
+    if (Reaches)
+      fire(OpIndex);
+  }
+}
+
+Solver::LayoutMemos Solver::forgetLayoutMemos(graph::NodeId LayoutIdNode) {
+  if (!MemosIndexed) {
+    for (const auto &Memo : InflatedAt)
+      MemosById[static_cast<NodeId>(Memo.first & 0xffffffffu)].push_back(
+          static_cast<uint32_t>(Memo.first >> 32));
+    MemosIndexed = true;
+  }
+  LayoutMemos Memos;
+  auto Indexed = MemosById.find(LayoutIdNode);
+  if (Indexed == MemosById.end())
+    return Memos;
+  Memos.Sites = std::move(Indexed->second);
+  MemosById.erase(Indexed);
+  std::sort(Memos.Sites.begin(), Memos.Sites.end());
+  for (uint32_t Site : Memos.Sites) {
+    auto It =
+        InflatedAt.find((static_cast<uint64_t>(Site) << 32) | LayoutIdNode);
+    Memos.Roots.push_back(It->second);
+    InflatedAt.erase(It);
+  }
+  return Memos;
 }
 
 SolverStats Solver::runFixpoint() {
@@ -887,7 +1001,7 @@ SolverStats Solver::runFixpoint() {
     if (VarWorklist.empty() && OpWorklist.empty()) {
       // Quiescent: apply structure-driven models once per structure
       // growth; they may seed new propagation. The structure-sensitive op
-      // re-fires are batched here too (noteStructureChange only marks),
+      // re-fires are batched here too (notePlaced/noteNewId only mark),
       // firing each op once per round instead of once per added edge.
       if (!StructureDirty)
         break;
@@ -898,8 +1012,7 @@ SolverStats Solver::runFixpoint() {
       ++Stats.StructureRounds;
       if (Options.Trace)
         Options.Trace->instant("solver.structure-round");
-      for (size_t OpIndex : StructureSensitiveOps)
-        enqueueOp(OpIndex);
+      enqueueStructureOps();
       sweepXmlOnClickHandlers();
       continue;
     }
@@ -952,5 +1065,6 @@ SolverStats Solver::runFixpoint() {
   FixpointSpan.arg("op_firings", Stats.OpFirings);
   FixpointSpan.arg("inflations", Stats.InflationCount);
   FixpointSpan.arg("structure_rounds", Stats.StructureRounds);
+  FixpointSpan.arg("structure_refires", Stats.StructureRefires);
   return Stats;
 }

@@ -50,6 +50,7 @@ struct SolverStats {
   unsigned long DedupHits = 0;    ///< attempts finding the value present
   unsigned long DeltaCommits = 0; ///< nonempty delta spans committed
   unsigned long StructureRounds = 0; ///< quiescent structure re-fire rounds
+  unsigned long StructureRefires = 0; ///< ops the structure rounds enqueued
   unsigned long PeakSetSize = 0;  ///< largest flowsTo set observed
   unsigned long PromotedSets = 0; ///< sets that outgrew the small repr
   unsigned long DescCacheHits = 0;   ///< descendantsOf cache hits
@@ -94,8 +95,14 @@ struct RederiveFrontier {
   /// died: the closure killed a fact whose recorded derivation cited
   /// another edge.
   std::vector<std::pair<graph::NodeId, graph::NodeId>> Rewire;
+  /// The ids of the containers of FragmentAdd child edges the closure
+  /// deleted between surviving nodes, sorted. The op reads its containers
+  /// through the id edges, not through a role, so the structure round
+  /// fires the ops whose id argument holds one of these ids.
+  std::vector<graph::NodeId> ChangedIds;
   /// A hierarchy, id, root or layout-root edge died, so the
-  /// structure-sensitive ops and the android:onClick sweep run once.
+  /// android:onClick sweep runs once. The structure round fires only the
+  /// ops that ChangedIds and the re-derive's own structure growth reach.
   bool StructureRetracted = false;
   /// A factory method's return statements changed, so every FragmentAdd
   /// and SetAdapter op re-fires.
@@ -124,10 +131,13 @@ public:
   /// frontier callbacks, re-fires the frontier ops (and every FragmentAdd
   /// and SetAdapter op when a factory's returns changed), dropping their
   /// unresolved-op markers first so each still unresolved site notes
-  /// itself again, and runs the normal fixpoint to quiescence. A structure round runs only
-  /// when a structure edge died or grew. The result is the least fixed
-  /// point a from-scratch solve over the edited graph reaches. Needs the
-  /// recorder (setProvenance) that the closure walked.
+  /// itself again, and runs the normal fixpoint to quiescence. A structure
+  /// round runs only when a structure edge died or grew, and it fires only
+  /// the structure-sensitive ops that the frontier's changed ids and the
+  /// structure placed since the last round can reach (see
+  /// enqueueStructureOps). The result is the least fixed point a
+  /// from-scratch solve over the edited graph reaches. Needs the recorder
+  /// (setProvenance) that the closure walked.
   SolverStats resolveIncremental(const RederiveFrontier &F);
 
   /// The framework callbacks whose returned views FragmentAdd and
@@ -136,12 +146,19 @@ public:
   static constexpr const char *FragmentFactory = "onCreateView";
   static constexpr const char *AdapterFactory = "getView";
 
+  /// The inflation memos of one layout: the sites, sorted, and the root
+  /// each minted there (InvalidNode for a failed inflation).
+  struct LayoutMemos {
+    std::vector<uint32_t> Sites;
+    std::vector<graph::NodeId> Roots;
+  };
   /// Drops the inflation memos of the layout with id node \p LayoutIdNode
-  /// and returns the ops they belonged to. The other memo hits validate
-  /// themselves against the graph (a retired root, a removed factory
-  /// link), but a failed inflation is memoized as InvalidNode, and only an
-  /// edit of its layout can make it succeed.
-  std::vector<uint32_t> forgetLayoutMemos(graph::NodeId LayoutIdNode);
+  /// and returns them. The other memo hits validate themselves against the
+  /// graph (a retired root, a removed factory link), but a failed
+  /// inflation is memoized as InvalidNode, and only an edit of its layout
+  /// can make it succeed. Finds them through a per-layout index, built on
+  /// the first call, so an edit does not scan every memo.
+  LayoutMemos forgetLayoutMemos(graph::NodeId LayoutIdNode);
 
   /// Attaches a derivation recorder (docs/OBSERVABILITY.md). Null (the
   /// default) disables recording; non-null makes every committed flowsTo
@@ -231,7 +248,23 @@ private:
   /// \p NewEdge reports a handler that is not found.
   void wireXmlHandler(NodeId View, NodeId Holder, bool NewEdge);
 
-  void noteStructureChange();
+  /// Structure growth: \p View is the child of a new parent-child edge or
+  /// the root of a new root edge or minted subtree, or (\p View, \p Id) a
+  /// new has-id edge. Each marks the structure dirty; while re-deriving it
+  /// also records what it placed for the next structure round.
+  void notePlaced(NodeId View);
+  void noteNewId(NodeId View, NodeId Id);
+  /// A structure round's op step. A scratch solve fires every
+  /// structure-sensitive op. A re-derive fires only the ops the recorded
+  /// growth can reach. The changed ids are the new has-id ids and the ids
+  /// on the views of the placed subtrees; the reached nodes are the placed
+  /// views, the views with a new id, their ancestors, and the windows
+  /// holding one of these as a root. FragmentAdd fires when an id at its id
+  /// argument changed, FindView1/2 when also a receiver value is reached,
+  /// and FindView3 when a receiver value is reached. It fires them all
+  /// when the graph holds unknown sources or TrackViewIds/TrackHierarchy is
+  /// off.
+  void enqueueStructureOps();
   void enqueueOp(size_t OpIndex);
 
   graph::ConstraintGraph &G;
@@ -284,6 +317,17 @@ private:
   /// Ops to re-fire on hierarchy/id/root structure growth.
   std::vector<size_t> StructureSensitiveOps;
 
+  /// Set by resolveIncremental(): structure growth records what it placed
+  /// until the next structure round reads and clears it. A scratch solve
+  /// records nothing.
+  bool TrackPlaced = false;
+  /// Children of new parent-child edges, roots of new root edges and of
+  /// minted subtrees.
+  std::vector<NodeId> Placed;
+  /// (view, id) of each new has-id edge; the frontier's changed ids come
+  /// with InvalidNode for the view.
+  std::vector<std::pair<NodeId, NodeId>> NewIds;
+
   /// The re-derive pass's own indexes, built by resolveIncremental() only
   /// (a scratch solve never pays for them): op indices by output node,
   /// chained like OpUseLinks, and op index by op node. Ops below
@@ -303,6 +347,11 @@ private:
   /// stale: the retraction closure retired the subtree while the site and
   /// the id survived, so the site mints again.
   std::unordered_map<uint64_t, NodeId> InflatedAt;
+  /// Layout id (or unknown id) node -> the ops holding an InflatedAt memo
+  /// for it. Built by the first forgetLayoutMemos() call and kept by
+  /// inflateAt() from then on; a scratch solve never builds it.
+  std::unordered_map<NodeId, std::vector<uint32_t>> MemosById;
+  bool MemosIndexed = false;
 
   /// (FragmentAdd/SetAdapter op index, value) pairs whose factory `this`
   /// is wired. A hit counts only while the value's link to the factory's

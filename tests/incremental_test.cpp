@@ -12,7 +12,8 @@
 // regressions pin the solver's memo validation, the re-derived
 // unresolved-op markers and the re-marked fidelity. An edit costs the same
 // allocations and work whatever the size of the app around it (a counting
-// operator new, armed only around reanalyzeMethod). The
+// operator new, armed only around reanalyzeMethod), and a layout edit the
+// same work whatever the number of other activities. The
 // `--incremental-edit` driver loads both apps the way the run path does:
 // diagnostics follow --diag-format, and an unreadable input is named.
 //
@@ -582,6 +583,94 @@ class A extends android.app.Activity {
   ASSERT_TRUE(R.Applied);
   EXPECT_GT(R.Retracted, 0u);
   EXPECT_TRUE(R.Match);
+}
+
+/// An app whose activities A and B add one fragment class into their own
+/// containers, A finding the fragment's view, and \p Others activities
+/// that only find a view of their own layout. A's layout is \p ALayout.
+std::unique_ptr<corpus::AppBundle> sharedFragmentBundle(const char *ALayout,
+                                                        unsigned Others) {
+  std::string Source = R"(
+class F extends android.app.Fragment {
+  method onCreateView(inflater: android.view.LayoutInflater): android.view.View {
+    var lid: int;
+    var v: android.view.View;
+    lid := @layout/frag;
+    v := inflater.inflate(lid);
+    return v;
+  }
+}
+)";
+  std::vector<std::pair<std::string, std::string>> Layouts{
+      {"a", ALayout},
+      {"b", R"(<LinearLayout><FrameLayout android:id="@+id/cb" /></LinearLayout>)"},
+      {"frag", R"(<TextView android:id="@+id/ftitle" />)"}};
+  auto activity = [&](const std::string &Name, const std::string &Layout,
+                      const std::string &Container, const std::string &Find) {
+    Source += "class " + Name + R"( extends android.app.Activity {
+  method onCreate() {
+    var lid: int;
+    var cid: int;
+    var tid: int;
+    var fm: android.app.FragmentManager;
+    var tx: android.app.FragmentTransaction;
+    var f: F;
+    var y: android.view.View;
+    lid := @layout/)" + Layout + R"(;
+    this.setContentView(lid);
+)";
+    if (!Container.empty())
+      Source += R"(    fm := this.getFragmentManager();
+    tx := fm.beginTransaction();
+    f := new F;
+    cid := @id/)" + Container + R"(;
+    tx.add(cid, f);
+)";
+    Source += "    tid := @id/" + Find + ";\n    y := this.findViewById(tid);\n  }\n}\n";
+  };
+  activity("A", "a", "ca", "ftitle");
+  activity("B", "b", "cb", "cb");
+  for (unsigned I = 0; I < Others; ++I) {
+    const std::string N = "x" + std::to_string(I);
+    activity("X" + std::to_string(I), N, "", N);
+    Layouts.emplace_back(N, "<LinearLayout><TextView android:id=\"@+id/" + N +
+                                "\" /></LinearLayout>");
+  }
+  return makeBundle(Source, Layouts);
+}
+
+// An edit of A's layout cuts the fragment's view from A's old container,
+// so the closure kills A's find result and, with it, every fragment edge
+// to the view, B's too. B's op reads its container through the id edge,
+// not through a role: the closure names that container's id, and the
+// structure round fires the ops it reaches, not every one of the app.
+TEST(IncrementalTest, FragmentEdgeOfAnotherActivityIsAddedAgain) {
+  const char *Before =
+      R"(<LinearLayout><FrameLayout android:id="@+id/ca" /></LinearLayout>)";
+  const char *After = R"(<LinearLayout>
+  <TextView />
+  <FrameLayout android:id="@+id/ca" />
+</LinearLayout>)";
+  unsigned long Firings[2] = {};
+  for (unsigned Others : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(Others) + " other activities");
+    auto App = sharedFragmentBundle(Before, Others);
+    auto Edited = sharedFragmentBundle(After, Others);
+    const AnalysisOptions Options;
+    IncrementalAnalysis Inc(App->Program, *App->Layouts, App->Android,
+                            Options, App->Diags);
+    Inc.solveInitial();
+    ASSERT_TRUE(Inc.reanalyzeLayout(
+        "a", Edited->Layouts->findByName("a")->root()->clone()));
+    EXPECT_GT(Inc.lastFactsRetracted(), 0u);
+    Firings[Others > 1] = Inc.lastStats().OpFirings;
+
+    auto Scratch = GuiAnalysis::run(App->Program, *App->Layouts, App->Android,
+                                    Options, App->Diags);
+    ASSERT_TRUE(Scratch);
+    EXPECT_EQ(solutionDigest(Inc.solution()), solutionDigest(*Scratch->Sol));
+  }
+  EXPECT_EQ(Firings[0], Firings[1]);
 }
 
 /// An app with a fragment added to the container the id \p ContainerId
@@ -1169,6 +1258,54 @@ TEST(IncrementalTest, EditCostIndependentOfAppSize) {
       << Small.Nodes << " nodes vs " << Large.Nodes << " nodes";
   EXPECT_EQ(Small.Bytes, Large.Bytes)
       << Small.Nodes << " nodes vs " << Large.Nodes << " nodes";
+}
+
+/// Generates an app with \p Activities activities, solves it in a session,
+/// reverses the children of main_0, and counts what reanalyzeLayout does.
+EditCost reverseMainInAppWithActivities(unsigned Activities) {
+  corpus::AppSpec Spec;
+  Spec.Name = "Edit";
+  Spec.Seed = 5;
+  Spec.Activities = Activities;
+  Spec.ListenersPerActivity = 3;
+  Spec.DirectFindsPerActivity = 3;
+  corpus::GeneratedApp App = corpus::generateApp(Spec);
+  corpus::AppBundle &B = *App.Bundle;
+  const AnalysisOptions Options;
+  IncrementalAnalysis Inc(B.Program, *B.Layouts, B.Android, Options, B.Diags);
+  Inc.solveInitial();
+
+  EditCost Cost;
+  Cost.Nodes = Inc.result().Graph->size();
+  auto Root = B.Layouts->findByName("main_0")->root()->clone();
+  auto Children = Root->takeChildren();
+  for (auto It = Children.rbegin(); It != Children.rend(); ++It)
+    Root->addChild(std::move(*It));
+  if (!Inc.reanalyzeLayout("main_0", std::move(Root)))
+    return Cost;
+  Cost.OpFirings = Inc.lastStats().OpFirings;
+  Cost.ValuesPushed = Inc.lastStats().ValuesPushed;
+  Cost.Retracted = Inc.lastFactsRetracted();
+  auto Scratch = GuiAnalysis::run(B.Program, *B.Layouts, B.Android, Options,
+                                  B.Diags);
+  Cost.Match =
+      Scratch && solutionDigest(Inc.solution()) == solutionDigest(*Scratch->Sol);
+  return Cost;
+}
+
+// A layout edit re-mints the views of one activity. The structure round
+// that follows fires only the ops the new views can reach, so the edit
+// costs the same however many other activities the app has.
+TEST(IncrementalTest, LayoutEditCostIndependentOfActivityCount) {
+  const EditCost Small = reverseMainInAppWithActivities(4);
+  const EditCost Large = reverseMainInAppWithActivities(8);
+  ASSERT_GT(Large.Nodes, Small.Nodes);
+  ASSERT_TRUE(Small.Match);
+  ASSERT_TRUE(Large.Match);
+  ASSERT_GT(Small.Retracted, 0u);
+  EXPECT_EQ(Small.Retracted, Large.Retracted);
+  EXPECT_EQ(Small.OpFirings, Large.OpFirings);
+  EXPECT_EQ(Small.ValuesPushed, Large.ValuesPushed);
 }
 
 //===----------------------------------------------------------------------===//
